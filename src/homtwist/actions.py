@@ -15,7 +15,7 @@ from __future__ import annotations
 from . import homcore, uea
 from .homcore import Carrier, ModuleAlgebraScenario
 from .polyalg import Poly, PolyEndo, enumerate_monomials
-from .report import CheckReport
+from .report import CheckReport, sweep
 from .scalars import QLaurent
 from .uea import UElem, UEndo, enumerate_pbw, render_mono
 
@@ -130,67 +130,49 @@ def check_classical_module_algebra(bound_h: int = 3, bound_a: int = 3) -> CheckR
 def check_action_associativity(bound_h: int = 3, bound_a: int = 4) -> CheckReport:
     """act(uv, p) = act(u, act(v, p)): the extension to PBW monomials is a
     representation."""
-    report = CheckReport("action-associativity", "Eq. (2.1) at alpha = Id")
-    monos = enumerate_pbw(bound_h)
-    polys = enumerate_monomials(bound_a)
-    for m1 in monos:
-        u = UElem.monomial(m1)
-        for m2 in monos:
-            v = UElem.monomial(m2)
-            uv = u * v
-            for p in polys:
-                lhs = act(uv, p)
-                rhs = act(u, act(v, p))
-                report.checked += 1
-                if lhs != rhs:
-                    report.record(
-                        (m1, m2, next(iter(p.terms))),
-                        (render_mono(m1), render_mono(m2), str(p)),
-                        lhs,
-                        rhs,
-                    )
-    return report
+    U, P = u_carrier(bound_h), plane_carrier(bound_a)
+    eu, ep = homcore.elements(U), homcore.elements(P)
+    products = {(m1, m2): eu[m1] * eu[m2] for m1 in U.basis for m2 in U.basis}
+    return sweep(
+        "action-associativity",
+        "Eq. (2.1) at alpha = Id",
+        [homcore.axis(U), homcore.axis(U), homcore.axis(P)],
+        lambda m1, m2, p: act(products[m1, m2], ep[p]),
+        lambda m1, m2, p: act(eu[m1], act(eu[m2], ep[p])),
+    )
 
 
 def check_alphaWP(bound: int = 4) -> CheckReport:
     """alpha_A(W P) = alpha_L(W) alpha_A(P) for the three generators (Eq. 4.2)."""
-    report = CheckReport("generator-compatibility", "Eq. (4.2)")
     alpha_A = alpha_plane()
     q_endo = UEndo.q_example()
-    for gen in uea.GENERATORS:
-        w = UElem.generator(gen)
-        aw = q_endo.apply_lie(w)
-        for p in enumerate_monomials(bound):
-            lhs = alpha_A(act(w, p))
-            rhs = act(aw, alpha_A(p))
-            report.checked += 1
-            if lhs != rhs:
-                report.record(
-                    (gen, next(iter(p.terms))), (gen, str(p)), lhs, rhs
-                )
-    return report
+    P = plane_carrier(bound)
+    ep = homcore.elements(P)
+    gens = {gen: UElem.generator(gen) for gen in uea.GENERATORS}
+    images = {gen: q_endo.apply_lie(w) for gen, w in gens.items()}
+    return sweep(
+        "generator-compatibility",
+        "Eq. (4.2)",
+        [(uea.GENERATORS, str), homcore.axis(P)],
+        lambda gen, p: alpha_A(act(gens[gen], ep[p])),
+        lambda gen, p: act(images[gen], alpha_A(ep[p])),
+    )
 
 
 def check_alphaza(bound_h: int = 3, bound_a: int = 4) -> CheckReport:
     """Full compatibility alpha_A(za) = alpha_U(z) alpha_A(a) (Eq. 1.7)."""
-    report = CheckReport("full-compatibility", "Eq. (1.7)")
     alpha_A = alpha_plane()
     alpha_U = alpha_u_handle()
-    for mono in enumerate_pbw(bound_h):
-        z = UElem.monomial(mono)
-        az = alpha_U(z)
-        for p in enumerate_monomials(bound_a):
-            lhs = alpha_A(act(z, p))
-            rhs = act(az, alpha_A(p))
-            report.checked += 1
-            if lhs != rhs:
-                report.record(
-                    (mono, next(iter(p.terms))),
-                    (render_mono(mono), str(p)),
-                    lhs,
-                    rhs,
-                )
-    return report
+    U, P = u_carrier(bound_h), plane_carrier(bound_a)
+    eu, ep = homcore.elements(U), homcore.elements(P)
+    images = {mono: alpha_U(z) for mono, z in eu.items()}
+    return sweep(
+        "full-compatibility",
+        "Eq. (1.7)",
+        [homcore.axis(U), homcore.axis(P)],
+        lambda mono, p: alpha_A(act(eu[mono], ep[p])),
+        lambda mono, p: act(images[mono], alpha_A(ep[p])),
+    )
 
 
 def weight_spectrum(n: int):

@@ -5,8 +5,8 @@ Subcommands:
   act     -- apply an element of U(sl(2)) to a polynomial
   twist   -- print twisted product/coproduct tables on the enumerated basis
 
-Exit codes: 0 all checks pass, 1 axiom failure, 2 input error, 3 internal
-range escape.  Output is byte-deterministic for a fixed invocation.
+Exit codes: 0 all checks pass, 1 axiom failure, 2 input error.  Output is
+byte-deterministic for a fixed invocation.
 """
 
 from __future__ import annotations
@@ -18,38 +18,96 @@ import sys
 
 from . import actions, finalg, homcore
 from .polyalg import Poly
-from .report import RangeEscapeError
 from .scalars import QLaurent, Rational
 from .uea import UElem, enumerate_pbw, render_mono
 
 EXIT_PASS = 0
 EXIT_AXIOM_FAILURE = 1
 EXIT_INPUT_ERROR = 2
-EXIT_RANGE_ESCAPE = 3
 
-SL2_SUITES = (
-    "hom-associativity",
-    "hom-bialgebra",
-    "module-axiom",
-    "module-hom-algebra",
-    "mu-module-morphism",
-    "compatibility",
-    "classical",
-    "hom-lie",
-)
 
-FINALG_SUITES = (
-    "hom-associativity",
-    "hom-bialgebra",
-    "module-axiom",
-    "module-hom-algebra",
-    "mu-module-morphism",
-)
+class InputError(Exception):
+    pass
+
+
+# -- suite registry ----------------------------------------------------
+# Each builder takes the scenario and the parsed arguments and returns one
+# CheckReport.  Checkers are looked up in homcore at call time.
+
+
+def _label(report, name, equation):
+    report.name, report.equation = name, equation
+    return report
+
+
+def _alpha_power(args):
+    return 1 if args.negative_control else 2
+
+
+def _hom_associativity(s, args):
+    report = homcore.check_hom_associativity(s.A).merge(
+        homcore.check_multiplicativity(s.A)
+    )
+    return _label(report, "hom-associativity(A_alpha)", "Eq. (1.2)")
+
+
+def _hom_bialgebra(s, args):
+    report = homcore.check_hom_bialgebra(s.H)
+    return _label(report, f"hom-bialgebra({s.H.name})", "Eqs. (2.3)-(2.5)")
+
+
+def _compatibility(s, args):
+    report = actions.check_alphaWP(args.bound_a).merge(
+        actions.check_alphaza(args.bound_h, args.bound_a)
+    )
+    return _label(report, "compatibility", "Eqs. (1.5)/(1.7)/(4.2)")
+
+
+def _hom_lie(s, args):
+    lie = actions.u_carrier(1)
+    bracket = homcore.lie_yau_twist(
+        homcore.commutator_bracket(lie), actions.alpha_u_handle()
+    )
+    twisted_lie = homcore.yau_twist_algebra(lie, actions.alpha_u_handle())
+    report = homcore.check_hom_jacobi(twisted_lie, bracket)
+    report.name = "hom-lie(sl2 twisted)"
+    return report
+
+
+_SHARED_SUITES = {
+    "hom-associativity": _hom_associativity,
+    "hom-bialgebra": _hom_bialgebra,
+    "module-axiom": lambda s, args: homcore.check_module_axiom(
+        s.H, s.module_carrier()
+    ),
+    "module-hom-algebra": lambda s, args: homcore.check_module_hom_algebra(
+        s, alpha_power=_alpha_power(args)
+    ),
+    "mu-module-morphism": lambda s, args: homcore.check_mu_module_morphism(
+        s, alpha_power=_alpha_power(args)
+    ),
+}
+
+SUITES = {
+    "sl2-q": {
+        **_SHARED_SUITES,
+        "compatibility": _compatibility,
+        "classical": lambda s, args: actions.check_classical_module_algebra(
+            args.bound_h, args.bound_a
+        ),
+        "hom-lie": _hom_lie,
+    },
+    "finalg": _SHARED_SUITES,
+}
+
+SL2_SUITES = tuple(SUITES["sl2-q"])
+FINALG_SUITES = tuple(SUITES["finalg"])
 
 
 def _default_bound(name, fallback):
-    value = os.environ.get(name)
-    return int(value) if value else fallback
+    # argparse converts a string default with the option's type, so a bad
+    # environment value is reported like a bad flag.
+    return os.environ.get(name) or str(fallback)
 
 
 def build_parser():
@@ -60,7 +118,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     verify = sub.add_parser("verify", help="run axiom suites for a scenario")
-    verify.add_argument("scenario", choices=["sl2-q", "finalg"])
+    verify.add_argument("scenario", choices=list(SUITES))
     verify.add_argument(
         "--bound-h",
         type=int,
@@ -107,84 +165,16 @@ def build_parser():
 # -- verify ------------------------------------------------------------
 
 
-def _sl2_reports(bounds, suites, negative_control):
-    bound_h, bound_a = bounds
-    deformed = actions.deformed_scenario(bound_h, bound_a)
-    alpha_power = 1 if negative_control else 2
-    reports = []
-    for suite in suites:
-        if suite == "hom-associativity":
-            twisted = homcore.yau_twist_algebra(
-                actions.plane_carrier(bound_a, actions.alpha_plane())
-            )
-            report = homcore.check_hom_associativity(twisted).merge(
-                homcore.check_multiplicativity(twisted)
-            )
-            report.name = "hom-associativity(A_alpha)"
-            report.equation = "Eq. (1.2)"
-        elif suite == "hom-bialgebra":
-            report = homcore.check_hom_bialgebra(deformed.H)
-            report.name = "hom-bialgebra(U(sl2)_alpha)"
-            report.equation = "Eqs. (2.3)-(2.5)"
-        elif suite == "module-axiom":
-            report = homcore.check_module_axiom(deformed.H, deformed.module_carrier())
-        elif suite == "module-hom-algebra":
-            report = homcore.check_module_hom_algebra(deformed, alpha_power=alpha_power)
-        elif suite == "mu-module-morphism":
-            report = homcore.check_mu_module_morphism(deformed, alpha_power=alpha_power)
-        elif suite == "compatibility":
-            report = actions.check_alphaWP(bound_a)
-            report = report.merge(actions.check_alphaza(bound_h, bound_a))
-            report.name = "compatibility"
-            report.equation = "Eqs. (1.5)/(1.7)/(4.2)"
-        elif suite == "classical":
-            report = actions.check_classical_module_algebra(bound_h, bound_a)
-        elif suite == "hom-lie":
-            lie = actions.u_carrier(1)
-            bracket = homcore.lie_yau_twist(
-                homcore.commutator_bracket(lie), actions.alpha_u_handle()
-            )
-            twisted_lie = homcore.yau_twist_algebra(lie, actions.alpha_u_handle())
-            report = homcore.check_hom_jacobi(twisted_lie, bracket)
-            report.name = "hom-lie(sl2 twisted)"
-        else:
-            raise ValueError(f"unknown suite {suite!r}")
-        reports.append(report)
-    return reports
-
-
-def _finalg_reports(path, suites, negative_control):
-    if path:
-        algebra, G, a = finalg.load_scenario(path)
-    else:
-        algebra, G, a = finalg.m2_example()
-    scenario = finalg.build_example31(algebra, G, a)
-    alpha_power = 1 if negative_control else 2
-    reports = []
-    for suite in suites:
-        if suite == "hom-associativity":
-            report = homcore.check_hom_associativity(scenario.A).merge(
-                homcore.check_multiplicativity(scenario.A)
-            )
-            report.name = "hom-associativity(A_alpha)"
-            report.equation = "Eq. (1.2)"
-        elif suite == "hom-bialgebra":
-            report = homcore.check_hom_bialgebra(scenario.H)
-            report.name = "hom-bialgebra(k[G])"
-        elif suite == "module-axiom":
-            report = homcore.check_module_axiom(scenario.H, scenario.module_carrier())
-        elif suite == "module-hom-algebra":
-            report = homcore.check_module_hom_algebra(scenario, alpha_power=alpha_power)
-        elif suite == "mu-module-morphism":
-            report = homcore.check_mu_module_morphism(scenario, alpha_power=alpha_power)
-        else:
-            raise ValueError(f"unknown suite {suite!r}")
-        reports.append(report)
-    return reports
+def _finalg_scenario(path):
+    try:
+        algebra, G, a = finalg.load_scenario(path) if path else finalg.m2_example()
+        return finalg.build_example31(algebra, G, a)
+    except (OSError, ValueError) as exc:
+        raise InputError(str(exc)) from exc
 
 
 def cmd_verify(args):
-    known = SL2_SUITES if args.scenario == "sl2-q" else FINALG_SUITES
+    known = SUITES[args.scenario]
     suites = args.suite if args.suite else list(known)
     for suite in suites:
         if suite not in known:
@@ -195,11 +185,10 @@ def cmd_verify(args):
     if args.bound_h < 1 or args.bound_a < 1:
         raise InputError("bounds must be >= 1")
     if args.scenario == "sl2-q":
-        reports = _sl2_reports(
-            (args.bound_h, args.bound_a), suites, args.negative_control
-        )
+        scenario = actions.deformed_scenario(args.bound_h, args.bound_a)
     else:
-        reports = _finalg_reports(args.file, suites, args.negative_control)
+        scenario = _finalg_scenario(args.file)
+    reports = [known[suite](scenario, args) for suite in suites]
 
     for report in reports:
         print(report.summary())
@@ -211,16 +200,19 @@ def cmd_verify(args):
             print(f"  ... {len(report.counterexamples) - 5} more")
 
     if args.report:
-        document = {
-            "scenario": args.scenario,
-            "bound_h": args.bound_h,
-            "bound_a": args.bound_a,
-            "negative_control": args.negative_control,
-            "reports": [r.to_dict() for r in reports],
-        }
-        with open(args.report, "w") as fh:
-            json.dump(document, fh, indent=2)
-            fh.write("\n")
+        document = {"scenario": args.scenario}
+        if args.scenario == "sl2-q":
+            document.update(bound_h=args.bound_h, bound_a=args.bound_a)
+        document.update(
+            negative_control=args.negative_control,
+            reports=[r.to_dict() for r in reports],
+        )
+        try:
+            with open(args.report, "w") as fh:
+                json.dump(document, fh, indent=2)
+                fh.write("\n")
+        except OSError as exc:
+            raise InputError(f"cannot write report: {exc}") from exc
 
     return EXIT_PASS if all(r.passed for r in reports) else EXIT_AXIOM_FAILURE
 
@@ -256,6 +248,8 @@ def cmd_act(args):
 
 def cmd_twist(args):
     if args.scenario == "sl2":
+        if args.bound < 0:
+            raise InputError("bound must be >= 0")
         handle = actions.alpha_u_handle()
         carrier = homcore.yau_twist_bialgebra(actions.u_carrier(args.bound), handle)
         print("# twisted product mu_alpha on PBW basis")
@@ -271,11 +265,7 @@ def cmd_twist(args):
                 + homcore.render_tensor(tensor, carrier, carrier)
             )
     else:
-        if args.file:
-            algebra, G, a = finalg.load_scenario(args.file)
-        else:
-            algebra, G, a = finalg.m2_example()
-        scenario = finalg.build_example31(algebra, G, a)
+        scenario = _finalg_scenario(args.file)
         print("# twisted product mu_alpha on algebra basis")
         for i in scenario.A.basis:
             for j in scenario.A.basis:
@@ -287,10 +277,6 @@ def cmd_twist(args):
                     + scenario.A.render_elem(product)
                 )
     return EXIT_PASS
-
-
-class InputError(Exception):
-    pass
 
 
 def main(argv=None):
@@ -311,12 +297,6 @@ def main(argv=None):
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    except (FileNotFoundError, json.JSONDecodeError, KeyError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    except RangeEscapeError as exc:
-        print(f"internal range escape: {exc}", file=sys.stderr)
-        return EXIT_RANGE_ESCAPE
 
 
 if __name__ == "__main__":

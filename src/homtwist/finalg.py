@@ -14,7 +14,7 @@ import json
 from fractions import Fraction
 
 from .homcore import Carrier, ModuleAlgebraScenario, yau_twist_algebra
-from .scalars import QLaurent
+from .scalars import QLaurent, add_term, sparse_add, sparse_scale
 
 
 class StructAlgebra:
@@ -264,6 +264,10 @@ class GroupBialgebra:
         self.algebra = algebra
         self.operators = list(operators)
         for idx, op in enumerate(self.operators):
+            if op.dim != algebra.dim:
+                raise ValueError(
+                    f"operator {idx} is {op.dim}x{op.dim} on a {algebra.dim}-dim algebra"
+                )
             if not op.is_automorphism(algebra):
                 raise ValueError(f"operator {idx} is not an algebra automorphism")
         self.table = {}
@@ -303,12 +307,7 @@ class GroupBialgebra:
             out = {}
             for i, c1 in u.items():
                 for j, c2 in v.items():
-                    k = self.table[(i, j)]
-                    acc = out.get(k, QLaurent.zero()) + c1 * c2
-                    if acc:
-                        out[k] = acc
-                    else:
-                        out.pop(k, None)
+                    add_term(out, self.table[(i, j)], c1 * c2)
             return out
 
         def comul(u):
@@ -319,8 +318,8 @@ class GroupBialgebra:
             basis=tuple(range(n)),
             element=element,
             coords=lambda u: dict(u),
-            add=_dict_add,
-            scale=_dict_scale,
+            add=sparse_add,
+            scale=sparse_scale,
             zero={},
             mul=mul,
             alpha=lambda u: dict(u),
@@ -335,23 +334,6 @@ class GroupBialgebra:
         for i, coeff in u.items():
             out = self.algebra.add(out, self.algebra.scale(coeff, self.operators[i](v)))
         return out
-
-
-def _dict_add(u, v):
-    out = dict(u)
-    for k, c in v.items():
-        acc = out.get(k, QLaurent.zero()) + c
-        if acc:
-            out[k] = acc
-        else:
-            out.pop(k, None)
-    return out
-
-
-def _dict_scale(coeff, u):
-    if not coeff:
-        return {}
-    return {k: coeff * c for k, c in u.items()}
 
 
 def _render_group_elem(u):
@@ -463,21 +445,38 @@ def load_scenario(path):
     """
     with open(path) as fh:
         data = json.load(fh)
-    labels = data["labels"]
-    constants = {
-        (i, j, k): QLaurent.parse(str(coeff))
-        for i, j, k, coeff in data["constants"]
-    }
+    if not isinstance(data, dict):
+        raise ValueError("scenario file must hold a JSON object")
+    constants = {}
+    for entry in _array(data.get("constants"), "constants"):
+        if not (
+            isinstance(entry, list)
+            and len(entry) == 4
+            and all(isinstance(i, int) for i in entry[:3])
+        ):
+            raise ValueError(f"constant must be [i, j, k, coeff], got {entry!r}")
+        i, j, k, coeff = entry
+        constants[(i, j, k)] = QLaurent.parse(str(coeff))
     unit = (
-        [QLaurent.parse(str(c)) for c in data["unit"]] if "unit" in data else None
+        [QLaurent.parse(str(c)) for c in _array(data["unit"], "unit")]
+        if "unit" in data
+        else None
     )
-    algebra = StructAlgebra(labels, constants, unit=unit)
-    operators = [
-        LinOp([[QLaurent.parse(str(c)) for c in row] for row in matrix])
-        for matrix in data["group"]
-    ]
+    algebra = StructAlgebra(_array(data.get("labels"), "labels"), constants, unit=unit)
+    operators = []
+    for matrix in _array(data.get("group"), "group"):
+        rows = [_array(row, "matrix row") for row in _array(matrix, "group matrix")]
+        operators.append(LinOp([[QLaurent.parse(str(c)) for c in row] for row in rows]))
     G = GroupBialgebra(algebra, operators)
-    element = tuple(QLaurent.parse(str(c)) for c in data["element"])
+    element = tuple(
+        QLaurent.parse(str(c)) for c in _array(data.get("element"), "element")
+    )
     if len(element) != algebra.dim:
         raise ValueError("distinguished element has wrong length")
     return algebra, G, element
+
+
+def _array(value, what):
+    if not isinstance(value, list):
+        raise ValueError(f"{what} must be a JSON array, got {value!r}")
+    return value

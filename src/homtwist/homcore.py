@@ -6,8 +6,9 @@ maps in play are linear or bilinear, so verifying an identity on every basis
 tuple proves it on the whole spanned truncation; a passing sweep is a proof
 at the declared bound.
 
-Checkers return CheckReport values: a failed identity is report content, not
-an exception.  Only malformed carriers raise.
+Every checker is one or more sweeps (report.sweep) of a multilinear identity
+over basis tuples, and returns a CheckReport: a failed identity is report
+content, not an exception.  Only malformed carriers raise.
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
-from .report import CheckReport, RangeEscapeError
-from .scalars import QLaurent
+from .report import CheckReport, sweep
+from .scalars import QLaurent, add_term
 
 
 @dataclass(frozen=True)
@@ -25,8 +26,8 @@ class Carrier:
 
     basis holds hashable keys; element/coords translate between keys and the
     carrier's native element type.  coords must return a canonical sparse
-    map key -> nonzero QLaurent, so dict equality of coordinates is exact
-    equality of elements.
+    map key -> nonzero QLaurent, and elements must compare equal exactly when
+    they are equal as vectors.
     """
 
     name: str
@@ -42,18 +43,6 @@ class Carrier:
     render_key: Callable = str
     render_elem: Callable = str
 
-    def eq(self, e1, e2) -> bool:
-        return self.coords(e1) == self.coords(e2)
-
-    def basis_elem(self, key):
-        return self.element(key)
-
-    def from_coords(self, coords: dict):
-        out = self.zero
-        for key, coeff in coords.items():
-            out = self.add(out, self.scale(coeff, self.element(key)))
-        return out
-
 
 @dataclass(frozen=True)
 class ModCarrier:
@@ -63,16 +52,10 @@ class ModCarrier:
     basis: tuple
     element: Callable
     coords: Callable
-    add: Callable
-    scale: Callable
-    zero: object
     alpha: Callable
     rho: Callable  # (algebra element, module element) -> module element
     render_key: Callable = str
     render_elem: Callable = str
-
-    def eq(self, e1, e2) -> bool:
-        return self.coords(e1) == self.coords(e2)
 
 
 @dataclass(frozen=True)
@@ -93,9 +76,6 @@ class ModuleAlgebraScenario:
             basis=self.A.basis,
             element=self.A.element,
             coords=self.A.coords,
-            add=self.A.add,
-            scale=self.A.scale,
-            zero=self.A.zero,
             alpha=self.A.alpha,
             rho=self.rho,
             render_key=self.A.render_key,
@@ -103,25 +83,24 @@ class ModuleAlgebraScenario:
         )
 
 
+def axis(carrier) -> tuple:
+    """The sweep axis of a carrier's basis: (keys, render_key)."""
+    return carrier.basis, carrier.render_key
+
+
+def elements(carrier) -> dict:
+    """Basis key -> element, built once before a sweep."""
+    return {key: carrier.element(key) for key in carrier.basis}
+
+
+def _iterate(fn, times, x):
+    for _ in range(times):
+        x = fn(x)
+    return x
+
+
 # -- sparse tensors ----------------------------------------------------
 # A tensor is a dict mapping tuples of basis keys to nonzero QLaurent.
-
-
-def t_add(t1: dict, t2: dict) -> dict:
-    out = dict(t1)
-    for key, coeff in t2.items():
-        acc = out.get(key, QLaurent.zero()) + coeff
-        if acc:
-            out[key] = acc
-        else:
-            out.pop(key, None)
-    return out
-
-
-def t_scale(coeff: QLaurent, t: dict) -> dict:
-    if not coeff:
-        return {}
-    return {key: coeff * c for key, c in t.items()}
 
 
 def t_outer(*coord_dicts) -> dict:
@@ -151,24 +130,19 @@ def t_apply(t: dict, slots) -> dict:
         coord_dicts = []
         for k, (carrier, fn) in zip(key, slots):
             coord_dicts.append(carrier.coords(fn(carrier.element(k))))
-        out = t_add(out, t_scale(coeff, t_outer(*coord_dicts)))
+        for new_key, c in t_outer(*coord_dicts).items():
+            add_term(out, new_key, coeff * c)
     return out
 
 
 def t_expand_slot(t: dict, slot: int, carrier: Carrier) -> dict:
     """Replace one tensor slot by the carrier's comultiplication of it."""
-    if carrier.comul is None:
-        raise ValueError(f"carrier {carrier.name} has no comultiplication")
+    _require_comul(carrier)
     out = {}
     for key, coeff in t.items():
         inner = carrier.comul(carrier.element(key[slot]))
         for (left, right), c in inner.items():
-            new_key = key[:slot] + (left, right) + key[slot + 1 :]
-            acc = out.get(new_key, QLaurent.zero()) + coeff * c
-            if acc:
-                out[new_key] = acc
-            else:
-                out.pop(new_key, None)
+            add_term(out, key[:slot] + (left, right) + key[slot + 1 :], coeff * c)
     return out
 
 
@@ -182,108 +156,95 @@ def render_tensor(t: dict, *carriers) -> str:
     return " + ".join(parts)
 
 
+def _require_comul(H: Carrier):
+    if H.comul is None:
+        raise ValueError(f"carrier {H.name} has no comultiplication")
+
+
 # -- algebra checkers --------------------------------------------------
 
 
 def check_multiplicativity(A: Carrier) -> CheckReport:
     """alpha(ab) = alpha(a) alpha(b) on all basis pairs."""
-    report = CheckReport("multiplicativity", "alpha o mu = mu o alpha^2")
-    for k1 in A.basis:
-        for k2 in A.basis:
-            a, b = A.element(k1), A.element(k2)
-            lhs = A.alpha(A.mul(a, b))
-            rhs = A.mul(A.alpha(a), A.alpha(b))
-            report.checked += 1
-            if not A.eq(lhs, rhs):
-                report.record(
-                    (k1, k2),
-                    (A.render_key(k1), A.render_key(k2)),
-                    A.render_elem(lhs),
-                    A.render_elem(rhs),
-                )
-    return report
+    e = elements(A)
+    return sweep(
+        "multiplicativity",
+        "alpha o mu = mu o (alpha x alpha)",
+        [axis(A)] * 2,
+        lambda k1, k2: A.alpha(A.mul(e[k1], e[k2])),
+        lambda k1, k2: A.mul(A.alpha(e[k1]), A.alpha(e[k2])),
+        A.render_elem,
+    )
 
 
 def check_hom_associativity(A: Carrier) -> CheckReport:
     """mu(alpha(a), mu(b, c)) = mu(mu(a, b), alpha(c)) on basis triples."""
-    report = CheckReport("hom-associativity", "Eq. (1.2)")
-    for k1 in A.basis:
-        for k2 in A.basis:
-            for k3 in A.basis:
-                a, b, c = A.element(k1), A.element(k2), A.element(k3)
-                lhs = A.mul(A.alpha(a), A.mul(b, c))
-                rhs = A.mul(A.mul(a, b), A.alpha(c))
-                report.checked += 1
-                if not A.eq(lhs, rhs):
-                    report.record(
-                        (k1, k2, k3),
-                        tuple(A.render_key(k) for k in (k1, k2, k3)),
-                        A.render_elem(lhs),
-                        A.render_elem(rhs),
-                    )
-    return report
+    e = elements(A)
+    return sweep(
+        "hom-associativity",
+        "Eq. (1.2)",
+        [axis(A)] * 3,
+        lambda k1, k2, k3: A.mul(A.alpha(e[k1]), A.mul(e[k2], e[k3])),
+        lambda k1, k2, k3: A.mul(A.mul(e[k1], e[k2]), A.alpha(e[k3])),
+        A.render_elem,
+    )
 
 
 def check_hom_coassociativity(H: Carrier) -> CheckReport:
     """(Delta x alpha) o Delta = (alpha x Delta) o Delta on basis elements."""
-    if H.comul is None:
-        raise ValueError(f"carrier {H.name} has no comultiplication")
-    report = CheckReport("hom-coassociativity", "Eq. (2.3)")
-    for key in H.basis:
-        t = H.comul(H.element(key))
-        lhs = t_apply(t_expand_slot(t, 0, H), [(H, _ident), (H, _ident), (H, H.alpha)])
-        rhs = t_apply(t_expand_slot(t, 1, H), [(H, H.alpha), (H, _ident), (H, _ident)])
-        report.checked += 1
-        if lhs != rhs:
-            report.record(
-                (key,),
-                (H.render_key(key),),
-                render_tensor(lhs, H, H, H),
-                render_tensor(rhs, H, H, H),
-            )
-    return report
+    _require_comul(H)
+    delta = {key: H.comul(H.element(key)) for key in H.basis}
+    return sweep(
+        "hom-coassociativity",
+        "Eq. (2.3)",
+        [axis(H)],
+        lambda k: t_apply(
+            t_expand_slot(delta[k], 0, H), [(H, _ident), (H, _ident), (H, H.alpha)]
+        ),
+        lambda k: t_apply(
+            t_expand_slot(delta[k], 1, H), [(H, H.alpha), (H, _ident), (H, _ident)]
+        ),
+        lambda t: render_tensor(t, H, H, H),
+    )
 
 
 def check_comul_morphism(H: Carrier) -> CheckReport:
     """Delta is a morphism of Hom-associative algebras (Eqs. 2.4 and 2.5)."""
-    if H.comul is None:
-        raise ValueError(f"carrier {H.name} has no comultiplication")
-    report = CheckReport("comul-morphism", "Eqs. (2.4)-(2.5)")
-    for key in H.basis:
-        e = H.element(key)
-        lhs = H.comul(H.alpha(e))
-        rhs = t_apply(H.comul(e), [(H, H.alpha), (H, H.alpha)])
-        report.checked += 1
-        if lhs != rhs:
-            report.record(
-                (key,),
-                (H.render_key(key),),
-                render_tensor(lhs, H, H),
-                render_tensor(rhs, H, H),
-            )
-    for k1 in H.basis:
-        for k2 in H.basis:
-            e1, e2 = H.element(k1), H.element(k2)
-            lhs = H.comul(H.mul(e1, e2))
-            # mu^2 o (Id x tau x Id) o Delta^2: middle-two interchange done
-            # directly on the index pairs.
-            rhs = {}
-            for (a, b), c1 in H.comul(e1).items():
-                for (u, v), c2 in H.comul(e2).items():
-                    left = H.mul(H.element(a), H.element(u))
-                    right = H.mul(H.element(b), H.element(v))
-                    rhs = t_add(
-                        rhs, t_scale(c1 * c2, elem_tensor(H, H, left, right))
-                    )
-            report.checked += 1
-            if lhs != rhs:
-                report.record(
-                    (k1, k2),
-                    (H.render_key(k1), H.render_key(k2)),
-                    render_tensor(lhs, H, H),
-                    render_tensor(rhs, H, H),
-                )
-    return report
+    _require_comul(H)
+    e = elements(H)
+    delta = {key: H.comul(x) for key, x in e.items()}
+
+    def mul_of_deltas(k1, k2):
+        # mu^2 o (Id x tau x Id) o Delta^2: middle-two interchange done
+        # directly on the index pairs.
+        out = {}
+        for (a, b), c1 in delta[k1].items():
+            for (u, v), c2 in delta[k2].items():
+                left = H.mul(H.element(a), H.element(u))
+                right = H.mul(H.element(b), H.element(v))
+                for key, c in elem_tensor(H, H, left, right).items():
+                    add_term(out, key, c1 * c2 * c)
+        return out
+
+    render = lambda t: render_tensor(t, H, H)
+    report = sweep(
+        "comul-morphism",
+        "Eqs. (2.4)-(2.5)",
+        [axis(H)],
+        lambda k: H.comul(H.alpha(e[k])),
+        lambda k: t_apply(delta[k], [(H, H.alpha), (H, H.alpha)]),
+        render,
+    )
+    return report.merge(
+        sweep(
+            "comul-morphism",
+            "Eqs. (2.4)-(2.5)",
+            [axis(H)] * 2,
+            lambda k1, k2: H.comul(H.mul(e[k1], e[k2])),
+            mul_of_deltas,
+            render,
+        )
+    )
 
 
 def check_hom_bialgebra(H: Carrier) -> CheckReport:
@@ -305,35 +266,25 @@ def check_module_axiom(H: Carrier, M: ModCarrier) -> CheckReport:
     Checks alpha_M(a m) = alpha(a) alpha_M(m) on pairs and
     alpha(a)(b m) = (a b) alpha_M(m) on triples (Eq. 2.1').
     """
-    report = CheckReport("module-axiom", "Eqs. (2.1)/(2.1')")
-    for kh in H.basis:
-        for km in M.basis:
-            a, m = H.element(kh), M.element(km)
-            lhs = M.alpha(M.rho(a, m))
-            rhs = M.rho(H.alpha(a), M.alpha(m))
-            report.checked += 1
-            if not M.eq(lhs, rhs):
-                report.record(
-                    (kh, km),
-                    (H.render_key(kh), M.render_key(km)),
-                    M.render_elem(lhs),
-                    M.render_elem(rhs),
-                )
-    for k1 in H.basis:
-        for k2 in H.basis:
-            for km in M.basis:
-                a, b, m = H.element(k1), H.element(k2), M.element(km)
-                lhs = M.rho(H.alpha(a), M.rho(b, m))
-                rhs = M.rho(H.mul(a, b), M.alpha(m))
-                report.checked += 1
-                if not M.eq(lhs, rhs):
-                    report.record(
-                        (k1, k2, km),
-                        (H.render_key(k1), H.render_key(k2), M.render_key(km)),
-                        M.render_elem(lhs),
-                        M.render_elem(rhs),
-                    )
-    return report
+    eh, em = elements(H), elements(M)
+    report = sweep(
+        "module-axiom",
+        "Eqs. (2.1)/(2.1')",
+        [axis(H), axis(M)],
+        lambda kh, km: M.alpha(M.rho(eh[kh], em[km])),
+        lambda kh, km: M.rho(H.alpha(eh[kh]), M.alpha(em[km])),
+        M.render_elem,
+    )
+    return report.merge(
+        sweep(
+            "module-axiom",
+            "Eqs. (2.1)/(2.1')",
+            [axis(H), axis(H), axis(M)],
+            lambda k1, k2, km: M.rho(H.alpha(eh[k1]), M.rho(eh[k2], em[km])),
+            lambda k1, k2, km: M.rho(H.mul(eh[k1], eh[k2]), M.alpha(em[km])),
+            M.render_elem,
+        )
+    )
 
 
 def build_rho_tilde(H: Carrier, M: ModCarrier, alpha_power: int = 2) -> ModCarrier:
@@ -344,9 +295,7 @@ def build_rho_tilde(H: Carrier, M: ModCarrier, alpha_power: int = 2) -> ModCarri
     """
 
     def rho_tilde(a, m):
-        for _ in range(alpha_power):
-            a = H.alpha(a)
-        return M.rho(a, m)
+        return M.rho(_iterate(H.alpha, alpha_power, a), m)
 
     return replace(M, name=f"{M.name} (rho-tilde)", rho=rho_tilde)
 
@@ -357,8 +306,7 @@ def build_rho2(H: Carrier, M: ModCarrier) -> ModCarrier:
     Elements of the tensor-square carrier are sparse tensors keyed by pairs
     of M basis keys.
     """
-    if H.comul is None:
-        raise ValueError(f"carrier {H.name} has no comultiplication")
+    _require_comul(H)
 
     pair_basis = tuple((k1, k2) for k1 in M.basis for k2 in M.basis)
 
@@ -366,26 +314,24 @@ def build_rho2(H: Carrier, M: ModCarrier) -> ModCarrier:
         return {pair: QLaurent.one()}
 
     def alpha2(t):
-        return t_apply(_as_mod_tensor(t), [(M, M.alpha), (M, M.alpha)])
+        return t_apply(t, [(M, M.alpha), (M, M.alpha)])
 
     def rho2(x, t):
         out = {}
         for (hk1, hk2), hc in H.comul(x).items():
             x1, x2 = H.element(hk1), H.element(hk2)
-            for (mk1, mk2), mc in _as_mod_tensor(t).items():
+            for (mk1, mk2), mc in t.items():
                 left = M.rho(x1, M.element(mk1))
                 right = M.rho(x2, M.element(mk2))
-                out = t_add(out, t_scale(hc * mc, elem_tensor(M, M, left, right)))
+                for key, c in elem_tensor(M, M, left, right).items():
+                    add_term(out, key, hc * mc * c)
         return out
 
     return ModCarrier(
         name=f"{M.name} tensor square",
         basis=pair_basis,
         element=element,
-        coords=_as_mod_tensor,
-        add=t_add,
-        scale=t_scale,
-        zero={},
+        coords=_ident,
         alpha=alpha2,
         rho=rho2,
         render_key=lambda pair: f"{M.render_key(pair[0])} x {M.render_key(pair[1])}",
@@ -393,41 +339,28 @@ def build_rho2(H: Carrier, M: ModCarrier) -> ModCarrier:
     )
 
 
-def _as_mod_tensor(t):
-    if not isinstance(t, dict):
-        raise RangeEscapeError(f"expected a sparse tensor, got {t!r}")
-    return t
-
-
 def check_module_hom_algebra(s: ModuleAlgebraScenario, alpha_power: int = 2) -> CheckReport:
     """The module Hom-algebra axiom: alpha_H^2(x)(ab) = sum (x'a)(x''b)."""
-    report = CheckReport("module-hom-algebra", "Eqs. (2.9)/(2.10)")
     H, A = s.H, s.A
-    for kx in H.basis:
-        x = H.element(kx)
-        ax = x
-        for _ in range(alpha_power):
-            ax = H.alpha(ax)
-        sweedler = H.comul(x)
-        for ka in A.basis:
-            for kb in A.basis:
-                a, b = A.element(ka), A.element(kb)
-                lhs = s.rho(ax, A.mul(a, b))
-                rhs = A.zero
-                for (h1, h2), coeff in sweedler.items():
-                    term = A.mul(
-                        s.rho(H.element(h1), a), s.rho(H.element(h2), b)
-                    )
-                    rhs = A.add(rhs, A.scale(coeff, term))
-                report.checked += 1
-                if not A.eq(lhs, rhs):
-                    report.record(
-                        (kx, ka, kb),
-                        (H.render_key(kx), A.render_key(ka), A.render_key(kb)),
-                        A.render_elem(lhs),
-                        A.render_elem(rhs),
-                    )
-    return report
+    eh, ea = elements(H), elements(A)
+    twisted = {kx: _iterate(H.alpha, alpha_power, x) for kx, x in eh.items()}
+    sweedler = {kx: H.comul(x) for kx, x in eh.items()}
+
+    def rhs(kx, ka, kb):
+        out = A.zero
+        for (h1, h2), coeff in sweedler[kx].items():
+            term = A.mul(s.rho(H.element(h1), ea[ka]), s.rho(H.element(h2), ea[kb]))
+            out = A.add(out, A.scale(coeff, term))
+        return out
+
+    return sweep(
+        "module-hom-algebra",
+        "Eqs. (2.9)/(2.10)",
+        [axis(H), axis(A), axis(A)],
+        lambda kx, ka, kb: s.rho(twisted[kx], A.mul(ea[ka], ea[kb])),
+        rhs,
+        A.render_elem,
+    )
 
 
 def check_mu_module_morphism(s: ModuleAlgebraScenario, alpha_power: int = 2) -> CheckReport:
@@ -436,53 +369,26 @@ def check_mu_module_morphism(s: ModuleAlgebraScenario, alpha_power: int = 2) -> 
     By the characterization theorem this verdict must coincide with
     check_module_hom_algebra on the same scenario.
     """
-    report = CheckReport("mu-module-morphism", "Theorem 1.1(3)")
     H, A = s.H, s.A
     M = s.module_carrier()
     square = build_rho2(H, M)
     tilde = build_rho_tilde(H, M, alpha_power=alpha_power)
-    for kx in H.basis:
-        x = H.element(kx)
-        for ka in A.basis:
-            for kb in A.basis:
-                pair = square.element((ka, kb))
-                acted = square.rho(x, pair)
-                lhs = A.zero
-                for (k1, k2), coeff in acted.items():
-                    lhs = A.add(
-                        lhs,
-                        A.scale(coeff, A.mul(A.element(k1), A.element(k2))),
-                    )
-                rhs = tilde.rho(x, A.mul(A.element(ka), A.element(kb)))
-                report.checked += 1
-                if not A.eq(lhs, rhs):
-                    report.record(
-                        (kx, ka, kb),
-                        (H.render_key(kx), A.render_key(ka), A.render_key(kb)),
-                        A.render_elem(lhs),
-                        A.render_elem(rhs),
-                    )
-    return report
+    eh, ea = elements(H), elements(A)
 
+    def lhs(kx, ka, kb):
+        out = A.zero
+        for (k1, k2), coeff in square.rho(eh[kx], square.element((ka, kb))).items():
+            out = A.add(out, A.scale(coeff, A.mul(A.element(k1), A.element(k2))))
+        return out
 
-def check_compat(s: ModuleAlgebraScenario, alpha_H: Callable, alpha_A: Callable) -> CheckReport:
-    """Intertwining alpha_A o rho = rho o (alpha_H x alpha_A) (Eq. 1.5)."""
-    report = CheckReport("action-compatibility", "Eq. (1.5)")
-    H, A = s.H, s.A
-    for kx in H.basis:
-        for ka in A.basis:
-            x, a = H.element(kx), A.element(ka)
-            lhs = alpha_A(s.rho(x, a))
-            rhs = s.rho(alpha_H(x), alpha_A(a))
-            report.checked += 1
-            if not A.eq(lhs, rhs):
-                report.record(
-                    (kx, ka),
-                    (H.render_key(kx), A.render_key(ka)),
-                    A.render_elem(lhs),
-                    A.render_elem(rhs),
-                )
-    return report
+    return sweep(
+        "mu-module-morphism",
+        "Theorem 1.1(3)",
+        [axis(H), axis(A), axis(A)],
+        lhs,
+        lambda kx, ka, kb: tilde.rho(eh[kx], A.mul(ea[ka], ea[kb])),
+        A.render_elem,
+    )
 
 
 # -- Yau twists --------------------------------------------------------
@@ -495,24 +401,18 @@ def yau_twist_algebra(A: Carrier, alpha: Optional[Callable] = None) -> Carrier:
     def mul_alpha(a, b):
         return twist(A.mul(a, b))
 
-    return replace(A, name=f"{A.name} twisted", mul=mul_alpha, alpha=twist)
+    return replace(A, name=f"{A.name}_alpha", mul=mul_alpha, alpha=twist)
 
 
 def yau_twist_bialgebra(H: Carrier, alpha: Optional[Callable] = None) -> Carrier:
     """Twist a bialgebra carrier: mu_alpha = alpha o mu, Delta_alpha = Delta o alpha."""
-    if H.comul is None:
-        raise ValueError(f"carrier {H.name} has no comultiplication")
+    _require_comul(H)
     twist = alpha if alpha is not None else H.alpha
-
-    def mul_alpha(a, b):
-        return twist(H.mul(a, b))
 
     def comul_alpha(x):
         return H.comul(twist(x))
 
-    return replace(
-        H, name=f"{H.name} twisted", mul=mul_alpha, comul=comul_alpha, alpha=twist
-    )
+    return replace(yau_twist_algebra(H, twist), comul=comul_alpha)
 
 
 def deform_scenario(
@@ -554,43 +454,44 @@ def lie_yau_twist(bracket: Callable, alpha: Callable) -> Callable:
 def check_hom_jacobi(A: Carrier, bracket: Optional[Callable] = None) -> CheckReport:
     """Skew-symmetry, bracket multiplicativity, and the Hom-Jacobi identity."""
     br = bracket if bracket is not None else commutator_bracket(A)
-    report = CheckReport("hom-lie", "Hom-Jacobi")
-    neg = lambda e: A.scale(QLaurent.of(-1), e)
-    for k1 in A.basis:
-        for k2 in A.basis:
-            a, b = A.element(k1), A.element(k2)
-            report.checked += 1
-            if not A.eq(br(a, b), neg(br(b, a))):
-                report.record(
-                    (k1, k2),
-                    (A.render_key(k1), A.render_key(k2)),
-                    A.render_elem(br(a, b)),
-                    A.render_elem(neg(br(b, a))),
-                )
-            report.checked += 1
-            if not A.eq(A.alpha(br(a, b)), br(A.alpha(a), A.alpha(b))):
-                report.record(
-                    (k1, k2),
-                    (A.render_key(k1), A.render_key(k2)),
-                    A.render_elem(A.alpha(br(a, b))),
-                    A.render_elem(br(A.alpha(a), A.alpha(b))),
-                )
-    for k1 in A.basis:
-        for k2 in A.basis:
-            for k3 in A.basis:
-                a, b, c = A.element(k1), A.element(k2), A.element(k3)
-                total = br(br(a, b), A.alpha(c))
-                total = A.add(total, br(br(c, a), A.alpha(b)))
-                total = A.add(total, br(br(b, c), A.alpha(a)))
-                report.checked += 1
-                if not A.eq(total, A.zero):
-                    report.record(
-                        (k1, k2, k3),
-                        tuple(A.render_key(k) for k in (k1, k2, k3)),
-                        A.render_elem(total),
-                        A.render_elem(A.zero),
-                    )
-    return report
+    e = elements(A)
+    neg = lambda x: A.scale(QLaurent.of(-1), x)
+
+    def jacobi(k1, k2, k3):
+        a, b, c = e[k1], e[k2], e[k3]
+        total = br(br(a, b), A.alpha(c))
+        total = A.add(total, br(br(c, a), A.alpha(b)))
+        return A.add(total, br(br(b, c), A.alpha(a)))
+
+    pairs = [axis(A)] * 2
+    report = sweep(
+        "hom-lie",
+        "Hom-Jacobi",
+        pairs,
+        lambda k1, k2: br(e[k1], e[k2]),
+        lambda k1, k2: neg(br(e[k2], e[k1])),
+        A.render_elem,
+    )
+    report = report.merge(
+        sweep(
+            "hom-lie",
+            "Hom-Jacobi",
+            pairs,
+            lambda k1, k2: A.alpha(br(e[k1], e[k2])),
+            lambda k1, k2: br(A.alpha(e[k1]), A.alpha(e[k2])),
+            A.render_elem,
+        )
+    )
+    return report.merge(
+        sweep(
+            "hom-lie",
+            "Hom-Jacobi",
+            [axis(A)] * 3,
+            jacobi,
+            lambda k1, k2, k3: A.zero,
+            A.render_elem,
+        )
+    )
 
 
 def _ident(e):

@@ -10,7 +10,17 @@ from __future__ import annotations
 
 import re
 
-from .scalars import QLaurent, split_sum
+from .scalars import (
+    QLaurent,
+    add_term,
+    exponent_terms,
+    join_terms,
+    parse_terms,
+    render_term,
+    sparse_add,
+    sparse_scale,
+    split_factors,
+)
 
 VARIABLES = ("x", "y")
 
@@ -21,22 +31,7 @@ class Poly:
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        clean = {}
-        if terms:
-            for expv, coeff in terms.items():
-                i, j = int(expv[0]), int(expv[1])
-                if i < 0 or j < 0:
-                    raise ValueError(f"negative exponent in {expv}")
-                if not isinstance(coeff, QLaurent):
-                    coeff = QLaurent.of(coeff)
-                if coeff:
-                    key = (i, j)
-                    acc = clean.get(key, QLaurent.zero()) + coeff
-                    if acc:
-                        clean[key] = acc
-                    else:
-                        clean.pop(key, None)
-        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "terms", exponent_terms(terms or {}, 2))
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
@@ -64,10 +59,7 @@ class Poly:
     # -- ring structure -----------------------------------------------
 
     def __add__(self, other):
-        merged = dict(self.terms)
-        for key, coeff in other.terms.items():
-            merged[key] = merged.get(key, QLaurent.zero()) + coeff
-        return Poly(merged)
+        return Poly(sparse_add(self.terms, other.terms))
 
     def __neg__(self):
         return Poly({key: -coeff for key, coeff in self.terms.items()})
@@ -81,8 +73,7 @@ class Poly:
         out = {}
         for (i1, j1), c1 in self.terms.items():
             for (i2, j2), c2 in other.terms.items():
-                key = (i1 + i2, j1 + j2)
-                out[key] = out.get(key, QLaurent.zero()) + c1 * c2
+                add_term(out, (i1 + i2, j1 + j2), c1 * c2)
         return Poly(out)
 
     def __rmul__(self, other):
@@ -93,7 +84,7 @@ class Poly:
     def scaled(self, coeff):
         if not isinstance(coeff, QLaurent):
             coeff = QLaurent.of(coeff)
-        return Poly({key: c * coeff for key, c in self.terms.items()})
+        return Poly(sparse_scale(coeff, self.terms))
 
     def __pow__(self, n):
         result = Poly.one()
@@ -127,8 +118,7 @@ class Poly:
             if power == 0:
                 continue
             exps[idx] -= 1
-            key = (exps[0], exps[1])
-            out[key] = out.get(key, QLaurent.zero()) + coeff * QLaurent.of(power)
+            add_term(out, (exps[0], exps[1]), coeff * QLaurent.of(power))
         return Poly(out)
 
     def graded_component(self, n: int) -> "Poly":
@@ -146,29 +136,17 @@ class Poly:
     # -- text form ----------------------------------------------------
 
     def __str__(self):
-        if not self.terms:
-            return "0"
         parts = []
         for key in sorted(self.terms, key=_grlex_key):
-            parts.append(_render_term(self.terms[key], key))
-        out = parts[0]
-        for part in parts[1:]:
-            if part.startswith("-"):
-                out += " - " + part[1:]
-            else:
-                out += " + " + part
-        return out
+            parts.append(render_term(self.terms[key], _render_expv(key)))
+        return join_terms(parts)
 
     def __repr__(self):
         return f"Poly({self})"
 
     @classmethod
     def parse(cls, text: str) -> "Poly":
-        total = cls.zero()
-        for sign, term in split_sum(text):
-            coeff, (i, j) = _parse_poly_term(term)
-            total = total + cls.monomial(i, j, coeff * QLaurent.of(sign))
-        return total
+        return cls(parse_terms(text, _parse_poly_term))
 
 
 class PolyEndo:
@@ -218,23 +196,14 @@ def _grlex_key(expv):
     return (i + j, -i)
 
 
-def _render_term(coeff: QLaurent, expv) -> str:
+def _render_expv(expv) -> str:
     i, j = expv
     factors = []
     if i:
         factors.append("x" if i == 1 else f"x^{i}")
     if j:
         factors.append("y" if j == 1 else f"y^{j}")
-    ctext = str(coeff)
-    if not factors:
-        return f"({ctext})" if (" + " in ctext or " - " in ctext) else ctext
-    if coeff == QLaurent.one():
-        return "*".join(factors)
-    if coeff == -QLaurent.one():
-        return "-" + "*".join(factors)
-    if " + " in ctext or " - " in ctext:
-        ctext = f"({ctext})"
-    return ctext + "*" + "*".join(factors)
+    return "*".join(factors)
 
 
 _VAR_FACTOR = re.compile(r"^([xy])(?:\^(\d+))?$")
@@ -244,7 +213,7 @@ def _parse_poly_term(term: str):
     """One product term: scalar factors and x^i / y^j factors joined by '*'."""
     coeff = QLaurent.one()
     exps = [0, 0]
-    for factor in _split_factors(term):
+    for factor in split_factors(term):
         match = _VAR_FACTOR.match(factor)
         if match:
             idx = VARIABLES.index(match.group(1))
@@ -253,28 +222,5 @@ def _parse_poly_term(term: str):
             if factor.startswith("(") and factor.endswith(")"):
                 factor = factor[1:-1]
             coeff = coeff * QLaurent.parse(factor)
-    return coeff, (exps[0], exps[1])
+    return (exps[0], exps[1]), coeff
 
-
-def _split_factors(term: str):
-    factors = []
-    depth = 0
-    current = []
-    for ch in term:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        if ch == "*" and depth == 0:
-            piece = "".join(current).strip()
-            if piece:
-                factors.append(piece)
-            current = []
-        else:
-            current.append(ch)
-    piece = "".join(current).strip()
-    if piece:
-        factors.append(piece)
-    if not factors:
-        raise ValueError(f"empty polynomial term in {term!r}")
-    return factors

@@ -1,4 +1,4 @@
-"""Axiom sweep outcomes.
+"""Axiom sweeps and their outcomes.
 
 Checkers never raise on a failed identity; failure is data.  A report is a
 pass verdict or a list of counterexamples, each recording the raw input
@@ -8,6 +8,7 @@ tuple together with rendered left and right sides.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import product
 
 
 @dataclass
@@ -43,8 +44,8 @@ class CheckReport:
 
     def merge(self, other: "CheckReport") -> "CheckReport":
         merged = CheckReport(
-            name=f"{self.name} & {other.name}",
-            equation=self.equation or other.equation,
+            name=_distinct(" & ", self.name, other.name),
+            equation=_distinct("; ", self.equation, other.equation),
             checked=self.checked + other.checked,
         )
         merged.counterexamples = self.counterexamples + other.counterexamples
@@ -69,5 +70,31 @@ class CheckReport:
         }
 
 
-class RangeEscapeError(RuntimeError):
-    """An oracle produced a value outside the carrier's known basis."""
+def _distinct(sep, *labels):
+    """Join the distinct non-empty parts of sep-joined labels, in order."""
+    parts = [part for label in labels for part in label.split(sep) if part]
+    return sep.join(dict.fromkeys(parts))
+
+
+def sweep(name, equation, axes, lhs, rhs, render=str) -> CheckReport:
+    """Check lhs == rhs on every tuple of basis keys.
+
+    axes holds one (keys, render_key) pair per argument of lhs and rhs; the
+    cases are the cartesian product of the keys, last axis fastest.  A failing
+    case is recorded with its keys, the rendered keys and both sides rendered
+    by render.  Every identity checked is multilinear, so a pass on the basis
+    tuples is a pass on their span.
+    """
+    report = CheckReport(name, equation)
+    renders = [render_key for _, render_key in axes]
+    for case in product(*(keys for keys, _ in axes)):
+        left, right = lhs(*case), rhs(*case)
+        report.checked += 1
+        if left != right:
+            report.record(
+                case,
+                [render_key(key) for render_key, key in zip(renders, case)],
+                render(left),
+                render(right),
+            )
+    return report

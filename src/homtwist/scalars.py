@@ -41,11 +41,7 @@ class QLaurent:
         clean = {}
         if terms:
             for exp, coeff in terms.items():
-                coeff = _as_fraction(coeff)
-                if coeff:
-                    clean[int(exp)] = clean.get(int(exp), Fraction(0)) + coeff
-                    if not clean[int(exp)]:
-                        del clean[int(exp)]
+                add_term(clean, int(exp), _as_fraction(coeff))
         object.__setattr__(self, "terms", clean)
 
     def __setattr__(self, name, value):
@@ -73,11 +69,7 @@ class QLaurent:
     # -- ring structure -----------------------------------------------
 
     def __add__(self, other) -> "QLaurent":
-        other = _coerce(other)
-        merged = dict(self.terms)
-        for exp, coeff in other.terms.items():
-            merged[exp] = merged.get(exp, Fraction(0)) + coeff
-        return QLaurent(merged)
+        return QLaurent(sparse_add(self.terms, _coerce(other).terms))
 
     __radd__ = __add__
 
@@ -95,8 +87,7 @@ class QLaurent:
         out = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = e1 + e2
-                out[e] = out.get(e, Fraction(0)) + c1 * c2
+                add_term(out, e1 + e2, c1 * c2)
         return QLaurent(out)
 
     __rmul__ = __mul__
@@ -117,6 +108,9 @@ class QLaurent:
         return self.terms == other.terms
 
     def __hash__(self):
+        # A constant must hash like the int/Fraction it equals.
+        if self.terms.keys() <= {0}:
+            return hash(self.terms.get(0, 0))
         return hash(frozenset(self.terms.items()))
 
     def __bool__(self):
@@ -140,8 +134,6 @@ class QLaurent:
     # -- text form ----------------------------------------------------
 
     def __str__(self):
-        if not self.terms:
-            return "0"
         parts = []
         for exp in sorted(self.terms):
             coeff = self.terms[exp]
@@ -156,13 +148,7 @@ class QLaurent:
                 else:
                     body = f"{coeff}*{qpart}"
             parts.append(body)
-        out = parts[0]
-        for part in parts[1:]:
-            if part.startswith("-"):
-                out += " - " + part[1:]
-            else:
-                out += " + " + part
-        return out
+        return join_terms(parts)
 
     def __repr__(self):
         return f"QLaurent({self})"
@@ -170,28 +156,28 @@ class QLaurent:
     @classmethod
     def parse(cls, text: str) -> "QLaurent":
         """Parse the rendered sparse-sum grammar, e.g. "3*q^-1 + 1/2*q^2"."""
-        total = cls.zero()
-        for sign, term in split_sum(text):
-            total = total + sign * _parse_scalar_term(term)
-        return total
+        return cls(parse_terms(text, _parse_scalar_term))
 
 
 _TERM_FACTOR = re.compile(r"^(?:(?P<coeff>-?\d+(?:/\d+)?)\*?)?(?:q(?:\^(?P<exp>-?\d+))?)?$")
 
 
-def _parse_scalar_term(term: str) -> QLaurent:
+def _parse_scalar_term(term: str):
     term = term.strip()
     if not term:
         raise ValueError("empty term in scalar expression")
     match = _TERM_FACTOR.match(term.replace(" ", ""))
     if not match or (match.group("coeff") is None and "q" not in term):
         raise ValueError(f"cannot parse scalar term {term!r}")
-    coeff = Fraction(match.group("coeff")) if match.group("coeff") else Fraction(1)
+    try:
+        coeff = Fraction(match.group("coeff")) if match.group("coeff") else Fraction(1)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {term!r}") from None
     if "q" in term:
         exp = int(match.group("exp")) if match.group("exp") else 1
     else:
         exp = 0
-    return QLaurent({exp: coeff})
+    return exp, coeff
 
 
 def split_sum(text: str):
@@ -238,6 +224,108 @@ def split_sum(text: str):
         raise ValueError(f"dangling operator in {text!r}")
     pieces.append((sign, last))
     return pieces
+
+
+def parse_terms(text: str, parse_term) -> dict:
+    """Sparse terms of a rendered sum; parse_term maps a term to (key, coeff)."""
+    out = {}
+    for sign, term in split_sum(text):
+        key, coeff = parse_term(term)
+        add_term(out, key, coeff * sign)
+    return out
+
+
+def split_factors(term: str, on_space: bool = False):
+    """Split a product term at top-level '*' (and whitespace when on_space)."""
+    factors = []
+    depth = 0
+    current = []
+    for ch in term:
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+        if depth == 0 and (ch == "*" or (on_space and ch.isspace())):
+            factors.append("".join(current).strip())
+            current = []
+        else:
+            current.append(ch)
+    factors.append("".join(current).strip())
+    factors = [factor for factor in factors if factor]
+    if not factors:
+        raise ValueError(f"empty term in {term!r}")
+    return factors
+
+
+# -- sparse maps key -> nonzero coefficient -----------------------------
+# Poly, UElem, k[G] elements and the tensors of homcore all store one.
+
+
+def add_term(terms: dict, key, coeff) -> None:
+    """terms[key] += coeff in place, dropping the key when the sum is zero."""
+    if key in terms:
+        coeff = terms[key] + coeff
+    if coeff:
+        terms[key] = coeff
+    else:
+        terms.pop(key, None)
+
+
+def exponent_terms(terms: dict, width: int) -> dict:
+    """Canonical terms of an element keyed by exponent vectors.
+
+    Keys become tuples of width non-negative ints, coefficients QLaurent, and
+    zero sums are dropped.
+    """
+    clean = {}
+    for key, coeff in terms.items():
+        key = tuple(map(int, key))
+        if len(key) != width or min(key) < 0:
+            raise ValueError(f"bad exponent vector {key}")
+        if not isinstance(coeff, QLaurent):
+            coeff = QLaurent.of(coeff)
+        add_term(clean, key, coeff)
+    return clean
+
+
+def sparse_add(t1: dict, t2: dict) -> dict:
+    out = dict(t1)
+    for key, coeff in t2.items():
+        add_term(out, key, coeff)
+    return out
+
+
+def sparse_scale(coeff, terms: dict) -> dict:
+    if not coeff:
+        return {}
+    return {key: coeff * c for key, c in terms.items()}
+
+
+def render_term(coeff: QLaurent, basis_text: str) -> str:
+    """coeff times a rendered basis element; an empty basis_text is the unit."""
+    ctext = str(coeff)
+    if " + " in ctext or " - " in ctext:
+        ctext = f"({ctext})"
+    if not basis_text:
+        return ctext
+    if coeff == ONE:
+        return basis_text
+    if coeff == -ONE:
+        return "-" + basis_text
+    return ctext + "*" + basis_text
+
+
+def join_terms(parts) -> str:
+    """Join rendered terms into a sum, writing "a - b" for a negative term."""
+    if not parts:
+        return "0"
+    out = parts[0]
+    for part in parts[1:]:
+        if part.startswith("-"):
+            out += " - " + part[1:]
+        else:
+            out += " + " + part
+    return out
 
 
 def _coerce(value) -> QLaurent:

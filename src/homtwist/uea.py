@@ -15,8 +15,18 @@ from __future__ import annotations
 import re
 from functools import lru_cache
 
-from .report import CheckReport
-from .scalars import QLaurent, split_sum
+from .report import CheckReport, sweep
+from .scalars import (
+    QLaurent,
+    add_term,
+    exponent_terms,
+    join_terms,
+    parse_terms,
+    render_term,
+    sparse_add,
+    sparse_scale,
+    split_factors,
+)
 
 GENERATORS = ("X", "Y", "Z")
 
@@ -30,21 +40,7 @@ class UElem:
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        clean = {}
-        if terms:
-            for mono, coeff in terms.items():
-                mono = (int(mono[0]), int(mono[1]), int(mono[2]))
-                if min(mono) < 0:
-                    raise ValueError(f"negative exponent in {mono}")
-                if not isinstance(coeff, QLaurent):
-                    coeff = QLaurent.of(coeff)
-                if coeff:
-                    acc = clean.get(mono, QLaurent.zero()) + coeff
-                    if acc:
-                        clean[mono] = acc
-                    else:
-                        clean.pop(mono, None)
-        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "terms", exponent_terms(terms or {}, 3))
 
     def __setattr__(self, name, value):
         raise AttributeError("UElem is immutable")
@@ -71,10 +67,7 @@ class UElem:
     # -- ring structure -----------------------------------------------
 
     def __add__(self, other):
-        merged = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            merged[mono] = merged.get(mono, QLaurent.zero()) + coeff
-        return UElem(merged)
+        return UElem(sparse_add(self.terms, other.terms))
 
     def __neg__(self):
         return UElem({mono: -coeff for mono, coeff in self.terms.items()})
@@ -99,7 +92,7 @@ class UElem:
     def scaled(self, coeff):
         if not isinstance(coeff, QLaurent):
             coeff = QLaurent.of(coeff)
-        return UElem({mono: c * coeff for mono, c in self.terms.items()})
+        return UElem(sparse_scale(coeff, self.terms))
 
     def __pow__(self, n):
         result = UElem.one()
@@ -134,29 +127,18 @@ class UElem:
     # -- text form ----------------------------------------------------
 
     def __str__(self):
-        if not self.terms:
-            return "0"
         parts = []
         for mono in sorted(self.terms, key=_grlex_key):
-            parts.append(_render_term(self.terms[mono], mono))
-        out = parts[0]
-        for part in parts[1:]:
-            if part.startswith("-"):
-                out += " - " + part[1:]
-            else:
-                out += " + " + part
-        return out
+            text = "" if mono == UNIT else render_mono(mono)
+            parts.append(render_term(self.terms[mono], text))
+        return join_terms(parts)
 
     def __repr__(self):
         return f"UElem({self})"
 
     @classmethod
     def parse(cls, text: str) -> "UElem":
-        total = cls.zero()
-        for sign, term in split_sum(text):
-            coeff, mono = _parse_u_term(term)
-            total = total + cls.monomial(mono, coeff * QLaurent.of(sign))
-        return total
+        return cls(parse_terms(text, _parse_u_term))
 
 
 # -- PBW normalization ------------------------------------------------
@@ -173,25 +155,18 @@ def _left_gen(gen: str, mono) -> UElem:
             return UElem.monomial((0, b + 1, c))
         # Y X^a ... = (XY - Z) X^(a-1) ...
         tail = _left_gen("Y", (a - 1, b, c))
-        out = UElem.zero()
-        for mono2, coeff in tail.terms.items():
-            out = out + _left_gen("X", mono2).scaled(coeff)
+        out = _extend(lambda m: _left_gen("X", m), tail)
         return out - _left_gen("Z", (a - 1, b, c))
     if gen == "Z":
         if a > 0:
             # Z X^a ... = (XZ + 2X) X^(a-1) ...
             tail = _left_gen("Z", (a - 1, b, c))
-            out = UElem.zero()
-            for mono2, coeff in tail.terms.items():
-                out = out + _left_gen("X", mono2).scaled(coeff)
+            out = _extend(lambda m: _left_gen("X", m), tail)
             return out + UElem.monomial((a, b, c), QLaurent.of(2))
         if b > 0:
             # Z Y^b Z^c = (YZ - 2Y) Y^(b-1) Z^c
             tail = _left_gen("Z", (0, b - 1, c))
-            out = UElem.zero()
-            for mono2, coeff in tail.terms.items():
-                m2 = (mono2[0], mono2[1] + 1, mono2[2])
-                out = out + UElem.monomial(m2, coeff)
+            out = _extend(lambda m: UElem.monomial((m[0], m[1] + 1, m[2])), tail)
             return out - UElem.monomial((0, b, c), QLaurent.of(2))
         return UElem.monomial((0, 0, c + 1))
     raise ValueError(f"unknown generator {gen!r}")
@@ -204,11 +179,17 @@ def _mono_mul(m1, m2) -> UElem:
     result = UElem.monomial(m2)
     for gen, count in (("Z", c), ("Y", b), ("X", a)):
         for _ in range(count):
-            out = UElem.zero()
-            for mono, coeff in result.terms.items():
-                out = out + _left_gen(gen, mono).scaled(coeff)
-            result = out
+            result = _extend(lambda m: _left_gen(gen, m), result)
     return result
+
+
+def _extend(f, u: UElem) -> UElem:
+    """The linear extension of f, a map on PBW monomials, applied to u."""
+    out = {}
+    for mono, coeff in u.terms.items():
+        for mono2, c in f(mono).terms.items():
+            add_term(out, mono2, c * coeff)
+    return UElem(out)
 
 
 # -- comultiplication -------------------------------------------------
@@ -223,12 +204,7 @@ def tensor_mul(t1: dict, t2: dict) -> dict:
             right = _mono_mul(r1, r2)
             for ml, cl in left.terms.items():
                 for mr, cr in right.terms.items():
-                    key = (ml, mr)
-                    acc = out.get(key, QLaurent.zero()) + c1 * c2 * cl * cr
-                    if acc:
-                        out[key] = acc
-                    else:
-                        out.pop(key, None)
+                    add_term(out, (ml, mr), c1 * c2 * cl * cr)
     return out
 
 
@@ -254,11 +230,7 @@ def comul(u: UElem) -> dict:
     out = {}
     for mono, coeff in u.terms.items():
         for key, c in _comul_mono(mono):
-            acc = out.get(key, QLaurent.zero()) + coeff * c
-            if acc:
-                out[key] = acc
-            else:
-                out.pop(key, None)
+            add_term(out, key, coeff * c)
     return out
 
 
@@ -309,16 +281,14 @@ class UEndo:
 
     def check_lie_endo(self) -> CheckReport:
         """Verify compatibility with the bracket on all generator pairs."""
-        report = CheckReport("lie-endomorphism", "bracket multiplicativity")
-        for g1 in GENERATORS:
-            for g2 in GENERATORS:
-                u, v = UElem.generator(g1), UElem.generator(g2)
-                lhs = self.apply_lie(u.commutator(v))
-                rhs = self.images[g1].commutator(self.images[g2])
-                report.checked += 1
-                if lhs != rhs:
-                    report.record((g1, g2), (g1, g2), lhs, rhs)
-        return report
+        gens = {g: UElem.generator(g) for g in GENERATORS}
+        return sweep(
+            "lie-endomorphism",
+            "bracket multiplicativity",
+            [(GENERATORS, str)] * 2,
+            lambda g1, g2: self.apply_lie(gens[g1].commutator(gens[g2])),
+            lambda g1, g2: self.images[g1].commutator(self.images[g2]),
+        )
 
     def extend(self) -> "UAlgebraEndo":
         """Multiplicative extension to all of U(sl(2)).
@@ -348,10 +318,7 @@ class UAlgebraEndo:
         raise AttributeError("UAlgebraEndo is immutable")
 
     def __call__(self, u: UElem) -> UElem:
-        out = UElem.zero()
-        for mono, coeff in u.terms.items():
-            out = out + self._apply_mono(mono).scaled(coeff)
-        return out
+        return _extend(self._apply_mono, u)
 
     def _apply_mono(self, mono) -> UElem:
         cached = self._cache.get(mono)
@@ -397,50 +364,14 @@ def render_mono(mono) -> str:
     return " ".join(factors)
 
 
-def _render_term(coeff: QLaurent, mono) -> str:
-    mtext = render_mono(mono)
-    ctext = str(coeff)
-    if mono == UNIT:
-        return f"({ctext})" if (" + " in ctext or " - " in ctext) else ctext
-    if coeff == QLaurent.one():
-        return mtext
-    if coeff == -QLaurent.one():
-        return "-" + mtext
-    if " + " in ctext or " - " in ctext:
-        ctext = f"({ctext})"
-    return ctext + "*" + mtext
-
-
 _GEN_FACTOR = re.compile(r"^([XYZ])(?:\^(\d+))?$")
-
-
-def _split_u_factors(term: str):
-    factors = []
-    depth = 0
-    current = []
-    for ch in term:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        if depth == 0 and (ch == "*" or ch.isspace()):
-            piece = "".join(current).strip()
-            if piece:
-                factors.append(piece)
-            current = []
-        else:
-            current.append(ch)
-    piece = "".join(current).strip()
-    if piece:
-        factors.append(piece)
-    return factors
 
 
 def _parse_u_term(term: str):
     coeff = QLaurent.one()
     exps = [0, 0, 0]
     last_gen = -1
-    for factor in _split_u_factors(term):
+    for factor in split_factors(term, on_space=True):
         match = _GEN_FACTOR.match(factor)
         if match:
             idx = GENERATORS.index(match.group(1))
@@ -454,4 +385,4 @@ def _parse_u_term(term: str):
             if factor == "1":
                 continue
             coeff = coeff * QLaurent.parse(factor)
-    return coeff, tuple(exps)
+    return tuple(exps), coeff

@@ -1,0 +1,65 @@
+"""The benchmark tracer must still find every method that feeds a metric.
+
+perfbench/tracer.py wraps homtwist from outside by looking names up in each
+class's or module's own __dict__; a name it cannot find is listed in the
+trace's "missing" entry and its per-layer metric silently reads zero.
+"""
+
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+TRACER = os.path.join(ROOT, "perfbench", "tracer.py")
+
+METRIC_NAMES = {
+    "scalars.QLaurent.__init__",
+    "scalars.QLaurent.__add__",
+    "scalars.QLaurent.__mul__",
+    "polyalg.Poly.__add__",
+    "polyalg.Poly.__mul__",
+    "polyalg.PolyEndo.__call__",
+    "uea.UElem.__mul__",
+    "uea.comul",
+    "uea.UAlgebraEndo.__init__",
+    "uea.UAlgebraEndo.__call__",
+    "actions.act",
+    "report.CheckReport.record",
+    "homcore.check_multiplicativity",
+    "homcore.check_hom_associativity",
+    "homcore.check_hom_coassociativity",
+    "homcore.check_comul_morphism",
+    "homcore.check_hom_bialgebra",
+    "homcore.check_module_axiom",
+    "homcore.check_module_hom_algebra",
+    "homcore.check_mu_module_morphism",
+    "finalg.StructAlgebra.mul",
+    "finalg.LinOp.__call__",
+    "finalg.GroupBialgebra.apply",
+    "finalg.load_scenario",
+    "finalg.build_example31",
+    "cli.main",
+}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "sl2-q", "--bound-h", "1", "--bound-a", "1",
+         "--suite", "hom-bialgebra", "--suite", "module-hom-algebra"],
+        ["verify", "finalg"],
+    ],
+)
+def test_tracer_finds_every_metric_name(tmp_path, argv):
+    trace_path = tmp_path / "trace.json"
+    done = subprocess.run(
+        [sys.executable, TRACER, str(trace_path), "--", *argv],
+        cwd=tmp_path, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    trace = json.loads(trace_path.read_text())
+    assert not METRIC_NAMES & set(trace["missing"])
+    assert set(trace["caches"]) == {"_mono_mul", "_left_gen", "_comul_mono"}

@@ -1,4 +1,5 @@
 import json
+from math import comb
 
 import pytest
 
@@ -39,6 +40,7 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "finalg")
         assert code == 0
         assert all(line.startswith("PASS") for line in out.strip().splitlines())
+        assert "PASS hom-bialgebra(k[G]) [Eqs. (2.3)-(2.5)]: 20 cases" in out
 
     def test_sl2_small_bounds_pass(self, capsys):
         code, out, _ = run(
@@ -82,8 +84,92 @@ class TestVerify:
         assert code == 0
         document = json.loads(path.read_text())
         assert document["scenario"] == "finalg"
+        assert "bound_h" not in document and "bound_a" not in document
         assert document["reports"][0]["status"] == "pass"
         assert document["reports"][0]["equation"]
+
+
+BAD_SCENARIOS = {
+    "top-level-array": [1, 2],
+    "matrix-size": {
+        "labels": ["e"],
+        "constants": [[0, 0, 0, "1"]],
+        "unit": ["1"],
+        "group": [[["1", "0"], ["0", "1"]]],
+        "element": ["1"],
+    },
+    "zero-denominator": {
+        "labels": ["e"],
+        "constants": [[0, 0, 0, "1/0"]],
+        "group": [[["1"]]],
+        "element": ["1"],
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "env, argv",
+    [
+        ({"HOMTWIST_BOUND_H": "abc"}, ["verify", "finalg"]),
+        ({"HOMTWIST_BOUND_A": "3.5"}, ["verify", "sl2-q"]),
+        ({}, ["verify", "finalg", "--file", "{top-level-array}"]),
+        ({}, ["verify", "finalg", "--file", "{matrix-size}"]),
+        ({}, ["twist", "finalg", "--file", "{zero-denominator}"]),
+        ({}, ["verify", "finalg", "--report", "{missing-dir}/report.json"]),
+        ({}, ["twist", "sl2", "--bound", "-1"]),
+        ({}, ["act", "1/0*X", "y"]),
+    ],
+)
+def test_bad_input_exits_2(capsys, monkeypatch, tmp_path, env, argv):
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    paths = {"missing-dir": str(tmp_path / "missing")}
+    for name, document in BAD_SCENARIOS.items():
+        paths[name] = str(tmp_path / f"{name}.json")
+        (tmp_path / f"{name}.json").write_text(json.dumps(document))
+    code, _, err = run(capsys, *(arg.format(**paths) for arg in argv))
+    assert code == cli.EXIT_INPUT_ERROR
+    assert "error" in err and "Traceback" not in err
+
+
+# Case counts at --bound-h 1 --bound-a 2 from basis sizes: H PBW monomials of
+# degree <= 1, A plane monomials of degree <= 2, and for finalg the default
+# 2x2 matrix algebra (d = 4) with a group of order 2.
+H, A = comb(4, 3), comb(4, 2)
+D, G = 4, 2
+SUITE_CASES = {
+    "sl2-q": {
+        "hom-associativity": A**3 + A**2,
+        "hom-bialgebra": H**2 + H**3 + H + H + H**2,
+        "module-axiom": H * A + H * H * A,
+        "module-hom-algebra": H * A * A,
+        "mu-module-morphism": H * A * A,
+        "compatibility": 3 * A + H * A,
+        "classical": H * A * A,
+        "hom-lie": 2 * H**2 + H**3,
+    },
+    "finalg": {
+        "hom-associativity": D**3 + D**2,
+        "hom-bialgebra": G**2 + G**3 + G + G + G**2,
+        "module-axiom": G * D + G * G * D,
+        "module-hom-algebra": G * D * D,
+        "mu-module-morphism": G * D * D,
+    },
+}
+
+
+@pytest.mark.parametrize("scenario", sorted(cli.SUITES))
+def test_suite_registry_case_counts(capsys, tmp_path, scenario):
+    expected = SUITE_CASES[scenario]
+    assert tuple(cli.SUITES[scenario]) == tuple(expected)
+    path = tmp_path / "report.json"
+    code, _, _ = run(
+        capsys, "verify", scenario, "--bound-h", "1", "--bound-a", "2",
+        "--report", str(path),
+    )
+    assert code == 0
+    reports = json.loads(path.read_text())["reports"]
+    assert [r["checked"] for r in reports] == list(expected.values())
 
 
 class TestTwist:

@@ -31,6 +31,12 @@ class TestAlgebraCheckers:
     def test_identity_alpha_is_multiplicative(self):
         assert check_multiplicativity(actions.plane_carrier(2)).passed
 
+    def test_merged_report_keeps_every_equation(self):
+        report = homcore.check_hom_bialgebra(actions.u_carrier(1))
+        assert report.equation == (
+            "alpha o mu = mu o (alpha x alpha); Eq. (1.2); Eq. (2.3); Eqs. (2.4)-(2.5)"
+        )
+
     def test_truncation_map_fails_multiplicativity(self):
         # keep monomials of degree <= 1, kill the rest: linear but not
         # multiplicative, detected at (x, y)
@@ -165,10 +171,9 @@ class TestCharacterizationTheorem:
         direct = check_module_hom_algebra(s, alpha_power=1)
         morphism = check_mu_module_morphism(s, alpha_power=1)
         assert not direct.passed and not morphism.passed
-        common = {ce.inputs for ce in direct.counterexamples} & {
+        assert [ce.inputs for ce in direct.counterexamples] == [
             ce.inputs for ce in morphism.counterexamples
-        }
-        assert common
+        ]
 
 
 class TestHomLie:

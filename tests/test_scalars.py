@@ -76,6 +76,12 @@ class TestRingLaws:
     def test_canonical_equality(self, a, b):
         assert (a == b) == ((a - b).is_zero())
 
+    @given(st.integers() | st.fractions(max_denominator=1000))
+    def test_constant_hashes_like_its_value(self, value):
+        constant = QLaurent.of(value)
+        assert constant == value and hash(constant) == hash(value)
+        assert len({constant, value}) == 1
+
 
 class TestTextForm:
     @pytest.mark.parametrize(
@@ -94,3 +100,5 @@ class TestTextForm:
             ql("q^^2")
         with pytest.raises(ValueError):
             ql("")
+        with pytest.raises(ValueError):
+            ql("1/0*q")
