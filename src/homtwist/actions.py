@@ -16,7 +16,7 @@ from . import homcore, uea
 from .homcore import Carrier, ModuleAlgebraScenario
 from .polyalg import Poly, PolyEndo, enumerate_monomials
 from .report import CheckReport, sweep
-from .scalars import QLaurent
+from .scalars import QLaurent, add_term, trusted
 from .uea import UElem, UEndo, enumerate_pbw, render_mono
 
 
@@ -32,7 +32,7 @@ def act_generator(gen: str, p: Poly) -> Poly:
 
 def act(z: UElem, p: Poly) -> Poly:
     """Action of a U(sl(2)) element on a polynomial, linear in both slots."""
-    out = Poly.zero()
+    out = {}
     for (a, b, c), coeff in z.terms.items():
         q = p
         for _ in range(c):
@@ -41,8 +41,9 @@ def act(z: UElem, p: Poly) -> Poly:
             q = act_generator("Y", q)
         for _ in range(a):
             q = act_generator("X", q)
-        out = out + q.scaled(coeff)
-    return out
+        for key, cq in q.terms.items():
+            add_term(out, key, coeff * cq)
+    return trusted(Poly, out)
 
 
 def alpha_plane() -> PolyEndo:

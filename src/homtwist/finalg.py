@@ -14,7 +14,7 @@ import json
 from fractions import Fraction
 
 from .homcore import Carrier, ModuleAlgebraScenario, yau_twist_algebra
-from .scalars import QLaurent, add_term, sparse_add, sparse_scale
+from .scalars import ZERO, QLaurent, add_term, sparse_add, sparse_scale
 
 
 class StructAlgebra:
@@ -159,8 +159,7 @@ class LinOp:
 
     def __call__(self, v):
         return tuple(
-            sum((row[i] * v[i] for i in range(self.dim)), QLaurent.zero())
-            for row in self.rows
+            sum((c * x for c, x in zip(row, v) if c and x), ZERO) for row in self.rows
         )
 
     def compose(self, other):

@@ -11,8 +11,10 @@ from __future__ import annotations
 import re
 
 from .scalars import (
+    SCALARS,
     QLaurent,
     add_term,
+    check_exponent,
     exponent_terms,
     join_terms,
     parse_terms,
@@ -20,6 +22,7 @@ from .scalars import (
     sparse_add,
     sparse_scale,
     split_factors,
+    trusted,
 )
 
 VARIABLES = ("x", "y")
@@ -59,34 +62,35 @@ class Poly:
     # -- ring structure -----------------------------------------------
 
     def __add__(self, other):
-        return Poly(sparse_add(self.terms, other.terms))
+        return trusted(Poly, sparse_add(self.terms, other.terms))
 
     def __neg__(self):
-        return Poly({key: -coeff for key, coeff in self.terms.items()})
+        return trusted(Poly, {key: -coeff for key, coeff in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, QLaurent):
-            return self.scaled(other)
+        if not isinstance(other, Poly):
+            return self.__rmul__(other)
         out = {}
         for (i1, j1), c1 in self.terms.items():
             for (i2, j2), c2 in other.terms.items():
                 add_term(out, (i1 + i2, j1 + j2), c1 * c2)
-        return Poly(out)
+        return trusted(Poly, out)
 
     def __rmul__(self, other):
-        if isinstance(other, (QLaurent, int)):
+        if isinstance(other, SCALARS):
             return self.scaled(other)
         return NotImplemented
 
     def scaled(self, coeff):
         if not isinstance(coeff, QLaurent):
             coeff = QLaurent.of(coeff)
-        return Poly(sparse_scale(coeff, self.terms))
+        return trusted(Poly, sparse_scale(coeff, self.terms))
 
     def __pow__(self, n):
+        check_exponent(n)
         result = Poly.one()
         for _ in range(n):
             result = result * self
@@ -119,7 +123,7 @@ class Poly:
                 continue
             exps[idx] -= 1
             add_term(out, (exps[0], exps[1]), coeff * QLaurent.of(power))
-        return Poly(out)
+        return trusted(Poly, out)
 
     def graded_component(self, n: int) -> "Poly":
         """Sum of terms of total degree n."""
@@ -152,11 +156,12 @@ class Poly:
 class PolyEndo:
     """Unital algebra endomorphism of k[x,y], given by generator images."""
 
-    __slots__ = ("image_of_x", "image_of_y")
+    __slots__ = ("image_of_x", "image_of_y", "_cache")
 
     def __init__(self, image_of_x: Poly, image_of_y: Poly):
         object.__setattr__(self, "image_of_x", image_of_x)
         object.__setattr__(self, "image_of_y", image_of_y)
+        object.__setattr__(self, "_cache", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("PolyEndo is immutable")
@@ -171,10 +176,21 @@ class PolyEndo:
         return cls(Poly.x().scaled(cx), Poly.y().scaled(cy))
 
     def __call__(self, p: Poly) -> Poly:
-        out = Poly.zero()
-        for (i, j), coeff in p.terms.items():
-            out = out + (self.image_of_x**i * self.image_of_y**j).scaled(coeff)
-        return out
+        out = {}
+        for key, coeff in p.terms.items():
+            for key2, c in self._apply_mono(key).terms.items():
+                add_term(out, key2, coeff * c)
+        return trusted(Poly, out)
+
+    def _apply_mono(self, key) -> Poly:
+        """The image of the monomial x^i y^j, computed once per key."""
+        cached = self._cache.get(key)
+        if cached is not None:
+            return cached
+        i, j = key
+        result = self.image_of_x**i * self.image_of_y**j
+        self._cache[key] = result
+        return result
 
     def compose(self, other: "PolyEndo") -> "PolyEndo":
         return PolyEndo(self(other.image_of_x), self(other.image_of_y))

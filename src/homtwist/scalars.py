@@ -5,6 +5,11 @@ parameter q with arbitrary-precision rational coefficients.  Keeping q formal
 means a passing sweep proves the identity for every nonzero specialization of
 q at once.  Division by general Laurent polynomials is deliberately absent;
 only monomial inverses q^(-k) ever arise.
+
+A coefficient is an int or a Fraction, never a float: the constructors store
+every integral value as an int, so the integer arithmetic that dominates the
+sweeps never touches Fraction.  Arithmetic results are wrapped with trusted(),
+which skips the constructors' validation because they are canonical already.
 """
 
 from __future__ import annotations
@@ -17,18 +22,30 @@ from fractions import Fraction
 Rational = Fraction
 
 
-def _as_fraction(value) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
+def _as_rational(value):
+    """An exact rational as an int when integral, else a reduced Fraction."""
     if isinstance(value, str):
-        return Fraction(value)
+        value = Fraction(value)
+    if isinstance(value, Fraction):
+        return value.numerator if value.denominator == 1 else value
+    if isinstance(value, int):
+        return int(value)
     raise TypeError(f"cannot interpret {value!r} as a rational")
 
 
+def trusted(cls, terms: dict):
+    """Wrap a canonical terms dict in an instance of cls without validating it.
+
+    Only for results built from canonical operands: keys taken from them and
+    coefficients from add_term/sparse_add/sparse_scale, which drop zeros.
+    """
+    obj = object.__new__(cls)
+    object.__setattr__(obj, "terms", terms)
+    return obj
+
+
 class QLaurent:
-    """A Laurent polynomial in q: a sparse map exponent -> nonzero Fraction.
+    """A Laurent polynomial in q: a sparse map exponent -> nonzero int/Fraction.
 
     Instances are immutable after construction and compare structurally;
     canonical form (no zero coefficients) makes structural equality the same
@@ -41,7 +58,7 @@ class QLaurent:
         clean = {}
         if terms:
             for exp, coeff in terms.items():
-                add_term(clean, int(exp), _as_fraction(coeff))
+                add_term(clean, int(exp), _as_rational(coeff))
         object.__setattr__(self, "terms", clean)
 
     def __setattr__(self, name, value):
@@ -60,21 +77,21 @@ class QLaurent:
     @classmethod
     def of(cls, value) -> "QLaurent":
         """Constant Laurent polynomial from an int/Fraction/str rational."""
-        return cls({0: _as_fraction(value)})
+        return cls({0: value})
 
     @classmethod
     def q_power(cls, exponent: int, coeff=1) -> "QLaurent":
-        return cls({exponent: _as_fraction(coeff)})
+        return cls({exponent: coeff})
 
     # -- ring structure -----------------------------------------------
 
     def __add__(self, other) -> "QLaurent":
-        return QLaurent(sparse_add(self.terms, _coerce(other).terms))
+        return trusted(QLaurent, sparse_add(self.terms, _coerce(other).terms))
 
     __radd__ = __add__
 
     def __neg__(self) -> "QLaurent":
-        return QLaurent({exp: -coeff for exp, coeff in self.terms.items()})
+        return trusted(QLaurent, {exp: -coeff for exp, coeff in self.terms.items()})
 
     def __sub__(self, other) -> "QLaurent":
         return self + (-_coerce(other))
@@ -83,18 +100,20 @@ class QLaurent:
         return _coerce(other) + (-self)
 
     def __mul__(self, other) -> "QLaurent":
-        other = _coerce(other)
+        if not isinstance(other, QLaurent):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented  # lets Poly/UElem.__rmul__ scale by self
+            other = QLaurent.of(other)
         out = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 add_term(out, e1 + e2, c1 * c2)
-        return QLaurent(out)
+        return trusted(QLaurent, out)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "QLaurent":
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("only non-negative integer powers are defined")
+        check_exponent(n)
         result = QLaurent.one()
         for _ in range(n):
             result = result * self
@@ -122,8 +141,9 @@ class QLaurent:
     # -- evaluation ---------------------------------------------------
 
     def specialize(self, q0) -> Fraction:
-        """Evaluate at a concrete nonzero rational q = q0."""
-        q0 = _as_fraction(q0)
+        """Evaluate at a concrete nonzero rational q = q0, as an exact Fraction."""
+        # A Fraction even for an int q0: int ** -k would be a float.
+        q0 = Fraction(_as_rational(q0))
         if q0 == 0:
             raise ValueError("cannot specialize at q = 0: negative exponents undefined")
         total = Fraction(0)
@@ -328,6 +348,12 @@ def join_terms(parts) -> str:
     return out
 
 
+def check_exponent(n) -> None:
+    """Powers in the rings here are defined for non-negative int exponents only."""
+    if not isinstance(n, int) or n < 0:
+        raise ValueError("only non-negative integer powers are defined")
+
+
 def _coerce(value) -> QLaurent:
     if isinstance(value, QLaurent):
         return value
@@ -335,6 +361,9 @@ def _coerce(value) -> QLaurent:
         return QLaurent.of(value)
     raise TypeError(f"cannot coerce {value!r} to QLaurent")
 
+
+# Operand types that scale a Poly or UElem from either side.
+SCALARS = (QLaurent, int, Fraction)
 
 ZERO = QLaurent.zero()
 ONE = QLaurent.one()

@@ -17,8 +17,10 @@ from functools import lru_cache
 
 from .report import CheckReport, sweep
 from .scalars import (
+    SCALARS,
     QLaurent,
     add_term,
+    check_exponent,
     exponent_terms,
     join_terms,
     parse_terms,
@@ -26,6 +28,7 @@ from .scalars import (
     sparse_add,
     sparse_scale,
     split_factors,
+    trusted,
 )
 
 GENERATORS = ("X", "Y", "Z")
@@ -67,34 +70,37 @@ class UElem:
     # -- ring structure -----------------------------------------------
 
     def __add__(self, other):
-        return UElem(sparse_add(self.terms, other.terms))
+        return trusted(UElem, sparse_add(self.terms, other.terms))
 
     def __neg__(self):
-        return UElem({mono: -coeff for mono, coeff in self.terms.items()})
+        return trusted(UElem, {mono: -coeff for mono, coeff in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, QLaurent):
-            return self.scaled(other)
-        out = UElem.zero()
+        if not isinstance(other, UElem):
+            return self.__rmul__(other)
+        out = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                out = out + _mono_mul(m1, m2).scaled(c1 * c2)
-        return out
+                c = c1 * c2
+                for mono, cm in _mono_mul(m1, m2).terms.items():
+                    add_term(out, mono, c * cm)
+        return trusted(UElem, out)
 
     def __rmul__(self, other):
-        if isinstance(other, (QLaurent, int)):
+        if isinstance(other, SCALARS):
             return self.scaled(other)
         return NotImplemented
 
     def scaled(self, coeff):
         if not isinstance(coeff, QLaurent):
             coeff = QLaurent.of(coeff)
-        return UElem(sparse_scale(coeff, self.terms))
+        return trusted(UElem, sparse_scale(coeff, self.terms))
 
     def __pow__(self, n):
+        check_exponent(n)
         result = UElem.one()
         for _ in range(n):
             result = result * self
@@ -189,7 +195,7 @@ def _extend(f, u: UElem) -> UElem:
     for mono, coeff in u.terms.items():
         for mono2, c in f(mono).terms.items():
             add_term(out, mono2, c * coeff)
-    return UElem(out)
+    return trusted(UElem, out)
 
 
 # -- comultiplication -------------------------------------------------

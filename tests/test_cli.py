@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from math import comb
 
 import pytest
@@ -202,3 +205,17 @@ class TestNegativeControlEquivalence:
         lines = [l for l in out.splitlines() if l.startswith(("PASS", "FAIL"))]
         assert len(lines) == 2
         assert all(line.startswith("FAIL") for line in lines)
+
+
+def test_package_runs_as_module():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    outputs = []
+    for module in ("homtwist", "homtwist.cli"):
+        done = subprocess.run(
+            [sys.executable, "-m", module, "verify", "finalg"],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        outputs.append(done.stdout)
+    assert outputs[0] == outputs[1] and "PASS" in outputs[0]

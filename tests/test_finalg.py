@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -38,6 +39,26 @@ class TestStructAlgebra:
         constants = {(0, 0, 0): 1}
         with pytest.raises(ValueError, match="unit"):
             StructAlgebra(("a",), constants, unit=[QLaurent.of(2)])
+
+
+class TestLinOp:
+    def test_matches_dense_row_sums(self):
+        q = QLaurent.q_power(1)
+        rows = [
+            [0, 1, Fraction(1, 2), 0],
+            [q, 0, -3, q + 1],
+            [0, 0, 0, 0],
+            [Fraction(-2, 3), q * q, 0, 5],
+        ]
+        op = LinOp(rows)
+        vectors = [
+            (QLaurent.of(2), ZERO, q + 1, QLaurent.of(Fraction(1, 3))),
+            (ZERO, ZERO, ZERO, ZERO),
+            (ONE, q, ZERO, -q),
+        ]
+        for v in vectors:
+            dense = tuple(sum((row[i] * v[i] for i in range(4)), ZERO) for row in op.rows)
+            assert op(v) == dense
 
 
 class TestInnerAutomorphism:

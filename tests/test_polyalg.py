@@ -1,7 +1,9 @@
+from fractions import Fraction
+
 import pytest
 
 from homtwist.polyalg import Poly, PolyEndo, enumerate_monomials
-from homtwist.scalars import QLaurent
+from homtwist.scalars import Q, QLaurent
 
 X = Poly.x()
 Y = Poly.y()
@@ -20,6 +22,15 @@ class TestArithmetic:
 
     def test_mul_zero(self):
         assert Poly.parse("x^2 + y") * Poly.zero() == Poly.zero()
+
+    @pytest.mark.parametrize("c", [2, Fraction(1, 2), Q])
+    def test_scalar_on_either_side(self, c):
+        assert X * c == c * X == X.scaled(c) != X
+
+    @pytest.mark.parametrize("n", [-1, -2, 1.0])
+    def test_power_rejects_negative_or_non_int(self, n):
+        with pytest.raises(ValueError):
+            X**n
 
 
 class TestDerivatives:
@@ -64,6 +75,15 @@ class TestEndomorphisms:
         for p in monos:
             for r in monos:
                 assert endo(p * r) == endo(p) * endo(r)
+
+    def test_cached_images_match_fresh_products(self):
+        endo = PolyEndo(X + Y, Y.scaled(Q))
+        keys = [(i, j) for i in range(5) for j in range(5 - i)]
+        for _ in range(2):  # the first call fills the cache, the second reads it
+            for i, j in keys:
+                fresh = endo.image_of_x**i * endo.image_of_y**j
+                assert endo(Poly.monomial(i, j, Q)) == fresh.scaled(Q)
+        assert set(endo._cache) == set(keys)
 
     def test_commutes_with_grading_for_diagonal_endo(self):
         endo = alpha_q()

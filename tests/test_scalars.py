@@ -29,6 +29,10 @@ class TestArithmetic:
         with pytest.raises(ValueError):
             Q ** (-1)
 
+    def test_integral_fraction_is_stored_as_int(self):
+        coeff = QLaurent.of(Fraction(4, 2)).terms[0]
+        assert type(coeff) is int and coeff == 2
+
 
 class TestSpecialize:
     def test_at_one(self):
@@ -43,6 +47,14 @@ class TestSpecialize:
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
             Q.specialize(0)
+
+    @pytest.mark.parametrize(
+        "value, q0, expected",
+        [(Q_INV, 2, Fraction(1, 2)), (QLaurent.parse("3*q^-2"), 2, Fraction(3, 4))],
+    )
+    def test_negative_exponent_at_int_is_exact(self, value, q0, expected):
+        result = value.specialize(q0)
+        assert type(result) is Fraction and result == expected
 
 
 scalars = st.builds(
@@ -75,6 +87,11 @@ class TestRingLaws:
     @given(scalars, scalars)
     def test_canonical_equality(self, a, b):
         assert (a == b) == ((a - b).is_zero())
+
+    @given(scalars, scalars)
+    def test_coefficients_stay_int_or_fraction(self, a, b):
+        for value in (a + b, a * b, -a, a - b):
+            assert all(type(c) in (int, Fraction) for c in value.terms.values())
 
     @given(st.integers() | st.fractions(max_denominator=1000))
     def test_constant_hashes_like_its_value(self, value):

@@ -1,6 +1,8 @@
+from fractions import Fraction
+
 import pytest
 
-from homtwist.scalars import QLaurent
+from homtwist.scalars import Q, QLaurent
 from homtwist.uea import (
     UElem,
     UEndo,
@@ -51,6 +53,17 @@ class TestPBWProduct:
                 for m3 in monos:
                     u, v, w = (UElem.monomial(m) for m in (m1, m2, m3))
                     assert (u * v) * w == u * (v * w)
+
+
+class TestScalars:
+    @pytest.mark.parametrize("c", [2, Fraction(1, 2), Q])
+    def test_scalar_on_either_side(self, c):
+        assert X * c == c * X == X.scaled(c) != X
+
+    @pytest.mark.parametrize("n", [-1, -2, 1.0])
+    def test_power_rejects_negative_or_non_int(self, n):
+        with pytest.raises(ValueError):
+            X**n
 
 
 class TestComultiplication:
