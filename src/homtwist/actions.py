@@ -20,13 +20,16 @@ from .scalars import QLaurent, add_term, trusted
 from .uea import UElem, UEndo, enumerate_pbw, render_mono
 
 
+_X, _Y = Poly.x(), Poly.y()
+
+
 def act_generator(gen: str, p: Poly) -> Poly:
     if gen == "X":
-        return Poly.x() * p.partial("y")
+        return _X * p.partial("y")
     if gen == "Y":
-        return Poly.y() * p.partial("x")
+        return _Y * p.partial("x")
     if gen == "Z":
-        return Poly.x() * p.partial("x") - Poly.y() * p.partial("y")
+        return _X * p.partial("x") - _Y * p.partial("y")
     raise ValueError(f"unknown generator {gen!r}")
 
 

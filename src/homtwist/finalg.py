@@ -12,16 +12,19 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from itertools import product
 
-from .homcore import Carrier, ModuleAlgebraScenario, yau_twist_algebra
-from .scalars import ZERO, QLaurent, add_term, sparse_add, sparse_scale
+from .homcore import Carrier, ModuleAlgebraScenario, sparse_carrier, yau_twist_algebra
+from .scalars import ONE, ZERO, QLaurent, add_term
 
 
 class StructAlgebra:
     """Associative algebra given by structure constants e_i e_j = sum_k c_ijk e_k.
 
-    Elements are coordinate vectors: tuples of QLaurent of length dim.
-    Associativity on all basis triples is a hard load-time precondition.
+    Elements are sparse coordinate maps {basis index: nonzero QLaurent}, and
+    the constants are kept as {(i, j): {k: c_ijk}}, so mul is a sparse
+    contraction.  Associativity on all basis triples is a hard load-time
+    precondition.
     """
 
     def __init__(self, labels, constants, unit=None):
@@ -34,73 +37,49 @@ class StructAlgebra:
             if not isinstance(coeff, QLaurent):
                 coeff = QLaurent.of(coeff)
             if coeff:
-                table[(i, j, k)] = coeff
+                table.setdefault((i, j), {})[k] = coeff
         self.constants = table
-        self.unit = tuple(unit) if unit is not None else None
-        if self.unit is not None and len(self.unit) != self.dim:
-            raise ValueError("unit vector has wrong length")
+        self.unit = unit
+        if self.unit is not None and not all(0 <= i < self.dim for i in self.unit):
+            raise ValueError("unit vector has an index out of range")
         self._verify_associativity()
         if self.unit is not None:
             self._verify_unit()
 
-    def zero(self):
-        return tuple(QLaurent.zero() for _ in range(self.dim))
-
     def basis_vector(self, i):
-        return tuple(
-            QLaurent.one() if k == i else QLaurent.zero() for k in range(self.dim)
-        )
-
-    def add(self, v, w):
-        return tuple(a + b for a, b in zip(v, w))
-
-    def scale(self, coeff, v):
-        return tuple(coeff * a for a in v)
+        return {i: ONE}
 
     def mul(self, v, w):
-        out = [QLaurent.zero()] * self.dim
-        for i in range(self.dim):
-            if not v[i]:
-                continue
-            for j in range(self.dim):
-                if not w[j]:
-                    continue
-                for k in range(self.dim):
-                    c = self.constants.get((i, j, k))
-                    if c:
-                        out[k] = out[k] + v[i] * w[j] * c
-        return tuple(out)
-
-    def coords(self, v):
-        return {i: c for i, c in enumerate(v) if c}
+        out = {}
+        for i, c1 in v.items():
+            for j, c2 in w.items():
+                row = self.constants.get((i, j))
+                if row:
+                    c12 = c1 * c2
+                    for k, c in row.items():
+                        add_term(out, k, c12 * c)
+        return out
 
     def render(self, v):
-        coords = self.coords(v)
-        if not coords:
+        if not v:
             return "0"
         parts = []
-        for i in sorted(coords):
-            c = coords[i]
+        for i in sorted(v):
+            c = v[i]
             ctext = str(c)
             if " + " in ctext or " - " in ctext:
                 ctext = f"({ctext})"
-            parts.append(f"{self.labels[i]}" if c == QLaurent.one() else f"{ctext}*{self.labels[i]}")
+            parts.append(f"{self.labels[i]}" if c == ONE else f"{ctext}*{self.labels[i]}")
         return " + ".join(parts)
 
     def _verify_associativity(self):
-        for i in range(self.dim):
-            ei = self.basis_vector(i)
-            for j in range(self.dim):
-                ej = self.basis_vector(j)
-                for k in range(self.dim):
-                    ek = self.basis_vector(k)
-                    lhs = self.mul(self.mul(ei, ej), ek)
-                    rhs = self.mul(ei, self.mul(ej, ek))
-                    if lhs != rhs:
-                        raise ValueError(
-                            "structure constants are not associative at "
-                            f"({self.labels[i]}, {self.labels[j]}, {self.labels[k]})"
-                        )
+        e = [self.basis_vector(i) for i in range(self.dim)]
+        for i, j, k in product(range(self.dim), repeat=3):
+            if self.mul(self.mul(e[i], e[j]), e[k]) != self.mul(e[i], self.mul(e[j], e[k])):
+                raise ValueError(
+                    "structure constants are not associative at "
+                    f"({self.labels[i]}, {self.labels[j]}, {self.labels[k]})"
+                )
 
     def _verify_unit(self):
         for i in range(self.dim):
@@ -113,76 +92,67 @@ class StructAlgebra:
         if self.unit is None:
             raise ValueError("algebra has no unit; inverses undefined")
         # left multiplication matrix: column j holds a * e_j
-        matrix = []
-        for k in range(self.dim):
-            row = []
-            for j in range(self.dim):
-                col = self.mul(a, self.basis_vector(j))
-                row.append(col[k])
-            matrix.append(row)
-        solution = _solve_rational(matrix, list(self.unit))
+        columns = [self.mul(a, self.basis_vector(j)) for j in range(self.dim)]
+        solution = _solve_rational(
+            _dense(columns), [self.unit.get(k, ZERO) for k in range(self.dim)]
+        )
         if solution is None:
             raise ValueError(f"element {self.render(a)} is not invertible")
-        inv = tuple(solution)
+        inv = {i: c for i, c in enumerate(solution) if c}
         if self.mul(inv, a) != self.unit:
             raise ValueError(f"element {self.render(a)} has no two-sided inverse")
         return inv
 
 
 class LinOp:
-    """Exact linear operator on a structure-constant algebra: a dim x dim matrix."""
+    """Exact linear operator on a structure-constant algebra.
+
+    It keeps the sparse images of the basis vectors and acts by their linear
+    extension.  LinOp(rows) takes the dense matrix, image j being column j.
+    """
 
     def __init__(self, rows):
-        self.rows = tuple(
-            tuple(c if isinstance(c, QLaurent) else QLaurent.of(c) for c in row)
-            for row in rows
-        )
-        self.dim = len(self.rows)
-        for row in self.rows:
+        self.dim = len(rows)
+        images = [{} for _ in range(self.dim)]
+        for k, row in enumerate(rows):
             if len(row) != self.dim:
                 raise ValueError("operator matrix must be square")
+            for j, c in enumerate(row):
+                if not isinstance(c, QLaurent):
+                    c = QLaurent.of(c)
+                if c:
+                    images[j][k] = c
+        self.images = tuple(images)
 
     @classmethod
     def identity(cls, dim):
-        return cls(
-            [
-                [QLaurent.one() if i == j else QLaurent.zero() for j in range(dim)]
-                for i in range(dim)
-            ]
-        )
+        return cls.from_images([{j: ONE} for j in range(dim)])
 
     @classmethod
     def from_images(cls, images):
-        """Build from the list of images of the basis vectors (as columns)."""
-        dim = len(images)
-        return cls([[images[j][k] for j in range(dim)] for k in range(dim)])
+        """The operator sending basis vector j to the sparse vector images[j]."""
+        op = object.__new__(cls)
+        op.images = tuple(images)
+        op.dim = len(op.images)
+        return op
 
     def __call__(self, v):
-        return tuple(
-            sum((c * x for c, x in zip(row, v) if c and x), ZERO) for row in self.rows
-        )
+        out = {}
+        for j, x in v.items():
+            for k, c in self.images[j].items():
+                add_term(out, k, c * x)
+        return out
 
     def compose(self, other):
-        return LinOp(
-            [
-                [
-                    sum(
-                        (self.rows[i][k] * other.rows[k][j] for k in range(self.dim)),
-                        QLaurent.zero(),
-                    )
-                    for j in range(self.dim)
-                ]
-                for i in range(self.dim)
-            ]
-        )
+        return LinOp.from_images([self(image) for image in other.images])
 
     def __eq__(self, other):
         if not isinstance(other, LinOp):
             return NotImplemented
-        return self.rows == other.rows
+        return self.images == other.images
 
     def __hash__(self):
-        return hash(self.rows)
+        return hash(tuple(frozenset(image.items()) for image in self.images))
 
     def is_algebra_endo(self, algebra: StructAlgebra) -> bool:
         for i in range(algebra.dim):
@@ -198,20 +168,20 @@ class LinOp:
     def is_automorphism(self, algebra: StructAlgebra) -> bool:
         if not self.is_algebra_endo(algebra):
             return False
-        matrix = [[self.rows[i][j] for j in range(self.dim)] for i in range(self.dim)]
-        for k in range(self.dim):
-            rhs = [
-                QLaurent.one() if i == k else QLaurent.zero() for i in range(self.dim)
-            ]
-            if _solve_rational(matrix, rhs) is None:
-                return False
-        return True
+        return _solve_rational(_dense(self.images), [ZERO] * self.dim) is not None
+
+
+def _dense(columns):
+    """The square matrix whose column j is the sparse vector columns[j]."""
+    n = len(columns)
+    return [[columns[j].get(k, ZERO) for j in range(n)] for k in range(n)]
 
 
 def _solve_rational(matrix, rhs):
     """Solve M x = rhs exactly; entries must be constant (q-free) QLaurent.
 
-    Returns the solution as a list of QLaurent, or None if singular.
+    Returns the solution as a list of QLaurent, or None if M is singular,
+    whatever the right-hand side: one call decides invertibility.
     """
 
     def as_fraction(c):
@@ -297,10 +267,6 @@ class GroupBialgebra:
 
     def carrier(self) -> Carrier:
         """k[G] with grouplike comultiplication and identity structure map."""
-        n = self.size()
-
-        def element(i):
-            return {i: QLaurent.one()}
 
         def mul(u, v):
             out = {}
@@ -312,16 +278,10 @@ class GroupBialgebra:
         def comul(u):
             return {(i, i): c for i, c in u.items()}
 
-        return Carrier(
+        return sparse_carrier(
             name="k[G]",
-            basis=tuple(range(n)),
-            element=element,
-            coords=lambda u: dict(u),
-            add=sparse_add,
-            scale=sparse_scale,
-            zero={},
+            basis=tuple(range(self.size())),
             mul=mul,
-            alpha=lambda u: dict(u),
             comul=comul,
             render_key=lambda i: f"g{i}",
             render_elem=_render_group_elem,
@@ -329,9 +289,10 @@ class GroupBialgebra:
 
     def apply(self, u: dict, v):
         """Action of a k[G] element on an algebra vector: rho(phi x a) = phi(a)."""
-        out = self.algebra.zero()
+        out = {}
         for i, coeff in u.items():
-            out = self.algebra.add(out, self.algebra.scale(coeff, self.operators[i](v)))
+            for k, c in self.operators[i](v).items():
+                add_term(out, k, coeff * c)
         return out
 
 
@@ -342,17 +303,11 @@ def _render_group_elem(u):
 
 
 def algebra_carrier(algebra: StructAlgebra, alpha=None) -> Carrier:
-    endo = alpha if alpha is not None else (lambda v: v)
-    return Carrier(
+    return sparse_carrier(
         name="struct-algebra",
         basis=tuple(range(algebra.dim)),
-        element=algebra.basis_vector,
-        coords=algebra.coords,
-        add=algebra.add,
-        scale=algebra.scale,
-        zero=algebra.zero(),
         mul=algebra.mul,
-        alpha=endo,
+        alpha=alpha,
         render_key=lambda i: algebra.labels[i],
         render_elem=algebra.render,
     )
@@ -374,7 +329,7 @@ def build_example31(algebra: StructAlgebra, G: GroupBialgebra, a) -> ModuleAlgeb
     identity structure map on k[G].
     """
     for idx, op in enumerate(G.operators):
-        if op(a) != tuple(a):
+        if op(a) != a:
             raise ValueError(
                 f"element {algebra.render(a)} is not fixed by group operator {idx}"
             )
@@ -408,8 +363,7 @@ def m2_algebra() -> StructAlgebra:
                 j = index[f"e{r2}{c2}"]
                 k = index[f"e{r1}{c2}"]
                 constants[(i, j, k)] = 1
-    unit = [QLaurent.one(), QLaurent.zero(), QLaurent.zero(), QLaurent.one()]
-    return StructAlgebra(labels, constants, unit=unit)
+    return StructAlgebra(labels, constants, unit={0: ONE, 3: ONE})
 
 
 def m2_example():
@@ -425,7 +379,7 @@ def m2_example():
         ]
     )
     G = GroupBialgebra(algebra, [LinOp.identity(4), conj])
-    a = (QLaurent.of(2), QLaurent.zero(), QLaurent.zero(), QLaurent.of(3))
+    a = {0: QLaurent.of(2), 3: QLaurent.of(3)}
     return algebra, G, a
 
 
@@ -455,24 +409,29 @@ def load_scenario(path):
         ):
             raise ValueError(f"constant must be [i, j, k, coeff], got {entry!r}")
         i, j, k, coeff = entry
-        constants[(i, j, k)] = QLaurent.parse(str(coeff))
-    unit = (
-        [QLaurent.parse(str(c)) for c in _array(data["unit"], "unit")]
-        if "unit" in data
-        else None
-    )
-    algebra = StructAlgebra(_array(data.get("labels"), "labels"), constants, unit=unit)
+        constants[(i, j, k)] = _scalar(coeff)
+    labels = _array(data.get("labels"), "labels")
+    unit = _vector(data["unit"], "unit vector", len(labels)) if "unit" in data else None
+    algebra = StructAlgebra(labels, constants, unit=unit)
     operators = []
     for matrix in _array(data.get("group"), "group"):
         rows = [_array(row, "matrix row") for row in _array(matrix, "group matrix")]
-        operators.append(LinOp([[QLaurent.parse(str(c)) for c in row] for row in rows]))
+        operators.append(LinOp([[_scalar(c) for c in row] for row in rows]))
     G = GroupBialgebra(algebra, operators)
-    element = tuple(
-        QLaurent.parse(str(c)) for c in _array(data.get("element"), "element")
-    )
-    if len(element) != algebra.dim:
-        raise ValueError("distinguished element has wrong length")
+    element = _vector(data.get("element"), "distinguished element", algebra.dim)
     return algebra, G, element
+
+
+def _scalar(value):
+    return QLaurent.parse(str(value))
+
+
+def _vector(value, what, dim):
+    """Sparse coordinates of a JSON array of dim coefficients."""
+    coeffs = [_scalar(c) for c in _array(value, what)]
+    if len(coeffs) != dim:
+        raise ValueError(f"{what} has wrong length")
+    return {i: c for i, c in enumerate(coeffs) if c}
 
 
 def _array(value, what):

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 from .report import CheckReport, sweep
-from .scalars import QLaurent, add_term
+from .scalars import ONE, QLaurent, add_term, sparse_add, sparse_scale
 
 
 @dataclass(frozen=True)
@@ -45,42 +45,32 @@ class Carrier:
 
 
 @dataclass(frozen=True)
-class ModCarrier:
-    """A module over a carrier: space, structure map alpha, and action rho."""
-
-    name: str
-    basis: tuple
-    element: Callable
-    coords: Callable
-    alpha: Callable
-    rho: Callable  # (algebra element, module element) -> module element
-    render_key: Callable = str
-    render_elem: Callable = str
-
-
-@dataclass(frozen=True)
 class ModuleAlgebraScenario:
-    """A bialgebra H acting on an algebra A on the same underlying space.
+    """A bialgebra H acting on an algebra A by rho: the module triple (H, A, rho).
 
     The module structure map is A.alpha, so the scenario is the full input
-    for the module Hom-algebra axiom.
+    for the module axiom and the module Hom-algebra axiom.
     """
 
     H: Carrier
     A: Carrier
     rho: Callable  # (H element, A element) -> A element
 
-    def module_carrier(self) -> ModCarrier:
-        return ModCarrier(
-            name=f"{self.A.name} as {self.H.name}-module",
-            basis=self.A.basis,
-            element=self.A.element,
-            coords=self.A.coords,
-            alpha=self.A.alpha,
-            rho=self.rho,
-            render_key=self.A.render_key,
-            render_elem=self.A.render_elem,
-        )
+
+def sparse_carrier(alpha: Optional[Callable] = None, **fields) -> Carrier:
+    """A carrier whose elements are sparse maps {basis key: nonzero QLaurent}.
+
+    fields are the remaining Carrier fields; alpha defaults to the identity.
+    """
+    return Carrier(
+        element=lambda key: {key: ONE},
+        coords=_ident,
+        add=sparse_add,
+        scale=sparse_scale,
+        zero={},
+        alpha=alpha if alpha is not None else _ident,
+        **fields,
+    )
 
 
 def axis(carrier) -> tuple:
@@ -117,6 +107,18 @@ def t_outer(*coord_dicts) -> dict:
 
 def elem_tensor(c1, c2, e1, e2) -> dict:
     return t_outer(c1.coords(e1), c2.coords(e2))
+
+
+def t_mul(C: Carrier, t1: dict, t2: dict) -> dict:
+    """Product of two tensors in C x C: (a x b)(c x d) = ac x bd."""
+    out = {}
+    for (a, b), c1 in t1.items():
+        for (u, v), c2 in t2.items():
+            left = C.mul(C.element(a), C.element(u))
+            right = C.mul(C.element(b), C.element(v))
+            for key, c in elem_tensor(C, C, left, right).items():
+                add_term(out, key, c1 * c2 * c)
+    return out
 
 
 def t_apply(t: dict, slots) -> dict:
@@ -214,18 +216,6 @@ def check_comul_morphism(H: Carrier) -> CheckReport:
     e = elements(H)
     delta = {key: H.comul(x) for key, x in e.items()}
 
-    def mul_of_deltas(k1, k2):
-        # mu^2 o (Id x tau x Id) o Delta^2: middle-two interchange done
-        # directly on the index pairs.
-        out = {}
-        for (a, b), c1 in delta[k1].items():
-            for (u, v), c2 in delta[k2].items():
-                left = H.mul(H.element(a), H.element(u))
-                right = H.mul(H.element(b), H.element(v))
-                for key, c in elem_tensor(H, H, left, right).items():
-                    add_term(out, key, c1 * c2 * c)
-        return out
-
     render = lambda t: render_tensor(t, H, H)
     report = sweep(
         "comul-morphism",
@@ -241,7 +231,8 @@ def check_comul_morphism(H: Carrier) -> CheckReport:
             "Eqs. (2.4)-(2.5)",
             [axis(H)] * 2,
             lambda k1, k2: H.comul(H.mul(e[k1], e[k2])),
-            mul_of_deltas,
+            # mu^2 o (Id x tau x Id) o Delta^2
+            lambda k1, k2: t_mul(H, delta[k1], delta[k2]),
             render,
         )
     )
@@ -260,19 +251,20 @@ def check_hom_bialgebra(H: Carrier) -> CheckReport:
 # -- module checkers ---------------------------------------------------
 
 
-def check_module_axiom(H: Carrier, M: ModCarrier) -> CheckReport:
+def check_module_axiom(s: ModuleAlgebraScenario) -> CheckReport:
     """rho is a Hom-module morphism and satisfies the module axiom.
 
     Checks alpha_M(a m) = alpha(a) alpha_M(m) on pairs and
-    alpha(a)(b m) = (a b) alpha_M(m) on triples (Eq. 2.1').
+    alpha(a)(b m) = (a b) alpha_M(m) on triples (Eq. 2.1'), with M = s.A.
     """
+    H, M, rho = s.H, s.A, s.rho
     eh, em = elements(H), elements(M)
     report = sweep(
         "module-axiom",
         "Eqs. (2.1)/(2.1')",
         [axis(H), axis(M)],
-        lambda kh, km: M.alpha(M.rho(eh[kh], em[km])),
-        lambda kh, km: M.rho(H.alpha(eh[kh]), M.alpha(em[km])),
+        lambda kh, km: M.alpha(rho(eh[kh], em[km])),
+        lambda kh, km: rho(H.alpha(eh[kh]), M.alpha(em[km])),
         M.render_elem,
     )
     return report.merge(
@@ -280,63 +272,65 @@ def check_module_axiom(H: Carrier, M: ModCarrier) -> CheckReport:
             "module-axiom",
             "Eqs. (2.1)/(2.1')",
             [axis(H), axis(H), axis(M)],
-            lambda k1, k2, km: M.rho(H.alpha(eh[k1]), M.rho(eh[k2], em[km])),
-            lambda k1, k2, km: M.rho(H.mul(eh[k1], eh[k2]), M.alpha(em[km])),
+            lambda k1, k2, km: rho(H.alpha(eh[k1]), rho(eh[k2], em[km])),
+            lambda k1, k2, km: rho(H.mul(eh[k1], eh[k2]), M.alpha(em[km])),
             M.render_elem,
         )
     )
 
 
-def build_rho_tilde(H: Carrier, M: ModCarrier, alpha_power: int = 2) -> ModCarrier:
+def build_rho_tilde(
+    s: ModuleAlgebraScenario, alpha_power: int = 2
+) -> ModuleAlgebraScenario:
     """The auxiliary module structure rho-tilde = rho o (alpha_H^2 x Id).
 
     alpha_power exists only for the negative control (power 1 breaks the
     correspondence between the two module Hom-algebra characterizations).
     """
 
-    def rho_tilde(a, m):
-        return M.rho(_iterate(H.alpha, alpha_power, a), m)
+    def rho_tilde(x, a):
+        return s.rho(_iterate(s.H.alpha, alpha_power, x), a)
 
-    return replace(M, name=f"{M.name} (rho-tilde)", rho=rho_tilde)
+    return replace(s, rho=rho_tilde)
 
 
-def build_rho2(H: Carrier, M: ModCarrier) -> ModCarrier:
-    """The diagonal module structure rho^2 on M x M.
+def build_rho2(s: ModuleAlgebraScenario) -> ModuleAlgebraScenario:
+    """The diagonal module structure rho^2 on A x A.
 
     Elements of the tensor-square carrier are sparse tensors keyed by pairs
-    of M basis keys.
+    of A basis keys; rho^2(x, a x b) = sum rho(x', a) x rho(x'', b), with
+    Delta computed once per H basis key.
     """
+    H, A = s.H, s.A
     _require_comul(H)
-
-    pair_basis = tuple((k1, k2) for k1 in M.basis for k2 in M.basis)
-
-    def element(pair):
-        return {pair: QLaurent.one()}
-
-    def alpha2(t):
-        return t_apply(t, [(M, M.alpha), (M, M.alpha)])
+    sweedler = {}  # H basis key -> [(x', x'', coefficient)] of Delta(x)
 
     def rho2(x, t):
         out = {}
-        for (hk1, hk2), hc in H.comul(x).items():
-            x1, x2 = H.element(hk1), H.element(hk2)
-            for (mk1, mk2), mc in t.items():
-                left = M.rho(x1, M.element(mk1))
-                right = M.rho(x2, M.element(mk2))
-                for key, c in elem_tensor(M, M, left, right).items():
-                    add_term(out, key, hc * mc * c)
+        for hk, hc in H.coords(x).items():
+            if hk not in sweedler:
+                sweedler[hk] = [
+                    (H.element(k1), H.element(k2), c)
+                    for (k1, k2), c in H.comul(H.element(hk)).items()
+                ]
+            for x1, x2, dc in sweedler[hk]:
+                hdc = hc * dc
+                for (ak1, ak2), ac in t.items():
+                    left = s.rho(x1, A.element(ak1))
+                    right = s.rho(x2, A.element(ak2))
+                    for key, c in elem_tensor(A, A, left, right).items():
+                        add_term(out, key, hdc * ac * c)
         return out
 
-    return ModCarrier(
-        name=f"{M.name} tensor square",
-        basis=pair_basis,
-        element=element,
-        coords=_ident,
-        alpha=alpha2,
-        rho=rho2,
-        render_key=lambda pair: f"{M.render_key(pair[0])} x {M.render_key(pair[1])}",
-        render_elem=lambda t: render_tensor(t, M, M),
+    square = sparse_carrier(
+        name=f"{A.name} tensor square",
+        basis=tuple((k1, k2) for k1 in A.basis for k2 in A.basis),
+        mul=lambda t1, t2: t_mul(A, t1, t2),
+        alpha=lambda t: t_apply(t, [(A, A.alpha), (A, A.alpha)]),
+        render_key=lambda pair: f"{A.render_key(pair[0])} x {A.render_key(pair[1])}",
+        render_elem=lambda t: render_tensor(t, A, A),
     )
+    return ModuleAlgebraScenario(H=H, A=square, rho=rho2)
 
 
 def check_module_hom_algebra(s: ModuleAlgebraScenario, alpha_power: int = 2) -> CheckReport:
@@ -370,14 +364,13 @@ def check_mu_module_morphism(s: ModuleAlgebraScenario, alpha_power: int = 2) -> 
     check_module_hom_algebra on the same scenario.
     """
     H, A = s.H, s.A
-    M = s.module_carrier()
-    square = build_rho2(H, M)
-    tilde = build_rho_tilde(H, M, alpha_power=alpha_power)
+    square = build_rho2(s)
+    tilde = build_rho_tilde(s, alpha_power=alpha_power)
     eh, ea = elements(H), elements(A)
 
     def lhs(kx, ka, kb):
         out = A.zero
-        for (k1, k2), coeff in square.rho(eh[kx], square.element((ka, kb))).items():
+        for (k1, k2), coeff in square.rho(eh[kx], square.A.element((ka, kb))).items():
             out = A.add(out, A.scale(coeff, A.mul(A.element(k1), A.element(k2))))
         return out
 

@@ -122,7 +122,7 @@ class Poly:
             if power == 0:
                 continue
             exps[idx] -= 1
-            add_term(out, (exps[0], exps[1]), coeff * QLaurent.of(power))
+            add_term(out, (exps[0], exps[1]), coeff * power)
         return trusted(Poly, out)
 
     def graded_component(self, n: int) -> "Poly":

@@ -100,13 +100,15 @@ class QLaurent:
         return _coerce(other) + (-self)
 
     def __mul__(self, other) -> "QLaurent":
-        if not isinstance(other, QLaurent):
-            if not isinstance(other, (int, Fraction)):
-                return NotImplemented  # lets Poly/UElem.__rmul__ scale by self
-            other = QLaurent.of(other)
+        if isinstance(other, QLaurent):
+            terms = other.terms
+        elif isinstance(other, (int, Fraction)):
+            terms = {0: other}  # a rational factor needs no QLaurent
+        else:
+            return NotImplemented  # lets Poly/UElem.__rmul__ scale by self
         out = {}
         for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
+            for e2, c2 in terms.items():
                 add_term(out, e1 + e2, c1 * c2)
         return trusted(QLaurent, out)
 
@@ -282,9 +284,15 @@ def split_factors(term: str, on_space: bool = False):
 
 
 def add_term(terms: dict, key, coeff) -> None:
-    """terms[key] += coeff in place, dropping the key when the sum is zero."""
+    """terms[key] += coeff in place, dropping the key when the sum is zero.
+
+    An integral Fraction is stored as its int, so rational coefficients keep
+    the int-or-non-integral-Fraction form through arithmetic.
+    """
     if key in terms:
         coeff = terms[key] + coeff
+    if coeff.__class__ is Fraction and coeff.denominator == 1:
+        coeff = coeff.numerator
     if coeff:
         terms[key] = coeff
     else:

@@ -131,7 +131,7 @@ def test_criterion_5_endomorphism_extension():
 def test_criterion_6_classical_limit():
     classical = actions.classical_scenario(3, 3)
     axiom = homcore.check_module_hom_algebra(classical, alpha_power=0)
-    module = homcore.check_module_axiom(classical.H, classical.module_carrier())
+    module = homcore.check_module_axiom(classical)
     bialg = homcore.check_hom_bialgebra(classical.H)
     assoc = homcore.check_hom_associativity(classical.A)
     collapse = True
@@ -186,7 +186,7 @@ def test_criterion_8_example_31_instance():
         homcore.check_hom_associativity(s.A),
         homcore.check_multiplicativity(s.A),
         homcore.check_hom_bialgebra(s.H),
-        homcore.check_module_axiom(s.H, s.module_carrier()),
+        homcore.check_module_axiom(s),
         homcore.check_module_hom_algebra(s),
         homcore.check_mu_module_morphism(s),
     ]

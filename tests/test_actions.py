@@ -167,7 +167,7 @@ class TestWeightSpectrum:
 class TestAssembledPackage:
     def test_deformed_scenario_is_module_hom_algebra(self):
         s = actions.deformed_scenario(2, 2)
-        assert homcore.check_module_axiom(s.H, s.module_carrier()).passed
+        assert homcore.check_module_axiom(s).passed
         assert homcore.check_module_hom_algebra(s).passed
 
     def test_action_associativity(self):

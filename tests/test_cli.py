@@ -121,6 +121,9 @@ BAD_SCENARIOS = {
         ({}, ["verify", "finalg", "--report", "{missing-dir}/report.json"]),
         ({}, ["twist", "sl2", "--bound", "-1"]),
         ({}, ["act", "1/0*X", "y"]),
+        ({}, ["verify", "finalg", "--negative-control"]),
+        ({}, ["verify", "sl2-q", "--bound-h", "1", "--bound-a", "1",
+              "--suite", "hom-bialgebra", "--negative-control"]),
     ],
 )
 def test_bad_input_exits_2(capsys, monkeypatch, tmp_path, env, argv):

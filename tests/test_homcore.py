@@ -116,12 +116,11 @@ class TestTwistFunctoriality:
 class TestModuleStructures:
     def test_rho_tilde_passes_module_axiom(self):
         s = actions.deformed_scenario(2, 2)
-        tilde = build_rho_tilde(s.H, s.module_carrier())
-        assert check_module_axiom(s.H, tilde).passed
+        assert check_module_axiom(build_rho_tilde(s)).passed
 
     def test_rho_tilde_scales_by_q_squared_on_x(self):
         s = actions.deformed_scenario(2, 2)
-        tilde = build_rho_tilde(s.H, s.module_carrier())
+        tilde = build_rho_tilde(s)
         x = UElem.generator("X")
         y = Poly.y()
         # alpha_U^2(X) = q^2 X
@@ -129,7 +128,7 @@ class TestModuleStructures:
 
     def test_rho_tilde_at_identity_is_rho(self):
         s = actions.classical_scenario(2, 2)
-        tilde = build_rho_tilde(s.H, s.module_carrier())
+        tilde = build_rho_tilde(s)
         for kx in s.H.basis:
             for ka in s.A.basis:
                 x, a = s.H.element(kx), s.A.element(ka)
@@ -137,14 +136,13 @@ class TestModuleStructures:
 
     def test_rho2_passes_module_axiom(self):
         s = actions.deformed_scenario(1, 1)
-        square = build_rho2(s.H, s.module_carrier())
-        assert check_module_axiom(s.H, square).passed
+        assert check_module_axiom(build_rho2(s)).passed
 
     def test_rho2_on_primitive_element(self):
         s = actions.classical_scenario(1, 1)
-        square = build_rho2(s.H, s.module_carrier())
+        square = build_rho2(s)
         x = UElem.generator("X")
-        t = square.element(((0, 1), (0, 1)))  # y tensor y
+        t = square.A.element(((0, 1), (0, 1)))  # y tensor y
         acted = square.rho(x, t)
         # X(y) = x, 1(y) = y: result is x tensor y + y tensor x
         expected = {
@@ -155,8 +153,8 @@ class TestModuleStructures:
 
     def test_rho2_unit_acts_as_identity(self):
         s = actions.classical_scenario(1, 1)
-        square = build_rho2(s.H, s.module_carrier())
-        t = square.element(((1, 0), (0, 1)))
+        square = build_rho2(s)
+        t = square.A.element(((1, 0), (0, 1)))
         assert square.rho(UElem.one(), t) == t
 
 

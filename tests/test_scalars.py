@@ -33,6 +33,12 @@ class TestArithmetic:
         coeff = QLaurent.of(Fraction(4, 2)).terms[0]
         assert type(coeff) is int and coeff == 2
 
+    def test_integral_result_of_fractions_is_stored_as_int(self):
+        half = QLaurent.of(Fraction(1, 2))
+        for value in (half * 2, half + half, half * QLaurent.of(4)):
+            coeff = value.terms[0]
+            assert type(coeff) is int and coeff == value.specialize(1)
+
 
 class TestSpecialize:
     def test_at_one(self):
@@ -88,10 +94,13 @@ class TestRingLaws:
     def test_canonical_equality(self, a, b):
         assert (a == b) == ((a - b).is_zero())
 
-    @given(scalars, scalars)
-    def test_coefficients_stay_int_or_fraction(self, a, b):
-        for value in (a + b, a * b, -a, a - b):
-            assert all(type(c) in (int, Fraction) for c in value.terms.values())
+    @given(scalars, scalars, st.integers(min_value=-6, max_value=6))
+    def test_coefficients_stay_int_or_fraction(self, a, b, n):
+        for value in (a + b, a * b, -a, a - b, a + a, a * n, n * a):
+            assert all(
+                type(c) is int or (type(c) is Fraction and c.denominator != 1)
+                for c in value.terms.values()
+            )
 
     @given(st.integers() | st.fractions(max_denominator=1000))
     def test_constant_hashes_like_its_value(self, value):
