@@ -83,7 +83,7 @@ def plane_carrier(bound: int, alpha: PolyEndo | None = None) -> Carrier:
         mul=lambda p, r: p * r,
         alpha=endo,
         render_key=lambda key: str(Poly.monomial(key[0], key[1])),
-        render_elem=str,
+        render_elem=lambda coords: str(Poly(coords)),
     )
 
 
@@ -102,7 +102,7 @@ def u_carrier(bound: int, alpha=None) -> Carrier:
         alpha=endo,
         comul=uea.comul,
         render_key=render_mono,
-        render_elem=str,
+        render_elem=lambda coords: str(UElem(coords)),
     )
 
 

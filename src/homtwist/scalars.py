@@ -101,16 +101,20 @@ class QLaurent:
 
     def __mul__(self, other) -> "QLaurent":
         if isinstance(other, QLaurent):
-            terms = other.terms
-        elif isinstance(other, (int, Fraction)):
-            terms = {0: other}  # a rational factor needs no QLaurent
-        else:
-            return NotImplemented  # lets Poly/UElem.__rmul__ scale by self
-        out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in terms.items():
-                add_term(out, e1 + e2, c1 * c2)
-        return trusted(QLaurent, out)
+            out = {}
+            for e1, c1 in self.terms.items():
+                for e2, c2 in other.terms.items():
+                    add_term(out, e1 + e2, c1 * c2)
+            return trusted(QLaurent, out)
+        if isinstance(other, (int, Fraction)):
+            # A rational factor scales each coefficient; no product can vanish.
+            if not other:
+                return trusted(QLaurent, {})
+            return trusted(
+                QLaurent,
+                {exp: _canonical(coeff * other) for exp, coeff in self.terms.items()},
+            )
+        return NotImplemented  # lets Poly/UElem.__rmul__ scale by self
 
     __rmul__ = __mul__
 
@@ -297,6 +301,13 @@ def add_term(terms: dict, key, coeff) -> None:
         terms[key] = coeff
     else:
         terms.pop(key, None)
+
+
+def _canonical(coeff):
+    """An integral Fraction as its int; any other coefficient unchanged."""
+    if coeff.__class__ is Fraction and coeff.denominator == 1:
+        return coeff.numerator
+    return coeff
 
 
 def exponent_terms(terms: dict, width: int) -> dict:

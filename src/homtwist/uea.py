@@ -85,8 +85,8 @@ class UElem:
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 c = c1 * c2
-                for mono, cm in _mono_mul(m1, m2).terms.items():
-                    add_term(out, mono, c * cm)
+                for mono, n in _mono_mul(m1, m2):
+                    add_term(out, mono, c * n)
         return trusted(UElem, out)
 
     def __rmul__(self, other):
@@ -148,54 +148,59 @@ class UElem:
 
 
 # -- PBW normalization ------------------------------------------------
+# U(sl(2)) has a Z-form: every rewrite coefficient is an integer, so the
+# normal forms below are tuples of (PBW monomial, int) pairs.
 
 
 @lru_cache(maxsize=None)
-def _left_gen(gen: str, mono) -> UElem:
+def _left_gen(gen: str, mono) -> tuple:
     """Left-multiply a PBW monomial by one generator, in normal form."""
     a, b, c = mono
     if gen == "X":
-        return UElem.monomial((a + 1, b, c))
+        return (((a + 1, b, c), 1),)
     if gen == "Y":
         if a == 0:
-            return UElem.monomial((0, b + 1, c))
+            return (((0, b + 1, c), 1),)
         # Y X^a ... = (XY - Z) X^(a-1) ...
-        tail = _left_gen("Y", (a - 1, b, c))
-        out = _extend(lambda m: _left_gen("X", m), tail)
-        return out - _left_gen("Z", (a - 1, b, c))
+        rest = (a - 1, b, c)
+        out = _extend(lambda m: _left_gen("X", m), _left_gen("Y", rest))
+        for m, n in _left_gen("Z", rest):
+            add_term(out, m, -n)
+        return tuple(out.items())
     if gen == "Z":
         if a > 0:
             # Z X^a ... = (XZ + 2X) X^(a-1) ...
-            tail = _left_gen("Z", (a - 1, b, c))
-            out = _extend(lambda m: _left_gen("X", m), tail)
-            return out + UElem.monomial((a, b, c), QLaurent.of(2))
+            out = _extend(lambda m: _left_gen("X", m), _left_gen("Z", (a - 1, b, c)))
+            add_term(out, (a, b, c), 2)
+            return tuple(out.items())
         if b > 0:
             # Z Y^b Z^c = (YZ - 2Y) Y^(b-1) Z^c
             tail = _left_gen("Z", (0, b - 1, c))
-            out = _extend(lambda m: UElem.monomial((m[0], m[1] + 1, m[2])), tail)
-            return out - UElem.monomial((0, b, c), QLaurent.of(2))
-        return UElem.monomial((0, 0, c + 1))
+            out = _extend(lambda m: (((m[0], m[1] + 1, m[2]), 1),), tail)
+            add_term(out, (0, b, c), -2)
+            return tuple(out.items())
+        return (((0, 0, c + 1), 1),)
     raise ValueError(f"unknown generator {gen!r}")
 
 
 @lru_cache(maxsize=None)
-def _mono_mul(m1, m2) -> UElem:
-    """Product of two PBW monomials in normal form."""
+def _mono_mul(m1, m2) -> tuple:
+    """Product of two PBW monomials in normal form: (monomial, int) pairs."""
     a, b, c = m1
-    result = UElem.monomial(m2)
+    result = ((m2, 1),)
     for gen, count in (("Z", c), ("Y", b), ("X", a)):
         for _ in range(count):
-            result = _extend(lambda m: _left_gen(gen, m), result)
+            result = tuple(_extend(lambda m: _left_gen(gen, m), result).items())
     return result
 
 
-def _extend(f, u: UElem) -> UElem:
-    """The linear extension of f, a map on PBW monomials, applied to u."""
+def _extend(f, pairs) -> dict:
+    """The linear extension of f, a map on PBW monomials, applied to pairs."""
     out = {}
-    for mono, coeff in u.terms.items():
-        for mono2, c in f(mono).terms.items():
+    for mono, coeff in pairs:
+        for mono2, c in f(mono):
             add_term(out, mono2, c * coeff)
-    return trusted(UElem, out)
+    return out
 
 
 # -- comultiplication -------------------------------------------------
@@ -206,22 +211,22 @@ def tensor_mul(t1: dict, t2: dict) -> dict:
     out = {}
     for (l1, r1), c1 in t1.items():
         for (l2, r2), c2 in t2.items():
-            left = _mono_mul(l1, l2)
+            c12 = c1 * c2
             right = _mono_mul(r1, r2)
-            for ml, cl in left.terms.items():
-                for mr, cr in right.terms.items():
-                    add_term(out, (ml, mr), c1 * c2 * cl * cr)
+            for ml, cl in _mono_mul(l1, l2):
+                for mr, cr in right:
+                    add_term(out, (ml, mr), c12 * (cl * cr))
     return out
 
 
 @lru_cache(maxsize=None)
 def _comul_mono(mono) -> tuple:
-    result = {(UNIT, UNIT): QLaurent.one()}
+    result = {(UNIT, UNIT): 1}
     for gen_idx, count in enumerate(mono):
         gen = [0, 0, 0]
         gen[gen_idx] = 1
         gen = tuple(gen)
-        primitive = {(gen, UNIT): QLaurent.one(), (UNIT, gen): QLaurent.one()}
+        primitive = {(gen, UNIT): 1, (UNIT, gen): 1}
         for _ in range(count):
             result = tensor_mul(result, primitive)
     return tuple(result.items())
@@ -324,7 +329,8 @@ class UAlgebraEndo:
         raise AttributeError("UAlgebraEndo is immutable")
 
     def __call__(self, u: UElem) -> UElem:
-        return _extend(self._apply_mono, u)
+        images = _extend(lambda m: self._apply_mono(m).terms.items(), u.terms.items())
+        return trusted(UElem, images)
 
     def _apply_mono(self, mono) -> UElem:
         cached = self._cache.get(mono)

@@ -1,0 +1,40 @@
+"""Byte-for-byte differential test of `homtwist verify` output.
+
+tests/data holds stdout and --report JSON files recorded before the checkers
+were compiled into key tables; the verdicts, counterexamples and their
+rendering must not change.
+"""
+
+import os
+
+import pytest
+
+from homtwist import cli
+
+DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
+
+NEGCTL = ["verify", "sl2-q", "--bound-h", "2", "--bound-a", "2",
+          "--suite", "module-hom-algebra", "--suite", "mu-module-morphism",
+          "--negative-control"]
+
+
+@pytest.mark.parametrize(
+    "stem, argv, code, with_report",
+    [
+        ("negctl_22", NEGCTL, cli.EXIT_AXIOM_FAILURE, True),
+        ("sl2_22", ["verify", "sl2-q", "--bound-h", "2", "--bound-a", "2"],
+         cli.EXIT_PASS, False),
+        ("finalg", ["verify", "finalg"], cli.EXIT_PASS, True),
+    ],
+)
+def test_output_matches_recorded_bytes(capsys, monkeypatch, tmp_path, stem, argv,
+                                       code, with_report):
+    monkeypatch.delenv("HOMTWIST_BOUND_H", raising=False)
+    monkeypatch.delenv("HOMTWIST_BOUND_A", raising=False)
+    report = tmp_path / "report.json"
+    assert cli.main(argv + (["--report", str(report)] if with_report else [])) == code
+    with open(os.path.join(DATA, f"{stem}.stdout"), "rb") as fh:
+        assert capsys.readouterr().out.encode() == fh.read()
+    if with_report:
+        with open(os.path.join(DATA, f"{stem}.json"), "rb") as fh:
+            assert report.read_bytes() == fh.read()

@@ -1,6 +1,8 @@
 from dataclasses import replace
 
-from homtwist import actions, homcore
+from hypothesis import given, settings, strategies as st
+
+from homtwist import actions, finalg, homcore
 from homtwist.homcore import (
     build_rho2,
     build_rho_tilde,
@@ -16,7 +18,7 @@ from homtwist.homcore import (
     yau_twist_bialgebra,
 )
 from homtwist.polyalg import Poly
-from homtwist.scalars import QLaurent
+from homtwist.scalars import Q, QLaurent, add_term
 from homtwist.uea import UElem
 
 
@@ -75,6 +77,139 @@ class TestAlgebraCheckers:
             name="mismatched",
         )
         assert not check_hom_associativity(mixed).passed
+
+
+class TestHomBialgebraNegativeControl:
+    """A Yau twist of U(sl2) by a linear map that is not an algebra map.
+
+    u -> sum q^(a+b+c) c_m X^a Y^b Z^c scales each PBW degree, but YX = XY - Z
+    mixes degrees, so the twist must fail every condition that involves mu.
+    """
+
+    @staticmethod
+    def twisted():
+        def scale_degree(u):
+            return UElem({m: c * QLaurent.q_power(sum(m)) for m, c in u.terms.items()})
+
+        return yau_twist_bialgebra(actions.u_carrier(2), scale_degree)
+
+    def test_multiplicativity_fails_first_at_y_x(self):
+        report = check_multiplicativity(self.twisted())
+        assert (len(report.counterexamples), report.checked) == (37, 100)
+        first = report.counterexamples[0]
+        assert first.rendered_inputs == ("Y", "X")
+        assert first.lhs == "-q^2*Z + q^4*X Y"
+        assert first.rhs == "-q^3*Z + q^4*X Y"
+
+    def test_hom_associativity_fails_first_at_1_y_x(self):
+        report = check_hom_associativity(self.twisted())
+        assert (len(report.counterexamples), report.checked) == (619, 1000)
+        assert report.counterexamples[0].rendered_inputs == ("1", "Y", "X")
+
+    def test_hom_coassociativity_passes(self):
+        report = homcore.check_hom_coassociativity(self.twisted())
+        assert report.passed and report.checked == 10
+
+    def test_comul_morphism_fails(self):
+        report = homcore.check_comul_morphism(self.twisted())
+        assert (len(report.counterexamples), report.checked) == (37, 110)
+
+
+# -- fault injection ---------------------------------------------------
+# Each perturbation adds q*e_k0 to one native map at one basis key; the
+# checker of the identity that map enters must then fail at that key.  The
+# unperturbed carrier is checked first, so a table shared between carriers
+# with the same basis keys would hide the fault.
+
+
+def _perturb_mul(C, k1, k2, k0):
+    def mul(a, b):
+        c = C.coords(a).get(k1, 0) * C.coords(b).get(k2, 0) * Q
+        return C.add(C.mul(a, b), C.scale(c, C.element(k0)))
+
+    return replace(C, mul=mul)
+
+
+def _perturb_alpha(C, k, k0):
+    def alpha(a):
+        c = C.coords(a).get(k, 0) * Q
+        return C.add(C.alpha(a), C.scale(c, C.element(k0)))
+
+    return replace(C, alpha=alpha)
+
+
+def _perturb_comul(C, k, pair):
+    def comul(a):
+        out = dict(C.comul(a))
+        c = C.coords(a).get(k, 0) * Q
+        if c:
+            add_term(out, pair, c)
+        return out
+
+    return replace(C, comul=comul)
+
+
+def _perturb_rho(s, h, ka, k0):
+    def rho(x, a):
+        c = s.H.coords(x).get(h, 0) * s.A.coords(a).get(ka, 0) * Q
+        return s.A.add(s.rho(x, a), s.A.scale(c, s.A.element(k0)))
+
+    return replace(s, rho=rho)
+
+
+_ALGEBRAS = {
+    "m2": lambda: finalg.algebra_carrier(finalg.m2_algebra()),
+    "sl2": lambda: actions.u_carrier(1),
+}
+_BIALGEBRAS = {
+    "k[G]": lambda: finalg.m2_example()[1].carrier(),
+    "sl2": lambda: actions.u_carrier(1),
+}
+_MODULES = {
+    "k[G] on m2": lambda: finalg.automorphism_action(finalg.m2_example()[1]),
+    "sl2 on plane": lambda: actions.classical_scenario(1, 1),
+}
+
+
+@st.composite
+def _mul_fault(draw):
+    C = _ALGEBRAS[draw(st.sampled_from(sorted(_ALGEBRAS)))]()
+    k1, k2, k0 = (draw(st.sampled_from(C.basis)) for _ in range(3))
+    return C, _perturb_mul(C, k1, k2, k0), check_hom_associativity, (k1, k2)
+
+
+@st.composite
+def _alpha_fault(draw):
+    C = _ALGEBRAS[draw(st.sampled_from(sorted(_ALGEBRAS)))]()
+    k, k0 = (draw(st.sampled_from(C.basis)) for _ in range(2))
+    return C, _perturb_alpha(C, k, k0), check_multiplicativity, (k,)
+
+
+@st.composite
+def _comul_fault(draw):
+    C = _BIALGEBRAS[draw(st.sampled_from(sorted(_BIALGEBRAS)))]()
+    k, k1, k2 = (draw(st.sampled_from(C.basis)) for _ in range(3))
+    return C, _perturb_comul(C, k, (k1, k2)), homcore.check_hom_bialgebra, (k,)
+
+
+@st.composite
+def _rho_fault(draw):
+    s = _MODULES[draw(st.sampled_from(sorted(_MODULES)))]()
+    h = draw(st.sampled_from(s.H.basis))
+    ka, k0 = (draw(st.sampled_from(s.A.basis)) for _ in range(2))
+    return s, _perturb_rho(s, h, ka, k0), check_module_hom_algebra, (h, ka)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(_mul_fault(), _alpha_fault(), _comul_fault(), _rho_fault()))
+def test_injected_fault_is_caught_at_its_key(fault):
+    native, perturbed, checker, keys = fault
+    assert checker(native).passed
+    report = checker(perturbed)
+    assert not report.passed
+    assert any(
+        all(key in ce.inputs for key in keys) for ce in report.counterexamples
+    )
 
 
 class TestTwistFunctoriality:

@@ -94,13 +94,21 @@ class TestRingLaws:
     def test_canonical_equality(self, a, b):
         assert (a == b) == ((a - b).is_zero())
 
-    @given(scalars, scalars, st.integers(min_value=-6, max_value=6))
-    def test_coefficients_stay_int_or_fraction(self, a, b, n):
-        for value in (a + b, a * b, -a, a - b, a + a, a * n, n * a):
+    @given(
+        scalars,
+        scalars,
+        st.integers(min_value=-6, max_value=6),
+        st.fractions(min_value=-6, max_value=6, max_denominator=6),
+    )
+    def test_coefficients_stay_int_or_fraction(self, a, b, n, f):
+        for value in (a + b, a * b, -a, a - b, a + a, a * n, n * a, a * f, f * a):
             assert all(
                 type(c) is int or (type(c) is Fraction and c.denominator != 1)
                 for c in value.terms.values()
             )
+        # the scalar fast path agrees with the Laurent product
+        assert a * n == n * a == a * QLaurent.of(n)
+        assert a * f == f * a == a * QLaurent.of(f)
 
     @given(st.integers() | st.fractions(max_denominator=1000))
     def test_constant_hashes_like_its_value(self, value):
