@@ -12,10 +12,11 @@ rho_alpha = alpha_A o rho.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from . import homcore, uea
-from .homcore import Carrier, ModuleAlgebraScenario
+from .homcore import Carrier, ModuleAlgebraScenario, Scenario
 from .polyalg import Poly, PolyEndo, enumerate_monomials
-from .report import CheckReport, sweep
 from .scalars import QLaurent, add_term, trusted
 from .uea import UElem, UEndo, enumerate_pbw, render_mono
 
@@ -77,9 +78,6 @@ def plane_carrier(bound: int, alpha: PolyEndo | None = None) -> Carrier:
         basis=basis,
         element=lambda key: Poly.monomial(key[0], key[1]),
         coords=lambda p: p.terms,
-        add=lambda p, r: p + r,
-        scale=lambda c, p: p.scaled(c),
-        zero=Poly.zero(),
         mul=lambda p, r: p * r,
         alpha=endo,
         render_key=lambda key: str(Poly.monomial(key[0], key[1])),
@@ -95,9 +93,6 @@ def u_carrier(bound: int, alpha=None) -> Carrier:
         basis=tuple(enumerate_pbw(bound)),
         element=UElem.monomial,
         coords=lambda u: u.terms,
-        add=lambda u, v: u + v,
-        scale=lambda c, u: u.scaled(c),
-        zero=UElem.zero(),
         mul=lambda u, v: u * v,
         alpha=endo,
         comul=uea.comul,
@@ -111,72 +106,26 @@ def classical_scenario(bound_h: int = 3, bound_a: int = 3) -> ModuleAlgebraScena
     return ModuleAlgebraScenario(H=u_carrier(bound_h), A=plane_carrier(bound_a), rho=act)
 
 
+def sl2_scenario(bound_h: int = 3, bound_a: int = 3) -> Scenario:
+    """The q-deformation of the classical scenario, as one Scenario record.
+
+    The generator axis is X, Y, Z; the Lie carrier is U(sl(2)) on PBW degree
+    <= 1 twisted by alpha_U, whatever the bounds.
+    """
+    alpha_U = alpha_u_handle()
+    lie = homcore.yau_twist_algebra(u_carrier(1), alpha_U)
+    return Scenario(
+        classical=classical_scenario(bound_h, bound_a),
+        alpha_H=alpha_U,
+        alpha_A=alpha_plane(),
+        generators=tuple(m for g in uea.GENERATORS for m in UElem.generator(g).terms),
+        lie=replace(lie, name="sl2 twisted"),
+    )
+
+
 def deformed_scenario(bound_h: int = 3, bound_a: int = 3) -> ModuleAlgebraScenario:
     """The q-deformed scenario (U(sl2)_alpha, A_alpha, rho_alpha)."""
-    return homcore.deform_scenario(
-        classical_scenario(bound_h, bound_a), alpha_u_handle(), alpha_plane()
-    )
-
-
-# -- concrete checks ---------------------------------------------------
-
-
-def check_classical_module_algebra(bound_h: int = 3, bound_a: int = 3) -> CheckReport:
-    """x(ab) = sum (x'a)(x''b) for the untwisted action (Eq. 1.1)."""
-    report = homcore.check_module_hom_algebra(
-        classical_scenario(bound_h, bound_a), alpha_power=0
-    )
-    report.name = "classical-module-algebra"
-    report.equation = "Eq. (1.1)"
-    return report
-
-
-def check_action_associativity(bound_h: int = 3, bound_a: int = 4) -> CheckReport:
-    """act(uv, p) = act(u, act(v, p)): the extension to PBW monomials is a
-    representation."""
-    U, P = u_carrier(bound_h), plane_carrier(bound_a)
-    eu, ep = homcore.elements(U), homcore.elements(P)
-    products = {(m1, m2): eu[m1] * eu[m2] for m1 in U.basis for m2 in U.basis}
-    return sweep(
-        "action-associativity",
-        "Eq. (2.1) at alpha = Id",
-        [homcore.axis(U), homcore.axis(U), homcore.axis(P)],
-        lambda m1, m2, p: act(products[m1, m2], ep[p]),
-        lambda m1, m2, p: act(eu[m1], act(eu[m2], ep[p])),
-    )
-
-
-def check_alphaWP(bound: int = 4) -> CheckReport:
-    """alpha_A(W P) = alpha_L(W) alpha_A(P) for the three generators (Eq. 4.2)."""
-    alpha_A = alpha_plane()
-    q_endo = UEndo.q_example()
-    P = plane_carrier(bound)
-    ep = homcore.elements(P)
-    gens = {gen: UElem.generator(gen) for gen in uea.GENERATORS}
-    images = {gen: q_endo.apply_lie(w) for gen, w in gens.items()}
-    return sweep(
-        "generator-compatibility",
-        "Eq. (4.2)",
-        [(uea.GENERATORS, str), homcore.axis(P)],
-        lambda gen, p: alpha_A(act(gens[gen], ep[p])),
-        lambda gen, p: act(images[gen], alpha_A(ep[p])),
-    )
-
-
-def check_alphaza(bound_h: int = 3, bound_a: int = 4) -> CheckReport:
-    """Full compatibility alpha_A(za) = alpha_U(z) alpha_A(a) (Eq. 1.7)."""
-    alpha_A = alpha_plane()
-    alpha_U = alpha_u_handle()
-    U, P = u_carrier(bound_h), plane_carrier(bound_a)
-    eu, ep = homcore.elements(U), homcore.elements(P)
-    images = {mono: alpha_U(z) for mono, z in eu.items()}
-    return sweep(
-        "full-compatibility",
-        "Eq. (1.7)",
-        [homcore.axis(U), homcore.axis(P)],
-        lambda mono, p: alpha_A(act(eu[mono], ep[p])),
-        lambda mono, p: act(images[mono], alpha_A(ep[p])),
-    )
+    return homcore.deform_scenario(sl2_scenario(bound_h, bound_a))
 
 
 def weight_spectrum(n: int):

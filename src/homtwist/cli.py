@@ -31,8 +31,9 @@ class InputError(Exception):
 
 
 # -- suite registry ----------------------------------------------------
-# Each builder takes the scenario and the parsed arguments and returns one
-# CheckReport.  Checkers are looked up in homcore at call time.
+# Each suite takes the scenario record (homcore.Scenario) and the parsed
+# arguments and returns one CheckReport.  Checkers are looked up in homcore at
+# call time.
 
 
 def _label(report, name, equation):
@@ -50,62 +51,58 @@ def _alpha_power(args):
     return 1 if args.negative_control else 2
 
 
-def _hom_associativity(s, args):
-    report = homcore.check_hom_associativity(s.A).merge(
-        homcore.check_multiplicativity(s.A)
-    )
+def _hom_associativity(r, args):
+    A = homcore.deform_scenario(r).A
+    report = homcore.check_hom_associativity(A).merge(homcore.check_multiplicativity(A))
     return _label(report, "hom-associativity(A_alpha)", "Eq. (1.2)")
 
 
-def _hom_bialgebra(s, args):
-    report = homcore.check_hom_bialgebra(s.H)
-    return _label(report, f"hom-bialgebra({s.H.name})", "Eqs. (2.3)-(2.5)")
+def _hom_bialgebra(r, args):
+    H = homcore.deform_scenario(r).H
+    report = homcore.check_hom_bialgebra(H)
+    return _label(report, f"hom-bialgebra({H.name})", "Eqs. (2.3)-(2.5)")
 
 
-def _compatibility(s, args):
-    report = actions.check_alphaWP(args.bound_a).merge(
-        actions.check_alphaza(args.bound_h, args.bound_a)
+def _compatibility(r, args):
+    s = homcore.structure_maps(r)
+    report = homcore.check_compatibility(s, r.generators).merge(
+        homcore.check_compatibility(s, s.H.basis)
     )
     return _label(report, "compatibility", "Eqs. (1.5)/(1.7)/(4.2)")
 
 
-def _hom_lie(s, args):
-    lie = actions.u_carrier(1)
-    bracket = homcore.lie_yau_twist(
-        homcore.commutator_bracket(lie), actions.alpha_u_handle()
-    )
-    twisted_lie = homcore.yau_twist_algebra(lie, actions.alpha_u_handle())
-    report = homcore.check_hom_jacobi(twisted_lie, bracket)
-    report.name = "hom-lie(sl2 twisted)"
-    return report
+def _classical(r, args):
+    report = homcore.check_module_hom_algebra(r.classical, alpha_power=0)
+    return _label(report, "classical-module-algebra", "Eq. (1.1)")
 
 
-_SHARED_SUITES = {
-    "hom-associativity": _hom_associativity,
-    "hom-bialgebra": _hom_bialgebra,
-    "module-axiom": lambda s, args: homcore.check_module_axiom(s),
-    "module-hom-algebra": lambda s, args: homcore.check_module_hom_algebra(
-        s, alpha_power=_alpha_power(args)
-    ),
-    "mu-module-morphism": lambda s, args: homcore.check_mu_module_morphism(
-        s, alpha_power=_alpha_power(args)
-    ),
-}
+def _hom_lie(r, args):
+    report = homcore.check_hom_jacobi(r.lie)
+    return _label(report, f"hom-lie({r.lie.name})", "Hom-Jacobi")
+
 
 SUITES = {
-    "sl2-q": {
-        **_SHARED_SUITES,
-        "compatibility": _compatibility,
-        "classical": lambda s, args: actions.check_classical_module_algebra(
-            args.bound_h, args.bound_a
-        ),
-        "hom-lie": _hom_lie,
-    },
-    "finalg": _SHARED_SUITES,
+    "hom-associativity": _hom_associativity,
+    "hom-bialgebra": _hom_bialgebra,
+    "module-axiom": lambda r, args: homcore.check_module_axiom(
+        homcore.deform_scenario(r)
+    ),
+    "module-hom-algebra": lambda r, args: homcore.check_module_hom_algebra(
+        homcore.deform_scenario(r), alpha_power=_alpha_power(args)
+    ),
+    "mu-module-morphism": lambda r, args: homcore.check_mu_module_morphism(
+        homcore.deform_scenario(r), alpha_power=_alpha_power(args)
+    ),
+    "compatibility": _compatibility,
+    "classical": _classical,
+    "hom-lie": _hom_lie,
 }
 
-SL2_SUITES = tuple(SUITES["sl2-q"])
-FINALG_SUITES = tuple(SUITES["finalg"])
+# Each scenario builds its homcore.Scenario record from the parsed arguments.
+SCENARIOS = {
+    "sl2-q": lambda args: actions.sl2_scenario(args.bound_h, args.bound_a),
+    "finalg": lambda args: _finalg_scenario(args.file),
+}
 
 
 def _default_bound(name, fallback):
@@ -122,7 +119,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     verify = sub.add_parser("verify", help="run axiom suites for a scenario")
-    verify.add_argument("scenario", choices=list(SUITES))
+    verify.add_argument("scenario", choices=list(SCENARIOS))
     verify.add_argument(
         "--bound-h",
         type=int,
@@ -173,20 +170,16 @@ def build_parser():
 def _finalg_scenario(path):
     try:
         algebra, G, a = finalg.load_scenario(path) if path else finalg.m2_example()
-        return finalg.build_example31(algebra, G, a)
+        return finalg.example31_scenario(algebra, G, a)
     except (OSError, ValueError) as exc:
         raise InputError(str(exc)) from exc
 
 
 def cmd_verify(args):
-    known = SUITES[args.scenario]
-    suites = args.suite if args.suite else list(known)
+    suites = args.suite if args.suite else list(SUITES)
     for suite in suites:
-        if suite not in known:
-            raise InputError(
-                f"unknown suite {suite!r} for scenario {args.scenario}; "
-                f"known: {', '.join(known)}"
-            )
+        if suite not in SUITES:
+            raise InputError(f"unknown suite {suite!r}; known: {', '.join(SUITES)}")
     if args.bound_h < 1 or args.bound_a < 1:
         raise InputError("bounds must be >= 1")
     if args.negative_control and (
@@ -196,11 +189,8 @@ def cmd_verify(args):
             "--negative-control applies only to the "
             f"{' and '.join(NEGATIVE_CONTROL_SUITES)} suites of sl2-q"
         )
-    if args.scenario == "sl2-q":
-        scenario = actions.deformed_scenario(args.bound_h, args.bound_a)
-    else:
-        scenario = _finalg_scenario(args.file)
-    reports = [known[suite](scenario, args) for suite in suites]
+    scenario = SCENARIOS[args.scenario](args)
+    reports = [SUITES[suite](scenario, args) for suite in suites]
 
     for report in reports:
         print(report.summary())
@@ -277,7 +267,7 @@ def cmd_twist(args):
                 + homcore.render_tensor(tensor, carrier, carrier)
             )
     else:
-        scenario = _finalg_scenario(args.file)
+        scenario = homcore.deform_scenario(_finalg_scenario(args.file))
         print("# twisted product mu_alpha on algebra basis")
         for i in scenario.A.basis:
             for j in scenario.A.basis:

@@ -11,10 +11,18 @@ implementing a rational-function field.
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 
-from .homcore import Carrier, ModuleAlgebraScenario, sparse_carrier, yau_twist_algebra
+from .homcore import (
+    Carrier,
+    ModuleAlgebraScenario,
+    Scenario,
+    deform_scenario,
+    sparse_carrier,
+    yau_twist_algebra,
+)
 from .scalars import ONE, ZERO, QLaurent, add_term
 
 
@@ -320,13 +328,14 @@ def automorphism_action(G: GroupBialgebra) -> ModuleAlgebraScenario:
     )
 
 
-def build_example31(algebra: StructAlgebra, G: GroupBialgebra, a) -> ModuleAlgebraScenario:
-    """The inner-automorphism deformation: alpha = i_a with a fixed by G.
+def example31_scenario(algebra: StructAlgebra, G: GroupBialgebra, a) -> Scenario:
+    """The inner-automorphism deformation input: alpha_A = i_a with a fixed by G.
 
     Requires a to be invertible and fixed by every group element; then i_a
     commutes with G, is k[G]-linear, and the deformed package
     (k[G], A_alpha, rho_alpha = i_a o rho) is a module Hom-algebra with
-    identity structure map on k[G].
+    identity structure map on k[G].  The generator axis is the whole group,
+    and the Lie carrier is A_alpha.
     """
     for idx, op in enumerate(G.operators):
         if op(a) != a:
@@ -338,14 +347,19 @@ def build_example31(algebra: StructAlgebra, G: GroupBialgebra, a) -> ModuleAlgeb
         if alpha.compose(op) != op.compose(alpha):
             raise ValueError(f"inner automorphism does not commute with operator {idx}")
 
-    def rho_alpha(u, v):
-        return alpha(G.apply(u, v))
-
-    return ModuleAlgebraScenario(
-        H=G.carrier(),
-        A=yau_twist_algebra(algebra_carrier(algebra, alpha=alpha)),
-        rho=rho_alpha,
+    classical = automorphism_action(G)
+    return Scenario(
+        classical=classical,
+        alpha_H=classical.H.alpha,
+        alpha_A=alpha,
+        generators=classical.H.basis,
+        lie=replace(yau_twist_algebra(classical.A, alpha), name="A_alpha"),
     )
+
+
+def build_example31(algebra: StructAlgebra, G: GroupBialgebra, a) -> ModuleAlgebraScenario:
+    """The deformed triple (k[G], A_alpha, rho_alpha) of example31_scenario."""
+    return deform_scenario(example31_scenario(algebra, G, a))
 
 
 # -- built-in instance and the scenario file format --------------------

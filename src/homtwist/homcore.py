@@ -6,6 +6,9 @@ maps in play are linear or bilinear, so verifying an identity on every basis
 tuple proves it on the whole spanned truncation; a passing sweep is a proof
 at the declared bound.
 
+A Scenario is the one record every suite reads; deform_scenario turns it into
+the deformed module triple.
+
 Every checker first compiles its carrier, or the carriers and the action of
 a module triple, into Tables: memo tables of mul, alpha, comul and rho on
 basis keys, each entry filled once from the carrier's own maps.  It then runs
@@ -21,7 +24,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 from .report import CheckReport, sweep
-from .scalars import ONE, QLaurent, add_term, sparse_add, sparse_scale, trusted
+from .scalars import ONE, QLaurent, add_term, trusted
 
 
 @dataclass(frozen=True)
@@ -32,16 +35,15 @@ class Carrier:
     carrier's native element type.  coords must return a canonical sparse
     map key -> nonzero QLaurent, and element must accept every key coords
     can return, not only the basis keys.  render_elem renders such a
-    coordinate map.
+    coordinate map.  Sums and scalar multiples are never taken natively: the
+    checkers form them in the flat tables, so mul, alpha and comul are the
+    only maps a carrier supplies.
     """
 
     name: str
     basis: tuple
     element: Callable
     coords: Callable
-    add: Callable
-    scale: Callable
-    zero: object
     mul: Callable
     alpha: Callable
     comul: Optional[Callable] = None
@@ -62,6 +64,24 @@ class ModuleAlgebraScenario:
     rho: Callable  # (H element, A element) -> A element
 
 
+@dataclass(frozen=True)
+class Scenario:
+    """One scenario: the input of the paper's construction and of every suite.
+
+    classical is a module algebra (H, A, rho) whose structure maps are the
+    identity; alpha_H (a bialgebra endomorphism of H) and alpha_A (an algebra
+    endomorphism of A) twist it into the deformed triple, deform_scenario.
+    generators are the H keys of the generator axis of Eq. (4.2), and lie is
+    a Hom-associative carrier whose commutator check_hom_jacobi checks.
+    """
+
+    classical: ModuleAlgebraScenario
+    alpha_H: Callable
+    alpha_A: Callable
+    generators: tuple
+    lie: Carrier
+
+
 def sparse_carrier(alpha: Optional[Callable] = None, **fields) -> Carrier:
     """A carrier whose elements are sparse maps {basis key: nonzero QLaurent}.
 
@@ -70,9 +90,6 @@ def sparse_carrier(alpha: Optional[Callable] = None, **fields) -> Carrier:
     return Carrier(
         element=lambda key: {key: ONE},
         coords=_ident,
-        add=sparse_add,
-        scale=sparse_scale,
-        zero={},
         alpha=alpha if alpha is not None else _ident,
         **fields,
     )
@@ -81,11 +98,6 @@ def sparse_carrier(alpha: Optional[Callable] = None, **fields) -> Carrier:
 def axis(carrier) -> tuple:
     """The sweep axis of a carrier's basis: (keys, render_key)."""
     return carrier.basis, carrier.render_key
-
-
-def elements(carrier) -> dict:
-    """Basis key -> element, built once before a sweep."""
-    return {key: carrier.element(key) for key in carrier.basis}
 
 
 def _iterate(fn, times, x):
@@ -373,6 +385,19 @@ def check_hom_bialgebra(H: Carrier) -> CheckReport:
 # -- module checkers ---------------------------------------------------
 
 
+def _rho_commutes(T: ModuleTables, h_axis, name, equation) -> CheckReport:
+    """alpha_M(a m) = alpha(a) alpha_M(m) for the H keys of h_axis, M = A."""
+    H, M = T.H, T.A
+    return sweep(
+        name,
+        equation,
+        [h_axis, axis(T.scenario.A)],
+        lambda kh, km: linear(M.alpha, T.rho(kh, km)),
+        lambda kh, km: bilinear(T.rho, H.alpha(kh), M.alpha(km)),
+        M.render,
+    )
+
+
 def check_module_axiom(s: ModuleAlgebraScenario) -> CheckReport:
     """rho is a Hom-module morphism and satisfies the module axiom.
 
@@ -381,14 +406,7 @@ def check_module_axiom(s: ModuleAlgebraScenario) -> CheckReport:
     """
     T = ModuleTables(s)
     H, M = T.H, T.A
-    report = sweep(
-        "module-axiom",
-        "Eqs. (2.1)/(2.1')",
-        [axis(s.H), axis(s.A)],
-        lambda kh, km: linear(M.alpha, T.rho(kh, km)),
-        lambda kh, km: bilinear(T.rho, H.alpha(kh), M.alpha(km)),
-        M.render,
-    )
+    report = _rho_commutes(T, axis(s.H), "module-axiom", "Eqs. (2.1)/(2.1')")
     return report.merge(
         sweep(
             "module-axiom",
@@ -398,6 +416,26 @@ def check_module_axiom(s: ModuleAlgebraScenario) -> CheckReport:
             lambda k1, k2, km: bilinear(T.rho, H.mul(k1, k2), M.alpha(km)),
             M.render,
         )
+    )
+
+
+def structure_maps(r: Scenario) -> ModuleAlgebraScenario:
+    """The classical triple of r with structure maps alpha_H and alpha_A.
+
+    The products and the action stay untwisted.
+    """
+    s = r.classical
+    return replace(s, H=replace(s.H, alpha=r.alpha_H), A=replace(s.A, alpha=r.alpha_A))
+
+
+def check_compatibility(s: ModuleAlgebraScenario, keys) -> CheckReport:
+    """alpha_A(x a) = alpha_H(x) alpha_A(a) for the given H keys x (Eq. 1.7).
+
+    This is the first sweep of the module axiom.  Run on structure_maps(r),
+    it checks Eq. (4.2) over r.generators and Eq. (1.7) over the H basis.
+    """
+    return _rho_commutes(
+        ModuleTables(s), (tuple(keys), s.H.render_key), "compatibility", "Eq. (1.7)"
     )
 
 
@@ -522,17 +560,20 @@ def yau_twist_bialgebra(H: Carrier, alpha: Optional[Callable] = None) -> Carrier
     return replace(yau_twist_algebra(H, twist), comul=comul_alpha)
 
 
-def deform_scenario(
-    s: ModuleAlgebraScenario, alpha_H: Callable, alpha_A: Callable
-) -> ModuleAlgebraScenario:
-    """Twist H and A and set rho_alpha = alpha_A o rho."""
+def deform_scenario(r: Scenario) -> ModuleAlgebraScenario:
+    """The deformed triple: twist H and A and set rho_alpha = alpha_A o rho.
+
+    An alpha_H that is already the structure map of H (the identity) leaves H
+    as it is: its Yau twist would be the same bialgebra under a new name.
+    """
+    s = r.classical
 
     def rho_alpha(x, a):
-        return alpha_A(s.rho(x, a))
+        return r.alpha_A(s.rho(x, a))
 
     return ModuleAlgebraScenario(
-        H=yau_twist_bialgebra(s.H, alpha_H),
-        A=yau_twist_algebra(s.A, alpha_A),
+        H=s.H if r.alpha_H is s.H.alpha else yau_twist_bialgebra(s.H, r.alpha_H),
+        A=yau_twist_algebra(s.A, r.alpha_A),
         rho=rho_alpha,
     )
 
@@ -540,33 +581,29 @@ def deform_scenario(
 # -- Hom-Lie structure -------------------------------------------------
 
 
-def commutator_bracket(A: Carrier) -> Callable:
-    """[a, b] = mu(a, b) - mu(b, a)."""
+def check_hom_jacobi(A: Carrier) -> CheckReport:
+    """The commutator [a, b] = mu(a, b) - mu(b, a) of A is Hom-Lie.
 
-    def bracket(a, b):
-        return A.add(A.mul(a, b), A.scale(QLaurent.of(-1), A.mul(b, a)))
+    Checks skew-symmetry, bracket multiplicativity and the Hom-Jacobi
+    identity; the commutator of a Hom-associative algebra passes all three
+    (Makhlouf-Silvestrov).
+    """
+    T = Tables(A)
+    brackets = {}
 
-    return bracket
-
-
-def lie_yau_twist(bracket: Callable, alpha: Callable) -> Callable:
-    """Twisted bracket [a, b]_alpha = alpha([a, b])."""
-
-    def twisted(a, b):
-        return alpha(bracket(a, b))
-
-    return twisted
-
-
-def check_hom_jacobi(A: Carrier, bracket: Optional[Callable] = None) -> CheckReport:
-    """Skew-symmetry, bracket multiplicativity, and the Hom-Jacobi identity."""
-    br = bracket if bracket is not None else commutator_bracket(A)
-    T = Tables(replace(A, mul=br))  # T.mul is the table of the bracket
+    def bracket(k1, k2) -> tuple:
+        entry = brackets.get((k1, k2))
+        if entry is None:
+            out = {(k, e): c for k, e, c in T.mul(k1, k2)}
+            for k, e, c in T.mul(k2, k1):
+                add_term(out, (k, e), -c)
+            entry = brackets[k1, k2] = tuple(terms(out))
+        return entry
 
     def jacobi(k1, k2, k3):
         total = {}
         for a, b, c in ((k1, k2, k3), (k3, k1, k2), (k2, k3, k1)):
-            for key, coeff in bilinear(T.mul, T.mul(a, b), T.alpha(c)).items():
+            for key, coeff in bilinear(bracket, bracket(a, b), T.alpha(c)).items():
                 add_term(total, key, coeff)
         return total
 
@@ -575,8 +612,8 @@ def check_hom_jacobi(A: Carrier, bracket: Optional[Callable] = None) -> CheckRep
         "hom-lie",
         "Hom-Jacobi",
         pairs,
-        lambda k1, k2: {(k, e): c for k, e, c in T.mul(k1, k2)},
-        lambda k1, k2: {(k, e): -c for k, e, c in T.mul(k2, k1)},
+        lambda k1, k2: {(k, e): c for k, e, c in bracket(k1, k2)},
+        lambda k1, k2: {(k, e): -c for k, e, c in bracket(k2, k1)},
         T.render,
     )
     report = report.merge(
@@ -584,8 +621,8 @@ def check_hom_jacobi(A: Carrier, bracket: Optional[Callable] = None) -> CheckRep
             "hom-lie",
             "Hom-Jacobi",
             pairs,
-            lambda k1, k2: linear(T.alpha, T.mul(k1, k2)),
-            lambda k1, k2: bilinear(T.mul, T.alpha(k1), T.alpha(k2)),
+            lambda k1, k2: linear(T.alpha, bracket(k1, k2)),
+            lambda k1, k2: bilinear(bracket, T.alpha(k1), T.alpha(k2)),
             T.render,
         )
     )

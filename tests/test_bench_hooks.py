@@ -63,3 +63,42 @@ def test_tracer_finds_every_metric_name(tmp_path, argv):
     trace = json.loads(trace_path.read_text())
     assert not METRIC_NAMES & set(trace["missing"])
     assert set(trace["caches"]) == {"_mono_mul", "_left_gen", "_comul_mono"}
+
+
+PROBE = os.path.join(ROOT, "perfbench", "setup_probe.py")
+
+# The built-in 2x2 matrix example (finalg.m2_example) in the scenario file
+# format: basis e11, e12, e21, e22, the group {1, conjugation by diag(1, -1)}
+# and a = diag(2, 3).
+M2_SCENARIO = {
+    "labels": ["e11", "e12", "e21", "e22"],
+    "constants": [
+        [0, 0, 0, "1"], [0, 1, 1, "1"], [1, 2, 0, "1"], [1, 3, 1, "1"],
+        [2, 0, 2, "1"], [2, 1, 3, "1"], [3, 2, 2, "1"], [3, 3, 3, "1"],
+    ],
+    "unit": ["1", "0", "0", "1"],
+    "group": [
+        [["1", "0", "0", "0"], ["0", "1", "0", "0"],
+         ["0", "0", "1", "0"], ["0", "0", "0", "1"]],
+        [["1", "0", "0", "0"], ["0", "-1", "0", "0"],
+         ["0", "0", "-1", "0"], ["0", "0", "0", "1"]],
+    ],
+    "element": ["2", "0", "0", "3"],
+}
+
+
+@pytest.mark.parametrize("scenario, expected", [("sl2", "4 3"), ("finalg", "2 4")])
+def test_setup_probe_builds_scenario(tmp_path, scenario, expected):
+    # the benchmark times these constructors; a broken one must fail here
+    if scenario == "sl2":
+        argv = ["sl2", "1", "1"]
+    else:
+        path = tmp_path / "m2.json"
+        path.write_text(json.dumps(M2_SCENARIO))
+        argv = ["finalg", str(path)]
+    done = subprocess.run(
+        [sys.executable, PROBE, *argv],
+        cwd=tmp_path, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == expected.split()

@@ -23,7 +23,7 @@ NEGCTL = ["verify", "sl2-q", "--bound-h", "2", "--bound-a", "2",
     [
         ("negctl_22", NEGCTL, cli.EXIT_AXIOM_FAILURE, True),
         ("sl2_22", ["verify", "sl2-q", "--bound-h", "2", "--bound-a", "2"],
-         cli.EXIT_PASS, False),
+         cli.EXIT_PASS, True),
         ("finalg", ["verify", "finalg"], cli.EXIT_PASS, True),
     ],
 )

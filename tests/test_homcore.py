@@ -12,13 +12,11 @@ from homtwist.homcore import (
     check_module_hom_algebra,
     check_mu_module_morphism,
     check_multiplicativity,
-    commutator_bracket,
-    lie_yau_twist,
     yau_twist_algebra,
     yau_twist_bialgebra,
 )
 from homtwist.polyalg import Poly
-from homtwist.scalars import Q, QLaurent, add_term
+from homtwist.scalars import Q, QLaurent, add_term, sparse_add, sparse_scale
 from homtwist.uea import UElem
 
 
@@ -122,10 +120,18 @@ class TestHomBialgebraNegativeControl:
 # with the same basis keys would hide the fault.
 
 
+def _plus(C, x, c, k0):
+    """x + c*e_k0 in the native elements of C: sparse dicts, Poly or UElem."""
+    e = C.element(k0)
+    if isinstance(x, dict):
+        return sparse_add(x, sparse_scale(c, e))
+    return x + e.scaled(c)
+
+
 def _perturb_mul(C, k1, k2, k0):
     def mul(a, b):
         c = C.coords(a).get(k1, 0) * C.coords(b).get(k2, 0) * Q
-        return C.add(C.mul(a, b), C.scale(c, C.element(k0)))
+        return _plus(C, C.mul(a, b), c, k0)
 
     return replace(C, mul=mul)
 
@@ -133,7 +139,7 @@ def _perturb_mul(C, k1, k2, k0):
 def _perturb_alpha(C, k, k0):
     def alpha(a):
         c = C.coords(a).get(k, 0) * Q
-        return C.add(C.alpha(a), C.scale(c, C.element(k0)))
+        return _plus(C, C.alpha(a), c, k0)
 
     return replace(C, alpha=alpha)
 
@@ -152,7 +158,7 @@ def _perturb_comul(C, k, pair):
 def _perturb_rho(s, h, ka, k0):
     def rho(x, a):
         c = s.H.coords(x).get(h, 0) * s.A.coords(a).get(ka, 0) * Q
-        return s.A.add(s.rho(x, a), s.A.scale(c, s.A.element(k0)))
+        return _plus(s.A, s.rho(x, a), c, k0)
 
     return replace(s, rho=rho)
 
@@ -229,8 +235,11 @@ class TestTwistFunctoriality:
             assert twisted.comul(e) == carrier.comul(e)
 
     def test_deform_at_identity_reproduces_action(self):
-        s = actions.classical_scenario(2, 2)
-        deformed = homcore.deform_scenario(s, lambda u: u, lambda p: p)
+        r = replace(
+            actions.sl2_scenario(2, 2), alpha_H=lambda u: u, alpha_A=lambda p: p
+        )
+        s = r.classical
+        deformed = homcore.deform_scenario(r)
         for kx in s.H.basis:
             for ka in s.A.basis:
                 x, a = s.H.element(kx), s.A.element(ka)
@@ -309,28 +318,46 @@ class TestCharacterizationTheorem:
         ]
 
 
+def commutator(C, a, b):
+    return C.mul(a, b) - C.mul(b, a)
+
+
 class TestHomLie:
     def test_sl2_commutator_is_hom_lie_at_identity(self):
         lie = actions.u_carrier(1)
         assert check_hom_jacobi(lie).passed
 
     def test_twisted_bracket_values(self):
-        lie = actions.u_carrier(1)
-        bracket = lie_yau_twist(commutator_bracket(lie), actions.alpha_u_handle())
+        lie = actions.sl2_scenario().lie
         X, Y, Z = (UElem.generator(g) for g in "XYZ")
-        assert bracket(X, Y) == Z
-        assert bracket(X, Z) == X.scaled(QLaurent.q_power(1, -2))
+        assert commutator(lie, X, Y) == Z
+        assert commutator(lie, X, Z) == X.scaled(QLaurent.q_power(1, -2))
 
     def test_twist_at_identity_is_original(self):
         lie = actions.u_carrier(1)
-        base = commutator_bracket(lie)
-        twisted = lie_yau_twist(base, lambda u: u)
+        twisted = yau_twist_algebra(lie, lambda u: u)
         X, Y = UElem.generator("X"), UElem.generator("Y")
-        assert twisted(X, Y) == base(X, Y)
+        assert commutator(twisted, X, Y) == commutator(lie, X, Y)
 
     def test_twisted_sl2_passes_hom_jacobi(self):
-        lie = actions.u_carrier(1)
-        handle = actions.alpha_u_handle()
-        bracket = lie_yau_twist(commutator_bracket(lie), handle)
-        twisted = yau_twist_algebra(lie, handle)
-        assert check_hom_jacobi(twisted, bracket).passed
+        lie = actions.sl2_scenario().lie
+        report = check_hom_jacobi(lie)
+        assert report.passed and report.checked == 96
+
+    def test_twist_by_non_lie_endomorphism_fails(self):
+        # diag(1, -2, 1, 1) is not an algebra map of M2, and the commutator of
+        # the twist fails bracket multiplicativity at (e12, e21) and (e21, e12)
+        alpha = finalg.LinOp(
+            [[1, 0, 0, 0], [0, -2, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+        )
+        A = finalg.algebra_carrier(finalg.m2_algebra(), alpha=alpha)
+        report = check_hom_jacobi(yau_twist_algebra(A))
+        assert (len(report.counterexamples), report.checked) == (2, 96)
+        assert [ce.rendered_inputs for ce in report.counterexamples] == [
+            ("e12", "e21"),
+            ("e21", "e12"),
+        ]
+        assert (report.counterexamples[0].lhs, report.counterexamples[0].rhs) == (
+            "e11 + -1*e22",
+            "-2*e11 + 2*e22",
+        )
