@@ -8,17 +8,22 @@ act(uv, p) = act(u, act(v, p)).
 The deformation uses alpha_A(x) = q^2 x, alpha_A(y) = q y on the plane and
 alpha_L(X) = qX, alpha_L(Y) = q^-1 Y, alpha_L(Z) = Z on the Lie algebra;
 rho_alpha = alpha_A o rho.
+
+The carriers give these maps on basis keys: PBW monomials (a, b, c) and
+plane exponents (i, j).
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
+from functools import cache
+from math import perm
 
 from . import homcore, uea
-from .homcore import Carrier, ModuleAlgebraScenario, Scenario
+from .homcore import Carrier, ModuleAlgebraScenario, Scenario, basis_terms, key_map
 from .polyalg import Poly, PolyEndo, enumerate_monomials
 from .scalars import QLaurent, add_term, trusted
-from .uea import UElem, UEndo, enumerate_pbw, render_mono
+from .uea import UAlgebraEndo, UElem, UEndo, enumerate_pbw, render_mono
 
 
 _X, _Y = Poly.x(), Poly.y()
@@ -66,44 +71,65 @@ def deformed_act(z: UElem, p: Poly, alpha_A: PolyEndo | None = None) -> Poly:
     return endo(act(z, p))
 
 
+@cache
+def act_key(mono, key) -> tuple:
+    """The terms of X^a Y^b Z^c acting on x^i y^j: one monomial or none.
+
+    Z scales x^i y^j by i - j, Y^b sends it to i!/(i-b)! x^(i-b) y^(j+b) and
+    X^a then to (j+b)!/(j+b-a)! x^(i-b+a) y^(j+b-a), as act computes.
+    """
+    (a, b, c), (i, j) = mono, key
+    coeff = (i - j) ** c * perm(i, b) * perm(j + b, a)
+    return (((i - b + a, j + b - a), 0, coeff),) if coeff else ()
+
+
+def endo_map(endo: PolyEndo | UAlgebraEndo):
+    """The memo table key -> terms of an endomorphism, one monomial image each."""
+    return key_map(lambda key: endo.image(key).terms)
+
+
 # -- carriers ----------------------------------------------------------
 
 
 def plane_carrier(bound: int, alpha: PolyEndo | None = None) -> Carrier:
     """k[x,y] as a carrier with test basis of monomials up to total degree bound."""
-    endo = alpha if alpha is not None else PolyEndo.identity()
     basis = tuple((i, j) for p in enumerate_monomials(bound) for (i, j) in p.terms)
     return Carrier(
         name="k[x,y]",
         basis=basis,
-        element=lambda key: Poly.monomial(key[0], key[1]),
-        coords=lambda p: p.terms,
-        mul=lambda p, r: p * r,
-        alpha=endo,
+        mul=lambda k1, k2: (((k1[0] + k2[0], k1[1] + k2[1]), 0, 1),),
+        alpha=basis_terms if alpha is None else endo_map(alpha),
         render_key=lambda key: str(Poly.monomial(key[0], key[1])),
-        render_elem=lambda coords: str(Poly(coords)),
+        render_elem=lambda coords: str(trusted(Poly, coords)),
     )
 
 
-def u_carrier(bound: int, alpha=None) -> Carrier:
+def _pbw_mul(m1, m2) -> tuple:
+    # no memo here: uea._mono_mul keeps the products, and a twist its own table
+    return tuple((mono, 0, n) for mono, n in uea._mono_mul(m1, m2))
+
+
+@cache
+def _pbw_comul(mono) -> tuple:
+    return tuple((pair, 0, n) for pair, n in uea._comul_mono(mono))
+
+
+def u_carrier(bound: int, alpha: UAlgebraEndo | None = None) -> Carrier:
     """U(sl(2)) as a bialgebra carrier on PBW monomials up to degree bound."""
-    endo = alpha if alpha is not None else (lambda u: u)
     return Carrier(
         name="U(sl2)",
         basis=tuple(enumerate_pbw(bound)),
-        element=UElem.monomial,
-        coords=lambda u: u.terms,
-        mul=lambda u, v: u * v,
-        alpha=endo,
-        comul=uea.comul,
+        mul=_pbw_mul,
+        alpha=basis_terms if alpha is None else endo_map(alpha),
+        comul=_pbw_comul,
         render_key=render_mono,
-        render_elem=lambda coords: str(UElem(coords)),
+        render_elem=lambda coords: str(trusted(UElem, coords)),
     )
 
 
 def classical_scenario(bound_h: int = 3, bound_a: int = 3) -> ModuleAlgebraScenario:
     """The untwisted U(sl(2))-module algebra on the plane (alpha = Id)."""
-    return ModuleAlgebraScenario(H=u_carrier(bound_h), A=plane_carrier(bound_a), rho=act)
+    return ModuleAlgebraScenario(H=u_carrier(bound_h), A=plane_carrier(bound_a), rho=act_key)
 
 
 def sl2_scenario(bound_h: int = 3, bound_a: int = 3) -> Scenario:
@@ -112,12 +138,12 @@ def sl2_scenario(bound_h: int = 3, bound_a: int = 3) -> Scenario:
     The generator axis is X, Y, Z; the Lie carrier is U(sl(2)) on PBW degree
     <= 1 twisted by alpha_U, whatever the bounds.
     """
-    alpha_U = alpha_u_handle()
+    alpha_U = endo_map(alpha_u_handle())
     lie = homcore.yau_twist_algebra(u_carrier(1), alpha_U)
     return Scenario(
         classical=classical_scenario(bound_h, bound_a),
         alpha_H=alpha_U,
-        alpha_A=alpha_plane(),
+        alpha_A=endo_map(alpha_plane()),
         generators=tuple(m for g in uea.GENERATORS for m in UElem.generator(g).terms),
         lie=replace(lie, name="sl2 twisted"),
     )

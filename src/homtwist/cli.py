@@ -19,7 +19,7 @@ import sys
 from . import actions, finalg, homcore
 from .polyalg import Poly
 from .scalars import QLaurent, Rational
-from .uea import UElem, enumerate_pbw, render_mono
+from .uea import UElem
 
 EXIT_PASS = 0
 EXIT_AXIOM_FAILURE = 1
@@ -64,6 +64,7 @@ def _hom_bialgebra(r, args):
 
 
 def _compatibility(r, args):
+    # both sweeps read the tables of the one triple s
     s = homcore.structure_maps(r)
     report = homcore.check_compatibility(s, r.generators).merge(
         homcore.check_compatibility(s, s.H.basis)
@@ -252,32 +253,24 @@ def cmd_twist(args):
     if args.scenario == "sl2":
         if args.bound < 0:
             raise InputError("bound must be >= 0")
-        handle = actions.alpha_u_handle()
-        carrier = homcore.yau_twist_bialgebra(actions.u_carrier(args.bound), handle)
+        alpha_U = actions.endo_map(actions.alpha_u_handle())
+        C = homcore.yau_twist_bialgebra(actions.u_carrier(args.bound), alpha_U)
         print("# twisted product mu_alpha on PBW basis")
-        for m1 in enumerate_pbw(args.bound):
-            for m2 in enumerate_pbw(args.bound):
-                product = carrier.mul(UElem.monomial(m1), UElem.monomial(m2))
-                print(f"({render_mono(m1)}) * ({render_mono(m2)}) = {product}")
+        for m1 in C.basis:
+            for m2 in C.basis:
+                product = C.render_elem(homcore.unflatten(C.mul(m1, m2)))
+                print(f"({C.render_key(m1)}) * ({C.render_key(m2)}) = {product}")
         print("# twisted coproduct Delta_alpha on PBW basis")
-        for mono in enumerate_pbw(args.bound):
-            tensor = carrier.comul(UElem.monomial(mono))
-            print(
-                f"Delta({render_mono(mono)}) = "
-                + homcore.render_tensor(tensor, carrier, carrier)
-            )
+        for mono in C.basis:
+            tensor = homcore.render_tensor(homcore.unflatten(C.comul(mono)), C, C)
+            print(f"Delta({C.render_key(mono)}) = {tensor}")
     else:
-        scenario = homcore.deform_scenario(_finalg_scenario(args.file))
+        C = homcore.deform_scenario(_finalg_scenario(args.file)).A
         print("# twisted product mu_alpha on algebra basis")
-        for i in scenario.A.basis:
-            for j in scenario.A.basis:
-                product = scenario.A.mul(
-                    scenario.A.element(i), scenario.A.element(j)
-                )
-                print(
-                    f"{scenario.A.render_key(i)} * {scenario.A.render_key(j)} = "
-                    + scenario.A.render_elem(product)
-                )
+        for i in C.basis:
+            for j in C.basis:
+                product = C.render_elem(homcore.unflatten(C.mul(i, j)))
+                print(f"{C.render_key(i)} * {C.render_key(j)} = {product}")
     return EXIT_PASS
 
 

@@ -19,8 +19,9 @@ from .homcore import (
     Carrier,
     ModuleAlgebraScenario,
     Scenario,
+    basis_terms,
     deform_scenario,
-    sparse_carrier,
+    key_map,
     yau_twist_algebra,
 )
 from .scalars import ONE, ZERO, QLaurent, add_term
@@ -275,22 +276,11 @@ class GroupBialgebra:
 
     def carrier(self) -> Carrier:
         """k[G] with grouplike comultiplication and identity structure map."""
-
-        def mul(u, v):
-            out = {}
-            for i, c1 in u.items():
-                for j, c2 in v.items():
-                    add_term(out, self.table[(i, j)], c1 * c2)
-            return out
-
-        def comul(u):
-            return {(i, i): c for i, c in u.items()}
-
-        return sparse_carrier(
+        return Carrier(
             name="k[G]",
             basis=tuple(range(self.size())),
-            mul=mul,
-            comul=comul,
+            mul=lambda i, j: ((self.table[i, j], 0, 1),),
+            comul=lambda i: (((i, i), 0, 1),),
             render_key=lambda i: f"g{i}",
             render_elem=_render_group_elem,
         )
@@ -310,12 +300,18 @@ def _render_group_elem(u):
     return " + ".join(f"{c}*g{i}" for i, c in sorted(u.items()))
 
 
-def algebra_carrier(algebra: StructAlgebra, alpha=None) -> Carrier:
-    return sparse_carrier(
+def linop_map(op: LinOp):
+    """The memo table key -> terms of a linear operator: its basis images."""
+    return key_map(op.images.__getitem__)
+
+
+def algebra_carrier(algebra: StructAlgebra, alpha: LinOp | None = None) -> Carrier:
+    """A structure-constant algebra with structure map alpha (default Id)."""
+    return Carrier(
         name="struct-algebra",
         basis=tuple(range(algebra.dim)),
-        mul=algebra.mul,
-        alpha=alpha,
+        mul=key_map(lambda i, j: algebra.constants.get((i, j), {})),
+        alpha=basis_terms if alpha is None else linop_map(alpha),
         render_key=lambda i: algebra.labels[i],
         render_elem=algebra.render,
     )
@@ -324,7 +320,9 @@ def algebra_carrier(algebra: StructAlgebra, alpha=None) -> Carrier:
 def automorphism_action(G: GroupBialgebra) -> ModuleAlgebraScenario:
     """The classical k[G]-module algebra on A with rho(phi x a) = phi(a)."""
     return ModuleAlgebraScenario(
-        H=G.carrier(), A=algebra_carrier(G.algebra), rho=G.apply
+        H=G.carrier(),
+        A=algebra_carrier(G.algebra),
+        rho=key_map(lambda g, k: G.operators[g].images[k]),
     )
 
 
@@ -348,12 +346,13 @@ def example31_scenario(algebra: StructAlgebra, G: GroupBialgebra, a) -> Scenario
             raise ValueError(f"inner automorphism does not commute with operator {idx}")
 
     classical = automorphism_action(G)
+    alpha_A = linop_map(alpha)
     return Scenario(
         classical=classical,
         alpha_H=classical.H.alpha,
-        alpha_A=alpha,
+        alpha_A=alpha_A,
         generators=classical.H.basis,
-        lie=replace(yau_twist_algebra(classical.A, alpha), name="A_alpha"),
+        lie=replace(yau_twist_algebra(classical.A, alpha_A), name="A_alpha"),
     )
 
 

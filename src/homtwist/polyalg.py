@@ -178,11 +178,11 @@ class PolyEndo:
     def __call__(self, p: Poly) -> Poly:
         out = {}
         for key, coeff in p.terms.items():
-            for key2, c in self._apply_mono(key).terms.items():
+            for key2, c in self.image(key).terms.items():
                 add_term(out, key2, coeff * c)
         return trusted(Poly, out)
 
-    def _apply_mono(self, key) -> Poly:
+    def image(self, key) -> Poly:
         """The image of the monomial x^i y^j, computed once per key."""
         cached = self._cache.get(key)
         if cached is not None:

@@ -329,10 +329,11 @@ class UAlgebraEndo:
         raise AttributeError("UAlgebraEndo is immutable")
 
     def __call__(self, u: UElem) -> UElem:
-        images = _extend(lambda m: self._apply_mono(m).terms.items(), u.terms.items())
+        images = _extend(lambda m: self.image(m).terms.items(), u.terms.items())
         return trusted(UElem, images)
 
-    def _apply_mono(self, mono) -> UElem:
+    def image(self, mono) -> UElem:
+        """The image of the PBW monomial mono, computed once per monomial."""
         cached = self._cache.get(mono)
         if cached is not None:
             return cached

@@ -9,10 +9,15 @@ import pytest
 
 from homtwist import actions, finalg, homcore
 from homtwist.polyalg import Poly, enumerate_monomials
-from homtwist.scalars import QLaurent
+from homtwist.scalars import QLaurent, add_term
 from homtwist.uea import UElem, comul, enumerate_pbw
 
 from free_oracle import all_words, reduce_to_pbw
+
+
+def flat(xs) -> dict:
+    """The flat element {(key, exponent): coefficient} of terms."""
+    return {(k, e): c for k, e, c in xs}
 
 
 def report_line(number, passed, detail):
@@ -29,18 +34,19 @@ def deformed_33():
 def test_criterion_1_hom_associativity():
     # A_alpha on all monomial triples of total degree <= 4 each, both sides
     # also equal alpha^2(abc)
-    carrier = actions.plane_carrier(4, actions.alpha_plane())
+    alpha = actions.alpha_plane()
+    carrier = actions.plane_carrier(4, alpha)
     twisted = homcore.yau_twist_algebra(carrier)
-    alpha = carrier.alpha
+    mul = twisted.mul
     count = 0
     ok = True
     for k1 in carrier.basis:
         for k2 in carrier.basis:
             for k3 in carrier.basis:
-                a, b, c = (carrier.element(k) for k in (k1, k2, k3))
-                lhs = twisted.mul(twisted.alpha(a), twisted.mul(b, c))
-                rhs = twisted.mul(twisted.mul(a, b), twisted.alpha(c))
-                expected = alpha(alpha(a * b * c))
+                abc = Poly.monomial(*k1) * Poly.monomial(*k2) * Poly.monomial(*k3)
+                expected = flat(homcore.flatten(alpha(alpha(abc)).terms))
+                lhs = homcore.bilinear(mul, twisted.alpha(k1), mul(k2, k3))
+                rhs = homcore.bilinear(mul, mul(k1, k2), twisted.alpha(k3))
                 ok = ok and lhs == rhs == expected
                 count += 1
     assert count >= 3375
@@ -63,16 +69,15 @@ def test_criterion_3_module_hom_algebra(deformed_33):
     sweep = homcore.check_module_hom_algebra(deformed_33)
     # spot value: triple (X, x, y) gives q^9 x^2 on both sides
     s = deformed_33
-    X = UElem.generator("X")
-    alpha_u = actions.alpha_u_handle()
-    lhs = s.rho(alpha_u(alpha_u(X)), s.A.mul(Poly.x(), Poly.y()))
-    rhs = Poly.zero()
-    for (h1, h2), coeff in s.H.comul(X).items():
-        term = s.A.mul(
-            s.rho(UElem.monomial(h1), Poly.x()), s.rho(UElem.monomial(h2), Poly.y())
-        )
-        rhs = rhs + term.scaled(coeff)
-    spot = Poly.monomial(2, 0).scaled(QLaurent.q_power(9))
+    X, x, y = (1, 0, 0), (1, 0), (0, 1)
+    alpha2_X = homcore.linear(s.H.alpha, s.H.alpha(X))
+    lhs = homcore.bilinear(s.rho, homcore.terms(alpha2_X), s.A.mul(x, y))
+    rhs = {}
+    for (h1, h2), e, c in s.H.comul(X):
+        term = homcore.bilinear(s.A.mul, s.rho(h1, x), s.rho(h2, y))
+        for (key, e2), c2 in term.items():
+            add_term(rhs, (key, e + e2), c * c2)
+    spot = {((2, 0), 9): 1}
     report_line(
         3,
         sweep.passed and lhs == spot and rhs == spot,

@@ -7,7 +7,7 @@ from homtwist import actions, homcore
 from homtwist.actions import act, deformed_act, weight_spectrum
 from homtwist.polyalg import PolyEndo
 from homtwist.polyalg import Poly, enumerate_monomials
-from homtwist.scalars import QLaurent
+from homtwist.scalars import QLaurent, add_term
 from homtwist.uea import UElem, enumerate_pbw
 
 X = UElem.generator("X")
@@ -104,7 +104,7 @@ class TestCompatibility:
         # alpha_A = (x -> q x, y -> q y) does not intertwine alpha_U
         r = actions.sl2_scenario(3, 3)
         q = QLaurent.q_power(1)
-        r = replace(r, alpha_A=PolyEndo.diagonal(q, q))
+        r = replace(r, alpha_A=actions.endo_map(PolyEndo.diagonal(q, q)))
         s = homcore.structure_maps(r)
         full = homcore.check_compatibility(s, s.H.basis)
         generators = homcore.check_compatibility(s, r.generators)
@@ -116,30 +116,34 @@ class TestCompatibility:
         assert homcore.check_module_hom_algebra(classical, alpha_power=0).passed
 
 
+def twisted_action(s, power, x, a, b) -> dict:
+    """alpha_H^power(x)(ab) on basis keys, as a flat element."""
+    xs = homcore.basis_terms(x)
+    for _ in range(power):
+        xs = homcore.terms(homcore.linear(s.H.alpha, xs))
+    return homcore.bilinear(s.rho, xs, s.A.mul(a, b))
+
+
 class TestModuleHomAlgebraSpotValues:
+    # the keys of X, x, y and the flat element q^9 x^2
+    X, x, y = (1, 0, 0), (1, 0), (0, 1)
+
     def test_triple_x_x_y_gives_q9_x_squared(self):
         s = actions.deformed_scenario(1, 1)
-        x_sq = Poly.monomial(2, 0)
-        alpha_u = actions.alpha_u_handle()
+        X, x, y = self.X, self.x, self.y
         # left side of the axiom
-        ax = alpha_u(alpha_u(X))
-        lhs = s.rho(ax, s.A.mul(Poly.x(), Poly.y()))
-        assert lhs == x_sq.scaled(QLaurent.q_power(9))
+        assert twisted_action(s, 2, X, x, y) == {((2, 0), 9): 1}
         # right side via the Sweedler sum
-        rhs = Poly.zero()
-        for (h1, h2), coeff in s.H.comul(X).items():
-            term = s.A.mul(
-                s.rho(UElem.monomial(h1), Poly.x()),
-                s.rho(UElem.monomial(h2), Poly.y()),
-            )
-            rhs = rhs + term.scaled(coeff)
-        assert rhs == x_sq.scaled(QLaurent.q_power(9))
+        rhs = {}
+        for (h1, h2), e, c in s.H.comul(X):
+            term = homcore.bilinear(s.A.mul, s.rho(h1, x), s.rho(h2, y))
+            for (key, e2), c2 in term.items():
+                add_term(rhs, (key, e + e2), c * c2)
+        assert rhs == {((2, 0), 9): 1}
 
     def test_negative_control_gives_q8_on_left(self):
         s = actions.deformed_scenario(1, 1)
-        alpha_u = actions.alpha_u_handle()
-        lhs = s.rho(alpha_u(X), s.A.mul(Poly.x(), Poly.y()))
-        assert lhs == Poly.monomial(2, 0).scaled(QLaurent.q_power(8))
+        assert twisted_action(s, 1, self.X, self.x, self.y) == {((2, 0), 8): 1}
 
     def test_negative_control_counterexample_includes_x_x_y(self):
         s = actions.deformed_scenario(2, 2)

@@ -154,7 +154,7 @@ SUITE_CASES = {
         "mu-module-morphism": H * A * A,
         "compatibility": 3 * A + H * A,
         "classical": H * A * A,
-        "hom-lie": 2 * 4**2 + 4**3,
+        "hom-lie": 4**2 + 4**3,
     },
     "finalg": {
         "hom-associativity": D**3 + D**2,
@@ -164,7 +164,7 @@ SUITE_CASES = {
         "mu-module-morphism": G * D * D,
         "compatibility": 2 * G * D,
         "classical": G * D * D,
-        "hom-lie": 2 * D**2 + D**3,
+        "hom-lie": D**2 + D**3,
     },
 }
 

@@ -1,8 +1,9 @@
-"""Byte-for-byte differential test of `homtwist verify` output.
+"""Byte-for-byte differential test of `homtwist verify` and `twist` output.
 
 tests/data holds stdout and --report JSON files recorded before the checkers
-were compiled into key tables; the verdicts, counterexamples and their
-rendering must not change.
+were compiled into key tables, and the twist tables recorded before the
+carriers moved to key-level maps; the verdicts, counterexamples, tables and
+their rendering must not change.
 """
 
 import os
@@ -25,6 +26,8 @@ NEGCTL = ["verify", "sl2-q", "--bound-h", "2", "--bound-a", "2",
         ("sl2_22", ["verify", "sl2-q", "--bound-h", "2", "--bound-a", "2"],
          cli.EXIT_PASS, True),
         ("finalg", ["verify", "finalg"], cli.EXIT_PASS, True),
+        ("twist_sl2_2", ["twist", "sl2", "--bound", "2"], cli.EXIT_PASS, False),
+        ("twist_finalg", ["twist", "finalg"], cli.EXIT_PASS, False),
     ],
 )
 def test_output_matches_recorded_bytes(capsys, monkeypatch, tmp_path, stem, argv,

@@ -1,0 +1,148 @@
+"""Differential test of the key-level carrier maps against native arithmetic.
+
+Every table entry of a base carrier, a Yau twist, a deformed action,
+rho-tilde and rho^2 must equal the flattened result of the same map computed
+natively on UElem, Poly, StructAlgebra, LinOp and k[G] elements.
+"""
+
+import pytest
+
+from homtwist import actions, finalg, homcore, uea
+from homtwist.polyalg import Poly
+from homtwist.scalars import ONE
+from homtwist.uea import UElem
+
+
+def flat(xs) -> dict:
+    """The flat element {(key, exponent): coefficient} of table terms."""
+    return {(k, e): c for k, e, c in xs}
+
+
+def native(coords) -> dict:
+    """The flat element of a native coordinate map {key: QLaurent}."""
+    return flat(homcore.flatten(coords))
+
+
+def tensor(left: dict, right: dict) -> dict:
+    """left x right of two coordinate maps, as a coordinate map on key pairs."""
+    return {(k1, k2): c1 * c2 for k1, c1 in left.items() for k2, c2 in right.items()}
+
+
+def add(out: dict, coords: dict, scale):
+    for key, c in coords.items():
+        out[key] = out[key] + scale * c if key in out else scale * c
+
+
+def cleaned(coords: dict) -> dict:
+    return {key: c for key, c in coords.items() if c}
+
+
+# -- U(sl2) and the plane -----------------------------------------------
+
+ALPHA_U = actions.alpha_u_handle()
+ALPHA_A = actions.alpha_plane()
+U = UElem.monomial
+
+
+def P(key):
+    return Poly.monomial(*key)
+
+
+def twisted_u():
+    return homcore.yau_twist_bialgebra(actions.u_carrier(2), actions.endo_map(ALPHA_U))
+
+
+def test_twisted_u_mul():
+    C = twisted_u()
+    for k1 in C.basis:
+        for k2 in C.basis:
+            assert flat(C.mul(k1, k2)) == native(ALPHA_U(U(k1) * U(k2)).terms)
+
+
+def test_twisted_u_alpha():
+    C = twisted_u()
+    for k in C.basis:
+        assert flat(C.alpha(k)) == native(ALPHA_U(U(k)).terms)
+
+
+def test_twisted_u_comul():
+    C = twisted_u()
+    for k in C.basis:
+        assert flat(C.comul(k)) == native(uea.comul(ALPHA_U(U(k))))
+
+
+def test_plane_carrier():
+    C = actions.plane_carrier(2, ALPHA_A)
+    for k1 in C.basis:
+        assert flat(C.alpha(k1)) == native(ALPHA_A(P(k1)).terms)
+        for k2 in C.basis:
+            assert flat(C.mul(k1, k2)) == native((P(k1) * P(k2)).terms)
+
+
+def deformed_native(u: UElem, a) -> dict:
+    return actions.deformed_act(u, P(a)).terms
+
+
+def test_deformed_rho():
+    s = actions.deformed_scenario(2, 2)
+    for h in s.H.basis:
+        for a in s.A.basis:
+            assert flat(s.rho(h, a)) == native(deformed_native(U(h), a))
+
+
+@pytest.mark.parametrize("power", [0, 1, 2])
+def test_rho_tilde(power):
+    s = actions.deformed_scenario(2, 2)
+    tilde = homcore.build_rho_tilde(s, alpha_power=power)
+    for h in s.H.basis:
+        u = U(h)
+        for _ in range(power):
+            u = ALPHA_U(u)
+        for a in s.A.basis:
+            assert flat(tilde.rho(h, a)) == native(deformed_native(u, a))
+
+
+def test_rho2():
+    s = actions.deformed_scenario(1, 1)
+    square = homcore.build_rho2(s)
+    twisted_comul = homcore.yau_twist_bialgebra(actions.u_carrier(1), actions.endo_map(ALPHA_U))
+    for h in s.H.basis:
+        # Delta_alpha(h) = Delta(alpha_U(h)), summed natively
+        sweedler = uea.comul(ALPHA_U(U(h)))
+        assert flat(twisted_comul.comul(h)) == native(sweedler)
+        for a in s.A.basis:
+            for b in s.A.basis:
+                expected = {}
+                for (h1, h2), c in sweedler.items():
+                    add(expected, tensor(deformed_native(U(h1), a), deformed_native(U(h2), b)), c)
+                assert flat(square.rho(h, (a, b))) == native(cleaned(expected))
+
+
+# -- the finite example -------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def m2():
+    algebra, G, a = finalg.m2_example()
+    return algebra, G, finalg.inner_automorphism(algebra, a), finalg.build_example31(algebra, G, a)
+
+
+def test_group_bialgebra(m2):
+    _, G, _, s = m2
+    for i in s.H.basis:
+        assert flat(s.H.comul(i)) == native({(i, i): ONE})
+        assert flat(s.H.alpha(i)) == native({i: ONE})
+        for j in s.H.basis:
+            composed = G.operators.index(G.operators[i].compose(G.operators[j]))
+            assert flat(s.H.mul(i, j)) == native({composed: ONE})
+
+
+def test_a_alpha(m2):
+    algebra, G, alpha, s = m2
+    e = algebra.basis_vector
+    for i in s.A.basis:
+        assert flat(s.A.alpha(i)) == native(alpha(e(i)))
+        for j in s.A.basis:
+            assert flat(s.A.mul(i, j)) == native(alpha(algebra.mul(e(i), e(j))))
+        for g in s.H.basis:
+            assert flat(s.rho(g, i)) == native(alpha(G.apply({g: ONE}, e(i))))
