@@ -415,13 +415,16 @@ def load_scenario(path):
         raise ValueError("scenario file must hold a JSON object")
     constants = {}
     for entry in _array(data.get("constants"), "constants"):
+        # bool is an int subclass, but JSON true/false is no index
         if not (
             isinstance(entry, list)
             and len(entry) == 4
-            and all(isinstance(i, int) for i in entry[:3])
+            and all(type(i) is int for i in entry[:3])
         ):
             raise ValueError(f"constant must be [i, j, k, coeff], got {entry!r}")
         i, j, k, coeff = entry
+        if (i, j, k) in constants:
+            raise ValueError(f"constant ({i}, {j}, {k}) is given twice")
         constants[(i, j, k)] = _scalar(coeff)
     labels = _array(data.get("labels"), "labels")
     unit = _vector(data["unit"], "unit vector", len(labels)) if "unit" in data else None

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cache
+from itertools import product
 from typing import Callable, Optional
 
 from .report import CheckReport, sweep
@@ -38,8 +39,8 @@ class Carrier:
     basis holds hashable keys.  mul(k1, k2), alpha(k) and comul(k) take keys,
     which may lie outside the basis (products leave it), and return terms
     (key, q exponent, int or Fraction), comul over key pairs, with no
-    (key, exponent) twice.  render_elem renders a coordinate map
-    {key: QLaurent} (unflatten).
+    (key, exponent) twice (tensor carriers excepted).  render_elem renders a
+    coordinate map {key: QLaurent} (unflatten).
     """
 
     name: str
@@ -146,13 +147,12 @@ def bilinear(table, xs, ys) -> dict:
     return out
 
 
-# -- flat tensors ------------------------------------------------------
+# -- tensor products ---------------------------------------------------
 
 
-def t_outer(*factors) -> list:
-    """The terms (key tuple, exponent, coefficient) of an outer product of terms.
-
-    Like terms are not merged; callers accumulate them.
+def t_outer(factors) -> list:
+    """The terms (key tuple, exponent, coefficient) of the outer product of an
+    iterable of term lists.  Like terms are not merged; callers accumulate them.
     """
     acc = [((), 0, 1)]
     for xs in factors:
@@ -160,42 +160,6 @@ def t_outer(*factors) -> list:
             (keys + (k,), e1 + e2, c1 * c2) for keys, e1, c1 in acc for k, e2, c2 in xs
         ]
     return acc
-
-
-def t_apply(xs, slots) -> dict:
-    """Apply one linear map per slot to the tensor terms xs.
-
-    slots holds one table (key -> terms) per slot, or None for the identity.
-    """
-    out = {}
-    for keys, e, c in xs:
-        factors = [
-            basis_terms(k) if table is None else table(k)
-            for k, table in zip(keys, slots)
-        ]
-        for keys2, e2, c2 in t_outer(*factors):
-            add_term(out, (keys2, e + e2), c * c2)
-    return out
-
-
-def t_expand_slot(xs, slot: int, comul) -> dict:
-    """Replace one slot of the tensor terms xs by its comultiplication table."""
-    out = {}
-    for keys, e, c in xs:
-        head, tail = keys[:slot], keys[slot + 1 :]
-        for pair, e2, c2 in comul(keys[slot]):
-            add_term(out, (head + pair + tail, e + e2), c * c2)
-    return out
-
-
-def t_mul(C: Carrier, xs, ys) -> dict:
-    """Product of two tensors in C x C: (a x b)(c x d) = ac x bd."""
-    out = {}
-    for (a, b), e1, c1 in xs:
-        for (u, v), e2, c2 in ys:
-            for keys, e, c in t_outer(C.mul(a, u), C.mul(b, v)):
-                add_term(out, (keys, e1 + e2 + e), c1 * c2 * c)
-    return out
 
 
 def t_contract(table, xs) -> dict:
@@ -218,8 +182,36 @@ def render_tensor(t: dict, *carriers) -> str:
     return " + ".join(parts)
 
 
-def _tensor_render(*carriers):
-    return lambda flat: render_tensor(unflatten(terms(flat)), *carriers)
+def tensor(*carriers) -> Carrier:
+    """The tensor product of carriers; its keys are tuples, one key per factor.
+
+    mul and alpha act slotwise: (a x b)(c x d) = ac x bd and
+    alpha(a x b) = alpha(a) x alpha(b).  Their results are outer products
+    (t_outer), so they may repeat a (key, exponent), and they are not memo
+    tables: a tensor sweep meets each pair of tensor keys about once.
+    """
+
+    muls, alphas = [C.mul for C in carriers], [C.alpha for C in carriers]
+
+    def mul(t1, t2):
+        return t_outer(map(_call, muls, t1, t2))
+
+    def alpha(t):
+        return t_outer(map(_call, alphas, t))
+
+    return Carrier(
+        name=" x ".join(C.name for C in carriers),
+        basis=tuple(product(*(C.basis for C in carriers))),
+        mul=mul,
+        alpha=alpha,
+        render_key=lambda t: " x ".join(C.render_key(k) for C, k in zip(carriers, t)),
+        render_elem=lambda coords: render_tensor(coords, *carriers),
+    )
+
+
+def _call(f, *args):
+    """f(*args): maps a list of tables over the slots of key tuples."""
+    return f(*args)
 
 
 def _require_comul(H: Carrier):
@@ -262,13 +254,24 @@ def check_hom_coassociativity(H: Carrier) -> CheckReport:
     """(Delta x alpha) o Delta = (alpha x Delta) o Delta on basis elements."""
     _require_comul(H)
     comul, alpha = H.comul, H.alpha
+
+    # Delta x alpha and alpha x Delta on key pairs, into key triples
+    def delta_alpha(pair):
+        xs = t_outer((comul(pair[0]), alpha(pair[1])))
+        return [(ab + (c,), e, x) for (ab, c), e, x in xs]
+
+    def alpha_delta(pair):
+        xs = t_outer((alpha(pair[0]), comul(pair[1])))
+        return [((a,) + bc, e, x) for (a, bc), e, x in xs]
+
     return sweep(
         "hom-coassociativity",
         "Eq. (2.3)",
         [axis(H)],
-        lambda k: t_apply(terms(t_expand_slot(comul(k), 0, comul)), (None, None, alpha)),
-        lambda k: t_apply(terms(t_expand_slot(comul(k), 1, comul)), (alpha, None, None)),
-        _tensor_render(H, H, H),
+        lambda k: linear(delta_alpha, comul(k)),
+        lambda k: linear(alpha_delta, comul(k)),
+        # H x H x H is rendered without building its basis
+        lambda flat: render_tensor(unflatten(terms(flat)), H, H, H),
     )
 
 
@@ -276,14 +279,14 @@ def check_comul_morphism(H: Carrier) -> CheckReport:
     """Delta is a morphism of Hom-associative algebras (Eqs. 2.4 and 2.5)."""
     _require_comul(H)
     comul, alpha = H.comul, H.alpha
-    render = _tensor_render(H, H)
+    T = tensor(H, H)
     report = sweep(
         "comul-morphism",
         "Eqs. (2.4)-(2.5)",
         [axis(H)],
         lambda k: linear(comul, alpha(k)),
-        lambda k: t_apply(comul(k), (alpha, alpha)),
-        render,
+        lambda k: linear(T.alpha, comul(k)),
+        renderer(T),
     )
     return report.merge(
         sweep(
@@ -292,8 +295,8 @@ def check_comul_morphism(H: Carrier) -> CheckReport:
             [axis(H)] * 2,
             lambda k1, k2: linear(comul, H.mul(k1, k2)),
             # mu^2 o (Id x tau x Id) o Delta^2
-            lambda k1, k2: t_mul(H, comul(k1), comul(k2)),
-            render,
+            lambda k1, k2: bilinear(T.mul, comul(k1), comul(k2)),
+            renderer(T),
         )
     )
 
@@ -362,14 +365,6 @@ def check_compatibility(s: ModuleAlgebraScenario, keys) -> CheckReport:
     return _rho_commutes(s, (tuple(keys), s.H.render_key), "compatibility", "Eq. (1.7)")
 
 
-def _power(alpha, times, key) -> tuple:
-    """The terms of alpha^times applied to the basis element of key."""
-    xs = basis_terms(key)
-    for _ in range(times):
-        xs = terms(linear(alpha, xs))
-    return xs
-
-
 def build_rho_tilde(
     s: ModuleAlgebraScenario, alpha_power: int = 2
 ) -> ModuleAlgebraScenario:
@@ -380,61 +375,62 @@ def build_rho_tilde(
     """
 
     def rho_tilde(h, a):
-        return terms(bilinear(s.rho, _power(s.H.alpha, alpha_power, h), basis_terms(a)))
+        xs = basis_terms(h)
+        for _ in range(alpha_power):
+            xs = terms(linear(s.H.alpha, xs))
+        return terms(bilinear(s.rho, xs, basis_terms(a)))
 
     return replace(s, rho=cache(rho_tilde))
 
 
-def _rho2(s: ModuleAlgebraScenario, xs, ts) -> dict:
-    """rho^2(x, a x b) = sum rho(x', a) x rho(x'', b) on terms, as a flat tensor."""
+def _rho2(s: ModuleAlgebraScenario, h, t) -> tuple:
+    """rho^2(h, a x b) = sum rho(h', a) x rho(h'', b) on keys, as tensor terms."""
     comul, rho = s.H.comul, s.rho
+    a, b = t
     out = {}
-    for h, e, c in xs:
-        for (h1, h2), e1, c1 in comul(h):
-            for (a, b), e2, c2 in ts:
-                scale_e, scale_c = e + e1 + e2, c * c1 * c2
-                for keys, e3, c3 in t_outer(rho(h1, a), rho(h2, b)):
-                    add_term(out, (keys, scale_e + e3), scale_c * c3)
-    return out
+    for (h1, h2), e, c in comul(h):
+        for keys, e2, c2 in t_outer((rho(h1, a), rho(h2, b))):
+            add_term(out, (keys, e + e2), c * c2)
+    return terms(out)
 
 
 def build_rho2(s: ModuleAlgebraScenario) -> ModuleAlgebraScenario:
-    """The diagonal module structure rho^2 on A x A.
+    """The diagonal module structure rho^2 on the tensor square A x A.
 
-    The keys of the tensor-square carrier are pairs of A keys;
-    rho^2(x, a x b) = sum rho(x', a) x rho(x'', b).  The maps of the square
-    are contractions of the tables of s.
+    rho^2(x, a x b) = sum rho(x', a) x rho(x'', b) contracts the tables of s;
+    it is not memoized, since a sweep meets each (x, a x b) once.
     """
-    H, A = s.H, s.A
-    _require_comul(H)
-    square = Carrier(
-        name=f"{A.name} tensor square",
-        basis=tuple((k1, k2) for k1 in A.basis for k2 in A.basis),
-        mul=cache(lambda t1, t2: terms(t_mul(A, basis_terms(t1), basis_terms(t2)))),
-        alpha=cache(lambda t: terms(t_apply(basis_terms(t), (A.alpha, A.alpha)))),
-        render_key=lambda pair: f"{A.render_key(pair[0])} x {A.render_key(pair[1])}",
-        render_elem=lambda t: render_tensor(t, A, A),
-    )
+    _require_comul(s.H)
     return ModuleAlgebraScenario(
-        H=H,
-        A=square,
-        rho=cache(lambda h, t: terms(_rho2(s, basis_terms(h), basis_terms(t)))),
+        H=s.H,
+        A=replace(tensor(s.A, s.A), name=f"{s.A.name} tensor square"),
+        rho=lambda h, t: _rho2(s, h, t),
+    )
+
+
+def _module_hom_sides(s: ModuleAlgebraScenario, alpha_power: int):
+    """The two sides of the module Hom-algebra axiom on basis triples (x, a, b).
+
+    rho-tilde(x, ab), with rho-tilde of build_rho_tilde, and
+    mu_A(rho^2(x, a x b)) = sum (x'a)(x''b), with rho^2 of build_rho2.
+    """
+    tilde, square = build_rho_tilde(s, alpha_power).rho, build_rho2(s).rho
+    mul = s.A.mul
+    return (
+        lambda kx, ka, kb: bilinear(tilde, basis_terms(kx), mul(ka, kb)),
+        lambda kx, ka, kb: t_contract(mul, square(kx, (ka, kb))),
     )
 
 
 def check_module_hom_algebra(s: ModuleAlgebraScenario, alpha_power: int = 2) -> CheckReport:
     """The module Hom-algebra axiom: alpha_H^2(x)(ab) = sum (x'a)(x''b)."""
-    rho, mul = s.rho, s.A.mul
-    twisted = {kx: _power(s.H.alpha, alpha_power, kx) for kx in s.H.basis}
+    tilde_side, square_side = _module_hom_sides(s, alpha_power)
     return sweep(
         "module-hom-algebra",
         "Eqs. (2.9)/(2.10)",
         [axis(s.H), axis(s.A), axis(s.A)],
-        lambda kx, ka, kb: bilinear(rho, twisted[kx], mul(ka, kb)),
-        # sum (x'a)(x''b) = mu_A(rho^2(x, a x b))
-        lambda kx, ka, kb: t_contract(
-            mul, terms(_rho2(s, basis_terms(kx), basis_terms((ka, kb))))
-        ),
+        tilde_side,
+        square_side,
         renderer(s.A),
     )
 
@@ -443,17 +439,16 @@ def check_mu_module_morphism(s: ModuleAlgebraScenario, alpha_power: int = 2) -> 
     """mu_A as a morphism of H-modules from (A x A, rho^2) to (A, rho-tilde).
 
     By the characterization theorem this verdict must coincide with
-    check_module_hom_algebra on the same scenario.
+    check_module_hom_algebra on the same scenario: the sides are the same,
+    swapped.
     """
-    square = build_rho2(s).rho
-    tilde = build_rho_tilde(s, alpha_power=alpha_power).rho
-    mul = s.A.mul
+    tilde_side, square_side = _module_hom_sides(s, alpha_power)
     return sweep(
         "mu-module-morphism",
         "Theorem 1.1(3)",
         [axis(s.H), axis(s.A), axis(s.A)],
-        lambda kx, ka, kb: t_contract(mul, square(kx, (ka, kb))),
-        lambda kx, ka, kb: bilinear(tilde, basis_terms(kx), mul(ka, kb)),
+        square_side,
+        tilde_side,
         renderer(s.A),
     )
 

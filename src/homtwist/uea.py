@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import re
 from functools import lru_cache
+from itertools import product
+from math import comb
 
 from .report import CheckReport, sweep
 from .scalars import (
@@ -206,30 +208,26 @@ def _extend(f, pairs) -> dict:
 # -- comultiplication -------------------------------------------------
 
 
-def tensor_mul(t1: dict, t2: dict) -> dict:
-    """Componentwise product on U x U tensors: (u1 x u2)(v1 x v2) = u1v1 x u2v2."""
-    out = {}
-    for (l1, r1), c1 in t1.items():
-        for (l2, r2), c2 in t2.items():
-            c12 = c1 * c2
-            right = _mono_mul(r1, r2)
-            for ml, cl in _mono_mul(l1, l2):
-                for mr, cr in right:
-                    add_term(out, (ml, mr), c12 * (cl * cr))
-    return out
+# One tuple per PBW monomial for the coproduct keys, so that the tables built
+# on them do not hold a copy of a monomial per coproduct term.
+_MONOS = {}
 
 
 @lru_cache(maxsize=None)
 def _comul_mono(mono) -> tuple:
-    result = {(UNIT, UNIT): 1}
-    for gen_idx, count in enumerate(mono):
-        gen = [0, 0, 0]
-        gen[gen_idx] = 1
-        gen = tuple(gen)
-        primitive = {(gen, UNIT): 1, (UNIT, gen): 1}
-        for _ in range(count):
-            result = tensor_mul(result, primitive)
-    return tuple(result.items())
+    """Delta(X^a Y^b Z^c) as ((left mono, right mono), int) pairs.
+
+    The primitive generators' tensors W x 1 and 1 x W commute, so
+    Delta(X)^a Delta(Y)^b Delta(Z)^c is already in PBW order in each slot:
+    the sum of C(a,i) C(b,j) C(c,k) X^i Y^j Z^k x X^(a-i) Y^(b-j) Z^(c-k).
+    """
+    a, b, c = mono
+    out = []
+    for i, j, k in product(range(a + 1), range(b + 1), range(c + 1)):
+        left, right = (i, j, k), (a - i, b - j, c - k)
+        pair = (_MONOS.setdefault(left, left), _MONOS.setdefault(right, right))
+        out.append((pair, comb(a, i) * comb(b, j) * comb(c, k)))
+    return tuple(out)
 
 
 def comul(u: UElem) -> dict:

@@ -107,6 +107,20 @@ BAD_SCENARIOS = {
         "group": [[["1"]]],
         "element": ["1"],
     },
+    "bool-index": {
+        "labels": ["e"],
+        "constants": [[False, False, False, "1"]],
+        "unit": ["1"],
+        "group": [[["1"]]],
+        "element": ["1"],
+    },
+    "repeated-constant": {
+        "labels": ["e"],
+        "constants": [[0, 0, 0, "5"], [0, 0, 0, "1"]],
+        "unit": ["1"],
+        "group": [[["1"]]],
+        "element": ["1"],
+    },
 }
 
 
@@ -124,6 +138,8 @@ BAD_SCENARIOS = {
         ({}, ["verify", "finalg", "--negative-control"]),
         ({}, ["verify", "sl2-q", "--bound-h", "1", "--bound-a", "1",
               "--suite", "hom-bialgebra", "--negative-control"]),
+        ({}, ["verify", "finalg", "--file", "{bool-index}"]),
+        ({}, ["verify", "finalg", "--file", "{repeated-constant}"]),
     ],
 )
 def test_bad_input_exits_2(capsys, monkeypatch, tmp_path, env, argv):

@@ -128,6 +128,16 @@ class TestHomBialgebraNegativeControl:
     def test_comul_morphism_fails(self):
         report = homcore.check_comul_morphism(self.twisted())
         assert (len(report.counterexamples), report.checked) == (37, 110)
+        first = report.counterexamples[0]
+        assert (first.inputs, first.rendered_inputs) == ((Y, X), ("Y", "X"))
+        assert first.lhs == (
+            "(-q^2)*(1 x Z) + (q^4)*(1 x X Y) + (-q^2)*(Z x 1) + (q^4)*(Y x X)"
+            " + (q^4)*(X x Y) + (q^4)*(X Y x 1)"
+        )
+        assert first.rhs == (
+            "(-q^3)*(1 x Z) + (q^4)*(1 x X Y) + (-q^3)*(Z x 1) + (q^4)*(Y x X)"
+            " + (q^4)*(X x Y) + (q^4)*(X Y x 1)"
+        )
 
 
 # -- fault injection ---------------------------------------------------
@@ -179,6 +189,23 @@ _MODULES = {
     "k[G] on m2": lambda: finalg.automorphism_action(finalg.m2_example()[1]),
     "sl2 on plane": lambda: actions.classical_scenario(1, 1),
 }
+
+
+def test_perturbed_comul_fails_coassociativity_at_x():
+    # Delta(X) gains q*(Y x 1): the 3-fold sides differ on Y x 1 x 1 only
+    broken = _perturb_comul(actions.u_carrier(1), X, (Y, (0, 0, 0)))
+    report = homcore.check_hom_coassociativity(broken)
+    assert (len(report.counterexamples), report.checked) == (1, 4)
+    ce = report.counterexamples[0]
+    assert (ce.inputs, ce.rendered_inputs) == ((X,), ("X",))
+    assert ce.lhs == (
+        "(1)*(1 x 1 x X) + (q)*(1 x Y x 1) + (1)*(1 x X x 1) + (2*q)*(Y x 1 x 1)"
+        " + (1)*(X x 1 x 1)"
+    )
+    assert ce.rhs == (
+        "(1)*(1 x 1 x X) + (q)*(1 x Y x 1) + (1)*(1 x X x 1) + (q)*(Y x 1 x 1)"
+        " + (1)*(X x 1 x 1)"
+    )
 
 
 @st.composite
