@@ -241,6 +241,7 @@ class GroupBialgebra:
     def __init__(self, algebra: StructAlgebra, operators):
         self.algebra = algebra
         self.operators = list(operators)
+        first = {}
         for idx, op in enumerate(self.operators):
             if op.dim != algebra.dim:
                 raise ValueError(
@@ -248,6 +249,8 @@ class GroupBialgebra:
                 )
             if not op.is_automorphism(algebra):
                 raise ValueError(f"operator {idx} is not an algebra automorphism")
+            if first.setdefault(op, idx) != idx:
+                raise ValueError(f"operators {first[op]} and {idx} are equal")
         self.table = {}
         for i, op1 in enumerate(self.operators):
             for j, op2 in enumerate(self.operators):

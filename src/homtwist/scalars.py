@@ -10,6 +10,9 @@ A coefficient is an int or a Fraction, never a float: the constructors store
 every integral value as an int, so the integer arithmetic that dominates the
 sweeps never touches Fraction.  Arithmetic results are wrapped with trusted(),
 which skips the constructors' validation because they are canonical already.
+
+The sparse-map section below also holds the ring structure that Poly and UElem
+share, MonomialElem, and their generator-image endomorphisms, MonomialEndo.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ def trusted(cls, terms: dict):
     """Wrap a canonical terms dict in an instance of cls without validating it.
 
     Only for results built from canonical operands: keys taken from them and
-    coefficients from add_term/sparse_add/sparse_scale, which drop zeros.
+    coefficients from add_term/sparse_add, which drop zeros.
     """
     obj = object.__new__(cls)
     object.__setattr__(obj, "terms", terms)
@@ -186,12 +189,15 @@ class QLaurent:
 
 
 _TERM_FACTOR = re.compile(r"^(?:(?P<coeff>-?\d+(?:/\d+)?)\*?)?(?:q(?:\^(?P<exp>-?\d+))?)?$")
+_DIGIT_GAP = re.compile(r"\d\s+\d")
 
 
 def _parse_scalar_term(term: str):
     term = term.strip()
     if not term:
         raise ValueError("empty term in scalar expression")
+    if _DIGIT_GAP.search(term):
+        raise ValueError(f"space inside a number in {term!r}")
     match = _TERM_FACTOR.match(term.replace(" ", ""))
     if not match or (match.group("coeff") is None and "q" not in term):
         raise ValueError(f"cannot parse scalar term {term!r}")
@@ -284,7 +290,7 @@ def split_factors(term: str, on_space: bool = False):
 
 
 # -- sparse maps key -> nonzero coefficient -----------------------------
-# Poly, UElem, k[G] elements and the tensors of homcore all store one.
+# MonomialElem (Poly, UElem), finalg vectors and homcore's flat terms store one.
 
 
 def add_term(terms: dict, key, coeff) -> None:
@@ -310,23 +316,6 @@ def _canonical(coeff):
     return coeff
 
 
-def exponent_terms(terms: dict, width: int) -> dict:
-    """Canonical terms of an element keyed by exponent vectors.
-
-    Keys become tuples of width non-negative ints, coefficients QLaurent, and
-    zero sums are dropped.
-    """
-    clean = {}
-    for key, coeff in terms.items():
-        key = tuple(map(int, key))
-        if len(key) != width or min(key) < 0:
-            raise ValueError(f"bad exponent vector {key}")
-        if not isinstance(coeff, QLaurent):
-            coeff = QLaurent.of(coeff)
-        add_term(clean, key, coeff)
-    return clean
-
-
 def sparse_add(t1: dict, t2: dict) -> dict:
     out = dict(t1)
     for key, coeff in t2.items():
@@ -334,10 +323,123 @@ def sparse_add(t1: dict, t2: dict) -> dict:
     return out
 
 
-def sparse_scale(coeff, terms: dict) -> dict:
-    if not coeff:
-        return {}
-    return {key: coeff * c for key, c in terms.items()}
+class MonomialElem:
+    """An element keyed by exponent vectors: sparse map key -> nonzero QLaurent.
+
+    A subclass sets WIDTH, the length of every key, and defines its product
+    (__mul__), its text form (__str__) and _parse_term, which maps one rendered
+    term to (key, coeff).  Instances are immutable and compare structurally.
+    """
+
+    __slots__ = ("terms",)
+    WIDTH = 0
+
+    def __init__(self, terms=None):
+        clean = {}
+        for key, coeff in (terms or {}).items():
+            key = tuple(map(int, key))
+            if len(key) != self.WIDTH or min(key) < 0:
+                raise ValueError(f"bad exponent vector {key}")
+            if not isinstance(coeff, QLaurent):
+                coeff = QLaurent.of(coeff)
+            add_term(clean, key, coeff)
+        object.__setattr__(self, "terms", clean)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    @classmethod
+    def zero(cls):
+        return cls()
+
+    @classmethod
+    def one(cls):
+        return cls({(0,) * cls.WIDTH: QLaurent.one()})
+
+    def __add__(self, other):
+        return trusted(type(self), sparse_add(self.terms, other.terms))
+
+    def __neg__(self):
+        return trusted(type(self), {key: -coeff for key, coeff in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __rmul__(self, other):
+        if isinstance(other, SCALARS):
+            return self.scaled(other)
+        return NotImplemented
+
+    def scaled(self, coeff):
+        if not isinstance(coeff, QLaurent):
+            coeff = QLaurent.of(coeff)
+        if not coeff:
+            return trusted(type(self), {})
+        return trusted(type(self), {key: coeff * c for key, c in self.terms.items()})
+
+    def __pow__(self, n):
+        check_exponent(n)
+        result = self.one()
+        for _ in range(n):
+            result = result * self
+        return result
+
+    def __eq__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self.terms == other.terms
+
+    def __hash__(self):
+        return hash(frozenset(self.terms.items()))
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def is_zero(self):
+        return not self.terms
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self})"
+
+    @classmethod
+    def parse(cls, text: str):
+        return cls(parse_terms(text, cls._parse_term))
+
+
+class MonomialEndo:
+    """Algebra endomorphism of a MonomialElem ring, given by generator images.
+
+    The monomial with key (k0, k1, ...) maps to the ordered product
+    images[0]**k0 * images[1]**k1 * ... (the order matters in a noncommutative
+    ring), computed once per key; elements map by linear extension.
+    """
+
+    __slots__ = ("images", "_cache")
+
+    def __init__(self, images):
+        object.__setattr__(self, "images", tuple(images))
+        object.__setattr__(self, "_cache", {})
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __call__(self, elem):
+        out = {}
+        for key, coeff in elem.terms.items():
+            for key2, c in self.image(key).terms.items():
+                add_term(out, key2, coeff * c)
+        return trusted(type(elem), out)
+
+    def image(self, key):
+        """The image of the monomial with exponent vector key."""
+        cached = self._cache.get(key)
+        if cached is not None:
+            return cached
+        result = self.images[0] ** key[0]
+        for image, power in zip(self.images[1:], key[1:]):
+            result = result * image**power
+        self._cache[key] = result
+        return result
 
 
 def render_term(coeff: QLaurent, basis_text: str) -> str:

@@ -19,16 +19,12 @@ from math import comb
 
 from .report import CheckReport, sweep
 from .scalars import (
-    SCALARS,
+    MonomialElem,
+    MonomialEndo,
     QLaurent,
     add_term,
-    check_exponent,
-    exponent_terms,
     join_terms,
-    parse_terms,
     render_term,
-    sparse_add,
-    sparse_scale,
     split_factors,
     trusted,
 )
@@ -39,24 +35,11 @@ GENERATORS = ("X", "Y", "Z")
 UNIT = (0, 0, 0)
 
 
-class UElem:
+class UElem(MonomialElem):
     """Element of U(sl(2)): sparse map PBW monomial -> nonzero QLaurent."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        object.__setattr__(self, "terms", exponent_terms(terms or {}, 3))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("UElem is immutable")
-
-    @classmethod
-    def zero(cls):
-        return cls()
-
-    @classmethod
-    def one(cls):
-        return cls({UNIT: QLaurent.one()})
+    __slots__ = ()
+    WIDTH = 3
 
     @classmethod
     def monomial(cls, mono, coeff=None):
@@ -69,17 +52,6 @@ class UElem:
         mono[idx] = 1
         return cls.monomial(tuple(mono))
 
-    # -- ring structure -----------------------------------------------
-
-    def __add__(self, other):
-        return trusted(UElem, sparse_add(self.terms, other.terms))
-
-    def __neg__(self):
-        return trusted(UElem, {mono: -coeff for mono, coeff in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
     def __mul__(self, other):
         if not isinstance(other, UElem):
             return self.__rmul__(other)
@@ -90,34 +62,6 @@ class UElem:
                 for mono, n in _mono_mul(m1, m2):
                     add_term(out, mono, c * n)
         return trusted(UElem, out)
-
-    def __rmul__(self, other):
-        if isinstance(other, SCALARS):
-            return self.scaled(other)
-        return NotImplemented
-
-    def scaled(self, coeff):
-        if not isinstance(coeff, QLaurent):
-            coeff = QLaurent.of(coeff)
-        return trusted(UElem, sparse_scale(coeff, self.terms))
-
-    def __pow__(self, n):
-        check_exponent(n)
-        result = UElem.one()
-        for _ in range(n):
-            result = result * self
-        return result
-
-    def __eq__(self, other):
-        if not isinstance(other, UElem):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def __bool__(self):
-        return bool(self.terms)
 
     def commutator(self, other):
         return self * other - other * self
@@ -141,12 +85,26 @@ class UElem:
             parts.append(render_term(self.terms[mono], text))
         return join_terms(parts)
 
-    def __repr__(self):
-        return f"UElem({self})"
-
-    @classmethod
-    def parse(cls, text: str) -> "UElem":
-        return cls(parse_terms(text, _parse_u_term))
+    @staticmethod
+    def _parse_term(term: str):
+        coeff = QLaurent.one()
+        exps = [0, 0, 0]
+        last_gen = -1
+        for factor in split_factors(term, on_space=True):
+            match = _GEN_FACTOR.match(factor)
+            if match:
+                idx = GENERATORS.index(match.group(1))
+                if idx < last_gen:
+                    raise ValueError(f"generators out of PBW order in {term!r}")
+                last_gen = idx
+                exps[idx] += int(match.group(2)) if match.group(2) else 1
+            else:
+                if factor.startswith("(") and factor.endswith(")"):
+                    factor = factor[1:-1]
+                if factor == "1":
+                    continue
+                coeff = coeff * QLaurent.parse(factor)
+        return tuple(exps), coeff
 
 
 # -- PBW normalization ------------------------------------------------
@@ -314,35 +272,13 @@ class UEndo:
         return UAlgebraEndo(self)
 
 
-class UAlgebraEndo:
+class UAlgebraEndo(MonomialEndo):
     """The unique algebra endomorphism extending a validated UEndo."""
 
-    __slots__ = ("base", "_cache")
+    __slots__ = ()
 
     def __init__(self, base: UEndo):
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "_cache", {})
-
-    def __setattr__(self, name, value):
-        raise AttributeError("UAlgebraEndo is immutable")
-
-    def __call__(self, u: UElem) -> UElem:
-        images = _extend(lambda m: self.image(m).terms.items(), u.terms.items())
-        return trusted(UElem, images)
-
-    def image(self, mono) -> UElem:
-        """The image of the PBW monomial mono, computed once per monomial."""
-        cached = self._cache.get(mono)
-        if cached is not None:
-            return cached
-        a, b, c = mono
-        result = (
-            self.base.images["X"] ** a
-            * self.base.images["Y"] ** b
-            * self.base.images["Z"] ** c
-        )
-        self._cache[mono] = result
-        return result
+        super().__init__(base.images[gen] for gen in GENERATORS)
 
 
 def enumerate_pbw(max_total_degree: int):
@@ -376,24 +312,3 @@ def render_mono(mono) -> str:
 
 
 _GEN_FACTOR = re.compile(r"^([XYZ])(?:\^(\d+))?$")
-
-
-def _parse_u_term(term: str):
-    coeff = QLaurent.one()
-    exps = [0, 0, 0]
-    last_gen = -1
-    for factor in split_factors(term, on_space=True):
-        match = _GEN_FACTOR.match(factor)
-        if match:
-            idx = GENERATORS.index(match.group(1))
-            if idx < last_gen:
-                raise ValueError(f"generators out of PBW order in {term!r}")
-            last_gen = idx
-            exps[idx] += int(match.group(2)) if match.group(2) else 1
-        else:
-            if factor.startswith("(") and factor.endswith(")"):
-                factor = factor[1:-1]
-            if factor == "1":
-                continue
-            coeff = coeff * QLaurent.parse(factor)
-    return tuple(exps), coeff

@@ -19,13 +19,10 @@ METRIC_NAMES = {
     "scalars.QLaurent.__init__",
     "scalars.QLaurent.__add__",
     "scalars.QLaurent.__mul__",
-    "polyalg.Poly.__add__",
     "polyalg.Poly.__mul__",
-    "polyalg.PolyEndo.__call__",
     "uea.UElem.__mul__",
     "uea.comul",
     "uea.UAlgebraEndo.__init__",
-    "uea.UAlgebraEndo.__call__",
     "actions.act",
     "report.CheckReport.record",
     "homcore.check_multiplicativity",

@@ -121,6 +121,13 @@ BAD_SCENARIOS = {
         "group": [[["1"]]],
         "element": ["1"],
     },
+    "repeated-operator": {
+        "labels": ["e"],
+        "constants": [[0, 0, 0, "1"]],
+        "unit": ["1"],
+        "group": [[["1"]], [["1"]]],
+        "element": ["1"],
+    },
 }
 
 
@@ -140,6 +147,8 @@ BAD_SCENARIOS = {
               "--suite", "hom-bialgebra", "--negative-control"]),
         ({}, ["verify", "finalg", "--file", "{bool-index}"]),
         ({}, ["verify", "finalg", "--file", "{repeated-constant}"]),
+        ({}, ["act", "Z", "3 4*x"]),
+        ({}, ["verify", "finalg", "--file", "{repeated-operator}"]),
     ],
 )
 def test_bad_input_exits_2(capsys, monkeypatch, tmp_path, env, argv):

@@ -161,6 +161,14 @@ class TestGroupBialgebra:
         with pytest.raises(ValueError, match="automorphism"):
             GroupBialgebra(algebra, [LinOp.identity(4), swap])
 
+    def test_rejects_repeated_operator(self):
+        algebra = m2_algebra()
+        conj = LinOp([[1, 0, 0, 0], [0, -1, 0, 0], [0, 0, -1, 0], [0, 0, 0, 1]])
+        # the dense identity equals LinOp.identity, which is built from images
+        dense_identity = LinOp([[int(i == j) for j in range(4)] for i in range(4)])
+        with pytest.raises(ValueError, match="operators 0 and 2 are equal"):
+            GroupBialgebra(algebra, [LinOp.identity(4), conj, dense_identity])
+
     def test_grouplike_sweedler_sum(self):
         _, G, _ = m2_example()
         s = automorphism_action(G)

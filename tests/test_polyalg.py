@@ -81,7 +81,7 @@ class TestEndomorphisms:
         keys = [(i, j) for i in range(5) for j in range(5 - i)]
         for _ in range(2):  # the first call fills the cache, the second reads it
             for i, j in keys:
-                fresh = endo.image_of_x**i * endo.image_of_y**j
+                fresh = endo.images[0]**i * endo.images[1]**j
                 assert endo(Poly.monomial(i, j, Q)) == fresh.scaled(Q)
         assert set(endo._cache) == set(keys)
 

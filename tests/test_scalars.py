@@ -3,7 +3,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from homtwist.polyalg import Poly
 from homtwist.scalars import Q, Q_INV, QLaurent
+from homtwist.uea import UElem
 
 
 def ql(text):
@@ -136,3 +138,32 @@ class TestTextForm:
             ql("")
         with pytest.raises(ValueError):
             ql("1/0*q")
+
+    @pytest.mark.parametrize("text", ["1 2", "1/2 3", "q^1 0", "1 0", "3 4*q"])
+    def test_rejects_space_inside_a_number(self, text):
+        with pytest.raises(ValueError, match="space inside a number"):
+            ql(text)
+
+    @pytest.mark.parametrize(
+        "text, expected", [("1 / 2", "1/2"), ("3 q", "3*q"), ("q ^ -2", "q^-2")]
+    )
+    def test_spaces_between_tokens_still_parse(self, text, expected):
+        assert ql(text) == ql(expected)
+
+
+@pytest.mark.parametrize("cls, text", [(Poly, "1 + x"), (UElem, "1 + X")])
+def test_element_types_share_the_sparse_ring_contract(cls, text):
+    e = cls.parse(text)
+    with pytest.raises(AttributeError, match=f"^{cls.__name__} is immutable$"):
+        e.terms = {}
+    assert repr(e) == f"{cls.__name__}({text})"
+    generator = cls({key: c for key, c in e.terms.items() if any(key)})
+    for other in (generator + cls.one(), cls(dict(reversed(e.terms.items())))):
+        assert other == e and hash(other) == hash(e)
+    width = len(next(iter(e.terms)))
+    for bad in [(-1,) + (0,) * (width - 1), (0,) * (width + 1), (0,) * (width - 1)]:
+        with pytest.raises(ValueError):
+            cls({bad: 1})
+    assert e**0 == cls.one()
+    assert cls.zero() + e == e
+    assert e.scaled(0) == cls.zero()
