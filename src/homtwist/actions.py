@@ -18,11 +18,12 @@ from __future__ import annotations
 from dataclasses import replace
 from functools import cache
 from math import perm
+from typing import Callable
 
 from . import homcore, uea
 from .homcore import Carrier, ModuleAlgebraScenario, Scenario, basis_terms, key_map
 from .polyalg import Poly, PolyEndo, enumerate_monomials
-from .scalars import QLaurent, add_term, trusted
+from .scalars import QLaurent, extend_linear, trusted
 from .uea import UAlgebraEndo, UElem, UEndo, enumerate_pbw, render_mono
 
 
@@ -41,8 +42,9 @@ def act_generator(gen: str, p: Poly) -> Poly:
 
 def act(z: UElem, p: Poly) -> Poly:
     """Action of a U(sl(2)) element on a polynomial, linear in both slots."""
-    out = {}
-    for (a, b, c), coeff in z.terms.items():
+
+    def act_mono(mono):
+        a, b, c = mono
         q = p
         for _ in range(c):
             q = act_generator("Z", q)
@@ -50,9 +52,9 @@ def act(z: UElem, p: Poly) -> Poly:
             q = act_generator("Y", q)
         for _ in range(a):
             q = act_generator("X", q)
-        for key, cq in q.terms.items():
-            add_term(out, key, coeff * cq)
-    return trusted(Poly, out)
+        return q.terms.items()
+
+    return trusted(Poly, extend_linear(act_mono, z.terms.items()))
 
 
 def alpha_plane() -> PolyEndo:
@@ -114,13 +116,13 @@ def _pbw_comul(mono) -> tuple:
     return tuple((pair, 0, n) for pair, n in uea._comul_mono(mono))
 
 
-def u_carrier(bound: int, alpha: UAlgebraEndo | None = None) -> Carrier:
+def u_carrier(bound: int, alpha: Callable = basis_terms) -> Carrier:
     """U(sl(2)) as a bialgebra carrier on PBW monomials up to degree bound."""
     return Carrier(
         name="U(sl2)",
         basis=tuple(enumerate_pbw(bound)),
         mul=_pbw_mul,
-        alpha=basis_terms if alpha is None else endo_map(alpha),
+        alpha=alpha,
         comul=_pbw_comul,
         render_key=render_mono,
         render_elem=lambda coords: str(trusted(UElem, coords)),
@@ -133,17 +135,19 @@ def classical_scenario(bound_h: int = 3, bound_a: int = 3) -> ModuleAlgebraScena
 
 
 def sl2_scenario(bound_h: int = 3, bound_a: int = 3) -> Scenario:
-    """The q-deformation of the classical scenario, as one Scenario record.
+    """The classical action with structure maps alpha_U and alpha_A, as one record.
 
     The generator axis is X, Y, Z; the Lie carrier is U(sl(2)) on PBW degree
     <= 1 twisted by alpha_U, whatever the bounds.
     """
     alpha_U = endo_map(alpha_u_handle())
-    lie = homcore.yau_twist_algebra(u_carrier(1), alpha_U)
+    lie = homcore.yau_twist_algebra(u_carrier(1, alpha_U))
     return Scenario(
-        classical=classical_scenario(bound_h, bound_a),
-        alpha_H=alpha_U,
-        alpha_A=endo_map(alpha_plane()),
+        module=ModuleAlgebraScenario(
+            H=u_carrier(bound_h, alpha_U),
+            A=plane_carrier(bound_a, alpha_plane()),
+            rho=act_key,
+        ),
         generators=tuple(m for g in uea.GENERATORS for m in UElem.generator(g).terms),
         lie=replace(lie, name="sl2 twisted"),
     )
@@ -151,7 +155,7 @@ def sl2_scenario(bound_h: int = 3, bound_a: int = 3) -> Scenario:
 
 def deformed_scenario(bound_h: int = 3, bound_a: int = 3) -> ModuleAlgebraScenario:
     """The q-deformed scenario (U(sl2)_alpha, A_alpha, rho_alpha)."""
-    return homcore.deform_scenario(sl2_scenario(bound_h, bound_a))
+    return homcore.deform_scenario(sl2_scenario(bound_h, bound_a).module)
 
 
 def weight_spectrum(n: int):

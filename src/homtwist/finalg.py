@@ -13,18 +13,19 @@ from __future__ import annotations
 import json
 from dataclasses import replace
 from fractions import Fraction
-from itertools import product
 
 from .homcore import (
     Carrier,
     ModuleAlgebraScenario,
     Scenario,
     basis_terms,
+    check_hom_associativity,
+    check_multiplicativity,
     deform_scenario,
     key_map,
     yau_twist_algebra,
 )
-from .scalars import ONE, ZERO, QLaurent, add_term
+from .scalars import ONE, ZERO, QLaurent, extend_bilinear, extend_linear
 
 
 class StructAlgebra:
@@ -32,13 +33,19 @@ class StructAlgebra:
 
     Elements are sparse coordinate maps {basis index: nonzero QLaurent}, and
     the constants are kept as {(i, j): {k: c_ijk}}, so mul is a sparse
-    contraction.  Associativity on all basis triples is a hard load-time
-    precondition.
+    contraction.  Distinct non-empty string labels and associativity on all
+    basis triples are hard load-time preconditions.
     """
 
     def __init__(self, labels, constants, unit=None):
         self.labels = tuple(labels)
         self.dim = len(self.labels)
+        first = {}
+        for idx, label in enumerate(self.labels):
+            if not isinstance(label, str) or not label:
+                raise ValueError(f"label {idx} is not a non-empty string: {label!r}")
+            if first.setdefault(label, idx) != idx:
+                raise ValueError(f"labels {first[label]} and {idx} are both {label!r}")
         table = {}
         for (i, j, k), coeff in constants.items():
             if not (0 <= i < self.dim and 0 <= j < self.dim and 0 <= k < self.dim):
@@ -59,15 +66,8 @@ class StructAlgebra:
         return {i: ONE}
 
     def mul(self, v, w):
-        out = {}
-        for i, c1 in v.items():
-            for j, c2 in w.items():
-                row = self.constants.get((i, j))
-                if row:
-                    c12 = c1 * c2
-                    for k, c in row.items():
-                        add_term(out, k, c12 * c)
-        return out
+        row = lambda i, j: self.constants.get((i, j), {}).items()
+        return extend_bilinear(row, v.items(), w.items())
 
     def render(self, v):
         if not v:
@@ -82,13 +82,13 @@ class StructAlgebra:
         return " + ".join(parts)
 
     def _verify_associativity(self):
-        e = [self.basis_vector(i) for i in range(self.dim)]
-        for i, j, k in product(range(self.dim), repeat=3):
-            if self.mul(self.mul(e[i], e[j]), e[k]) != self.mul(e[i], self.mul(e[j], e[k])):
-                raise ValueError(
-                    "structure constants are not associative at "
-                    f"({self.labels[i]}, {self.labels[j]}, {self.labels[k]})"
-                )
+        # Eq. (1.2) with the identity structure map is associativity
+        report = check_hom_associativity(algebra_carrier(self))
+        if not report.passed:
+            raise ValueError(
+                "structure constants are not associative at "
+                f"({', '.join(report.counterexamples[0].rendered_inputs)})"
+            )
 
     def _verify_unit(self):
         for i in range(self.dim):
@@ -146,11 +146,7 @@ class LinOp:
         return op
 
     def __call__(self, v):
-        out = {}
-        for j, x in v.items():
-            for k, c in self.images[j].items():
-                add_term(out, k, c * x)
-        return out
+        return extend_linear(lambda j: self.images[j].items(), v.items())
 
     def compose(self, other):
         return LinOp.from_images([self(image) for image in other.images])
@@ -164,15 +160,9 @@ class LinOp:
         return hash(tuple(frozenset(image.items()) for image in self.images))
 
     def is_algebra_endo(self, algebra: StructAlgebra) -> bool:
-        for i in range(algebra.dim):
-            ei = algebra.basis_vector(i)
-            for j in range(algebra.dim):
-                ej = algebra.basis_vector(j)
-                if self(algebra.mul(ei, ej)) != algebra.mul(self(ei), self(ej)):
-                    return False
         if algebra.unit is not None and self(algebra.unit) != algebra.unit:
             return False
-        return True
+        return check_multiplicativity(algebra_carrier(algebra, self)).passed
 
     def is_automorphism(self, algebra: StructAlgebra) -> bool:
         if not self.is_algebra_endo(algebra):
@@ -288,14 +278,6 @@ class GroupBialgebra:
             render_elem=_render_group_elem,
         )
 
-    def apply(self, u: dict, v):
-        """Action of a k[G] element on an algebra vector: rho(phi x a) = phi(a)."""
-        out = {}
-        for i, coeff in u.items():
-            for k, c in self.operators[i](v).items():
-                add_term(out, k, coeff * c)
-        return out
-
 
 def _render_group_elem(u):
     if not u:
@@ -349,19 +331,17 @@ def example31_scenario(algebra: StructAlgebra, G: GroupBialgebra, a) -> Scenario
             raise ValueError(f"inner automorphism does not commute with operator {idx}")
 
     classical = automorphism_action(G)
-    alpha_A = linop_map(alpha)
+    module = replace(classical, A=replace(classical.A, alpha=linop_map(alpha)))
     return Scenario(
-        classical=classical,
-        alpha_H=classical.H.alpha,
-        alpha_A=alpha_A,
-        generators=classical.H.basis,
-        lie=replace(yau_twist_algebra(classical.A, alpha_A), name="A_alpha"),
+        module=module,
+        generators=module.H.basis,
+        lie=replace(yau_twist_algebra(module.A), name="A_alpha"),
     )
 
 
 def build_example31(algebra: StructAlgebra, G: GroupBialgebra, a) -> ModuleAlgebraScenario:
     """The deformed triple (k[G], A_alpha, rho_alpha) of example31_scenario."""
-    return deform_scenario(example31_scenario(algebra, G, a))
+    return deform_scenario(example31_scenario(algebra, G, a).module)
 
 
 # -- built-in instance and the scenario file format --------------------
@@ -413,7 +393,10 @@ def load_scenario(path):
     Coefficients use the scalar text grammar, e.g. "1", "-2/3", "q^2".
     """
     with open(path) as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except RecursionError:
+            raise ValueError("scenario file is nested too deeply") from None
     if not isinstance(data, dict):
         raise ValueError("scenario file must hold a JSON object")
     constants = {}

@@ -6,9 +6,10 @@ memo tables in a flat q-graded form.  All maps in play are linear or
 bilinear, so verifying an identity on every basis tuple proves it on the
 whole spanned truncation; a passing sweep is a proof at the declared bound.
 
-A Scenario is the one record every suite reads; deform_scenario turns it into
-the deformed module triple.  Twists and derived module structures compose
-the tables of their input; an entry is filled once, on first use.
+A Scenario is the one record every suite reads: a module triple whose
+structure maps deform_scenario twists into the deformed triple.  Twists and
+derived module structures compose the tables of their input; an entry is
+filled once, on first use.
 
 Every checker runs one or more sweeps (report.sweep) of a multilinear
 identity over basis tuples, whose sides are contractions of the tables with
@@ -69,17 +70,15 @@ class ModuleAlgebraScenario:
 class Scenario:
     """One scenario: the input of the paper's construction and of every suite.
 
-    classical is a module algebra (H, A, rho) whose structure maps are the
-    identity; alpha_H (a bialgebra endomorphism of H) and alpha_A (an algebra
-    endomorphism of A), both maps key -> terms, twist it into the deformed
+    module is a module algebra (H, A, rho) with untwisted products and action,
+    whose structure maps H.alpha = alpha_H (a bialgebra endomorphism of H) and
+    A.alpha = alpha_A (an algebra endomorphism of A) twist it into the deformed
     triple, deform_scenario.  generators are the H keys of the generator axis
     of Eq. (4.2), and lie is a Hom-associative carrier whose commutator
     check_hom_jacobi checks.
     """
 
-    classical: ModuleAlgebraScenario
-    alpha_H: Callable
-    alpha_A: Callable
+    module: ModuleAlgebraScenario
     generators: tuple
     lie: Carrier
 
@@ -347,20 +346,11 @@ def check_module_axiom(s: ModuleAlgebraScenario) -> CheckReport:
     )
 
 
-def structure_maps(r: Scenario) -> ModuleAlgebraScenario:
-    """The classical triple of r with structure maps alpha_H and alpha_A.
-
-    The products and the action stay untwisted.
-    """
-    s = r.classical
-    return replace(s, H=replace(s.H, alpha=r.alpha_H), A=replace(s.A, alpha=r.alpha_A))
-
-
 def check_compatibility(s: ModuleAlgebraScenario, keys) -> CheckReport:
     """alpha_A(x a) = alpha_H(x) alpha_A(a) for the given H keys x (Eq. 1.7).
 
-    This is the first sweep of the module axiom.  Run on structure_maps(r),
-    it checks Eq. (4.2) over r.generators and Eq. (1.7) over the H basis.
+    This is the first sweep of the module axiom.  Run on r.module, it checks
+    Eq. (4.2) over r.generators and Eq. (1.7) over the H basis.
     """
     return _rho_commutes(s, (tuple(keys), s.H.render_key), "compatibility", "Eq. (1.7)")
 
@@ -471,17 +461,17 @@ def yau_twist_bialgebra(H: Carrier, alpha: Optional[Callable] = None) -> Carrier
     return replace(yau_twist_algebra(H, twist), comul=comul)
 
 
-def deform_scenario(r: Scenario) -> ModuleAlgebraScenario:
-    """The deformed triple: twist H and A and set rho_alpha = alpha_A o rho.
+def deform_scenario(s: ModuleAlgebraScenario) -> ModuleAlgebraScenario:
+    """The deformed triple: twist H and A by their structure maps alpha_H and
+    alpha_A, and set rho_alpha = alpha_A o rho.
 
-    An alpha_H that is already the structure map of H (the identity) leaves H
-    as it is: its Yau twist would be the same bialgebra under a new name.
+    An H whose structure map is the identity stays as it is: its Yau twist
+    would be the same bialgebra under a new name.
     """
-    s = r.classical
     return ModuleAlgebraScenario(
-        H=s.H if r.alpha_H is s.H.alpha else yau_twist_bialgebra(s.H, r.alpha_H),
-        A=yau_twist_algebra(s.A, r.alpha_A),
-        rho=cache(lambda h, a: terms(linear(r.alpha_A, s.rho(h, a)))),
+        H=s.H if s.H.alpha is basis_terms else yau_twist_bialgebra(s.H),
+        A=yau_twist_algebra(s.A),
+        rho=cache(lambda h, a: terms(linear(s.A.alpha, s.rho(h, a)))),
     )
 
 
@@ -511,14 +501,8 @@ def check_hom_jacobi(A: Carrier) -> CheckReport:
                 add_term(total, key, coeff)
         return total
 
-    report = sweep(
-        "hom-lie",
-        "Hom-Jacobi",
-        [axis(A)] * 2,
-        lambda k1, k2: linear(alpha, bracket(k1, k2)),
-        lambda k1, k2: bilinear(bracket, alpha(k1), alpha(k2)),
-        renderer(A),
-    )
+    report = check_multiplicativity(replace(A, mul=bracket))
+    report.name, report.equation = "hom-lie", "Hom-Jacobi"
     return report.merge(
         sweep("hom-lie", "Hom-Jacobi", [axis(A)] * 3, jacobi, lambda k1, k2, k3: {}, renderer(A))
     )

@@ -15,6 +15,7 @@ from .scalars import (
     MonomialEndo,
     QLaurent,
     add_term,
+    extend_bilinear,
     join_terms,
     render_term,
     split_factors,
@@ -45,10 +46,8 @@ class Poly(MonomialElem):
     def __mul__(self, other):
         if not isinstance(other, Poly):
             return self.__rmul__(other)
-        out = {}
-        for (i1, j1), c1 in self.terms.items():
-            for (i2, j2), c2 in other.terms.items():
-                add_term(out, (i1 + i2, j1 + j2), c1 * c2)
+        expv_mul = lambda e1, e2: (((e1[0] + e2[0], e1[1] + e2[1]), 1),)
+        out = extend_bilinear(expv_mul, self.terms.items(), other.terms.items())
         return trusted(Poly, out)
 
     # -- calculus and grading -----------------------------------------

@@ -291,6 +291,7 @@ def split_factors(term: str, on_space: bool = False):
 
 # -- sparse maps key -> nonzero coefficient -----------------------------
 # MonomialElem (Poly, UElem), finalg vectors and homcore's flat terms store one.
+# The native maps on them are linear or bilinear extensions of maps on keys.
 
 
 def add_term(terms: dict, key, coeff) -> None:
@@ -320,6 +321,26 @@ def sparse_add(t1: dict, t2: dict) -> dict:
     out = dict(t1)
     for key, coeff in t2.items():
         add_term(out, key, coeff)
+    return out
+
+
+def extend_linear(f, pairs) -> dict:
+    """The linear extension of f, a map key -> (key, coeff) pairs, on pairs."""
+    out = {}
+    for key, coeff in pairs:
+        for key2, c in f(key):
+            add_term(out, key2, coeff * c)
+    return out
+
+
+def extend_bilinear(f, xs, ys) -> dict:
+    """The bilinear extension of f, a map (key, key) -> (key, coeff) pairs."""
+    out = {}
+    for k1, c1 in xs:
+        for k2, c2 in ys:
+            c12 = c1 * c2
+            for key, c in f(k1, k2):
+                add_term(out, key, c12 * c)
     return out
 
 
@@ -424,11 +445,8 @@ class MonomialEndo:
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     def __call__(self, elem):
-        out = {}
-        for key, coeff in elem.terms.items():
-            for key2, c in self.image(key).terms.items():
-                add_term(out, key2, coeff * c)
-        return trusted(type(elem), out)
+        image = lambda key: self.image(key).terms.items()
+        return trusted(type(elem), extend_linear(image, elem.terms.items()))
 
     def image(self, key):
         """The image of the monomial with exponent vector key."""

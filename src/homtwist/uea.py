@@ -23,6 +23,8 @@ from .scalars import (
     MonomialEndo,
     QLaurent,
     add_term,
+    extend_bilinear,
+    extend_linear,
     join_terms,
     render_term,
     split_factors,
@@ -55,12 +57,7 @@ class UElem(MonomialElem):
     def __mul__(self, other):
         if not isinstance(other, UElem):
             return self.__rmul__(other)
-        out = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                c = c1 * c2
-                for mono, n in _mono_mul(m1, m2):
-                    add_term(out, mono, c * n)
+        out = extend_bilinear(_mono_mul, self.terms.items(), other.terms.items())
         return trusted(UElem, out)
 
     def commutator(self, other):
@@ -123,20 +120,20 @@ def _left_gen(gen: str, mono) -> tuple:
             return (((0, b + 1, c), 1),)
         # Y X^a ... = (XY - Z) X^(a-1) ...
         rest = (a - 1, b, c)
-        out = _extend(lambda m: _left_gen("X", m), _left_gen("Y", rest))
+        out = extend_linear(lambda m: _left_gen("X", m), _left_gen("Y", rest))
         for m, n in _left_gen("Z", rest):
             add_term(out, m, -n)
         return tuple(out.items())
     if gen == "Z":
         if a > 0:
             # Z X^a ... = (XZ + 2X) X^(a-1) ...
-            out = _extend(lambda m: _left_gen("X", m), _left_gen("Z", (a - 1, b, c)))
+            out = extend_linear(lambda m: _left_gen("X", m), _left_gen("Z", (a - 1, b, c)))
             add_term(out, (a, b, c), 2)
             return tuple(out.items())
         if b > 0:
             # Z Y^b Z^c = (YZ - 2Y) Y^(b-1) Z^c
             tail = _left_gen("Z", (0, b - 1, c))
-            out = _extend(lambda m: (((m[0], m[1] + 1, m[2]), 1),), tail)
+            out = extend_linear(lambda m: (((m[0], m[1] + 1, m[2]), 1),), tail)
             add_term(out, (0, b, c), -2)
             return tuple(out.items())
         return (((0, 0, c + 1), 1),)
@@ -150,17 +147,8 @@ def _mono_mul(m1, m2) -> tuple:
     result = ((m2, 1),)
     for gen, count in (("Z", c), ("Y", b), ("X", a)):
         for _ in range(count):
-            result = tuple(_extend(lambda m: _left_gen(gen, m), result).items())
+            result = tuple(extend_linear(lambda m: _left_gen(gen, m), result).items())
     return result
-
-
-def _extend(f, pairs) -> dict:
-    """The linear extension of f, a map on PBW monomials, applied to pairs."""
-    out = {}
-    for mono, coeff in pairs:
-        for mono2, c in f(mono):
-            add_term(out, mono2, c * coeff)
-    return out
 
 
 # -- comultiplication -------------------------------------------------
@@ -194,11 +182,7 @@ def comul(u: UElem) -> dict:
     Returns a sparse tensor {(mono, mono): QLaurent} in componentwise PBW
     normal form; Delta(1) = 1 x 1 and Delta extends as an algebra morphism.
     """
-    out = {}
-    for mono, coeff in u.terms.items():
-        for key, c in _comul_mono(mono):
-            add_term(out, key, coeff * c)
-    return out
+    return extend_linear(_comul_mono, u.terms.items())
 
 
 # -- endomorphisms ----------------------------------------------------
@@ -236,24 +220,16 @@ class UEndo:
             UElem.generator("Z"),
         )
 
-    def apply_lie(self, u: UElem) -> UElem:
-        """Linear action on a Lie-span element."""
-        coords = u.lie_components()
-        if coords is None:
-            raise ValueError(f"{u} is not in the Lie span")
-        out = UElem.zero()
-        for gen, coeff in zip(GENERATORS, coords):
-            out = out + self.images[gen].scaled(coeff)
-        return out
-
     def check_lie_endo(self) -> CheckReport:
         """Verify compatibility with the bracket on all generator pairs."""
         gens = {g: UElem.generator(g) for g in GENERATORS}
+        # the multiplicative extension is linear on the Lie span
+        endo = UAlgebraEndo(self)
         return sweep(
             "lie-endomorphism",
             "bracket multiplicativity",
             [(GENERATORS, str)] * 2,
-            lambda g1, g2: self.apply_lie(gens[g1].commutator(gens[g2])),
+            lambda g1, g2: endo(gens[g1].commutator(gens[g2])),
             lambda g1, g2: self.images[g1].commutator(self.images[g2]),
         )
 

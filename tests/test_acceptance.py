@@ -124,7 +124,7 @@ def test_criterion_5_endomorphism_extension():
                     rhs[key] = rhs.get(key, QLaurent.zero()) + c * c1 * c2
         rhs = {k: v for k, v in rhs.items() if v}
         bialg_ok = bialg_ok and lhs == rhs
-    s = homcore.structure_maps(actions.sl2_scenario(3, 4))
+    s = actions.sl2_scenario(3, 4).module
     compat = homcore.check_compatibility(s, s.H.basis)
     report_line(
         5,

@@ -91,12 +91,12 @@ class TestDeformedAction:
 class TestCompatibility:
     def test_generator_case(self):
         r = actions.sl2_scenario(1, 4)
-        report = homcore.check_compatibility(homcore.structure_maps(r), r.generators)
+        report = homcore.check_compatibility(r.module, r.generators)
         assert report.passed
         assert report.checked == 3 * 15
 
     def test_full_compatibility(self):
-        s = homcore.structure_maps(actions.sl2_scenario(2, 3))
+        s = actions.sl2_scenario(2, 3).module
         report = homcore.check_compatibility(s, s.H.basis)
         assert report.passed and report.checked == 100
 
@@ -104,8 +104,7 @@ class TestCompatibility:
         # alpha_A = (x -> q x, y -> q y) does not intertwine alpha_U
         r = actions.sl2_scenario(3, 3)
         q = QLaurent.q_power(1)
-        r = replace(r, alpha_A=actions.endo_map(PolyEndo.diagonal(q, q)))
-        s = homcore.structure_maps(r)
+        s = replace(r.module, A=actions.plane_carrier(3, PolyEndo.diagonal(q, q)))
         full = homcore.check_compatibility(s, s.H.basis)
         generators = homcore.check_compatibility(s, r.generators)
         assert (len(full.counterexamples), full.checked) == (52, 200)

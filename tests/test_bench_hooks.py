@@ -35,7 +35,6 @@ METRIC_NAMES = {
     "homcore.check_mu_module_morphism",
     "finalg.StructAlgebra.mul",
     "finalg.LinOp.__call__",
-    "finalg.GroupBialgebra.apply",
     "finalg.load_scenario",
     "finalg.build_example31",
     "cli.main",

@@ -128,6 +128,13 @@ BAD_SCENARIOS = {
         "group": [[["1"]], [["1"]]],
         "element": ["1"],
     },
+    "repeated-label": {
+        "labels": ["e", "e"],
+        "constants": [[0, 0, 0, "1"], [1, 1, 1, "1"]],
+        "unit": ["1", "1"],
+        "group": [[["1", "0"], ["0", "1"]]],
+        "element": ["1", "1"],
+    },
 }
 
 
@@ -149,6 +156,8 @@ BAD_SCENARIOS = {
         ({}, ["verify", "finalg", "--file", "{repeated-constant}"]),
         ({}, ["act", "Z", "3 4*x"]),
         ({}, ["verify", "finalg", "--file", "{repeated-operator}"]),
+        ({}, ["verify", "finalg", "--file", "{repeated-label}"]),
+        ({}, ["verify", "finalg", "--file", "{deep-nesting}"]),
     ],
 )
 def test_bad_input_exits_2(capsys, monkeypatch, tmp_path, env, argv):
@@ -158,6 +167,9 @@ def test_bad_input_exits_2(capsys, monkeypatch, tmp_path, env, argv):
     for name, document in BAD_SCENARIOS.items():
         paths[name] = str(tmp_path / f"{name}.json")
         (tmp_path / f"{name}.json").write_text(json.dumps(document))
+    # raw text: json.dumps itself recurses on a document this deep
+    paths["deep-nesting"] = str(tmp_path / "deep-nesting.json")
+    (tmp_path / "deep-nesting.json").write_text("[" * 100000 + "]" * 100000)
     code, _, err = run(capsys, *(arg.format(**paths) for arg in argv))
     assert code == cli.EXIT_INPUT_ERROR
     assert "error" in err and "Traceback" not in err

@@ -1,4 +1,6 @@
 import json
+import re
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -38,8 +40,19 @@ class TestStructAlgebra:
     def test_rejects_non_associative_constants(self):
         # a*a = b, a*b = a, all else 0: (a*a)*b = 0 but a*(a*b) = b
         constants = {(0, 0, 1): 1, (0, 1, 0): 1}
-        with pytest.raises(ValueError, match="not associative"):
+        message = "structure constants are not associative at (a, a, a)"
+        with pytest.raises(ValueError, match=re.escape(message)):
             StructAlgebra(("a", "b"), constants)
+
+    def test_rejects_bad_or_repeated_labels(self):
+        constants = {(0, 0, 0): 1, (1, 1, 1): 1}
+        for labels, message in [
+            (("a", None), "label 1 is not a non-empty string"),
+            (("", "b"), "label 0 is not a non-empty string"),
+            (("a", "a"), "labels 0 and 1 are both 'a'"),
+        ]:
+            with pytest.raises(ValueError, match=re.escape(message)):
+                StructAlgebra(labels, constants)
 
     def test_rejects_bad_unit(self):
         constants = {(0, 0, 0): 1}
@@ -105,6 +118,17 @@ class TestLinOp:
         assert zero_map.is_algebra_endo(algebra)
         assert not zero_map.is_automorphism(algebra)
 
+    def test_is_algebra_endo_needs_products_and_unit(self):
+        algebra = m2_algebra()
+        # keeps the unit, but sends e12 e21 = e11 to e11 and e12 to -2*e12
+        scale = LinOp([[1, 0, 0, 0], [0, -2, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+        # multiplicative, but sends the unit to 0
+        zero = LinOp([[0] * 4 for _ in range(4)])
+        conjugation = m2_example()[1].operators[1]
+        assert not scale.is_algebra_endo(algebra)
+        assert not zero.is_algebra_endo(algebra)
+        assert conjugation.is_algebra_endo(algebra)
+
     def test_compose_and_identity(self):
         swap = LinOp([[0, 1], [1, 0]])
         scale = LinOp([[2, 0], [0, QLaurent.q_power(1)]])
@@ -168,6 +192,17 @@ class TestGroupBialgebra:
         dense_identity = LinOp([[int(i == j) for j in range(4)] for i in range(4)])
         with pytest.raises(ValueError, match="operators 0 and 2 are equal"):
             GroupBialgebra(algebra, [LinOp.identity(4), conj, dense_identity])
+
+    def test_non_multiplicative_alpha_renders_group_elements(self):
+        # g -> the other element is linear but sends g0 g0 = g0 to g1
+        _, G, _ = m2_example()
+        report = homcore.check_multiplicativity(
+            replace(G.carrier(), alpha=lambda i: ((1 - i, 0, 1),))
+        )
+        assert (len(report.counterexamples), report.checked) == (4, 4)
+        first = report.counterexamples[0]
+        assert first.rendered_inputs == ("g0", "g0")
+        assert (first.lhs, first.rhs) == ("1*g1", "1*g0")
 
     def test_grouplike_sweedler_sum(self):
         _, G, _ = m2_example()

@@ -264,9 +264,8 @@ class TestTwistFunctoriality:
             assert flat(twisted.comul(key)) == flat(carrier.comul(key))
 
     def test_deform_at_identity_reproduces_action(self):
-        r = replace(actions.sl2_scenario(2, 2), alpha_H=basis_terms, alpha_A=basis_terms)
-        s = r.classical
-        deformed = homcore.deform_scenario(r)
+        s = actions.classical_scenario(2, 2)
+        deformed = homcore.deform_scenario(s)
         for kx in s.H.basis:
             for ka in s.A.basis:
                 assert flat(deformed.rho(kx, ka)) == flat(s.rho(kx, ka))
@@ -361,6 +360,7 @@ class TestHomLie:
         lie = actions.sl2_scenario().lie
         report = check_hom_jacobi(lie)
         assert report.passed and report.checked == 80
+        assert (report.name, report.equation) == ("hom-lie", "Hom-Jacobi")
 
     def test_twist_by_non_lie_endomorphism_fails(self):
         # diag(1, -2, 1, 1) is not an algebra map of M2, and the commutator of

@@ -145,4 +145,4 @@ def test_a_alpha(m2):
         for j in s.A.basis:
             assert flat(s.A.mul(i, j)) == native(alpha(algebra.mul(e(i), e(j))))
         for g in s.H.basis:
-            assert flat(s.rho(g, i)) == native(alpha(G.apply({g: ONE}, e(i))))
+            assert flat(s.rho(g, i)) == native(alpha(G.operators[g](e(i))))

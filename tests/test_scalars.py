@@ -3,9 +3,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from homtwist.polyalg import Poly
+from homtwist.polyalg import Poly, PolyEndo
 from homtwist.scalars import Q, Q_INV, QLaurent
-from homtwist.uea import UElem
+from homtwist.uea import UElem, UEndo
 
 
 def ql(text):
@@ -128,6 +128,9 @@ class TestTextForm:
         value = ql(text)
         assert QLaurent.parse(str(value)) == value
 
+    def test_repr_of_a_rational_minus_q(self):
+        assert repr(1 - QLaurent.q_power(1)) == "QLaurent(1 - q)"
+
     def test_render_is_exponent_ascending(self):
         assert str(ql("q^2 + 3*q^-1")) == "3*q^-1 + q^2"
 
@@ -167,3 +170,12 @@ def test_element_types_share_the_sparse_ring_contract(cls, text):
     assert e**0 == cls.one()
     assert cls.zero() + e == e
     assert e.scaled(0) == cls.zero()
+
+
+@pytest.mark.parametrize(
+    "value, name",
+    [(Q, "terms"), (PolyEndo.identity(), "images"), (UEndo.identity(), "images")],
+)
+def test_scalars_and_endomorphisms_are_immutable(value, name):
+    with pytest.raises(AttributeError, match="is immutable$"):
+        setattr(value, name, None)

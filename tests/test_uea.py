@@ -120,8 +120,12 @@ class TestEndomorphisms:
     def test_swap_fails_on_xy_pair(self):
         swap = UEndo(Y, X, Z)
         report = swap.check_lie_endo()
-        assert not report.passed
-        assert ("X", "Y") in [ce.inputs for ce in report.counterexamples]
+        assert report.checked == 9
+        assert [ce.inputs for ce in report.counterexamples] == [
+            ("X", "Y"), ("X", "Z"), ("Y", "X"), ("Y", "Z"), ("Z", "X"), ("Z", "Y"),
+        ]
+        first = report.counterexamples[0]
+        assert (first.lhs, first.rhs) == ("Z", "-Z")
 
     def test_extend_rejects_non_lie_endo(self):
         with pytest.raises(ValueError):
