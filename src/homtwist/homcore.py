@@ -475,6 +475,15 @@ def deform_scenario(s: ModuleAlgebraScenario) -> ModuleAlgebraScenario:
     )
 
 
+def untwisted(s: ModuleAlgebraScenario) -> ModuleAlgebraScenario:
+    """The triple s with both structure maps reset to the identity.
+
+    Its module Hom-algebra axiom is the classical module algebra axiom,
+    Eq. (1.1): alpha_H^2 is the identity, so rho-tilde is rho.
+    """
+    return replace(s, H=replace(s.H, alpha=basis_terms), A=replace(s.A, alpha=basis_terms))
+
+
 # -- Hom-Lie structure -------------------------------------------------
 
 

@@ -1,9 +1,8 @@
 """The affine plane k[x,y] over QLaurent coefficients.
 
-Sparse polynomials keyed by exponent vectors, formal partial derivatives,
-graded slices, and algebra endomorphisms given by generator images.  The
-variable list is fixed to (x, y); extending to n variables only requires
-widening the exponent tuples and the VARIABLES list.
+Sparse polynomials keyed by exponent vectors and algebra endomorphisms given
+by generator images.  The variable list is fixed to (x, y); extending to n
+variables only requires widening the exponent tuples and the VARIABLES list.
 """
 
 from __future__ import annotations
@@ -14,7 +13,6 @@ from .scalars import (
     MonomialElem,
     MonomialEndo,
     QLaurent,
-    add_term,
     extend_bilinear,
     join_terms,
     render_term,
@@ -50,33 +48,6 @@ class Poly(MonomialElem):
         out = extend_bilinear(expv_mul, self.terms.items(), other.terms.items())
         return trusted(Poly, out)
 
-    # -- calculus and grading -----------------------------------------
-
-    def partial(self, var: str) -> "Poly":
-        """Formal partial derivative in 'x' or 'y'."""
-        idx = VARIABLES.index(var)
-        out = {}
-        for (i, j), coeff in self.terms.items():
-            exps = [i, j]
-            power = exps[idx]
-            if power == 0:
-                continue
-            exps[idx] -= 1
-            add_term(out, (exps[0], exps[1]), coeff * power)
-        return trusted(Poly, out)
-
-    def graded_component(self, n: int) -> "Poly":
-        """Sum of terms of total degree n."""
-        if n < 0:
-            raise ValueError("degree must be non-negative")
-        return Poly({(i, j): c for (i, j), c in self.terms.items() if i + j == n})
-
-    def total_degree(self):
-        """Max total degree of the support; None for the zero polynomial."""
-        if not self.terms:
-            return None
-        return max(i + j for (i, j) in self.terms)
-
     # -- text form ----------------------------------------------------
 
     def __str__(self):
@@ -109,10 +80,6 @@ class PolyEndo(MonomialEndo):
 
     def __init__(self, image_of_x: Poly, image_of_y: Poly):
         super().__init__((image_of_x, image_of_y))
-
-    @classmethod
-    def identity(cls):
-        return cls(Poly.x(), Poly.y())
 
     @classmethod
     def diagonal(cls, cx: QLaurent, cy: QLaurent):

@@ -206,12 +206,6 @@ class UEndo:
         raise AttributeError("UEndo is immutable")
 
     @classmethod
-    def identity(cls):
-        return cls(
-            UElem.generator("X"), UElem.generator("Y"), UElem.generator("Z")
-        )
-
-    @classmethod
     def q_example(cls):
         """X -> qX, Y -> q^-1 Y, Z -> Z."""
         return cls(

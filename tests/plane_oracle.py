@@ -1,0 +1,77 @@
+"""Independent native model of the sl(2) action on the plane k[x, y].
+
+Acts on whole Poly elements by the generator rules
+
+    X = x d/dy,    Y = y d/dx,    Z = x d/dx - y d/dy,
+
+one generator power at a time (Z first, X last), with the formal partial
+derivatives written out here, and deforms it by alpha_A(x^i y^j) =
+q^(2i+j) x^i y^j.  It never reads the package's key tables (actions.act_key,
+the carriers' endomorphism maps), so agreement between the two is genuine
+evidence.
+"""
+
+from homtwist.polyalg import Poly
+from homtwist.scalars import QLaurent
+
+VARIABLES = ("x", "y")
+
+
+def partial(p: Poly, var: str) -> Poly:
+    """Formal partial derivative in 'x' or 'y'."""
+    idx = VARIABLES.index(var)
+    out = Poly.zero()
+    for key, coeff in p.terms.items():
+        power = key[idx]
+        if power:
+            lowered = tuple(e - (n == idx) for n, e in enumerate(key))
+            out = out + Poly.monomial(*lowered, coeff * power)
+    return out
+
+
+def total_degree(p: Poly):
+    """Max total degree of the support; None for the zero polynomial."""
+    return max((i + j for i, j in p.terms), default=None)
+
+
+def graded_component(p: Poly, n: int) -> Poly:
+    """Sum of the terms of total degree n."""
+    return Poly({(i, j): c for (i, j), c in p.terms.items() if i + j == n})
+
+
+def act_generator(gen: str, p: Poly) -> Poly:
+    x, y = Poly.x(), Poly.y()
+    if gen == "X":
+        return x * partial(p, "y")
+    if gen == "Y":
+        return y * partial(p, "x")
+    if gen == "Z":
+        return x * partial(p, "x") - y * partial(p, "y")
+    raise ValueError(f"unknown generator {gen!r}")
+
+
+def act(z, p: Poly) -> Poly:
+    """A U(sl(2)) element z acting on p, linear in both slots."""
+    out = Poly.zero()
+    for (a, b, c), coeff in z.terms.items():
+        image = p
+        for gen, power in (("Z", c), ("Y", b), ("X", a)):
+            for _ in range(power):
+                image = act_generator(gen, image)
+        out = out + image.scaled(coeff)
+    return out
+
+
+def alpha(p: Poly) -> Poly:
+    """alpha_A: P(x, y) -> P(q^2 x, q y)."""
+    return Poly({(i, j): c * QLaurent.q_power(2 * i + j) for (i, j), c in p.terms.items()})
+
+
+def deformed_act(z, p: Poly) -> Poly:
+    """rho_alpha(z x p) = alpha_A(z p)."""
+    return alpha(act(z, p))
+
+
+def specialize(p: Poly, q0) -> Poly:
+    """p with q set to the nonzero rational q0; vanishing coefficients drop."""
+    return Poly({key: QLaurent.of(c.specialize(q0)) for key, c in p.terms.items()})

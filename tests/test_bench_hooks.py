@@ -23,7 +23,6 @@ METRIC_NAMES = {
     "uea.UElem.__mul__",
     "uea.comul",
     "uea.UAlgebraEndo.__init__",
-    "actions.act",
     "report.CheckReport.record",
     "homcore.check_multiplicativity",
     "homcore.check_hom_associativity",

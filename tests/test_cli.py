@@ -4,9 +4,17 @@ import subprocess
 import sys
 from math import comb
 
+import random
+from fractions import Fraction
+
 import pytest
 
 from homtwist import cli
+from homtwist.polyalg import Poly
+from homtwist.scalars import QLaurent
+from homtwist.uea import UElem
+
+import plane_oracle
 
 
 def run(capsys, *argv):
@@ -36,6 +44,46 @@ class TestAct:
         code, _, err = run(capsys, "act", "W", "y")
         assert code == cli.EXIT_INPUT_ERROR
         assert "error" in err
+
+    def test_specialization_drops_vanishing_coefficients(self, capsys):
+        code, out, _ = run(capsys, "act", "q*X - X", "y", "--q-value", "1")
+        assert code == 0 and out == "0\n"
+
+    def test_overlong_powers_act_by_zero(self, capsys):
+        # Y^30000000 derives x more often than x^3 y^2 has it
+        code, out, _ = run(capsys, "act", "X^30000000 Y^30000000", "x^3*y^2")
+        assert code == 0 and out == "0\n"
+
+
+def _random_coeff(rng):
+    c = rng.choice([1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3)])
+    return QLaurent.q_power(rng.randint(-2, 2), c)
+
+
+def _random_elem(rng, cls, keys):
+    return cls({rng.choice(keys): _random_coeff(rng) for _ in range(rng.randint(1, 3))})
+
+
+PBW_KEYS = [(a, b, c) for a in range(4) for b in range(4) for c in range(4) if a + b + c <= 3]
+PLANE_KEYS = [(i, j) for i in range(5) for j in range(5) if i + j <= 4]
+
+
+def test_act_matches_native_oracle(capsys):
+    rng = random.Random(20081227)
+    for _ in range(800):
+        z = _random_elem(rng, UElem, PBW_KEYS)
+        p = _random_elem(rng, Poly, PLANE_KEYS)
+        plain, deformed = plane_oracle.act(z, p), plane_oracle.deformed_act(z, p)
+        q0 = rng.choice(["1", "-1", "2", "1/2", "-3/2"])
+        for flags, expected in [
+            ([], plain),
+            (["--deformed"], deformed),
+            ([f"--q-value={q0}"], plane_oracle.specialize(plain, Fraction(q0))),
+            (["--deformed", f"--q-value={q0}"], plane_oracle.specialize(deformed, Fraction(q0))),
+        ]:
+            # "--" ends the options: a rendered element may start with "-"
+            code, out, _ = run(capsys, "act", *flags, "--", str(z), str(p))
+            assert (code, out) == (0, f"{expected}\n"), (str(z), str(p), flags)
 
 
 class TestVerify:
@@ -158,6 +206,7 @@ BAD_SCENARIOS = {
         ({}, ["verify", "finalg", "--file", "{repeated-operator}"]),
         ({}, ["verify", "finalg", "--file", "{repeated-label}"]),
         ({}, ["verify", "finalg", "--file", "{deep-nesting}"]),
+        ({}, ["act", "Z^20000", "x^2"]),
     ],
 )
 def test_bad_input_exits_2(capsys, monkeypatch, tmp_path, env, argv):

@@ -214,7 +214,7 @@ class TestGroupBialgebra:
     def test_classical_action_is_module_algebra(self):
         _, G, _ = m2_example()
         s = automorphism_action(G)
-        assert homcore.check_module_hom_algebra(s, alpha_power=0).passed
+        assert homcore.check_module_hom_algebra(s).passed
 
 
 class TestExample31:

@@ -30,6 +30,11 @@ def plane(bound=2):
     return actions.plane_carrier(bound, actions.alpha_plane())
 
 
+def classical(bound_h, bound_a):
+    """The sl2 triple on the plane with alpha = Id: the classical module algebra."""
+    return homcore.untwisted(actions.sl2_scenario(bound_h, bound_a).module)
+
+
 def flat(xs) -> dict:
     """The flat element {(key, exponent): coefficient} of table terms."""
     return {(k, e): c for k, e, c in xs}
@@ -187,7 +192,7 @@ _BIALGEBRAS = {
 }
 _MODULES = {
     "k[G] on m2": lambda: finalg.automorphism_action(finalg.m2_example()[1]),
-    "sl2 on plane": lambda: actions.classical_scenario(1, 1),
+    "sl2 on plane": lambda: classical(1, 1),
 }
 
 
@@ -264,7 +269,7 @@ class TestTwistFunctoriality:
             assert flat(twisted.comul(key)) == flat(carrier.comul(key))
 
     def test_deform_at_identity_reproduces_action(self):
-        s = actions.classical_scenario(2, 2)
+        s = classical(2, 2)
         deformed = homcore.deform_scenario(s)
         for kx in s.H.basis:
             for ka in s.A.basis:
@@ -293,7 +298,7 @@ class TestModuleStructures:
         assert tilde.rho(X, y) == tuple((k, e + 2, c) for k, e, c in s.rho(X, y))
 
     def test_rho_tilde_at_identity_is_rho(self):
-        s = actions.classical_scenario(2, 2)
+        s = classical(2, 2)
         tilde = build_rho_tilde(s)
         for kx in s.H.basis:
             for ka in s.A.basis:
@@ -304,14 +309,14 @@ class TestModuleStructures:
         assert check_module_axiom(build_rho2(s)).passed
 
     def test_rho2_on_primitive_element(self):
-        s = actions.classical_scenario(1, 1)
+        s = classical(1, 1)
         square = build_rho2(s)
         acted = square.rho(X, (y, y))
         # X(y) = x, 1(y) = y: result is x tensor y + y tensor x
         assert flat(acted) == {((x, y), 0): 1, ((y, x), 0): 1}
 
     def test_rho2_unit_acts_as_identity(self):
-        s = actions.classical_scenario(1, 1)
+        s = classical(1, 1)
         square = build_rho2(s)
         assert square.rho((0, 0, 0), (x, y)) == basis_terms((x, y))
 

@@ -174,7 +174,7 @@ def test_element_types_share_the_sparse_ring_contract(cls, text):
 
 @pytest.mark.parametrize(
     "value, name",
-    [(Q, "terms"), (PolyEndo.identity(), "images"), (UEndo.identity(), "images")],
+    [(Q, "terms"), (PolyEndo(Poly.x(), Poly.y()), "images"), (UEndo.q_example(), "images")],
 )
 def test_scalars_and_endomorphisms_are_immutable(value, name):
     with pytest.raises(AttributeError, match="is immutable$"):

@@ -115,7 +115,7 @@ class TestEndomorphisms:
         assert UEndo.q_example().check_lie_endo().passed
 
     def test_identity_is_lie_endo(self):
-        assert UEndo.identity().check_lie_endo().passed
+        assert UEndo(X, Y, Z).check_lie_endo().passed
 
     def test_swap_fails_on_xy_pair(self):
         swap = UEndo(Y, X, Z)
