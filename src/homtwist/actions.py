@@ -6,9 +6,9 @@ matches the associative product because the module axiom sweep of the
 classical triple verifies (uv)p = u(vp).  The action exists only on keys,
 act_key; `homtwist act` and every suite contract the same table.
 
-The deformation uses alpha_A(x) = q^2 x, alpha_A(y) = q y on the plane and
-alpha_L(X) = qX, alpha_L(Y) = q^-1 Y, alpha_L(Z) = Z on the Lie algebra;
-rho_alpha = alpha_A o rho.
+The record twists the classical triple by beta_A = alpha_A: x -> q^2 x, y -> q y
+on the plane and beta_H = alpha_U, extending X -> qX, Y -> q^-1 Y, Z -> Z on
+the Lie algebra; rho_alpha = alpha_A o rho.
 
 The carriers give these maps on basis keys: PBW monomials (a, b, c) and
 plane exponents (i, j).
@@ -19,10 +19,9 @@ from __future__ import annotations
 from dataclasses import replace
 from functools import cache
 from math import perm
-from typing import Callable
 
 from . import homcore, uea
-from .homcore import Carrier, ModuleAlgebraScenario, Scenario, basis_terms, key_map
+from .homcore import Carrier, ModuleAlgebraScenario, Scenario, key_map
 from .polyalg import Poly, PolyEndo, enumerate_monomials
 from .scalars import QLaurent, trusted
 from .uea import UAlgebraEndo, UElem, UEndo, enumerate_pbw, render_mono
@@ -62,14 +61,13 @@ def endo_map(endo: PolyEndo | UAlgebraEndo):
 # -- carriers ----------------------------------------------------------
 
 
-def plane_carrier(bound: int, alpha: PolyEndo | None = None) -> Carrier:
+def plane_carrier(bound: int) -> Carrier:
     """k[x,y] as a carrier with test basis of monomials up to total degree bound."""
     basis = tuple((i, j) for p in enumerate_monomials(bound) for (i, j) in p.terms)
     return Carrier(
         name="k[x,y]",
         basis=basis,
         mul=lambda k1, k2: (((k1[0] + k2[0], k1[1] + k2[1]), 0, 1),),
-        alpha=basis_terms if alpha is None else endo_map(alpha),
         render_key=lambda key: str(Poly.monomial(key[0], key[1])),
         render_elem=lambda coords: str(trusted(Poly, coords)),
     )
@@ -85,13 +83,12 @@ def _pbw_comul(mono) -> tuple:
     return tuple((pair, 0, n) for pair, n in uea._comul_mono(mono))
 
 
-def u_carrier(bound: int, alpha: Callable = basis_terms) -> Carrier:
+def u_carrier(bound: int) -> Carrier:
     """U(sl(2)) as a bialgebra carrier on PBW monomials up to degree bound."""
     return Carrier(
         name="U(sl2)",
         basis=tuple(enumerate_pbw(bound)),
         mul=_pbw_mul,
-        alpha=alpha,
         comul=_pbw_comul,
         render_key=render_mono,
         render_elem=lambda coords: str(trusted(UElem, coords)),
@@ -99,19 +96,18 @@ def u_carrier(bound: int, alpha: Callable = basis_terms) -> Carrier:
 
 
 def sl2_scenario(bound_h: int = 3, bound_a: int = 3) -> Scenario:
-    """The classical action with structure maps alpha_U and alpha_A, as one record.
+    """The classical action, twisted by beta_H = alpha_U and beta_A = alpha_A.
 
-    The generator axis is X, Y, Z; the Lie carrier is U(sl(2)) on PBW degree
-    <= 1 twisted by alpha_U, whatever the bounds.
+    The module is the classical module algebra, whose structure maps are the
+    identity.  The generator axis is X, Y, Z; the Lie carrier is U(sl(2)) on
+    PBW degree <= 1 twisted by alpha_U, whatever the bounds.
     """
-    alpha_U = endo_map(alpha_u_handle())
-    lie = homcore.yau_twist_algebra(u_carrier(1, alpha_U))
+    beta_H = endo_map(alpha_u_handle())
+    lie = homcore.yau_twist_algebra(u_carrier(1), beta_H)
     return Scenario(
-        module=ModuleAlgebraScenario(
-            H=u_carrier(bound_h, alpha_U),
-            A=plane_carrier(bound_a, alpha_plane()),
-            rho=act_key,
-        ),
+        module=ModuleAlgebraScenario(H=u_carrier(bound_h), A=plane_carrier(bound_a), rho=act_key),
+        beta_H=beta_H,
+        beta_A=endo_map(alpha_plane()),
         generators=tuple(m for g in uea.GENERATORS for m in UElem.generator(g).terms),
         lie=replace(lie, name="sl2 twisted"),
     )
@@ -119,5 +115,4 @@ def sl2_scenario(bound_h: int = 3, bound_a: int = 3) -> Scenario:
 
 def deformed_scenario(bound_h: int = 3, bound_a: int = 3) -> ModuleAlgebraScenario:
     """The q-deformed scenario (U(sl2)_alpha, A_alpha, rho_alpha)."""
-    return homcore.deform_scenario(sl2_scenario(bound_h, bound_a).module)
-
+    return homcore.deform_scenario(sl2_scenario(bound_h, bound_a))

@@ -52,27 +52,25 @@ def _alpha_power(args):
 
 
 def _hom_associativity(r, args):
-    A = homcore.deform_scenario(r.module).A
+    A = homcore.deform_scenario(r).A
     report = homcore.check_hom_associativity(A).merge(homcore.check_multiplicativity(A))
     return _label(report, "hom-associativity(A_alpha)", "Eq. (1.2)")
 
 
 def _hom_bialgebra(r, args):
-    H = homcore.deform_scenario(r.module).H
+    H = homcore.deform_scenario(r).H
     report = homcore.check_hom_bialgebra(H)
     return _label(report, f"hom-bialgebra({H.name})", "Eqs. (2.3)-(2.5)")
 
 
 def _compatibility(r, args):
-    s = r.module
-    report = homcore.check_compatibility(s, r.generators).merge(
-        homcore.check_compatibility(s, s.H.basis)
-    )
+    check = homcore.check_compatibility
+    report = check(r, r.generators).merge(check(r, r.module.H.basis))
     return _label(report, "compatibility", "Eqs. (1.5)/(1.7)/(4.2)")
 
 
 def _classical(r, args):
-    report = homcore.check_module_hom_algebra(homcore.untwisted(r.module))
+    report = homcore.check_module_hom_algebra(r.module)
     return _label(report, "classical-module-algebra", "Eq. (1.1)")
 
 
@@ -84,14 +82,12 @@ def _hom_lie(r, args):
 SUITES = {
     "hom-associativity": _hom_associativity,
     "hom-bialgebra": _hom_bialgebra,
-    "module-axiom": lambda r, args: homcore.check_module_axiom(
-        homcore.deform_scenario(r.module)
-    ),
+    "module-axiom": lambda r, args: homcore.check_module_axiom(homcore.deform_scenario(r)),
     "module-hom-algebra": lambda r, args: homcore.check_module_hom_algebra(
-        homcore.deform_scenario(r.module), alpha_power=_alpha_power(args)
+        homcore.deform_scenario(r), alpha_power=_alpha_power(args)
     ),
     "mu-module-morphism": lambda r, args: homcore.check_mu_module_morphism(
-        homcore.deform_scenario(r.module), alpha_power=_alpha_power(args)
+        homcore.deform_scenario(r), alpha_power=_alpha_power(args)
     ),
     "compatibility": _compatibility,
     "classical": _classical,
@@ -146,7 +142,12 @@ def build_parser():
     verify.add_argument("--file", help="scenario file for the finalg scenario")
     verify.add_argument("--report", help="write a machine-readable JSON report here")
 
-    act = sub.add_parser("act", help="apply a U(sl(2)) element to a polynomial")
+    act = sub.add_parser(
+        "act",
+        help="apply a U(sl(2)) element to a polynomial",
+        epilog='an argument that starts with "-" reads as an option: put the arguments '
+        'after "--" (act -- "-X" y) and join a negative q value with "=" (--q-value=-3/2)',
+    )
     act.add_argument("element", help='e.g. "X" or "q^2*X Y + Z^2"')
     act.add_argument("poly", help='e.g. "y" or "x^2*y + 3*x"')
     act.add_argument("--deformed", action="store_true", help="use rho_alpha")
@@ -237,15 +238,15 @@ def cmd_act(args):
             raise InputError("q must be nonzero")
     # the tables the suites sweep; they are defined on every key, whatever
     # the bounds of the bases
-    s = actions.sl2_scenario(0, 0).module
-    rho = homcore.deform_scenario(s).rho if args.deformed else s.rho
+    r = actions.sl2_scenario(0, 0)
+    rho = homcore.deform_scenario(r).rho if args.deformed else r.module.rho
     flat = homcore.bilinear(rho, homcore.flatten(z.terms), homcore.flatten(p.terms))
     result = homcore.unflatten(homcore.terms(flat))
     if args.q_value is not None:
         # the validated constructor drops a coefficient that specializes to 0
         result = Poly({key: QLaurent.of(c.specialize(q0)) for key, c in result.items()}).terms
     try:
-        text = s.A.render_elem(result)
+        text = r.module.A.render_elem(result)
     except ValueError as exc:
         # str refuses an int of more digits than sys.get_int_max_str_digits()
         raise InputError("a coefficient of the result is too large to print") from exc
@@ -271,7 +272,7 @@ def cmd_twist(args):
             tensor = homcore.render_tensor(homcore.unflatten(C.comul(mono)), C, C)
             print(f"Delta({C.render_key(mono)}) = {tensor}")
     else:
-        C = homcore.deform_scenario(_finalg_scenario(args.file).module).A
+        C = homcore.deform_scenario(_finalg_scenario(args.file)).A
         print("# twisted product mu_alpha on algebra basis")
         for i in C.basis:
             for j in C.basis:

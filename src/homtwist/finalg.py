@@ -162,7 +162,8 @@ class LinOp:
     def is_algebra_endo(self, algebra: StructAlgebra) -> bool:
         if algebra.unit is not None and self(algebra.unit) != algebra.unit:
             return False
-        return check_multiplicativity(algebra_carrier(algebra, self)).passed
+        carrier = replace(algebra_carrier(algebra), alpha=linop_map(self))
+        return check_multiplicativity(carrier).passed
 
     def is_automorphism(self, algebra: StructAlgebra) -> bool:
         if not self.is_algebra_endo(algebra):
@@ -290,13 +291,12 @@ def linop_map(op: LinOp):
     return key_map(op.images.__getitem__)
 
 
-def algebra_carrier(algebra: StructAlgebra, alpha: LinOp | None = None) -> Carrier:
-    """A structure-constant algebra with structure map alpha (default Id)."""
+def algebra_carrier(algebra: StructAlgebra) -> Carrier:
+    """A structure-constant algebra with the identity structure map."""
     return Carrier(
         name="struct-algebra",
         basis=tuple(range(algebra.dim)),
         mul=key_map(lambda i, j: algebra.constants.get((i, j), {})),
-        alpha=basis_terms if alpha is None else linop_map(alpha),
         render_key=lambda i: algebra.labels[i],
         render_elem=algebra.render,
     )
@@ -312,36 +312,34 @@ def automorphism_action(G: GroupBialgebra) -> ModuleAlgebraScenario:
 
 
 def example31_scenario(algebra: StructAlgebra, G: GroupBialgebra, a) -> Scenario:
-    """The inner-automorphism deformation input: alpha_A = i_a with a fixed by G.
+    """The inner-automorphism deformation input: beta_A = i_a with a fixed by G.
 
-    Requires a to be invertible and fixed by every group element; then i_a
-    commutes with G, is k[G]-linear, and the deformed package
-    (k[G], A_alpha, rho_alpha = i_a o rho) is a module Hom-algebra with
-    identity structure map on k[G].  The generator axis is the whole group,
-    and the Lie carrier is A_alpha.
+    The module is the classical k[G]-module algebra, with identity structure
+    maps, and beta_H is the identity.  Requires a to be invertible and fixed
+    by every group element; then i_a commutes with G, is k[G]-linear, and the
+    deformed package (k[G], A_alpha, rho_alpha = i_a o rho) is a module
+    Hom-algebra with identity structure map on k[G].  The generator axis is
+    the whole group, and the Lie carrier is A_alpha.
     """
     for idx, op in enumerate(G.operators):
         if op(a) != a:
             raise ValueError(
                 f"element {algebra.render(a)} is not fixed by group operator {idx}"
             )
-    alpha = inner_automorphism(algebra, a)
-    for idx, op in enumerate(G.operators):
-        if alpha.compose(op) != op.compose(alpha):
-            raise ValueError(f"inner automorphism does not commute with operator {idx}")
-
-    classical = automorphism_action(G)
-    module = replace(classical, A=replace(classical.A, alpha=linop_map(alpha)))
+    # g(a b a^-1) = a g(b) a^-1 for an automorphism g fixing a: i_a commutes with G
+    module, beta_A = automorphism_action(G), linop_map(inner_automorphism(algebra, a))
     return Scenario(
         module=module,
+        beta_H=basis_terms,
+        beta_A=beta_A,
         generators=module.H.basis,
-        lie=replace(yau_twist_algebra(module.A), name="A_alpha"),
+        lie=replace(yau_twist_algebra(module.A, beta_A), name="A_alpha"),
     )
 
 
 def build_example31(algebra: StructAlgebra, G: GroupBialgebra, a) -> ModuleAlgebraScenario:
     """The deformed triple (k[G], A_alpha, rho_alpha) of example31_scenario."""
-    return deform_scenario(example31_scenario(algebra, G, a).module)
+    return deform_scenario(example31_scenario(algebra, G, a))
 
 
 # -- built-in instance and the scenario file format --------------------

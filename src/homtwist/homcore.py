@@ -6,10 +6,11 @@ memo tables in a flat q-graded form.  All maps in play are linear or
 bilinear, so verifying an identity on every basis tuple proves it on the
 whole spanned truncation; a passing sweep is a proof at the declared bound.
 
-A Scenario is the one record every suite reads: a module triple whose
-structure maps deform_scenario twists into the deformed triple.  Twists and
-derived module structures compose the tables of their input; an entry is
-filled once, on first use.
+A Scenario is the one record every suite reads, (module, beta_H, beta_A,
+generators, lie): a module Hom-algebra and the compatible maps beta that
+deform_scenario twists it by.  A twist composes with the structure map,
+alpha' = beta o alpha (alpha = Id gives the paper's deformation).  Twists and
+derived structures compose the tables of their input, each entry filled once.
 
 Every checker runs one or more sweeps (report.sweep) of a multilinear
 identity over basis tuples, whose sides are contractions of the tables with
@@ -70,15 +71,18 @@ class ModuleAlgebraScenario:
 class Scenario:
     """One scenario: the input of the paper's construction and of every suite.
 
-    module is a module algebra (H, A, rho) with untwisted products and action,
-    whose structure maps H.alpha = alpha_H (a bialgebra endomorphism of H) and
-    A.alpha = alpha_A (an algebra endomorphism of A) twist it into the deformed
-    triple, deform_scenario.  generators are the H keys of the generator axis
-    of Eq. (4.2), and lie is a Hom-associative carrier whose commutator
-    check_hom_jacobi checks.
+    The record is (module, beta_H, beta_A, generators, lie).  module is a
+    module Hom-algebra (H, A, rho) whose carriers hold their true structure
+    maps (the identity on a module algebra).  beta_H (a bialgebra endomorphism
+    of H) and beta_A (an algebra endomorphism of A) are key tables that twist
+    it into the deformed triple, deform_scenario.  generators are the H keys
+    of the generator axis of Eq. (4.2), and lie is a Hom-associative carrier
+    whose commutator check_hom_jacobi checks.
     """
 
     module: ModuleAlgebraScenario
+    beta_H: Callable
+    beta_A: Callable
     generators: tuple
     lie: Carrier
 
@@ -313,9 +317,9 @@ def check_hom_bialgebra(H: Carrier) -> CheckReport:
 # -- module checkers ---------------------------------------------------
 
 
-def _rho_commutes(s: ModuleAlgebraScenario, h_axis, name, equation) -> CheckReport:
-    """alpha_M(a m) = alpha(a) alpha_M(m) for the H keys of h_axis, M = A."""
-    rho, alpha_H, alpha_M = s.rho, s.H.alpha, s.A.alpha
+def _rho_commutes(s, alpha_H, alpha_M, h_axis, name, equation) -> CheckReport:
+    """alpha_M(a m) = alpha_H(a) alpha_M(m) for the H keys of h_axis, M = s.A."""
+    rho = s.rho
     return sweep(
         name,
         equation,
@@ -333,7 +337,7 @@ def check_module_axiom(s: ModuleAlgebraScenario) -> CheckReport:
     alpha(a)(b m) = (a b) alpha_M(m) on triples (Eq. 2.1'), with M = s.A.
     """
     rho, H, M = s.rho, s.H, s.A
-    report = _rho_commutes(s, axis(H), "module-axiom", "Eqs. (2.1)/(2.1')")
+    report = _rho_commutes(s, H.alpha, M.alpha, axis(H), "module-axiom", "Eqs. (2.1)/(2.1')")
     return report.merge(
         sweep(
             "module-axiom",
@@ -346,13 +350,15 @@ def check_module_axiom(s: ModuleAlgebraScenario) -> CheckReport:
     )
 
 
-def check_compatibility(s: ModuleAlgebraScenario, keys) -> CheckReport:
-    """alpha_A(x a) = alpha_H(x) alpha_A(a) for the given H keys x (Eq. 1.7).
+def check_compatibility(r: Scenario, keys) -> CheckReport:
+    """beta_A(x a) = beta_H(x) beta_A(a) for the given H keys x (Eq. 1.7).
 
-    This is the first sweep of the module axiom.  Run on r.module, it checks
+    It reads (r.module, r.beta_H, r.beta_A): the first sweep of the module
+    axiom with the twisting maps in place of the structure maps.  It checks
     Eq. (4.2) over r.generators and Eq. (1.7) over the H basis.
     """
-    return _rho_commutes(s, (tuple(keys), s.H.render_key), "compatibility", "Eq. (1.7)")
+    h_axis = (tuple(keys), r.module.H.render_key)
+    return _rho_commutes(r.module, r.beta_H, r.beta_A, h_axis, "compatibility", "Eq. (1.7)")
 
 
 def build_rho_tilde(
@@ -446,42 +452,37 @@ def check_mu_module_morphism(s: ModuleAlgebraScenario, alpha_power: int = 2) -> 
 # -- Yau twists --------------------------------------------------------
 
 
-def yau_twist_algebra(A: Carrier, alpha: Optional[Callable] = None) -> Carrier:
-    """Twist an associative carrier: mu_alpha = alpha o mu, structure map alpha."""
-    twist = alpha if alpha is not None else A.alpha
-    mul = cache(lambda k1, k2: terms(linear(twist, A.mul(k1, k2))))
-    return replace(A, name=f"{A.name}_alpha", mul=mul, alpha=twist)
+def yau_twist_algebra(A: Carrier, beta: Callable) -> Carrier:
+    """Twist A by beta: mu_beta = beta o mu, alpha_beta = beta o alpha.
+
+    A Hom-algebra twisted by a morphism that commutes with alpha is again one
+    (Makhlouf-Silvestrov); at alpha = Id this is the Yau twist.
+    """
+    mul = cache(lambda k1, k2: terms(linear(beta, A.mul(k1, k2))))
+    alpha = cache(lambda k: terms(linear(beta, A.alpha(k))))
+    return replace(A, name=f"{A.name}_alpha", mul=mul, alpha=alpha)
 
 
-def yau_twist_bialgebra(H: Carrier, alpha: Optional[Callable] = None) -> Carrier:
-    """Twist a bialgebra carrier: mu_alpha = alpha o mu, Delta_alpha = Delta o alpha."""
+def yau_twist_bialgebra(H: Carrier, beta: Callable) -> Carrier:
+    """Twist a bialgebra carrier by beta; also Delta_beta = Delta o beta."""
     _require_comul(H)
-    twist = alpha if alpha is not None else H.alpha
-    comul = cache(lambda k: terms(linear(H.comul, twist(k))))
-    return replace(yau_twist_algebra(H, twist), comul=comul)
+    comul = cache(lambda k: terms(linear(H.comul, beta(k))))
+    return replace(yau_twist_algebra(H, beta), comul=comul)
 
 
-def deform_scenario(s: ModuleAlgebraScenario) -> ModuleAlgebraScenario:
-    """The deformed triple: twist H and A by their structure maps alpha_H and
-    alpha_A, and set rho_alpha = alpha_A o rho.
+def deform_scenario(r: Scenario) -> ModuleAlgebraScenario:
+    """The deformed triple (H_beta, A_beta, beta_A o rho) of the record r.
 
-    An H whose structure map is the identity stays as it is: its Yau twist
-    would be the same bialgebra under a new name.
+    r.module is twisted by r.beta_H and r.beta_A, so its structure maps become
+    beta o alpha.  An H twisted by the identity basis_terms stays as it is: its
+    twist would be the same bialgebra under a new name.
     """
+    s, beta_A = r.module, r.beta_A
     return ModuleAlgebraScenario(
-        H=s.H if s.H.alpha is basis_terms else yau_twist_bialgebra(s.H),
-        A=yau_twist_algebra(s.A),
-        rho=cache(lambda h, a: terms(linear(s.A.alpha, s.rho(h, a)))),
+        H=s.H if r.beta_H is basis_terms else yau_twist_bialgebra(s.H, r.beta_H),
+        A=yau_twist_algebra(s.A, beta_A),
+        rho=cache(lambda h, a: terms(linear(beta_A, s.rho(h, a)))),
     )
-
-
-def untwisted(s: ModuleAlgebraScenario) -> ModuleAlgebraScenario:
-    """The triple s with both structure maps reset to the identity.
-
-    Its module Hom-algebra axiom is the classical module algebra axiom,
-    Eq. (1.1): alpha_H^2 is the identity, so rho-tilde is rho.
-    """
-    return replace(s, H=replace(s.H, alpha=basis_terms), A=replace(s.A, alpha=basis_terms))
 
 
 # -- Hom-Lie structure -------------------------------------------------

@@ -122,11 +122,7 @@ class QLaurent:
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "QLaurent":
-        check_exponent(n)
-        result = QLaurent.one()
-        for _ in range(n):
-            result = result * self
-        return result
+        return power(self, n, QLaurent.one())
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -399,11 +395,7 @@ class MonomialElem:
         return trusted(type(self), {key: coeff * c for key, c in self.terms.items()})
 
     def __pow__(self, n):
-        check_exponent(n)
-        result = self.one()
-        for _ in range(n):
-            result = result * self
-        return result
+        return power(self, n, self.one())
 
     def __eq__(self, other):
         if not isinstance(other, type(self)):
@@ -487,10 +479,21 @@ def join_terms(parts) -> str:
     return out
 
 
-def check_exponent(n) -> None:
-    """Powers in the rings here are defined for non-negative int exponents only."""
+def power(x, n, one):
+    """x**n in an associative ring with unit one, by square-and-multiply.
+
+    About 2 log2(n) products.  Powers are defined for non-negative int n only.
+    """
     if not isinstance(n, int) or n < 0:
         raise ValueError("only non-negative integer powers are defined")
+    result = one
+    while n:
+        if n & 1:
+            result = result * x
+        n >>= 1
+        if n:
+            x = x * x
+    return result
 
 
 def _coerce(value) -> QLaurent:

@@ -97,27 +97,28 @@ class TestDeformedAction:
 class TestCompatibility:
     def test_generator_case(self):
         r = actions.sl2_scenario(1, 4)
-        report = homcore.check_compatibility(r.module, r.generators)
+        report = homcore.check_compatibility(r, r.generators)
         assert report.passed
         assert report.checked == 3 * 15
 
     def test_full_compatibility(self):
-        s = actions.sl2_scenario(2, 3).module
-        report = homcore.check_compatibility(s, s.H.basis)
+        r = actions.sl2_scenario(2, 3)
+        report = homcore.check_compatibility(r, r.module.H.basis)
         assert report.passed and report.checked == 100
 
     def test_uniform_scaling_breaks_compatibility(self):
-        # alpha_A = (x -> q x, y -> q y) does not intertwine alpha_U
-        r = actions.sl2_scenario(3, 3)
+        # beta_A = (x -> q x, y -> q y) does not intertwine alpha_U
         q = QLaurent.q_power(1)
-        s = replace(r.module, A=actions.plane_carrier(3, PolyEndo.diagonal(q, q)))
-        full = homcore.check_compatibility(s, s.H.basis)
-        generators = homcore.check_compatibility(s, r.generators)
+        r = replace(
+            actions.sl2_scenario(3, 3), beta_A=actions.endo_map(PolyEndo.diagonal(q, q))
+        )
+        full = homcore.check_compatibility(r, r.module.H.basis)
+        generators = homcore.check_compatibility(r, r.generators)
         assert (len(full.counterexamples), full.checked) == (52, 200)
         assert (len(generators.counterexamples), generators.checked) == (12, 30)
 
     def test_classical_module_algebra(self):
-        classical = homcore.untwisted(actions.sl2_scenario(2, 2).module)
+        classical = actions.sl2_scenario(2, 2).module
         assert homcore.check_module_hom_algebra(classical).passed
 
 
@@ -207,5 +208,5 @@ class TestAssembledPackage:
 
     def test_action_associativity(self):
         # (uv)p = u(vp): the module axiom at alpha = Id
-        report = homcore.check_module_axiom(homcore.untwisted(actions.sl2_scenario(2, 3).module))
+        report = homcore.check_module_axiom(actions.sl2_scenario(2, 3).module)
         assert report.passed and report.checked == 10 * 10 + 10 * 10 * 10

@@ -54,6 +54,24 @@ class TestAct:
         code, out, _ = run(capsys, "act", "X^30000000 Y^30000000", "x^3*y^2")
         assert code == 0 and out == "0\n"
 
+    def test_huge_deformed_power(self, capsys):
+        # alpha_A(x^n) = (q^2 x)^n by repeated squaring, not n products
+        code, out, _ = run(capsys, "act", "1", "x^30000000", "--deformed")
+        assert code == 0 and out == "q^60000000*x^30000000\n"
+
+    def test_arguments_that_start_with_a_dash(self, capsys):
+        # argparse reads "-X" and "-3/2" as options; the help documents the
+        # working forms
+        assert run(capsys, "act", "-X", "y")[0] == cli.EXIT_INPUT_ERROR
+        assert run(capsys, "act", "X", "y", "--q-value", "-3/2")[0] == cli.EXIT_INPUT_ERROR
+        assert run(capsys, "act", "--", "-X", "y")[:2] == (0, "-x\n")
+        code, out, _ = run(capsys, "act", "X", "y", "--deformed", "--q-value=-3/2")
+        assert (code, out) == (0, "9/4*x\n")
+        with pytest.raises(SystemExit):
+            cli.build_parser().parse_args(["act", "--help"])
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert '(act -- "-X" y)' in help_text and "(--q-value=-3/2)" in help_text
+
 
 def _random_coeff(rng):
     c = rng.choice([1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3)])

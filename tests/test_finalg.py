@@ -67,7 +67,7 @@ class TestHomAssociativityNegativeControl:
 
     def twisted(self):
         op = LinOp([[1, 0, 0, 0], [0, -2, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
-        return homcore.yau_twist_algebra(algebra_carrier(m2_algebra(), alpha=op))
+        return homcore.yau_twist_algebra(algebra_carrier(m2_algebra()), finalg.linop_map(op))
 
     def test_hom_associativity_fails(self):
         report = homcore.check_hom_associativity(self.twisted())

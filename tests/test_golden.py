@@ -28,6 +28,8 @@ NEGCTL = ["verify", "sl2-q", "--bound-h", "2", "--bound-a", "2",
         ("finalg", ["verify", "finalg"], cli.EXIT_PASS, True),
         ("twist_sl2_2", ["twist", "sl2", "--bound", "2"], cli.EXIT_PASS, False),
         ("twist_finalg", ["twist", "finalg"], cli.EXIT_PASS, False),
+        ("sl2_33", ["verify", "sl2-q", "--bound-h", "3", "--bound-a", "3"],
+         cli.EXIT_PASS, True),
     ],
 )
 def test_output_matches_recorded_bytes(capsys, monkeypatch, tmp_path, stem, argv,

@@ -26,13 +26,22 @@ X, Y, Z = (1, 0, 0), (0, 1, 0), (0, 0, 1)
 x, y = (1, 0), (0, 1)
 
 
+ALPHA_A = actions.endo_map(actions.alpha_plane())
+
+
 def plane(bound=2):
-    return actions.plane_carrier(bound, actions.alpha_plane())
+    """The plane with the substitution endomorphism alpha_A as structure map."""
+    return replace(actions.plane_carrier(bound), alpha=ALPHA_A)
+
+
+def plane_twisted(bound=2):
+    """The Yau twist A_alpha of the plane by alpha_A."""
+    return yau_twist_algebra(actions.plane_carrier(bound), ALPHA_A)
 
 
 def classical(bound_h, bound_a):
     """The sl2 triple on the plane with alpha = Id: the classical module algebra."""
-    return homcore.untwisted(actions.sl2_scenario(bound_h, bound_a).module)
+    return actions.sl2_scenario(bound_h, bound_a).module
 
 
 def flat(xs) -> dict:
@@ -71,11 +80,11 @@ class TestAlgebraCheckers:
         assert ((1, 0), (0, 1)) in [ce.inputs for ce in report.counterexamples]
 
     def test_yau_twist_is_hom_associative(self):
-        assert check_hom_associativity(yau_twist_algebra(plane())).passed
+        assert check_hom_associativity(plane_twisted()).passed
 
     def test_twist_both_sides_equal_alpha_squared(self):
-        carrier = plane()
-        twisted = yau_twist_algebra(carrier)
+        carrier = actions.plane_carrier(2)
+        twisted = plane_twisted()
         alpha = actions.alpha_plane()
         for k1 in carrier.basis:
             for k2 in carrier.basis:
@@ -89,13 +98,8 @@ class TestAlgebraCheckers:
         assert check_hom_associativity(actions.plane_carrier(2)).passed
 
     def test_twisted_mul_with_identity_alpha_field_fails(self):
-        carrier = plane()
-        mixed = replace(
-            carrier,
-            mul=yau_twist_algebra(carrier).mul,
-            alpha=basis_terms,
-            name="mismatched",
-        )
+        carrier = actions.plane_carrier(2)
+        mixed = replace(carrier, mul=plane_twisted().mul, name="mismatched")
         assert not check_hom_associativity(mixed).passed
 
 
@@ -257,31 +261,32 @@ def test_injected_fault_is_caught_at_its_key(fault):
 class TestTwistFunctoriality:
     def test_algebra_twist_at_identity_is_input(self):
         carrier = actions.plane_carrier(2)
-        twisted = yau_twist_algebra(carrier)
+        twisted = yau_twist_algebra(carrier, basis_terms)
         for k1 in carrier.basis:
             for k2 in carrier.basis:
                 assert flat(twisted.mul(k1, k2)) == flat(carrier.mul(k1, k2))
 
     def test_bialgebra_twist_at_identity_is_input(self):
         carrier = actions.u_carrier(2)
-        twisted = yau_twist_bialgebra(carrier)
+        twisted = yau_twist_bialgebra(carrier, basis_terms)
         for key in carrier.basis:
             assert flat(twisted.comul(key)) == flat(carrier.comul(key))
 
     def test_deform_at_identity_reproduces_action(self):
-        s = classical(2, 2)
-        deformed = homcore.deform_scenario(s)
+        r = replace(actions.sl2_scenario(2, 2), beta_H=basis_terms, beta_A=basis_terms)
+        s, deformed = r.module, homcore.deform_scenario(r)
         for kx in s.H.basis:
             for ka in s.A.basis:
                 assert flat(deformed.rho(kx, ka)) == flat(s.rho(kx, ka))
 
     def test_double_twist_equals_twist_by_square(self):
-        carrier = plane(2)
-        alpha = carrier.alpha
-        twice = yau_twist_algebra(yau_twist_algebra(carrier))
-        alpha2 = lambda k: terms(linear(alpha, alpha(k)))
+        # the structure maps compose too: alpha_A o alpha_A o Id
+        carrier = actions.plane_carrier(2)
+        twice = yau_twist_algebra(plane_twisted(), ALPHA_A)
+        alpha2 = lambda k: terms(linear(ALPHA_A, ALPHA_A(k)))
         once_squared = yau_twist_algebra(carrier, alpha2)
         for k1 in carrier.basis:
+            assert flat(twice.alpha(k1)) == flat(once_squared.alpha(k1)) == flat(alpha2(k1))
             for k2 in carrier.basis:
                 assert flat(twice.mul(k1, k2)) == flat(once_squared.mul(k1, k2))
 
@@ -373,8 +378,8 @@ class TestHomLie:
         alpha = finalg.LinOp(
             [[1, 0, 0, 0], [0, -2, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
         )
-        A = finalg.algebra_carrier(finalg.m2_algebra(), alpha=alpha)
-        report = check_hom_jacobi(yau_twist_algebra(A))
+        A = finalg.algebra_carrier(finalg.m2_algebra())
+        report = check_hom_jacobi(yau_twist_algebra(A, finalg.linop_map(alpha)))
         assert (len(report.counterexamples), report.checked) == (2, 80)
         assert [ce.rendered_inputs for ce in report.counterexamples] == [
             ("e12", "e21"),

@@ -75,9 +75,10 @@ def test_twisted_u_comul():
 
 
 def test_plane_carrier():
-    C = actions.plane_carrier(2, ALPHA_A)
+    C, beta_A = actions.plane_carrier(2), actions.sl2_scenario(1, 2).beta_A
     for k1 in C.basis:
-        assert flat(C.alpha(k1)) == native(ALPHA_A(P(k1)).terms)
+        assert flat(C.alpha(k1)) == native({k1: ONE})
+        assert flat(beta_A(k1)) == native(ALPHA_A(P(k1)).terms)
         for k2 in C.basis:
             assert flat(C.mul(k1, k2)) == native((P(k1) * P(k2)).terms)
 

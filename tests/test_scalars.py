@@ -179,3 +179,41 @@ def test_element_types_share_the_sparse_ring_contract(cls, text):
 def test_scalars_and_endomorphisms_are_immutable(value, name):
     with pytest.raises(AttributeError, match="is immutable$"):
         setattr(value, name, None)
+
+
+def plain_power(e, n):
+    """e**n by n products, the definition that square-and-multiply must match."""
+    result = type(e).one()
+    for _ in range(n):
+        result = result * e
+    return result
+
+
+@pytest.mark.parametrize(
+    "cls, text",
+    [
+        (Poly, "x"),
+        (Poly, "q*x - 2*y + 1/2"),
+        (UElem, "X + q*Y"),
+        (UElem, "X Y - q^-1*Z + 3"),
+        (UElem, "Z^2 - q*X Y + Y"),
+    ],
+)
+def test_power_equals_repeated_products(cls, text):
+    # UElem does not commute, so this also fixes the order of the factors
+    e = cls.parse(text)
+    for n in range(10):
+        assert e**n == plain_power(e, n)
+
+
+def test_power_takes_logarithmically_many_products(monkeypatch):
+    calls = []
+    product = Poly.__mul__
+
+    def counted(self, other):
+        calls.append(1)
+        return product(self, other)
+
+    monkeypatch.setattr(Poly, "__mul__", counted)
+    assert Poly.x() ** 1000 == Poly.monomial(1000, 0)
+    assert len(calls) <= 20
