@@ -10,8 +10,9 @@ The record twists the classical triple by beta_A = alpha_A: x -> q^2 x, y -> q y
 on the plane and beta_H = alpha_U, extending X -> qX, Y -> q^-1 Y, Z -> Z on
 the Lie algebra; rho_alpha = alpha_A o rho.
 
-The carriers give these maps on basis keys: PBW monomials (a, b, c) and
-plane exponents (i, j).
+The carriers give these maps on basis keys, PBW monomials (a, b, c) and
+plane exponents (i, j); homcore.on_ids and homcore.key_map make them tables
+on key ids.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from functools import cache
 from math import perm
 
 from . import homcore, uea
-from .homcore import Carrier, ModuleAlgebraScenario, Scenario, key_map
+from .homcore import Carrier, ModuleAlgebraScenario, Scenario, key_ids, key_map, on_ids
 from .polyalg import Poly, PolyEndo, enumerate_monomials
 from .scalars import QLaurent, trusted
 from .uea import UAlgebraEndo, UElem, UEndo, enumerate_pbw, render_mono
@@ -37,7 +38,6 @@ def alpha_u_handle():
     return UEndo.q_example().extend()
 
 
-@cache
 def act_key(mono, key) -> tuple:
     """The terms of X^a Y^b Z^c acting on x^i y^j: one monomial or none.
 
@@ -54,7 +54,7 @@ def act_key(mono, key) -> tuple:
 
 
 def endo_map(endo: PolyEndo | UAlgebraEndo):
-    """The memo table key -> terms of an endomorphism, one monomial image each."""
+    """The memo table id -> terms of an endomorphism, one monomial image each."""
     return key_map(lambda key: endo.image(key).terms)
 
 
@@ -66,8 +66,8 @@ def plane_carrier(bound: int) -> Carrier:
     basis = tuple((i, j) for p in enumerate_monomials(bound) for (i, j) in p.terms)
     return Carrier(
         name="k[x,y]",
-        basis=basis,
-        mul=lambda k1, k2: (((k1[0] + k2[0], k1[1] + k2[1]), 0, 1),),
+        basis=key_ids(basis),
+        mul=cache(on_ids(lambda k1, k2: (((k1[0] + k2[0], k1[1] + k2[1]), 0, 1),))),
         render_key=lambda key: str(Poly.monomial(key[0], key[1])),
         render_elem=lambda coords: str(trusted(Poly, coords)),
     )
@@ -78,7 +78,6 @@ def _pbw_mul(m1, m2) -> tuple:
     return tuple((mono, 0, n) for mono, n in uea._mono_mul(m1, m2))
 
 
-@cache
 def _pbw_comul(mono) -> tuple:
     return tuple((pair, 0, n) for pair, n in uea._comul_mono(mono))
 
@@ -87,9 +86,9 @@ def u_carrier(bound: int) -> Carrier:
     """U(sl(2)) as a bialgebra carrier on PBW monomials up to degree bound."""
     return Carrier(
         name="U(sl2)",
-        basis=tuple(enumerate_pbw(bound)),
-        mul=_pbw_mul,
-        comul=_pbw_comul,
+        basis=key_ids(enumerate_pbw(bound)),
+        mul=on_ids(_pbw_mul),
+        comul=cache(on_ids(_pbw_comul)),
         render_key=render_mono,
         render_elem=lambda coords: str(trusted(UElem, coords)),
     )
@@ -105,10 +104,12 @@ def sl2_scenario(bound_h: int = 3, bound_a: int = 3) -> Scenario:
     beta_H = endo_map(alpha_u_handle())
     lie = homcore.yau_twist_algebra(u_carrier(1), beta_H)
     return Scenario(
-        module=ModuleAlgebraScenario(H=u_carrier(bound_h), A=plane_carrier(bound_a), rho=act_key),
+        module=ModuleAlgebraScenario(
+            H=u_carrier(bound_h), A=plane_carrier(bound_a), rho=cache(on_ids(act_key))
+        ),
         beta_H=beta_H,
         beta_A=endo_map(alpha_plane()),
-        generators=tuple(m for g in uea.GENERATORS for m in UElem.generator(g).terms),
+        generators=key_ids(m for g in uea.GENERATORS for m in UElem.generator(g).terms),
         lie=replace(lie, name="sl2 twisted"),
     )
 

@@ -241,7 +241,7 @@ def cmd_act(args):
     r = actions.sl2_scenario(0, 0)
     rho = homcore.deform_scenario(r).rho if args.deformed else r.module.rho
     flat = homcore.bilinear(rho, homcore.flatten(z.terms), homcore.flatten(p.terms))
-    result = homcore.unflatten(homcore.terms(flat))
+    result = homcore.unflatten(flat.items())
     if args.q_value is not None:
         # the validated constructor drops a coefficient that specializes to 0
         result = Poly({key: QLaurent.of(c.specialize(q0)) for key, c in result.items()}).terms
@@ -262,22 +262,24 @@ def cmd_twist(args):
         if args.bound < 0:
             raise InputError("bound must be >= 0")
         C = actions.deformed_scenario(args.bound).H
+        basis, render_key = homcore.axis(C)
         print("# twisted product mu_alpha on PBW basis")
-        for m1 in C.basis:
-            for m2 in C.basis:
+        for m1 in basis:
+            for m2 in basis:
                 product = C.render_elem(homcore.unflatten(C.mul(m1, m2)))
-                print(f"({C.render_key(m1)}) * ({C.render_key(m2)}) = {product}")
+                print(f"({render_key(m1)}) * ({render_key(m2)}) = {product}")
         print("# twisted coproduct Delta_alpha on PBW basis")
-        for mono in C.basis:
+        for mono in basis:
             tensor = homcore.render_tensor(homcore.unflatten(C.comul(mono)), C, C)
-            print(f"Delta({C.render_key(mono)}) = {tensor}")
+            print(f"Delta({render_key(mono)}) = {tensor}")
     else:
         C = homcore.deform_scenario(_finalg_scenario(args.file)).A
+        basis, render_key = homcore.axis(C)
         print("# twisted product mu_alpha on algebra basis")
-        for i in C.basis:
-            for j in C.basis:
+        for i in basis:
+            for j in basis:
                 product = C.render_elem(homcore.unflatten(C.mul(i, j)))
-                print(f"{C.render_key(i)} * {C.render_key(j)} = {product}")
+                print(f"{render_key(i)} * {render_key(j)} = {product}")
     return EXIT_PASS
 
 
@@ -297,6 +299,11 @@ def main(argv=None):
             return cmd_twist(args)
         raise InputError(f"unknown command {args.command!r}")
     except InputError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT_ERROR
+    except OverflowError as exc:
+        # homcore's key registry is full: the bounds or the arguments name
+        # more keys than it holds
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 

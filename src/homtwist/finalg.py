@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import replace
 from fractions import Fraction
+from functools import cache
 
 from .homcore import (
     Carrier,
@@ -22,7 +23,9 @@ from .homcore import (
     check_hom_associativity,
     check_multiplicativity,
     deform_scenario,
+    key_ids,
     key_map,
+    on_ids,
     yau_twist_algebra,
 )
 from .scalars import ONE, ZERO, QLaurent, extend_bilinear, extend_linear
@@ -82,8 +85,10 @@ class StructAlgebra:
         return " + ".join(parts)
 
     def _verify_associativity(self):
-        # Eq. (1.2) with the identity structure map is associativity
-        report = check_hom_associativity(algebra_carrier(self))
+        # Eq. (1.2) with the identity structure map is associativity; the
+        # error names the first failing triple only, so no side is rendered
+        carrier = replace(algebra_carrier(self), render_elem=lambda coords: "")
+        report = check_hom_associativity(carrier)
         if not report.passed:
             raise ValueError(
                 "structure constants are not associative at "
@@ -272,9 +277,9 @@ class GroupBialgebra:
         """k[G] with grouplike comultiplication and identity structure map."""
         return Carrier(
             name="k[G]",
-            basis=tuple(range(self.size())),
-            mul=lambda i, j: ((self.table[i, j], 0, 1),),
-            comul=lambda i: (((i, i), 0, 1),),
+            basis=key_ids(range(self.size())),
+            mul=cache(on_ids(lambda i, j: ((self.table[i, j], 0, 1),))),
+            comul=cache(on_ids(lambda i: (((i, i), 0, 1),))),
             render_key=lambda i: f"g{i}",
             render_elem=_render_group_elem,
         )
@@ -287,7 +292,7 @@ def _render_group_elem(u):
 
 
 def linop_map(op: LinOp):
-    """The memo table key -> terms of a linear operator: its basis images."""
+    """The memo table id -> terms of a linear operator: its basis images."""
     return key_map(op.images.__getitem__)
 
 
@@ -295,7 +300,7 @@ def algebra_carrier(algebra: StructAlgebra) -> Carrier:
     """A structure-constant algebra with the identity structure map."""
     return Carrier(
         name="struct-algebra",
-        basis=tuple(range(algebra.dim)),
+        basis=key_ids(range(algebra.dim)),
         mul=key_map(lambda i, j: algebra.constants.get((i, j), {})),
         render_key=lambda i: algebra.labels[i],
         render_elem=algebra.render,

@@ -2,9 +2,16 @@
 
 A carrier packages a degree-bounded test basis together with its product,
 structure map and (for bialgebras) comultiplication, given on basis keys as
-memo tables in a flat q-graded form.  All maps in play are linear or
+memo tables in a packed q-graded form.  All maps in play are linear or
 bilinear, so verifying an identity on every basis tuple proves it on the
 whole spanned truncation; a passing sweep is a proof at the declared bound.
+
+Keys are interned: the one KeyRegistry, REGISTRY, gives each key an int id,
+and a term is the pair (exponent * STRIDE + key id, coefficient).  Only this
+module knows that layout.  Base carriers define their tables on keys (on_ids
+and key_map turn them into tables on ids), and ids become keys again where a
+result is rendered (axis, renderer, unflatten) and in the inputs of a
+counterexample.
 
 A Scenario is the one record every suite reads, (module, beta_H, beta_A,
 generators, lie): a module Hom-algebra and the compatible maps beta that
@@ -21,28 +28,104 @@ is report content, not an exception.  Only malformed carriers raise.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from fractions import Fraction
 from functools import cache
-from itertools import product
 from typing import Callable, Optional
 
 from .report import CheckReport, sweep
 from .scalars import QLaurent, add_term, trusted
 
+# -- interned keys and packed terms --------------------------------------
+# A term is (packed, coefficient) with packed = exponent * STRIDE + key id and
+# 0 <= key id < STRIDE, so packed & _MASK is the id and packed & _HIGH the
+# exponent times STRIDE.  The exponent is the high part: Python ints are
+# unbounded, so a sum of exponents never spills into the id.  STRIDE = 2^20
+# keeps a packed value with |exponent| < 2^9 within one 30-bit int digit.
 
-def basis_terms(key) -> tuple:
-    """The terms of the basis element of key: the identity map on keys."""
-    return ((key, 0, 1),)
+STRIDE = 1 << 20
+_SHIFT = 20
+_MASK = STRIDE - 1
+_HIGH = -STRIDE
+
+
+class _Memo(dict):
+    """A dict that fills a missing entry with fill(key) on first lookup."""
+
+    __slots__ = ("fill",)
+
+    def __init__(self, fill):
+        super().__init__()
+        self.fill = fill
+
+    def __missing__(self, key):
+        value = self[key] = self.fill(key)
+        return value
+
+
+class KeyRegistry:
+    """Interned keys: each hashable key gets an int id below capacity, once.
+
+    ids[key] is the id of key, handed out on first lookup, and keys[id] the
+    key.  Keys are compared as dict keys, so equal keys of different carriers
+    (the int 0 of k[G] and of a structure-constant algebra) share an id; every
+    carrier reads the key of an id as its own.  A key pair, the key of a
+    tensor, is interned like any key: pair(k1, k2) is the id of the pair of
+    the keys of ids k1 and k2, and slots[id] is (k1, k2).  shared holds one
+    int object per packed value that tables store, so that their entries
+    share it as they would share a key object.
+    """
+
+    def __init__(self, capacity: int):
+        self.capacity = capacity
+        self.keys = []
+        self.ids = _Memo(self._new_id)
+        # pair ids keyed by the packed slot ids k1 * STRIDE + k2
+        self.pair_ids = _Memo(self._pair_id)
+        self.slots = _Memo(lambda tid: tuple(self.ids[key] for key in self.keys[tid]))
+        self.shared = {}
+
+    def _new_id(self, key) -> int:
+        new = len(self.keys)
+        if new >= self.capacity:
+            raise OverflowError(f"key registry is full at {self.capacity} keys")
+        self.keys.append(key)
+        return new
+
+    def _pair_id(self, packed: int) -> int:
+        k1, k2 = packed >> _SHIFT, packed & _MASK
+        tid = self.ids[self.keys[k1], self.keys[k2]]
+        self.slots[tid] = (k1, k2)
+        return tid
+
+    def pair(self, k1: int, k2: int) -> int:
+        """The id of the pair of the keys of ids k1 and k2."""
+        return self.pair_ids[k1 << _SHIFT | k2]
+
+
+REGISTRY = KeyRegistry(STRIDE)
+_KEYS = REGISTRY.keys
+_share = REGISTRY.shared.setdefault
+
+
+def key_ids(keys) -> tuple:
+    """The ids of keys, in order."""
+    return tuple(map(REGISTRY.ids.__getitem__, keys))
+
+
+def basis_terms(k) -> tuple:
+    """The terms of the basis element of id k: the identity map on keys."""
+    return ((k, 1),)
 
 
 @dataclass(frozen=True)
 class Carrier:
     """An algebra (or bialgebra, when comul is set) over QLaurent.
 
-    basis holds hashable keys.  mul(k1, k2), alpha(k) and comul(k) take keys,
-    which may lie outside the basis (products leave it), and return terms
-    (key, q exponent, int or Fraction), comul over key pairs, with no
-    (key, exponent) twice (tensor carriers excepted).  render_elem renders a
-    coordinate map {key: QLaurent} (unflatten).
+    basis holds key ids.  mul(k1, k2), alpha(k) and comul(k) take ids, which
+    may be of keys outside the basis (products leave it), and return packed
+    terms with no packed value twice (tensor carriers excepted); comul's keys
+    are key pairs.  render_key renders a key, and render_elem a coordinate map
+    {key: QLaurent} (unflatten).
     """
 
     name: str
@@ -64,7 +147,7 @@ class ModuleAlgebraScenario:
 
     H: Carrier
     A: Carrier
-    rho: Callable  # (H key, A key) -> terms over A keys
+    rho: Callable  # (H id, A id) -> packed terms over A keys
 
 
 @dataclass(frozen=True)
@@ -75,9 +158,9 @@ class Scenario:
     module Hom-algebra (H, A, rho) whose carriers hold their true structure
     maps (the identity on a module algebra).  beta_H (a bialgebra endomorphism
     of H) and beta_A (an algebra endomorphism of A) are key tables that twist
-    it into the deformed triple, deform_scenario.  generators are the H keys
-    of the generator axis of Eq. (4.2), and lie is a Hom-associative carrier
-    whose commutator check_hom_jacobi checks.
+    it into the deformed triple, deform_scenario.  generators are the ids of
+    the H keys of the generator axis of Eq. (4.2), and lie is a
+    Hom-associative carrier whose commutator check_hom_jacobi checks.
     """
 
     module: ModuleAlgebraScenario
@@ -88,94 +171,157 @@ class Scenario:
 
 
 def axis(carrier) -> tuple:
-    """The sweep axis of a carrier's basis: (keys, render_key)."""
-    return carrier.basis, carrier.render_key
+    """The sweep axis of a carrier's basis: (ids, render of an id)."""
+    render_key = carrier.render_key
+    return carrier.basis, lambda k: render_key(_KEYS[k])
 
 
-# -- flat q-graded form ------------------------------------------------
-# The checkers compute in a flat form: an element is a dict
-# {(basis key, q exponent): nonzero int or Fraction}, and a tensor is the same
-# with a tuple of basis keys as its key.  Terms are (key, exponent, coefficient)
-# triples; a table entry is a tuple of them.  QLaurent appears only where a
-# base carrier reads its exact data and where a failing case is rendered.
+def _sweep(name, equation, axes, lhs, rhs, render) -> CheckReport:
+    """report.sweep over axes of ids; a counterexample keeps the keys as inputs."""
+    report = sweep(name, equation, axes, lhs, rhs, render)
+    for ce in report.counterexamples:
+        ce.inputs = tuple(_KEYS[k] for k in ce.inputs)
+    return report
+
+
+# -- packed q-graded form ------------------------------------------------
+# The checkers compute in a packed form: an element is a dict
+# {exponent * STRIDE + key id: nonzero int or Fraction}, and a tensor is the
+# same with the id of a key pair.  Terms are (packed, coefficient) pairs; a
+# table entry is a tuple of them.  QLaurent appears only where a base carrier
+# reads its exact data and where a failing case is rendered.
+
+
+def on_ids(f) -> Callable:
+    """f, a map of keys to (key, exponent, coefficient) triples, as a map of
+    ids to packed terms.  It is not memoized; wrap it in cache for a table.
+    """
+    ids_of = REGISTRY.ids
+    return lambda *ids: _shared(
+        (e * STRIDE + ids_of[key], c) for key, e, c in f(*map(_KEYS.__getitem__, ids))
+    )
 
 
 def flatten(coords: dict) -> tuple:
-    """The terms of a coordinate map {key: QLaurent}."""
-    return tuple(
-        (key, exp, c) for key, coeff in coords.items() for exp, c in coeff.terms.items()
+    """The packed terms of a coordinate map {key: QLaurent}."""
+    ids = REGISTRY.ids
+    return _shared(
+        (e * STRIDE + ids[key], c) for key, coeff in coords.items() for e, c in coeff.terms.items()
     )
 
 
 def key_map(image) -> Callable:
-    """The memo table keys -> terms of a map given by coordinate maps image(*keys)."""
-    return cache(lambda *keys: flatten(image(*keys)))
+    """The memo table ids -> terms of a map given by coordinate maps image(*keys)."""
+    return cache(lambda *ids: flatten(image(*map(_KEYS.__getitem__, ids))))
 
 
 def unflatten(xs) -> dict:
-    """The coordinate map {key: QLaurent} of terms, of an element or a tensor."""
+    """The coordinate map {key: QLaurent} of packed terms, of an element or a tensor."""
     out = {}
-    for key, exp, c in xs:
-        out.setdefault(key, {})[exp] = c
+    for p, c in xs:
+        out.setdefault(_KEYS[p & _MASK], {})[p >> _SHIFT] = c
     return {key: trusted(QLaurent, coeff) for key, coeff in out.items()}
 
 
 def terms(flat: dict) -> tuple:
-    """The terms of a flat element, to feed into another contraction."""
-    return tuple((key, exp, c) for (key, exp), c in flat.items())
+    """The terms of a packed element, to store in a table or to feed into
+    another contraction.
+    """
+    return _shared(flat.items())
+
+
+def _shared(pairs) -> tuple:
+    """Terms whose packed values are the shared ints of REGISTRY.shared."""
+    return tuple([(_share(p, p), c) for p, c in pairs])
 
 
 def renderer(C: Carrier) -> Callable:
-    """Render a flat element of C."""
-    return lambda flat: C.render_elem(unflatten(terms(flat)))
+    """Render a packed element of C."""
+    return lambda flat: C.render_elem(unflatten(flat.items()))
 
 
 def linear(table, xs) -> dict:
-    """A linear map, given by its table key -> terms, applied to the terms xs."""
+    """A linear map, given by its table id -> terms, applied to the terms xs."""
     out = {}
-    for k, e, c in xs:
-        for k2, e2, c2 in table(k):
-            add_term(out, (k2, e + e2), c * c2)
+    for p1, c1 in xs:
+        k = p1 & _MASK
+        p1 -= k
+        for p, c in table(k):
+            p += p1
+            c *= c1
+            if p in out:
+                c += out[p]
+                if not c:
+                    del out[p]
+                    continue
+            if c.__class__ is Fraction and c.denominator == 1:
+                c = c.numerator
+            out[p] = c
     return out
 
 
 def bilinear(table, xs, ys) -> dict:
-    """A bilinear map, given by its table (key, key) -> terms, on xs and ys."""
+    """A bilinear map, given by its table (id, id) -> terms, on xs and ys."""
     out = {}
-    for k1, e1, c1 in xs:
-        for k2, e2, c2 in ys:
-            e12, c12 = e1 + e2, c1 * c2
-            for k, e, c in table(k1, k2):
-                add_term(out, (k, e12 + e), c12 * c)
+    for p1, c1 in xs:
+        k1 = p1 & _MASK
+        p1 -= k1
+        for p2, c2 in ys:
+            k2 = p2 & _MASK
+            e12, c12 = p1 + p2 - k2, c1 * c2
+            for p, c in table(k1, k2):
+                p += e12
+                c *= c12
+                if p in out:
+                    c += out[p]
+                    if not c:
+                        del out[p]
+                        continue
+                if c.__class__ is Fraction and c.denominator == 1:
+                    c = c.numerator
+                out[p] = c
     return out
 
 
 # -- tensor products ---------------------------------------------------
 
 
-def t_outer(factors) -> list:
-    """The terms (key tuple, exponent, coefficient) of the outer product of an
-    iterable of term lists.  Like terms are not merged; callers accumulate them.
+def t_outer(xs, ys) -> list:
+    """The terms (over key pair ids) of the outer product of the terms xs and ys.
+
+    Like terms are not merged; callers accumulate them.
     """
-    acc = [((), 0, 1)]
-    for xs in factors:
-        acc = [
-            (keys + (k,), e1 + e2, c1 * c2) for keys, e1, c1 in acc for k, e2, c2 in xs
-        ]
-    return acc
+    pair_ids = REGISTRY.pair_ids
+    return [
+        ((p1 & _HIGH) + (p2 & _HIGH) + pair_ids[(p1 & _MASK) << _SHIFT | p2 & _MASK], c1 * c2)
+        for p1, c1 in xs
+        for p2, c2 in ys
+    ]
 
 
 def t_contract(table, xs) -> dict:
     """A bilinear map, given by its table, applied to the 2-tensor terms xs."""
     out = {}
-    for (k1, k2), e, c in xs:
-        for k, e2, c2 in table(k1, k2):
-            add_term(out, (k, e + e2), c * c2)
+    slots = REGISTRY.slots
+    for p1, c1 in xs:
+        k = p1 & _MASK
+        p1 -= k
+        for p, c in table(*slots[k]):
+            p += p1
+            c *= c1
+            if p in out:
+                c += out[p]
+                if not c:
+                    del out[p]
+                    continue
+            if c.__class__ is Fraction and c.denominator == 1:
+                c = c.numerator
+            out[p] = c
     return out
 
 
 def render_tensor(t: dict, *carriers) -> str:
-    """Render a tensor {key tuple: QLaurent}."""
+    """Render a tensor {key tuple: QLaurent}, one slot per carrier."""
     if not t:
         return "0"
     parts = []
@@ -185,36 +331,34 @@ def render_tensor(t: dict, *carriers) -> str:
     return " + ".join(parts)
 
 
-def tensor(*carriers) -> Carrier:
-    """The tensor product of carriers; its keys are tuples, one key per factor.
+def tensor(C1: Carrier, C2: Carrier) -> Carrier:
+    """The tensor product of two carriers; its keys are key pairs.
 
     mul and alpha act slotwise: (a x b)(c x d) = ac x bd and
     alpha(a x b) = alpha(a) x alpha(b).  Their results are outer products
-    (t_outer), so they may repeat a (key, exponent), and they are not memo
+    (t_outer), so they may repeat a packed value, and they are not memo
     tables: a tensor sweep meets each pair of tensor keys about once.
     """
 
-    muls, alphas = [C.mul for C in carriers], [C.alpha for C in carriers]
+    mul1, mul2, alpha1, alpha2 = C1.mul, C2.mul, C1.alpha, C2.alpha
+    slots, pair = REGISTRY.slots, REGISTRY.pair
 
     def mul(t1, t2):
-        return t_outer(map(_call, muls, t1, t2))
+        (a1, b1), (a2, b2) = slots[t1], slots[t2]
+        return t_outer(mul1(a1, a2), mul2(b1, b2))
 
     def alpha(t):
-        return t_outer(map(_call, alphas, t))
+        a, b = slots[t]
+        return t_outer(alpha1(a), alpha2(b))
 
     return Carrier(
-        name=" x ".join(C.name for C in carriers),
-        basis=tuple(product(*(C.basis for C in carriers))),
+        name=f"{C1.name} x {C2.name}",
+        basis=tuple(pair(k1, k2) for k1 in C1.basis for k2 in C2.basis),
         mul=mul,
         alpha=alpha,
-        render_key=lambda t: " x ".join(C.render_key(k) for C, k in zip(carriers, t)),
-        render_elem=lambda coords: render_tensor(coords, *carriers),
+        render_key=lambda t: f"{C1.render_key(t[0])} x {C2.render_key(t[1])}",
+        render_elem=lambda coords: render_tensor(coords, C1, C2),
     )
-
-
-def _call(f, *args):
-    """f(*args): maps a list of tables over the slots of key tuples."""
-    return f(*args)
 
 
 def _require_comul(H: Carrier):
@@ -224,13 +368,13 @@ def _require_comul(H: Carrier):
 
 # -- algebra checkers --------------------------------------------------
 # Each checker sweeps contractions of its carrier's tables; the sides it
-# compares are flat elements.
+# compares are packed elements.
 
 
 def check_multiplicativity(A: Carrier) -> CheckReport:
     """alpha(ab) = alpha(a) alpha(b) on all basis pairs."""
     mul, alpha = A.mul, A.alpha
-    return sweep(
+    return _sweep(
         "multiplicativity",
         "alpha o mu = mu o (alpha x alpha)",
         [axis(A)] * 2,
@@ -243,7 +387,7 @@ def check_multiplicativity(A: Carrier) -> CheckReport:
 def check_hom_associativity(A: Carrier) -> CheckReport:
     """mu(alpha(a), mu(b, c)) = mu(mu(a, b), alpha(c)) on basis triples."""
     mul, alpha = A.mul, A.alpha
-    return sweep(
+    return _sweep(
         "hom-associativity",
         "Eq. (1.2)",
         [axis(A)] * 3,
@@ -257,24 +401,34 @@ def check_hom_coassociativity(H: Carrier) -> CheckReport:
     """(Delta x alpha) o Delta = (alpha x Delta) o Delta on basis elements."""
     _require_comul(H)
     comul, alpha = H.comul, H.alpha
+    slots, pair = REGISTRY.slots, REGISTRY.pair
 
-    # Delta x alpha and alpha x Delta on key pairs, into key triples
-    def delta_alpha(pair):
-        xs = t_outer((comul(pair[0]), alpha(pair[1])))
-        return [(ab + (c,), e, x) for (ab, c), e, x in xs]
+    # Delta x alpha and alpha x Delta on key pairs, into key pairs ((x, y), z)
+    def delta_alpha(t):
+        a, b = slots[t]
+        return t_outer(comul(a), alpha(b))
 
-    def alpha_delta(pair):
-        xs = t_outer((alpha(pair[0]), comul(pair[1])))
-        return [((a,) + bc, e, x) for (a, bc), e, x in xs]
+    def alpha_delta(t):
+        a, b = slots[t]
+        out = []
+        for p, c in t_outer(alpha(a), comul(b)):
+            x, yz = slots[p & _MASK]
+            y, z = slots[yz]
+            out.append(((p & _HIGH) + pair(pair(x, y), z), c))
+        return out
 
-    return sweep(
+    def render(flat):
+        # H x H x H is rendered without building its basis
+        t = unflatten(flat.items())
+        return render_tensor({(*xy, z): c for (xy, z), c in t.items()}, H, H, H)
+
+    return _sweep(
         "hom-coassociativity",
         "Eq. (2.3)",
         [axis(H)],
         lambda k: linear(delta_alpha, comul(k)),
         lambda k: linear(alpha_delta, comul(k)),
-        # H x H x H is rendered without building its basis
-        lambda flat: render_tensor(unflatten(terms(flat)), H, H, H),
+        render,
     )
 
 
@@ -283,7 +437,7 @@ def check_comul_morphism(H: Carrier) -> CheckReport:
     _require_comul(H)
     comul, alpha = H.comul, H.alpha
     T = tensor(H, H)
-    report = sweep(
+    report = _sweep(
         "comul-morphism",
         "Eqs. (2.4)-(2.5)",
         [axis(H)],
@@ -292,7 +446,7 @@ def check_comul_morphism(H: Carrier) -> CheckReport:
         renderer(T),
     )
     return report.merge(
-        sweep(
+        _sweep(
             "comul-morphism",
             "Eqs. (2.4)-(2.5)",
             [axis(H)] * 2,
@@ -318,9 +472,9 @@ def check_hom_bialgebra(H: Carrier) -> CheckReport:
 
 
 def _rho_commutes(s, alpha_H, alpha_M, h_axis, name, equation) -> CheckReport:
-    """alpha_M(a m) = alpha_H(a) alpha_M(m) for the H keys of h_axis, M = s.A."""
+    """alpha_M(a m) = alpha_H(a) alpha_M(m) for the H ids of h_axis, M = s.A."""
     rho = s.rho
-    return sweep(
+    return _sweep(
         name,
         equation,
         [h_axis, axis(s.A)],
@@ -339,7 +493,7 @@ def check_module_axiom(s: ModuleAlgebraScenario) -> CheckReport:
     rho, H, M = s.rho, s.H, s.A
     report = _rho_commutes(s, H.alpha, M.alpha, axis(H), "module-axiom", "Eqs. (2.1)/(2.1')")
     return report.merge(
-        sweep(
+        _sweep(
             "module-axiom",
             "Eqs. (2.1)/(2.1')",
             [axis(H), axis(H), axis(M)],
@@ -351,13 +505,14 @@ def check_module_axiom(s: ModuleAlgebraScenario) -> CheckReport:
 
 
 def check_compatibility(r: Scenario, keys) -> CheckReport:
-    """beta_A(x a) = beta_H(x) beta_A(a) for the given H keys x (Eq. 1.7).
+    """beta_A(x a) = beta_H(x) beta_A(a) for the H keys x of the ids keys (Eq. 1.7).
 
     It reads (r.module, r.beta_H, r.beta_A): the first sweep of the module
     axiom with the twisting maps in place of the structure maps.  It checks
     Eq. (4.2) over r.generators and Eq. (1.7) over the H basis.
     """
-    h_axis = (tuple(keys), r.module.H.render_key)
+    _, render_key = axis(r.module.H)
+    h_axis = (tuple(keys), render_key)
     return _rho_commutes(r.module, r.beta_H, r.beta_A, h_axis, "compatibility", "Eq. (1.7)")
 
 
@@ -380,14 +535,10 @@ def build_rho_tilde(
 
 
 def _rho2(s: ModuleAlgebraScenario, h, t) -> tuple:
-    """rho^2(h, a x b) = sum rho(h', a) x rho(h'', b) on keys, as tensor terms."""
-    comul, rho = s.H.comul, s.rho
-    a, b = t
-    out = {}
-    for (h1, h2), e, c in comul(h):
-        for keys, e2, c2 in t_outer((rho(h1, a), rho(h2, b))):
-            add_term(out, (keys, e + e2), c * c2)
-    return terms(out)
+    """rho^2(h, a x b) = sum rho(h', a) x rho(h'', b) on ids, as tensor terms."""
+    rho = s.rho
+    a, b = REGISTRY.slots[t]
+    return terms(t_contract(lambda h1, h2: t_outer(rho(h1, a), rho(h2, b)), s.H.comul(h)))
 
 
 def build_rho2(s: ModuleAlgebraScenario) -> ModuleAlgebraScenario:
@@ -411,17 +562,17 @@ def _module_hom_sides(s: ModuleAlgebraScenario, alpha_power: int):
     mu_A(rho^2(x, a x b)) = sum (x'a)(x''b), with rho^2 of build_rho2.
     """
     tilde, square = build_rho_tilde(s, alpha_power).rho, build_rho2(s).rho
-    mul = s.A.mul
+    mul, pair = s.A.mul, REGISTRY.pair
     return (
         lambda kx, ka, kb: bilinear(tilde, basis_terms(kx), mul(ka, kb)),
-        lambda kx, ka, kb: t_contract(mul, square(kx, (ka, kb))),
+        lambda kx, ka, kb: t_contract(mul, square(kx, pair(ka, kb))),
     )
 
 
 def check_module_hom_algebra(s: ModuleAlgebraScenario, alpha_power: int = 2) -> CheckReport:
     """The module Hom-algebra axiom: alpha_H^2(x)(ab) = sum (x'a)(x''b)."""
     tilde_side, square_side = _module_hom_sides(s, alpha_power)
-    return sweep(
+    return _sweep(
         "module-hom-algebra",
         "Eqs. (2.9)/(2.10)",
         [axis(s.H), axis(s.A), axis(s.A)],
@@ -439,7 +590,7 @@ def check_mu_module_morphism(s: ModuleAlgebraScenario, alpha_power: int = 2) -> 
     swapped.
     """
     tilde_side, square_side = _module_hom_sides(s, alpha_power)
-    return sweep(
+    return _sweep(
         "mu-module-morphism",
         "Theorem 1.1(3)",
         [axis(s.H), axis(s.A), axis(s.A)],
@@ -499,20 +650,20 @@ def check_hom_jacobi(A: Carrier) -> CheckReport:
 
     @cache
     def bracket(k1, k2) -> tuple:
-        out = {(k, e): c for k, e, c in mul(k1, k2)}
-        for k, e, c in mul(k2, k1):
-            add_term(out, (k, e), -c)
+        out = dict(mul(k1, k2))
+        for p, c in mul(k2, k1):
+            add_term(out, p, -c)
         return terms(out)
 
     def jacobi(k1, k2, k3):
         total = {}
         for a, b, c in ((k1, k2, k3), (k3, k1, k2), (k2, k3, k1)):
-            for key, coeff in bilinear(bracket, bracket(a, b), alpha(c)).items():
-                add_term(total, key, coeff)
+            for p, coeff in bilinear(bracket, bracket(a, b), alpha(c)).items():
+                add_term(total, p, coeff)
         return total
 
     report = check_multiplicativity(replace(A, mul=bracket))
     report.name, report.equation = "hom-lie", "Hom-Jacobi"
     return report.merge(
-        sweep("hom-lie", "Hom-Jacobi", [axis(A)] * 3, jacobi, lambda k1, k2, k3: {}, renderer(A))
+        _sweep("hom-lie", "Hom-Jacobi", [axis(A)] * 3, jacobi, lambda k1, k2, k3: {}, renderer(A))
     )

@@ -111,6 +111,9 @@ class QLaurent:
             return trusted(QLaurent, out)
         if isinstance(other, (int, Fraction)):
             # A rational factor scales each coefficient; no product can vanish.
+            # An instance is immutable, so the product by 1 is the instance.
+            if other == 1:
+                return self
             if not other:
                 return trusted(QLaurent, {})
             return trusted(
@@ -286,7 +289,7 @@ def split_factors(term: str, on_space: bool = False):
 
 
 # -- sparse maps key -> nonzero coefficient -----------------------------
-# MonomialElem (Poly, UElem), finalg vectors and homcore's flat terms store one.
+# MonomialElem (Poly, UElem), finalg vectors and homcore's packed elements store one.
 # The native maps on them are linear or bilinear extensions of maps on keys.
 
 

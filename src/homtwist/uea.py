@@ -142,13 +142,21 @@ def _left_gen(gen: str, mono) -> tuple:
 
 @lru_cache(maxsize=None)
 def _mono_mul(m1, m2) -> tuple:
-    """Product of two PBW monomials in normal form: (monomial, int) pairs."""
+    """Product of two PBW monomials in normal form: (monomial, int) pairs.
+
+    m1 = g rest with g its first generator in PBW order, so m1 m2 is g times
+    the cached product rest m2.
+    """
     a, b, c = m1
-    result = ((m2, 1),)
-    for gen, count in (("Z", c), ("Y", b), ("X", a)):
-        for _ in range(count):
-            result = tuple(extend_linear(lambda m: _left_gen(gen, m), result).items())
-    return result
+    if a:
+        gen, rest = "X", (a - 1, b, c)
+    elif b:
+        gen, rest = "Y", (0, b - 1, c)
+    elif c:
+        gen, rest = "Z", (0, 0, c - 1)
+    else:
+        return ((m2, 1),)
+    return tuple(extend_linear(lambda m: _left_gen(gen, m), _mono_mul(rest, m2)).items())
 
 
 # -- comultiplication -------------------------------------------------

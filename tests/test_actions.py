@@ -6,7 +6,7 @@ from homtwist import actions, homcore
 from homtwist.actions import act_key
 from homtwist.polyalg import PolyEndo
 from homtwist.polyalg import Poly, enumerate_monomials
-from homtwist.scalars import QLaurent, add_term
+from homtwist.scalars import QLaurent
 from homtwist.uea import UElem, enumerate_pbw
 
 from plane_oracle import alpha, partial, specialize, total_degree
@@ -15,15 +15,16 @@ X = UElem.generator("X")
 Y = UElem.generator("Y")
 Z = UElem.generator("Z")
 
-# The action tables `homtwist act` contracts: act_key, and rho_alpha of the
-# deformed triple.
-RHO_ALPHA = actions.deformed_scenario(0, 0).rho
+# The action tables `homtwist act` contracts: act_key on ids, and rho_alpha
+# of the deformed triple.
+SL2 = actions.sl2_scenario(0, 0)
+RHO, RHO_ALPHA = SL2.module.rho, homcore.deform_scenario(SL2).rho
 
 
-def act(z: UElem, p: Poly, rho=act_key) -> Poly:
+def act(z: UElem, p: Poly, rho=RHO) -> Poly:
     """A table of the action applied to elements, as `homtwist act` applies it."""
     flat = homcore.bilinear(rho, homcore.flatten(z.terms), homcore.flatten(p.terms))
-    return Poly(homcore.unflatten(homcore.terms(flat)))
+    return Poly(homcore.unflatten(flat.items()))
 
 
 def deformed_act(z: UElem, p: Poly) -> Poly:
@@ -123,33 +124,32 @@ class TestCompatibility:
 
 
 def twisted_action(s, power, x, a, b) -> dict:
-    """alpha_H^power(x)(ab) on basis keys, as a flat element."""
+    """alpha_H^power(x)(ab) on basis ids, as a coordinate map."""
     xs = homcore.basis_terms(x)
     for _ in range(power):
         xs = homcore.terms(homcore.linear(s.H.alpha, xs))
-    return homcore.bilinear(s.rho, xs, s.A.mul(a, b))
+    return homcore.unflatten(homcore.bilinear(s.rho, xs, s.A.mul(a, b)).items())
 
 
 class TestModuleHomAlgebraSpotValues:
-    # the keys of X, x, y and the flat element q^9 x^2
-    X, x, y = (1, 0, 0), (1, 0), (0, 1)
+    # the ids of X, x, y
+    X, x, y = homcore.key_ids([(1, 0, 0), (1, 0), (0, 1)])
 
     def test_triple_x_x_y_gives_q9_x_squared(self):
         s = actions.deformed_scenario(1, 1)
         X, x, y = self.X, self.x, self.y
         # left side of the axiom
-        assert twisted_action(s, 2, X, x, y) == {((2, 0), 9): 1}
+        assert twisted_action(s, 2, X, x, y) == {(2, 0): QLaurent.q_power(9)}
         # right side via the Sweedler sum
-        rhs = {}
-        for (h1, h2), e, c in s.H.comul(X):
-            term = homcore.bilinear(s.A.mul, s.rho(h1, x), s.rho(h2, y))
-            for (key, e2), c2 in term.items():
-                add_term(rhs, (key, e + e2), c * c2)
-        assert rhs == {((2, 0), 9): 1}
+        rhs = homcore.t_contract(
+            lambda h1, h2: homcore.terms(homcore.bilinear(s.A.mul, s.rho(h1, x), s.rho(h2, y))),
+            s.H.comul(X),
+        )
+        assert homcore.unflatten(rhs.items()) == {(2, 0): QLaurent.q_power(9)}
 
     def test_negative_control_gives_q8_on_left(self):
         s = actions.deformed_scenario(1, 1)
-        assert twisted_action(s, 1, self.X, self.x, self.y) == {((2, 0), 8): 1}
+        assert twisted_action(s, 1, self.X, self.x, self.y) == {(2, 0): QLaurent.q_power(8)}
 
     def test_negative_control_counterexample_includes_x_x_y(self):
         s = actions.deformed_scenario(2, 2)

@@ -97,3 +97,26 @@ def test_setup_probe_builds_scenario(tmp_path, scenario, expected):
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == expected.split()
+
+
+@pytest.mark.parametrize("workload, expected", [("sl2", "20 10"), ("finalg", "4 9")])
+def test_setup_probe_builds_benchmark_workloads(tmp_path, workload, expected):
+    # the scenarios of hopf-h3/negctl-q33 (bounds 3, 3) and of finalg-m3 (a
+    # finalg_gen file, seed 1, n = 3), built as the benchmark builds them
+    if workload == "sl2":
+        argv = ["sl2", "3", "3"]
+    else:
+        path = tmp_path / "finalg.json"
+        generate = "import sys, finalg_gen; finalg_gen.write(sys.argv[1], 1, 3)"
+        done = subprocess.run(
+            [sys.executable, "-c", generate, str(path)],
+            cwd=os.path.join(ROOT, "perfbench"), capture_output=True, text=True, timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        argv = ["finalg", str(path)]
+    done = subprocess.run(
+        [sys.executable, PROBE, *argv],
+        cwd=tmp_path, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == expected.split()

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from homtwist import cli
+from homtwist import cli, homcore
 from homtwist.polyalg import Poly
 from homtwist.scalars import QLaurent
 from homtwist.uea import UElem
@@ -240,6 +240,14 @@ def test_bad_input_exits_2(capsys, monkeypatch, tmp_path, env, argv):
     code, _, err = run(capsys, *(arg.format(**paths) for arg in argv))
     assert code == cli.EXIT_INPUT_ERROR
     assert "error" in err and "Traceback" not in err
+
+
+def test_full_key_registry_exits_2(capsys, monkeypatch):
+    # a registry with room for no new key: the new plane key cannot get an id
+    monkeypatch.setattr(homcore.REGISTRY, "capacity", len(homcore.REGISTRY.keys))
+    code, out, err = run(capsys, "act", "1", "x^987654321")
+    assert (code, out) == (cli.EXIT_INPUT_ERROR, "")
+    assert "error: key registry is full" in err and "Traceback" not in err
 
 
 # Case counts at --bound-h 1 --bound-a 2 from basis sizes: H PBW monomials of

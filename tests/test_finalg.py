@@ -44,6 +44,15 @@ class TestStructAlgebra:
         with pytest.raises(ValueError, match=re.escape(message)):
             StructAlgebra(("a", "b"), constants)
 
+    def test_non_associative_error_renders_no_side(self, monkeypatch):
+        # the error names the first failing triple's inputs only
+        rendered = []
+        monkeypatch.setattr(StructAlgebra, "render", lambda self, v: rendered.append(v) or "")
+        with pytest.raises(ValueError) as error:
+            StructAlgebra(("a", "b"), {(0, 0, 1): 1, (0, 1, 0): 1})
+        assert str(error.value) == "structure constants are not associative at (a, a, a)"
+        assert rendered == []
+
     def test_rejects_bad_or_repeated_labels(self):
         constants = {(0, 0, 0): 1, (1, 1, 1): 1}
         for labels, message in [
@@ -197,7 +206,7 @@ class TestGroupBialgebra:
         # g -> the other element is linear but sends g0 g0 = g0 to g1
         _, G, _ = m2_example()
         report = homcore.check_multiplicativity(
-            replace(G.carrier(), alpha=lambda i: ((1 - i, 0, 1),))
+            replace(G.carrier(), alpha=homcore.key_map(lambda i: {1 - i: ONE}))
         )
         assert (len(report.counterexamples), report.checked) == (4, 4)
         first = report.counterexamples[0]
@@ -209,7 +218,8 @@ class TestGroupBialgebra:
         s = automorphism_action(G)
         square = homcore.build_rho2(s)
         # phi = g1 on e12 tensor e21: phi(e12) = -e12, phi(e21) = -e21, signs cancel
-        assert square.rho(1, (1, 2)) == homcore.basis_terms((1, 2))
+        g1, pair = homcore.key_ids([1, (1, 2)])
+        assert homcore.unflatten(square.rho(g1, pair)) == {(1, 2): ONE}
 
     def test_classical_action_is_module_algebra(self):
         _, G, _ = m2_example()

@@ -1,5 +1,7 @@
 from dataclasses import replace
+from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from homtwist import actions, finalg, homcore
@@ -20,7 +22,7 @@ from homtwist.homcore import (
     yau_twist_bialgebra,
 )
 from homtwist.polyalg import Poly
-from homtwist.scalars import add_term
+from homtwist.scalars import ONE, QLaurent, add_term
 
 X, Y, Z = (1, 0, 0), (0, 1, 0), (0, 0, 1)
 x, y = (1, 0), (0, 1)
@@ -44,14 +46,13 @@ def classical(bound_h, bound_a):
     return actions.sl2_scenario(bound_h, bound_a).module
 
 
-def flat(xs) -> dict:
-    """The flat element {(key, exponent): coefficient} of table terms."""
-    return {(k, e): c for k, e, c in xs}
+coords = homcore.unflatten  # the coordinate map {key: QLaurent} of table terms
+key_of = homcore.REGISTRY.keys.__getitem__  # the key of an id
 
 
-def native_flat(p) -> dict:
-    """The flat element of a native Poly or UElem."""
-    return flat(homcore.flatten(p.terms))
+def keys(C) -> list:
+    """The basis keys of a carrier."""
+    return [key_of(k) for k in C.basis]
 
 
 class TestAlgebraCheckers:
@@ -70,9 +71,7 @@ class TestAlgebraCheckers:
     def test_truncation_map_fails_multiplicativity(self):
         # keep monomials of degree <= 1, kill the rest: linear but not
         # multiplicative, detected at (x, y)
-        def truncate(k):
-            return basis_terms(k) if sum(k) <= 1 else ()
-
+        truncate = homcore.key_map(lambda k: {k: ONE} if sum(k) <= 1 else {})
         carrier = actions.plane_carrier(1)
         broken = replace(carrier, alpha=truncate, name="broken")
         report = check_multiplicativity(broken)
@@ -89,10 +88,10 @@ class TestAlgebraCheckers:
         for k1 in carrier.basis:
             for k2 in carrier.basis:
                 for k3 in carrier.basis:
-                    abc = Poly.monomial(*k1) * Poly.monomial(*k2) * Poly.monomial(*k3)
-                    expected = native_flat(alpha(alpha(abc)))
+                    a, b, c = (Poly.monomial(*key_of(k)) for k in (k1, k2, k3))
+                    abc = a * b * c
                     lhs = bilinear(twisted.mul, twisted.alpha(k1), twisted.mul(k2, k3))
-                    assert lhs == expected
+                    assert coords(lhs.items()) == alpha(alpha(abc)).terms
 
     def test_classical_associativity_with_identity_alpha(self):
         assert check_hom_associativity(actions.plane_carrier(2)).passed
@@ -112,9 +111,7 @@ class TestHomBialgebraNegativeControl:
 
     @staticmethod
     def twisted():
-        def scale_degree(m):
-            return ((m, sum(m), 1),)
-
+        scale_degree = homcore.key_map(lambda m: {m: QLaurent.q_power(sum(m))})
         return yau_twist_bialgebra(actions.u_carrier(2), scale_degree)
 
     def test_multiplicativity_fails_first_at_y_x(self):
@@ -158,13 +155,15 @@ class TestHomBialgebraNegativeControl:
 
 def _perturbed(table, at, k0):
     """table with q*e_k0 added to its entry at the key tuple at."""
+    at, fault = homcore.key_ids(at), homcore.flatten({k0: QLaurent.q_power(1)})
 
-    def entry(*keys):
-        xs = table(*keys)
-        if keys != at:
+    def entry(*ids):
+        xs = table(*ids)
+        if ids != at:
             return xs
-        out = flat(xs)
-        add_term(out, (k0, 1), 1)
+        out = dict(xs)
+        for p, c in fault:
+            add_term(out, p, c)
         return terms(out)
 
     return entry
@@ -220,29 +219,29 @@ def test_perturbed_comul_fails_coassociativity_at_x():
 @st.composite
 def _mul_fault(draw):
     C = _ALGEBRAS[draw(st.sampled_from(sorted(_ALGEBRAS)))]()
-    k1, k2, k0 = (draw(st.sampled_from(C.basis)) for _ in range(3))
+    k1, k2, k0 = (draw(st.sampled_from(keys(C))) for _ in range(3))
     return C, _perturb_mul(C, k1, k2, k0), check_hom_associativity, (k1, k2)
 
 
 @st.composite
 def _alpha_fault(draw):
     C = _ALGEBRAS[draw(st.sampled_from(sorted(_ALGEBRAS)))]()
-    k, k0 = (draw(st.sampled_from(C.basis)) for _ in range(2))
+    k, k0 = (draw(st.sampled_from(keys(C))) for _ in range(2))
     return C, _perturb_alpha(C, k, k0), check_multiplicativity, (k,)
 
 
 @st.composite
 def _comul_fault(draw):
     C = _BIALGEBRAS[draw(st.sampled_from(sorted(_BIALGEBRAS)))]()
-    k, k1, k2 = (draw(st.sampled_from(C.basis)) for _ in range(3))
+    k, k1, k2 = (draw(st.sampled_from(keys(C))) for _ in range(3))
     return C, _perturb_comul(C, k, (k1, k2)), homcore.check_hom_bialgebra, (k,)
 
 
 @st.composite
 def _rho_fault(draw):
     s = _MODULES[draw(st.sampled_from(sorted(_MODULES)))]()
-    h = draw(st.sampled_from(s.H.basis))
-    ka, k0 = (draw(st.sampled_from(s.A.basis)) for _ in range(2))
+    h = draw(st.sampled_from(keys(s.H)))
+    ka, k0 = (draw(st.sampled_from(keys(s.A))) for _ in range(2))
     return s, _perturb_rho(s, h, ka, k0), check_module_hom_algebra, (h, ka)
 
 
@@ -264,20 +263,20 @@ class TestTwistFunctoriality:
         twisted = yau_twist_algebra(carrier, basis_terms)
         for k1 in carrier.basis:
             for k2 in carrier.basis:
-                assert flat(twisted.mul(k1, k2)) == flat(carrier.mul(k1, k2))
+                assert coords(twisted.mul(k1, k2)) == coords(carrier.mul(k1, k2))
 
     def test_bialgebra_twist_at_identity_is_input(self):
         carrier = actions.u_carrier(2)
         twisted = yau_twist_bialgebra(carrier, basis_terms)
         for key in carrier.basis:
-            assert flat(twisted.comul(key)) == flat(carrier.comul(key))
+            assert coords(twisted.comul(key)) == coords(carrier.comul(key))
 
     def test_deform_at_identity_reproduces_action(self):
         r = replace(actions.sl2_scenario(2, 2), beta_H=basis_terms, beta_A=basis_terms)
         s, deformed = r.module, homcore.deform_scenario(r)
         for kx in s.H.basis:
             for ka in s.A.basis:
-                assert flat(deformed.rho(kx, ka)) == flat(s.rho(kx, ka))
+                assert coords(deformed.rho(kx, ka)) == coords(s.rho(kx, ka))
 
     def test_double_twist_equals_twist_by_square(self):
         # the structure maps compose too: alpha_A o alpha_A o Id
@@ -286,9 +285,9 @@ class TestTwistFunctoriality:
         alpha2 = lambda k: terms(linear(ALPHA_A, ALPHA_A(k)))
         once_squared = yau_twist_algebra(carrier, alpha2)
         for k1 in carrier.basis:
-            assert flat(twice.alpha(k1)) == flat(once_squared.alpha(k1)) == flat(alpha2(k1))
+            assert coords(twice.alpha(k1)) == coords(once_squared.alpha(k1)) == coords(alpha2(k1))
             for k2 in carrier.basis:
-                assert flat(twice.mul(k1, k2)) == flat(once_squared.mul(k1, k2))
+                assert coords(twice.mul(k1, k2)) == coords(once_squared.mul(k1, k2))
 
 
 class TestModuleStructures:
@@ -300,14 +299,16 @@ class TestModuleStructures:
         s = actions.deformed_scenario(2, 2)
         tilde = build_rho_tilde(s)
         # alpha_U^2(X) = q^2 X
-        assert tilde.rho(X, y) == tuple((k, e + 2, c) for k, e, c in s.rho(X, y))
+        iX, iy = homcore.key_ids([X, y])
+        scaled = {k: c * QLaurent.q_power(2) for k, c in coords(s.rho(iX, iy)).items()}
+        assert coords(tilde.rho(iX, iy)) == scaled
 
     def test_rho_tilde_at_identity_is_rho(self):
         s = classical(2, 2)
         tilde = build_rho_tilde(s)
         for kx in s.H.basis:
             for ka in s.A.basis:
-                assert flat(tilde.rho(kx, ka)) == flat(s.rho(kx, ka))
+                assert coords(tilde.rho(kx, ka)) == coords(s.rho(kx, ka))
 
     def test_rho2_passes_module_axiom(self):
         s = actions.deformed_scenario(1, 1)
@@ -316,14 +317,14 @@ class TestModuleStructures:
     def test_rho2_on_primitive_element(self):
         s = classical(1, 1)
         square = build_rho2(s)
-        acted = square.rho(X, (y, y))
+        acted = square.rho(*homcore.key_ids([X, (y, y)]))
         # X(y) = x, 1(y) = y: result is x tensor y + y tensor x
-        assert flat(acted) == {((x, y), 0): 1, ((y, x), 0): 1}
+        assert coords(acted) == {(x, y): ONE, (y, x): ONE}
 
     def test_rho2_unit_acts_as_identity(self):
         s = classical(1, 1)
         square = build_rho2(s)
-        assert square.rho((0, 0, 0), (x, y)) == basis_terms((x, y))
+        assert coords(square.rho(*homcore.key_ids([(0, 0, 0), (x, y)]))) == {(x, y): ONE}
 
 
 class TestCharacterizationTheorem:
@@ -343,11 +344,12 @@ class TestCharacterizationTheorem:
 
 
 def commutator(C, a, b) -> dict:
-    """[a, b] of basis keys a and b, as a flat element."""
-    out = flat(C.mul(a, b))
-    for k, e, c in C.mul(b, a):
-        add_term(out, (k, e), -c)
-    return out
+    """[a, b] of basis keys a and b, as a coordinate map."""
+    a, b = homcore.key_ids([a, b])
+    out = dict(C.mul(a, b))
+    for p, c in C.mul(b, a):
+        add_term(out, p, -c)
+    return coords(out.items())
 
 
 class TestHomLie:
@@ -357,8 +359,8 @@ class TestHomLie:
 
     def test_twisted_bracket_values(self):
         lie = actions.sl2_scenario().lie
-        assert commutator(lie, X, Y) == {(Z, 0): 1}
-        assert commutator(lie, X, Z) == {(X, 1): -2}
+        assert commutator(lie, X, Y) == {Z: ONE}
+        assert commutator(lie, X, Z) == {X: QLaurent.q_power(1, -2)}
 
     def test_twist_at_identity_is_original(self):
         lie = actions.u_carrier(1)
@@ -389,3 +391,72 @@ class TestHomLie:
             "e11 + -1*e22",
             "-2*e11 + 2*e22",
         )
+
+
+# -- the packed layout -------------------------------------------------
+# A term packs its q exponent and its key id into one int.  Exponents of
+# +-2^40 lie far above the id field; every contraction must keep them exact,
+# as QLaurent arithmetic on the coordinate maps does.
+
+BIG = 2**40
+
+
+def native_sum(pairs) -> dict:
+    """The coordinate map of a sum of (key, QLaurent) pairs."""
+    out = {}
+    for k, c in pairs:
+        out[k] = out.get(k, QLaurent.zero()) + c
+    return {k: c for k, c in out.items() if c}
+
+
+def plane_sum(k1, k2):
+    return (k1[0] + k2[0], k1[1] + k2[1])
+
+
+@pytest.mark.parametrize("e", [BIG, -BIG])
+@pytest.mark.parametrize("kernel", ["linear", "bilinear", "t_contract", "t_outer"])
+def test_packed_terms_keep_huge_exponents(kernel, e):
+    q = QLaurent.q_power
+    xs = {(1, 0): q(e, 2) + q(-e, Fraction(1, 3)), (0, 1): q(e, -1)}
+    ys = {(0, 1): q(-e, 5), (2, 0): q(e) + q(0, Fraction(3, 2))}
+    # k -> 3 q^e k + 1/2 q^-e xk, and the plane product scaled by 2 q^e
+    image = lambda k: {k: q(e, 3), plane_sum(k, (1, 0)): q(-e, Fraction(1, 2))}
+    product = lambda k1, k2: {plane_sum(k1, k2): q(e, 2)}
+    tensor_xy = {(k1, k2): c1 * c2 for k1, c1 in xs.items() for k2, c2 in ys.items()}
+    if kernel == "linear":
+        got = homcore.linear(homcore.key_map(image), homcore.flatten(xs))
+        expected = native_sum(
+            (k2, c * c2) for k, c in xs.items() for k2, c2 in image(k).items()
+        )
+    elif kernel == "bilinear":
+        table = homcore.key_map(product)
+        got = bilinear(table, homcore.flatten(xs), homcore.flatten(ys))
+        expected = native_sum(
+            (k, c * c2) for (k1, k2), c in tensor_xy.items() for k, c2 in product(k1, k2).items()
+        )
+    elif kernel == "t_contract":
+        got = homcore.t_contract(homcore.key_map(product), homcore.flatten(tensor_xy))
+        expected = native_sum(
+            (k, c * c2) for (k1, k2), c in tensor_xy.items() for k, c2 in product(k1, k2).items()
+        )
+    else:
+        # the outer product does not merge like terms: the identity map does
+        outer = homcore.t_outer(homcore.flatten(xs), homcore.flatten(ys))
+        got = homcore.linear(basis_terms, outer)
+        expected = tensor_xy
+    assert coords(got.items()) == expected
+    # the huge exponents reach the result
+    assert any(abs(x) >= BIG for c in expected.values() for x in c.terms)
+
+
+def test_registry_raises_at_capacity():
+    registry = homcore.KeyRegistry(3)
+    assert [registry.ids[key] for key in "abc"] == [0, 1, 2]
+    with pytest.raises(OverflowError, match="full at 3 keys"):
+        registry.ids["d"]
+    with pytest.raises(OverflowError):
+        registry.pair(0, 1)
+    # no key was aliased or half-registered
+    assert registry.keys == ["a", "b", "c"] and "d" not in registry.ids
+    assert registry.ids["a"] == 0
+    assert homcore.REGISTRY.capacity == homcore.STRIDE

@@ -16,14 +16,17 @@ from homtwist.uea import UElem
 import plane_oracle
 
 
+key_of = homcore.REGISTRY.keys.__getitem__  # the key of an id
+
+
 def flat(xs) -> dict:
-    """The flat element {(key, exponent): coefficient} of table terms."""
-    return {(k, e): c for k, e, c in xs}
+    """The coordinate map {key: QLaurent} of table terms."""
+    return homcore.unflatten(xs)
 
 
 def native(coords) -> dict:
-    """The flat element of a native coordinate map {key: QLaurent}."""
-    return flat(homcore.flatten(coords))
+    """A native coordinate map {key: QLaurent}, through flatten and unflatten."""
+    return homcore.unflatten(homcore.flatten(coords))
 
 
 def tensor(left: dict, right: dict) -> dict:
@@ -44,11 +47,16 @@ def cleaned(coords: dict) -> dict:
 
 ALPHA_U = actions.alpha_u_handle()
 ALPHA_A = actions.alpha_plane()
-U = UElem.monomial
 
 
-def P(key):
-    return Poly.monomial(*key)
+def U(k):
+    """The PBW monomial of the id k."""
+    return UElem.monomial(key_of(k))
+
+
+def P(k):
+    """The plane monomial of the id k."""
+    return Poly.monomial(*key_of(k))
 
 
 def twisted_u():
@@ -77,7 +85,7 @@ def test_twisted_u_comul():
 def test_plane_carrier():
     C, beta_A = actions.plane_carrier(2), actions.sl2_scenario(1, 2).beta_A
     for k1 in C.basis:
-        assert flat(C.alpha(k1)) == native({k1: ONE})
+        assert flat(C.alpha(k1)) == native({key_of(k1): ONE})
         assert flat(beta_A(k1)) == native(ALPHA_A(P(k1)).terms)
         for k2 in C.basis:
             assert flat(C.mul(k1, k2)) == native((P(k1) * P(k2)).terms)
@@ -110,6 +118,7 @@ def test_rho2():
     s = actions.deformed_scenario(1, 1)
     square = homcore.build_rho2(s)
     twisted_comul = homcore.yau_twist_bialgebra(actions.u_carrier(1), actions.endo_map(ALPHA_U))
+    pair = homcore.REGISTRY.pair
     for h in s.H.basis:
         # Delta_alpha(h) = Delta(alpha_U(h)), summed natively
         sweedler = uea.comul(ALPHA_U(U(h)))
@@ -118,8 +127,9 @@ def test_rho2():
             for b in s.A.basis:
                 expected = {}
                 for (h1, h2), c in sweedler.items():
-                    add(expected, tensor(deformed_native(U(h1), a), deformed_native(U(h2), b)), c)
-                assert flat(square.rho(h, (a, b))) == native(cleaned(expected))
+                    left = deformed_native(UElem.monomial(h1), a)
+                    add(expected, tensor(left, deformed_native(UElem.monomial(h2), b)), c)
+                assert flat(square.rho(h, pair(a, b))) == native(cleaned(expected))
 
 
 # -- the finite example -------------------------------------------------
@@ -134,19 +144,20 @@ def m2():
 def test_group_bialgebra(m2):
     _, G, _, s = m2
     for i in s.H.basis:
-        assert flat(s.H.comul(i)) == native({(i, i): ONE})
-        assert flat(s.H.alpha(i)) == native({i: ONE})
+        gi = key_of(i)
+        assert flat(s.H.comul(i)) == native({(gi, gi): ONE})
+        assert flat(s.H.alpha(i)) == native({gi: ONE})
         for j in s.H.basis:
-            composed = G.operators.index(G.operators[i].compose(G.operators[j]))
+            composed = G.operators.index(G.operators[gi].compose(G.operators[key_of(j)]))
             assert flat(s.H.mul(i, j)) == native({composed: ONE})
 
 
 def test_a_alpha(m2):
     algebra, G, alpha, s = m2
-    e = algebra.basis_vector
+    e = lambda k: algebra.basis_vector(key_of(k))
     for i in s.A.basis:
         assert flat(s.A.alpha(i)) == native(alpha(e(i)))
         for j in s.A.basis:
             assert flat(s.A.mul(i, j)) == native(alpha(algebra.mul(e(i), e(j))))
         for g in s.H.basis:
-            assert flat(s.rho(g, i)) == native(alpha(G.operators[g](e(i))))
+            assert flat(s.rho(g, i)) == native(alpha(G.operators[key_of(g)](e(i))))

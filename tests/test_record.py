@@ -145,13 +145,13 @@ def test_finalg_beta_that_is_not_g_linear():
 
 def test_sl2_non_multiplicative_beta():
     # x^i y^j -> q^(i^2) x^i y^j
-    r = replace(sl2(3, 3), beta_A=lambda k: ((k, k[0] ** 2, 1),))
+    r = replace(sl2(3, 3), beta_A=homcore.key_map(lambda k: {k: q(k[0] ** 2)}))
     assert counts(cli.SUITES["hom-associativity"](r, ARGS)) == (456, 1100)
 
 
 def test_sl2_lie_twist_by_a_map_that_is_no_lie_endomorphism():
     # X -> qX, Y -> Y, Z -> Z; UEndo.extend rejects it, so it is a raw key map
-    raw = lambda k: ((k, 1, 1),) if k == (1, 0, 0) else basis_terms(k)
+    raw = homcore.key_map(lambda k: {k: q(1) if k == (1, 0, 0) else q(0)})
     r = replace(sl2(), lie=homcore.yau_twist_algebra(actions.u_carrier(1), raw))
     assert counts(cli.SUITES["hom-lie"](r, ARGS)) == (2, 80)
 

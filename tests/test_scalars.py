@@ -41,6 +41,12 @@ class TestArithmetic:
             coeff = value.terms[0]
             assert type(coeff) is int and coeff == value.specialize(1)
 
+    def test_product_by_int_one_is_the_instance(self):
+        # instances are immutable, so 1 * a needs no copy
+        a = ql("3*q^-1 + 1/2*q^2")
+        assert a * 1 is a and 1 * a is a
+        assert a * 2 == ql("6*q^-1 + q^2") and a * 0 == QLaurent.zero()
+
 
 class TestSpecialize:
     def test_at_one(self):
