@@ -98,8 +98,8 @@ def sl2_scenario(bound_h: int = 3, bound_a: int = 3) -> Scenario:
     """The classical action, twisted by beta_H = alpha_U and beta_A = alpha_A.
 
     The module is the classical module algebra, whose structure maps are the
-    identity.  The generator axis is X, Y, Z; the Lie carrier is U(sl(2)) on
-    PBW degree <= 1 twisted by alpha_U, whatever the bounds.
+    identity.  The Lie carrier is U(sl(2)) on PBW degree <= 1 twisted by
+    alpha_U, whatever the bounds.
     """
     beta_H = endo_map(alpha_u_handle())
     lie = homcore.yau_twist_algebra(u_carrier(1), beta_H)
@@ -109,7 +109,6 @@ def sl2_scenario(bound_h: int = 3, bound_a: int = 3) -> Scenario:
         ),
         beta_H=beta_H,
         beta_A=endo_map(alpha_plane()),
-        generators=key_ids(m for g in uea.GENERATORS for m in UElem.generator(g).terms),
         lie=replace(lie, name="sl2 twisted"),
     )
 

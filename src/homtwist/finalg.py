@@ -323,8 +323,8 @@ def example31_scenario(algebra: StructAlgebra, G: GroupBialgebra, a) -> Scenario
     maps, and beta_H is the identity.  Requires a to be invertible and fixed
     by every group element; then i_a commutes with G, is k[G]-linear, and the
     deformed package (k[G], A_alpha, rho_alpha = i_a o rho) is a module
-    Hom-algebra with identity structure map on k[G].  The generator axis is
-    the whole group, and the Lie carrier is A_alpha.
+    Hom-algebra with identity structure map on k[G].  The Lie carrier is
+    A_alpha.
     """
     for idx, op in enumerate(G.operators):
         if op(a) != a:
@@ -337,7 +337,6 @@ def example31_scenario(algebra: StructAlgebra, G: GroupBialgebra, a) -> Scenario
         module=module,
         beta_H=basis_terms,
         beta_A=beta_A,
-        generators=module.H.basis,
         lie=replace(yau_twist_algebra(module.A, beta_A), name="A_alpha"),
     )
 

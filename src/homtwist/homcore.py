@@ -14,15 +14,17 @@ result is rendered (axis, renderer, unflatten) and in the inputs of a
 counterexample.
 
 A Scenario is the one record every suite reads, (module, beta_H, beta_A,
-generators, lie): a module Hom-algebra and the compatible maps beta that
-deform_scenario twists it by.  A twist composes with the structure map,
+lie): a module Hom-algebra and the compatible maps beta that deform_scenario
+twists it by.  A twist composes with the structure map,
 alpha' = beta o alpha (alpha = Id gives the paper's deformation).  Twists and
 derived structures compose the tables of their input, each entry filled once.
 
 Every checker runs one or more sweeps (report.sweep) of a multilinear
 identity over basis tuples, whose sides are contractions of the tables with
-int and Fraction coefficients.  It returns a CheckReport: a failed identity
-is report content, not an exception.  Only malformed carriers raise.
+int and Fraction coefficients, and each identity is swept once:
+check_mu_module_morphism reads the module Hom-algebra sweep, the same identity
+by Theorem 1.1.  A checker returns a CheckReport: a failed identity is report
+content, not an exception.  Only malformed carriers raise.
 """
 
 from __future__ import annotations
@@ -154,19 +156,18 @@ class ModuleAlgebraScenario:
 class Scenario:
     """One scenario: the input of the paper's construction and of every suite.
 
-    The record is (module, beta_H, beta_A, generators, lie).  module is a
-    module Hom-algebra (H, A, rho) whose carriers hold their true structure
-    maps (the identity on a module algebra).  beta_H (a bialgebra endomorphism
-    of H) and beta_A (an algebra endomorphism of A) are key tables that twist
-    it into the deformed triple, deform_scenario.  generators are the ids of
-    the H keys of the generator axis of Eq. (4.2), and lie is a
-    Hom-associative carrier whose commutator check_hom_jacobi checks.
+    The record is (module, beta_H, beta_A, lie).  module is a module
+    Hom-algebra (H, A, rho) whose carriers hold their true structure maps (the
+    identity on a module algebra).  beta_H (a bialgebra endomorphism of H) and
+    beta_A (an algebra endomorphism of A) are key tables that twist it into
+    the deformed triple, deform_scenario; check_compatibility checks them on
+    the H basis.  lie is a Hom-associative carrier whose commutator
+    check_hom_jacobi checks.
     """
 
     module: ModuleAlgebraScenario
     beta_H: Callable
     beta_A: Callable
-    generators: tuple
     lie: Carrier
 
 
@@ -471,13 +472,13 @@ def check_hom_bialgebra(H: Carrier) -> CheckReport:
 # -- module checkers ---------------------------------------------------
 
 
-def _rho_commutes(s, alpha_H, alpha_M, h_axis, name, equation) -> CheckReport:
-    """alpha_M(a m) = alpha_H(a) alpha_M(m) for the H ids of h_axis, M = s.A."""
+def _rho_commutes(s, alpha_H, alpha_M, name, equation) -> CheckReport:
+    """alpha_M(a m) = alpha_H(a) alpha_M(m) on basis pairs, M = s.A."""
     rho = s.rho
     return _sweep(
         name,
         equation,
-        [h_axis, axis(s.A)],
+        [axis(s.H), axis(s.A)],
         lambda kh, km: linear(alpha_M, rho(kh, km)),
         lambda kh, km: bilinear(rho, alpha_H(kh), alpha_M(km)),
         renderer(s.A),
@@ -491,7 +492,7 @@ def check_module_axiom(s: ModuleAlgebraScenario) -> CheckReport:
     alpha(a)(b m) = (a b) alpha_M(m) on triples (Eq. 2.1'), with M = s.A.
     """
     rho, H, M = s.rho, s.H, s.A
-    report = _rho_commutes(s, H.alpha, M.alpha, axis(H), "module-axiom", "Eqs. (2.1)/(2.1')")
+    report = _rho_commutes(s, H.alpha, M.alpha, "module-axiom", "Eqs. (2.1)/(2.1')")
     return report.merge(
         _sweep(
             "module-axiom",
@@ -504,16 +505,17 @@ def check_module_axiom(s: ModuleAlgebraScenario) -> CheckReport:
     )
 
 
-def check_compatibility(r: Scenario, keys) -> CheckReport:
-    """beta_A(x a) = beta_H(x) beta_A(a) for the H keys x of the ids keys (Eq. 1.7).
+def check_compatibility(r: Scenario) -> CheckReport:
+    """beta_A(x a) = beta_H(x) beta_A(a) on the basis of r.module.H.
 
     It reads (r.module, r.beta_H, r.beta_A): the first sweep of the module
-    axiom with the twisting maps in place of the structure maps.  It checks
-    Eq. (4.2) over r.generators and Eq. (1.7) over the H basis.
+    axiom with the twisting maps in place of the structure maps.  This is
+    Eq. (1.7) on the H basis; the basis holds the generators, so it is also
+    Eq. (4.2), the condition on generators.
     """
-    _, render_key = axis(r.module.H)
-    h_axis = (tuple(keys), render_key)
-    return _rho_commutes(r.module, r.beta_H, r.beta_A, h_axis, "compatibility", "Eq. (1.7)")
+    return _rho_commutes(
+        r.module, r.beta_H, r.beta_A, "compatibility", "Eqs. (1.5)/(1.7)/(4.2)"
+    )
 
 
 def build_rho_tilde(
@@ -521,8 +523,8 @@ def build_rho_tilde(
 ) -> ModuleAlgebraScenario:
     """The auxiliary module structure rho-tilde = rho o (alpha_H^2 x Id).
 
-    alpha_power exists only for the negative control (power 1 breaks the
-    correspondence between the two module Hom-algebra characterizations).
+    alpha_power exists only for the negative control, which sweeps alpha_H
+    in place of alpha_H^2.
     """
 
     def rho_tilde(h, a):
@@ -555,49 +557,44 @@ def build_rho2(s: ModuleAlgebraScenario) -> ModuleAlgebraScenario:
     )
 
 
-def _module_hom_sides(s: ModuleAlgebraScenario, alpha_power: int):
-    """The two sides of the module Hom-algebra axiom on basis triples (x, a, b).
+def check_module_hom_algebra(s: ModuleAlgebraScenario, alpha_power: int = 2) -> CheckReport:
+    """The module Hom-algebra axiom: alpha_H^2(x)(ab) = sum (x'a)(x''b).
 
-    rho-tilde(x, ab), with rho-tilde of build_rho_tilde, and
-    mu_A(rho^2(x, a x b)) = sum (x'a)(x''b), with rho^2 of build_rho2.
+    On basis triples (x, a, b) it compares rho-tilde(x, ab), with rho-tilde of
+    build_rho_tilde, and mu_A(rho^2(x, a x b)) = sum (x'a)(x''b), with rho^2
+    of build_rho2.
     """
     tilde, square = build_rho_tilde(s, alpha_power).rho, build_rho2(s).rho
     mul, pair = s.A.mul, REGISTRY.pair
-    return (
-        lambda kx, ka, kb: bilinear(tilde, basis_terms(kx), mul(ka, kb)),
-        lambda kx, ka, kb: t_contract(mul, square(kx, pair(ka, kb))),
-    )
-
-
-def check_module_hom_algebra(s: ModuleAlgebraScenario, alpha_power: int = 2) -> CheckReport:
-    """The module Hom-algebra axiom: alpha_H^2(x)(ab) = sum (x'a)(x''b)."""
-    tilde_side, square_side = _module_hom_sides(s, alpha_power)
     return _sweep(
         "module-hom-algebra",
         "Eqs. (2.9)/(2.10)",
         [axis(s.H), axis(s.A), axis(s.A)],
-        tilde_side,
-        square_side,
+        lambda kx, ka, kb: bilinear(tilde, basis_terms(kx), mul(ka, kb)),
+        lambda kx, ka, kb: t_contract(mul, square(kx, pair(ka, kb))),
         renderer(s.A),
     )
+
+
+def mu_module_morphism(report: CheckReport) -> CheckReport:
+    """A module Hom-algebra report read as Theorem 1.1(3).
+
+    mu_A is a morphism of H-modules from (A x A, rho^2) to (A, rho-tilde)
+    exactly when the module Hom-algebra axiom holds: the identity is the same,
+    with the sides swapped.  The view copies the counterexamples, so report
+    is left as it is.
+    """
+    swapped = [replace(ce, lhs=ce.rhs, rhs=ce.lhs) for ce in report.counterexamples]
+    return CheckReport("mu-module-morphism", "Theorem 1.1(3)", report.checked, swapped)
 
 
 def check_mu_module_morphism(s: ModuleAlgebraScenario, alpha_power: int = 2) -> CheckReport:
     """mu_A as a morphism of H-modules from (A x A, rho^2) to (A, rho-tilde).
 
-    By the characterization theorem this verdict must coincide with
-    check_module_hom_algebra on the same scenario: the sides are the same,
-    swapped.
+    By Theorem 1.1 this is the module Hom-algebra axiom: the report reads the
+    sweep of check_module_hom_algebra through mu_module_morphism.
     """
-    tilde_side, square_side = _module_hom_sides(s, alpha_power)
-    return _sweep(
-        "mu-module-morphism",
-        "Theorem 1.1(3)",
-        [axis(s.H), axis(s.A), axis(s.A)],
-        square_side,
-        tilde_side,
-        renderer(s.A),
-    )
+    return mu_module_morphism(check_module_hom_algebra(s, alpha_power))
 
 
 # -- Yau twists --------------------------------------------------------

@@ -124,7 +124,7 @@ def test_criterion_5_endomorphism_extension():
         rhs = {k: v for k, v in rhs.items() if v}
         bialg_ok = bialg_ok and lhs == rhs
     r = actions.sl2_scenario(3, 4)
-    compat = homcore.check_compatibility(r, r.module.H.basis)
+    compat = homcore.check_compatibility(r)
     report_line(
         5,
         bialg_ok and compat.passed,

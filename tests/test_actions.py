@@ -97,14 +97,16 @@ class TestDeformedAction:
 
 class TestCompatibility:
     def test_generator_case(self):
+        # at PBW degree <= 1 the H basis is 1, X, Y, Z: the unit and the
+        # generators of Eq. (4.2)
         r = actions.sl2_scenario(1, 4)
-        report = homcore.check_compatibility(r, r.generators)
+        report = homcore.check_compatibility(r)
         assert report.passed
-        assert report.checked == 3 * 15
+        assert report.checked == 4 * 15
 
     def test_full_compatibility(self):
         r = actions.sl2_scenario(2, 3)
-        report = homcore.check_compatibility(r, r.module.H.basis)
+        report = homcore.check_compatibility(r)
         assert report.passed and report.checked == 100
 
     def test_uniform_scaling_breaks_compatibility(self):
@@ -113,10 +115,11 @@ class TestCompatibility:
         r = replace(
             actions.sl2_scenario(3, 3), beta_A=actions.endo_map(PolyEndo.diagonal(q, q))
         )
-        full = homcore.check_compatibility(r, r.module.H.basis)
-        generators = homcore.check_compatibility(r, r.generators)
-        assert (len(full.counterexamples), full.checked) == (52, 200)
-        assert (len(generators.counterexamples), generators.checked) == (12, 30)
+        report = homcore.check_compatibility(r)
+        assert (len(report.counterexamples), report.checked) == (52, 200)
+        # 12 of them at X, Y or Z, the generators of Eq. (4.2)
+        generators = {(1, 0, 0), (0, 1, 0), (0, 0, 1)}
+        assert sum(ce.inputs[0] in generators for ce in report.counterexamples) == 12
 
     def test_classical_module_algebra(self):
         classical = actions.sl2_scenario(2, 2).module

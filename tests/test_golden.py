@@ -3,7 +3,9 @@
 tests/data holds stdout and --report JSON files recorded before the checkers
 were compiled into key tables, and the twist tables recorded before the
 carriers moved to key-level maps; the verdicts, counterexamples, tables and
-their rendering must not change.
+their rendering must not change.  The compatibility lines of sl2_22, sl2_33
+and finalg were re-recorded when that suite came to sweep the H basis once,
+without a separate generator axis that the basis contains.
 """
 
 import os
@@ -32,10 +34,7 @@ NEGCTL = ["verify", "sl2-q", "--bound-h", "2", "--bound-a", "2",
          cli.EXIT_PASS, True),
     ],
 )
-def test_output_matches_recorded_bytes(capsys, monkeypatch, tmp_path, stem, argv,
-                                       code, with_report):
-    monkeypatch.delenv("HOMTWIST_BOUND_H", raising=False)
-    monkeypatch.delenv("HOMTWIST_BOUND_A", raising=False)
+def test_output_matches_recorded_bytes(capsys, tmp_path, stem, argv, code, with_report):
     report = tmp_path / "report.json"
     assert cli.main(argv + (["--report", str(report)] if with_report else [])) == code
     with open(os.path.join(DATA, f"{stem}.stdout"), "rb") as fh:

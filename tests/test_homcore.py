@@ -342,6 +342,34 @@ class TestCharacterizationTheorem:
             ce.inputs for ce in morphism.counterexamples
         ]
 
+    @staticmethod
+    def cases(report):
+        return [(ce.inputs, ce.rendered_inputs, ce.lhs, ce.rhs) for ce in report.counterexamples]
+
+    @pytest.mark.parametrize("alpha_power", [2, 1])
+    @pytest.mark.parametrize(
+        "deformed",
+        [lambda: actions.deformed_scenario(2, 2),
+         lambda: finalg.build_example31(*finalg.m2_example())],
+        ids=["sl2-q", "finalg"],
+    )
+    def test_morphism_reads_the_module_hom_algebra_sweep(self, deformed, alpha_power):
+        s = deformed()
+        direct = check_module_hom_algebra(s, alpha_power)
+        morphism = check_mu_module_morphism(s, alpha_power)
+        assert (morphism.name, morphism.equation) == ("mu-module-morphism", "Theorem 1.1(3)")
+        assert morphism.checked == direct.checked
+        swapped = [(i, r, rhs, lhs) for i, r, lhs, rhs in self.cases(morphism)]
+        assert swapped == self.cases(direct)
+
+    def test_view_leaves_the_report_as_it_is(self):
+        report = check_module_hom_algebra(actions.deformed_scenario(1, 1), alpha_power=1)
+        before = self.cases(report)
+        view = homcore.mu_module_morphism(report)
+        assert before and self.cases(report) == before
+        assert (report.name, report.equation) == ("module-hom-algebra", "Eqs. (2.9)/(2.10)")
+        assert not {id(ce) for ce in view.counterexamples} & set(map(id, report.counterexamples))
+
 
 def commutator(C, a, b) -> dict:
     """[a, b] of basis keys a and b, as a coordinate map."""

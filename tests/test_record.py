@@ -1,4 +1,4 @@
-"""The scenario record (module, beta_H, beta_A, generators, lie).
+"""The scenario record (module, beta_H, beta_A, lie).
 
 r.module is a module Hom-algebra with its own structure maps, and a twist
 composes with them: twisting the deformed triple a second time by a compatible
@@ -106,7 +106,7 @@ def sweeps(s):
 )
 def test_twist_composes_with_the_structure_map(scenario, pair, composed, control):
     r = twice_deformed(scenario, pair)
-    assert homcore.check_compatibility(r, r.module.H.basis).passed
+    assert homcore.check_compatibility(r).passed
     s = homcore.deform_scenario(r)
     for k in s.A.basis:
         once = homcore.terms(homcore.linear(r.beta_A, r.module.A.alpha(k)))
@@ -137,10 +137,9 @@ def test_finalg_non_multiplicative_beta(suite, expected):
 def test_finalg_beta_that_is_not_g_linear():
     r = replace(m2(), beta_A=finalg.linop_map(NOT_G_LINEAR))
     report = cli.SUITES["compatibility"](r, ARGS)
-    # the generator axis and the H basis are both the group: 1/8 each
-    assert counts(report) == (2, 16)
-    assert counts(homcore.check_compatibility(r, r.generators)) == (1, 8)
-    assert [ce.rendered_inputs for ce in report.counterexamples] == [("g1", "e12")] * 2
+    # one sweep of the group: each failing case is reported once
+    assert counts(report) == (1, 8)
+    assert [ce.rendered_inputs for ce in report.counterexamples] == [("g1", "e12")]
 
 
 def test_sl2_non_multiplicative_beta():
