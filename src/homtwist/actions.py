@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 from functools import cache
-from math import perm
+from math import comb, perm
 
 from . import homcore, uea
 from .homcore import Carrier, ModuleAlgebraScenario, Scenario, key_ids, key_map, on_ids
@@ -50,7 +50,7 @@ def act_key(mono, key) -> tuple:
     if b > i or a > j + b:
         return ()
     coeff = (i - j) ** c * perm(i, b) * perm(j + b, a)
-    return (((i - b + a, j + b - a), 0, coeff),) if coeff else ()
+    return (((i - b + a, j + b - a), coeff),) if coeff else ()
 
 
 def endo_map(endo: PolyEndo | UAlgebraEndo):
@@ -63,32 +63,26 @@ def endo_map(endo: PolyEndo | UAlgebraEndo):
 
 def plane_carrier(bound: int) -> Carrier:
     """k[x,y] as a carrier with test basis of monomials up to total degree bound."""
+    homcore.REGISTRY.reserve(comb(bound + 2, 2))
     basis = tuple((i, j) for p in enumerate_monomials(bound) for (i, j) in p.terms)
     return Carrier(
         name="k[x,y]",
         basis=key_ids(basis),
-        mul=cache(on_ids(lambda k1, k2: (((k1[0] + k2[0], k1[1] + k2[1]), 0, 1),))),
+        mul=cache(on_ids(lambda k1, k2: (((k1[0] + k2[0], k1[1] + k2[1]), 1),))),
         render_key=lambda key: str(Poly.monomial(key[0], key[1])),
         render_elem=lambda coords: str(trusted(Poly, coords)),
     )
 
 
-def _pbw_mul(m1, m2) -> tuple:
-    # no memo here: uea._mono_mul keeps the products, and a twist its own table
-    return tuple((mono, 0, n) for mono, n in uea._mono_mul(m1, m2))
-
-
-def _pbw_comul(mono) -> tuple:
-    return tuple((pair, 0, n) for pair, n in uea._comul_mono(mono))
-
-
 def u_carrier(bound: int) -> Carrier:
     """U(sl(2)) as a bialgebra carrier on PBW monomials up to degree bound."""
+    homcore.REGISTRY.reserve(comb(bound + 3, 3))
     return Carrier(
         name="U(sl2)",
         basis=key_ids(enumerate_pbw(bound)),
-        mul=on_ids(_pbw_mul),
-        comul=cache(on_ids(_pbw_comul)),
+        # no memo for mul: uea._mono_mul keeps the products, a twist its own table
+        mul=on_ids(uea._mono_mul),
+        comul=cache(on_ids(uea._comul_mono)),
         render_key=render_mono,
         render_elem=lambda coords: str(trusted(UElem, coords)),
     )

@@ -278,8 +278,8 @@ class GroupBialgebra:
         return Carrier(
             name="k[G]",
             basis=key_ids(range(self.size())),
-            mul=cache(on_ids(lambda i, j: ((self.table[i, j], 0, 1),))),
-            comul=cache(on_ids(lambda i: (((i, i), 0, 1),))),
+            mul=cache(on_ids(lambda i, j: ((self.table[i, j], 1),))),
+            comul=cache(on_ids(lambda i: (((i, i), 1),))),
             render_key=lambda i: f"g{i}",
             render_elem=_render_group_elem,
         )

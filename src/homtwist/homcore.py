@@ -8,23 +8,26 @@ whole spanned truncation; a passing sweep is a proof at the declared bound.
 
 Keys are interned: the one KeyRegistry, REGISTRY, gives each key an int id,
 and a term is the pair (exponent * STRIDE + key id, coefficient).  Only this
-module knows that layout.  Base carriers define their tables on keys (on_ids
-and key_map turn them into tables on ids), and ids become keys again where a
-result is rendered (axis, renderer, unflatten) and in the inputs of a
-counterexample.
+module knows that layout.  Base carriers define their tables on keys, as key
+kernels (keys to (key, coefficient) pairs, on_ids) or coordinate maps
+(key_map), and ids become keys again where a result is rendered (axis,
+renderer, unflatten) and in the inputs of a counterexample.
 
 A Scenario is the one record every suite reads, (module, beta_H, beta_A,
 lie): a module Hom-algebra and the compatible maps beta that deform_scenario
 twists it by.  A twist composes with the structure map,
-alpha' = beta o alpha (alpha = Id gives the paper's deformation).  Twists and
-derived structures compose the tables of their input, each entry filled once.
+alpha' = beta o alpha (alpha = Id gives the paper's deformation).  Twisted
+and deformed tables are composites, composite(f, g) = the memo table of f o g.
 
 Every checker runs one or more sweeps (report.sweep) of a multilinear
 identity over basis tuples, whose sides are contractions of the tables with
-int and Fraction coefficients, and each identity is swept once:
-check_mu_module_morphism reads the module Hom-algebra sweep, the same identity
-by Theorem 1.1.  A checker returns a CheckReport: a failed identity is report
-content, not an exception.  Only malformed carriers raise.
+int and Fraction coefficients.  A structure-map axiom has one of three shapes:
+a commuting square of linear maps, a morphism of bilinear maps, or the
+Hom-associativity of an action; an algebra A is a module over itself,
+regular(A).  Each identity is swept once: check_mu_module_morphism reads the
+module Hom-algebra sweep, the same identity by Theorem 1.1.  A checker returns
+a CheckReport: a failed identity is report content, not an exception.  Only
+malformed carriers raise.
 """
 
 from __future__ import annotations
@@ -92,6 +95,11 @@ class KeyRegistry:
             raise OverflowError(f"key registry is full at {self.capacity} keys")
         self.keys.append(key)
         return new
+
+    def reserve(self, count: int):
+        """Refuse, before it is enumerated, a basis of more keys than capacity."""
+        if count > self.capacity:
+            raise OverflowError(f"a basis of {count} keys overflows {self.capacity} key ids")
 
     def _pair_id(self, packed: int) -> int:
         k1, k2 = packed >> _SHIFT, packed & _MASK
@@ -194,13 +202,11 @@ def _sweep(name, equation, axes, lhs, rhs, render) -> CheckReport:
 
 
 def on_ids(f) -> Callable:
-    """f, a map of keys to (key, exponent, coefficient) triples, as a map of
+    """f, a key kernel (a map of keys to (key, coefficient) pairs), as a map of
     ids to packed terms.  It is not memoized; wrap it in cache for a table.
     """
     ids_of = REGISTRY.ids
-    return lambda *ids: _shared(
-        (e * STRIDE + ids_of[key], c) for key, e, c in f(*map(_KEYS.__getitem__, ids))
-    )
+    return lambda *ids: _shared((ids_of[key], c) for key, c in f(*map(_KEYS.__getitem__, ids)))
 
 
 def flatten(coords: dict) -> tuple:
@@ -367,35 +373,62 @@ def _require_comul(H: Carrier):
         raise ValueError(f"carrier {H.name} has no comultiplication")
 
 
+# -- sweep shapes ------------------------------------------------------
+# The sides each shape compares are packed elements.
+
+
+def _square(name, equation, C, f, g, h, k, render) -> CheckReport:
+    """f o g = h o k on the basis of C: a square of linear maps commutes."""
+    return _sweep(
+        name, equation, [axis(C)], lambda x: linear(f, g(x)), lambda x: linear(h, k(x)), render
+    )
+
+
+def _morphism(name, equation, axes, phi, f, g, phi1, phi2, render) -> CheckReport:
+    """phi o f = g o (phi1 x phi2) on basis pairs: phi carries the bilinear f to g."""
+    return _sweep(
+        name, equation, axes,
+        lambda x, y: linear(phi, f(x, y)),
+        lambda x, y: bilinear(g, phi1(x), phi2(y)),
+        render,
+    )
+
+
+def _action_associativity(name, equation, s) -> CheckReport:
+    """alpha_H(a)(b m) = (a b) alpha_M(m) on basis triples (Eq. 2.1'), M = s.A."""
+    rho, H, M = s.rho, s.H, s.A
+    return _sweep(
+        name, equation, [axis(H), axis(H), axis(M)],
+        lambda a, b, m: bilinear(rho, H.alpha(a), rho(b, m)),
+        lambda a, b, m: bilinear(rho, H.mul(a, b), M.alpha(m)),
+        renderer(M),
+    )
+
+
+def regular(A: Carrier) -> ModuleAlgebraScenario:
+    """A as a module over itself through its product: the regular module.
+
+    Its module axiom is multiplicativity of alpha on pairs and Eq. (1.2) on
+    triples, so the two algebra checkers are the module sweeps of regular(A).
+    """
+    return ModuleAlgebraScenario(A, A, A.mul)
+
+
 # -- algebra checkers --------------------------------------------------
-# Each checker sweeps contractions of its carrier's tables; the sides it
-# compares are packed elements.
 
 
 def check_multiplicativity(A: Carrier) -> CheckReport:
     """alpha(ab) = alpha(a) alpha(b) on all basis pairs."""
     mul, alpha = A.mul, A.alpha
-    return _sweep(
-        "multiplicativity",
-        "alpha o mu = mu o (alpha x alpha)",
-        [axis(A)] * 2,
-        lambda k1, k2: linear(alpha, mul(k1, k2)),
-        lambda k1, k2: bilinear(mul, alpha(k1), alpha(k2)),
-        renderer(A),
+    return _morphism(
+        "multiplicativity", "alpha o mu = mu o (alpha x alpha)",
+        [axis(A)] * 2, alpha, mul, mul, alpha, alpha, renderer(A),
     )
 
 
 def check_hom_associativity(A: Carrier) -> CheckReport:
     """mu(alpha(a), mu(b, c)) = mu(mu(a, b), alpha(c)) on basis triples."""
-    mul, alpha = A.mul, A.alpha
-    return _sweep(
-        "hom-associativity",
-        "Eq. (1.2)",
-        [axis(A)] * 3,
-        lambda k1, k2, k3: bilinear(mul, alpha(k1), mul(k2, k3)),
-        lambda k1, k2, k3: bilinear(mul, mul(k1, k2), alpha(k3)),
-        renderer(A),
-    )
+    return _action_associativity("hom-associativity", "Eq. (1.2)", regular(A))
 
 
 def check_hom_coassociativity(H: Carrier) -> CheckReport:
@@ -423,39 +456,20 @@ def check_hom_coassociativity(H: Carrier) -> CheckReport:
         t = unflatten(flat.items())
         return render_tensor({(*xy, z): c for (xy, z), c in t.items()}, H, H, H)
 
-    return _sweep(
-        "hom-coassociativity",
-        "Eq. (2.3)",
-        [axis(H)],
-        lambda k: linear(delta_alpha, comul(k)),
-        lambda k: linear(alpha_delta, comul(k)),
-        render,
+    return _square(
+        "hom-coassociativity", "Eq. (2.3)", H, delta_alpha, comul, alpha_delta, comul, render
     )
 
 
 def check_comul_morphism(H: Carrier) -> CheckReport:
     """Delta is a morphism of Hom-associative algebras (Eqs. 2.4 and 2.5)."""
     _require_comul(H)
-    comul, alpha = H.comul, H.alpha
-    T = tensor(H, H)
-    report = _sweep(
-        "comul-morphism",
-        "Eqs. (2.4)-(2.5)",
-        [axis(H)],
-        lambda k: linear(comul, alpha(k)),
-        lambda k: linear(T.alpha, comul(k)),
-        renderer(T),
-    )
+    comul, T = H.comul, tensor(H, H)
+    name, equation = "comul-morphism", "Eqs. (2.4)-(2.5)"
+    report = _square(name, equation, H, comul, H.alpha, T.alpha, comul, renderer(T))
+    # mu^2 o (Id x tau x Id) o Delta^2 on the right
     return report.merge(
-        _sweep(
-            "comul-morphism",
-            "Eqs. (2.4)-(2.5)",
-            [axis(H)] * 2,
-            lambda k1, k2: linear(comul, H.mul(k1, k2)),
-            # mu^2 o (Id x tau x Id) o Delta^2
-            lambda k1, k2: bilinear(T.mul, comul(k1), comul(k2)),
-            renderer(T),
-        )
+        _morphism(name, equation, [axis(H)] * 2, comul, H.mul, T.mul, comul, comul, renderer(T))
     )
 
 
@@ -472,19 +486,6 @@ def check_hom_bialgebra(H: Carrier) -> CheckReport:
 # -- module checkers ---------------------------------------------------
 
 
-def _rho_commutes(s, alpha_H, alpha_M, name, equation) -> CheckReport:
-    """alpha_M(a m) = alpha_H(a) alpha_M(m) on basis pairs, M = s.A."""
-    rho = s.rho
-    return _sweep(
-        name,
-        equation,
-        [axis(s.H), axis(s.A)],
-        lambda kh, km: linear(alpha_M, rho(kh, km)),
-        lambda kh, km: bilinear(rho, alpha_H(kh), alpha_M(km)),
-        renderer(s.A),
-    )
-
-
 def check_module_axiom(s: ModuleAlgebraScenario) -> CheckReport:
     """rho is a Hom-module morphism and satisfies the module axiom.
 
@@ -492,17 +493,11 @@ def check_module_axiom(s: ModuleAlgebraScenario) -> CheckReport:
     alpha(a)(b m) = (a b) alpha_M(m) on triples (Eq. 2.1'), with M = s.A.
     """
     rho, H, M = s.rho, s.H, s.A
-    report = _rho_commutes(s, H.alpha, M.alpha, "module-axiom", "Eqs. (2.1)/(2.1')")
-    return report.merge(
-        _sweep(
-            "module-axiom",
-            "Eqs. (2.1)/(2.1')",
-            [axis(H), axis(H), axis(M)],
-            lambda k1, k2, km: bilinear(rho, H.alpha(k1), rho(k2, km)),
-            lambda k1, k2, km: bilinear(rho, H.mul(k1, k2), M.alpha(km)),
-            renderer(M),
-        )
+    name, equation = "module-axiom", "Eqs. (2.1)/(2.1')"
+    report = _morphism(
+        name, equation, [axis(H), axis(M)], M.alpha, rho, rho, H.alpha, M.alpha, renderer(M)
     )
+    return report.merge(_action_associativity(name, equation, s))
 
 
 def check_compatibility(r: Scenario) -> CheckReport:
@@ -513,8 +508,10 @@ def check_compatibility(r: Scenario) -> CheckReport:
     Eq. (1.7) on the H basis; the basis holds the generators, so it is also
     Eq. (4.2), the condition on generators.
     """
-    return _rho_commutes(
-        r.module, r.beta_H, r.beta_A, "compatibility", "Eqs. (1.5)/(1.7)/(4.2)"
+    s, beta_A = r.module, r.beta_A
+    return _morphism(
+        "compatibility", "Eqs. (1.5)/(1.7)/(4.2)",
+        [axis(s.H), axis(s.A)], beta_A, s.rho, s.rho, r.beta_H, beta_A, renderer(s.A),
     )
 
 
@@ -600,22 +597,26 @@ def check_mu_module_morphism(s: ModuleAlgebraScenario, alpha_power: int = 2) -> 
 # -- Yau twists --------------------------------------------------------
 
 
+def composite(f, g) -> Callable:
+    """The memo table of f o g: the table g, of any arity, then the linear f."""
+    return cache(lambda *ids: terms(linear(f, g(*ids))))
+
+
 def yau_twist_algebra(A: Carrier, beta: Callable) -> Carrier:
     """Twist A by beta: mu_beta = beta o mu, alpha_beta = beta o alpha.
 
     A Hom-algebra twisted by a morphism that commutes with alpha is again one
     (Makhlouf-Silvestrov); at alpha = Id this is the Yau twist.
     """
-    mul = cache(lambda k1, k2: terms(linear(beta, A.mul(k1, k2))))
-    alpha = cache(lambda k: terms(linear(beta, A.alpha(k))))
-    return replace(A, name=f"{A.name}_alpha", mul=mul, alpha=alpha)
+    return replace(
+        A, name=f"{A.name}_alpha", mul=composite(beta, A.mul), alpha=composite(beta, A.alpha)
+    )
 
 
 def yau_twist_bialgebra(H: Carrier, beta: Callable) -> Carrier:
     """Twist a bialgebra carrier by beta; also Delta_beta = Delta o beta."""
     _require_comul(H)
-    comul = cache(lambda k: terms(linear(H.comul, beta(k))))
-    return replace(yau_twist_algebra(H, beta), comul=comul)
+    return replace(yau_twist_algebra(H, beta), comul=composite(H.comul, beta))
 
 
 def deform_scenario(r: Scenario) -> ModuleAlgebraScenario:
@@ -625,11 +626,11 @@ def deform_scenario(r: Scenario) -> ModuleAlgebraScenario:
     beta o alpha.  An H twisted by the identity basis_terms stays as it is: its
     twist would be the same bialgebra under a new name.
     """
-    s, beta_A = r.module, r.beta_A
+    s = r.module
     return ModuleAlgebraScenario(
         H=s.H if r.beta_H is basis_terms else yau_twist_bialgebra(s.H, r.beta_H),
-        A=yau_twist_algebra(s.A, beta_A),
-        rho=cache(lambda h, a: terms(linear(beta_A, s.rho(h, a)))),
+        A=yau_twist_algebra(s.A, r.beta_A),
+        rho=composite(r.beta_A, s.rho),
     )
 
 

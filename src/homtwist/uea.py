@@ -1,13 +1,14 @@
 """U(sl(2)) with PBW normal-form arithmetic and primitive comultiplication.
 
 The generators satisfy [X,Y] = Z, [X,Z] = -2X, [Y,Z] = 2Y.  Products are kept
-in the fixed normal order X^a Y^b Z^c; out-of-order generator pairs rewrite by
+in the fixed normal order X^a Y^b Z^c.  The relations
 
-    YX -> XY - Z,    ZX -> XZ + 2X,    ZY -> YZ - 2Y.
+    YX = XY - Z,    ZX = XZ + 2X,    ZY = YZ - 2Y
 
-Each rewrite either shortens a word or reduces its inversion count, so
-normalization terminates; the test suite compares against an independent
-free-algebra reduction oracle as confluence evidence.
+give left multiplication of a normal monomial by a generator in closed form
+(_left_gen), and a product of monomials is a chain of such multiplications;
+the test suite compares against an independent free-algebra reduction
+oracle.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from .scalars import (
     MonomialElem,
     MonomialEndo,
     QLaurent,
-    add_term,
     extend_bilinear,
     extend_linear,
     join_terms,
@@ -111,33 +111,31 @@ class UElem(MonomialElem):
 
 @lru_cache(maxsize=None)
 def _left_gen(gen: str, mono) -> tuple:
-    """Left-multiply a PBW monomial by one generator, in normal form."""
+    """Left-multiply m = X^a Y^b Z^c by one generator, in normal form.
+
+    Induction on a and b from the relations gives
+
+        Y X^a = X^a Y - a X^(a-1) (Z + a - 1),
+        Z X^a = X^a (Z + 2a),    Z Y^b = Y^b (Z - 2b),
+
+    so that, as ZY^b = Y^b(Z - 2b) moves Z + a - 1 past Y^b,
+
+        X m = X^(a+1) Y^b Z^c,
+        Y m = X^a Y^(b+1) Z^c - a X^(a-1) Y^b Z^(c+1) - a(a-1-2b) X^(a-1) Y^b Z^c,
+        Z m = X^a Y^b Z^(c+1) + 2(a-b) X^a Y^b Z^c,
+
+    with the zero terms left out.
+    """
     a, b, c = mono
     if gen == "X":
         return (((a + 1, b, c), 1),)
     if gen == "Y":
-        if a == 0:
-            return (((0, b + 1, c), 1),)
-        # Y X^a ... = (XY - Z) X^(a-1) ...
-        rest = (a - 1, b, c)
-        out = extend_linear(lambda m: _left_gen("X", m), _left_gen("Y", rest))
-        for m, n in _left_gen("Z", rest):
-            add_term(out, m, -n)
-        return tuple(out.items())
-    if gen == "Z":
-        if a > 0:
-            # Z X^a ... = (XZ + 2X) X^(a-1) ...
-            out = extend_linear(lambda m: _left_gen("X", m), _left_gen("Z", (a - 1, b, c)))
-            add_term(out, (a, b, c), 2)
-            return tuple(out.items())
-        if b > 0:
-            # Z Y^b Z^c = (YZ - 2Y) Y^(b-1) Z^c
-            tail = _left_gen("Z", (0, b - 1, c))
-            out = extend_linear(lambda m: (((m[0], m[1] + 1, m[2]), 1),), tail)
-            add_term(out, (0, b, c), -2)
-            return tuple(out.items())
-        return (((0, 0, c + 1), 1),)
-    raise ValueError(f"unknown generator {gen!r}")
+        out = (((a, b + 1, c), 1), ((a - 1, b, c + 1), -a), ((a - 1, b, c), -a * (a - 1 - 2 * b)))
+    elif gen == "Z":
+        out = (((a, b, c + 1), 1), ((a, b, c), 2 * (a - b)))
+    else:
+        raise ValueError(f"unknown generator {gen!r}")
+    return tuple(term for term in out if term[1])
 
 
 @lru_cache(maxsize=None)

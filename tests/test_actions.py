@@ -173,9 +173,9 @@ def weight_spectrum(n: int):
     for i in range(n, -1, -1):
         key = (i, n - i)
         images = [act_key(gen, key) for gen in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
-        assert all(sum(k) == n for terms in images for k, _, _ in terms)
-        assert all(k == key and not e for k, e, _ in images[2])
-        weights.append(sum(c for _, _, c in images[2]))
+        assert all(sum(k) == n for terms in images for k, _ in terms)
+        assert all(k == key for k, _ in images[2])
+        weights.append(sum(c for _, c in images[2]))
     return weights
 
 

@@ -1,5 +1,6 @@
 import json
 import os
+import resource
 import subprocess
 import sys
 from math import comb
@@ -343,6 +344,15 @@ def test_module_hom_suites_share_one_sweep(capsys, monkeypatch):
     assert len(calls) == 1
 
 
+def test_module_hom_sweep_is_cleared_after_the_run(capsys):
+    code, _, _ = run(
+        capsys,
+        "verify", "sl2-q", "--bound-h", "1", "--bound-a", "1", "--suite", "module-hom-algebra",
+    )
+    assert code == cli.EXIT_PASS
+    assert cli._module_hom_sweep.cache_info().currsize == 0
+
+
 def test_package_runs_as_module():
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = {**os.environ, "PYTHONPATH": src}
@@ -355,3 +365,28 @@ def test_package_runs_as_module():
         assert done.returncode == 0, done.stderr
         outputs.append(done.stdout)
     assert outputs[0] == outputs[1] and "PASS" in outputs[0]
+
+
+def _limit_address_space():
+    limit = 1536 * 1024 * 1024
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "sl2-q", "--bound-h", "1000"],
+        ["verify", "sl2-q", "--bound-a", "5000"],
+        ["twist", "sl2", "--bound", "1000"],
+    ],
+)
+def test_oversized_bound_exits_2_before_enumerating(argv):
+    # the basis alone would exhaust a 1.5 GB address space
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    done = subprocess.run(
+        [sys.executable, "-m", "homtwist", *argv],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=60,
+        preexec_fn=_limit_address_space,
+    )
+    assert done.returncode == cli.EXIT_INPUT_ERROR, done.stderr
+    assert done.stderr.startswith("error: ") and "Traceback" not in done.stderr

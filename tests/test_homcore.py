@@ -146,6 +146,30 @@ class TestHomBialgebraNegativeControl:
         )
 
 
+class TestRegularModule:
+    """A Hom-algebra is a Hom-module over itself through mu: the module axiom
+    of regular(A) is multiplicativity on pairs merged with Eq. (1.2) on triples.
+    """
+
+    @staticmethod
+    def both(A):
+        module = check_module_axiom(homcore.regular(A))
+        algebra = check_multiplicativity(A).merge(check_hom_associativity(A))
+        assert (module.checked, module.counterexamples) == (
+            algebra.checked,
+            algebra.counterexamples,
+        )
+        return module
+
+    def test_twisted_plane_passes(self):
+        report = self.both(plane_twisted())
+        assert report.passed and report.checked == 6 * 6 + 6 * 6 * 6
+
+    def test_degree_scaling_twist_fails_the_same_cases(self):
+        report = self.both(TestHomBialgebraNegativeControl.twisted())
+        assert (len(report.counterexamples), report.checked) == (37 + 619, 100 + 1000)
+
+
 # -- fault injection ---------------------------------------------------
 # Each perturbation adds q*e_k0 to one key-level map at one basis key; the
 # checker of the identity that map enters must then fail at that key.  The
