@@ -8,6 +8,7 @@ tuple together with rendered left and right sides.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import product
 
 
@@ -82,11 +83,11 @@ def sweep(name, equation, axes, lhs, rhs, render=str) -> CheckReport:
     axes holds one (keys, render_key) pair per argument of lhs and rhs; the
     cases are the cartesian product of the keys, last axis fastest.  A failing
     case is recorded with its keys, the rendered keys and both sides rendered
-    by render.  Every identity checked is multilinear, so a pass on the basis
-    tuples is a pass on their span.
+    by render; each axis renders a key once per sweep.  Every identity checked
+    is multilinear, so a pass on the basis tuples is a pass on their span.
     """
     report = CheckReport(name, equation)
-    renders = [render_key for _, render_key in axes]
+    renders = [cache(render_key) for _, render_key in axes]
     for case in product(*(keys for keys, _ in axes)):
         left, right = lhs(*case), rhs(*case)
         report.checked += 1

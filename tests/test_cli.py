@@ -331,10 +331,12 @@ class TestNegativeControlEquivalence:
 
 
 def test_module_hom_suites_share_one_sweep(capsys, monkeypatch):
-    # rho^2 is built once per module Hom-algebra sweep
+    # both suites read one module Hom-algebra sweep
     calls = []
-    build_rho2 = homcore.build_rho2
-    monkeypatch.setattr(homcore, "build_rho2", lambda s: calls.append(s) or build_rho2(s))
+    check = homcore.check_module_hom_algebra
+    monkeypatch.setattr(
+        homcore, "check_module_hom_algebra", lambda *a: calls.append(a) or check(*a)
+    )
     code, _, _ = run(
         capsys,
         "verify", "sl2-q", "--bound-h", "1", "--bound-a", "1",

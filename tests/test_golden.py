@@ -6,8 +6,12 @@ carriers moved to key-level maps; the verdicts, counterexamples, tables and
 their rendering must not change.  The compatibility lines of sl2_22, sl2_33
 and finalg were re-recorded when that suite came to sweep the H basis once,
 without a separate generator axis that the basis contains.
+
+The negative control at (3,3), the benchmark's negctl-q33 command, is pinned
+by the sha256 of its stdout and of its --report JSON (about 300 KB).
 """
 
+import hashlib
 import os
 
 import pytest
@@ -42,3 +46,18 @@ def test_output_matches_recorded_bytes(capsys, tmp_path, stem, argv, code, with_
     if with_report:
         with open(os.path.join(DATA, f"{stem}.json"), "rb") as fh:
             assert report.read_bytes() == fh.read()
+
+
+def test_negative_control_33_matches_recorded_digests(capsys, tmp_path):
+    report = tmp_path / "report.json"
+    argv = ["verify", "sl2-q", "--bound-h", "3", "--bound-a", "3",
+            "--suite", "module-hom-algebra", "--suite", "mu-module-morphism",
+            "--negative-control", "--report", str(report)]
+    assert cli.main(argv) == cli.EXIT_AXIOM_FAILURE
+    stdout = capsys.readouterr().out.encode()
+    assert hashlib.sha256(stdout).hexdigest() == (
+        "bd415a80cb4c881c15b22bb45d1f72d91e259d7d2e68212193018573fb0edc04"
+    )
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == (
+        "616b0fba96e4531d004a24381d6d2d3c335415a0e667ad6499c3eaf16bf9bc8a"
+    )

@@ -22,6 +22,7 @@ from homtwist.homcore import (
     yau_twist_bialgebra,
 )
 from homtwist.polyalg import Poly
+from homtwist.report import sweep
 from homtwist.scalars import ONE, QLaurent, add_term
 
 X, Y, Z = (1, 0, 0), (0, 1, 0), (0, 0, 1)
@@ -393,6 +394,97 @@ class TestCharacterizationTheorem:
         assert before and self.cases(report) == before
         assert (report.name, report.equation) == ("module-hom-algebra", "Eqs. (2.9)/(2.10)")
         assert not {id(ce) for ce in view.counterexamples} & set(map(id, report.counterexamples))
+
+
+def finalg_non_multiplicative_beta():
+    """The deformed m2 triple with beta_A = diag(1, -2, 1, 1): 4 of 32 cases fail."""
+    D = finalg.LinOp([[1, 0, 0, 0], [0, -2, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+    r = finalg.example31_scenario(*finalg.m2_example())
+    return homcore.deform_scenario(replace(r, beta_A=finalg.linop_map(D)))
+
+
+class TestFusedRightSide:
+    """The right side of Eq. (2.9), summed through Delta(x), is mu_A o rho^2."""
+
+    @staticmethod
+    def reference(s, alpha_power):
+        # t_contract(mu_A, rho^2(x, a x b)), with rho^2 of build_rho2
+        tilde, square = build_rho_tilde(s, alpha_power).rho, build_rho2(s).rho
+        mul, pair = s.A.mul, homcore.REGISTRY.pair
+        return sweep(
+            "reference", "",
+            [homcore.axis(s.H), homcore.axis(s.A), homcore.axis(s.A)],
+            lambda kx, ka, kb: bilinear(tilde, basis_terms(kx), mul(ka, kb)),
+            lambda kx, ka, kb: homcore.t_contract(mul, square(kx, pair(ka, kb))),
+            homcore.renderer(s.A),
+        )
+
+    @pytest.mark.parametrize(
+        "deformed, alpha_power, failing",
+        [(lambda: actions.deformed_scenario(2, 2), 2, 0),
+         (lambda: actions.deformed_scenario(2, 2), 1, 124),
+         (finalg_non_multiplicative_beta, 2, 4)],
+        ids=["sl2-q", "sl2-q-control", "finalg-D"],
+    )
+    def test_same_cases_as_mu_of_rho2(self, deformed, alpha_power, failing):
+        s = deformed()
+        fused = check_module_hom_algebra(s, alpha_power)
+        reference = self.reference(s, alpha_power)
+        assert fused.checked == reference.checked
+        assert len(fused.counterexamples) == failing
+        assert [
+            (ce.inputs, ce.lhs, ce.rhs) for ce in fused.counterexamples
+        ] == [
+            (tuple(map(key_of, ce.inputs)), ce.lhs, ce.rhs) for ce in reference.counterexamples
+        ]
+
+
+class TestRenderCaches:
+    def test_renderer_reads_the_content_only(self):
+        calls = []
+        C = actions.plane_carrier(2)
+        counted = replace(C, render_elem=lambda coords: calls.append(1) or C.render_elem(coords))
+        render = homcore.renderer(counted)
+        xs = homcore.flatten({x: QLaurent.q_power(2, 3), y: QLaurent.q_power(-1, Fraction(1, 2))})
+        first = render(dict(xs))
+        assert render(dict(reversed(xs))) == render(dict(xs)) == first
+        assert first == C.render_elem(coords(xs)) and len(calls) == 1
+        assert render({}) == "0" and len(calls) == 2
+
+    def test_each_axis_renders_a_key_once(self):
+        calls = {}
+
+        def counted(C):
+            def render_key(key):
+                calls[key] = calls.get(key, 0) + 1
+                return C.render_key(key)
+
+            return replace(C, render_key=render_key)
+
+        s = actions.deformed_scenario(2, 2)
+        report = check_module_hom_algebra(replace(s, H=counted(s.H), A=counted(s.A)), 1)
+        # far more failing cases than keys: without the memo every case renders
+        assert len(report.counterexamples) > 2 * len(calls)
+        # H keys and A keys are distinct tuples; an A key renders once per A axis
+        slots = [{ce.inputs[i] for ce in report.counterexamples} for i in range(3)]
+        assert calls == {
+            key: sum(key in keys for keys in slots) for key in set().union(*slots)
+        }
+
+
+def test_comul_morphism_interns_only_the_pairs_it_meets():
+    # the group algebra of Z/3 on keys of its own: Delta(g) = g x g
+    g = [("z3", i) for i in range(3)]
+    H = homcore.Carrier(
+        name="k[Z/3]",
+        basis=homcore.key_ids(g),
+        mul=homcore.on_ids(lambda a, b: [(("z3", (a[1] + b[1]) % 3), 1)]),
+        comul=homcore.on_ids(lambda a: [((a, a), 1)]),
+    )
+    report = homcore.check_comul_morphism(H)
+    assert report.passed and report.checked == 3 + 9
+    # the sweeps meet the diagonal pairs g x g only; the tensor basis is not built
+    assert [(a, b) in homcore.REGISTRY.ids for a in g for b in g] == [a == b for a in g for b in g]
 
 
 def commutator(C, a, b) -> dict:
