@@ -21,7 +21,9 @@ and deformed tables are composites, composite(f, g) = the memo table of f o g.
 
 Every checker runs one or more sweeps (report.sweep) of a multilinear
 identity over basis tuples, whose sides are contractions of the tables with
-int and Fraction coefficients.  A structure-map axiom has one of three shapes:
+int and Fraction coefficients: linear and bilinear hold the only accumulate
+loops, t_contract is linear on a key-pair table, and t_map(f, g) is the one
+map f x g on key pairs.  A structure-map axiom has one of three shapes:
 a commuting square of linear maps, a morphism of bilinear maps, or the
 Hom-associativity of an action; an algebra A is a module over itself,
 regular(A).  Each identity is swept once: check_mu_module_morphism reads the
@@ -199,8 +201,11 @@ def _sweep(name, equation, axes, lhs, rhs, render) -> CheckReport:
 # The checkers compute in a packed form: an element is a dict
 # {exponent * STRIDE + key id: nonzero int or Fraction}, and a tensor is the
 # same with the id of a key pair.  Terms are (packed, coefficient) pairs; a
-# table entry is a tuple of them.  QLaurent appears only where a base carrier
-# reads its exact data and where a failing case is rendered.
+# table entry is a tuple of them.  linear and bilinear are the only loops that
+# accumulate terms; t_contract is linear on the key-pair table
+# t -> table(*slots[t]), and t_map(f, g), t -> t_outer(f(a), g(b)), is the one
+# map on key pairs.  QLaurent appears only where a base carrier reads its
+# exact data and where a failing case is rendered.
 
 
 def on_ids(f) -> Callable:
@@ -314,24 +319,22 @@ def t_outer(xs, ys) -> list:
 
 
 def t_contract(table, xs) -> dict:
-    """A bilinear map, given by its table, applied to the 2-tensor terms xs."""
-    out = {}
+    """A bilinear map, given by its table, applied to the 2-tensor terms xs:
+    linear over the key-pair table t -> table(*slots[t]).
+    """
     slots = REGISTRY.slots
-    for p1, c1 in xs:
-        k = p1 & _MASK
-        p1 -= k
-        for p, c in table(*slots[k]):
-            p += p1
-            c *= c1
-            if p in out:
-                c += out[p]
-                if not c:
-                    del out[p]
-                    continue
-            if c.__class__ is Fraction and c.denominator == 1:
-                c = c.numerator
-            out[p] = c
-    return out
+    return linear(lambda t: table(*slots[t]), xs)
+
+
+def t_map(f, g) -> Callable:
+    """f x g on key pairs: the map t -> t_outer(f(a), g(b)), (a, b) = slots[t]."""
+    slots = REGISTRY.slots
+
+    def fg(t):
+        a, b = slots[t]
+        return t_outer(f(a), g(b))
+
+    return fg
 
 
 def render_tensor(t: dict, *carriers) -> str:
@@ -349,27 +352,24 @@ def _slotwise(C1: Carrier, C2: Carrier) -> Carrier:
     """The maps and rendering of the tensor product of C1 and C2, with no basis.
 
     mul and alpha act slotwise: (a x b)(c x d) = ac x bd and
-    alpha(a x b) = alpha(a) x alpha(b).  Their results are outer products
-    (t_outer), so they may repeat a packed value, and they are not memo
-    tables: a tensor sweep meets each pair of tensor keys about once.
+    alpha(a x b) = alpha(a) x alpha(b), t_map(alpha1, alpha2).  Their results
+    are outer products (t_outer), so they may repeat a packed value, and they
+    are not memo tables: a tensor sweep meets each pair of tensor keys about
+    once.
     """
 
-    mul1, mul2, alpha1, alpha2 = C1.mul, C2.mul, C1.alpha, C2.alpha
+    mul1, mul2 = C1.mul, C2.mul
     slots = REGISTRY.slots
 
     def mul(t1, t2):
         (a1, b1), (a2, b2) = slots[t1], slots[t2]
         return t_outer(mul1(a1, a2), mul2(b1, b2))
 
-    def alpha(t):
-        a, b = slots[t]
-        return t_outer(alpha1(a), alpha2(b))
-
     return Carrier(
         name=f"{C1.name} x {C2.name}",
         basis=(),
         mul=mul,
-        alpha=alpha,
+        alpha=t_map(C1.alpha, C2.alpha),
         render_key=lambda t: f"{C1.render_key(t[0])} x {C2.render_key(t[1])}",
         render_elem=lambda coords: render_tensor(coords, C1, C2),
     )
@@ -456,26 +456,19 @@ def check_hom_coassociativity(H: Carrier) -> CheckReport:
     slots, pair = REGISTRY.slots, REGISTRY.pair
 
     # Delta x alpha and alpha x Delta on key pairs, into key pairs ((x, y), z)
-    def delta_alpha(t):
-        a, b = slots[t]
-        return t_outer(comul(a), alpha(b))
+    alpha_delta = t_map(alpha, comul)
 
-    def alpha_delta(t):
-        a, b = slots[t]
+    def reassociated(t):
         out = []
-        for p, c in t_outer(alpha(a), comul(b)):
+        for p, c in alpha_delta(t):
             x, yz = slots[p & _MASK]
             y, z = slots[yz]
             out.append(((p & _HIGH) + pair(pair(x, y), z), c))
         return out
 
-    def render(flat):
-        # H x H x H is rendered without building its basis
-        t = unflatten(flat.items())
-        return render_tensor({(*xy, z): c for (xy, z), c in t.items()}, H, H, H)
-
     return _square(
-        "hom-coassociativity", "Eq. (2.3)", H, delta_alpha, comul, alpha_delta, comul, render
+        "hom-coassociativity", "Eq. (2.3)", H, t_map(comul, alpha), comul, reassociated, comul,
+        renderer(_slotwise(_slotwise(H, H), H)),
     )
 
 
@@ -552,26 +545,24 @@ def build_rho_tilde(
     return replace(s, rho=cache(rho_tilde))
 
 
-def _rho2(s: ModuleAlgebraScenario, h, t) -> tuple:
-    """rho^2(h, a x b) = sum rho(h', a) x rho(h'', b) on ids, as tensor terms."""
-    rho = s.rho
-    a, b = REGISTRY.slots[t]
-    return terms(t_contract(lambda h1, h2: t_outer(rho(h1, a), rho(h2, b)), s.H.comul(h)))
-
-
 def build_rho2(s: ModuleAlgebraScenario) -> ModuleAlgebraScenario:
     """The diagonal module structure rho^2 on the tensor square A x A.
 
-    rho^2(x, a x b) = sum rho(x', a) x rho(x'', b) contracts the tables of s;
-    it is not memoized, since a sweep meets each (x, a x b) once.  mu_A of it,
+    rho^2(x, a x b) = sum rho(x', a) x rho(x'', b) is Delta(x) through the
+    key-pair map t_map(rho(., a), rho(., b)); it is not memoized, since a
+    sweep meets each (x, a x b) once.  mu_A of it,
     t_contract(s.A.mul, rho^2(x, a x b)), is the right side that
     check_module_hom_algebra computes without the tensor terms.
     """
     _require_comul(s.H)
+    rho, comul, slots = s.rho, s.H.comul, REGISTRY.slots
+
+    def rho2(h, t):
+        a, b = slots[t]
+        return terms(linear(t_map(lambda h1: rho(h1, a), lambda h2: rho(h2, b)), comul(h)))
+
     return ModuleAlgebraScenario(
-        H=s.H,
-        A=replace(tensor(s.A, s.A), name=f"{s.A.name} tensor square"),
-        rho=lambda h, t: _rho2(s, h, t),
+        H=s.H, A=replace(tensor(s.A, s.A), name=f"{s.A.name} tensor square"), rho=rho2
     )
 
 
@@ -579,19 +570,21 @@ def check_module_hom_algebra(s: ModuleAlgebraScenario, alpha_power: int = 2) -> 
     """The module Hom-algebra axiom: alpha_H^2(x)(ab) = sum (x'a)(x''b).
 
     On basis triples (x, a, b) it compares rho-tilde(x, ab), with rho-tilde of
-    build_rho_tilde, and sum mu_A(rho(x', a), rho(x'', b)): Delta(x)
-    contracted with the table (h1, h2) -> mu_A(rho(h1, a), rho(h2, b)).  That
-    is mu_A o rho^2 with rho^2 of build_rho2, summed without building the
-    tensor terms of A x A.
+    build_rho_tilde, and sum mu_A(rho(x', a), rho(x'', b)): Delta(x) through
+    linear with the key-pair table t -> mu_A(rho(h1, a), rho(h2, b)),
+    (h1, h2) = slots[t].  That is mu_A o rho^2 with rho^2 of build_rho2,
+    summed without building the tensor terms of A x A.
     """
     _require_comul(s.H)
     tilde = build_rho_tilde(s, alpha_power).rho
-    rho, mul, comul = s.rho, s.A.mul, s.H.comul
+    rho, mul, comul, slots = s.rho, s.A.mul, s.H.comul, REGISTRY.slots
 
     def rhs(kx, ka, kb):
-        return t_contract(
-            lambda h1, h2: bilinear(mul, rho(h1, ka), rho(h2, kb)).items(), comul(kx)
-        )
+        def mu_rho2(t):
+            h1, h2 = slots[t]
+            return bilinear(mul, rho(h1, ka), rho(h2, kb)).items()
+
+        return linear(mu_rho2, comul(kx))
 
     return _sweep(
         "module-hom-algebra",

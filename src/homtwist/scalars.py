@@ -24,6 +24,10 @@ from fractions import Fraction
 # form with positive denominator.
 Rational = Fraction
 
+# QLaurent.specialize refuses a power q0^e of more bits than this (1 MiB): a
+# power near it takes about a second, and q0^(10^20) would exhaust memory
+_MAX_POWER_BITS = 1 << 23
+
 
 def _as_rational(value):
     """An exact rational as an int when integral, else a reduced Fraction."""
@@ -154,6 +158,10 @@ class QLaurent:
         q0 = Fraction(_as_rational(q0))
         if q0 == 0:
             raise ValueError("cannot specialize at q = 0: negative exponents undefined")
+        # ceil(log2 max(|num|, den)) bits per unit of exponent; 0 at q0 = +-1
+        bits = (max(abs(q0.numerator), q0.denominator) - 1).bit_length()
+        if bits * max(map(abs, self.terms), default=0) > _MAX_POWER_BITS:
+            raise OverflowError(f"a power of q is too large to evaluate at q = {q0}")
         total = Fraction(0)
         for exp, coeff in self.terms.items():
             total += coeff * q0**exp

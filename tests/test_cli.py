@@ -49,6 +49,15 @@ class TestAct:
     def test_specialization_drops_vanishing_coefficients(self, capsys):
         code, out, _ = run(capsys, "act", "q*X - X", "y", "--q-value", "1")
         assert code == 0 and out == "0\n"
+        # exact at large exponents: the powers cancel, or q0 = +-1
+        huge = "q^99999999999999999999*X"
+        for argv, expected in [
+            (["q^100001*X - 2*q^100000*X", "y", "--q-value", "2"], "0"),
+            ([huge, "y", "--q-value", "1"], "x"),
+            ([huge, "y", "--q-value=-1"], "-x"),
+            (["q^-99999999999999999998*X", "y", "--q-value=-1"], "x"),
+        ]:
+            assert run(capsys, "act", *argv)[:2] == (0, f"{expected}\n"), argv
 
     def test_overlong_powers_act_by_zero(self, capsys):
         # Y^30000000 derives x more often than x^3 y^2 has it
@@ -380,10 +389,14 @@ def _limit_address_space():
         ["verify", "sl2-q", "--bound-h", "1000"],
         ["verify", "sl2-q", "--bound-a", "5000"],
         ["twist", "sl2", "--bound", "1000"],
+        # q0^e is refused before it is computed
+        ["act", "q^99999999999999999999*X", "y", "--q-value", "2"],
+        ["act", "q^10000000000*X", "y", "--q-value", "2"],
+        ["act", "q^-99999999999999999999*X", "y", "--q-value", "1/3"],
     ],
 )
 def test_oversized_bound_exits_2_before_enumerating(argv):
-    # the basis alone would exhaust a 1.5 GB address space
+    # the basis, or the power of q, alone would exhaust a 1.5 GB address space
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     done = subprocess.run(
         [sys.executable, "-m", "homtwist", *argv],

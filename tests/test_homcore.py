@@ -403,6 +403,15 @@ def finalg_non_multiplicative_beta():
     return homcore.deform_scenario(replace(r, beta_A=finalg.linop_map(D)))
 
 
+def sl2_non_cocommutative():
+    """The deformed sl2-q triple at (2, 2) with Delta(X) gaining q*(Y x 1).
+
+    Its x' and x'' differ, so a sweep that swapped them would fail other cases.
+    """
+    s = actions.deformed_scenario(2, 2)
+    return replace(s, H=_perturb_comul(s.H, X, (Y, (0, 0, 0))))
+
+
 class TestFusedRightSide:
     """The right side of Eq. (2.9), summed through Delta(x), is mu_A o rho^2."""
 
@@ -423,8 +432,9 @@ class TestFusedRightSide:
         "deformed, alpha_power, failing",
         [(lambda: actions.deformed_scenario(2, 2), 2, 0),
          (lambda: actions.deformed_scenario(2, 2), 1, 124),
-         (finalg_non_multiplicative_beta, 2, 4)],
-        ids=["sl2-q", "sl2-q-control", "finalg-D"],
+         (finalg_non_multiplicative_beta, 2, 4),
+         (sl2_non_cocommutative, 2, 18)],
+        ids=["sl2-q", "sl2-q-control", "finalg-D", "sl2-q-non-cocommutative"],
     )
     def test_same_cases_as_mu_of_rho2(self, deformed, alpha_power, failing):
         s = deformed()
@@ -558,7 +568,7 @@ def plane_sum(k1, k2):
 
 
 @pytest.mark.parametrize("e", [BIG, -BIG])
-@pytest.mark.parametrize("kernel", ["linear", "bilinear", "t_contract", "t_outer"])
+@pytest.mark.parametrize("kernel", ["linear", "bilinear", "t_contract", "t_outer", "t_map"])
 def test_packed_terms_keep_huge_exponents(kernel, e):
     q = QLaurent.q_power
     xs = {(1, 0): q(e, 2) + q(-e, Fraction(1, 3)), (0, 1): q(e, -1)}
@@ -582,6 +592,16 @@ def test_packed_terms_keep_huge_exponents(kernel, e):
         got = homcore.t_contract(homcore.key_map(product), homcore.flatten(tensor_xy))
         expected = native_sum(
             (k, c * c2) for (k1, k2), c in tensor_xy.items() for k, c2 in product(k1, k2).items()
+        )
+    elif kernel == "t_map":
+        # image x image on the pair keys of tensor_xy; linear merges like terms
+        table = homcore.key_map(image)
+        got = homcore.linear(homcore.t_map(table, table), homcore.flatten(tensor_xy))
+        expected = native_sum(
+            ((j1, j2), c * c1 * c2)
+            for (k1, k2), c in tensor_xy.items()
+            for j1, c1 in image(k1).items()
+            for j2, c2 in image(k2).items()
         )
     else:
         # the outer product does not merge like terms: the identity map does
