@@ -570,21 +570,19 @@ def check_module_hom_algebra(s: ModuleAlgebraScenario, alpha_power: int = 2) -> 
     """The module Hom-algebra axiom: alpha_H^2(x)(ab) = sum (x'a)(x''b).
 
     On basis triples (x, a, b) it compares rho-tilde(x, ab), with rho-tilde of
-    build_rho_tilde, and sum mu_A(rho(x', a), rho(x'', b)): Delta(x) through
-    linear with the key-pair table t -> mu_A(rho(h1, a), rho(h2, b)),
-    (h1, h2) = slots[t].  That is mu_A o rho^2 with rho^2 of build_rho2,
-    summed without building the tensor terms of A x A.
+    build_rho_tilde, and sum mu_A(rho(x', a), rho(x'', b)): Delta(x)
+    contracted with the table (h1, h2) -> mu_A(rho(h1, a), rho(h2, b)).  That
+    is mu_A o rho^2 with rho^2 of build_rho2, summed without building the
+    tensor terms of A x A.
     """
     _require_comul(s.H)
     tilde = build_rho_tilde(s, alpha_power).rho
-    rho, mul, comul, slots = s.rho, s.A.mul, s.H.comul, REGISTRY.slots
+    rho, mul, comul = s.rho, s.A.mul, s.H.comul
 
     def rhs(kx, ka, kb):
-        def mu_rho2(t):
-            h1, h2 = slots[t]
-            return bilinear(mul, rho(h1, ka), rho(h2, kb)).items()
-
-        return linear(mu_rho2, comul(kx))
+        return t_contract(
+            lambda h1, h2: bilinear(mul, rho(h1, ka), rho(h2, kb)).items(), comul(kx)
+        )
 
     return _sweep(
         "module-hom-algebra",

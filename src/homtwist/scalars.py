@@ -24,8 +24,9 @@ from fractions import Fraction
 # form with positive denominator.
 Rational = Fraction
 
-# QLaurent.specialize refuses a power q0^e of more bits than this (1 MiB): a
-# power near it takes about a second, and q0^(10^20) would exhaust memory
+# QLaurent.specialize refuses a power q0^e of more bits than this (1 MiB),
+# unless the sum it scales is 0: a power near it takes about a second, and
+# q0^(10^20) would exhaust memory
 _MAX_POWER_BITS = 1 << 23
 
 
@@ -160,12 +161,15 @@ class QLaurent:
             raise ValueError("cannot specialize at q = 0: negative exponents undefined")
         # ceil(log2 max(|num|, den)) bits per unit of exponent; 0 at q0 = +-1
         bits = (max(abs(q0.numerator), q0.denominator) - 1).bit_length()
-        if bits * max(map(abs, self.terms), default=0) > _MAX_POWER_BITS:
-            raise OverflowError(f"a power of q is too large to evaluate at q = {q0}")
-        total = Fraction(0)
-        for exp, coeff in self.terms.items():
-            total += coeff * q0**exp
-        return total
+        too_large = f"a power of q is too large to evaluate at q = {q0}"
+        # q0^low factors out, so powers that cancel are exact at any exponent
+        low, high = min(self.terms, default=0), max(self.terms, default=0)
+        if bits * (high - low) > _MAX_POWER_BITS:
+            raise OverflowError(too_large)
+        total = sum((c * q0 ** (e - low) for e, c in self.terms.items()), Fraction(0))
+        if total and bits * abs(low) > _MAX_POWER_BITS:
+            raise OverflowError(too_large)
+        return total and total * q0**low
 
     # -- text form ----------------------------------------------------
 

@@ -53,6 +53,7 @@ class TestAct:
         huge = "q^99999999999999999999*X"
         for argv, expected in [
             (["q^100001*X - 2*q^100000*X", "y", "--q-value", "2"], "0"),
+            (["q^10000000001*X - 2*q^10000000000*X", "y", "--q-value", "2"], "0"),
             ([huge, "y", "--q-value", "1"], "x"),
             ([huge, "y", "--q-value=-1"], "-x"),
             (["q^-99999999999999999998*X", "y", "--q-value=-1"], "x"),
