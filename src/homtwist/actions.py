@@ -17,7 +17,6 @@ on key ids.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from functools import cache
 from math import comb, perm
 
@@ -103,7 +102,7 @@ def sl2_scenario(bound_h: int = 3, bound_a: int = 3) -> Scenario:
         ),
         beta_H=beta_H,
         beta_A=endo_map(alpha_plane()),
-        lie=replace(lie, name="sl2 twisted"),
+        lie=lie._replace(name="sl2 twisted"),
     )
 
 

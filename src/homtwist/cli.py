@@ -13,7 +13,9 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import json
+import re
 import sys
 
 from . import actions, finalg, homcore
@@ -218,6 +220,11 @@ def cmd_verify(args):
 
 # -- act ---------------------------------------------------------------
 
+# Fraction("1e999999999") computes 10**999999999 before it returns, so the
+# decimal exponent of a q value is read from its text and capped first
+_MAX_Q_EXPONENT = 10000
+_Q_EXPONENT = re.compile(r"e[-+]?([\d_]+)\s*\Z", re.IGNORECASE)
+
 
 def cmd_act(args):
     try:
@@ -226,6 +233,11 @@ def cmd_act(args):
     except ValueError as exc:
         raise InputError(str(exc)) from exc
     if args.q_value is not None:
+        exponent = _Q_EXPONENT.search(args.q_value)
+        digits = exponent[1].replace("_", "").lstrip("0") if exponent else ""
+        # the length first: int() refuses a string of more than 4300 digits
+        if len(digits) > len(str(_MAX_Q_EXPONENT)) or int(digits or 0) > _MAX_Q_EXPONENT:
+            raise InputError(f"the exponent of q value {args.q_value!r} is above {_MAX_Q_EXPONENT}")
         try:
             q0 = Rational(args.q_value)
         except (ValueError, ZeroDivisionError) as exc:
@@ -305,5 +317,17 @@ def main(argv=None):
         return EXIT_INPUT_ERROR
 
 
+def run(argv=None):
+    """The process entry point: main, then gc.freeze().
+
+    Freezing moves every object into the permanent generation, so the
+    interpreter's collection at exit has nothing left to traverse.  Only a
+    process about to exit calls this; main never freezes.
+    """
+    code = main(argv)
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

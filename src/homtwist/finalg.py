@@ -11,7 +11,6 @@ implementing a rational-function field.
 from __future__ import annotations
 
 import json
-from dataclasses import replace
 from fractions import Fraction
 from functools import cache
 
@@ -87,7 +86,7 @@ class StructAlgebra:
     def _verify_associativity(self):
         # Eq. (1.2) with the identity structure map is associativity; the
         # error names the first failing triple only, so no side is rendered
-        carrier = replace(algebra_carrier(self), render_elem=lambda coords: "")
+        carrier = algebra_carrier(self)._replace(render_elem=lambda coords: "")
         report = check_hom_associativity(carrier)
         if not report.passed:
             raise ValueError(
@@ -167,7 +166,7 @@ class LinOp:
     def is_algebra_endo(self, algebra: StructAlgebra) -> bool:
         if algebra.unit is not None and self(algebra.unit) != algebra.unit:
             return False
-        carrier = replace(algebra_carrier(algebra), alpha=linop_map(self))
+        carrier = algebra_carrier(algebra)._replace(alpha=linop_map(self))
         return check_multiplicativity(carrier).passed
 
     def is_automorphism(self, algebra: StructAlgebra) -> bool:
@@ -337,7 +336,7 @@ def example31_scenario(algebra: StructAlgebra, G: GroupBialgebra, a) -> Scenario
         module=module,
         beta_H=basis_terms,
         beta_A=beta_A,
-        lie=replace(yau_twist_algebra(module.A, beta_A), name="A_alpha"),
+        lie=yau_twist_algebra(module.A, beta_A)._replace(name="A_alpha"),
     )
 
 

@@ -36,12 +36,11 @@ renderer renders each distinct side once.  Only malformed carriers raise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from collections import namedtuple
 from fractions import Fraction
 from functools import cache
-from typing import Callable, Optional
 
-from .report import CheckReport, Counterexample, sweep
+from .report import CheckReport, sweep
 from .scalars import QLaurent, add_term, trusted
 
 # -- interned keys and packed terms --------------------------------------
@@ -131,8 +130,13 @@ def basis_terms(k) -> tuple:
     return ((k, 1),)
 
 
-@dataclass(frozen=True)
-class Carrier:
+class Carrier(
+    namedtuple(
+        "Carrier",
+        "name basis mul alpha comul render_key render_elem",
+        defaults=(basis_terms, None, str, str),
+    )
+):
     """An algebra (or bialgebra, when comul is set) over QLaurent.
 
     basis holds key ids.  mul(k1, k2), alpha(k) and comul(k) take ids, which
@@ -142,30 +146,21 @@ class Carrier:
     {key: QLaurent} (unflatten).
     """
 
-    name: str
-    basis: tuple
-    mul: Callable
-    alpha: Callable = basis_terms
-    comul: Optional[Callable] = None
-    render_key: Callable = str
-    render_elem: Callable = str
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ModuleAlgebraScenario:
+class ModuleAlgebraScenario(namedtuple("ModuleAlgebraScenario", "H A rho")):
     """A bialgebra H acting on an algebra A by rho: the module triple (H, A, rho).
 
     The module structure map is A.alpha, so the scenario is the full input
     for the module axiom and the module Hom-algebra axiom.
     """
 
-    H: Carrier
-    A: Carrier
-    rho: Callable  # (H id, A id) -> packed terms over A keys
+    # rho: (H id, A id) -> packed terms over A keys
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(namedtuple("Scenario", "module beta_H beta_A lie")):
     """One scenario: the input of the paper's construction and of every suite.
 
     The record is (module, beta_H, beta_A, lie).  module is a module
@@ -177,10 +172,7 @@ class Scenario:
     check_hom_jacobi checks.
     """
 
-    module: ModuleAlgebraScenario
-    beta_H: Callable
-    beta_A: Callable
-    lie: Carrier
+    __slots__ = ()
 
 
 def axis(carrier) -> tuple:
@@ -192,8 +184,9 @@ def axis(carrier) -> tuple:
 def _sweep(name, equation, axes, lhs, rhs, render) -> CheckReport:
     """report.sweep over axes of ids; a counterexample keeps the keys as inputs."""
     report = sweep(name, equation, axes, lhs, rhs, render)
-    for ce in report.counterexamples:
-        ce.inputs = tuple(_KEYS[k] for k in ce.inputs)
+    report.counterexamples = [
+        ce._replace(inputs=tuple(_KEYS[k] for k in ce.inputs)) for ce in report.counterexamples
+    ]
     return report
 
 
@@ -208,7 +201,7 @@ def _sweep(name, equation, axes, lhs, rhs, render) -> CheckReport:
 # exact data and where a failing case is rendered.
 
 
-def on_ids(f) -> Callable:
+def on_ids(f):
     """f, a key kernel (a map of keys to (key, coefficient) pairs), as a map of
     ids to packed terms.  It is not memoized; wrap it in cache for a table.
     """
@@ -224,7 +217,7 @@ def flatten(coords: dict) -> tuple:
     )
 
 
-def key_map(image) -> Callable:
+def key_map(image):
     """The memo table ids -> terms of a map given by coordinate maps image(*keys)."""
     return cache(lambda *ids: flatten(image(*map(_KEYS.__getitem__, ids))))
 
@@ -249,7 +242,7 @@ def _shared(pairs) -> tuple:
     return tuple([(_share(p, p), c) for p, c in pairs])
 
 
-def renderer(C: Carrier) -> Callable:
+def renderer(C: Carrier):
     """Render a packed element of C, once per distinct element.
 
     The memo is keyed by the packed content: every render_elem sorts its
@@ -326,7 +319,7 @@ def t_contract(table, xs) -> dict:
     return linear(lambda t: table(*slots[t]), xs)
 
 
-def t_map(f, g) -> Callable:
+def t_map(f, g):
     """f x g on key pairs: the map t -> t_outer(f(a), g(b)), (a, b) = slots[t]."""
     slots = REGISTRY.slots
 
@@ -383,7 +376,7 @@ def tensor(C1: Carrier, C2: Carrier) -> Carrier:
     """
     pair = REGISTRY.pair
     basis = tuple(pair(k1, k2) for k1 in C1.basis for k2 in C2.basis)
-    return replace(_slotwise(C1, C2), basis=basis)
+    return _slotwise(C1, C2)._replace(basis=basis)
 
 
 def _require_comul(H: Carrier):
@@ -542,7 +535,7 @@ def build_rho_tilde(
             xs = terms(linear(s.H.alpha, xs))
         return terms(bilinear(s.rho, xs, basis_terms(a)))
 
-    return replace(s, rho=cache(rho_tilde))
+    return s._replace(rho=cache(rho_tilde))
 
 
 def build_rho2(s: ModuleAlgebraScenario) -> ModuleAlgebraScenario:
@@ -562,7 +555,7 @@ def build_rho2(s: ModuleAlgebraScenario) -> ModuleAlgebraScenario:
         return terms(linear(t_map(lambda h1: rho(h1, a), lambda h2: rho(h2, b)), comul(h)))
 
     return ModuleAlgebraScenario(
-        H=s.H, A=replace(tensor(s.A, s.A), name=f"{s.A.name} tensor square"), rho=rho2
+        H=s.H, A=tensor(s.A, s.A)._replace(name=f"{s.A.name} tensor square"), rho=rho2
     )
 
 
@@ -602,10 +595,7 @@ def mu_module_morphism(report: CheckReport) -> CheckReport:
     with the sides swapped.  The view copies the counterexamples, so report
     is left as it is.
     """
-    swapped = [
-        Counterexample(ce.inputs, ce.rendered_inputs, ce.rhs, ce.lhs)
-        for ce in report.counterexamples
-    ]
+    swapped = [ce._replace(lhs=ce.rhs, rhs=ce.lhs) for ce in report.counterexamples]
     return CheckReport("mu-module-morphism", "Theorem 1.1(3)", report.checked, swapped)
 
 
@@ -621,26 +611,26 @@ def check_mu_module_morphism(s: ModuleAlgebraScenario, alpha_power: int = 2) -> 
 # -- Yau twists --------------------------------------------------------
 
 
-def composite(f, g) -> Callable:
+def composite(f, g):
     """The memo table of f o g: the table g, of any arity, then the linear f."""
     return cache(lambda *ids: terms(linear(f, g(*ids))))
 
 
-def yau_twist_algebra(A: Carrier, beta: Callable) -> Carrier:
+def yau_twist_algebra(A: Carrier, beta) -> Carrier:
     """Twist A by beta: mu_beta = beta o mu, alpha_beta = beta o alpha.
 
     A Hom-algebra twisted by a morphism that commutes with alpha is again one
     (Makhlouf-Silvestrov); at alpha = Id this is the Yau twist.
     """
-    return replace(
-        A, name=f"{A.name}_alpha", mul=composite(beta, A.mul), alpha=composite(beta, A.alpha)
+    return A._replace(
+        name=f"{A.name}_alpha", mul=composite(beta, A.mul), alpha=composite(beta, A.alpha)
     )
 
 
-def yau_twist_bialgebra(H: Carrier, beta: Callable) -> Carrier:
+def yau_twist_bialgebra(H: Carrier, beta) -> Carrier:
     """Twist a bialgebra carrier by beta; also Delta_beta = Delta o beta."""
     _require_comul(H)
-    return replace(yau_twist_algebra(H, beta), comul=composite(H.comul, beta))
+    return yau_twist_algebra(H, beta)._replace(comul=composite(H.comul, beta))
 
 
 def deform_scenario(r: Scenario) -> ModuleAlgebraScenario:
@@ -684,7 +674,7 @@ def check_hom_jacobi(A: Carrier) -> CheckReport:
                 add_term(total, p, coeff)
         return total
 
-    report = check_multiplicativity(replace(A, mul=bracket))
+    report = check_multiplicativity(A._replace(mul=bracket))
     report.name, report.equation = "hom-lie", "Hom-Jacobi"
     return report.merge(
         _sweep("hom-lie", "Hom-Jacobi", [axis(A)] * 3, jacobi, lambda k1, k2, k3: {}, renderer(A))

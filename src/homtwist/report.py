@@ -7,17 +7,13 @@ tuple together with rendered left and right sides.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import cache
 from itertools import product
 
 
-@dataclass
-class Counterexample:
-    inputs: tuple
-    rendered_inputs: tuple
-    lhs: str
-    rhs: str
+class Counterexample(namedtuple("Counterexample", "inputs rendered_inputs lhs rhs")):
+    __slots__ = ()
 
     def to_dict(self):
         return {
@@ -27,12 +23,12 @@ class Counterexample:
         }
 
 
-@dataclass
 class CheckReport:
-    name: str
-    equation: str = ""
-    checked: int = 0
-    counterexamples: list = field(default_factory=list)
+    __slots__ = ("name", "equation", "checked", "counterexamples")
+
+    def __init__(self, name: str, equation: str = "", checked: int = 0, counterexamples=None):
+        self.name, self.equation, self.checked = name, equation, checked
+        self.counterexamples = [] if counterexamples is None else counterexamples
 
     @property
     def passed(self) -> bool:
@@ -44,13 +40,12 @@ class CheckReport:
         )
 
     def merge(self, other: "CheckReport") -> "CheckReport":
-        merged = CheckReport(
-            name=_distinct(" & ", self.name, other.name),
-            equation=_distinct("; ", self.equation, other.equation),
-            checked=self.checked + other.checked,
+        return CheckReport(
+            _distinct(" & ", self.name, other.name),
+            _distinct("; ", self.equation, other.equation),
+            self.checked + other.checked,
+            self.counterexamples + other.counterexamples,
         )
-        merged.counterexamples = self.counterexamples + other.counterexamples
-        return merged
 
     def summary(self) -> str:
         tag = f" [{self.equation}]" if self.equation else ""

@@ -161,7 +161,8 @@ class QLaurent:
             raise ValueError("cannot specialize at q = 0: negative exponents undefined")
         # ceil(log2 max(|num|, den)) bits per unit of exponent; 0 at q0 = +-1
         bits = (max(abs(q0.numerator), q0.denominator) - 1).bit_length()
-        too_large = f"a power of q is too large to evaluate at q = {q0}"
+        # the text leaves q0 out: str refuses an int of too many digits
+        too_large = "a power of q is too large to evaluate at this q value"
         # q0^low factors out, so powers that cancel are exact at any exponent
         low, high = min(self.terms, default=0), max(self.terms, default=0)
         if bits * (high - low) > _MAX_POWER_BITS:

@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import pytest
 
 from homtwist import actions, homcore
@@ -112,8 +110,8 @@ class TestCompatibility:
     def test_uniform_scaling_breaks_compatibility(self):
         # beta_A = (x -> q x, y -> q y) does not intertwine alpha_U
         q = QLaurent.q_power(1)
-        r = replace(
-            actions.sl2_scenario(3, 3), beta_A=actions.endo_map(PolyEndo.diagonal(q, q))
+        r = actions.sl2_scenario(3, 3)._replace(
+            beta_A=actions.endo_map(PolyEndo.diagonal(q, q))
         )
         report = homcore.check_compatibility(r)
         assert (len(report.counterexamples), report.checked) == (52, 200)

@@ -1,4 +1,3 @@
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -34,7 +33,7 @@ ALPHA_A = actions.endo_map(actions.alpha_plane())
 
 def plane(bound=2):
     """The plane with the substitution endomorphism alpha_A as structure map."""
-    return replace(actions.plane_carrier(bound), alpha=ALPHA_A)
+    return actions.plane_carrier(bound)._replace(alpha=ALPHA_A)
 
 
 def plane_twisted(bound=2):
@@ -74,7 +73,7 @@ class TestAlgebraCheckers:
         # multiplicative, detected at (x, y)
         truncate = homcore.key_map(lambda k: {k: ONE} if sum(k) <= 1 else {})
         carrier = actions.plane_carrier(1)
-        broken = replace(carrier, alpha=truncate, name="broken")
+        broken = carrier._replace(alpha=truncate, name="broken")
         report = check_multiplicativity(broken)
         assert not report.passed
         assert ((1, 0), (0, 1)) in [ce.inputs for ce in report.counterexamples]
@@ -99,7 +98,7 @@ class TestAlgebraCheckers:
 
     def test_twisted_mul_with_identity_alpha_field_fails(self):
         carrier = actions.plane_carrier(2)
-        mixed = replace(carrier, mul=plane_twisted().mul, name="mismatched")
+        mixed = carrier._replace(mul=plane_twisted().mul, name="mismatched")
         assert not check_hom_associativity(mixed).passed
 
 
@@ -195,19 +194,19 @@ def _perturbed(table, at, k0):
 
 
 def _perturb_mul(C, k1, k2, k0):
-    return replace(C, mul=_perturbed(C.mul, (k1, k2), k0))
+    return C._replace(mul=_perturbed(C.mul, (k1, k2), k0))
 
 
 def _perturb_alpha(C, k, k0):
-    return replace(C, alpha=_perturbed(C.alpha, (k,), k0))
+    return C._replace(alpha=_perturbed(C.alpha, (k,), k0))
 
 
 def _perturb_comul(C, k, pair):
-    return replace(C, comul=_perturbed(C.comul, (k,), pair))
+    return C._replace(comul=_perturbed(C.comul, (k,), pair))
 
 
 def _perturb_rho(s, h, ka, k0):
-    return replace(s, rho=_perturbed(s.rho, (h, ka), k0))
+    return s._replace(rho=_perturbed(s.rho, (h, ka), k0))
 
 
 _ALGEBRAS = {
@@ -297,7 +296,7 @@ class TestTwistFunctoriality:
             assert coords(twisted.comul(key)) == coords(carrier.comul(key))
 
     def test_deform_at_identity_reproduces_action(self):
-        r = replace(actions.sl2_scenario(2, 2), beta_H=basis_terms, beta_A=basis_terms)
+        r = actions.sl2_scenario(2, 2)._replace(beta_H=basis_terms, beta_A=basis_terms)
         s, deformed = r.module, homcore.deform_scenario(r)
         for kx in s.H.basis:
             for ka in s.A.basis:
@@ -400,7 +399,7 @@ def finalg_non_multiplicative_beta():
     """The deformed m2 triple with beta_A = diag(1, -2, 1, 1): 4 of 32 cases fail."""
     D = finalg.LinOp([[1, 0, 0, 0], [0, -2, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
     r = finalg.example31_scenario(*finalg.m2_example())
-    return homcore.deform_scenario(replace(r, beta_A=finalg.linop_map(D)))
+    return homcore.deform_scenario(r._replace(beta_A=finalg.linop_map(D)))
 
 
 def sl2_non_cocommutative():
@@ -409,7 +408,7 @@ def sl2_non_cocommutative():
     Its x' and x'' differ, so a sweep that swapped them would fail other cases.
     """
     s = actions.deformed_scenario(2, 2)
-    return replace(s, H=_perturb_comul(s.H, X, (Y, (0, 0, 0))))
+    return s._replace(H=_perturb_comul(s.H, X, (Y, (0, 0, 0))))
 
 
 class TestFusedRightSide:
@@ -453,7 +452,7 @@ class TestRenderCaches:
     def test_renderer_reads_the_content_only(self):
         calls = []
         C = actions.plane_carrier(2)
-        counted = replace(C, render_elem=lambda coords: calls.append(1) or C.render_elem(coords))
+        counted = C._replace(render_elem=lambda coords: calls.append(1) or C.render_elem(coords))
         render = homcore.renderer(counted)
         xs = homcore.flatten({x: QLaurent.q_power(2, 3), y: QLaurent.q_power(-1, Fraction(1, 2))})
         first = render(dict(xs))
@@ -469,10 +468,10 @@ class TestRenderCaches:
                 calls[key] = calls.get(key, 0) + 1
                 return C.render_key(key)
 
-            return replace(C, render_key=render_key)
+            return C._replace(render_key=render_key)
 
         s = actions.deformed_scenario(2, 2)
-        report = check_module_hom_algebra(replace(s, H=counted(s.H), A=counted(s.A)), 1)
+        report = check_module_hom_algebra(s._replace(H=counted(s.H), A=counted(s.A)), 1)
         # far more failing cases than keys: without the memo every case renders
         assert len(report.counterexamples) > 2 * len(calls)
         # H keys and A keys are distinct tuples; an A key renders once per A axis

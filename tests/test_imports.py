@@ -1,11 +1,15 @@
 """Every name a module of src/homtwist imports is referenced in that module.
 
 The names of the package's __all__ (re-exported by __init__) and
-`from __future__ import annotations` are exempt.
+`from __future__ import annotations` are exempt.  Importing the command line
+loads none of dataclasses, inspect and typing, which a cold process would pay
+for on every run.
 """
 
 import ast
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -45,3 +49,18 @@ def test_the_guard_sees_an_unused_import():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda path: path.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_cli_import_leaves_out_heavy_modules():
+    # -S: no site directory, so no installed .pth file imports anything first
+    code = (
+        "import sys\n"
+        f"sys.path.insert(0, {str(SRC.parent)!r})\n"
+        "import homtwist.cli\n"
+        "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"

@@ -8,7 +8,6 @@ have no control on the command line.
 """
 
 from argparse import Namespace
-from dataclasses import replace
 
 import pytest
 
@@ -62,13 +61,13 @@ def twice_deformed(scenario, pair):
     """The record whose module is the deformed triple and whose twist is pair."""
     r = scenario()
     beta_H, beta_A = pair()
-    return replace(r, module=homcore.deform_scenario(r), beta_H=beta_H, beta_A=beta_A)
+    return r._replace(module=homcore.deform_scenario(r), beta_H=beta_H, beta_A=beta_A)
 
 
 def uncomposed(r):
     """The twist of r with alpha' = beta in place of beta o alpha: the control."""
     s = homcore.deform_scenario(r)
-    return replace(s, H=replace(s.H, alpha=r.beta_H), A=replace(s.A, alpha=r.beta_A))
+    return s._replace(H=s.H._replace(alpha=r.beta_H), A=s.A._replace(alpha=r.beta_A))
 
 
 def sweeps(s):
@@ -130,12 +129,12 @@ NOT_G_LINEAR = finalg.LinOp([[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0,
 )
 def test_finalg_non_multiplicative_beta(suite, expected):
     # D commutes with G but is not an algebra map of M2
-    r = replace(m2(), beta_A=finalg.linop_map(D))
+    r = m2()._replace(beta_A=finalg.linop_map(D))
     assert counts(cli.SUITES[suite](r, ARGS)) == expected
 
 
 def test_finalg_beta_that_is_not_g_linear():
-    r = replace(m2(), beta_A=finalg.linop_map(NOT_G_LINEAR))
+    r = m2()._replace(beta_A=finalg.linop_map(NOT_G_LINEAR))
     report = cli.SUITES["compatibility"](r, ARGS)
     # one sweep of the group: each failing case is reported once
     assert counts(report) == (1, 8)
@@ -144,14 +143,14 @@ def test_finalg_beta_that_is_not_g_linear():
 
 def test_sl2_non_multiplicative_beta():
     # x^i y^j -> q^(i^2) x^i y^j
-    r = replace(sl2(3, 3), beta_A=homcore.key_map(lambda k: {k: q(k[0] ** 2)}))
+    r = sl2(3, 3)._replace(beta_A=homcore.key_map(lambda k: {k: q(k[0] ** 2)}))
     assert counts(cli.SUITES["hom-associativity"](r, ARGS)) == (456, 1100)
 
 
 def test_sl2_lie_twist_by_a_map_that_is_no_lie_endomorphism():
     # X -> qX, Y -> Y, Z -> Z; UEndo.extend rejects it, so it is a raw key map
     raw = homcore.key_map(lambda k: {k: q(1) if k == (1, 0, 0) else q(0)})
-    r = replace(sl2(), lie=homcore.yau_twist_algebra(actions.u_carrier(1), raw))
+    r = sl2()._replace(lie=homcore.yau_twist_algebra(actions.u_carrier(1), raw))
     assert counts(cli.SUITES["hom-lie"](r, ARGS)) == (2, 80)
 
 
@@ -159,6 +158,6 @@ def test_twisting_maps_as_structure_maps_fail_the_module_axiom():
     # the triple with untwisted products and alpha := beta on both carriers
     r = sl2(3, 3)
     s = r.module
-    s = replace(s, H=replace(s.H, alpha=r.beta_H), A=replace(s.A, alpha=r.beta_A))
-    r = replace(r, module=s, beta_H=basis_terms, beta_A=basis_terms)
+    s = s._replace(H=s.H._replace(alpha=r.beta_H), A=s.A._replace(alpha=r.beta_A))
+    r = r._replace(module=s, beta_H=basis_terms, beta_A=basis_terms)
     assert counts(cli.SUITES["module-axiom"](r, ARGS)) == (1084, 4200)
