@@ -10,18 +10,34 @@ The record twists the classical triple by beta_A = alpha_A: x -> q^2 x, y -> q y
 on the plane and beta_H = alpha_U, extending X -> qX, Y -> q^-1 Y, Z -> Z on
 the Lie algebra; rho_alpha = alpha_A o rho.
 
-The carriers give these maps on basis keys, PBW monomials (a, b, c) and
-plane exponents (i, j); homcore.on_ids and homcore.key_map make them tables
-on key ids.
+The keys are PBW monomials (a, b, c) and plane exponents (i, j), and every
+table is a memo table on their ids.  The action and the coproduct are key
+kernels that homcore.on_ids reads.  The products, plane_mul and pbw_mul, are
+shared by every carrier: pbw_mul writes m1 = g rest (uea.split_first) and
+multiplies the memoized product rest m2 by g through the id table of
+uea._left_gen.  endo_map contracts an endomorphism's generator images on
+those products, so the native UElem and Poly arithmetic is left to parsing,
+rendering and UEndo's Lie check.
 """
 
 from __future__ import annotations
 
-from functools import cache
+from functools import cache, partial
 from math import comb, perm
 
 from . import homcore, uea
-from .homcore import Carrier, ModuleAlgebraScenario, Scenario, key_ids, key_map, on_ids
+from .homcore import (
+    REGISTRY,
+    Carrier,
+    ModuleAlgebraScenario,
+    Scenario,
+    bilinear,
+    flatten,
+    key_ids,
+    linear,
+    on_ids,
+    terms,
+)
 from .polyalg import Poly, PolyEndo, enumerate_monomials
 from .scalars import QLaurent, trusted
 from .uea import UAlgebraEndo, UElem, UEndo, enumerate_pbw, render_mono
@@ -52,9 +68,56 @@ def act_key(mono, key) -> tuple:
     return (((i - b + a, j + b - a), coeff),) if coeff else ()
 
 
+# -- products and endomorphisms on ids ---------------------------------
+
+plane_mul = cache(on_ids(lambda k1, k2: (((k1[0] + k2[0], k1[1] + k2[1]), 1),)))
+
+# left multiplication by each generator, a table on ids
+_LEFT = {gen: cache(on_ids(partial(uea._left_gen, gen))) for gen in uea.GENERATORS}
+
+
+@cache
+def pbw_mul(k1, k2) -> tuple:
+    """The PBW product on ids: m1 = g rest gives m1 m2 = g (rest m2)."""
+    split = uea.split_first(REGISTRY.keys[k1])
+    if split is None:
+        return terms({k2: 1})
+    gen, rest = split
+    return terms(linear(_LEFT[gen], pbw_mul(REGISTRY.ids[rest], k2)))
+
+
 def endo_map(endo: PolyEndo | UAlgebraEndo):
-    """The memo table id -> terms of an endomorphism, one monomial image each."""
-    return key_map(lambda key: endo.image(key).terms)
+    """The memo table id -> terms of an algebra endomorphism.
+
+    The key (k0, k1, ...) maps to the ordered product of the powers
+    images[i]^ki, contracted by bilinear on the product table of the ring,
+    pbw_mul or plane_mul.  A power is square-and-multiply, memoized per
+    (generator, exponent), so x^n takes about 2 log2(n) products.
+    """
+    mul = pbw_mul if isinstance(endo, UAlgebraEndo) else plane_mul
+    images = [flatten(image.terms) for image in endo.images]
+
+    def times(xs, ys):
+        return terms(bilinear(mul, xs, ys))
+
+    @cache
+    def power(i, n):
+        if n == 1:
+            return images[i]
+        half = power(i, n >> 1)
+        square = times(half, half)
+        return times(square, images[i]) if n & 1 else square
+
+    def image(k):
+        factors = [power(i, n) for i, n in enumerate(REGISTRY.keys[k]) if n]
+        if not factors:
+            return terms({k: 1})  # the unit
+        out = factors[0]
+        for factor in factors[1:]:
+            out = times(out, factor)
+        return out
+
+    return cache(image)
 
 
 # -- carriers ----------------------------------------------------------
@@ -62,12 +125,12 @@ def endo_map(endo: PolyEndo | UAlgebraEndo):
 
 def plane_carrier(bound: int) -> Carrier:
     """k[x,y] as a carrier with test basis of monomials up to total degree bound."""
-    homcore.REGISTRY.reserve(comb(bound + 2, 2))
+    REGISTRY.reserve(comb(bound + 2, 2))
     basis = tuple((i, j) for p in enumerate_monomials(bound) for (i, j) in p.terms)
     return Carrier(
         name="k[x,y]",
         basis=key_ids(basis),
-        mul=cache(on_ids(lambda k1, k2: (((k1[0] + k2[0], k1[1] + k2[1]), 1),))),
+        mul=plane_mul,
         render_key=lambda key: str(Poly.monomial(key[0], key[1])),
         render_elem=lambda coords: str(trusted(Poly, coords)),
     )
@@ -75,12 +138,12 @@ def plane_carrier(bound: int) -> Carrier:
 
 def u_carrier(bound: int) -> Carrier:
     """U(sl(2)) as a bialgebra carrier on PBW monomials up to degree bound."""
-    homcore.REGISTRY.reserve(comb(bound + 3, 3))
+    REGISTRY.reserve(comb(bound + 3, 3))
     return Carrier(
         name="U(sl2)",
         basis=key_ids(enumerate_pbw(bound)),
-        # no memo for mul: uea._mono_mul keeps the products, a twist its own table
-        mul=on_ids(uea._mono_mul),
+        # the shared product table on ids; a twist keeps its own table
+        mul=pbw_mul,
         comul=cache(on_ids(uea._comul_mono)),
         render_key=render_mono,
         render_elem=lambda coords: str(trusted(UElem, coords)),

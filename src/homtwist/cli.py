@@ -185,11 +185,20 @@ def cmd_verify(args):
             "--negative-control applies only to the "
             f"{' and '.join(NEGATIVE_CONTROL_SUITES)} suites of sl2-q"
         )
+    _refuse_file_outside_finalg(args)
     scenario = SCENARIOS[args.scenario](args)
-    try:
-        reports = [SUITES[suite](scenario, args) for suite in suites]
-    finally:
-        _module_hom_sweep.cache_clear()  # its record's filled tables go with the run
+    if args.report is None:
+        reports = _run_suites(scenario, suites, args)
+    else:
+        # opened before the sweeps, so that an unwritable path costs none of them
+        try:
+            with open(args.report, "w") as fh:
+                reports = _run_suites(scenario, suites, args)
+                # streamed: json.dumps would hold the whole text and its pieces at once
+                json.dump(_report_document(args, reports), fh, indent=2)
+                fh.write("\n")
+        except OSError as exc:
+            raise InputError(f"cannot write report: {exc}") from exc
 
     for report in reports:
         print(report.summary())
@@ -200,22 +209,30 @@ def cmd_verify(args):
         if len(report.counterexamples) > 5:
             print(f"  ... {len(report.counterexamples) - 5} more")
 
-    if args.report:
-        document = {"scenario": args.scenario}
-        if args.scenario == "sl2-q":
-            document.update(bound_h=args.bound_h, bound_a=args.bound_a)
-        document.update(
-            negative_control=args.negative_control,
-            reports=[r.to_dict() for r in reports],
-        )
-        try:
-            with open(args.report, "w") as fh:
-                json.dump(document, fh, indent=2)
-                fh.write("\n")
-        except OSError as exc:
-            raise InputError(f"cannot write report: {exc}") from exc
-
     return EXIT_PASS if all(r.passed for r in reports) else EXIT_AXIOM_FAILURE
+
+
+def _run_suites(scenario, suites, args):
+    try:
+        return [SUITES[suite](scenario, args) for suite in suites]
+    finally:
+        _module_hom_sweep.cache_clear()  # its record's filled tables go with the run
+
+
+def _report_document(args, reports):
+    document = {"scenario": args.scenario}
+    if args.scenario == "sl2-q":
+        document.update(bound_h=args.bound_h, bound_a=args.bound_a)
+    document.update(
+        negative_control=args.negative_control,
+        reports=[r.to_dict() for r in reports],
+    )
+    return document
+
+
+def _refuse_file_outside_finalg(args):
+    if args.file is not None and args.scenario != "finalg":
+        raise InputError("--file applies only to the finalg scenario")
 
 
 # -- act ---------------------------------------------------------------
@@ -266,6 +283,7 @@ def cmd_act(args):
 
 
 def cmd_twist(args):
+    _refuse_file_outside_finalg(args)
     if args.scenario == "sl2":
         if args.bound < 0:
             raise InputError("bound must be >= 0")

@@ -138,22 +138,30 @@ def _left_gen(gen: str, mono) -> tuple:
     return tuple(term for term in out if term[1])
 
 
+def split_first(mono):
+    """(g, rest) with mono = g rest and g its first generator in PBW order;
+    None for the unit.
+    """
+    a, b, c = mono
+    if a:
+        return "X", (a - 1, b, c)
+    if b:
+        return "Y", (0, b - 1, c)
+    if c:
+        return "Z", (0, 0, c - 1)
+    return None
+
+
 @lru_cache(maxsize=None)
 def _mono_mul(m1, m2) -> tuple:
     """Product of two PBW monomials in normal form: (monomial, int) pairs.
 
-    m1 = g rest with g its first generator in PBW order, so m1 m2 is g times
-    the cached product rest m2.
+    m1 = g rest (split_first), so m1 m2 is g times the cached product rest m2.
     """
-    a, b, c = m1
-    if a:
-        gen, rest = "X", (a - 1, b, c)
-    elif b:
-        gen, rest = "Y", (0, b - 1, c)
-    elif c:
-        gen, rest = "Z", (0, 0, c - 1)
-    else:
+    split = split_first(m1)
+    if split is None:
         return ((m2, 1),)
+    gen, rest = split
     return tuple(extend_linear(lambda m: _left_gen(gen, m), _mono_mul(rest, m2)).items())
 
 

@@ -244,6 +244,9 @@ BAD_SCENARIOS = {
         ({}, ["act", "X", "y", "--q-value", "1e-99999999"]),
         # q0 = 10^10000 has more digits than str renders
         ({}, ["act", "q*X", "y", "--q-value", "1e10000"]),
+        # only finalg reads a scenario file
+        ({}, ["verify", "sl2-q", "--file", "/nonexistent"]),
+        ({}, ["twist", "sl2", "--file", "x"]),
     ],
 )
 def test_bad_input_exits_2(capsys, monkeypatch, tmp_path, env, argv):
@@ -259,6 +262,21 @@ def test_bad_input_exits_2(capsys, monkeypatch, tmp_path, env, argv):
     code, _, err = run(capsys, *(arg.format(**paths) for arg in argv))
     assert code == cli.EXIT_INPUT_ERROR
     assert "error" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "scenario, report", [("sl2-q", "{tmp}"), ("finalg", "{tmp}/missing/x.json"), ("finalg", "")]
+)
+def test_unwritable_report_exits_2_before_any_sweep(
+    capsys, monkeypatch, tmp_path, scenario, report
+):
+    # a directory, a path in a missing one, or no path: refused before the suite runs
+    calls = []
+    monkeypatch.setitem(cli.SUITES, "compatibility", lambda r, args: calls.append(r))
+    path = report.format(tmp=tmp_path)
+    code, out, err = run(capsys, "verify", scenario, "--suite", "compatibility", "--report", path)
+    assert (code, out, calls) == (cli.EXIT_INPUT_ERROR, "", [])
+    assert err.startswith("error: cannot write report") and "Traceback" not in err
 
 
 def test_full_key_registry_exits_2(capsys, monkeypatch):

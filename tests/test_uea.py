@@ -89,7 +89,8 @@ class TestComultiplication:
 
     def test_algebra_morphism(self):
         # Delta(uv) = Delta(u) Delta(v): the product on U x U runs through the
-        # PBW product _mono_mul, independent of the closed-form coproduct
+        # PBW product table actions.pbw_mul, independent of the closed-form
+        # coproduct
         assert homcore.check_comul_morphism(actions.u_carrier(2)).passed
 
     def test_coassociativity(self):
