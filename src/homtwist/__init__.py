@@ -7,16 +7,14 @@ parameter q.
 """
 
 from .scalars import QLaurent, Rational
-from .polyalg import Poly, PolyEndo
-from .uea import UElem, UEndo
+from .polyalg import Poly
+from .uea import UElem
 from .homcore import CheckReport
 
 __all__ = [
     "QLaurent",
     "Rational",
     "Poly",
-    "PolyEndo",
     "UElem",
-    "UEndo",
     "CheckReport",
 ]

@@ -15,9 +15,10 @@ table is a memo table on their ids.  The action and the coproduct are key
 kernels that homcore.on_ids reads.  The products, plane_mul and pbw_mul, are
 shared by every carrier: pbw_mul writes m1 = g rest (uea.split_first) and
 multiplies the memoized product rest m2 by g through the id table of
-uea._left_gen.  endo_map contracts an endomorphism's generator images on
-those products, so the native UElem and Poly arithmetic is left to parsing,
-rendering and UEndo's Lie check.
+uea.left_gen.  endo_map contracts an endomorphism's generator images on one
+of those products, and extend_lie_endo checks, on the same tables, that a
+map of the generators of U(sl(2)) is a Lie endomorphism before it extends
+it.  UElem and Poly only parse and render.
 """
 
 from __future__ import annotations
@@ -32,25 +33,30 @@ from .homcore import (
     ModuleAlgebraScenario,
     Scenario,
     bilinear,
+    check_multiplicativity,
     flatten,
     key_ids,
     linear,
     on_ids,
     terms,
 )
-from .polyalg import Poly, PolyEndo, enumerate_monomials
-from .scalars import QLaurent, trusted
-from .uea import UAlgebraEndo, UElem, UEndo, enumerate_pbw, render_mono
+from .polyalg import Poly, enumerate_monomials
+from .report import CheckReport
+from .scalars import Q, Q_INV, trusted
+from .uea import GENERATORS, UElem, enumerate_pbw, render_mono
 
 
-def alpha_plane() -> PolyEndo:
-    """The diagonal endomorphism P(x, y) -> P(q^2 x, q y)."""
-    return PolyEndo.diagonal(QLaurent.q_power(2), QLaurent.q_power(1))
+def alpha_plane():
+    """The table of the diagonal endomorphism P(x, y) -> P(q^2 x, q y)."""
+    return endo_map((Poly.monomial(1, 0, Q * Q), Poly.monomial(0, 1, Q)), plane_mul)
 
 
-def alpha_u_handle():
-    """The bialgebra endomorphism of U(sl(2)) extending the q-example."""
-    return UEndo.q_example().extend()
+def alpha_u():
+    """The table of the bialgebra endomorphism alpha_U of U(sl(2)), which
+    extends X -> qX, Y -> q^-1 Y, Z -> Z.
+    """
+    X, Y, Z = map(UElem.generator, GENERATORS)
+    return extend_lie_endo((X.scaled(Q), Y.scaled(Q_INV), Z))
 
 
 def act_key(mono, key) -> tuple:
@@ -73,7 +79,7 @@ def act_key(mono, key) -> tuple:
 plane_mul = cache(on_ids(lambda k1, k2: (((k1[0] + k2[0], k1[1] + k2[1]), 1),)))
 
 # left multiplication by each generator, a table on ids
-_LEFT = {gen: cache(on_ids(partial(uea._left_gen, gen))) for gen in uea.GENERATORS}
+_LEFT = {gen: cache(on_ids(partial(uea.left_gen, gen))) for gen in GENERATORS}
 
 
 @cache
@@ -86,16 +92,16 @@ def pbw_mul(k1, k2) -> tuple:
     return terms(linear(_LEFT[gen], pbw_mul(REGISTRY.ids[rest], k2)))
 
 
-def endo_map(endo: PolyEndo | UAlgebraEndo):
+def endo_map(images, mul):
     """The memo table id -> terms of an algebra endomorphism.
 
-    The key (k0, k1, ...) maps to the ordered product of the powers
-    images[i]^ki, contracted by bilinear on the product table of the ring,
-    pbw_mul or plane_mul.  A power is square-and-multiply, memoized per
+    images are the generator images, elements of the ring whose product
+    table on ids is mul (pbw_mul or plane_mul).  The key (k0, k1, ...) maps
+    to the ordered product of the powers images[i]^ki, contracted by
+    bilinear on mul.  A power is square-and-multiply, memoized per
     (generator, exponent), so x^n takes about 2 log2(n) products.
     """
-    mul = pbw_mul if isinstance(endo, UAlgebraEndo) else plane_mul
-    images = [flatten(image.terms) for image in endo.images]
+    images = [flatten(image.terms) for image in images]
 
     def times(xs, ys):
         return terms(bilinear(mul, xs, ys))
@@ -118,6 +124,34 @@ def endo_map(endo: PolyEndo | UAlgebraEndo):
         return out
 
     return cache(image)
+
+
+def check_lie_endo(images) -> CheckReport:
+    """The generator map X, Y, Z -> images is compatible with the bracket.
+
+    check_multiplicativity of the commutator carrier of U(sl(2)) on the
+    generator keys: phi([g, h]) = [phi(g), phi(h)] on all nine pairs.
+    """
+    C = u_carrier(1)
+    lie = homcore.commutator(C)._replace(basis=C.basis[1:], alpha=endo_map(images, pbw_mul))
+    return check_multiplicativity(lie)
+
+
+def extend_lie_endo(images):
+    """The table of the algebra endomorphism of U(sl(2)) extending a Lie
+    endomorphism given by the images of X, Y and Z in span{X, Y, Z}.
+
+    The extension is only well defined on the commutator ideal when the
+    generator map is a Lie endomorphism, so that is a hard precondition.
+    """
+    for gen, image in zip(GENERATORS, images):
+        if any(sum(mono) != 1 for mono in image.terms):
+            raise ValueError(f"image of {gen} must lie in span{{X, Y, Z}}, got {image}")
+    report = check_lie_endo(images)
+    if not report.passed:
+        bad = ", ".join(f"({', '.join(ce.rendered_inputs)})" for ce in report.counterexamples)
+        raise ValueError(f"not a Lie algebra endomorphism; fails on pairs {bad}")
+    return endo_map(images, pbw_mul)
 
 
 # -- carriers ----------------------------------------------------------
@@ -144,7 +178,7 @@ def u_carrier(bound: int) -> Carrier:
         basis=key_ids(enumerate_pbw(bound)),
         # the shared product table on ids; a twist keeps its own table
         mul=pbw_mul,
-        comul=cache(on_ids(uea._comul_mono)),
+        comul=cache(on_ids(uea.comul_mono)),
         render_key=render_mono,
         render_elem=lambda coords: str(trusted(UElem, coords)),
     )
@@ -157,14 +191,14 @@ def sl2_scenario(bound_h: int = 3, bound_a: int = 3) -> Scenario:
     identity.  The Lie carrier is U(sl(2)) on PBW degree <= 1 twisted by
     alpha_U, whatever the bounds.
     """
-    beta_H = endo_map(alpha_u_handle())
+    beta_H = alpha_u()
     lie = homcore.yau_twist_algebra(u_carrier(1), beta_H)
     return Scenario(
         module=ModuleAlgebraScenario(
             H=u_carrier(bound_h), A=plane_carrier(bound_a), rho=cache(on_ids(act_key))
         ),
         beta_H=beta_H,
-        beta_A=endo_map(alpha_plane()),
+        beta_A=alpha_plane(),
         lie=lie._replace(name="sl2 twisted"),
     )
 

@@ -19,24 +19,28 @@ from .homcore import (
     ModuleAlgebraScenario,
     Scenario,
     basis_terms,
+    bilinear,
     check_hom_associativity,
     check_multiplicativity,
     deform_scenario,
+    flatten,
     key_ids,
     key_map,
+    linear,
     on_ids,
+    unflatten,
     yau_twist_algebra,
 )
-from .scalars import ONE, ZERO, QLaurent, extend_bilinear, extend_linear
+from .scalars import ONE, ZERO, QLaurent
 
 
 class StructAlgebra:
     """Associative algebra given by structure constants e_i e_j = sum_k c_ijk e_k.
 
     Elements are sparse coordinate maps {basis index: nonzero QLaurent}, and
-    the constants are kept as {(i, j): {k: c_ijk}}, so mul is a sparse
-    contraction.  Distinct non-empty string labels and associativity on all
-    basis triples are hard load-time preconditions.
+    the constants are kept as {(i, j): {k: c_ijk}}, the product table of
+    algebra_carrier.  Distinct non-empty string labels and associativity on
+    all basis triples are hard load-time preconditions.
     """
 
     def __init__(self, labels, constants, unit=None):
@@ -64,13 +68,6 @@ class StructAlgebra:
         if self.unit is not None:
             self._verify_unit()
 
-    def basis_vector(self, i):
-        return {i: ONE}
-
-    def mul(self, v, w):
-        row = lambda i, j: self.constants.get((i, j), {}).items()
-        return extend_bilinear(row, v.items(), w.items())
-
     def render(self, v):
         if not v:
             return "0"
@@ -95,24 +92,27 @@ class StructAlgebra:
             )
 
     def _verify_unit(self):
-        for i in range(self.dim):
-            e = self.basis_vector(i)
-            if self.mul(self.unit, e) != e or self.mul(e, self.unit) != e:
+        mul, unit = algebra_carrier(self).mul, flatten(self.unit)
+        for k in key_ids(range(self.dim)):
+            e = basis_terms(k)
+            if bilinear(mul, unit, e) != dict(e) or bilinear(mul, e, unit) != dict(e):
                 raise ValueError("declared unit is not a two-sided unit")
 
     def inverse(self, a):
         """Two-sided inverse of a, by solving the left-multiplication system."""
         if self.unit is None:
             raise ValueError("algebra has no unit; inverses undefined")
+        mul, xs = algebra_carrier(self).mul, flatten(a)
         # left multiplication matrix: column j holds a * e_j
-        columns = [self.mul(a, self.basis_vector(j)) for j in range(self.dim)]
+        ids = key_ids(range(self.dim))
+        columns = [unflatten(bilinear(mul, xs, basis_terms(k)).items()) for k in ids]
         solution = _solve_rational(
             _dense(columns), [self.unit.get(k, ZERO) for k in range(self.dim)]
         )
         if solution is None:
             raise ValueError(f"element {self.render(a)} is not invertible")
         inv = {i: c for i, c in enumerate(solution) if c}
-        if self.mul(inv, a) != self.unit:
+        if bilinear(mul, flatten(inv), xs) != dict(flatten(self.unit)):
             raise ValueError(f"element {self.render(a)} has no two-sided inverse")
         return inv
 
@@ -120,8 +120,8 @@ class StructAlgebra:
 class LinOp:
     """Exact linear operator on a structure-constant algebra.
 
-    It keeps the sparse images of the basis vectors and acts by their linear
-    extension.  LinOp(rows) takes the dense matrix, image j being column j.
+    It keeps the sparse images of the basis vectors, the table of linop_map.
+    LinOp(rows) takes the dense matrix, image j being column j.
     """
 
     def __init__(self, rows):
@@ -149,12 +149,6 @@ class LinOp:
         op.dim = len(op.images)
         return op
 
-    def __call__(self, v):
-        return extend_linear(lambda j: self.images[j].items(), v.items())
-
-    def compose(self, other):
-        return LinOp.from_images([self(image) for image in other.images])
-
     def __eq__(self, other):
         if not isinstance(other, LinOp):
             return NotImplemented
@@ -164,15 +158,22 @@ class LinOp:
         return hash(tuple(frozenset(image.items()) for image in self.images))
 
     def is_algebra_endo(self, algebra: StructAlgebra) -> bool:
-        if algebra.unit is not None and self(algebra.unit) != algebra.unit:
+        table = linop_map(self)
+        if algebra.unit is not None and not _fixes(table, algebra.unit):
             return False
-        carrier = algebra_carrier(algebra)._replace(alpha=linop_map(self))
+        carrier = algebra_carrier(algebra)._replace(alpha=table)
         return check_multiplicativity(carrier).passed
 
     def is_automorphism(self, algebra: StructAlgebra) -> bool:
         if not self.is_algebra_endo(algebra):
             return False
         return _solve_rational(_dense(self.images), [ZERO] * self.dim) is not None
+
+
+def _fixes(table, v) -> bool:
+    """Whether the linear map of table fixes the coordinate map v."""
+    xs = flatten(v)
+    return linear(table, xs) == dict(xs)
 
 
 def _dense(columns):
@@ -218,10 +219,10 @@ def _solve_rational(matrix, rhs):
 
 def inner_automorphism(algebra: StructAlgebra, a) -> LinOp:
     """The conjugation operator i_a(b) = a b a^-1 for invertible a."""
-    a_inv = algebra.inverse(a)
+    mul, xs, inverse = algebra_carrier(algebra).mul, flatten(a), flatten(algebra.inverse(a))
     images = [
-        algebra.mul(algebra.mul(a, algebra.basis_vector(j)), a_inv)
-        for j in range(algebra.dim)
+        unflatten(bilinear(mul, bilinear(mul, xs, basis_terms(k)).items(), inverse).items())
+        for k in key_ids(range(algebra.dim))
     ]
     return LinOp.from_images(images)
 
@@ -248,8 +249,11 @@ class GroupBialgebra:
                 raise ValueError(f"operators {first[op]} and {idx} are equal")
         self.table = {}
         for i, op1 in enumerate(self.operators):
+            table = linop_map(op1)
             for j, op2 in enumerate(self.operators):
-                composed = op1.compose(op2)
+                composed = LinOp.from_images(
+                    [unflatten(linear(table, flatten(image)).items()) for image in op2.images]
+                )
                 try:
                     self.table[(i, j)] = self.operators.index(composed)
                 except ValueError:
@@ -326,7 +330,7 @@ def example31_scenario(algebra: StructAlgebra, G: GroupBialgebra, a) -> Scenario
     A_alpha.
     """
     for idx, op in enumerate(G.operators):
-        if op(a) != a:
+        if not _fixes(linop_map(op), a):
             raise ValueError(
                 f"element {algebra.render(a)} is not fixed by group operator {idx}"
             )

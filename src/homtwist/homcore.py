@@ -651,14 +651,12 @@ def deform_scenario(r: Scenario) -> ModuleAlgebraScenario:
 # -- Hom-Lie structure -------------------------------------------------
 
 
-def check_hom_jacobi(A: Carrier) -> CheckReport:
-    """The commutator [a, b] = mu(a, b) - mu(b, a) of A is Hom-Lie.
+def commutator(A: Carrier) -> Carrier:
+    """A with the commutator [a, b] = mu(a, b) - mu(b, a) as its product.
 
-    Checks bracket multiplicativity and the Hom-Jacobi identity; the
-    commutator of a Hom-associative algebra passes both (Makhlouf-Silvestrov).
-    Skew-symmetry holds by construction of the bracket table.
+    The bracket is a memo table; skew-symmetry holds by its construction.
     """
-    mul, alpha = A.mul, A.alpha
+    mul = A.mul
 
     @cache
     def bracket(k1, k2) -> tuple:
@@ -667,6 +665,18 @@ def check_hom_jacobi(A: Carrier) -> CheckReport:
             add_term(out, p, -c)
         return terms(out)
 
+    return A._replace(mul=bracket)
+
+
+def check_hom_jacobi(A: Carrier) -> CheckReport:
+    """The commutator of A is Hom-Lie.
+
+    Checks bracket multiplicativity and the Hom-Jacobi identity; the
+    commutator of a Hom-associative algebra passes both (Makhlouf-Silvestrov).
+    """
+    lie = commutator(A)
+    bracket, alpha = lie.mul, A.alpha
+
     def jacobi(k1, k2, k3):
         total = {}
         for a, b, c in ((k1, k2, k3), (k3, k1, k2), (k2, k3, k1)):
@@ -674,7 +684,7 @@ def check_hom_jacobi(A: Carrier) -> CheckReport:
                 add_term(total, p, coeff)
         return total
 
-    report = check_multiplicativity(A._replace(mul=bracket))
+    report = check_multiplicativity(lie)
     report.name, report.equation = "hom-lie", "Hom-Jacobi"
     return report.merge(
         _sweep("hom-lie", "Hom-Jacobi", [axis(A)] * 3, jacobi, lambda k1, k2, k3: {}, renderer(A))

@@ -1,7 +1,8 @@
 """The affine plane k[x,y] over QLaurent coefficients.
 
-Sparse polynomials keyed by exponent vectors and algebra endomorphisms given
-by generator images.  The variable list is fixed to (x, y); extending to n
+Sparse polynomials keyed by exponent vectors, with construction, sums,
+scaling, parsing and rendering; their product and endomorphisms are the key
+tables of actions.  The variable list is fixed to (x, y); extending to n
 variables only requires widening the exponent tuples and the VARIABLES list.
 """
 
@@ -11,13 +12,10 @@ import re
 
 from .scalars import (
     MonomialElem,
-    MonomialEndo,
     QLaurent,
-    extend_bilinear,
     join_terms,
     render_term,
     split_factors,
-    trusted,
 )
 
 VARIABLES = ("x", "y")
@@ -40,13 +38,6 @@ class Poly(MonomialElem):
     @classmethod
     def y(cls):
         return cls.monomial(0, 1)
-
-    def __mul__(self, other):
-        if not isinstance(other, Poly):
-            return self.__rmul__(other)
-        expv_mul = lambda e1, e2: (((e1[0] + e2[0], e1[1] + e2[1]), 1),)
-        out = extend_bilinear(expv_mul, self.terms.items(), other.terms.items())
-        return trusted(Poly, out)
 
     # -- text form ----------------------------------------------------
 
@@ -71,20 +62,6 @@ class Poly(MonomialElem):
                     factor = factor[1:-1]
                 coeff = coeff * QLaurent.parse(factor)
         return (exps[0], exps[1]), coeff
-
-
-class PolyEndo(MonomialEndo):
-    """Unital algebra endomorphism of k[x,y], given by the images of x and y."""
-
-    __slots__ = ()
-
-    def __init__(self, image_of_x: Poly, image_of_y: Poly):
-        super().__init__((image_of_x, image_of_y))
-
-    @classmethod
-    def diagonal(cls, cx: QLaurent, cy: QLaurent):
-        """x -> cx*x, y -> cy*y."""
-        return cls(Poly.x().scaled(cx), Poly.y().scaled(cy))
 
 
 def enumerate_monomials(max_total_degree: int):

@@ -11,8 +11,9 @@ every integral value as an int, so the integer arithmetic that dominates the
 sweeps never touches Fraction.  Arithmetic results are wrapped with trusted(),
 which skips the constructors' validation because they are canonical already.
 
-The sparse-map section below also holds the ring structure that Poly and UElem
-share, MonomialElem, and their generator-image endomorphisms, MonomialEndo.
+The sparse-map section below also holds the base that Poly and UElem share,
+MonomialElem: construction, sums, scaling, parsing and rendering.  Their
+products and endomorphisms are key tables contracted by homcore.
 """
 
 from __future__ import annotations
@@ -147,9 +148,6 @@ class QLaurent:
 
     def __bool__(self):
         return bool(self.terms)
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     # -- evaluation ---------------------------------------------------
 
@@ -303,7 +301,6 @@ def split_factors(term: str, on_space: bool = False):
 
 # -- sparse maps key -> nonzero coefficient -----------------------------
 # MonomialElem (Poly, UElem), finalg vectors and homcore's packed elements store one.
-# The native maps on them are linear or bilinear extensions of maps on keys.
 
 
 def add_term(terms: dict, key, coeff) -> None:
@@ -336,32 +333,13 @@ def sparse_add(t1: dict, t2: dict) -> dict:
     return out
 
 
-def extend_linear(f, pairs) -> dict:
-    """The linear extension of f, a map key -> (key, coeff) pairs, on pairs."""
-    out = {}
-    for key, coeff in pairs:
-        for key2, c in f(key):
-            add_term(out, key2, coeff * c)
-    return out
-
-
-def extend_bilinear(f, xs, ys) -> dict:
-    """The bilinear extension of f, a map (key, key) -> (key, coeff) pairs."""
-    out = {}
-    for k1, c1 in xs:
-        for k2, c2 in ys:
-            c12 = c1 * c2
-            for key, c in f(k1, k2):
-                add_term(out, key, c12 * c)
-    return out
-
-
 class MonomialElem:
     """An element keyed by exponent vectors: sparse map key -> nonzero QLaurent.
 
-    A subclass sets WIDTH, the length of every key, and defines its product
-    (__mul__), its text form (__str__) and _parse_term, which maps one rendered
-    term to (key, coeff).  Instances are immutable and compare structurally.
+    A subclass sets WIDTH, the length of every key, and defines its text form
+    (__str__) and _parse_term, which maps one rendered term to (key, coeff).
+    Instances are immutable and compare structurally.  A scalar scales from
+    either side; elements have no product here.
     """
 
     __slots__ = ("terms",)
@@ -403,15 +381,14 @@ class MonomialElem:
             return self.scaled(other)
         return NotImplemented
 
+    __mul__ = __rmul__
+
     def scaled(self, coeff):
         if not isinstance(coeff, QLaurent):
             coeff = QLaurent.of(coeff)
         if not coeff:
             return trusted(type(self), {})
         return trusted(type(self), {key: coeff * c for key, c in self.terms.items()})
-
-    def __pow__(self, n):
-        return power(self, n, self.one())
 
     def __eq__(self, other):
         if not isinstance(other, type(self)):
@@ -424,48 +401,12 @@ class MonomialElem:
     def __bool__(self):
         return bool(self.terms)
 
-    def is_zero(self):
-        return not self.terms
-
     def __repr__(self):
         return f"{type(self).__name__}({self})"
 
     @classmethod
     def parse(cls, text: str):
         return cls(parse_terms(text, cls._parse_term))
-
-
-class MonomialEndo:
-    """Algebra endomorphism of a MonomialElem ring, given by generator images.
-
-    The monomial with key (k0, k1, ...) maps to the ordered product
-    images[0]**k0 * images[1]**k1 * ... (the order matters in a noncommutative
-    ring), computed once per key; elements map by linear extension.
-    """
-
-    __slots__ = ("images", "_cache")
-
-    def __init__(self, images):
-        object.__setattr__(self, "images", tuple(images))
-        object.__setattr__(self, "_cache", {})
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def __call__(self, elem):
-        image = lambda key: self.image(key).terms.items()
-        return trusted(type(elem), extend_linear(image, elem.terms.items()))
-
-    def image(self, key):
-        """The image of the monomial with exponent vector key."""
-        cached = self._cache.get(key)
-        if cached is not None:
-            return cached
-        result = self.images[0] ** key[0]
-        for image, power in zip(self.images[1:], key[1:]):
-            result = result * image**power
-        self._cache[key] = result
-        return result
 
 
 def render_term(coeff: QLaurent, basis_text: str) -> str:

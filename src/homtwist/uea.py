@@ -1,4 +1,5 @@
-"""U(sl(2)) with PBW normal-form arithmetic and primitive comultiplication.
+"""U(sl(2)): PBW keys, the rewriting kernels of its product and coproduct,
+and the text form of its elements.
 
 The generators satisfy [X,Y] = Z, [X,Z] = -2X, [Y,Z] = 2Y.  Products are kept
 in the fixed normal order X^a Y^b Z^c.  The relations
@@ -6,29 +7,25 @@ in the fixed normal order X^a Y^b Z^c.  The relations
     YX = XY - Z,    ZX = XZ + 2X,    ZY = YZ - 2Y
 
 give left multiplication of a normal monomial by a generator in closed form
-(_left_gen), and a product of monomials is a chain of such multiplications;
-the test suite compares against an independent free-algebra reduction
-oracle.
+(left_gen), and the coproduct of a monomial in closed form (comul_mono).
+These are key kernels: actions builds the product and coproduct tables of
+the carriers from them, and the test suite compares those tables against an
+independent free-algebra reduction oracle.  UElem keeps construction, sums,
+scaling, parsing and rendering; it has no product of its own.
 """
 
 from __future__ import annotations
 
 import re
-from functools import lru_cache
 from itertools import product
 from math import comb
 
-from .report import CheckReport, sweep
 from .scalars import (
     MonomialElem,
-    MonomialEndo,
     QLaurent,
-    extend_bilinear,
-    extend_linear,
     join_terms,
     render_term,
     split_factors,
-    trusted,
 )
 
 GENERATORS = ("X", "Y", "Z")
@@ -53,25 +50,6 @@ class UElem(MonomialElem):
         mono = [0, 0, 0]
         mono[idx] = 1
         return cls.monomial(tuple(mono))
-
-    def __mul__(self, other):
-        if not isinstance(other, UElem):
-            return self.__rmul__(other)
-        out = extend_bilinear(_mono_mul, self.terms.items(), other.terms.items())
-        return trusted(UElem, out)
-
-    def commutator(self, other):
-        return self * other - other * self
-
-    def lie_components(self):
-        """Coefficients on (X, Y, Z); None if not in the Lie span."""
-        coords = []
-        for gen in ((1, 0, 0), (0, 1, 0), (0, 0, 1)):
-            coords.append(self.terms.get(gen, QLaurent.zero()))
-        span_keys = {(1, 0, 0), (0, 1, 0), (0, 0, 1)}
-        if any(mono not in span_keys for mono in self.terms):
-            return None
-        return tuple(coords)
 
     # -- text form ----------------------------------------------------
 
@@ -109,8 +87,7 @@ class UElem(MonomialElem):
 # normal forms below are tuples of (PBW monomial, int) pairs.
 
 
-@lru_cache(maxsize=None)
-def _left_gen(gen: str, mono) -> tuple:
+def left_gen(gen: str, mono) -> tuple:
     """Left-multiply m = X^a Y^b Z^c by one generator, in normal form.
 
     Induction on a and b from the relations gives
@@ -152,117 +129,22 @@ def split_first(mono):
     return None
 
 
-@lru_cache(maxsize=None)
-def _mono_mul(m1, m2) -> tuple:
-    """Product of two PBW monomials in normal form: (monomial, int) pairs.
-
-    m1 = g rest (split_first), so m1 m2 is g times the cached product rest m2.
-    """
-    split = split_first(m1)
-    if split is None:
-        return ((m2, 1),)
-    gen, rest = split
-    return tuple(extend_linear(lambda m: _left_gen(gen, m), _mono_mul(rest, m2)).items())
-
-
 # -- comultiplication -------------------------------------------------
 
 
-# One tuple per PBW monomial for the coproduct keys, so that the tables built
-# on them do not hold a copy of a monomial per coproduct term.
-_MONOS = {}
-
-
-@lru_cache(maxsize=None)
-def _comul_mono(mono) -> tuple:
+def comul_mono(mono) -> tuple:
     """Delta(X^a Y^b Z^c) as ((left mono, right mono), int) pairs.
 
-    The primitive generators' tensors W x 1 and 1 x W commute, so
-    Delta(X)^a Delta(Y)^b Delta(Z)^c is already in PBW order in each slot:
-    the sum of C(a,i) C(b,j) C(c,k) X^i Y^j Z^k x X^(a-i) Y^(b-j) Z^(c-k).
+    The generators are primitive, Delta(W) = W x 1 + 1 x W, and their tensors
+    W x 1 and 1 x W commute, so Delta(X)^a Delta(Y)^b Delta(Z)^c is already
+    in PBW order in each slot: the sum of
+    C(a,i) C(b,j) C(c,k) X^i Y^j Z^k x X^(a-i) Y^(b-j) Z^(c-k).
     """
     a, b, c = mono
-    out = []
-    for i, j, k in product(range(a + 1), range(b + 1), range(c + 1)):
-        left, right = (i, j, k), (a - i, b - j, c - k)
-        pair = (_MONOS.setdefault(left, left), _MONOS.setdefault(right, right))
-        out.append((pair, comb(a, i) * comb(b, j) * comb(c, k)))
-    return tuple(out)
-
-
-def comul(u: UElem) -> dict:
-    """Comultiplication with primitive generators: Delta(W) = W x 1 + 1 x W.
-
-    Returns a sparse tensor {(mono, mono): QLaurent} in componentwise PBW
-    normal form; Delta(1) = 1 x 1 and Delta extends as an algebra morphism.
-    """
-    return extend_linear(_comul_mono, u.terms.items())
-
-
-# -- endomorphisms ----------------------------------------------------
-
-
-class UEndo:
-    """Candidate endomorphism given by generator images in span{X, Y, Z}."""
-
-    __slots__ = ("images",)
-
-    def __init__(self, image_of_X: UElem, image_of_Y: UElem, image_of_Z: UElem):
-        images = {"X": image_of_X, "Y": image_of_Y, "Z": image_of_Z}
-        for gen, img in images.items():
-            if img.lie_components() is None:
-                raise ValueError(
-                    f"image of {gen} must lie in span{{X, Y, Z}}, got {img}"
-                )
-        object.__setattr__(self, "images", images)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("UEndo is immutable")
-
-    @classmethod
-    def q_example(cls):
-        """X -> qX, Y -> q^-1 Y, Z -> Z."""
-        return cls(
-            UElem.generator("X").scaled(QLaurent.q_power(1)),
-            UElem.generator("Y").scaled(QLaurent.q_power(-1)),
-            UElem.generator("Z"),
-        )
-
-    def check_lie_endo(self) -> CheckReport:
-        """Verify compatibility with the bracket on all generator pairs."""
-        gens = {g: UElem.generator(g) for g in GENERATORS}
-        # the multiplicative extension is linear on the Lie span
-        endo = UAlgebraEndo(self)
-        return sweep(
-            "lie-endomorphism",
-            "bracket multiplicativity",
-            [(GENERATORS, str)] * 2,
-            lambda g1, g2: endo(gens[g1].commutator(gens[g2])),
-            lambda g1, g2: self.images[g1].commutator(self.images[g2]),
-        )
-
-    def extend(self) -> "UAlgebraEndo":
-        """Multiplicative extension to all of U(sl(2)).
-
-        Only well defined on the commutator ideal when the generator map is a
-        Lie endomorphism, so that is a hard precondition.
-        """
-        verdict = self.check_lie_endo()
-        if not verdict.passed:
-            bad = ", ".join(
-                f"({ce.inputs[0]}, {ce.inputs[1]})" for ce in verdict.counterexamples
-            )
-            raise ValueError(f"not a Lie algebra endomorphism; fails on pairs {bad}")
-        return UAlgebraEndo(self)
-
-
-class UAlgebraEndo(MonomialEndo):
-    """The unique algebra endomorphism extending a validated UEndo."""
-
-    __slots__ = ()
-
-    def __init__(self, base: UEndo):
-        super().__init__(base.images[gen] for gen in GENERATORS)
+    return tuple(
+        (((i, j, k), (a - i, b - j, c - k)), comb(a, i) * comb(b, j) * comb(c, k))
+        for i, j, k in product(range(a + 1), range(b + 1), range(c + 1))
+    )
 
 
 def enumerate_pbw(max_total_degree: int):

@@ -6,7 +6,9 @@ rewriting rules
 
     YX -> XY - Z,    ZX -> XZ + 2X,    ZY -> YZ - 2Y
 
-at the leftmost out-of-order adjacent pair until no word has one.  This
+at the leftmost out-of-order adjacent pair until no word has one.  The
+product of two elements reduces the concatenated words, and the coproduct
+of a word is a sum over shuffles, since the generators are primitive.  This
 never calls the package's PBW engine, so agreement between the two is
 genuine confluence evidence.
 """
@@ -56,16 +58,54 @@ def word_to_pbw(word):
     return (word.count("X"), word.count("Y"), word.count("Z"))
 
 
+def pbw_word(mono):
+    """The PBW monomial X^a Y^b Z^c as the word of its letters."""
+    a, b, c = mono
+    return "X" * a + "Y" * b + "Z" * c
+
+
+def _add(out, key, coeff):
+    acc = out.get(key, QLaurent.zero()) + coeff
+    if acc:
+        out[key] = acc
+    else:
+        out.pop(key, None)
+
+
 def reduce_to_pbw(word):
     """Normal form of a word as {(a, b, c): QLaurent}."""
     out = {}
     for w, coeff in reduce_word(word).items():
-        key = word_to_pbw(w)
-        acc = out.get(key, QLaurent.zero()) + coeff
-        if acc:
-            out[key] = acc
-        else:
-            out.pop(key, None)
+        _add(out, word_to_pbw(w), coeff)
+    return out
+
+
+def mul(u, v):
+    """The product of two elements {(a, b, c): QLaurent}, word by word."""
+    out = {}
+    for m1, c1 in u.items():
+        for m2, c2 in v.items():
+            for key, c in reduce_to_pbw(pbw_word(m1) + pbw_word(m2)).items():
+                _add(out, key, c1 * c2 * c)
+    return out
+
+
+def comul(word):
+    """Delta of a word as {(mono, mono): QLaurent}, by shuffles.
+
+    Delta(g) = g x 1 + 1 x g for each letter and Delta is multiplicative, so
+    Delta(w) is the sum over the subsets S of the positions of w of
+    w|S x w|S^c, the letters at S and at the other positions in their order.
+    Each side is reduced by reduce_to_pbw.
+    """
+    out = {}
+    n = len(word)
+    for mask in range(1 << n):
+        left = "".join(word[i] for i in range(n) if mask >> i & 1)
+        right = "".join(word[i] for i in range(n) if not mask >> i & 1)
+        for k1, c1 in reduce_to_pbw(left).items():
+            for k2, c2 in reduce_to_pbw(right).items():
+                _add(out, (k1, k2), c1 * c2)
     return out
 
 

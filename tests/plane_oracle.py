@@ -5,9 +5,9 @@ Acts on whole Poly elements by the generator rules
     X = x d/dy,    Y = y d/dx,    Z = x d/dx - y d/dy,
 
 one generator power at a time (Z first, X last), with the formal partial
-derivatives written out here, and deforms it by alpha_A(x^i y^j) =
+derivatives and the product of polynomials written out here, and deforms it by alpha_A(x^i y^j) =
 q^(2i+j) x^i y^j.  It never reads the package's key tables (actions.act_key,
-the carriers' endomorphism maps), so agreement between the two is genuine
+the carriers' products and endomorphism maps), so agreement between the two is genuine
 evidence.
 """
 
@@ -29,6 +29,15 @@ def partial(p: Poly, var: str) -> Poly:
     return out
 
 
+def mul(p: Poly, r: Poly) -> Poly:
+    """The product of two polynomials: exponents add."""
+    out = Poly.zero()
+    for (i, j), c1 in p.terms.items():
+        for (k, m), c2 in r.terms.items():
+            out = out + Poly.monomial(i + k, j + m, c1 * c2)
+    return out
+
+
 def total_degree(p: Poly):
     """Max total degree of the support; None for the zero polynomial."""
     return max((i + j for i, j in p.terms), default=None)
@@ -42,11 +51,11 @@ def graded_component(p: Poly, n: int) -> Poly:
 def act_generator(gen: str, p: Poly) -> Poly:
     x, y = Poly.x(), Poly.y()
     if gen == "X":
-        return x * partial(p, "y")
+        return mul(x, partial(p, "y"))
     if gen == "Y":
-        return y * partial(p, "x")
+        return mul(y, partial(p, "x"))
     if gen == "Z":
-        return x * partial(p, "x") - y * partial(p, "y")
+        return mul(x, partial(p, "x")) - mul(y, partial(p, "y"))
     raise ValueError(f"unknown generator {gen!r}")
 
 

@@ -2,12 +2,11 @@ import pytest
 
 from homtwist import actions, homcore
 from homtwist.actions import act_key
-from homtwist.polyalg import PolyEndo
 from homtwist.polyalg import Poly, enumerate_monomials
 from homtwist.scalars import QLaurent
 from homtwist.uea import UElem, enumerate_pbw
 
-from plane_oracle import alpha, partial, specialize, total_degree
+from plane_oracle import alpha, mul, partial, specialize, total_degree
 
 X = UElem.generator("X")
 Y = UElem.generator("Y")
@@ -58,26 +57,26 @@ class TestAction:
             n = total_degree(p)
             for gen in "XYZ":
                 image = act(UElem.generator(gen), p)
-                assert image.is_zero() or total_degree(image) == n
+                assert not image or total_degree(image) == n
 
 
 class TestDeformedAction:
     def test_displayed_formula_x(self):
         # rho_alpha(X x P) = q^2 x (dP/dy)(q^2 x, q y) for every monomial P
         for p in enumerate_monomials(4):
-            expected = Poly.x().scaled(QLaurent.q_power(2)) * alpha(partial(p, "y"))
+            expected = mul(Poly.x().scaled(QLaurent.q_power(2)), alpha(partial(p, "y")))
             assert deformed_act(X, p) == expected
 
     def test_displayed_formula_y(self):
         for p in enumerate_monomials(4):
-            expected = Poly.y().scaled(QLaurent.q_power(1)) * alpha(partial(p, "x"))
+            expected = mul(Poly.y().scaled(QLaurent.q_power(1)), alpha(partial(p, "x")))
             assert deformed_act(Y, p) == expected
 
     def test_displayed_formula_z(self):
         for p in enumerate_monomials(4):
-            expected = Poly.x().scaled(QLaurent.q_power(2)) * alpha(
-                partial(p, "x")
-            ) - Poly.y().scaled(QLaurent.q_power(1)) * alpha(partial(p, "y"))
+            expected = mul(Poly.x().scaled(QLaurent.q_power(2)), alpha(partial(p, "x"))) - mul(
+                Poly.y().scaled(QLaurent.q_power(1)), alpha(partial(p, "y"))
+            )
             assert deformed_act(Z, p) == expected
 
     def test_x_on_y(self):
@@ -111,7 +110,7 @@ class TestCompatibility:
         # beta_A = (x -> q x, y -> q y) does not intertwine alpha_U
         q = QLaurent.q_power(1)
         r = actions.sl2_scenario(3, 3)._replace(
-            beta_A=actions.endo_map(PolyEndo.diagonal(q, q))
+            beta_A=actions.endo_map((Poly.x().scaled(q), Poly.y().scaled(q)), actions.plane_mul)
         )
         report = homcore.check_compatibility(r)
         assert (len(report.counterexamples), report.checked) == (52, 200)
@@ -193,8 +192,8 @@ class TestWeightSpectrum:
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_highest_and_lowest_weight_vectors(self, n):
-        assert act(X, Poly.monomial(n, 0)).is_zero()
-        assert act(Y, Poly.monomial(0, n)).is_zero()
+        assert not act(X, Poly.monomial(n, 0))
+        assert not act(Y, Poly.monomial(0, n))
 
     def test_dimension(self):
         for n in range(6):

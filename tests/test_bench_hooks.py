@@ -19,10 +19,6 @@ METRIC_NAMES = {
     "scalars.QLaurent.__init__",
     "scalars.QLaurent.__add__",
     "scalars.QLaurent.__mul__",
-    "polyalg.Poly.__mul__",
-    "uea.UElem.__mul__",
-    "uea.comul",
-    "uea.UAlgebraEndo.__init__",
     "report.CheckReport.record",
     "homcore.check_multiplicativity",
     "homcore.check_hom_associativity",
@@ -32,8 +28,6 @@ METRIC_NAMES = {
     "homcore.check_module_axiom",
     "homcore.check_module_hom_algebra",
     "homcore.check_mu_module_morphism",
-    "finalg.StructAlgebra.mul",
-    "finalg.LinOp.__call__",
     "finalg.load_scenario",
     "finalg.build_example31",
     "cli.main",
@@ -57,7 +51,8 @@ def test_tracer_finds_every_metric_name(tmp_path, argv):
     assert done.returncode == 0, done.stderr
     trace = json.loads(trace_path.read_text())
     assert not METRIC_NAMES & set(trace["missing"])
-    assert set(trace["caches"]) == {"_mono_mul", "_left_gen", "_comul_mono"}
+    # uea's kernels keep no cache of their own: the tables of actions memoize them
+    assert set(trace["caches"]) == set()
 
 
 PROBE = os.path.join(ROOT, "perfbench", "setup_probe.py")

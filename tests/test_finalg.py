@@ -1,5 +1,7 @@
 import json
+import os
 import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -13,11 +15,19 @@ from homtwist.finalg import (
     automorphism_action,
     build_example31,
     inner_automorphism,
+    linop_map,
     load_scenario,
     m2_algebra,
     m2_example,
 )
 from homtwist.scalars import QLaurent
+
+import dense_oracle
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+
+import finalg_gen  # noqa: E402
 
 ZERO = QLaurent.zero()
 ONE = QLaurent.one()
@@ -28,13 +38,35 @@ def sparse(dense):
     return {i: c for i, c in enumerate(dense) if c}
 
 
+def basis(i):
+    """The basis vector e_i as a coordinate map."""
+    return {i: ONE}
+
+
+def product(algebra, v, w):
+    """v w through the product table of algebra_carrier."""
+    flat = homcore.bilinear(algebra_carrier(algebra).mul, homcore.flatten(v), homcore.flatten(w))
+    return homcore.unflatten(flat.items())
+
+
+def apply(op, v):
+    """op(v) through the table linop_map(op)."""
+    return homcore.unflatten(homcore.linear(linop_map(op), homcore.flatten(v)).items())
+
+
+def matrix(op, n):
+    """The dense matrix of op's table: column j is the image of e_j."""
+    columns = [apply(op, basis(j)) for j in range(n)]
+    return [[columns[j].get(k, ZERO) for j in range(n)] for k in range(n)]
+
+
 class TestStructAlgebra:
     def test_m2_is_associative_and_unital(self):
         algebra = m2_algebra()
-        e12, e21 = algebra.basis_vector(1), algebra.basis_vector(2)
-        assert algebra.mul(e12, e21) == algebra.basis_vector(0)
-        assert algebra.mul(e21, e12) == algebra.basis_vector(3)
-        assert algebra.mul(e12, e12) == {}
+        e12, e21 = basis(1), basis(2)
+        assert product(algebra, e12, e21) == basis(0)
+        assert product(algebra, e21, e12) == basis(3)
+        assert product(algebra, e12, e12) == {}
 
     def test_rejects_non_associative_constants(self):
         # a*a = b, a*b = a, all else 0: (a*a)*b = 0 but a*(a*b) = b
@@ -117,7 +149,7 @@ class TestLinOp:
         ]
         for v in vectors:
             dense = [sum((row[i] * v[i] for i in range(4)), ZERO) for row in rows]
-            assert op(sparse(v)) == sparse(dense)
+            assert apply(op, sparse(v)) == sparse(dense)
 
     def test_singular_endomorphism_is_not_an_automorphism(self):
         # without a unit, the zero map is an algebra endomorphism of k*a
@@ -138,11 +170,18 @@ class TestLinOp:
         assert conjugation.is_algebra_endo(algebra)
 
     def test_compose_and_identity(self):
+        # the composite of the tables against the dense model's matrix product
+        q = QLaurent.q_power(1)
         swap = LinOp([[0, 1], [1, 0]])
-        scale = LinOp([[2, 0], [0, QLaurent.q_power(1)]])
-        assert swap.compose(swap) == LinOp.identity(2)
-        assert scale.compose(swap) == LinOp([[0, 2], [QLaurent.q_power(1), 0]])
-        assert scale.compose(swap)({0: ONE}) == scale(swap({0: ONE}))
+        scale = LinOp([[2, 0], [0, q]])
+        assert LinOp.identity(2) == LinOp([[1, 0], [0, 1]])
+        cases = [(swap, swap, [[1, 0], [0, 1]]), (scale, swap, [[0, 2], [q, 0]])]
+        for op1, op2, expected in cases:
+            composite = homcore.composite(linop_map(op1), linop_map(op2))
+            model = dense_oracle.compose(matrix(op1, 2), matrix(op2, 2))
+            assert LinOp(model) == LinOp(expected)
+            for j, k in enumerate(homcore.key_ids(range(2))):
+                assert homcore.unflatten(composite(k)) == sparse([row[j] for row in model])
 
 
 class TestInnerAutomorphism:
@@ -153,23 +192,21 @@ class TestInnerAutomorphism:
     def test_diag_2_3_scales_off_diagonal(self):
         algebra, _, a = m2_example()
         op = inner_automorphism(algebra, a)
-        e12 = algebra.basis_vector(1)
-        e21 = algebra.basis_vector(2)
-        assert op(e12) == {1: QLaurent.of("2/3")}
-        assert op(e21) == {2: QLaurent.of("3/2")}
+        assert apply(op, basis(1)) == {1: QLaurent.of("2/3")}
+        assert apply(op, basis(2)) == {2: QLaurent.of("3/2")}
 
     def test_inverse_conjugation_composes_to_identity(self):
         algebra, _, a = m2_example()
         a_inv = algebra.inverse(a)
         op = inner_automorphism(algebra, a)
         op_inv = inner_automorphism(algebra, a_inv)
-        assert op.compose(op_inv) == LinOp.identity(4)
+        composite = homcore.composite(linop_map(op), linop_map(op_inv))
+        for k in homcore.key_ids(range(4)):
+            assert composite(k) == homcore.basis_terms(k)
 
     def test_non_invertible_rejected(self):
-        algebra = m2_algebra()
-        e12 = algebra.basis_vector(1)
         with pytest.raises(ValueError, match="invertible"):
-            algebra.inverse(e12)
+            m2_algebra().inverse(basis(1))
 
 
 class TestGroupBialgebra:
@@ -250,6 +287,51 @@ class TestExample31:
         bad = {0: ONE, 1: ONE, 3: ONE}  # e11 + e12 + e22, conjugation negates e12
         with pytest.raises(ValueError, match="not fixed"):
             build_example31(algebra, G, bad)
+
+
+# the built-in example and finalg_gen's n = 3 files of seeds 1-3
+ORACLE_CASES = ["m2", 1, 2, 3]
+
+
+@pytest.fixture(scope="module", params=ORACLE_CASES, ids=str)
+def modelled(request, tmp_path_factory):
+    """(algebra, G, a) as finalg loads them, and the dense model of the same data."""
+    if request.param == "m2":
+        return m2_example(), dense_oracle.m2()
+    document = finalg_gen.generate(request.param, 3)
+    path = tmp_path_factory.mktemp("oracle") / "scenario.json"
+    path.write_text(json.dumps(document))
+    return load_scenario(path), dense_oracle.from_document(document)
+
+
+class TestDenseOracle:
+    """finalg's tables against the independent dense model."""
+
+    def test_product(self, modelled):
+        (algebra, _, _), model = modelled
+        mul = algebra_carrier(algebra).mul
+        ids = homcore.key_ids(range(model.n))
+        for i, ki in enumerate(ids):
+            for j, kj in enumerate(ids):
+                expected = sparse(model.mul(model.basis(i), model.basis(j)))
+                assert homcore.unflatten(mul(ki, kj)) == expected, (i, j)
+
+    def test_inverse(self, modelled):
+        (algebra, _, a), model = modelled
+        assert a == sparse(model.element)
+        assert algebra.inverse(a) == sparse(model.inverse(model.element))
+
+    def test_inner_automorphism(self, modelled):
+        (algebra, _, a), model = modelled
+        expected = model.conjugation(model.element)
+        assert matrix(inner_automorphism(algebra, a), model.n) == expected
+
+    def test_group_composition(self, modelled):
+        (_, G, _), model = modelled
+        assert [matrix(op, model.n) for op in G.operators] == model.group
+        for i, m1 in enumerate(model.group):
+            for j, m2 in enumerate(model.group):
+                assert G.table[i, j] == model.group.index(dense_oracle.compose(m1, m2))
 
 
 class TestScenarioFile:

@@ -1,4 +1,5 @@
-"""Every name a module of src/homtwist imports is referenced in that module.
+"""Every name a module of src/homtwist imports is referenced in that module,
+and every function, class and method it defines is named somewhere.
 
 The names of the package's __all__ (re-exported by __init__) and
 `from __future__ import annotations` are exempt.  Importing the command line
@@ -10,10 +11,12 @@ import ast
 import pathlib
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "homtwist"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "homtwist"
 
 
 def exported(tree) -> set:
@@ -37,6 +40,45 @@ def unused_imports(source: str) -> list:
             imported.update(alias.asname or alias.name for alias in node.names)
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     return sorted(imported - used - exported(tree))
+
+
+def named(tree) -> Counter:
+    """How often each identifier is read in tree: as a name, an attribute or an import."""
+    out = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            out[node.attr] += 1
+        elif isinstance(node, ast.alias):
+            out[node.name.split(".")[-1]] += 1
+    return out
+
+
+def definitions(tree):
+    """The module-level functions and classes of tree and their non-dunder methods."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not (
+                    item.name.startswith("__") and item.name.endswith("__")
+                ):
+                    yield item
+
+
+def dead_definitions(defining, readers) -> list:
+    """The definitions of the trees defining that no tree of readers names
+    outside the definition itself: a recursive call does not keep one alive.
+    """
+    total = sum((named(tree) for tree in readers), Counter())
+    return sorted(
+        node.name
+        for tree in defining
+        for node in definitions(tree)
+        if total[node.name] == named(node)[node.name]
+    )
 
 
 def test_the_guard_sees_an_unused_import():
@@ -64,3 +106,26 @@ def test_cli_import_leaves_out_heavy_modules():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout == "[]\n"
+
+
+def test_the_guard_sees_a_dead_definition():
+    planted = ast.parse(
+        "def used():\n    return 1\n\n"
+        "def dead(n):\n    return dead(n - 1) if n else used()\n\n"
+        "class Box:\n    def kept(self):\n        return self.__len__()\n"
+        "    def lost(self):\n        return self.lost()\n"
+        "    def __len__(self):\n        return 0\n"
+    )
+    reader = ast.parse("from planted import Box\nBox().kept()\n")
+    assert dead_definitions([planted], [planted, reader]) == ["dead", "lost"]
+
+
+def test_no_dead_definitions():
+    # every function, class and method of src is named in src, tests or perfbench
+    readers = [
+        ast.parse(path.read_text())
+        for folder in ("src", "tests", "perfbench")
+        for path in sorted((ROOT / folder).rglob("*.py"))
+    ]
+    defining = [ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))]
+    assert dead_definitions(defining, readers) == []

@@ -1,11 +1,11 @@
-"""Differential test of the key-level carrier maps against native arithmetic.
+"""Differential test of the key-level carrier maps against independent models.
 
 Every table entry of a base carrier, a Yau twist, a deformed action,
-rho-tilde and rho^2 must equal the flattened result of the same map computed
-natively on UElem, Poly, StructAlgebra, LinOp and k[G] elements.  The native
-action on the plane is the independent model in plane_oracle, and the PBW
-product table is also checked against the free-algebra reduction of
-free_oracle.  Building a scenario fills none of the tables.
+rho-tilde and rho^2 must equal the same map computed in a model that shares
+no code with the tables: U(sl(2)) products and coproducts in the free
+algebra of free_oracle, the plane and its action in plane_oracle, and the
+finite example in the dense arrays of dense_oracle.  Building a scenario
+fills none of the tables but those of the Lie check of alpha_U.
 """
 
 import os
@@ -14,13 +14,15 @@ import sys
 
 import pytest
 
-from homtwist import actions, finalg, homcore, uea
-from homtwist.polyalg import Poly, PolyEndo
-from homtwist.scalars import ONE, Q
-from homtwist.uea import UElem, UEndo, enumerate_pbw
+from homtwist import actions, finalg, homcore
+from homtwist.polyalg import Poly
+from homtwist.scalars import ONE, Q, QLaurent
+from homtwist.uea import UElem, enumerate_pbw
 
+import dense_oracle
+import free_oracle
 import plane_oracle
-from free_oracle import reduce_to_pbw
+from free_oracle import pbw_word, reduce_to_pbw
 
 
 key_of = homcore.REGISTRY.keys.__getitem__  # the key of an id
@@ -52,13 +54,23 @@ def cleaned(coords: dict) -> dict:
 
 # -- U(sl2) and the plane -----------------------------------------------
 
-ALPHA_U = actions.alpha_u_handle()
-ALPHA_A = actions.alpha_plane()
+
+def alpha_u(coords: dict) -> dict:
+    """alpha_U on a coordinate map: X^a Y^b Z^c is scaled by q^(a-b)."""
+    return {(a, b, c): coeff * QLaurent.q_power(a - b) for (a, b, c), coeff in coords.items()}
 
 
-def U(k):
-    """The PBW monomial of the id k."""
-    return UElem.monomial(key_of(k))
+def comul(coords: dict) -> dict:
+    """Delta of a coordinate map, by the shuffles of free_oracle."""
+    out = {}
+    for mono, coeff in coords.items():
+        add(out, free_oracle.comul(pbw_word(mono)), coeff)
+    return cleaned(out)
+
+
+def U(k) -> dict:
+    """The PBW monomial of the id k, as a coordinate map."""
+    return {key_of(k): ONE}
 
 
 def P(k):
@@ -67,32 +79,26 @@ def P(k):
 
 
 def twisted_u():
-    return homcore.yau_twist_bialgebra(actions.u_carrier(2), actions.endo_map(ALPHA_U))
+    return homcore.yau_twist_bialgebra(actions.u_carrier(2), actions.alpha_u())
 
 
 def test_twisted_u_mul():
     C = twisted_u()
     for k1 in C.basis:
         for k2 in C.basis:
-            assert flat(C.mul(k1, k2)) == native(ALPHA_U(U(k1) * U(k2)).terms)
+            assert flat(C.mul(k1, k2)) == alpha_u(free_oracle.mul(U(k1), U(k2)))
 
 
 def test_twisted_u_alpha():
     C = twisted_u()
     for k in C.basis:
-        assert flat(C.alpha(k)) == native(ALPHA_U(U(k)).terms)
+        assert flat(C.alpha(k)) == alpha_u(U(k))
 
 
 def test_twisted_u_comul():
     C = twisted_u()
     for k in C.basis:
-        assert flat(C.comul(k)) == native(uea.comul(ALPHA_U(U(k))))
-
-
-def word(mono) -> str:
-    """The PBW monomial X^a Y^b Z^c as the word of its letters."""
-    a, b, c = mono
-    return "X" * a + "Y" * b + "Z" * c
+        assert flat(C.comul(k)) == comul(alpha_u(U(k)))
 
 
 def test_pbw_product_matches_free_oracle():
@@ -100,34 +106,48 @@ def test_pbw_product_matches_free_oracle():
     C = actions.u_carrier(3)
     for k1 in C.basis:
         for k2 in C.basis:
-            expected = reduce_to_pbw(word(key_of(k1)) + word(key_of(k2)))
+            expected = reduce_to_pbw(pbw_word(key_of(k1)) + pbw_word(key_of(k2)))
             assert flat(C.mul(k1, k2)) == expected, (key_of(k1), key_of(k2))
+
+
+def chevalley_image(mono) -> dict:
+    """X^a Y^b Z^c -> Y^a X^b (-Z)^c, reduced in the free algebra."""
+    a, b, c = mono
+    word = "Y" * a + "X" * b + "Z" * c
+    return {key: coeff * (-1) ** c for key, coeff in reduce_to_pbw(word).items()}
+
+
+def shear_image(key) -> dict:
+    """x^i y^j -> (x + q y)^i y^j, multiplied out in plane_oracle."""
+    i, j = key
+    out = Poly.one()
+    for factor in [Poly.x() + Poly.y().scaled(Q)] * i + [Poly.y()] * j:
+        out = plane_oracle.mul(out, factor)
+    return out.terms
 
 
 # alpha_U and alpha_A are diagonal: these two maps also test factor order and
 # powers of images with several terms
-CHEVALLEY = UEndo(UElem.generator("Y"), UElem.generator("X"), -UElem.generator("Z")).extend()
-SHEAR = PolyEndo(Poly.x() + Poly.y().scaled(Q), Poly.y())
+X, Y, Z = map(UElem.generator, "XYZ")
+CHEVALLEY = actions.extend_lie_endo((Y, X, -Z))
+SHEAR = actions.endo_map((Poly.x() + Poly.y().scaled(Q), Poly.y()), actions.plane_mul)
 PLANE_KEYS = [(i, d - i) for d in range(5) for i in range(d + 1)]
 
 
 @pytest.mark.parametrize(
-    "endo, keys", [(CHEVALLEY, enumerate_pbw(4)), (SHEAR, PLANE_KEYS)], ids=["chevalley", "shear"]
+    "table, keys, image",
+    [(CHEVALLEY, enumerate_pbw(4), chevalley_image), (SHEAR, PLANE_KEYS, shear_image)],
+    ids=["chevalley", "shear"],
 )
-def test_endo_map_matches_native_images(endo, keys):
-    table = actions.endo_map(endo)
+def test_endo_map_matches_native_images(table, keys, image):
     for k in homcore.key_ids(keys):
-        assert flat(table(k)) == endo.image(key_of(k)).terms, key_of(k)
+        assert flat(table(k)) == image(key_of(k)), key_of(k)
 
 
 LAZY_TABLES = """
 import sys
 sys.path.insert(0, sys.argv[1])
-from homtwist import actions, uea
-native = {"_mono_mul": uea._mono_mul, "_left_gen": uea._left_gen, "_comul_mono": uea._comul_mono}
-# the Lie check of alpha_U multiplies the generators natively, once
-uea.UEndo.q_example().check_lie_endo()
-before = {name: cache.cache_info().currsize for name, cache in native.items()}
+from homtwist import actions
 r = actions.sl2_scenario(3, 3)
 s = actions.deformed_scenario(3, 3)
 tables = {
@@ -146,34 +166,36 @@ tables = {
     "A_alpha alpha": s.A.alpha,
     "rho_alpha": s.rho,
 }
-print(sorted(name for name, table in tables.items() if table.cache_info().currsize))
-print(sorted(name for name, cache in native.items() if cache.cache_info().currsize != before[name]))
-print(before["_comul_mono"])
+sizes = {name: table.cache_info().currsize for name, table in tables.items()}
+print(sorted((name, size) for name, size in sizes.items() if size))
 """
 
 
 def test_building_a_scenario_fills_no_table():
-    # the benchmark times this build as setup_s, and its tracer refuses PBW
-    # caches that are not empty at the start of a run
+    # the benchmark times this build as setup_s.  Only the Lie check of
+    # alpha_U fills tables: the nine brackets of the generators, which take
+    # the 9 products of two generators and the 3 of the unit by a generator
+    # from pbw_mul, and those take one left multiplication each
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     done = subprocess.run(
         [sys.executable, "-c", LAZY_TABLES, src], capture_output=True, text=True, timeout=120
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout == "[]\n[]\n0\n"
+    filled = [("left X", 3), ("left Y", 3), ("left Z", 3), ("pbw_mul", 12)]
+    assert done.stdout == f"{filled}\n"
 
 
 def test_plane_carrier():
     C, beta_A = actions.plane_carrier(2), actions.sl2_scenario(1, 2).beta_A
     for k1 in C.basis:
         assert flat(C.alpha(k1)) == native({key_of(k1): ONE})
-        assert flat(beta_A(k1)) == native(ALPHA_A(P(k1)).terms)
+        assert flat(beta_A(k1)) == native(plane_oracle.alpha(P(k1)).terms)
         for k2 in C.basis:
-            assert flat(C.mul(k1, k2)) == native((P(k1) * P(k2)).terms)
+            assert flat(C.mul(k1, k2)) == native(plane_oracle.mul(P(k1), P(k2)).terms)
 
 
-def deformed_native(u: UElem, a) -> dict:
-    return plane_oracle.deformed_act(u, P(a)).terms
+def deformed_native(u: dict, a) -> dict:
+    return plane_oracle.deformed_act(UElem(u), P(a)).terms
 
 
 def test_deformed_rho():
@@ -190,7 +212,7 @@ def test_rho_tilde(power):
     for h in s.H.basis:
         u = U(h)
         for _ in range(power):
-            u = ALPHA_U(u)
+            u = alpha_u(u)
         for a in s.A.basis:
             assert flat(tilde.rho(h, a)) == native(deformed_native(u, a))
 
@@ -198,18 +220,18 @@ def test_rho_tilde(power):
 def test_rho2():
     s = actions.deformed_scenario(1, 1)
     square = homcore.build_rho2(s)
-    twisted_comul = homcore.yau_twist_bialgebra(actions.u_carrier(1), actions.endo_map(ALPHA_U))
+    twisted_comul = homcore.yau_twist_bialgebra(actions.u_carrier(1), actions.alpha_u())
     pair = homcore.REGISTRY.pair
     for h in s.H.basis:
-        # Delta_alpha(h) = Delta(alpha_U(h)), summed natively
-        sweedler = uea.comul(ALPHA_U(U(h)))
+        # Delta_alpha(h) = Delta(alpha_U(h)), by shuffles
+        sweedler = comul(alpha_u(U(h)))
         assert flat(twisted_comul.comul(h)) == native(sweedler)
         for a in s.A.basis:
             for b in s.A.basis:
                 expected = {}
                 for (h1, h2), c in sweedler.items():
-                    left = deformed_native(UElem.monomial(h1), a)
-                    add(expected, tensor(left, deformed_native(UElem.monomial(h2), b)), c)
+                    left = deformed_native({h1: ONE}, a)
+                    add(expected, tensor(left, deformed_native({h2: ONE}, b)), c)
                 assert flat(square.rho(h, pair(a, b))) == native(cleaned(expected))
 
 
@@ -218,27 +240,34 @@ def test_rho2():
 
 @pytest.fixture(scope="module")
 def m2():
-    algebra, G, a = finalg.m2_example()
-    return algebra, G, finalg.inner_automorphism(algebra, a), finalg.build_example31(algebra, G, a)
+    return dense_oracle.m2(), finalg.build_example31(*finalg.m2_example())
+
+
+def dense(coords: dict, n) -> list:
+    """The dense vector of a coordinate map."""
+    return [coords.get(i, QLaurent.zero()) for i in range(n)]
 
 
 def test_group_bialgebra(m2):
-    _, G, _, s = m2
+    model, s = m2
     for i in s.H.basis:
         gi = key_of(i)
         assert flat(s.H.comul(i)) == native({(gi, gi): ONE})
         assert flat(s.H.alpha(i)) == native({gi: ONE})
         for j in s.H.basis:
-            composed = G.operators.index(G.operators[gi].compose(G.operators[key_of(j)]))
-            assert flat(s.H.mul(i, j)) == native({composed: ONE})
+            product = dense_oracle.compose(model.group[gi], model.group[key_of(j)])
+            assert flat(s.H.mul(i, j)) == native({model.group.index(product): ONE})
 
 
 def test_a_alpha(m2):
-    algebra, G, alpha, s = m2
-    e = lambda k: algebra.basis_vector(key_of(k))
+    model, s = m2
+    alpha = model.conjugation(model.element)
+    e = lambda k: model.basis(key_of(k))
     for i in s.A.basis:
-        assert flat(s.A.alpha(i)) == native(alpha(e(i)))
+        assert dense(flat(s.A.alpha(i)), model.n) == dense_oracle.apply(alpha, e(i))
         for j in s.A.basis:
-            assert flat(s.A.mul(i, j)) == native(alpha(algebra.mul(e(i), e(j))))
+            expected = dense_oracle.apply(alpha, model.mul(e(i), e(j)))
+            assert dense(flat(s.A.mul(i, j)), model.n) == expected
         for g in s.H.basis:
-            assert flat(s.rho(g, i)) == native(alpha(G.operators[key_of(g)](e(i))))
+            expected = dense_oracle.apply(alpha, dense_oracle.apply(model.group[key_of(g)], e(i)))
+            assert dense(flat(s.rho(g, i)), model.n) == expected

@@ -13,9 +13,9 @@ import pytest
 
 from homtwist import actions, cli, finalg, homcore
 from homtwist.homcore import basis_terms
-from homtwist.polyalg import PolyEndo
+from homtwist.polyalg import Poly
 from homtwist.scalars import QLaurent
-from homtwist.uea import UElem, UEndo
+from homtwist.uea import UElem
 
 ARGS = Namespace(negative_control=False)
 q = QLaurent.q_power
@@ -47,8 +47,9 @@ def test_module_is_a_hom_structure(scenario):
 def sl2_pair():
     """beta_H: X -> q^4 X, Y -> q^-4 Y, Z -> Z and beta_A = (q^3 x, q^-1 y)."""
     gen = UElem.generator
-    beta_H = UEndo(gen("X").scaled(q(4)), gen("Y").scaled(q(-4)), gen("Z")).extend()
-    return actions.endo_map(beta_H), actions.endo_map(PolyEndo.diagonal(q(3), q(-1)))
+    beta_H = actions.extend_lie_endo((gen("X").scaled(q(4)), gen("Y").scaled(q(-4)), gen("Z")))
+    beta_A = actions.endo_map((Poly.x().scaled(q(3)), Poly.y().scaled(q(-1))), actions.plane_mul)
+    return beta_H, beta_A
 
 
 def m2_pair():
@@ -148,7 +149,7 @@ def test_sl2_non_multiplicative_beta():
 
 
 def test_sl2_lie_twist_by_a_map_that_is_no_lie_endomorphism():
-    # X -> qX, Y -> Y, Z -> Z; UEndo.extend rejects it, so it is a raw key map
+    # X -> qX, Y -> Y, Z -> Z; actions.extend_lie_endo rejects it, so it is a raw key map
     raw = homcore.key_map(lambda k: {k: q(1) if k == (1, 0, 0) else q(0)})
     r = sl2()._replace(lie=homcore.yau_twist_algebra(actions.u_carrier(1), raw))
     assert counts(cli.SUITES["hom-lie"](r, ARGS)) == (2, 80)
