@@ -42,7 +42,7 @@ from .homcore import (
 )
 from .polyalg import Poly, enumerate_monomials
 from .report import CheckReport
-from .scalars import Q, Q_INV, trusted
+from .scalars import _MAX_POWER_BITS, Q, Q_INV, trusted
 from .uea import GENERATORS, UElem, enumerate_pbw, render_mono
 
 
@@ -65,21 +65,25 @@ def act_key(mono, key) -> tuple:
     Z scales x^i y^j by i - j, Y^b sends it to i!/(i-b)! x^(i-b) y^(j+b) and
     X^a then to (j+b)!/(j+b-a)! x^(i-b+a) y^(j+b-a): the generator rules
     applied one power at a time.  A power that derives a variable more often
-    than it occurs gives 0, found before any factorial is computed.
+    than it occurs, or a power of Z on x^i y^i, gives 0, found before any
+    factorial is computed.  A coefficient that may have more bits than
+    specialize allows a power of q raises OverflowError before it is computed.
     """
     (a, b, c), (i, j) = mono, key
-    if b > i or a > j + b:
+    if b > i or a > j + b or (c and i == j):
         return ()
+    if c * (i - j).bit_length() + b * i.bit_length() + a * (j + b).bit_length() > _MAX_POWER_BITS:
+        raise OverflowError("a coefficient of the action is too large to compute")
     coeff = (i - j) ** c * perm(i, b) * perm(j + b, a)
-    return (((i - b + a, j + b - a), coeff),) if coeff else ()
+    return (((i - b + a, j + b - a), coeff),)
 
 
 # -- products and endomorphisms on ids ---------------------------------
 
-plane_mul = cache(on_ids(lambda k1, k2: (((k1[0] + k2[0], k1[1] + k2[1]), 1),)))
+plane_mul = on_ids(lambda k1, k2: (((k1[0] + k2[0], k1[1] + k2[1]), 1),))
 
 # left multiplication by each generator, a table on ids
-_LEFT = {gen: cache(on_ids(partial(uea.left_gen, gen))) for gen in GENERATORS}
+_LEFT = {gen: on_ids(partial(uea.left_gen, gen)) for gen in GENERATORS}
 
 
 @cache
@@ -160,10 +164,9 @@ def extend_lie_endo(images):
 def plane_carrier(bound: int) -> Carrier:
     """k[x,y] as a carrier with test basis of monomials up to total degree bound."""
     REGISTRY.reserve(comb(bound + 2, 2))
-    basis = tuple((i, j) for p in enumerate_monomials(bound) for (i, j) in p.terms)
     return Carrier(
         name="k[x,y]",
-        basis=key_ids(basis),
+        basis=key_ids(enumerate_monomials(bound)),
         mul=plane_mul,
         render_key=lambda key: str(Poly.monomial(key[0], key[1])),
         render_elem=lambda coords: str(trusted(Poly, coords)),
@@ -178,7 +181,7 @@ def u_carrier(bound: int) -> Carrier:
         basis=key_ids(enumerate_pbw(bound)),
         # the shared product table on ids; a twist keeps its own table
         mul=pbw_mul,
-        comul=cache(on_ids(uea.comul_mono)),
+        comul=on_ids(uea.comul_mono),
         render_key=render_mono,
         render_elem=lambda coords: str(trusted(UElem, coords)),
     )
@@ -195,7 +198,7 @@ def sl2_scenario(bound_h: int = 3, bound_a: int = 3) -> Scenario:
     lie = homcore.yau_twist_algebra(u_carrier(1), beta_H)
     return Scenario(
         module=ModuleAlgebraScenario(
-            H=u_carrier(bound_h), A=plane_carrier(bound_a), rho=cache(on_ids(act_key))
+            H=u_carrier(bound_h), A=plane_carrier(bound_a), rho=on_ids(act_key)
         ),
         beta_H=beta_H,
         beta_A=alpha_plane(),

@@ -329,8 +329,8 @@ def main(argv=None):
         return EXIT_INPUT_ERROR
     except OverflowError as exc:
         # homcore's key registry is full: the bounds or the arguments name
-        # more keys than it holds; or act --q-value meets a power of q too
-        # large to evaluate
+        # more keys than it holds; or act meets a coefficient too large to
+        # compute, or under --q-value a power of q too large to evaluate
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 

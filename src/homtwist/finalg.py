@@ -3,16 +3,18 @@ group bialgebras of automorphisms, and the inner-automorphism deformation.
 
 Everything here is finite, so axiom sweeps run over the complete basis and a
 pass is a full proof for the instance, not a degree-bounded truncation.
-Matrix inversion is exact Gaussian elimination over rationals; operators with
-genuinely q-dependent entries are rejected for inversion rather than
-implementing a rational-function field.
+Each table is built once, by the object that owns it: an algebra's product
+table is its carrier's mul, an operator's key map its table, and every load
+check and the scenario record read those.  Matrix inversion is exact
+Gaussian elimination over rationals; operators with genuinely q-dependent
+entries are rejected for inversion rather than implementing a
+rational-function field.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
-from functools import cache
 
 from .homcore import (
     Carrier,
@@ -38,9 +40,11 @@ class StructAlgebra:
     """Associative algebra given by structure constants e_i e_j = sum_k c_ijk e_k.
 
     Elements are sparse coordinate maps {basis index: nonzero QLaurent}, and
-    the constants are kept as {(i, j): {k: c_ijk}}, the product table of
-    algebra_carrier.  Distinct non-empty string labels and associativity on
-    all basis triples are hard load-time preconditions.
+    the constants are kept as {(i, j): {k: c_ijk}}.  carrier is the algebra
+    with the identity structure map, built once: its mul is the one product
+    table that every check and the module read.  Distinct non-empty string
+    labels and associativity on all basis triples are hard load-time
+    preconditions.
     """
 
     def __init__(self, labels, constants, unit=None):
@@ -64,6 +68,13 @@ class StructAlgebra:
         self.unit = unit
         if self.unit is not None and not all(0 <= i < self.dim for i in self.unit):
             raise ValueError("unit vector has an index out of range")
+        self.carrier = Carrier(
+            name="struct-algebra",
+            basis=key_ids(range(self.dim)),
+            mul=key_map(lambda i, j: table.get((i, j), {})),
+            render_key=self.labels.__getitem__,
+            render_elem=self.render,
+        )
         self._verify_associativity()
         if self.unit is not None:
             self._verify_unit()
@@ -83,8 +94,7 @@ class StructAlgebra:
     def _verify_associativity(self):
         # Eq. (1.2) with the identity structure map is associativity; the
         # error names the first failing triple only, so no side is rendered
-        carrier = algebra_carrier(self)._replace(render_elem=lambda coords: "")
-        report = check_hom_associativity(carrier)
+        report = check_hom_associativity(self.carrier._replace(render_elem=lambda coords: ""))
         if not report.passed:
             raise ValueError(
                 "structure constants are not associative at "
@@ -92,8 +102,8 @@ class StructAlgebra:
             )
 
     def _verify_unit(self):
-        mul, unit = algebra_carrier(self).mul, flatten(self.unit)
-        for k in key_ids(range(self.dim)):
+        mul, unit = self.carrier.mul, flatten(self.unit)
+        for k in self.carrier.basis:
             e = basis_terms(k)
             if bilinear(mul, unit, e) != dict(e) or bilinear(mul, e, unit) != dict(e):
                 raise ValueError("declared unit is not a two-sided unit")
@@ -102,9 +112,8 @@ class StructAlgebra:
         """Two-sided inverse of a, by solving the left-multiplication system."""
         if self.unit is None:
             raise ValueError("algebra has no unit; inverses undefined")
-        mul, xs = algebra_carrier(self).mul, flatten(a)
+        mul, xs, ids = self.carrier.mul, flatten(a), self.carrier.basis
         # left multiplication matrix: column j holds a * e_j
-        ids = key_ids(range(self.dim))
         columns = [unflatten(bilinear(mul, xs, basis_terms(k)).items()) for k in ids]
         solution = _solve_rational(
             _dense(columns), [self.unit.get(k, ZERO) for k in range(self.dim)]
@@ -120,22 +129,23 @@ class StructAlgebra:
 class LinOp:
     """Exact linear operator on a structure-constant algebra.
 
-    It keeps the sparse images of the basis vectors, the table of linop_map.
-    LinOp(rows) takes the dense matrix, image j being column j.
+    It keeps the sparse images of the basis vectors and, built once from
+    them, table: the memo table id -> terms that every check of the operator
+    reads.  LinOp(rows) takes the dense matrix, image j being column j.
     """
 
     def __init__(self, rows):
-        self.dim = len(rows)
-        images = [{} for _ in range(self.dim)]
+        dim = len(rows)
+        images = [{} for _ in range(dim)]
         for k, row in enumerate(rows):
-            if len(row) != self.dim:
+            if len(row) != dim:
                 raise ValueError("operator matrix must be square")
             for j, c in enumerate(row):
                 if not isinstance(c, QLaurent):
                     c = QLaurent.of(c)
                 if c:
                     images[j][k] = c
-        self.images = tuple(images)
+        self._keep(images)
 
     @classmethod
     def identity(cls, dim):
@@ -145,24 +155,23 @@ class LinOp:
     def from_images(cls, images):
         """The operator sending basis vector j to the sparse vector images[j]."""
         op = object.__new__(cls)
-        op.images = tuple(images)
-        op.dim = len(op.images)
+        op._keep(images)
         return op
+
+    def _keep(self, images):
+        self.images = tuple(images)
+        self.dim = len(self.images)
+        self.table = key_map(self.images.__getitem__)
 
     def __eq__(self, other):
         if not isinstance(other, LinOp):
             return NotImplemented
         return self.images == other.images
 
-    def __hash__(self):
-        return hash(tuple(frozenset(image.items()) for image in self.images))
-
     def is_algebra_endo(self, algebra: StructAlgebra) -> bool:
-        table = linop_map(self)
-        if algebra.unit is not None and not _fixes(table, algebra.unit):
+        if algebra.unit is not None and not _fixes(self.table, algebra.unit):
             return False
-        carrier = algebra_carrier(algebra)._replace(alpha=table)
-        return check_multiplicativity(carrier).passed
+        return check_multiplicativity(algebra.carrier._replace(alpha=self.table)).passed
 
     def is_automorphism(self, algebra: StructAlgebra) -> bool:
         if not self.is_algebra_endo(algebra):
@@ -174,6 +183,11 @@ def _fixes(table, v) -> bool:
     """Whether the linear map of table fixes the coordinate map v."""
     xs = flatten(v)
     return linear(table, xs) == dict(xs)
+
+
+def _frozen(images) -> tuple:
+    """Basis images as a hashable key, equal exactly when the images are."""
+    return tuple(frozenset(image.items()) for image in images)
 
 
 def _dense(columns):
@@ -219,10 +233,10 @@ def _solve_rational(matrix, rhs):
 
 def inner_automorphism(algebra: StructAlgebra, a) -> LinOp:
     """The conjugation operator i_a(b) = a b a^-1 for invertible a."""
-    mul, xs, inverse = algebra_carrier(algebra).mul, flatten(a), flatten(algebra.inverse(a))
+    mul, xs, inverse = algebra.carrier.mul, flatten(a), flatten(algebra.inverse(a))
     images = [
         unflatten(bilinear(mul, bilinear(mul, xs, basis_terms(k)).items(), inverse).items())
-        for k in key_ids(range(algebra.dim))
+        for k in algebra.carrier.basis
     ]
     return LinOp.from_images(images)
 
@@ -237,7 +251,7 @@ class GroupBialgebra:
     def __init__(self, algebra: StructAlgebra, operators):
         self.algebra = algebra
         self.operators = list(operators)
-        first = {}
+        index = {}
         for idx, op in enumerate(self.operators):
             if op.dim != algebra.dim:
                 raise ValueError(
@@ -245,34 +259,26 @@ class GroupBialgebra:
                 )
             if not op.is_automorphism(algebra):
                 raise ValueError(f"operator {idx} is not an algebra automorphism")
-            if first.setdefault(op, idx) != idx:
-                raise ValueError(f"operators {first[op]} and {idx} are equal")
+            first = index.setdefault(_frozen(op.images), idx)
+            if first != idx:
+                raise ValueError(f"operators {first} and {idx} are equal")
         self.table = {}
         for i, op1 in enumerate(self.operators):
-            table = linop_map(op1)
             for j, op2 in enumerate(self.operators):
-                composed = LinOp.from_images(
-                    [unflatten(linear(table, flatten(image)).items()) for image in op2.images]
+                composed = _frozen(
+                    unflatten(linear(op1.table, flatten(image)).items()) for image in op2.images
                 )
-                try:
-                    self.table[(i, j)] = self.operators.index(composed)
-                except ValueError:
-                    raise ValueError(
-                        f"group not closed under composition at ({i}, {j})"
-                    ) from None
-        identity = LinOp.identity(algebra.dim)
-        if identity not in self.operators:
+                if composed not in index:
+                    raise ValueError(f"group not closed under composition at ({i}, {j})")
+                self.table[i, j] = index[composed]
+        identity = index.get(_frozen({j: ONE} for j in range(algebra.dim)))
+        if identity is None:
             raise ValueError("group does not contain the identity operator")
-        self.identity_index = self.operators.index(identity)
         for i in range(len(self.operators)):
             if not any(
-                self.table[(i, j)] == self.identity_index
-                for j in range(len(self.operators))
+                self.table[i, j] == identity for j in range(len(self.operators))
             ):
                 raise ValueError(f"operator {i} has no inverse in the group")
-
-    def size(self):
-        return len(self.operators)
 
     # -- k[G] as a bialgebra carrier ----------------------------------
 
@@ -280,9 +286,9 @@ class GroupBialgebra:
         """k[G] with grouplike comultiplication and identity structure map."""
         return Carrier(
             name="k[G]",
-            basis=key_ids(range(self.size())),
-            mul=cache(on_ids(lambda i, j: ((self.table[i, j], 1),))),
-            comul=cache(on_ids(lambda i: (((i, i), 1),))),
+            basis=key_ids(range(len(self.operators))),
+            mul=on_ids(lambda i, j: ((self.table[i, j], 1),)),
+            comul=on_ids(lambda i: (((i, i), 1),)),
             render_key=lambda i: f"g{i}",
             render_elem=_render_group_elem,
         )
@@ -294,27 +300,11 @@ def _render_group_elem(u):
     return " + ".join(f"{c}*g{i}" for i, c in sorted(u.items()))
 
 
-def linop_map(op: LinOp):
-    """The memo table id -> terms of a linear operator: its basis images."""
-    return key_map(op.images.__getitem__)
-
-
-def algebra_carrier(algebra: StructAlgebra) -> Carrier:
-    """A structure-constant algebra with the identity structure map."""
-    return Carrier(
-        name="struct-algebra",
-        basis=key_ids(range(algebra.dim)),
-        mul=key_map(lambda i, j: algebra.constants.get((i, j), {})),
-        render_key=lambda i: algebra.labels[i],
-        render_elem=algebra.render,
-    )
-
-
 def automorphism_action(G: GroupBialgebra) -> ModuleAlgebraScenario:
     """The classical k[G]-module algebra on A with rho(phi x a) = phi(a)."""
     return ModuleAlgebraScenario(
         H=G.carrier(),
-        A=algebra_carrier(G.algebra),
+        A=G.algebra.carrier,
         rho=key_map(lambda g, k: G.operators[g].images[k]),
     )
 
@@ -330,12 +320,12 @@ def example31_scenario(algebra: StructAlgebra, G: GroupBialgebra, a) -> Scenario
     A_alpha.
     """
     for idx, op in enumerate(G.operators):
-        if not _fixes(linop_map(op), a):
+        if not _fixes(op.table, a):
             raise ValueError(
                 f"element {algebra.render(a)} is not fixed by group operator {idx}"
             )
     # g(a b a^-1) = a g(b) a^-1 for an automorphism g fixing a: i_a commutes with G
-    module, beta_A = automorphism_action(G), linop_map(inner_automorphism(algebra, a))
+    module, beta_A = automorphism_action(G), inner_automorphism(algebra, a).table
     return Scenario(
         module=module,
         beta_H=basis_terms,

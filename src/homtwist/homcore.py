@@ -9,9 +9,10 @@ whole spanned truncation; a passing sweep is a proof at the declared bound.
 Keys are interned: the one KeyRegistry, REGISTRY, gives each key an int id,
 and a term is the pair (exponent * STRIDE + key id, coefficient).  Only this
 module knows that layout.  Base carriers define their tables on keys, as key
-kernels (keys to (key, coefficient) pairs, on_ids) or coordinate maps
-(key_map), and ids become keys again where a result is rendered (axis,
-renderer, unflatten) and in the inputs of a counterexample.
+kernels (keys to (key, coefficient) pairs) or coordinate maps, which on_ids
+and key_map make into memo tables on ids, each entry filled once; ids become
+keys again where a result is rendered (axis, renderer, unflatten) and in the
+inputs of a counterexample.
 
 A Scenario is the one record every suite reads, (module, beta_H, beta_A,
 lie): a module Hom-algebra and the compatible maps beta that deform_scenario
@@ -202,11 +203,13 @@ def _sweep(name, equation, axes, lhs, rhs, render) -> CheckReport:
 
 
 def on_ids(f):
-    """f, a key kernel (a map of keys to (key, coefficient) pairs), as a map of
-    ids to packed terms.  It is not memoized; wrap it in cache for a table.
+    """The memo table ids -> terms of a key kernel f, a map of keys to
+    (key, coefficient) pairs.
     """
     ids_of = REGISTRY.ids
-    return lambda *ids: _shared((ids_of[key], c) for key, c in f(*map(_KEYS.__getitem__, ids)))
+    return cache(
+        lambda *ids: _shared((ids_of[key], c) for key, c in f(*map(_KEYS.__getitem__, ids)))
+    )
 
 
 def flatten(coords: dict) -> tuple:

@@ -65,13 +65,15 @@ class Poly(MonomialElem):
 
 
 def enumerate_monomials(max_total_degree: int):
-    """All monomials x^i y^j with i + j <= bound, graded-lex with x first."""
+    """The keys (i, j) of all monomials x^i y^j with i + j <= bound,
+    graded-lex with x first.
+    """
     if max_total_degree < 0:
         raise ValueError("degree bound must be non-negative")
     out = []
     for degree in range(max_total_degree + 1):
         for i in range(degree, -1, -1):
-            out.append(Poly.monomial(i, degree - i))
+            out.append((i, degree - i))
     return out
 
 

@@ -25,9 +25,9 @@ from fractions import Fraction
 # form with positive denominator.
 Rational = Fraction
 
-# QLaurent.specialize refuses a power q0^e of more bits than this (1 MiB),
-# unless the sum it scales is 0: a power near it takes about a second, and
-# q0^(10^20) would exhaust memory
+# QLaurent.specialize refuses a power q0^e of more bits than this (1 MiB)
+# unless the sum it scales is 0, and actions.act_key a coefficient that may
+# have more: a power near it takes about a second, q0^(10^20) exhausts memory
 _MAX_POWER_BITS = 1 << 23
 
 

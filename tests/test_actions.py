@@ -12,6 +12,12 @@ X = UElem.generator("X")
 Y = UElem.generator("Y")
 Z = UElem.generator("Z")
 
+
+def monomials(bound):
+    """The plane basis up to total degree bound, as Poly monomials."""
+    return [Poly.monomial(*key) for key in enumerate_monomials(bound)]
+
+
 # The action tables `homtwist act` contracts: act_key on ids, and rho_alpha
 # of the deformed triple.
 SL2 = actions.sl2_scenario(0, 0)
@@ -53,27 +59,40 @@ class TestAction:
         assert act(UElem.monomial((1, 1, 1)), p) == composite
 
     def test_degree_preservation(self):
-        for p in enumerate_monomials(4):
+        for p in monomials(4):
             n = total_degree(p)
             for gen in "XYZ":
                 image = act(UElem.generator(gen), p)
                 assert not image or total_degree(image) == n
 
 
+class TestCoefficientBound:
+    def test_huge_coefficient_is_refused_before_it_is_computed(self):
+        # 2^(10^8) and perm(10^6, 10^6) have more bits than specialize allows
+        for mono, key in [((0, 0, 10**8), (2, 0)), ((0, 10**6, 0), (10**6, 0))]:
+            with pytest.raises(OverflowError, match="too large to compute"):
+                act_key(mono, key)
+
+    def test_zero_and_moderate_coefficients_are_exact(self):
+        # Z on x^i y^i is 0 before the bound is read
+        assert act_key((0, 10**6, 1), (10**6, 10**6)) == ()
+        assert act_key((0, 0, 20000), (2, 0)) == (((2, 0), 2**20000),)
+
+
 class TestDeformedAction:
     def test_displayed_formula_x(self):
         # rho_alpha(X x P) = q^2 x (dP/dy)(q^2 x, q y) for every monomial P
-        for p in enumerate_monomials(4):
+        for p in monomials(4):
             expected = mul(Poly.x().scaled(QLaurent.q_power(2)), alpha(partial(p, "y")))
             assert deformed_act(X, p) == expected
 
     def test_displayed_formula_y(self):
-        for p in enumerate_monomials(4):
+        for p in monomials(4):
             expected = mul(Poly.y().scaled(QLaurent.q_power(1)), alpha(partial(p, "x")))
             assert deformed_act(Y, p) == expected
 
     def test_displayed_formula_z(self):
-        for p in enumerate_monomials(4):
+        for p in monomials(4):
             expected = mul(Poly.x().scaled(QLaurent.q_power(2)), alpha(partial(p, "x"))) - mul(
                 Poly.y().scaled(QLaurent.q_power(1)), alpha(partial(p, "y"))
             )
@@ -88,7 +107,7 @@ class TestDeformedAction:
     def test_q_equal_one_collapses_to_classical(self):
         for mono in enumerate_pbw(2):
             z = UElem.monomial(mono)
-            for p in enumerate_monomials(3):
+            for p in monomials(3):
                 assert specialize(deformed_act(z, p), 1) == specialize(act(z, p), 1)
 
 

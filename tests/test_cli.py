@@ -421,6 +421,10 @@ def _limit_address_space():
         ["act", "q^99999999999999999999*X", "y", "--q-value", "2"],
         ["act", "q^10000000000*X", "y", "--q-value", "2"],
         ["act", "q^-99999999999999999999*X", "y", "--q-value", "1/3"],
+        # so is a coefficient of the action: 2^(10^11), and perm(10^6, 10^6),
+        # which takes seconds
+        ["act", "Z^100000000000", "x^2"],
+        ["act", "Y^1000000", "x^1000000"],
     ],
 )
 def test_oversized_bound_exits_2_before_enumerating(argv):

@@ -11,11 +11,9 @@ from homtwist.finalg import (
     GroupBialgebra,
     LinOp,
     StructAlgebra,
-    algebra_carrier,
     automorphism_action,
     build_example31,
     inner_automorphism,
-    linop_map,
     load_scenario,
     m2_algebra,
     m2_example,
@@ -44,14 +42,14 @@ def basis(i):
 
 
 def product(algebra, v, w):
-    """v w through the product table of algebra_carrier."""
-    flat = homcore.bilinear(algebra_carrier(algebra).mul, homcore.flatten(v), homcore.flatten(w))
+    """v w through the algebra's product table."""
+    flat = homcore.bilinear(algebra.carrier.mul, homcore.flatten(v), homcore.flatten(w))
     return homcore.unflatten(flat.items())
 
 
 def apply(op, v):
-    """op(v) through the table linop_map(op)."""
-    return homcore.unflatten(homcore.linear(linop_map(op), homcore.flatten(v)).items())
+    """op(v) through the operator's table."""
+    return homcore.unflatten(homcore.linear(op.table, homcore.flatten(v)).items())
 
 
 def matrix(op, n):
@@ -107,7 +105,7 @@ class TestHomAssociativityNegativeControl:
 
     def twisted(self):
         op = LinOp([[1, 0, 0, 0], [0, -2, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
-        return homcore.yau_twist_algebra(algebra_carrier(m2_algebra()), finalg.linop_map(op))
+        return homcore.yau_twist_algebra(m2_algebra().carrier, op.table)
 
     def test_hom_associativity_fails(self):
         report = homcore.check_hom_associativity(self.twisted())
@@ -177,7 +175,7 @@ class TestLinOp:
         assert LinOp.identity(2) == LinOp([[1, 0], [0, 1]])
         cases = [(swap, swap, [[1, 0], [0, 1]]), (scale, swap, [[0, 2], [q, 0]])]
         for op1, op2, expected in cases:
-            composite = homcore.composite(linop_map(op1), linop_map(op2))
+            composite = homcore.composite(op1.table, op2.table)
             model = dense_oracle.compose(matrix(op1, 2), matrix(op2, 2))
             assert LinOp(model) == LinOp(expected)
             for j, k in enumerate(homcore.key_ids(range(2))):
@@ -200,7 +198,7 @@ class TestInnerAutomorphism:
         a_inv = algebra.inverse(a)
         op = inner_automorphism(algebra, a)
         op_inv = inner_automorphism(algebra, a_inv)
-        composite = homcore.composite(linop_map(op), linop_map(op_inv))
+        composite = homcore.composite(op.table, op_inv.table)
         for k in homcore.key_ids(range(4)):
             assert composite(k) == homcore.basis_terms(k)
 
@@ -212,7 +210,7 @@ class TestInnerAutomorphism:
 class TestGroupBialgebra:
     def test_m2_group_closure(self):
         _, G, _ = m2_example()
-        assert G.size() == 2
+        assert len(G.operators) == 2
         assert G.table[(1, 1)] == 0
 
     def test_rejects_non_closed_set(self):
@@ -309,7 +307,7 @@ class TestDenseOracle:
 
     def test_product(self, modelled):
         (algebra, _, _), model = modelled
-        mul = algebra_carrier(algebra).mul
+        mul = algebra.carrier.mul
         ids = homcore.key_ids(range(model.n))
         for i, ki in enumerate(ids):
             for j, kj in enumerate(ids):
@@ -332,6 +330,43 @@ class TestDenseOracle:
         for i, m1 in enumerate(model.group):
             for j, m2 in enumerate(model.group):
                 assert G.table[i, j] == model.group.index(dense_oracle.compose(m1, m2))
+
+
+class TestOneTablePerStructure:
+    """Loading a file and building its record make each table once."""
+
+    def test_load_and_record_read_one_table_each(self, tmp_path, monkeypatch):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(finalg_gen.generate(1, 3)))
+        made, read = [], []
+
+        def spy(name, record):
+            real = getattr(finalg, name)
+
+            def wrapper(*args):
+                out = real(*args)
+                record(args, out)
+                return out
+
+            monkeypatch.setattr(finalg, name, wrapper)
+
+        spy("key_map", lambda args, table: made.append(table))
+        spy("bilinear", lambda args, _: read.append(args[0]))
+        for check in ("check_hom_associativity", "check_multiplicativity"):
+            spy(check, lambda args, _: read.append(args[0].mul))
+        algebra, G, a = load_scenario(path)
+        r = finalg.example31_scenario(algebra, G, a)
+        mul = algebra.carrier.mul
+        # every load check and the module multiply through the one product table
+        assert r.module.A.mul is mul
+        assert read and all(table is mul for table in read)
+        assert mul.cache_info().currsize == algebra.dim**2 == 81
+        # one table each: the product, every operator, i_a and the action
+        tables = [mul, *(op.table for op in G.operators), r.beta_A, r.module.rho]
+        assert len(made) == len(tables) == 7
+        assert {id(table) for table in made} == {id(table) for table in tables}
+        entries = sum(table.cache_info().currsize for table in made)
+        assert entries == 81 + len(G.operators) * algebra.dim == 117
 
 
 class TestScenarioFile:

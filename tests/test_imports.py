@@ -1,5 +1,6 @@
-"""Every name a module of src/homtwist imports is referenced in that module,
-and every function, class and method it defines is named somewhere.
+"""Every name a module of src/homtwist or of the tests imports is referenced
+in that module, and every function, class and method src defines is named
+somewhere.  No src module memoizes a table that is a memo table already.
 
 The names of the package's __all__ (re-exported by __init__) and
 `from __future__ import annotations` are exempt.  Importing the command line
@@ -17,6 +18,7 @@ import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "homtwist"
+TESTS = ROOT / "tests"
 
 
 def exported(tree) -> set:
@@ -40,6 +42,27 @@ def unused_imports(source: str) -> list:
             imported.update(alias.asname or alias.name for alias in node.names)
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     return sorted(imported - used - exported(tree))
+
+
+def _name(node) -> str:
+    """The name a call's function is read by: f(...) or module.f(...)."""
+    return getattr(node, "id", getattr(node, "attr", ""))
+
+
+def double_memo(source: str) -> list:
+    """The lines where cache(...) wraps on_ids(...) or key_map(...), whose
+    results are memo tables already.
+    """
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and _name(node.func) == "cache"
+        and any(
+            isinstance(arg, ast.Call) and _name(arg.func) in ("on_ids", "key_map")
+            for arg in node.args
+        )
+    ]
 
 
 def named(tree) -> Counter:
@@ -88,9 +111,28 @@ def test_the_guard_sees_an_unused_import():
     assert unused_imports(source) == ["os"]
 
 
-@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda path: path.name)
+@pytest.mark.parametrize(
+    "path",
+    sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py")),
+    ids=lambda path: path.name if path.parent == SRC else f"tests/{path.name}",
+)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_the_guard_sees_a_double_memo():
+    planted = (
+        "import functools\nfrom functools import cache\n"
+        "a = cache(on_ids(f))\n"
+        "b = functools.cache(homcore.key_map(g))\n"
+        "c = on_ids(f)\nd = cache(lambda k: on_ids(f))\n"
+    )
+    assert double_memo(planted) == [3, 4]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda path: path.name)
+def test_no_double_memo(path):
+    assert double_memo(path.read_text()) == []
 
 
 def test_cli_import_leaves_out_heavy_modules():

@@ -67,7 +67,7 @@ class TestDerivatives:
         assert partial(Poly.parse("5"), "x") == Poly.zero()
 
     def test_leibniz_rule_on_monomials(self):
-        monos = enumerate_monomials(3)
+        monos = [Poly.monomial(*key) for key in enumerate_monomials(3)]
         for p in monos:
             for r in monos:
                 for var in ("x", "y"):
@@ -94,7 +94,7 @@ class TestEndomorphisms:
 
     def test_multiplicativity(self):
         alpha = alpha_q()
-        monos = enumerate_monomials(3)
+        monos = [Poly.monomial(*key) for key in enumerate_monomials(3)]
         for p in monos:
             for r in monos:
                 assert alpha(mul(p, r)) == mul(alpha(p), alpha(r))
@@ -138,10 +138,10 @@ class TestGrading:
 
 class TestEnumeration:
     def test_degree_zero(self):
-        assert enumerate_monomials(0) == [Poly.one()]
+        assert enumerate_monomials(0) == [(0, 0)]
 
     def test_degree_one_order(self):
-        assert enumerate_monomials(1) == [Poly.one(), X, Y]
+        assert enumerate_monomials(1) == [(0, 0), (1, 0), (0, 1)]
 
     @pytest.mark.parametrize("d", [0, 1, 2, 3, 5])
     def test_count(self, d):

@@ -55,7 +55,7 @@ def sl2_pair():
 def m2_pair():
     """beta_H = Id and beta_A = i_b for b = diag(5, 7), fixed by the group."""
     b = {0: QLaurent.of(5), 3: QLaurent.of(7)}
-    return basis_terms, finalg.linop_map(finalg.inner_automorphism(finalg.m2_algebra(), b))
+    return basis_terms, finalg.inner_automorphism(finalg.m2_algebra(), b).table
 
 
 def twice_deformed(scenario, pair):
@@ -130,12 +130,12 @@ NOT_G_LINEAR = finalg.LinOp([[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0,
 )
 def test_finalg_non_multiplicative_beta(suite, expected):
     # D commutes with G but is not an algebra map of M2
-    r = m2()._replace(beta_A=finalg.linop_map(D))
+    r = m2()._replace(beta_A=D.table)
     assert counts(cli.SUITES[suite](r, ARGS)) == expected
 
 
 def test_finalg_beta_that_is_not_g_linear():
-    r = m2()._replace(beta_A=finalg.linop_map(NOT_G_LINEAR))
+    r = m2()._replace(beta_A=NOT_G_LINEAR.table)
     report = cli.SUITES["compatibility"](r, ARGS)
     # one sweep of the group: each failing case is reported once
     assert counts(report) == (1, 8)
