@@ -12,13 +12,14 @@ the Lie algebra; rho_alpha = alpha_A o rho.
 
 The keys are PBW monomials (a, b, c) and plane exponents (i, j), and every
 table is a memo table on their ids.  The action and the coproduct are key
-kernels that homcore.on_ids reads.  The products, plane_mul and pbw_mul, are
-shared by every carrier: pbw_mul writes m1 = g rest (uea.split_first) and
-multiplies the memoized product rest m2 by g through the id table of
-uea.left_gen.  endo_map contracts an endomorphism's generator images on one
-of those products, and extend_lie_endo checks, on the same tables, that a
-map of the generators of U(sl(2)) is a Lie endomorphism before it extends
-it.  UElem and Poly only parse and render.
+kernels that homcore.on_ids reads.  The products, plane_mul and pbw_mul, and
+the coproduct pbw_comul are shared by every carrier: pbw_mul writes
+m1 = g rest (uea.split_first) and multiplies the memoized product rest m2 by
+g through the id table of uea.left_gen.  endo_map contracts an
+endomorphism's generator images on one of those products, and
+extend_lie_endo checks, on the same tables, that a map of the generators of
+U(sl(2)) is a Lie endomorphism before it extends it.  UElem and Poly only
+parse and render.
 """
 
 from __future__ import annotations
@@ -81,6 +82,9 @@ def act_key(mono, key) -> tuple:
 # -- products and endomorphisms on ids ---------------------------------
 
 plane_mul = on_ids(lambda k1, k2: (((k1[0] + k2[0], k1[1] + k2[1]), 1),))
+
+# the coproduct of U(sl(2)) on ids, read by every U(sl(2)) carrier
+pbw_comul = on_ids(uea.comul_mono)
 
 # left multiplication by each generator, a table on ids
 _LEFT = {gen: on_ids(partial(uea.left_gen, gen)) for gen in GENERATORS}
@@ -179,9 +183,9 @@ def u_carrier(bound: int) -> Carrier:
     return Carrier(
         name="U(sl2)",
         basis=key_ids(enumerate_pbw(bound)),
-        # the shared product table on ids; a twist keeps its own table
+        # the shared product and coproduct tables on ids; a twist keeps its own
         mul=pbw_mul,
-        comul=on_ids(uea.comul_mono),
+        comul=pbw_comul,
         render_key=render_mono,
         render_elem=lambda coords: str(trusted(UElem, coords)),
     )

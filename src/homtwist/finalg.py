@@ -3,11 +3,14 @@ group bialgebras of automorphisms, and the inner-automorphism deformation.
 
 Everything here is finite, so axiom sweeps run over the complete basis and a
 pass is a full proof for the instance, not a degree-bounded truncation.
-Each table is built once, by the object that owns it: an algebra's product
-table is its carrier's mul, an operator's key map its table, and every load
-check and the scenario record read those.  Matrix inversion is exact
-Gaussian elimination over rationals; operators with genuinely q-dependent
-entries are rejected for inversion rather than implementing a
+Each table is built once, where it is made: an algebra's product table is
+its carrier's mul, and an operator is its memo table id -> terms (operator,
+or basis_terms for the identity).  The load checks, the group closure, i_a,
+the k[G] action and the scenario record all read those tables.  Coordinate
+maps {index: QLaurent} appear only where a file is read, where a linear
+system is solved and where an element is rendered.  Matrix inversion is
+exact Gaussian elimination over rationals; operators with genuinely
+q-dependent entries are rejected for inversion rather than implementing a
 rational-function field.
 """
 
@@ -15,6 +18,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from functools import cache
 
 from .homcore import (
     Carrier,
@@ -30,6 +34,7 @@ from .homcore import (
     key_map,
     linear,
     on_ids,
+    terms,
     unflatten,
     yau_twist_algebra,
 )
@@ -126,68 +131,41 @@ class StructAlgebra:
         return inv
 
 
-class LinOp:
-    """Exact linear operator on a structure-constant algebra.
+def operator(rows):
+    """The memo table id -> terms of the square matrix rows: image j is column j."""
+    images = [{} for _ in rows]
+    for k, row in enumerate(rows):
+        if len(row) != len(rows):
+            raise ValueError("operator matrix must be square")
+        for j, c in enumerate(row):
+            if not isinstance(c, QLaurent):
+                c = QLaurent.of(c)
+            if c:
+                images[j][k] = c
+    return key_map(images.__getitem__)
 
-    It keeps the sparse images of the basis vectors and, built once from
-    them, table: the memo table id -> terms that every check of the operator
-    reads.  LinOp(rows) takes the dense matrix, image j being column j.
+
+def is_algebra_endo(algebra: StructAlgebra, op) -> bool:
+    """Whether the operator table op is multiplicative and keeps the unit."""
+    if algebra.unit is not None and not _fixes(op, algebra.unit):
+        return False
+    return check_multiplicativity(algebra.carrier._replace(alpha=op)).passed
+
+
+def is_automorphism(algebra: StructAlgebra, op) -> bool:
+    """Whether the operator table op is an algebra endomorphism with an
+    invertible matrix, built from its basis images.
     """
-
-    def __init__(self, rows):
-        dim = len(rows)
-        images = [{} for _ in range(dim)]
-        for k, row in enumerate(rows):
-            if len(row) != dim:
-                raise ValueError("operator matrix must be square")
-            for j, c in enumerate(row):
-                if not isinstance(c, QLaurent):
-                    c = QLaurent.of(c)
-                if c:
-                    images[j][k] = c
-        self._keep(images)
-
-    @classmethod
-    def identity(cls, dim):
-        return cls.from_images([{j: ONE} for j in range(dim)])
-
-    @classmethod
-    def from_images(cls, images):
-        """The operator sending basis vector j to the sparse vector images[j]."""
-        op = object.__new__(cls)
-        op._keep(images)
-        return op
-
-    def _keep(self, images):
-        self.images = tuple(images)
-        self.dim = len(self.images)
-        self.table = key_map(self.images.__getitem__)
-
-    def __eq__(self, other):
-        if not isinstance(other, LinOp):
-            return NotImplemented
-        return self.images == other.images
-
-    def is_algebra_endo(self, algebra: StructAlgebra) -> bool:
-        if algebra.unit is not None and not _fixes(self.table, algebra.unit):
-            return False
-        return check_multiplicativity(algebra.carrier._replace(alpha=self.table)).passed
-
-    def is_automorphism(self, algebra: StructAlgebra) -> bool:
-        if not self.is_algebra_endo(algebra):
-            return False
-        return _solve_rational(_dense(self.images), [ZERO] * self.dim) is not None
+    if not is_algebra_endo(algebra, op):
+        return False
+    columns = [unflatten(op(k)) for k in algebra.carrier.basis]
+    return _solve_rational(_dense(columns), [ZERO] * algebra.dim) is not None
 
 
 def _fixes(table, v) -> bool:
     """Whether the linear map of table fixes the coordinate map v."""
     xs = flatten(v)
     return linear(table, xs) == dict(xs)
-
-
-def _frozen(images) -> tuple:
-    """Basis images as a hashable key, equal exactly when the images are."""
-    return tuple(frozenset(image.items()) for image in images)
 
 
 def _dense(columns):
@@ -231,54 +209,51 @@ def _solve_rational(matrix, rhs):
     return [QLaurent.of(aug[i][n]) for i in range(n)]
 
 
-def inner_automorphism(algebra: StructAlgebra, a) -> LinOp:
-    """The conjugation operator i_a(b) = a b a^-1 for invertible a."""
+def inner_automorphism(algebra: StructAlgebra, a):
+    """The memo table k -> terms(a e_k a^-1) of the conjugation i_a, a invertible."""
     mul, xs, inverse = algebra.carrier.mul, flatten(a), flatten(algebra.inverse(a))
-    images = [
-        unflatten(bilinear(mul, bilinear(mul, xs, basis_terms(k)).items(), inverse).items())
-        for k in algebra.carrier.basis
-    ]
-    return LinOp.from_images(images)
+
+    def conjugate(k):
+        return terms(bilinear(mul, bilinear(mul, xs, basis_terms(k)).items(), inverse))
+
+    return cache(conjugate)
 
 
 class GroupBialgebra:
     """A finite group of algebra automorphisms with grouplike comultiplication.
 
-    The group is given extensionally; closure under composition and inverses
-    is verified at construction, not computed.
+    The group is given extensionally, as operator tables; closure under
+    composition is verified at construction, not computed.  A nonempty finite
+    set of invertible maps closed under composition is a group: g^n = 1 for
+    some n > 0, so g^(n-1) is the inverse of g and the identity is in it.
     """
 
     def __init__(self, algebra: StructAlgebra, operators):
         self.algebra = algebra
         self.operators = list(operators)
+        basis = algebra.carrier.basis
+
+        def key(op):
+            """The basis images of op, equal exactly when the operators are."""
+            return tuple(frozenset(op(k)) for k in basis)
+
         index = {}
         for idx, op in enumerate(self.operators):
-            if op.dim != algebra.dim:
-                raise ValueError(
-                    f"operator {idx} is {op.dim}x{op.dim} on a {algebra.dim}-dim algebra"
-                )
-            if not op.is_automorphism(algebra):
+            if not is_automorphism(algebra, op):
                 raise ValueError(f"operator {idx} is not an algebra automorphism")
-            first = index.setdefault(_frozen(op.images), idx)
+            first = index.setdefault(key(op), idx)
             if first != idx:
                 raise ValueError(f"operators {first} and {idx} are equal")
         self.table = {}
         for i, op1 in enumerate(self.operators):
             for j, op2 in enumerate(self.operators):
-                composed = _frozen(
-                    unflatten(linear(op1.table, flatten(image)).items()) for image in op2.images
-                )
+                composed = key(lambda k: linear(op1, op2(k)).items())
                 if composed not in index:
                     raise ValueError(f"group not closed under composition at ({i}, {j})")
                 self.table[i, j] = index[composed]
-        identity = index.get(_frozen({j: ONE} for j in range(algebra.dim)))
-        if identity is None:
+        # only the empty set of operators is closed and lacks the identity
+        if key(basis_terms) not in index:
             raise ValueError("group does not contain the identity operator")
-        for i in range(len(self.operators)):
-            if not any(
-                self.table[i, j] == identity for j in range(len(self.operators))
-            ):
-                raise ValueError(f"operator {i} has no inverse in the group")
 
     # -- k[G] as a bialgebra carrier ----------------------------------
 
@@ -301,12 +276,12 @@ def _render_group_elem(u):
 
 
 def automorphism_action(G: GroupBialgebra) -> ModuleAlgebraScenario:
-    """The classical k[G]-module algebra on A with rho(phi x a) = phi(a)."""
-    return ModuleAlgebraScenario(
-        H=G.carrier(),
-        A=G.algebra.carrier,
-        rho=key_map(lambda g, k: G.operators[g].images[k]),
-    )
+    """The classical k[G]-module algebra on A with rho(phi x a) = phi(a): rho
+    reads the table of the operator phi.
+    """
+    H = G.carrier()
+    tables = dict(zip(H.basis, G.operators))
+    return ModuleAlgebraScenario(H=H, A=G.algebra.carrier, rho=lambda g, k: tables[g](k))
 
 
 def example31_scenario(algebra: StructAlgebra, G: GroupBialgebra, a) -> Scenario:
@@ -320,12 +295,12 @@ def example31_scenario(algebra: StructAlgebra, G: GroupBialgebra, a) -> Scenario
     A_alpha.
     """
     for idx, op in enumerate(G.operators):
-        if not _fixes(op.table, a):
+        if not _fixes(op, a):
             raise ValueError(
                 f"element {algebra.render(a)} is not fixed by group operator {idx}"
             )
     # g(a b a^-1) = a g(b) a^-1 for an automorphism g fixing a: i_a commutes with G
-    module, beta_A = automorphism_action(G), inner_automorphism(algebra, a).table
+    module, beta_A = automorphism_action(G), inner_automorphism(algebra, a)
     return Scenario(
         module=module,
         beta_H=basis_terms,
@@ -361,15 +336,8 @@ def m2_example():
     """Example instance: G generated by conjugation by diag(1,-1), a = diag(2,3)."""
     algebra = m2_algebra()
     # conjugation by diag(1,-1) negates e12 and e21
-    conj = LinOp(
-        [
-            [1, 0, 0, 0],
-            [0, -1, 0, 0],
-            [0, 0, -1, 0],
-            [0, 0, 0, 1],
-        ]
-    )
-    G = GroupBialgebra(algebra, [LinOp.identity(4), conj])
+    conj = operator([[1, 0, 0, 0], [0, -1, 0, 0], [0, 0, -1, 0], [0, 0, 0, 1]])
+    G = GroupBialgebra(algebra, [basis_terms, conj])
     a = {0: QLaurent.of(2), 3: QLaurent.of(3)}
     return algebra, G, a
 
@@ -411,9 +379,13 @@ def load_scenario(path):
     unit = _vector(data["unit"], "unit vector", len(labels)) if "unit" in data else None
     algebra = StructAlgebra(labels, constants, unit=unit)
     operators = []
-    for matrix in _array(data.get("group"), "group"):
+    for idx, matrix in enumerate(_array(data.get("group"), "group")):
         rows = [_array(row, "matrix row") for row in _array(matrix, "group matrix")]
-        operators.append(LinOp([[_scalar(c) for c in row] for row in rows]))
+        operators.append(operator([[_scalar(c) for c in row] for row in rows]))
+        if len(rows) != algebra.dim:
+            raise ValueError(
+                f"operator {idx} is {len(rows)}x{len(rows)} on a {algebra.dim}-dim algebra"
+            )
     G = GroupBialgebra(algebra, operators)
     element = _vector(data.get("element"), "distinguished element", algebra.dim)
     return algebra, G, element

@@ -213,6 +213,14 @@ BAD_SCENARIOS = {
         "group": [[["1", "0"], ["0", "1"]]],
         "element": ["1", "1"],
     },
+    # closed under composition, but no group: it lacks the identity
+    "empty-group": {
+        "labels": ["e"],
+        "constants": [[0, 0, 0, "1"]],
+        "unit": ["1"],
+        "group": [],
+        "element": ["1"],
+    },
 }
 
 
@@ -247,6 +255,7 @@ BAD_SCENARIOS = {
         # only finalg reads a scenario file
         ({}, ["verify", "sl2-q", "--file", "/nonexistent"]),
         ({}, ["twist", "sl2", "--file", "x"]),
+        ({}, ["verify", "finalg", "--file", "{empty-group}"]),
     ],
 )
 def test_bad_input_exits_2(capsys, monkeypatch, tmp_path, env, argv):

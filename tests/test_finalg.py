@@ -9,14 +9,16 @@ import pytest
 from homtwist import finalg, homcore
 from homtwist.finalg import (
     GroupBialgebra,
-    LinOp,
     StructAlgebra,
     automorphism_action,
     build_example31,
     inner_automorphism,
+    is_algebra_endo,
+    is_automorphism,
     load_scenario,
     m2_algebra,
     m2_example,
+    operator,
 )
 from homtwist.scalars import QLaurent
 
@@ -49,7 +51,7 @@ def product(algebra, v, w):
 
 def apply(op, v):
     """op(v) through the operator's table."""
-    return homcore.unflatten(homcore.linear(op.table, homcore.flatten(v)).items())
+    return homcore.unflatten(homcore.linear(op, homcore.flatten(v)).items())
 
 
 def matrix(op, n):
@@ -104,8 +106,8 @@ class TestHomAssociativityNegativeControl:
     """A Yau twist by a linear map that is not multiplicative must fail."""
 
     def twisted(self):
-        op = LinOp([[1, 0, 0, 0], [0, -2, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
-        return homcore.yau_twist_algebra(m2_algebra().carrier, op.table)
+        op = operator([[1, 0, 0, 0], [0, -2, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+        return homcore.yau_twist_algebra(m2_algebra().carrier, op)
 
     def test_hom_associativity_fails(self):
         report = homcore.check_hom_associativity(self.twisted())
@@ -131,6 +133,8 @@ class TestHomAssociativityNegativeControl:
 
 
 class TestLinOp:
+    """Linear operators, each the memo table id -> terms that operator parses."""
+
     def test_matches_dense_row_sums(self):
         q = QLaurent.q_power(1)
         rows = [
@@ -139,7 +143,7 @@ class TestLinOp:
             [0, 0, 0, 0],
             [Fraction(-2, 3), q * q, 0, 5],
         ]
-        op = LinOp(rows)
+        op = operator(rows)
         vectors = [
             (QLaurent.of(2), ZERO, q + 1, QLaurent.of(Fraction(1, 3))),
             (ZERO, ZERO, ZERO, ZERO),
@@ -152,32 +156,32 @@ class TestLinOp:
     def test_singular_endomorphism_is_not_an_automorphism(self):
         # without a unit, the zero map is an algebra endomorphism of k*a
         algebra = StructAlgebra(("a",), {(0, 0, 0): 1})
-        zero_map = LinOp([[0]])
-        assert zero_map.is_algebra_endo(algebra)
-        assert not zero_map.is_automorphism(algebra)
+        zero_map = operator([[0]])
+        assert is_algebra_endo(algebra, zero_map)
+        assert not is_automorphism(algebra, zero_map)
 
     def test_is_algebra_endo_needs_products_and_unit(self):
         algebra = m2_algebra()
         # keeps the unit, but sends e12 e21 = e11 to e11 and e12 to -2*e12
-        scale = LinOp([[1, 0, 0, 0], [0, -2, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+        scale = operator([[1, 0, 0, 0], [0, -2, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
         # multiplicative, but sends the unit to 0
-        zero = LinOp([[0] * 4 for _ in range(4)])
+        zero = operator([[0] * 4 for _ in range(4)])
         conjugation = m2_example()[1].operators[1]
-        assert not scale.is_algebra_endo(algebra)
-        assert not zero.is_algebra_endo(algebra)
-        assert conjugation.is_algebra_endo(algebra)
+        assert not is_algebra_endo(algebra, scale)
+        assert not is_algebra_endo(algebra, zero)
+        assert is_algebra_endo(algebra, conjugation)
 
     def test_compose_and_identity(self):
         # the composite of the tables against the dense model's matrix product
         q = QLaurent.q_power(1)
-        swap = LinOp([[0, 1], [1, 0]])
-        scale = LinOp([[2, 0], [0, q]])
-        assert LinOp.identity(2) == LinOp([[1, 0], [0, 1]])
+        swap = operator([[0, 1], [1, 0]])
+        scale = operator([[2, 0], [0, q]])
+        assert matrix(homcore.basis_terms, 2) == matrix(operator([[1, 0], [0, 1]]), 2)
         cases = [(swap, swap, [[1, 0], [0, 1]]), (scale, swap, [[0, 2], [q, 0]])]
         for op1, op2, expected in cases:
-            composite = homcore.composite(op1.table, op2.table)
+            composite = homcore.composite(op1, op2)
             model = dense_oracle.compose(matrix(op1, 2), matrix(op2, 2))
-            assert LinOp(model) == LinOp(expected)
+            assert model == matrix(operator(expected), 2)
             for j, k in enumerate(homcore.key_ids(range(2))):
                 assert homcore.unflatten(composite(k)) == sparse([row[j] for row in model])
 
@@ -185,7 +189,9 @@ class TestLinOp:
 class TestInnerAutomorphism:
     def test_unit_gives_identity(self):
         algebra = m2_algebra()
-        assert inner_automorphism(algebra, algebra.unit) == LinOp.identity(4)
+        op = inner_automorphism(algebra, algebra.unit)
+        for k in homcore.key_ids(range(4)):
+            assert op(k) == homcore.basis_terms(k)
 
     def test_diag_2_3_scales_off_diagonal(self):
         algebra, _, a = m2_example()
@@ -198,7 +204,7 @@ class TestInnerAutomorphism:
         a_inv = algebra.inverse(a)
         op = inner_automorphism(algebra, a)
         op_inv = inner_automorphism(algebra, a_inv)
-        composite = homcore.composite(op.table, op_inv.table)
+        composite = homcore.composite(op, op_inv)
         for k in homcore.key_ids(range(4)):
             assert composite(k) == homcore.basis_terms(k)
 
@@ -215,7 +221,7 @@ class TestGroupBialgebra:
 
     def test_rejects_non_closed_set(self):
         algebra = m2_algebra()
-        conj = LinOp(
+        conj = operator(
             [[1, 0, 0, 0], [0, -1, 0, 0], [0, 0, -1, 0], [0, 0, 0, 1]]
         )
         with pytest.raises(ValueError, match="not closed"):
@@ -224,17 +230,17 @@ class TestGroupBialgebra:
     def test_rejects_non_automorphism(self):
         algebra = m2_algebra()
         # transposition e12 <-> e21 is an anti-automorphism, not an automorphism
-        swap = LinOp([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]])
+        swap = operator([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]])
         with pytest.raises(ValueError, match="automorphism"):
-            GroupBialgebra(algebra, [LinOp.identity(4), swap])
+            GroupBialgebra(algebra, [homcore.basis_terms, swap])
 
     def test_rejects_repeated_operator(self):
         algebra = m2_algebra()
-        conj = LinOp([[1, 0, 0, 0], [0, -1, 0, 0], [0, 0, -1, 0], [0, 0, 0, 1]])
-        # the dense identity equals LinOp.identity, which is built from images
-        dense_identity = LinOp([[int(i == j) for j in range(4)] for i in range(4)])
+        conj = operator([[1, 0, 0, 0], [0, -1, 0, 0], [0, 0, -1, 0], [0, 0, 0, 1]])
+        # the dense identity equals basis_terms, the identity table
+        dense_identity = operator([[int(i == j) for j in range(4)] for i in range(4)])
         with pytest.raises(ValueError, match="operators 0 and 2 are equal"):
-            GroupBialgebra(algebra, [LinOp.identity(4), conj, dense_identity])
+            GroupBialgebra(algebra, [homcore.basis_terms, conj, dense_identity])
 
     def test_non_multiplicative_alpha_renders_group_elements(self):
         # g -> the other element is linear but sends g0 g0 = g0 to g1
@@ -361,12 +367,22 @@ class TestOneTablePerStructure:
         assert r.module.A.mul is mul
         assert read and all(table is mul for table in read)
         assert mul.cache_info().currsize == algebra.dim**2 == 81
-        # one table each: the product, every operator, i_a and the action
-        tables = [mul, *(op.table for op in G.operators), r.beta_A, r.module.rho]
-        assert len(made) == len(tables) == 7
+        # one key map each: the product and every operator
+        tables = [mul, *G.operators]
+        assert len(made) == len(tables) == 5
         assert {id(table) for table in made} == {id(table) for table in tables}
         entries = sum(table.cache_info().currsize for table in made)
         assert entries == 81 + len(G.operators) * algebra.dim == 117
+        # the action reads the operators' own tables
+        for g, op in zip(r.module.H.basis, G.operators):
+            for k in algebra.carrier.basis:
+                assert r.module.rho(g, k) is op(k)
+        # i_a is filled by the sweeps, each of its entries once
+        assert r.beta_A.cache_info().currsize == 0
+        assert homcore.check_module_hom_algebra(homcore.deform_scenario(r)).passed
+        assert homcore.check_hom_jacobi(r.lie).passed
+        info = r.beta_A.cache_info()
+        assert info.misses == info.currsize == algebra.dim == 9
 
 
 class TestScenarioFile:

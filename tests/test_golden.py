@@ -8,17 +8,26 @@ and finalg were re-recorded when that suite came to sweep the H basis once,
 without a separate generator axis that the basis contains.
 
 The negative control at (3,3), the benchmark's negctl-q33 command, is pinned
-by the sha256 of its stdout and of its --report JSON (about 300 KB).
+by the sha256 of its stdout and of its --report JSON (about 300 KB).  The
+benchmark's finalg-m3 command, `verify finalg --file` on finalg_gen's seed-1
+n = 3 file, is pinned byte for byte in finalg_m3, recorded before operators
+became their key tables.
 """
 
 import hashlib
+import json
 import os
+import sys
 
 import pytest
 
 from homtwist import cli
 
-DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+DATA = os.path.join(ROOT, "tests", "data")
+sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+
+import finalg_gen  # noqa: E402
 
 NEGCTL = ["verify", "sl2-q", "--bound-h", "2", "--bound-a", "2",
           "--suite", "module-hom-algebra", "--suite", "mu-module-morphism",
@@ -46,6 +55,17 @@ def test_output_matches_recorded_bytes(capsys, tmp_path, stem, argv, code, with_
     if with_report:
         with open(os.path.join(DATA, f"{stem}.json"), "rb") as fh:
             assert report.read_bytes() == fh.read()
+
+
+def test_finalg_m3_matches_recorded_bytes(capsys, tmp_path):
+    scenario, report = tmp_path / "scenario.json", tmp_path / "report.json"
+    scenario.write_text(json.dumps(finalg_gen.generate(1, 3)))
+    argv = ["verify", "finalg", "--file", str(scenario), "--report", str(report)]
+    assert cli.main(argv) == cli.EXIT_PASS
+    with open(os.path.join(DATA, "finalg_m3.stdout"), "rb") as fh:
+        assert capsys.readouterr().out.encode() == fh.read()
+    with open(os.path.join(DATA, "finalg_m3.json"), "rb") as fh:
+        assert report.read_bytes() == fh.read()
 
 
 def test_negative_control_33_matches_recorded_digests(capsys, tmp_path):

@@ -1,6 +1,7 @@
 """Every name a module of src/homtwist or of the tests imports is referenced
-in that module, and every function, class and method src defines is named
-somewhere.  No src module memoizes a table that is a memo table already.
+in that module, and every function, class, method and module-level name src
+defines is named somewhere.  No src module memoizes a table that is a memo
+table already.
 
 The names of the package's __all__ (re-exported by __init__) and
 `from __future__ import annotations` are exempt.  Importing the command line
@@ -78,29 +79,41 @@ def named(tree) -> Counter:
     return out
 
 
+def _dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
 def definitions(tree):
-    """The module-level functions and classes of tree and their non-dunder methods."""
+    """(name, node) for the module-level functions and classes of tree, their
+    non-dunder methods and the non-dunder names that module-level assignments
+    bind, node being the definition or the assignment.
+    """
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            yield node
+            yield node.name, node
         if isinstance(node, ast.ClassDef):
             for item in node.body:
-                if isinstance(item, ast.FunctionDef) and not (
-                    item.name.startswith("__") and item.name.endswith("__")
-                ):
-                    yield item
+                if isinstance(item, ast.FunctionDef) and not _dunder(item.name):
+                    yield item.name, item
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name) and not _dunder(name.id):
+                        yield name.id, node
 
 
 def dead_definitions(defining, readers) -> list:
     """The definitions of the trees defining that no tree of readers names
-    outside the definition itself: a recursive call does not keep one alive.
+    outside the definition itself: a recursive call does not keep one alive,
+    nor does the target of an assignment.
     """
     total = sum((named(tree) for tree in readers), Counter())
     return sorted(
-        node.name
+        name
         for tree in defining
-        for node in definitions(tree)
-        if total[node.name] == named(node)[node.name]
+        for name, node in definitions(tree)
+        if total[name] == named(node)[name]
     )
 
 
@@ -162,8 +175,19 @@ def test_the_guard_sees_a_dead_definition():
     assert dead_definitions([planted], [planted, reader]) == ["dead", "lost"]
 
 
+def test_the_guard_sees_a_dead_module_name():
+    planted = ast.parse(
+        "__all__ = ['TABLE']\nTABLE = {}\nLEFT, _RIGHT = 1, 2\n"
+        "_memo: dict = {}\nCOUNT = 0\nCOUNT += 1\n"
+        "def size():\n    return len(TABLE) + LEFT\n"
+    )
+    reader = ast.parse("from planted import size\nsize()\n")
+    assert dead_definitions([planted], [planted, reader]) == ["_RIGHT", "_memo"]
+
+
 def test_no_dead_definitions():
-    # every function, class and method of src is named in src, tests or perfbench
+    # every function, class, method and module-level name of src is named in
+    # src, tests or perfbench
     readers = [
         ast.parse(path.read_text())
         for folder in ("src", "tests", "perfbench")

@@ -55,7 +55,7 @@ def sl2_pair():
 def m2_pair():
     """beta_H = Id and beta_A = i_b for b = diag(5, 7), fixed by the group."""
     b = {0: QLaurent.of(5), 3: QLaurent.of(7)}
-    return basis_terms, finalg.inner_automorphism(finalg.m2_algebra(), b).table
+    return basis_terms, finalg.inner_automorphism(finalg.m2_algebra(), b)
 
 
 def twice_deformed(scenario, pair):
@@ -119,8 +119,8 @@ def test_twist_composes_with_the_structure_map(scenario, pair, composed, control
 
 # -- negative controls as record edits ----------------------------------
 
-D = finalg.LinOp([[1, 0, 0, 0], [0, -2, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
-NOT_G_LINEAR = finalg.LinOp([[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+D = finalg.operator([[1, 0, 0, 0], [0, -2, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+NOT_G_LINEAR = finalg.operator([[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
 
 
 @pytest.mark.parametrize(
@@ -130,12 +130,12 @@ NOT_G_LINEAR = finalg.LinOp([[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0,
 )
 def test_finalg_non_multiplicative_beta(suite, expected):
     # D commutes with G but is not an algebra map of M2
-    r = m2()._replace(beta_A=D.table)
+    r = m2()._replace(beta_A=D)
     assert counts(cli.SUITES[suite](r, ARGS)) == expected
 
 
 def test_finalg_beta_that_is_not_g_linear():
-    r = m2()._replace(beta_A=NOT_G_LINEAR.table)
+    r = m2()._replace(beta_A=NOT_G_LINEAR)
     report = cli.SUITES["compatibility"](r, ARGS)
     # one sweep of the group: each failing case is reported once
     assert counts(report) == (1, 8)
