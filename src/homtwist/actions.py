@@ -17,9 +17,10 @@ the coproduct pbw_comul are shared by every carrier: pbw_mul writes
 m1 = g rest (uea.split_first) and multiplies the memoized product rest m2 by
 g through the id table of uea.left_gen.  endo_map contracts an
 endomorphism's generator images on one of those products, and
-extend_lie_endo checks, on the same tables, that a map of the generators of
-U(sl(2)) is a Lie endomorphism before it extends it.  UElem and Poly only
-parse and render.
+extend_lie_endo checks, on the table it returns, that a map of the
+generators of U(sl(2)) is a Lie endomorphism.  Both carriers take their
+basis and their text form from the element class, UElem or Poly, which only
+parses and renders (scalars.MonomialElem).
 """
 
 from __future__ import annotations
@@ -41,10 +42,10 @@ from .homcore import (
     on_ids,
     terms,
 )
-from .polyalg import Poly, enumerate_monomials
+from .polyalg import Poly
 from .report import CheckReport
 from .scalars import _MAX_POWER_BITS, Q, Q_INV, trusted
-from .uea import GENERATORS, UElem, enumerate_pbw, render_mono
+from .uea import GENERATORS, UElem
 
 
 def alpha_plane():
@@ -135,14 +136,17 @@ def endo_map(images, mul):
 
 
 def check_lie_endo(images) -> CheckReport:
-    """The generator map X, Y, Z -> images is compatible with the bracket.
+    """The generator map X, Y, Z -> images is compatible with the bracket."""
+    return _check_bracket(endo_map(images, pbw_mul))
 
-    check_multiplicativity of the commutator carrier of U(sl(2)) on the
-    generator keys: phi([g, h]) = [phi(g), phi(h)] on all nine pairs.
+
+def _check_bracket(phi) -> CheckReport:
+    """check_multiplicativity of the commutator carrier of U(sl(2)) on the
+    generator keys, with the endomorphism table phi as its structure map:
+    phi([g, h]) = [phi(g), phi(h)] on all nine pairs.
     """
     C = u_carrier(1)
-    lie = homcore.commutator(C)._replace(basis=C.basis[1:], alpha=endo_map(images, pbw_mul))
-    return check_multiplicativity(lie)
+    return check_multiplicativity(homcore.commutator(C)._replace(basis=C.basis[1:], alpha=phi))
 
 
 def extend_lie_endo(images):
@@ -155,40 +159,42 @@ def extend_lie_endo(images):
     for gen, image in zip(GENERATORS, images):
         if any(sum(mono) != 1 for mono in image.terms):
             raise ValueError(f"image of {gen} must lie in span{{X, Y, Z}}, got {image}")
-    report = check_lie_endo(images)
+    phi = endo_map(images, pbw_mul)
+    report = _check_bracket(phi)
     if not report.passed:
         bad = ", ".join(f"({', '.join(ce.rendered_inputs)})" for ce in report.counterexamples)
         raise ValueError(f"not a Lie algebra endomorphism; fails on pairs {bad}")
-    return endo_map(images, pbw_mul)
+    return phi
 
 
 # -- carriers ----------------------------------------------------------
 
 
+def _monomial_carrier(cls, name: str, bound: int, **tables) -> Carrier:
+    """The monomials of cls (Poly or UElem) up to total degree bound as a
+    carrier with the given tables, rendered by cls.  A basis of more keys
+    than the registry holds is refused before any key is enumerated.
+    """
+    width = len(cls.NAMES)
+    REGISTRY.reserve(comb(bound + width, width))
+    return Carrier(
+        name=name,
+        basis=key_ids(cls.basis_keys(bound)),
+        render_key=cls.render_key,
+        render_elem=lambda coords: str(trusted(cls, coords)),
+        **tables,
+    )
+
+
 def plane_carrier(bound: int) -> Carrier:
     """k[x,y] as a carrier with test basis of monomials up to total degree bound."""
-    REGISTRY.reserve(comb(bound + 2, 2))
-    return Carrier(
-        name="k[x,y]",
-        basis=key_ids(enumerate_monomials(bound)),
-        mul=plane_mul,
-        render_key=lambda key: str(Poly.monomial(key[0], key[1])),
-        render_elem=lambda coords: str(trusted(Poly, coords)),
-    )
+    return _monomial_carrier(Poly, "k[x,y]", bound, mul=plane_mul)
 
 
 def u_carrier(bound: int) -> Carrier:
     """U(sl(2)) as a bialgebra carrier on PBW monomials up to degree bound."""
-    REGISTRY.reserve(comb(bound + 3, 3))
-    return Carrier(
-        name="U(sl2)",
-        basis=key_ids(enumerate_pbw(bound)),
-        # the shared product and coproduct tables on ids; a twist keeps its own
-        mul=pbw_mul,
-        comul=pbw_comul,
-        render_key=render_mono,
-        render_elem=lambda coords: str(trusted(UElem, coords)),
-    )
+    # the shared product and coproduct tables on ids; a twist keeps its own
+    return _monomial_carrier(UElem, "U(sl2)", bound, mul=pbw_mul, comul=pbw_comul)
 
 
 def sl2_scenario(bound_h: int = 3, bound_a: int = 3) -> Scenario:

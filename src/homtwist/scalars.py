@@ -12,14 +12,18 @@ sweeps never touches Fraction.  Arithmetic results are wrapped with trusted(),
 which skips the constructors' validation because they are canonical already.
 
 The sparse-map section below also holds the base that Poly and UElem share,
-MonomialElem: construction, sums, scaling, parsing and rendering.  Their
-products and endomorphisms are key tables contracted by homcore.
+MonomialElem: construction, sums, scaling, parsing, and the monomial basis
+of both rings (its graded-lex order, its bounded enumeration and the text of
+a key and of an element).  A subclass names its variables and parses its own
+terms.  Their products and endomorphisms are key tables contracted by
+homcore.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from itertools import product
 
 # Arbitrary-precision rational; Fraction already keeps gcd-reduced canonical
 # form with positive denominator.
@@ -336,20 +340,24 @@ def sparse_add(t1: dict, t2: dict) -> dict:
 class MonomialElem:
     """An element keyed by exponent vectors: sparse map key -> nonzero QLaurent.
 
-    A subclass sets WIDTH, the length of every key, and defines its text form
-    (__str__) and _parse_term, which maps one rendered term to (key, coeff).
+    A subclass sets NAMES, the variable of each key slot, and SEP, the text
+    between the factors of a monomial, and defines _parse_term, which maps
+    one rendered term to (key, coeff).  The monomial basis is shared: one
+    graded-lex order (degree first, then the first variable's exponent
+    descending, ...), one enumeration of a bounded basis and one text form.
     Instances are immutable and compare structurally.  A scalar scales from
     either side; elements have no product here.
     """
 
     __slots__ = ("terms",)
-    WIDTH = 0
+    NAMES = ()
+    SEP = "*"
 
     def __init__(self, terms=None):
         clean = {}
         for key, coeff in (terms or {}).items():
             key = tuple(map(int, key))
-            if len(key) != self.WIDTH or min(key) < 0:
+            if len(key) != len(self.NAMES) or min(key) < 0:
                 raise ValueError(f"bad exponent vector {key}")
             if not isinstance(coeff, QLaurent):
                 coeff = QLaurent.of(coeff)
@@ -365,7 +373,7 @@ class MonomialElem:
 
     @classmethod
     def one(cls):
-        return cls({(0,) * cls.WIDTH: QLaurent.one()})
+        return cls({(0,) * len(cls.NAMES): QLaurent.one()})
 
     def __add__(self, other):
         return trusted(type(self), sparse_add(self.terms, other.terms))
@@ -404,9 +412,36 @@ class MonomialElem:
     def __repr__(self):
         return f"{type(self).__name__}({self})"
 
+    # -- the monomial basis and the text form -------------------------
+
+    @classmethod
+    def basis_keys(cls, bound: int) -> list:
+        """The keys of degree <= bound, in graded-lex order."""
+        if bound < 0:
+            raise ValueError("degree bound must be non-negative")
+        keys = product(range(bound + 1), repeat=len(cls.NAMES))
+        return sorted((key for key in keys if sum(key) <= bound), key=_grlex)
+
+    @classmethod
+    def render_key(cls, key) -> str:
+        """The monomial of key, as x^2*y or X^2 Y; "1" for the unit."""
+        factors = [name if e == 1 else f"{name}^{e}" for name, e in zip(cls.NAMES, key) if e]
+        return cls.SEP.join(factors) or "1"
+
+    def __str__(self):
+        parts = []
+        for key in sorted(self.terms, key=_grlex):
+            parts.append(render_term(self.terms[key], self.render_key(key) if any(key) else ""))
+        return join_terms(parts)
+
     @classmethod
     def parse(cls, text: str):
         return cls(parse_terms(text, cls._parse_term))
+
+
+def _grlex(key):
+    """The graded-lex sort key (degree, -e1, -e2, ...) of an exponent vector."""
+    return (sum(key), *(-e for e in key))
 
 
 def render_term(coeff: QLaurent, basis_text: str) -> str:

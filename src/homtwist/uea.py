@@ -1,5 +1,5 @@
 """U(sl(2)): PBW keys, the rewriting kernels of its product and coproduct,
-and the text form of its elements.
+and its element type UElem.
 
 The generators satisfy [X,Y] = Z, [X,Z] = -2X, [Y,Z] = 2Y.  Products are kept
 in the fixed normal order X^a Y^b Z^c.  The relations
@@ -10,8 +10,10 @@ give left multiplication of a normal monomial by a generator in closed form
 (left_gen), and the coproduct of a monomial in closed form (comul_mono).
 These are key kernels: actions builds the product and coproduct tables of
 the carriers from them, and the test suite compares those tables against an
-independent free-algebra reduction oracle.  UElem keeps construction, sums,
-scaling, parsing and rendering; it has no product of its own.
+independent free-algebra reduction oracle.  UElem names the generators and
+parses a term, which a space may separate into factors in PBW order; its
+basis, order and text form (X^2 Y) are MonomialElem's, and it has no product
+of its own.
 """
 
 from __future__ import annotations
@@ -20,25 +22,18 @@ import re
 from itertools import product
 from math import comb
 
-from .scalars import (
-    MonomialElem,
-    QLaurent,
-    join_terms,
-    render_term,
-    split_factors,
-)
+from .scalars import MonomialElem, QLaurent, split_factors
 
+# A PBW monomial is a key (a, b, c) standing for X^a Y^b Z^c.
 GENERATORS = ("X", "Y", "Z")
-
-# PBWMonomial is a tuple (a, b, c) standing for X^a Y^b Z^c.
-UNIT = (0, 0, 0)
 
 
 class UElem(MonomialElem):
     """Element of U(sl(2)): sparse map PBW monomial -> nonzero QLaurent."""
 
     __slots__ = ()
-    WIDTH = 3
+    NAMES = GENERATORS
+    SEP = " "
 
     @classmethod
     def monomial(cls, mono, coeff=None):
@@ -50,15 +45,6 @@ class UElem(MonomialElem):
         mono = [0, 0, 0]
         mono[idx] = 1
         return cls.monomial(tuple(mono))
-
-    # -- text form ----------------------------------------------------
-
-    def __str__(self):
-        parts = []
-        for mono in sorted(self.terms, key=_grlex_key):
-            text = "" if mono == UNIT else render_mono(mono)
-            parts.append(render_term(self.terms[mono], text))
-        return join_terms(parts)
 
     @staticmethod
     def _parse_term(term: str):
@@ -76,8 +62,6 @@ class UElem(MonomialElem):
             else:
                 if factor.startswith("(") and factor.endswith(")"):
                     factor = factor[1:-1]
-                if factor == "1":
-                    continue
                 coeff = coeff * QLaurent.parse(factor)
         return tuple(exps), coeff
 
@@ -145,36 +129,6 @@ def comul_mono(mono) -> tuple:
         (((i, j, k), (a - i, b - j, c - k)), comb(a, i) * comb(b, j) * comb(c, k))
         for i, j, k in product(range(a + 1), range(b + 1), range(c + 1))
     )
-
-
-def enumerate_pbw(max_total_degree: int):
-    """All PBW monomials of total degree <= bound, graded-lex order."""
-    if max_total_degree < 0:
-        raise ValueError("degree bound must be non-negative")
-    out = []
-    for degree in range(max_total_degree + 1):
-        for a in range(degree, -1, -1):
-            for b in range(degree - a, -1, -1):
-                out.append((a, b, degree - a - b))
-    return out
-
-
-def _grlex_key(mono):
-    a, b, c = mono
-    return (a + b + c, -a, -b)
-
-
-def render_mono(mono) -> str:
-    a, b, c = mono
-    if mono == UNIT:
-        return "1"
-    factors = []
-    for gen, power in zip(GENERATORS, (a, b, c)):
-        if power == 1:
-            factors.append(gen)
-        elif power > 1:
-            factors.append(f"{gen}^{power}")
-    return " ".join(factors)
 
 
 _GEN_FACTOR = re.compile(r"^([XYZ])(?:\^(\d+))?$")

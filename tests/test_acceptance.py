@@ -10,7 +10,7 @@ import pytest
 from homtwist import actions, finalg, homcore
 from homtwist.polyalg import Poly
 from homtwist.scalars import QLaurent
-from homtwist.uea import UElem, enumerate_pbw
+from homtwist.uea import UElem
 
 import plane_oracle
 from free_oracle import all_words, comul, pbw_word, reduce_to_pbw
@@ -122,7 +122,7 @@ def test_criterion_5_endomorphism_extension():
         return homcore.unflatten(table(homcore.REGISTRY.ids[mono]))
 
     bialg_ok = True
-    for mono in enumerate_pbw(3):
+    for mono in UElem.basis_keys(3):
         # Delta of the shuffle oracle on both sides
         lhs = {}
         for m, c in handle(mono).items():
@@ -157,7 +157,7 @@ def test_criterion_6_classical_limit():
     rho_alpha = actions.deformed_scenario(2, 3).rho
     collapse = True
     key = homcore.REGISTRY.keys.__getitem__
-    for mono in homcore.key_ids(enumerate_pbw(2)):
+    for mono in homcore.key_ids(UElem.basis_keys(2)):
         for a in classical.A.basis:
             # q = 1: the coefficients of each monomial summed over q exponents
             coords = homcore.unflatten(rho_alpha(mono, a))
@@ -200,7 +200,7 @@ def test_criterion_7_pbw_engine_and_weights():
     assert len(words) == 1 + 3 + 9 + 27 + 81
 
     assoc_ok = True
-    monos = enumerate_pbw(3)
+    monos = UElem.basis_keys(3)
     for m1 in monos:
         for m2 in monos:
             for m3 in monos:

@@ -2,9 +2,9 @@ import pytest
 
 from homtwist import actions, homcore
 from homtwist.actions import act_key
-from homtwist.polyalg import Poly, enumerate_monomials
+from homtwist.polyalg import Poly
 from homtwist.scalars import QLaurent
-from homtwist.uea import UElem, enumerate_pbw
+from homtwist.uea import UElem
 
 from plane_oracle import alpha, mul, partial, specialize, total_degree
 
@@ -15,7 +15,7 @@ Z = UElem.generator("Z")
 
 def monomials(bound):
     """The plane basis up to total degree bound, as Poly monomials."""
-    return [Poly.monomial(*key) for key in enumerate_monomials(bound)]
+    return [Poly.monomial(*key) for key in Poly.basis_keys(bound)]
 
 
 # The action tables `homtwist act` contracts: act_key on ids, and rho_alpha
@@ -105,7 +105,7 @@ class TestDeformedAction:
         assert deformed_act(Z, Poly.x()) == Poly.x().scaled(QLaurent.q_power(2))
 
     def test_q_equal_one_collapses_to_classical(self):
-        for mono in enumerate_pbw(2):
+        for mono in UElem.basis_keys(2):
             z = UElem.monomial(mono)
             for p in monomials(3):
                 assert specialize(deformed_act(z, p), 1) == specialize(act(z, p), 1)

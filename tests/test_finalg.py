@@ -208,6 +208,14 @@ class TestInnerAutomorphism:
         for k in homcore.key_ids(range(4)):
             assert composite(k) == homcore.basis_terms(k)
 
+    def test_unipotent_element_runs_the_row_elimination(self):
+        # a = 1 + e12 = e11 + e12 + e22 is neither diagonal nor a signed
+        # permutation, so solving a x = 1 eliminates a second row at a pivot
+        algebra, a = m2_algebra(), sparse([ONE, ONE, ZERO, ONE])
+        expected = sparse(dense_oracle.m2().inverse([ONE, ONE, ZERO, ONE]))
+        assert algebra.inverse(a) == expected == sparse([ONE, -ONE, ZERO, ONE])
+        assert is_automorphism(algebra, inner_automorphism(algebra, a))
+
     def test_non_invertible_rejected(self):
         with pytest.raises(ValueError, match="invertible"):
             m2_algebra().inverse(basis(1))

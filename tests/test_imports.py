@@ -1,6 +1,6 @@
 """Every name a module of src/homtwist or of the tests imports is referenced
-in that module, and every function, class, method and module-level name src
-defines is named somewhere.  No src module memoizes a table that is a memo
+in that module, and every function, class, method, class constant and
+module-level name src defines is named somewhere.  No src module memoizes a table that is a memo
 table already.
 
 The names of the package's __all__ (re-exported by __init__) and
@@ -83,10 +83,20 @@ def _dunder(name: str) -> bool:
     return name.startswith("__") and name.endswith("__")
 
 
+def assigned(node):
+    """(name, node) for the non-dunder names an assignment node binds."""
+    if isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        for target in targets:
+            for name in ast.walk(target):
+                if isinstance(name, ast.Name) and not _dunder(name.id):
+                    yield name.id, node
+
+
 def definitions(tree):
     """(name, node) for the module-level functions and classes of tree, their
-    non-dunder methods and the non-dunder names that module-level assignments
-    bind, node being the definition or the assignment.
+    non-dunder methods and the non-dunder names that module-level and
+    class-body assignments bind, node being the definition or the assignment.
     """
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
@@ -95,12 +105,8 @@ def definitions(tree):
             for item in node.body:
                 if isinstance(item, ast.FunctionDef) and not _dunder(item.name):
                     yield item.name, item
-        if isinstance(node, (ast.Assign, ast.AnnAssign)):
-            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            for target in targets:
-                for name in ast.walk(target):
-                    if isinstance(name, ast.Name) and not _dunder(name.id):
-                        yield name.id, node
+                yield from assigned(item)
+        yield from assigned(node)
 
 
 def dead_definitions(defining, readers) -> list:
@@ -185,9 +191,18 @@ def test_the_guard_sees_a_dead_module_name():
     assert dead_definitions([planted], [planted, reader]) == ["_RIGHT", "_memo"]
 
 
+def test_the_guard_sees_a_dead_class_constant():
+    planted = ast.parse(
+        "class Ring:\n    __slots__ = ()\n    NAMES = ('x',)\n    WIDTH = 1\n"
+        "    SEP: str = '*'\n    def render(self):\n        return self.SEP.join(self.NAMES)\n"
+    )
+    reader = ast.parse("from planted import Ring\nRing().render()\n")
+    assert dead_definitions([planted], [planted, reader]) == ["WIDTH"]
+
+
 def test_no_dead_definitions():
-    # every function, class, method and module-level name of src is named in
-    # src, tests or perfbench
+    # every function, class, method, class constant and module-level name of
+    # src is named in src, tests or perfbench
     readers = [
         ast.parse(path.read_text())
         for folder in ("src", "tests", "perfbench")

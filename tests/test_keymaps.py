@@ -17,7 +17,7 @@ import pytest
 from homtwist import actions, finalg, homcore
 from homtwist.polyalg import Poly
 from homtwist.scalars import ONE, Q, QLaurent
-from homtwist.uea import UElem, enumerate_pbw
+from homtwist.uea import UElem
 
 import dense_oracle
 import free_oracle
@@ -136,7 +136,7 @@ PLANE_KEYS = [(i, d - i) for d in range(5) for i in range(d + 1)]
 
 @pytest.mark.parametrize(
     "table, keys, image",
-    [(CHEVALLEY, enumerate_pbw(4), chevalley_image), (SHEAR, PLANE_KEYS, shear_image)],
+    [(CHEVALLEY, UElem.basis_keys(4), chevalley_image), (SHEAR, PLANE_KEYS, shear_image)],
     ids=["chevalley", "shear"],
 )
 def test_endo_map_matches_native_images(table, keys, image):
@@ -175,13 +175,14 @@ def test_building_a_scenario_fills_no_table():
     # the benchmark times this build as setup_s.  Only the Lie check of
     # alpha_U fills tables: the nine brackets of the generators, which take
     # the 9 products of two generators and the 3 of the unit by a generator
-    # from pbw_mul, and those take one left multiplication each
+    # from pbw_mul, and those take one left multiplication each; the images
+    # of the 3 generators fill beta_H, the table the check is run on
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     done = subprocess.run(
         [sys.executable, "-c", LAZY_TABLES, src], capture_output=True, text=True, timeout=120
     )
     assert done.returncode == 0, done.stderr
-    filled = [("left X", 3), ("left Y", 3), ("left Z", 3), ("pbw_mul", 12)]
+    filled = [("beta_H", 3), ("left X", 3), ("left Y", 3), ("left Z", 3), ("pbw_mul", 12)]
     assert done.stdout == f"{filled}\n"
 
 

@@ -178,6 +178,43 @@ def test_element_types_share_the_sparse_ring_contract(cls, text):
     assert e.scaled(0) == cls.zero()
 
 
+def nested_loop_keys(width, bound):
+    """The keys of degree <= bound by the nested loops each ring used to
+    write out: degree ascending, then each exponent descending in turn.
+    """
+    out = []
+    for degree in range(bound + 1):
+        if width == 2:
+            for i in range(degree, -1, -1):
+                out.append((i, degree - i))
+        else:
+            for a in range(degree, -1, -1):
+                for b in range(degree - a, -1, -1):
+                    out.append((a, b, degree - a - b))
+    return out
+
+
+@pytest.mark.parametrize("cls", [Poly, UElem])
+@pytest.mark.parametrize("bound", range(7))
+def test_basis_keys_match_the_nested_loops(cls, bound):
+    assert cls.basis_keys(bound) == nested_loop_keys(len(cls.NAMES), bound)
+
+
+def test_basis_keys_refuse_a_negative_bound():
+    for cls in (Poly, UElem):
+        with pytest.raises(ValueError, match="non-negative"):
+            cls.basis_keys(-1)
+
+
+def test_render_key_is_the_text_of_the_monomial():
+    for key in Poly.basis_keys(4):
+        assert Poly.render_key(key) == str(Poly.monomial(*key))
+    for mono in UElem.basis_keys(4):
+        assert UElem.render_key(mono) == str(UElem.monomial(mono))
+    assert Poly.render_key((0, 0)) == UElem.render_key((0, 0, 0)) == "1"
+    assert (Poly.render_key((2, 1)), UElem.render_key((2, 0, 1))) == ("x^2*y", "X^2 Z")
+
+
 @pytest.mark.parametrize("value, name", [(Q, "terms")])
 def test_scalars_and_endomorphisms_are_immutable(value, name):
     with pytest.raises(AttributeError, match="is immutable$"):
@@ -202,7 +239,7 @@ def power_table(e):
     fixes the others: it sends the key (n, 0, ...) to e**n.
     """
     cls = type(e)
-    keys = [tuple(int(i == j) for j in range(cls.WIDTH)) for i in range(cls.WIDTH)]
+    keys = [tuple(int(i == j) for j in range(len(cls.NAMES))) for i in range(len(cls.NAMES))]
     return actions.endo_map([e] + [cls({key: 1}) for key in keys[1:]], PRODUCTS[cls])
 
 
@@ -222,7 +259,7 @@ def test_power_equals_repeated_products(cls, text):
     e = cls.parse(text)
     table = power_table(e)
     for n in range(10):
-        key = (n,) + (0,) * (cls.WIDTH - 1)
+        key = (n,) + (0,) * (len(cls.NAMES) - 1)
         assert cls(homcore.unflatten(table(homcore.REGISTRY.ids[key]))) == plain_power(e, n)
 
 

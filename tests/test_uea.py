@@ -5,7 +5,7 @@ import pytest
 
 from homtwist import actions, homcore
 from homtwist.scalars import Q, QLaurent, power
-from homtwist.uea import UElem, enumerate_pbw, render_mono
+from homtwist.uea import UElem
 
 import free_oracle
 from free_oracle import all_words, pbw_word, reduce_to_pbw
@@ -63,7 +63,7 @@ class TestPBWProduct:
             assert product.terms == expected, word
 
     def test_associativity_on_monomial_triples(self):
-        monos = enumerate_pbw(2)
+        monos = UElem.basis_keys(2)
         for m1 in monos:
             for m2 in monos:
                 for m3 in monos:
@@ -111,7 +111,7 @@ class TestComultiplication:
 
     def test_coassociativity(self):
         # (Delta x Id) Delta = (Id x Delta) Delta, flattened to triples
-        for mono in enumerate_pbw(3):
+        for mono in UElem.basis_keys(3):
             t = comul(mono)
             left = {}
             right = {}
@@ -159,13 +159,27 @@ class TestEndomorphisms:
         with pytest.raises(ValueError, match=re.escape(message)):
             actions.extend_lie_endo((Y, X, Z))
 
+    def test_extend_checks_the_table_it_returns(self, monkeypatch):
+        built = []
+        endo_map = actions.endo_map
+
+        def counted(*args):
+            built.append(endo_map(*args))
+            return built[-1]
+
+        monkeypatch.setattr(actions, "endo_map", counted)
+        table = actions.extend_lie_endo(Q_EXAMPLE)
+        assert built == [table]
+        # the check filled the images of the three generators
+        assert table.cache_info().currsize == 3
+
     def test_images_must_be_in_lie_span(self):
         with pytest.raises(ValueError, match=re.escape("image of X must lie in span{X, Y, Z}")):
             actions.extend_lie_endo((mul(X, X), Y, Z))
 
     def test_q_example_acts_by_weight(self):
         handle = actions.alpha_u()
-        for a, b, c in enumerate_pbw(3):
+        for a, b, c in UElem.basis_keys(3):
             u = UElem.monomial((a, b, c))
             assert apply(handle, u) == u.scaled(QLaurent.q_power(a - b))
 
@@ -177,7 +191,7 @@ class TestEndomorphisms:
 
     def test_q_example_commutes_with_comul(self):
         handle = actions.alpha_u()
-        for mono in enumerate_pbw(3):
+        for mono in UElem.basis_keys(3):
             u = UElem.monomial(mono)
             # Delta(alpha_U(u)), with Delta of the shuffle oracle
             lhs = {}
@@ -199,20 +213,20 @@ class TestEndomorphisms:
 
 class TestEnumeration:
     def test_bound_zero(self):
-        assert enumerate_pbw(0) == [(0, 0, 0)]
+        assert UElem.basis_keys(0) == [(0, 0, 0)]
 
     def test_bound_one(self):
-        assert enumerate_pbw(1) == [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]
+        assert UElem.basis_keys(1) == [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]
 
     @pytest.mark.parametrize("bound,count", [(2, 10), (3, 20), (4, 35)])
     def test_counts(self, bound, count):
-        assert len(enumerate_pbw(bound)) == count
+        assert len(UElem.basis_keys(bound)) == count
 
 
 class TestTextForm:
     def test_render_mono(self):
-        assert render_mono((0, 0, 0)) == "1"
-        assert render_mono((2, 1, 0)) == "X^2 Y"
+        assert UElem.render_key((0, 0, 0)) == "1"
+        assert UElem.render_key((2, 1, 0)) == "X^2 Y"
 
     @pytest.mark.parametrize(
         "text",
@@ -221,6 +235,18 @@ class TestTextForm:
     def test_roundtrip(self, text):
         u = UElem.parse(text)
         assert UElem.parse(str(u)) == u
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            ("(q + 1)*X", {(1, 0, 0): Q + 1}),
+            ("(q^-1) Y Z", {(0, 1, 1): QLaurent.q_power(-1)}),
+            ("2 (q) X", {(1, 0, 0): 2 * Q}),
+            ("1 X + 3 (1)", {(1, 0, 0): 1, (0, 0, 0): 3}),
+        ],
+    )
+    def test_parenthesised_coefficients(self, text, expected):
+        assert UElem.parse(text) == UElem(expected)
 
     def test_rejects_out_of_order(self):
         with pytest.raises(ValueError):
