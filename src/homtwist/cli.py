@@ -14,12 +14,14 @@ from __future__ import annotations
 import argparse
 import functools
 import gc
-import json
+import os
 import re
+import stat
 import sys
 
 from . import actions, finalg, homcore
 from .polyalg import Poly
+from .report import write_json
 from .scalars import QLaurent, Rational
 from .uea import UElem
 
@@ -190,13 +192,20 @@ def cmd_verify(args):
     if args.report is None:
         reports = _run_suites(scenario, suites, args)
     else:
+        head = {"scenario": args.scenario}
+        if args.scenario == "sl2-q":
+            head.update(bound_h=args.bound_h, bound_a=args.bound_a)
+        head["negative_control"] = args.negative_control
         # opened before the sweeps, so that an unwritable path costs none of them
         try:
             with open(args.report, "w") as fh:
-                reports = _run_suites(scenario, suites, args)
-                # streamed: json.dumps would hold the whole text and its pieces at once
-                json.dump(_report_document(args, reports), fh, indent=2)
-                fh.write("\n")
+                try:
+                    reports = _run_suites(scenario, suites, args)
+                    write_json(fh, head, reports)
+                except BaseException:
+                    # a partial report would read as the report of a finished run
+                    _discard(fh, args.report)
+                    raise
         except OSError as exc:
             raise InputError(f"cannot write report: {exc}") from exc
 
@@ -219,15 +228,18 @@ def _run_suites(scenario, suites, args):
         _module_hom_sweep.cache_clear()  # its record's filled tables go with the run
 
 
-def _report_document(args, reports):
-    document = {"scenario": args.scenario}
-    if args.scenario == "sl2-q":
-        document.update(bound_h=args.bound_h, bound_a=args.bound_a)
-    document.update(
-        negative_control=args.negative_control,
-        reports=[r.to_dict() for r in reports],
-    )
-    return document
+def _discard(fh, path):
+    """Remove the partial report of a run that an error ends.
+
+    Only the regular file that path itself names goes: a link such as
+    /dev/stdout, or a device, is left in place.
+    """
+    try:
+        opened = os.fstat(fh.fileno())
+        if stat.S_ISREG(opened.st_mode) and os.path.samestat(opened, os.lstat(path)):
+            os.remove(path)
+    except OSError:
+        pass
 
 
 def _refuse_file_outside_finalg(args):

@@ -184,11 +184,7 @@ def axis(carrier) -> tuple:
 
 def _sweep(name, equation, axes, lhs, rhs, render) -> CheckReport:
     """report.sweep over axes of ids; a counterexample keeps the keys as inputs."""
-    report = sweep(name, equation, axes, lhs, rhs, render)
-    report.counterexamples = [
-        ce._replace(inputs=tuple(_KEYS[k] for k in ce.inputs)) for ce in report.counterexamples
-    ]
-    return report
+    return sweep(name, equation, axes, lhs, rhs, render, _KEYS.__getitem__)
 
 
 # -- packed q-graded form ------------------------------------------------

@@ -1,4 +1,4 @@
-"""Axiom sweeps and their outcomes.
+"""Axiom sweeps, their outcomes and the --report JSON document.
 
 Checkers never raise on a failed identity; failure is data.  A report is a
 pass verdict or a list of counterexamples, each recording the raw input
@@ -10,17 +10,9 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import cache
 from itertools import product
+from json.encoder import encode_basestring_ascii as _string
 
-
-class Counterexample(namedtuple("Counterexample", "inputs rendered_inputs lhs rhs")):
-    __slots__ = ()
-
-    def to_dict(self):
-        return {
-            "inputs": list(self.rendered_inputs),
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-        }
+Counterexample = namedtuple("Counterexample", "inputs rendered_inputs lhs rhs")
 
 
 class CheckReport:
@@ -56,15 +48,6 @@ class CheckReport:
             f"out of {self.checked} cases"
         )
 
-    def to_dict(self):
-        return {
-            "name": self.name,
-            "equation": self.equation,
-            "status": "pass" if self.passed else "fail",
-            "checked": self.checked,
-            "counterexamples": [ce.to_dict() for ce in self.counterexamples],
-        }
-
 
 def _distinct(sep, *labels):
     """Join the distinct non-empty parts of sep-joined labels, in order."""
@@ -72,14 +55,15 @@ def _distinct(sep, *labels):
     return sep.join(dict.fromkeys(parts))
 
 
-def sweep(name, equation, axes, lhs, rhs, render=str) -> CheckReport:
+def sweep(name, equation, axes, lhs, rhs, render=str, key=None) -> CheckReport:
     """Check lhs == rhs on every tuple of basis keys.
 
     axes holds one (keys, render_key) pair per argument of lhs and rhs; the
     cases are the cartesian product of the keys, last axis fastest.  A failing
-    case is recorded with its keys, the rendered keys and both sides rendered
-    by render; each axis renders a key once per sweep.  Every identity checked
-    is multilinear, so a pass on the basis tuples is a pass on their span.
+    case is recorded with its keys (each mapped by key, if given), the
+    rendered keys and both sides rendered by render; each axis renders a key
+    once per sweep.  Every identity checked is multilinear, so a pass on the
+    basis tuples is a pass on their span.
     """
     report = CheckReport(name, equation)
     renders = [cache(render_key) for _, render_key in axes]
@@ -88,9 +72,54 @@ def sweep(name, equation, axes, lhs, rhs, render=str) -> CheckReport:
         report.checked += 1
         if left != right:
             report.record(
-                case,
-                [render_key(key) for render_key, key in zip(renders, case)],
+                case if key is None else map(key, case),
+                [render_id(k) for render_id, k in zip(renders, case)],
                 render(left),
                 render(right),
             )
     return report
+
+
+def write_json(fh, head, reports):
+    """Write the document {**head, "reports": [...]} to fh, then a newline.
+
+    The bytes are those of json.dump(document, fh, indent=2): strings go
+    through json's C encoder, ints are written by repr.  head maps names to
+    strings, ints and bools; each report is written as its name, equation,
+    status, case count and counterexamples, each counterexample as its
+    rendered inputs and both sides.  There is one write per counterexample,
+    so the text of a long report is never held whole.
+    """
+    fh.write("{\n")
+    for name, value in head.items():
+        fh.write(f"  {_string(name)}: {_scalar(value)},\n")
+    fh.write('  "reports": [')
+    sep = "\n"
+    for report in reports:
+        fh.write(
+            f'{sep}    {{\n      "name": {_string(report.name)},\n'
+            f'      "equation": {_string(report.equation)},\n'
+            f'      "status": "{"pass" if report.passed else "fail"}",\n'
+            f'      "checked": {report.checked!r},\n      "counterexamples": ['
+        )
+        ce_sep = "\n"
+        for ce in report.counterexamples:
+            inputs = ",\n            ".join(map(_string, ce.rendered_inputs))
+            if inputs:
+                inputs = f"[\n            {inputs}\n          ]"
+            fh.write(
+                f'{ce_sep}        {{\n          "inputs": {inputs or "[]"},\n'
+                f'          "lhs": {_string(ce.lhs)},\n'
+                f'          "rhs": {_string(ce.rhs)}\n        }}'
+            )
+            ce_sep = ",\n"
+        fh.write("\n      ]\n    }" if report.counterexamples else "]\n    }")
+        sep = ",\n"
+    fh.write("\n  ]\n}\n" if reports else "]\n}\n")
+
+
+def _scalar(value) -> str:
+    """A head value as json writes it: a bool, an int or a string."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return repr(value) if isinstance(value, int) else _string(value)

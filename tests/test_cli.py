@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from homtwist import cli, homcore
+from homtwist import actions, cli, homcore
 from homtwist.polyalg import Poly
 from homtwist.scalars import QLaurent
 from homtwist.uea import UElem
@@ -294,6 +294,27 @@ def test_full_key_registry_exits_2(capsys, monkeypatch):
     code, out, err = run(capsys, "act", "1", "x^987654321")
     assert (code, out) == (cli.EXIT_INPUT_ERROR, "")
     assert "error: key registry is full" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("through_link", [False, True])
+def test_full_key_registry_removes_the_partial_report(capsys, monkeypatch, tmp_path, through_link):
+    # the record's keys get ids first; the sweep's products reach degree 40,
+    # above every plane key another test makes, so a new key ends the run
+    # after the report was opened
+    actions.sl2_scenario(1, 20)
+    monkeypatch.setattr(homcore.REGISTRY, "capacity", len(homcore.REGISTRY.keys))
+    path = target = tmp_path / "report.json"
+    if through_link:
+        # as --report /dev/stdout: the link and the file it names stay
+        path = tmp_path / "link.json"
+        path.symlink_to(target)
+    code, out, err = run(
+        capsys, "verify", "sl2-q", "--bound-h", "1", "--bound-a", "20",
+        "--suite", "module-hom-algebra", "--report", str(path),
+    )
+    assert (code, out) == (cli.EXIT_INPUT_ERROR, "")
+    assert "error: key registry is full" in err and "Traceback" not in err
+    assert (path.is_symlink(), target.exists()) == (through_link, through_link)
 
 
 # Case counts at --bound-h 1 --bound-a 2 from basis sizes: H PBW monomials of

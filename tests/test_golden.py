@@ -17,6 +17,7 @@ became their key tables.
 import hashlib
 import json
 import os
+import subprocess
 import sys
 
 import pytest
@@ -55,6 +56,21 @@ def test_output_matches_recorded_bytes(capsys, tmp_path, stem, argv, code, with_
     if with_report:
         with open(os.path.join(DATA, f"{stem}.json"), "rb") as fh:
             assert report.read_bytes() == fh.read()
+
+
+def test_process_entry_point_writes_the_recorded_report(tmp_path):
+    # python -m homtwist.cli, the command the benchmark times, goes through run()
+    report = tmp_path / "report.json"
+    done = subprocess.run(
+        [sys.executable, "-m", "homtwist.cli", *NEGCTL, "--report", str(report)],
+        env={**os.environ, "PYTHONPATH": os.path.join(ROOT, "src")},
+        capture_output=True, timeout=120,
+    )
+    assert done.returncode == cli.EXIT_AXIOM_FAILURE, done.stderr
+    with open(os.path.join(DATA, "negctl_22.stdout"), "rb") as fh:
+        assert done.stdout == fh.read()
+    with open(os.path.join(DATA, "negctl_22.json"), "rb") as fh:
+        assert report.read_bytes() == fh.read()
 
 
 def test_finalg_m3_matches_recorded_bytes(capsys, tmp_path):
