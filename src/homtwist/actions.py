@@ -116,15 +116,15 @@ def endo_map(images, mul):
         return terms(bilinear(mul, xs, ys))
 
     @cache
-    def power(i, n):
+    def generator_power(i, n):
         if n == 1:
             return images[i]
-        half = power(i, n >> 1)
+        half = generator_power(i, n >> 1)
         square = times(half, half)
         return times(square, images[i]) if n & 1 else square
 
     def image(k):
-        factors = [power(i, n) for i, n in enumerate(REGISTRY.keys[k]) if n]
+        factors = [generator_power(i, n) for i, n in enumerate(REGISTRY.keys[k]) if n]
         if not factors:
             return terms({k: 1})  # the unit
         out = factors[0]
@@ -133,11 +133,6 @@ def endo_map(images, mul):
         return out
 
     return cache(image)
-
-
-def check_lie_endo(images) -> CheckReport:
-    """The generator map X, Y, Z -> images is compatible with the bracket."""
-    return _check_bracket(endo_map(images, pbw_mul))
 
 
 def _check_bracket(phi) -> CheckReport:

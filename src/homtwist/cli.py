@@ -256,6 +256,9 @@ _Q_EXPONENT = re.compile(r"e[-+]?([\d_]+)\s*\Z", re.IGNORECASE)
 
 
 def cmd_act(args):
+    # argparse hands a positional that follows a second "--" an empty list
+    if not (isinstance(args.element, str) and isinstance(args.poly, str)):
+        raise InputError("act takes an element and a polynomial")
     try:
         z = UElem.parse(args.element)
         p = Poly.parse(args.poly)
@@ -336,13 +339,10 @@ def main(argv=None):
         if args.command == "twist":
             return cmd_twist(args)
         raise InputError(f"unknown command {args.command!r}")
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    except OverflowError as exc:
-        # homcore's key registry is full: the bounds or the arguments name
-        # more keys than it holds; or act meets a coefficient too large to
-        # compute, or under --q-value a power of q too large to evaluate
+    except (InputError, OverflowError) as exc:
+        # OverflowError: homcore's key registry is full, the bounds or the
+        # arguments name more keys than it holds; or act meets a coefficient,
+        # or under --q-value a power of q, too large to compute
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 

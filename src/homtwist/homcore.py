@@ -22,9 +22,11 @@ and deformed tables are composites, composite(f, g) = the memo table of f o g.
 
 Every checker runs one or more sweeps (report.sweep) of a multilinear
 identity over basis tuples, whose sides are contractions of the tables with
-int and Fraction coefficients: linear and bilinear hold the only accumulate
-loops, t_contract is linear on a key-pair table, and t_map(f, g) is the one
-map f x g on key pairs.  A structure-map axiom has one of three shapes:
+int and Fraction coefficients: linear and bilinear hold the accumulate loops
+of every contraction, t_contract is linear on a key-pair table, and
+t_map(f, g) is the one map f x g on key pairs.  The commutator's bracket and
+the Hom-Jacobi sum add through scalars.add_term: through t_contract they
+were measured slower.  A structure-map axiom has one of three shapes:
 a commuting square of linear maps, a morphism of bilinear maps, or the
 Hom-associativity of an action; an algebra A is a module over itself,
 regular(A).  Each identity is swept once: check_mu_module_morphism reads the
@@ -191,8 +193,8 @@ def _sweep(name, equation, axes, lhs, rhs, render) -> CheckReport:
 # The checkers compute in a packed form: an element is a dict
 # {exponent * STRIDE + key id: nonzero int or Fraction}, and a tensor is the
 # same with the id of a key pair.  Terms are (packed, coefficient) pairs; a
-# table entry is a tuple of them.  linear and bilinear are the only loops that
-# accumulate terms; t_contract is linear on the key-pair table
+# table entry is a tuple of them.  linear and bilinear are the loops that
+# accumulate contractions; t_contract is linear on the key-pair table
 # t -> table(*slots[t]), and t_map(f, g), t -> t_outer(f(a), g(b)), is the one
 # map on key pairs.  QLaurent appears only where a base carrier reads its
 # exact data and where a failing case is rendered.

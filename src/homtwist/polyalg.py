@@ -24,14 +24,6 @@ class Poly(MonomialElem):
     def monomial(cls, i, j, coeff=None):
         return cls({(i, j): coeff if coeff is not None else QLaurent.one()})
 
-    @classmethod
-    def x(cls):
-        return cls.monomial(1, 0)
-
-    @classmethod
-    def y(cls):
-        return cls.monomial(0, 1)
-
     @staticmethod
     def _parse_term(term: str):
         """One product term: scalar factors and x^i / y^j factors joined by '*'."""

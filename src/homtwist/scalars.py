@@ -134,9 +134,6 @@ class QLaurent:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int) -> "QLaurent":
-        return power(self, n, QLaurent.one())
-
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = QLaurent.of(other)
@@ -469,23 +466,6 @@ def join_terms(parts) -> str:
         else:
             out += " + " + part
     return out
-
-
-def power(x, n, one):
-    """x**n in an associative ring with unit one, by square-and-multiply.
-
-    About 2 log2(n) products.  Powers are defined for non-negative int n only.
-    """
-    if not isinstance(n, int) or n < 0:
-        raise ValueError("only non-negative integer powers are defined")
-    result = one
-    while n:
-        if n & 1:
-            result = result * x
-        n >>= 1
-        if n:
-            x = x * x
-    return result
 
 
 def _coerce(value) -> QLaurent:

@@ -49,7 +49,7 @@ def graded_component(p: Poly, n: int) -> Poly:
 
 
 def act_generator(gen: str, p: Poly) -> Poly:
-    x, y = Poly.x(), Poly.y()
+    x, y = Poly.monomial(1, 0), Poly.monomial(0, 1)
     if gen == "X":
         return mul(x, partial(p, "y"))
     if gen == "Y":

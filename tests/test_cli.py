@@ -1,4 +1,6 @@
+import contextlib
 import gc
+import io
 import json
 import os
 import resource
@@ -10,6 +12,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from homtwist import actions, cli, homcore
 from homtwist.polyalg import Poly
@@ -83,6 +86,26 @@ class TestAct:
             cli.build_parser().parse_args(["act", "--help"])
         help_text = " ".join(capsys.readouterr().out.split())
         assert '(act -- "-X" y)' in help_text and "(--q-value=-3/2)" in help_text
+
+
+# act argument lists are drawn from these tokens: "--", terms with a leading
+# "-", powers of q, --q-value with "=" and negative values, and --deformed
+ACT_TOKENS = [
+    "--", "--deformed", "--q-value", "--q-value=-3/2", "--q-value=2", "-1", "1/2", "-3/2",
+    "X", "-X", "Y Z", "q^2*X", "q^-1*X Y", "-q*Z", "X - X",
+    "y", "-y", "x^2*y", "q^-2*x", "x + y - x", "1",
+]
+
+
+@settings(max_examples=1000, derandomize=True, deadline=None)
+@given(st.lists(st.sampled_from(ACT_TOKENS), max_size=6))
+def test_act_argument_lists_exit_0_or_2(tokens):
+    # no exception escapes main, and a refusal says why
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.main(["act", *tokens])
+    assert code in (cli.EXIT_PASS, cli.EXIT_INPUT_ERROR)
+    assert code == cli.EXIT_PASS or "error:" in err.getvalue()
 
 
 def _random_coeff(rng):
@@ -225,52 +248,73 @@ BAD_SCENARIOS = {
 
 
 # env holds variables to set for a case.  The bound variables are gone, so no
-# case sets one; a bad bound is a bad flag value.
-@pytest.mark.parametrize(
-    "env, argv",
-    [
-        ({}, ["verify", "finalg", "--bound-h", "abc"]),
-        ({}, ["verify", "sl2-q", "--bound-a", "3.5"]),
-        ({}, ["verify", "finalg", "--file", "{top-level-array}"]),
-        ({}, ["verify", "finalg", "--file", "{matrix-size}"]),
-        ({}, ["twist", "finalg", "--file", "{zero-denominator}"]),
-        ({}, ["verify", "finalg", "--report", "{missing-dir}/report.json"]),
-        ({}, ["twist", "sl2", "--bound", "-1"]),
-        ({}, ["act", "1/0*X", "y"]),
-        ({}, ["verify", "finalg", "--negative-control"]),
-        ({}, ["verify", "sl2-q", "--bound-h", "1", "--bound-a", "1",
-              "--suite", "hom-bialgebra", "--negative-control"]),
-        ({}, ["verify", "finalg", "--file", "{bool-index}"]),
-        ({}, ["verify", "finalg", "--file", "{repeated-constant}"]),
-        ({}, ["act", "Z", "3 4*x"]),
-        ({}, ["verify", "finalg", "--file", "{repeated-operator}"]),
-        ({}, ["verify", "finalg", "--file", "{repeated-label}"]),
-        ({}, ["verify", "finalg", "--file", "{deep-nesting}"]),
-        ({}, ["act", "Z^20000", "x^2"]),
-        # Fraction would compute 10**e for these before returning
-        ({}, ["act", "X", "y", "--q-value", "1e999999999"]),
-        ({}, ["act", "X", "y", "--q-value", "1e-99999999"]),
-        # q0 = 10^10000 has more digits than str renders
-        ({}, ["act", "q*X", "y", "--q-value", "1e10000"]),
-        # only finalg reads a scenario file
-        ({}, ["verify", "sl2-q", "--file", "/nonexistent"]),
-        ({}, ["twist", "sl2", "--file", "x"]),
-        ({}, ["verify", "finalg", "--file", "{empty-group}"]),
-    ],
-)
+# case sets one; a bad bound is a bad flag value.  A {name} in an argument is
+# a path of bad_input_paths.
+BAD_INPUTS = [
+    ({}, ["verify", "finalg", "--bound-h", "abc"]),
+    ({}, ["verify", "sl2-q", "--bound-a", "3.5"]),
+    ({}, ["verify", "finalg", "--file", "{top-level-array}"]),
+    ({}, ["verify", "finalg", "--file", "{matrix-size}"]),
+    ({}, ["twist", "finalg", "--file", "{zero-denominator}"]),
+    ({}, ["verify", "finalg", "--report", "{missing-dir}/report.json"]),
+    ({}, ["twist", "sl2", "--bound", "-1"]),
+    ({}, ["act", "1/0*X", "y"]),
+    ({}, ["verify", "finalg", "--negative-control"]),
+    ({}, ["verify", "sl2-q", "--bound-h", "1", "--bound-a", "1",
+          "--suite", "hom-bialgebra", "--negative-control"]),
+    ({}, ["verify", "finalg", "--file", "{bool-index}"]),
+    ({}, ["verify", "finalg", "--file", "{repeated-constant}"]),
+    ({}, ["act", "Z", "3 4*x"]),
+    ({}, ["verify", "finalg", "--file", "{repeated-operator}"]),
+    ({}, ["verify", "finalg", "--file", "{repeated-label}"]),
+    ({}, ["verify", "finalg", "--file", "{deep-nesting}"]),
+    ({}, ["act", "Z^20000", "x^2"]),
+    # Fraction would compute 10**e for these before returning
+    ({}, ["act", "X", "y", "--q-value", "1e999999999"]),
+    ({}, ["act", "X", "y", "--q-value", "1e-99999999"]),
+    # q0 = 10^10000 has more digits than str renders
+    ({}, ["act", "q*X", "y", "--q-value", "1e10000"]),
+    # only finalg reads a scenario file
+    ({}, ["verify", "sl2-q", "--file", "/nonexistent"]),
+    ({}, ["twist", "sl2", "--file", "x"]),
+    ({}, ["verify", "finalg", "--file", "{empty-group}"]),
+    # Python 3.11's argparse hands poly an empty list after a second "--"
+    ({}, ["act", "--", "X", "--"]),
+    ({}, ["act", "X", "--", "--"]),
+]
+
+
+def bad_input_paths(folder) -> dict:
+    """Write the BAD_SCENARIOS files into folder; the paths BAD_INPUTS name."""
+    paths = {"missing-dir": str(folder / "missing")}
+    for name, document in BAD_SCENARIOS.items():
+        paths[name] = str(folder / f"{name}.json")
+        (folder / f"{name}.json").write_text(json.dumps(document))
+    # raw text: json.dumps itself recurses on a document this deep
+    paths["deep-nesting"] = str(folder / "deep-nesting.json")
+    (folder / "deep-nesting.json").write_text("[" * 100000 + "]" * 100000)
+    return paths
+
+
+@pytest.mark.parametrize("env, argv", BAD_INPUTS)
 def test_bad_input_exits_2(capsys, monkeypatch, tmp_path, env, argv):
     for name, value in env.items():
         monkeypatch.setenv(name, value)
-    paths = {"missing-dir": str(tmp_path / "missing")}
-    for name, document in BAD_SCENARIOS.items():
-        paths[name] = str(tmp_path / f"{name}.json")
-        (tmp_path / f"{name}.json").write_text(json.dumps(document))
-    # raw text: json.dumps itself recurses on a document this deep
-    paths["deep-nesting"] = str(tmp_path / "deep-nesting.json")
-    (tmp_path / "deep-nesting.json").write_text("[" * 100000 + "]" * 100000)
+    paths = bad_input_paths(tmp_path)
     code, _, err = run(capsys, *(arg.format(**paths) for arg in argv))
     assert code == cli.EXIT_INPUT_ERROR
     assert "error" in err and "Traceback" not in err
+
+
+def test_positional_after_a_second_dash_dash_exits_2():
+    # the process prints error:, not the traceback of the empty list argparse hands on
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    done = subprocess.run(
+        [sys.executable, "-m", "homtwist", "act", "--", "X", "--"],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == cli.EXIT_INPUT_ERROR
+    assert done.stderr.startswith("error: ") and "Traceback" not in done.stderr
 
 
 @pytest.mark.parametrize(

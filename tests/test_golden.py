@@ -35,19 +35,20 @@ NEGCTL = ["verify", "sl2-q", "--bound-h", "2", "--bound-a", "2",
           "--negative-control"]
 
 
-@pytest.mark.parametrize(
-    "stem, argv, code, with_report",
-    [
-        ("negctl_22", NEGCTL, cli.EXIT_AXIOM_FAILURE, True),
-        ("sl2_22", ["verify", "sl2-q", "--bound-h", "2", "--bound-a", "2"],
-         cli.EXIT_PASS, True),
-        ("finalg", ["verify", "finalg"], cli.EXIT_PASS, True),
-        ("twist_sl2_2", ["twist", "sl2", "--bound", "2"], cli.EXIT_PASS, False),
-        ("twist_finalg", ["twist", "finalg"], cli.EXIT_PASS, False),
-        ("sl2_33", ["verify", "sl2-q", "--bound-h", "3", "--bound-a", "3"],
-         cli.EXIT_PASS, True),
-    ],
-)
+# (stem of the recorded files, argv, exit code, whether --report is recorded)
+GOLDEN = [
+    ("negctl_22", NEGCTL, cli.EXIT_AXIOM_FAILURE, True),
+    ("sl2_22", ["verify", "sl2-q", "--bound-h", "2", "--bound-a", "2"],
+     cli.EXIT_PASS, True),
+    ("finalg", ["verify", "finalg"], cli.EXIT_PASS, True),
+    ("twist_sl2_2", ["twist", "sl2", "--bound", "2"], cli.EXIT_PASS, False),
+    ("twist_finalg", ["twist", "finalg"], cli.EXIT_PASS, False),
+    ("sl2_33", ["verify", "sl2-q", "--bound-h", "3", "--bound-a", "3"],
+     cli.EXIT_PASS, True),
+]
+
+
+@pytest.mark.parametrize("stem, argv, code, with_report", GOLDEN)
 def test_output_matches_recorded_bytes(capsys, tmp_path, stem, argv, code, with_report):
     report = tmp_path / "report.json"
     assert cli.main(argv + (["--report", str(report)] if with_report else [])) == code

@@ -95,31 +95,31 @@ def assigned(node):
 
 def definitions(tree):
     """(name, node) for the module-level functions and classes of tree, their
-    non-dunder methods and the non-dunder names that module-level and
-    class-body assignments bind, node being the definition or the assignment.
+    methods and the non-dunder names that module-level and class-body
+    assignments bind, node being the definition or the assignment.
     """
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             yield node.name, node
         if isinstance(node, ast.ClassDef):
             for item in node.body:
-                if isinstance(item, ast.FunctionDef) and not _dunder(item.name):
+                if isinstance(item, ast.FunctionDef):
                     yield item.name, item
                 yield from assigned(item)
         yield from assigned(node)
 
 
 def dead_definitions(defining, readers) -> list:
-    """The definitions of the trees defining that no tree of readers names
-    outside the definition itself: a recursive call does not keep one alive,
-    nor does the target of an assignment.
+    """The non-dunder definitions of the trees defining that no tree of
+    readers names outside the definition itself: a recursive call does not
+    keep one alive, nor does the target of an assignment.
     """
     total = sum((named(tree) for tree in readers), Counter())
     return sorted(
         name
         for tree in defining
         for name, node in definitions(tree)
-        if total[name] == named(node)[name]
+        if not _dunder(name) and total[name] == named(node)[name]
     )
 
 

@@ -120,8 +120,9 @@ def chevalley_image(mono) -> dict:
 def shear_image(key) -> dict:
     """x^i y^j -> (x + q y)^i y^j, multiplied out in plane_oracle."""
     i, j = key
+    x, y = Poly.monomial(1, 0), Poly.monomial(0, 1)
     out = Poly.one()
-    for factor in [Poly.x() + Poly.y().scaled(Q)] * i + [Poly.y()] * j:
+    for factor in [x + y.scaled(Q)] * i + [y] * j:
         out = plane_oracle.mul(out, factor)
     return out.terms
 
@@ -130,7 +131,9 @@ def shear_image(key) -> dict:
 # powers of images with several terms
 X, Y, Z = map(UElem.generator, "XYZ")
 CHEVALLEY = actions.extend_lie_endo((Y, X, -Z))
-SHEAR = actions.endo_map((Poly.x() + Poly.y().scaled(Q), Poly.y()), actions.plane_mul)
+SHEAR = actions.endo_map(
+    (Poly.monomial(1, 0) + Poly.monomial(0, 1, Q), Poly.monomial(0, 1)), actions.plane_mul
+)
 PLANE_KEYS = [(i, d - i) for d in range(5) for i in range(d + 1)]
 
 

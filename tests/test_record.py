@@ -48,7 +48,9 @@ def sl2_pair():
     """beta_H: X -> q^4 X, Y -> q^-4 Y, Z -> Z and beta_A = (q^3 x, q^-1 y)."""
     gen = UElem.generator
     beta_H = actions.extend_lie_endo((gen("X").scaled(q(4)), gen("Y").scaled(q(-4)), gen("Z")))
-    beta_A = actions.endo_map((Poly.x().scaled(q(3)), Poly.y().scaled(q(-1))), actions.plane_mul)
+    beta_A = actions.endo_map(
+        (Poly.monomial(1, 0, q(3)), Poly.monomial(0, 1, q(-1))), actions.plane_mul
+    )
     return beta_H, beta_A
 
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from homtwist import actions, homcore
-from homtwist.scalars import Q, QLaurent, power
+from homtwist.scalars import Q, QLaurent
 from homtwist.uea import UElem
 
 import free_oracle
@@ -25,6 +25,13 @@ def mul(u: UElem, v: UElem) -> UElem:
 def apply(table, u: UElem) -> UElem:
     """The image of u under the linear map of table."""
     return UElem(homcore.unflatten(homcore.linear(table, homcore.flatten(u.terms)).items()))
+
+
+def bracket_report(images):
+    """The check of extend_lie_endo on the endomorphism with these generator
+    images, without its refusal of a failing map.
+    """
+    return actions._check_bracket(actions.endo_map(images, actions.pbw_mul))
 
 
 def comul(mono) -> dict:
@@ -78,8 +85,9 @@ class TestScalars:
 
     @pytest.mark.parametrize("n", [-1, -2, 1.0])
     def test_power_rejects_negative_or_non_int(self, n):
+        # the text form takes only a non-negative int power of a generator
         with pytest.raises(ValueError):
-            power(X, n, ONE)
+            UElem.parse(f"X^{n}")
 
 
 class TestComultiplication:
@@ -140,13 +148,13 @@ Q_EXAMPLE = (X.scaled(Q), Y.scaled(QLaurent.q_power(-1)), Z)
 
 class TestEndomorphisms:
     def test_q_example_is_lie_endo(self):
-        assert actions.check_lie_endo(Q_EXAMPLE).passed
+        assert bracket_report(Q_EXAMPLE).passed
 
     def test_identity_is_lie_endo(self):
-        assert actions.check_lie_endo((X, Y, Z)).passed
+        assert bracket_report((X, Y, Z)).passed
 
     def test_swap_fails_on_xy_pair(self):
-        report = actions.check_lie_endo((Y, X, Z))
+        report = bracket_report((Y, X, Z))
         assert report.checked == 9
         assert [ce.rendered_inputs for ce in report.counterexamples] == [
             ("X", "Y"), ("X", "Z"), ("Y", "X"), ("Y", "Z"), ("Z", "X"), ("Z", "Y"),
