@@ -6,14 +6,13 @@ exhaustive sweeps over degree-bounded bases with exact arithmetic in a formal
 parameter q.
 """
 
-from .scalars import QLaurent, Rational
+from .scalars import QLaurent
 from .polyalg import Poly
 from .uea import UElem
 from .homcore import CheckReport
 
 __all__ = [
     "QLaurent",
-    "Rational",
     "Poly",
     "UElem",
     "CheckReport",

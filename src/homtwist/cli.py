@@ -18,11 +18,12 @@ import os
 import re
 import stat
 import sys
+from fractions import Fraction
 
 from . import actions, finalg, homcore
 from .polyalg import Poly
 from .report import write_json
-from .scalars import QLaurent, Rational
+from .scalars import QLaurent
 from .uea import UElem
 
 EXIT_PASS = 0
@@ -271,7 +272,7 @@ def cmd_act(args):
         if len(digits) > len(str(_MAX_Q_EXPONENT)) or int(digits or 0) > _MAX_Q_EXPONENT:
             raise InputError(f"the exponent of q value {args.q_value!r} is above {_MAX_Q_EXPONENT}")
         try:
-            q0 = Rational(args.q_value)
+            q0 = Fraction(args.q_value)
         except (ValueError, ZeroDivisionError) as exc:
             raise InputError(f"bad q value {args.q_value!r}") from exc
         if q0 == 0:

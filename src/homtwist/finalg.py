@@ -38,7 +38,7 @@ from .homcore import (
     unflatten,
     yau_twist_algebra,
 )
-from .scalars import ONE, ZERO, QLaurent
+from .scalars import ONE, ZERO, QLaurent, factor_text
 
 
 class StructAlgebra:
@@ -59,6 +59,8 @@ class StructAlgebra:
         for idx, label in enumerate(self.labels):
             if not isinstance(label, str) or not label:
                 raise ValueError(f"label {idx} is not a non-empty string: {label!r}")
+            if any("\ud800" <= ch <= "\udfff" for ch in label):
+                raise ValueError(f"label {idx} does not encode as UTF-8: {label!r}")
             if first.setdefault(label, idx) != idx:
                 raise ValueError(f"labels {first[label]} and {idx} are both {label!r}")
         table = {}
@@ -87,14 +89,10 @@ class StructAlgebra:
     def render(self, v):
         if not v:
             return "0"
-        parts = []
-        for i in sorted(v):
-            c = v[i]
-            ctext = str(c)
-            if " + " in ctext or " - " in ctext:
-                ctext = f"({ctext})"
-            parts.append(f"{self.labels[i]}" if c == ONE else f"{ctext}*{self.labels[i]}")
-        return " + ".join(parts)
+        return " + ".join(
+            self.labels[i] if v[i] == ONE else f"{factor_text(v[i])}*{self.labels[i]}"
+            for i in sorted(v)
+        )
 
     def _verify_associativity(self):
         # Eq. (1.2) with the identity structure map is associativity; the
@@ -272,7 +270,7 @@ class GroupBialgebra:
 def _render_group_elem(u):
     if not u:
         return "0"
-    return " + ".join(f"{c}*g{i}" for i, c in sorted(u.items()))
+    return " + ".join(f"{factor_text(c)}*g{i}" for i, c in sorted(u.items()))
 
 
 def automorphism_action(G: GroupBialgebra) -> ModuleAlgebraScenario:

@@ -12,11 +12,12 @@ sweeps never touches Fraction.  Arithmetic results are wrapped with trusted(),
 which skips the constructors' validation because they are canonical already.
 
 The sparse-map section below also holds the base that Poly and UElem share,
-MonomialElem: construction, sums, scaling, parsing, and the monomial basis
-of both rings (its graded-lex order, its bounded enumeration and the text of
-a key and of an element).  A subclass names its variables and parses its own
-terms.  Their products and endomorphisms are key tables contracted by
-homcore.
+MonomialElem: validated construction, scaling, parsing, and the monomial
+basis of both rings (its graded-lex order, its bounded enumeration and the
+text of a key and of an element).  A subclass names its variables and parses
+its own terms.  An element has no arithmetic of its own: its products and
+endomorphisms are key tables contracted by homcore, and two elements are
+equal when their terms are.
 """
 
 from __future__ import annotations
@@ -24,10 +25,6 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from itertools import product
-
-# Arbitrary-precision rational; Fraction already keeps gcd-reduced canonical
-# form with positive denominator.
-Rational = Fraction
 
 # QLaurent.specialize refuses a power q0^e of more bits than this (1 MiB)
 # unless the sum it scales is 0, and actions.act_key a coefficient that may
@@ -106,12 +103,6 @@ class QLaurent:
     def __neg__(self) -> "QLaurent":
         return trusted(QLaurent, {exp: -coeff for exp, coeff in self.terms.items()})
 
-    def __sub__(self, other) -> "QLaurent":
-        return self + (-_coerce(other))
-
-    def __rsub__(self, other) -> "QLaurent":
-        return _coerce(other) + (-self)
-
     def __mul__(self, other) -> "QLaurent":
         if isinstance(other, QLaurent):
             out = {}
@@ -130,7 +121,7 @@ class QLaurent:
                 QLaurent,
                 {exp: _canonical(coeff * other) for exp, coeff in self.terms.items()},
             )
-        return NotImplemented  # lets Poly/UElem.__rmul__ scale by self
+        return NotImplemented  # Python refuses any other operand with TypeError
 
     __rmul__ = __mul__
 
@@ -140,12 +131,6 @@ class QLaurent:
         if not isinstance(other, QLaurent):
             return NotImplemented
         return self.terms == other.terms
-
-    def __hash__(self):
-        # A constant must hash like the int/Fraction it equals.
-        if self.terms.keys() <= {0}:
-            return hash(self.terms.get(0, 0))
-        return hash(frozenset(self.terms.items()))
 
     def __bool__(self):
         return bool(self.terms)
@@ -342,8 +327,7 @@ class MonomialElem:
     one rendered term to (key, coeff).  The monomial basis is shared: one
     graded-lex order (degree first, then the first variable's exponent
     descending, ...), one enumeration of a bounded basis and one text form.
-    Instances are immutable and compare structurally.  A scalar scales from
-    either side; elements have no product here.
+    Instances are immutable; scaled multiplies one by a scalar.
     """
 
     __slots__ = ("terms",)
@@ -364,50 +348,12 @@ class MonomialElem:
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
-    @classmethod
-    def zero(cls):
-        return cls()
-
-    @classmethod
-    def one(cls):
-        return cls({(0,) * len(cls.NAMES): QLaurent.one()})
-
-    def __add__(self, other):
-        return trusted(type(self), sparse_add(self.terms, other.terms))
-
-    def __neg__(self):
-        return trusted(type(self), {key: -coeff for key, coeff in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __rmul__(self, other):
-        if isinstance(other, SCALARS):
-            return self.scaled(other)
-        return NotImplemented
-
-    __mul__ = __rmul__
-
     def scaled(self, coeff):
         if not isinstance(coeff, QLaurent):
             coeff = QLaurent.of(coeff)
         if not coeff:
             return trusted(type(self), {})
         return trusted(type(self), {key: coeff * c for key, c in self.terms.items()})
-
-    def __eq__(self, other):
-        if not isinstance(other, type(self)):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __repr__(self):
-        return f"{type(self).__name__}({self})"
 
     # -- the monomial basis and the text form -------------------------
 
@@ -441,11 +387,15 @@ def _grlex(key):
     return (sum(key), *(-e for e in key))
 
 
+def factor_text(coeff: QLaurent) -> str:
+    """The text of coeff as a factor of a product: a sum goes in parentheses."""
+    ctext = str(coeff)
+    return f"({ctext})" if " + " in ctext or " - " in ctext else ctext
+
+
 def render_term(coeff: QLaurent, basis_text: str) -> str:
     """coeff times a rendered basis element; an empty basis_text is the unit."""
-    ctext = str(coeff)
-    if " + " in ctext or " - " in ctext:
-        ctext = f"({ctext})"
+    ctext = factor_text(coeff)
     if not basis_text:
         return ctext
     if coeff == ONE:
@@ -475,9 +425,6 @@ def _coerce(value) -> QLaurent:
         return QLaurent.of(value)
     raise TypeError(f"cannot coerce {value!r} to QLaurent")
 
-
-# Operand types that scale a Poly or UElem from either side.
-SCALARS = (QLaurent, int, Fraction)
 
 ZERO = QLaurent.zero()
 ONE = QLaurent.one()

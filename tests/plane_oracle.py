@@ -12,7 +12,7 @@ evidence.
 """
 
 from homtwist.polyalg import Poly
-from homtwist.scalars import QLaurent
+from homtwist.scalars import QLaurent, add_term, sparse_add
 
 VARIABLES = ("x", "y")
 
@@ -20,22 +20,22 @@ VARIABLES = ("x", "y")
 def partial(p: Poly, var: str) -> Poly:
     """Formal partial derivative in 'x' or 'y'."""
     idx = VARIABLES.index(var)
-    out = Poly.zero()
+    out = {}
     for key, coeff in p.terms.items():
         power = key[idx]
         if power:
             lowered = tuple(e - (n == idx) for n, e in enumerate(key))
-            out = out + Poly.monomial(*lowered, coeff * power)
-    return out
+            add_term(out, lowered, coeff * power)
+    return Poly(out)
 
 
 def mul(p: Poly, r: Poly) -> Poly:
     """The product of two polynomials: exponents add."""
-    out = Poly.zero()
+    out = {}
     for (i, j), c1 in p.terms.items():
         for (k, m), c2 in r.terms.items():
-            out = out + Poly.monomial(i + k, j + m, c1 * c2)
-    return out
+            add_term(out, (i + k, j + m), c1 * c2)
+    return Poly(out)
 
 
 def total_degree(p: Poly):
@@ -55,20 +55,21 @@ def act_generator(gen: str, p: Poly) -> Poly:
     if gen == "Y":
         return mul(y, partial(p, "x"))
     if gen == "Z":
-        return mul(x, partial(p, "x")) - mul(y, partial(p, "y"))
+        minus = mul(y, partial(p, "y")).scaled(-1)
+        return Poly(sparse_add(mul(x, partial(p, "x")).terms, minus.terms))
     raise ValueError(f"unknown generator {gen!r}")
 
 
 def act(z, p: Poly) -> Poly:
     """A U(sl(2)) element z acting on p, linear in both slots."""
-    out = Poly.zero()
+    out = {}
     for (a, b, c), coeff in z.terms.items():
         image = p
         for gen, power in (("Z", c), ("Y", b), ("X", a)):
             for _ in range(power):
                 image = act_generator(gen, image)
-        out = out + image.scaled(coeff)
-    return out
+        out = sparse_add(out, image.scaled(coeff).terms)
+    return Poly(out)
 
 
 def alpha(p: Poly) -> Poly:

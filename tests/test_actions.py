@@ -3,7 +3,7 @@ import pytest
 from homtwist import actions, homcore
 from homtwist.actions import act_key
 from homtwist.polyalg import Poly
-from homtwist.scalars import QLaurent
+from homtwist.scalars import QLaurent, sparse_add
 from homtwist.uea import UElem
 
 from plane_oracle import alpha, mul, partial, specialize, total_degree
@@ -36,34 +36,34 @@ def deformed_act(z: UElem, p: Poly) -> Poly:
 
 class TestAction:
     def test_x_on_y(self):
-        assert act(X, Poly.monomial(0, 1)) == Poly.monomial(1, 0)
+        assert act(X, Poly.monomial(0, 1)).terms == Poly.monomial(1, 0).terms
 
     def test_y_on_x(self):
-        assert act(Y, Poly.monomial(1, 0)) == Poly.monomial(0, 1)
+        assert act(Y, Poly.monomial(1, 0)).terms == Poly.monomial(0, 1).terms
 
     def test_z_weight(self):
         for i in range(4):
             for j in range(4):
                 p = Poly.monomial(i, j)
-                assert act(Z, p) == p.scaled(QLaurent.of(i - j))
+                assert act(Z, p).terms == p.scaled(QLaurent.of(i - j)).terms
 
     def test_unit_acts_as_identity(self):
         p = Poly.parse("x^2*y + 3*x - 1")
-        assert act(UElem.one(), p) == p
+        assert act(UElem.monomial((0, 0, 0)), p).terms == p.terms
 
     def test_pbw_monomial_acts_as_composite(self):
         p = Poly.parse("x*y^2")
         composite = act(Z, p)
         composite = act(Y, composite)
         composite = act(X, composite)
-        assert act(UElem.monomial((1, 1, 1)), p) == composite
+        assert act(UElem.monomial((1, 1, 1)), p).terms == composite.terms
 
     def test_degree_preservation(self):
         for p in monomials(4):
             n = total_degree(p)
             for gen in "XYZ":
                 image = act(UElem.generator(gen), p)
-                assert not image or total_degree(image) == n
+                assert not image.terms or total_degree(image) == n
 
 
 class TestCoefficientBound:
@@ -84,31 +84,30 @@ class TestDeformedAction:
         # rho_alpha(X x P) = q^2 x (dP/dy)(q^2 x, q y) for every monomial P
         for p in monomials(4):
             expected = mul(Poly.monomial(1, 0, QLaurent.q_power(2)), alpha(partial(p, "y")))
-            assert deformed_act(X, p) == expected
+            assert deformed_act(X, p).terms == expected.terms
 
     def test_displayed_formula_y(self):
         for p in monomials(4):
             expected = mul(Poly.monomial(0, 1, QLaurent.q_power(1)), alpha(partial(p, "x")))
-            assert deformed_act(Y, p) == expected
+            assert deformed_act(Y, p).terms == expected.terms
 
     def test_displayed_formula_z(self):
         for p in monomials(4):
-            expected = mul(Poly.monomial(1, 0, QLaurent.q_power(2)), alpha(partial(p, "x"))) - mul(
-                Poly.monomial(0, 1, QLaurent.q_power(1)), alpha(partial(p, "y"))
-            )
-            assert deformed_act(Z, p) == expected
+            plus = mul(Poly.monomial(1, 0, QLaurent.q_power(2)), alpha(partial(p, "x")))
+            minus = mul(Poly.monomial(0, 1, QLaurent.q_power(1, -1)), alpha(partial(p, "y")))
+            assert deformed_act(Z, p).terms == sparse_add(plus.terms, minus.terms)
 
     def test_x_on_y(self):
-        assert deformed_act(X, Poly.monomial(0, 1)) == Poly.monomial(1, 0, QLaurent.q_power(2))
+        assert deformed_act(X, Poly.monomial(0, 1)).terms == {(1, 0): QLaurent.q_power(2)}
 
     def test_z_on_x(self):
-        assert deformed_act(Z, Poly.monomial(1, 0)) == Poly.monomial(1, 0, QLaurent.q_power(2))
+        assert deformed_act(Z, Poly.monomial(1, 0)).terms == {(1, 0): QLaurent.q_power(2)}
 
     def test_q_equal_one_collapses_to_classical(self):
         for mono in UElem.basis_keys(2):
             z = UElem.monomial(mono)
             for p in monomials(3):
-                assert specialize(deformed_act(z, p), 1) == specialize(act(z, p), 1)
+                assert specialize(deformed_act(z, p), 1).terms == specialize(act(z, p), 1).terms
 
 
 class TestCompatibility:
@@ -213,8 +212,8 @@ class TestWeightSpectrum:
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_highest_and_lowest_weight_vectors(self, n):
-        assert not act(X, Poly.monomial(n, 0))
-        assert not act(Y, Poly.monomial(0, n))
+        assert not act(X, Poly.monomial(n, 0)).terms
+        assert not act(Y, Poly.monomial(0, n)).terms
 
     def test_dimension(self):
         for n in range(6):

@@ -1,4 +1,5 @@
 import contextlib
+import copy
 import gc
 import io
 import json
@@ -12,7 +13,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from homtwist import actions, cli, homcore
 from homtwist.polyalg import Poly
@@ -20,6 +21,8 @@ from homtwist.scalars import QLaurent
 from homtwist.uea import UElem
 
 import plane_oracle
+from test_bench_hooks import M2_SCENARIO
+from test_golden import finalg_gen
 
 
 def run(capsys, *argv):
@@ -244,6 +247,14 @@ BAD_SCENARIOS = {
         "group": [],
         "element": ["1"],
     },
+    # JSON allows a lone surrogate, which stdout cannot encode
+    "surrogate-label": {
+        "labels": ["e\ud800"],
+        "constants": [[0, 0, 0, "1"]],
+        "unit": ["1"],
+        "group": [[["1"]]],
+        "element": ["1"],
+    },
 }
 
 
@@ -281,6 +292,7 @@ BAD_INPUTS = [
     # Python 3.11's argparse hands poly an empty list after a second "--"
     ({}, ["act", "--", "X", "--"]),
     ({}, ["act", "X", "--", "--"]),
+    ({}, ["twist", "finalg", "--file", "{surrogate-label}"]),
 ]
 
 
@@ -304,6 +316,63 @@ def test_bad_input_exits_2(capsys, monkeypatch, tmp_path, env, argv):
     code, _, err = run(capsys, *(arg.format(**paths) for arg in argv))
     assert code == cli.EXIT_INPUT_ERROR
     assert "error" in err and "Traceback" not in err
+
+
+# scenario files for the fuzz are mutated from these documents, with these
+# atoms replacing a node
+FUZZ_DOCUMENTS = (
+    st.sampled_from([finalg_gen.generate(1, 2), finalg_gen.generate(2, 2)])
+    | st.just(M2_SCENARIO)
+    | st.sampled_from(list(BAD_SCENARIOS.values()))
+)
+FUZZ_ATOMS = [None, True, False, 0.5, "1/0", "q^-1", [], "é", "\ud800"]
+
+
+def node_paths(node, at=()):
+    """The path, keys and indices from the root, of node and of each node below it."""
+    yield at
+    if isinstance(node, (dict, list)):
+        for key, child in node.items() if isinstance(node, dict) else enumerate(node):
+            yield from node_paths(child, at + (key,))
+
+
+@st.composite
+def mutated_documents(draw):
+    """A FUZZ_DOCUMENTS entry with one node of one field replaced by an atom,
+    dropped, or duplicated in its list.  Drawing the field first gives the
+    few labels as much weight as the many structure constants.
+    """
+    document = copy.deepcopy(draw(FUZZ_DOCUMENTS))
+    field = draw(st.sampled_from(list(document) if isinstance(document, dict) else [0]))
+    *path, key = draw(st.sampled_from(list(node_paths(document[field], (field,)))))
+    parent = document
+    for step in path:
+        parent = parent[step]
+    how = draw(st.sampled_from(["replace", "drop", "duplicate"][: 2 + isinstance(parent, list)]))
+    if how == "replace":
+        parent[key] = draw(st.sampled_from(FUZZ_ATOMS))
+    elif how == "drop":
+        del parent[key]
+    else:
+        parent.insert(key, parent[key])
+    return document
+
+
+# the deadline caps the wall time of each case
+@settings(
+    max_examples=300, derandomize=True, deadline=1000,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(mutated_documents())
+def test_mutated_scenario_files_exit_0_1_or_2(capsys, tmp_path, document):
+    # no exception escapes main, a refusal says why, and stdout, capsys's
+    # strict UTF-8 stream, takes every text printed
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(document))
+    for command, codes in [("verify", (0, 1, 2)), ("twist", (0, 2))]:
+        code, _, err = run(capsys, command, "finalg", "--file", str(path))
+        assert code in codes
+        assert code != cli.EXIT_INPUT_ERROR or "error:" in err
 
 
 def test_positional_after_a_second_dash_dash_exits_2():

@@ -260,6 +260,11 @@ class TestGroupBialgebra:
         first = report.counterexamples[0]
         assert first.rendered_inputs == ("g0", "g0")
         assert (first.lhs, first.rhs) == ("1*g1", "1*g0")
+        # a sum coefficient goes in parentheses: g -> (1 + q) times the other
+        sum_alpha = homcore.key_map(lambda i: {1 - i: QLaurent.parse("1 + q")})
+        report = homcore.check_multiplicativity(G.carrier()._replace(alpha=sum_alpha))
+        first = report.counterexamples[0]
+        assert (first.lhs, first.rhs) == ("(1 + q)*g1", "(1 + 2*q + q^2)*g0")
 
     def test_grouplike_sweedler_sum(self):
         _, G, _ = m2_example()

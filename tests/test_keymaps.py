@@ -120,9 +120,8 @@ def chevalley_image(mono) -> dict:
 def shear_image(key) -> dict:
     """x^i y^j -> (x + q y)^i y^j, multiplied out in plane_oracle."""
     i, j = key
-    x, y = Poly.monomial(1, 0), Poly.monomial(0, 1)
-    out = Poly.one()
-    for factor in [x + y.scaled(Q)] * i + [y] * j:
+    out = Poly.monomial(0, 0)
+    for factor in [X_PLUS_QY] * i + [Poly.monomial(0, 1)] * j:
         out = plane_oracle.mul(out, factor)
     return out.terms
 
@@ -130,10 +129,9 @@ def shear_image(key) -> dict:
 # alpha_U and alpha_A are diagonal: these two maps also test factor order and
 # powers of images with several terms
 X, Y, Z = map(UElem.generator, "XYZ")
-CHEVALLEY = actions.extend_lie_endo((Y, X, -Z))
-SHEAR = actions.endo_map(
-    (Poly.monomial(1, 0) + Poly.monomial(0, 1, Q), Poly.monomial(0, 1)), actions.plane_mul
-)
+CHEVALLEY = actions.extend_lie_endo((Y, X, Z.scaled(-1)))
+X_PLUS_QY = Poly({(1, 0): ONE, (0, 1): Q})
+SHEAR = actions.endo_map((X_PLUS_QY, Poly.monomial(0, 1)), actions.plane_mul)
 PLANE_KEYS = [(i, d - i) for d in range(5) for i in range(d + 1)]
 
 

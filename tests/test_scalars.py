@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 
 from homtwist import actions, homcore
 from homtwist.polyalg import Poly
-from homtwist.scalars import Q, Q_INV, QLaurent
+from homtwist.scalars import ONE, Q, Q_INV, QLaurent, sparse_add
 from homtwist.uea import UElem
 
 
@@ -96,7 +96,7 @@ class TestRingLaws:
 
     @given(scalars, scalars)
     def test_canonical_equality(self, a, b):
-        assert (a == b) == (not a - b)
+        assert (a == b) == (not a + -b)
 
     @given(
         scalars,
@@ -105,7 +105,7 @@ class TestRingLaws:
         st.fractions(min_value=-6, max_value=6, max_denominator=6),
     )
     def test_coefficients_stay_int_or_fraction(self, a, b, n, f):
-        for value in (a + b, a * b, -a, a - b, a + a, a * n, n * a, a * f, f * a):
+        for value in (a + b, a * b, -a, a + -b, a + a, a * n, n * a, a * f, f * a):
             assert all(
                 type(c) is int or (type(c) is Fraction and c.denominator != 1)
                 for c in value.terms.values()
@@ -113,12 +113,6 @@ class TestRingLaws:
         # the scalar fast path agrees with the Laurent product
         assert a * n == n * a == a * QLaurent.of(n)
         assert a * f == f * a == a * QLaurent.of(f)
-
-    @given(st.integers() | st.fractions(max_denominator=1000))
-    def test_constant_hashes_like_its_value(self, value):
-        constant = QLaurent.of(value)
-        assert constant == value and hash(constant) == hash(value)
-        assert len({constant, value}) == 1
 
 
 class TestTextForm:
@@ -129,9 +123,6 @@ class TestTextForm:
     def test_roundtrip(self, text):
         value = ql(text)
         assert QLaurent.parse(str(value)) == value
-
-    def test_repr_of_a_rational_minus_q(self):
-        assert repr(1 - QLaurent.q_power(1)) == "QLaurent(1 - q)"
 
     def test_render_is_exponent_ascending(self):
         assert str(ql("q^2 + 3*q^-1")) == "3*q^-1 + q^2"
@@ -161,16 +152,15 @@ def test_element_types_share_the_sparse_ring_contract(cls, text):
     e = cls.parse(text)
     with pytest.raises(AttributeError, match=f"^{cls.__name__} is immutable$"):
         e.terms = {}
-    assert repr(e) == f"{cls.__name__}({text})"
-    generator = cls({key: c for key, c in e.terms.items() if any(key)})
-    for other in (generator + cls.one(), cls(dict(reversed(e.terms.items())))):
-        assert other == e and hash(other) == hash(e)
-    width = len(next(iter(e.terms)))
+    assert str(e) == text
+    width = len(cls.NAMES)
+    generator = {key: c for key, c in e.terms.items() if any(key)}
+    for other in (sparse_add(generator, {(0,) * width: ONE}), dict(reversed(e.terms.items()))):
+        assert cls(other).terms == e.terms
     for bad in [(-1,) + (0,) * (width - 1), (0,) * (width + 1), (0,) * (width - 1)]:
         with pytest.raises(ValueError):
             cls({bad: 1})
-    assert cls.zero() + e == e
-    assert e.scaled(0) == cls.zero()
+    assert e.scaled(0).terms == {}
 
 
 def nested_loop_keys(width, bound):
@@ -220,13 +210,15 @@ def test_scalars_and_endomorphisms_are_immutable(value, name):
 PRODUCTS = {Poly: actions.plane_mul, UElem: actions.pbw_mul}
 
 
-def plain_power(e, n):
-    """e**n by n products, the definition that square-and-multiply must match."""
+def plain_power(e, n) -> dict:
+    """The terms of e**n by n products, the definition that square-and-multiply
+    must match.
+    """
     mul, xs = PRODUCTS[type(e)], homcore.flatten(e.terms)
-    result = homcore.flatten(type(e).one().terms)
+    result = homcore.flatten({(0,) * len(e.NAMES): ONE})
     for _ in range(n):
         result = homcore.terms(homcore.bilinear(mul, result, xs))
-    return type(e)(homcore.unflatten(result))
+    return homcore.unflatten(result)
 
 
 def power_table(e):
@@ -255,7 +247,7 @@ def test_power_equals_repeated_products(cls, text):
     table = power_table(e)
     for n in range(10):
         key = (n,) + (0,) * (len(cls.NAMES) - 1)
-        assert cls(homcore.unflatten(table(homcore.REGISTRY.ids[key]))) == plain_power(e, n)
+        assert homcore.unflatten(table(homcore.REGISTRY.ids[key])) == plain_power(e, n)
 
 
 def test_power_takes_logarithmically_many_products(monkeypatch):

