@@ -117,13 +117,11 @@ def build_parser():
     verify.add_argument(
         "--bound-h",
         type=int,
-        default=3,
         help="degree bound for bialgebra-side basis elements",
     )
     verify.add_argument(
         "--bound-a",
         type=int,
-        default=3,
         help="degree bound for algebra-side basis elements",
     )
     verify.add_argument(
@@ -156,7 +154,6 @@ def build_parser():
     twist.add_argument(
         "--bound",
         type=int,
-        default=2,
         help="degree bound for the enumerated basis (sl2)",
     )
     twist.add_argument("--file", help="scenario file for the finalg scenario")
@@ -175,6 +172,7 @@ def _finalg_scenario(path):
 
 
 def cmd_verify(args):
+    _scenario_options(args, bound_h=3, bound_a=3)
     suites = args.suite if args.suite else list(SUITES)
     for suite in suites:
         if suite not in SUITES:
@@ -188,7 +186,6 @@ def cmd_verify(args):
             "--negative-control applies only to the "
             f"{' and '.join(NEGATIVE_CONTROL_SUITES)} suites of sl2-q"
         )
-    _refuse_file_outside_finalg(args)
     scenario = SCENARIOS[args.scenario](args)
     if args.report is None:
         reports = _run_suites(scenario, suites, args)
@@ -197,6 +194,8 @@ def cmd_verify(args):
         if args.scenario == "sl2-q":
             head.update(bound_h=args.bound_h, bound_a=args.bound_a)
         head["negative_control"] = args.negative_control
+        if args.file and os.path.exists(args.report) and os.path.samefile(args.file, args.report):
+            raise InputError(f"--report {args.report} would overwrite the scenario file")
         # opened before the sweeps, so that an unwritable path costs none of them
         try:
             with open(args.report, "w") as fh:
@@ -243,9 +242,21 @@ def _discard(fh, path):
         pass
 
 
-def _refuse_file_outside_finalg(args):
-    if args.file is not None and args.scenario != "finalg":
+def _scenario_options(args, **bounds):
+    """Refuse an option that the scenario of args does not read: --file
+    outside finalg, a bound option of bounds (dest=sl2 default) in finalg.
+    Then each bound left out takes its default.
+    """
+    if args.scenario == "finalg":
+        for dest in bounds:
+            if getattr(args, dest) is not None:
+                option = "--" + dest.replace("_", "-")
+                raise InputError(f"{option} does not apply to the finalg scenario")
+    elif args.file is not None:
         raise InputError("--file applies only to the finalg scenario")
+    for dest, default in bounds.items():
+        if getattr(args, dest) is None:
+            setattr(args, dest, default)
 
 
 # -- act ---------------------------------------------------------------
@@ -299,7 +310,7 @@ def cmd_act(args):
 
 
 def cmd_twist(args):
-    _refuse_file_outside_finalg(args)
+    _scenario_options(args, bound=2)
     if args.scenario == "sl2":
         if args.bound < 0:
             raise InputError("bound must be >= 0")
@@ -337,9 +348,8 @@ def main(argv=None):
             return cmd_verify(args)
         if args.command == "act":
             return cmd_act(args)
-        if args.command == "twist":
-            return cmd_twist(args)
-        raise InputError(f"unknown command {args.command!r}")
+        # argparse admits no other command
+        return cmd_twist(args)
     except (InputError, OverflowError) as exc:
         # OverflowError: homcore's key registry is full, the bounds or the
         # arguments name more keys than it holds; or act meets a coefficient,

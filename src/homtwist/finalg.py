@@ -112,7 +112,10 @@ class StructAlgebra:
                 raise ValueError("declared unit is not a two-sided unit")
 
     def inverse(self, a):
-        """Two-sided inverse of a, by solving the left-multiplication system."""
+        """Two-sided inverse of a, by solving the left-multiplication system:
+        x with a x = 1 is found only when y -> a y is injective, so x a = 1
+        follows from a (x a) = (a x) a = a 1, by the associativity checked at load.
+        """
         if self.unit is None:
             raise ValueError("algebra has no unit; inverses undefined")
         mul, xs, ids = self.carrier.mul, flatten(a), self.carrier.basis
@@ -123,10 +126,7 @@ class StructAlgebra:
         )
         if solution is None:
             raise ValueError(f"element {self.render(a)} is not invertible")
-        inv = {i: c for i, c in enumerate(solution) if c}
-        if bilinear(mul, flatten(inv), xs) != dict(flatten(self.unit)):
-            raise ValueError(f"element {self.render(a)} has no two-sided inverse")
-        return inv
+        return {i: c for i, c in enumerate(solution) if c}
 
 
 def operator(rows):

@@ -33,9 +33,7 @@ _MAX_POWER_BITS = 1 << 23
 
 
 def _as_rational(value):
-    """An exact rational as an int when integral, else a reduced Fraction."""
-    if isinstance(value, str):
-        value = Fraction(value)
+    """A coefficient given to a constructor, an int or Fraction, as an int when integral."""
     if isinstance(value, Fraction):
         return value.numerator if value.denominator == 1 else value
     if isinstance(value, int):
@@ -59,7 +57,8 @@ class QLaurent:
 
     Instances are immutable after construction and compare structurally;
     canonical form (no zero coefficients) makes structural equality the same
-    as ring equality.
+    as ring equality.  The operands of + and == are QLaurents, and * also
+    takes an int or Fraction; rationals appear otherwise only in constructors.
     """
 
     __slots__ = ("terms",)
@@ -96,12 +95,9 @@ class QLaurent:
     # -- ring structure -----------------------------------------------
 
     def __add__(self, other) -> "QLaurent":
-        return trusted(QLaurent, sparse_add(self.terms, _coerce(other).terms))
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "QLaurent":
-        return trusted(QLaurent, {exp: -coeff for exp, coeff in self.terms.items()})
+        if not isinstance(other, QLaurent):
+            return NotImplemented
+        return trusted(QLaurent, sparse_add(self.terms, other.terms))
 
     def __mul__(self, other) -> "QLaurent":
         if isinstance(other, QLaurent):
@@ -126,8 +122,6 @@ class QLaurent:
     __rmul__ = __mul__
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = QLaurent.of(other)
         if not isinstance(other, QLaurent):
             return NotImplemented
         return self.terms == other.terms
@@ -140,7 +134,7 @@ class QLaurent:
     def specialize(self, q0) -> Fraction:
         """Evaluate at a concrete nonzero rational q = q0, as an exact Fraction."""
         # A Fraction even for an int q0: int ** -k would be a float.
-        q0 = Fraction(_as_rational(q0))
+        q0 = Fraction(q0)
         if q0 == 0:
             raise ValueError("cannot specialize at q = 0: negative exponents undefined")
         # ceil(log2 max(|num|, den)) bits per unit of exponent; 0 at q0 = +-1
@@ -190,8 +184,6 @@ _DIGIT_GAP = re.compile(r"\d\s+\d")
 
 def _parse_scalar_term(term: str):
     term = term.strip()
-    if not term:
-        raise ValueError("empty term in scalar expression")
     if _DIGIT_GAP.search(term):
         raise ValueError(f"space inside a number in {term!r}")
     match = _TERM_FACTOR.match(term.replace(" ", ""))
@@ -349,8 +341,7 @@ class MonomialElem:
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     def scaled(self, coeff):
-        if not isinstance(coeff, QLaurent):
-            coeff = QLaurent.of(coeff)
+        """This element times coeff, a QLaurent or a number, by QLaurent's *."""
         if not coeff:
             return trusted(type(self), {})
         return trusted(type(self), {key: coeff * c for key, c in self.terms.items()})
@@ -398,9 +389,9 @@ def render_term(coeff: QLaurent, basis_text: str) -> str:
     ctext = factor_text(coeff)
     if not basis_text:
         return ctext
-    if coeff == ONE:
+    if ctext == "1":
         return basis_text
-    if coeff == -ONE:
+    if ctext == "-1":
         return "-" + basis_text
     return ctext + "*" + basis_text
 
@@ -416,14 +407,6 @@ def join_terms(parts) -> str:
         else:
             out += " + " + part
     return out
-
-
-def _coerce(value) -> QLaurent:
-    if isinstance(value, QLaurent):
-        return value
-    if isinstance(value, (int, Fraction)):
-        return QLaurent.of(value)
-    raise TypeError(f"cannot coerce {value!r} to QLaurent")
 
 
 ZERO = QLaurent.zero()

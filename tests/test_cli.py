@@ -196,6 +196,25 @@ class TestVerify:
         assert document["reports"][0]["equation"]
 
 
+# k e with e e = e, and k x k with the idempotents a and b, each with the
+# group of the identity
+K1 = {
+    "labels": ["e"],
+    "constants": [[0, 0, 0, "1"]],
+    "unit": ["1"],
+    "group": [[["1"]]],
+    "element": ["1"],
+}
+K1_NO_UNIT = {key: value for key, value in K1.items() if key != "unit"}
+IDENTITY2, SWAP = [["1", "0"], ["0", "1"]], [["0", "1"], ["1", "0"]]
+K2 = {
+    "labels": ["a", "b"],
+    "constants": [[0, 0, 0, "1"], [1, 1, 1, "1"]],
+    "unit": ["1", "1"],
+    "group": [IDENTITY2],
+    "element": ["1", "1"],
+}
+
 BAD_SCENARIOS = {
     "top-level-array": [1, 2],
     "matrix-size": {
@@ -255,6 +274,46 @@ BAD_SCENARIOS = {
         "group": [[["1"]]],
         "element": ["1"],
     },
+    # the bad scenarios below change one or two fields of K1 or K2
+    "number-label": {**K1, "labels": [1]},
+    "index-out-of-range": {**K1, "constants": [[0, 0, 1, "1"]]},
+    # (a a) a = b a = a, but a (a a) = a b = 0
+    "not-associative": {**K2, "constants": [[0, 0, 1, "1"], [1, 0, 0, "1"]]},
+    # a x = x for both basis elements, but b a = 0
+    "left-unit-only": {**K2, "constants": [[0, 0, 0, "1"], [0, 1, 1, "1"]], "unit": ["1", "0"]},
+    # without a unit no element is invertible
+    "no-unit": K1_NO_UNIT,
+    "zero-element": {**K1, "element": ["0"]},
+    # inversion solves over the rationals, not over Laurent polynomials
+    "q-element": {**K1, "element": ["q"]},
+    "ragged-operator": {**K2, "group": [[["1", "0"], ["0"]]]},
+    # the zero map sends the unit to 0
+    "zero-operator": {**K1, "group": [[["0"]]]},
+    # without a unit the zero map is an endomorphism, but a singular one
+    "singular-operator": {**K1_NO_UNIT, "group": [[["0"]]]},
+    # the swap squares to the identity, which the group lacks
+    "swap-only": {**K2, "group": [SWAP]},
+    "unfixed-element": {**K2, "group": [IDENTITY2, SWAP], "element": ["1", "2"]},
+    "long-element": {**K1, "element": ["1", "1"]},
+    "text-labels": {**K1, "labels": "e"},
+}
+
+# Scenario files that verify passes.  m2-order-two is M_2 with the group of
+# conjugation by g = [[0, 1], [2, 0]], which sends e12 to 2*e21 and e21 to
+# 1/2*e12, so g^2 = 2 conjugates by a scalar: the factors 2 and 1/2 multiply to
+# an integral Fraction.  Its element 1 + g commutes with g, and is neither
+# diagonal nor a scaled permutation, so its inverse eliminates rows.
+GOOD_SCENARIOS = {
+    "m2-order-two": {
+        **M2_SCENARIO,
+        "group": [
+            [["1", "0", "0", "0"], ["0", "1", "0", "0"],
+             ["0", "0", "1", "0"], ["0", "0", "0", "1"]],
+            [["0", "0", "0", "1"], ["0", "0", "1/2", "0"],
+             ["0", "2", "0", "0"], ["1", "0", "0", "0"]],
+        ],
+        "element": ["1", "1", "2", "1"],
+    },
 }
 
 
@@ -293,18 +352,62 @@ BAD_INPUTS = [
     ({}, ["act", "--", "X", "--"]),
     ({}, ["act", "X", "--", "--"]),
     ({}, ["twist", "finalg", "--file", "{surrogate-label}"]),
+    ({}, ["verify", "finalg", "--file", "{number-label}"]),
+    ({}, ["verify", "finalg", "--file", "{index-out-of-range}"]),
+    ({}, ["verify", "finalg", "--file", "{not-associative}"]),
+    ({}, ["verify", "finalg", "--file", "{left-unit-only}"]),
+    ({}, ["verify", "finalg", "--file", "{no-unit}"]),
+    ({}, ["verify", "finalg", "--file", "{zero-element}"]),
+    ({}, ["verify", "finalg", "--file", "{q-element}"]),
+    ({}, ["verify", "finalg", "--file", "{ragged-operator}"]),
+    ({}, ["verify", "finalg", "--file", "{zero-operator}"]),
+    ({}, ["verify", "finalg", "--file", "{singular-operator}"]),
+    ({}, ["verify", "finalg", "--file", "{swap-only}"]),
+    ({}, ["verify", "finalg", "--file", "{unfixed-element}"]),
+    ({}, ["verify", "finalg", "--file", "{long-element}"]),
+    ({}, ["verify", "finalg", "--file", "{text-labels}"]),
+    ({}, ["act", "X +", "y"]),
+    ({}, ["act", "(q", "y"]),
+    ({}, ["act", "q)", "y"]),
+    ({}, ["act", "", "y"]),
+    ({}, ["act", "*", "y"]),
+    ({}, ["act", "X^", "y"]),
+    ({}, ["act", "Y X", "y"]),
+    ({}, ["act", "X", "y", "--q-value", "abc"]),
+    ({}, ["act", "X", "y", "--q-value", "0"]),
+    # 2^(10^11), and powers of q0 = 2 of 10^10 bits, alone and spread over a sum
+    ({}, ["act", "Z^100000000000", "x^2"]),
+    ({}, ["act", "q^10000000000*X", "y", "--q-value", "2"]),
+    ({}, ["act", "q^10000000000*X + X", "y", "--q-value", "2"]),
+    ({}, ["verify", "sl2-q", "--suite", "nope"]),
+    ({}, ["verify", "sl2-q", "--bound-h", "0"]),
+    ({}, ["verify", "sl2-q", "--bound-h", "1000"]),
+    # a report that would overwrite the scenario file, by its name or by a link
+    ({}, ["verify", "finalg", "--file", "{m2-order-two}", "--suite", "compatibility",
+          "--report", "{m2-order-two}"]),
+    ({}, ["verify", "finalg", "--file", "{m2-order-two}", "--suite", "compatibility",
+          "--report", "{link-to-m2-order-two}"]),
+    # only sl2 reads a bound
+    ({}, ["verify", "finalg", "--bound-h", "7", "--suite", "compatibility"]),
+    ({}, ["verify", "finalg", "--bound-a", "1"]),
+    ({}, ["verify", "finalg", "--bound-h", "0"]),
+    ({}, ["twist", "finalg", "--bound", "9"]),
 ]
 
 
-def bad_input_paths(folder) -> dict:
-    """Write the BAD_SCENARIOS files into folder; the paths BAD_INPUTS name."""
+def scenario_paths(folder) -> dict:
+    """Write the BAD_SCENARIOS and GOOD_SCENARIOS files into folder; the
+    paths BAD_INPUTS name.
+    """
     paths = {"missing-dir": str(folder / "missing")}
-    for name, document in BAD_SCENARIOS.items():
+    for name, document in {**BAD_SCENARIOS, **GOOD_SCENARIOS}.items():
         paths[name] = str(folder / f"{name}.json")
         (folder / f"{name}.json").write_text(json.dumps(document))
     # raw text: json.dumps itself recurses on a document this deep
     paths["deep-nesting"] = str(folder / "deep-nesting.json")
     (folder / "deep-nesting.json").write_text("[" * 100000 + "]" * 100000)
+    paths["link-to-m2-order-two"] = str(folder / "link.json")
+    (folder / "link.json").symlink_to(folder / "m2-order-two.json")
     return paths
 
 
@@ -312,10 +415,34 @@ def bad_input_paths(folder) -> dict:
 def test_bad_input_exits_2(capsys, monkeypatch, tmp_path, env, argv):
     for name, value in env.items():
         monkeypatch.setenv(name, value)
-    paths = bad_input_paths(tmp_path)
+    paths = scenario_paths(tmp_path)
+    files = {path: path.read_bytes() for path in tmp_path.iterdir()}
     code, _, err = run(capsys, *(arg.format(**paths) for arg in argv))
     assert code == cli.EXIT_INPUT_ERROR
     assert "error" in err and "Traceback" not in err
+    # a refused run writes no file it reads
+    assert {path: path.read_bytes() for path in tmp_path.iterdir()} == files
+
+
+@pytest.mark.parametrize("name", GOOD_SCENARIOS)
+def test_good_scenario_passes(capsys, tmp_path, name):
+    code, out, _ = run(capsys, "verify", "finalg", "--file", scenario_paths(tmp_path)[name])
+    assert code == cli.EXIT_PASS
+    assert all(line.startswith("PASS") for line in out.splitlines())
+
+
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["verify", "finalg", "--bound-h", "0"], "--bound-h"),
+        (["verify", "finalg", "--bound-a", "3"], "--bound-a"),
+        (["twist", "finalg", "--bound", "2"], "--bound"),
+    ],
+)
+def test_finalg_refuses_a_bound_by_its_option(capsys, argv, option):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (cli.EXIT_INPUT_ERROR, "")
+    assert err == f"error: {option} does not apply to the finalg scenario\n"
 
 
 # scenario files for the fuzz are mutated from these documents, with these
@@ -466,10 +593,9 @@ def test_suite_registry_case_counts(capsys, tmp_path, scenario):
     expected = SUITE_CASES[scenario]
     assert tuple(cli.SUITES) == tuple(expected)
     path = tmp_path / "report.json"
-    code, _, _ = run(
-        capsys, "verify", scenario, "--bound-h", "1", "--bound-a", "2",
-        "--report", str(path),
-    )
+    # finalg reads no bound
+    bounds = ["--bound-h", "1", "--bound-a", "2"] if scenario == "sl2-q" else []
+    code, _, _ = run(capsys, "verify", scenario, *bounds, "--report", str(path))
     assert code == 0
     reports = json.loads(path.read_text())["reports"]
     assert [r["checked"] for r in reports] == list(expected.values())

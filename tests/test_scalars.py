@@ -22,7 +22,7 @@ class TestArithmetic:
 
     def test_additive_inverse(self):
         a = ql("3*q^-1 + 1/2*q^2 - 7")
-        assert not a + (-a)
+        assert not a + a * -1
 
     def test_zero_annihilates(self):
         assert ql("q^5 - 2") * QLaurent.zero() == QLaurent.zero()
@@ -96,7 +96,7 @@ class TestRingLaws:
 
     @given(scalars, scalars)
     def test_canonical_equality(self, a, b):
-        assert (a == b) == (not a + -b)
+        assert (a == b) == (not a + b * -1)
 
     @given(
         scalars,
@@ -105,7 +105,7 @@ class TestRingLaws:
         st.fractions(min_value=-6, max_value=6, max_denominator=6),
     )
     def test_coefficients_stay_int_or_fraction(self, a, b, n, f):
-        for value in (a + b, a * b, -a, a + -b, a + a, a * n, n * a, a * f, f * a):
+        for value in (a + b, a * b, a * -1, a + b * -1, a + a, a * n, n * a, a * f, f * a):
             assert all(
                 type(c) is int or (type(c) is Fraction and c.denominator != 1)
                 for c in value.terms.values()

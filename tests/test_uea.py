@@ -235,7 +235,7 @@ class TestTextForm:
     @pytest.mark.parametrize(
         "text, expected",
         [
-            ("(q + 1)*X", {(1, 0, 0): Q + 1}),
+            ("(q + 1)*X", {(1, 0, 0): Q + QLaurent.one()}),
             ("(q^-1) Y Z", {(0, 1, 1): QLaurent.q_power(-1)}),
             ("2 (q) X", {(1, 0, 0): 2 * Q}),
             ("1 X + 3 (1)", {(1, 0, 0): 1, (0, 0, 0): 3}),
