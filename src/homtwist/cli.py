@@ -16,6 +16,7 @@ import functools
 import gc
 import os
 import re
+import signal
 import stat
 import sys
 from fractions import Fraction
@@ -37,8 +38,9 @@ class InputError(Exception):
 
 # -- suite registry ----------------------------------------------------
 # Each suite takes the scenario record (homcore.Scenario) and the parsed
-# arguments and returns one CheckReport.  Checkers are looked up in homcore at
-# call time.
+# arguments and returns one CheckReport, labelled here: the checkers' reports
+# carry no name, so every label that a run prints is set in this table.
+# Checkers are looked up in homcore at call time.
 
 
 def _label(report, name, equation):
@@ -75,27 +77,29 @@ def _module_hom_sweep(r, alpha_power):
     return homcore.check_module_hom_algebra(homcore.deform_scenario(r), alpha_power)
 
 
-def _classical(r, args):
-    report = homcore.check_module_hom_algebra(r.module)
-    return _label(report, "classical-module-algebra", "Eq. (1.1)")
-
-
-def _hom_lie(r, args):
-    report = homcore.check_hom_jacobi(r.lie)
-    return _label(report, f"hom-lie({r.lie.name})", "Hom-Jacobi")
-
-
 SUITES = {
     "hom-associativity": _hom_associativity,
     "hom-bialgebra": _hom_bialgebra,
-    "module-axiom": lambda r, args: homcore.check_module_axiom(homcore.deform_scenario(r)),
-    "module-hom-algebra": lambda r, args: _module_hom_sweep(r, _alpha_power(args)),
-    "mu-module-morphism": lambda r, args: homcore.mu_module_morphism(
-        _module_hom_sweep(r, _alpha_power(args))
+    "module-axiom": lambda r, args: _label(
+        homcore.check_module_axiom(homcore.deform_scenario(r)), "module-axiom", "Eqs. (2.1)/(2.1')"
     ),
-    "compatibility": lambda r, args: homcore.check_compatibility(r),
-    "classical": _classical,
-    "hom-lie": _hom_lie,
+    "module-hom-algebra": lambda r, args: _label(
+        _module_hom_sweep(r, _alpha_power(args)), "module-hom-algebra", "Eqs. (2.9)/(2.10)"
+    ),
+    "mu-module-morphism": lambda r, args: _label(
+        homcore.mu_module_morphism(_module_hom_sweep(r, _alpha_power(args))),
+        "mu-module-morphism",
+        "Theorem 1.1(3)",
+    ),
+    "compatibility": lambda r, args: _label(
+        homcore.check_compatibility(r), "compatibility", "Eqs. (1.5)/(1.7)/(4.2)"
+    ),
+    "classical": lambda r, args: _label(
+        homcore.check_module_hom_algebra(r.module), "classical-module-algebra", "Eq. (1.1)"
+    ),
+    "hom-lie": lambda r, args: _label(
+        homcore.check_hom_jacobi(r.lie), f"hom-lie({r.lie.name})", "Hom-Jacobi"
+    ),
 }
 
 # Each scenario builds its homcore.Scenario record from the parsed arguments.
@@ -361,10 +365,14 @@ def main(argv=None):
 def run(argv=None):
     """The process entry point: main, then gc.freeze().
 
-    Freezing moves every object into the permanent generation, so the
-    interpreter's collection at exit has nothing left to traverse.  Only a
-    process about to exit calls this; main never freezes.
+    SIGPIPE takes its default action first, so a closed stdout (homtwist ...
+    | head -1) ends the process as it ends cat, with no traceback.  Freezing
+    moves every object into the permanent generation, so the interpreter's
+    collection at exit has nothing left to traverse.  Only a process about to
+    exit calls this; main neither resets a signal nor freezes.
     """
+    if hasattr(signal, "SIGPIPE"):  # POSIX only
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     code = main(argv)
     gc.freeze()
     return code

@@ -11,8 +11,7 @@ and a term is the pair (exponent * STRIDE + key id, coefficient).  Only this
 module knows that layout.  Base carriers define their tables on keys, as key
 kernels (keys to (key, coefficient) pairs) or coordinate maps, which on_ids
 and key_map make into memo tables on ids, each entry filled once; ids become
-keys again where a result is rendered (axis, renderer, unflatten) and in the
-inputs of a counterexample.
+keys again where a result is rendered (axis, renderer, unflatten).
 
 A Scenario is the one record every suite reads, (module, beta_H, beta_A,
 lie): a module Hom-algebra and the compatible maps beta that deform_scenario
@@ -32,9 +31,10 @@ Hom-associativity of an action; an algebra A is a module over itself,
 regular(A).  Each identity is swept once: check_mu_module_morphism reads the
 module Hom-algebra sweep, the same identity by Theorem 1.1.  That sweep sums
 mu_A(rho(x', a), rho(x'', b)) over the terms of Delta(x), the same
-mu_A o rho^2 as build_rho2 without its tensor terms.  A checker returns a
-CheckReport: a failed identity is report content, not an exception, and
-renderer renders each distinct side once.  Only malformed carriers raise.
+mu_A o rho^2 as build_rho2 without its tensor terms.  A checker returns an
+unlabelled CheckReport, which the command line names: a failed identity is
+report content, not an exception, and renderer renders each distinct side
+once.  Only malformed carriers raise.
 """
 
 from __future__ import annotations
@@ -182,11 +182,6 @@ def axis(carrier) -> tuple:
     """The sweep axis of a carrier's basis: (ids, render of an id)."""
     render_key = carrier.render_key
     return carrier.basis, lambda k: render_key(_KEYS[k])
-
-
-def _sweep(name, equation, axes, lhs, rhs, render) -> CheckReport:
-    """report.sweep over axes of ids; a counterexample keeps the keys as inputs."""
-    return sweep(name, equation, axes, lhs, rhs, render, _KEYS.__getitem__)
 
 
 # -- packed q-graded form ------------------------------------------------
@@ -389,28 +384,26 @@ def _require_comul(H: Carrier):
 # The sides each shape compares are packed elements.
 
 
-def _square(name, equation, C, f, g, h, k, render) -> CheckReport:
+def _square(C, f, g, h, k, render) -> CheckReport:
     """f o g = h o k on the basis of C: a square of linear maps commutes."""
-    return _sweep(
-        name, equation, [axis(C)], lambda x: linear(f, g(x)), lambda x: linear(h, k(x)), render
-    )
+    return sweep([axis(C)], lambda x: linear(f, g(x)), lambda x: linear(h, k(x)), render)
 
 
-def _morphism(name, equation, axes, phi, f, g, phi1, phi2, render) -> CheckReport:
+def _morphism(axes, phi, f, g, phi1, phi2, render) -> CheckReport:
     """phi o f = g o (phi1 x phi2) on basis pairs: phi carries the bilinear f to g."""
-    return _sweep(
-        name, equation, axes,
+    return sweep(
+        axes,
         lambda x, y: linear(phi, f(x, y)),
         lambda x, y: bilinear(g, phi1(x), phi2(y)),
         render,
     )
 
 
-def _action_associativity(name, equation, s) -> CheckReport:
+def _action_associativity(s) -> CheckReport:
     """alpha_H(a)(b m) = (a b) alpha_M(m) on basis triples (Eq. 2.1'), M = s.A."""
     rho, H, M = s.rho, s.H, s.A
-    return _sweep(
-        name, equation, [axis(H), axis(H), axis(M)],
+    return sweep(
+        [axis(H), axis(H), axis(M)],
         lambda a, b, m: bilinear(rho, H.alpha(a), rho(b, m)),
         lambda a, b, m: bilinear(rho, H.mul(a, b), M.alpha(m)),
         renderer(M),
@@ -432,15 +425,12 @@ def regular(A: Carrier) -> ModuleAlgebraScenario:
 def check_multiplicativity(A: Carrier) -> CheckReport:
     """alpha(ab) = alpha(a) alpha(b) on all basis pairs."""
     mul, alpha = A.mul, A.alpha
-    return _morphism(
-        "multiplicativity", "alpha o mu = mu o (alpha x alpha)",
-        [axis(A)] * 2, alpha, mul, mul, alpha, alpha, renderer(A),
-    )
+    return _morphism([axis(A)] * 2, alpha, mul, mul, alpha, alpha, renderer(A))
 
 
 def check_hom_associativity(A: Carrier) -> CheckReport:
     """mu(alpha(a), mu(b, c)) = mu(mu(a, b), alpha(c)) on basis triples."""
-    return _action_associativity("hom-associativity", "Eq. (1.2)", regular(A))
+    return _action_associativity(regular(A))
 
 
 def check_hom_coassociativity(H: Carrier) -> CheckReport:
@@ -461,8 +451,7 @@ def check_hom_coassociativity(H: Carrier) -> CheckReport:
         return out
 
     return _square(
-        "hom-coassociativity", "Eq. (2.3)", H, t_map(comul, alpha), comul, reassociated, comul,
-        renderer(_slotwise(_slotwise(H, H), H)),
+        H, t_map(comul, alpha), comul, reassociated, comul, renderer(_slotwise(_slotwise(H, H), H))
     )
 
 
@@ -471,22 +460,15 @@ def check_comul_morphism(H: Carrier) -> CheckReport:
     _require_comul(H)
     # the sweeps read the maps of H x H, not its basis
     comul, T = H.comul, _slotwise(H, H)
-    name, equation = "comul-morphism", "Eqs. (2.4)-(2.5)"
-    report = _square(name, equation, H, comul, H.alpha, T.alpha, comul, renderer(T))
+    report = _square(H, comul, H.alpha, T.alpha, comul, renderer(T))
     # mu^2 o (Id x tau x Id) o Delta^2 on the right
-    return report.merge(
-        _morphism(name, equation, [axis(H)] * 2, comul, H.mul, T.mul, comul, comul, renderer(T))
-    )
+    return report.merge(_morphism([axis(H)] * 2, comul, H.mul, T.mul, comul, comul, renderer(T)))
 
 
 def check_hom_bialgebra(H: Carrier) -> CheckReport:
     """All four Hom-bialgebra conditions in one merged report."""
-    report = check_multiplicativity(H)
-    report = report.merge(check_hom_associativity(H))
-    report = report.merge(check_hom_coassociativity(H))
-    report = report.merge(check_comul_morphism(H))
-    report.name = "hom-bialgebra"
-    return report
+    report = check_multiplicativity(H).merge(check_hom_associativity(H))
+    return report.merge(check_hom_coassociativity(H)).merge(check_comul_morphism(H))
 
 
 # -- module checkers ---------------------------------------------------
@@ -499,11 +481,8 @@ def check_module_axiom(s: ModuleAlgebraScenario) -> CheckReport:
     alpha(a)(b m) = (a b) alpha_M(m) on triples (Eq. 2.1'), with M = s.A.
     """
     rho, H, M = s.rho, s.H, s.A
-    name, equation = "module-axiom", "Eqs. (2.1)/(2.1')"
-    report = _morphism(
-        name, equation, [axis(H), axis(M)], M.alpha, rho, rho, H.alpha, M.alpha, renderer(M)
-    )
-    return report.merge(_action_associativity(name, equation, s))
+    report = _morphism([axis(H), axis(M)], M.alpha, rho, rho, H.alpha, M.alpha, renderer(M))
+    return report.merge(_action_associativity(s))
 
 
 def check_compatibility(r: Scenario) -> CheckReport:
@@ -516,8 +495,7 @@ def check_compatibility(r: Scenario) -> CheckReport:
     """
     s, beta_A = r.module, r.beta_A
     return _morphism(
-        "compatibility", "Eqs. (1.5)/(1.7)/(4.2)",
-        [axis(s.H), axis(s.A)], beta_A, s.rho, s.rho, r.beta_H, beta_A, renderer(s.A),
+        [axis(s.H), axis(s.A)], beta_A, s.rho, s.rho, r.beta_H, beta_A, renderer(s.A)
     )
 
 
@@ -578,9 +556,7 @@ def check_module_hom_algebra(s: ModuleAlgebraScenario, alpha_power: int = 2) -> 
             lambda h1, h2: bilinear(mul, rho(h1, ka), rho(h2, kb)).items(), comul(kx)
         )
 
-    return _sweep(
-        "module-hom-algebra",
-        "Eqs. (2.9)/(2.10)",
+    return sweep(
         [axis(s.H), axis(s.A), axis(s.A)],
         lambda kx, ka, kb: bilinear(tilde, basis_terms(kx), mul(ka, kb)),
         rhs,
@@ -589,7 +565,7 @@ def check_module_hom_algebra(s: ModuleAlgebraScenario, alpha_power: int = 2) -> 
 
 
 def mu_module_morphism(report: CheckReport) -> CheckReport:
-    """A module Hom-algebra report read as Theorem 1.1(3).
+    """A module Hom-algebra report read as Theorem 1.1(3), unlabelled.
 
     mu_A is a morphism of H-modules from (A x A, rho^2) to (A, rho-tilde)
     exactly when the module Hom-algebra axiom holds: the identity is the same,
@@ -597,7 +573,7 @@ def mu_module_morphism(report: CheckReport) -> CheckReport:
     is left as it is.
     """
     swapped = [ce._replace(lhs=ce.rhs, rhs=ce.lhs) for ce in report.counterexamples]
-    return CheckReport("mu-module-morphism", "Theorem 1.1(3)", report.checked, swapped)
+    return CheckReport(checked=report.checked, counterexamples=swapped)
 
 
 def check_mu_module_morphism(s: ModuleAlgebraScenario, alpha_power: int = 2) -> CheckReport:
@@ -685,8 +661,6 @@ def check_hom_jacobi(A: Carrier) -> CheckReport:
                 add_term(total, p, coeff)
         return total
 
-    report = check_multiplicativity(lie)
-    report.name, report.equation = "hom-lie", "Hom-Jacobi"
-    return report.merge(
-        _sweep("hom-lie", "Hom-Jacobi", [axis(A)] * 3, jacobi, lambda k1, k2, k3: {}, renderer(A))
+    return check_multiplicativity(lie).merge(
+        sweep([axis(A)] * 3, jacobi, lambda k1, k2, k3: {}, renderer(A))
     )

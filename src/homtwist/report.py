@@ -1,8 +1,9 @@
 """Axiom sweeps, their outcomes and the --report JSON document.
 
 Checkers never raise on a failed identity; failure is data.  A report is a
-pass verdict or a list of counterexamples, each recording the raw input
-tuple together with rendered left and right sides.
+pass verdict or a list of counterexamples, each recording the rendered input
+tuple and both rendered sides.  A sweep's report is unlabelled: the command
+line names each report it prints.
 """
 
 from __future__ import annotations
@@ -12,13 +13,13 @@ from functools import cache
 from itertools import product
 from json.encoder import encode_basestring_ascii as _string
 
-Counterexample = namedtuple("Counterexample", "inputs rendered_inputs lhs rhs")
+Counterexample = namedtuple("Counterexample", "rendered_inputs lhs rhs")
 
 
 class CheckReport:
     __slots__ = ("name", "equation", "checked", "counterexamples")
 
-    def __init__(self, name: str, equation: str = "", checked: int = 0, counterexamples=None):
+    def __init__(self, name: str = "", equation: str = "", checked: int = 0, counterexamples=None):
         self.name, self.equation, self.checked = name, equation, checked
         self.counterexamples = [] if counterexamples is None else counterexamples
 
@@ -26,17 +27,14 @@ class CheckReport:
     def passed(self) -> bool:
         return not self.counterexamples
 
-    def record(self, inputs, rendered_inputs, lhs, rhs):
-        self.counterexamples.append(
-            Counterexample(tuple(inputs), tuple(rendered_inputs), str(lhs), str(rhs))
-        )
+    def record(self, rendered_inputs, lhs, rhs):
+        self.counterexamples.append(Counterexample(tuple(rendered_inputs), str(lhs), str(rhs)))
 
     def merge(self, other: "CheckReport") -> "CheckReport":
+        """The unlabelled report of both sweeps: their cases and counterexamples."""
         return CheckReport(
-            _distinct(" & ", self.name, other.name),
-            _distinct("; ", self.equation, other.equation),
-            self.checked + other.checked,
-            self.counterexamples + other.counterexamples,
+            checked=self.checked + other.checked,
+            counterexamples=self.counterexamples + other.counterexamples,
         )
 
     def summary(self) -> str:
@@ -49,30 +47,22 @@ class CheckReport:
         )
 
 
-def _distinct(sep, *labels):
-    """Join the distinct non-empty parts of sep-joined labels, in order."""
-    parts = [part for label in labels for part in label.split(sep) if part]
-    return sep.join(dict.fromkeys(parts))
-
-
-def sweep(name, equation, axes, lhs, rhs, render=str, key=None) -> CheckReport:
+def sweep(axes, lhs, rhs, render) -> CheckReport:
     """Check lhs == rhs on every tuple of basis keys.
 
     axes holds one (keys, render_key) pair per argument of lhs and rhs; the
     cases are the cartesian product of the keys, last axis fastest.  A failing
-    case is recorded with its keys (each mapped by key, if given), the
-    rendered keys and both sides rendered by render; each axis renders a key
-    once per sweep.  Every identity checked is multilinear, so a pass on the
-    basis tuples is a pass on their span.
+    case is recorded with its rendered keys and both sides rendered by render;
+    each axis renders a key once per sweep.  Every identity checked is
+    multilinear, so a pass on the basis tuples is a pass on their span.
     """
-    report = CheckReport(name, equation)
+    report = CheckReport()
     renders = [cache(render_key) for _, render_key in axes]
     for case in product(*(keys for keys, _ in axes)):
         left, right = lhs(*case), rhs(*case)
         report.checked += 1
         if left != right:
             report.record(
-                case if key is None else map(key, case),
                 [render_id(k) for render_id, k in zip(renders, case)],
                 render(left),
                 render(right),

@@ -85,7 +85,7 @@ class QLaurent:
 
     @classmethod
     def of(cls, value) -> "QLaurent":
-        """Constant Laurent polynomial from an int/Fraction/str rational."""
+        """Constant Laurent polynomial from an int or a Fraction."""
         return cls({0: value})
 
     @classmethod

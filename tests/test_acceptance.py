@@ -100,12 +100,12 @@ def test_criterion_4_characterization_equivalence(deformed_33):
     control = actions.deformed_scenario(2, 2)
     direct_bad = homcore.check_module_hom_algebra(control, alpha_power=1)
     morphism_bad = homcore.check_mu_module_morphism(control, alpha_power=1)
-    target = ((1, 0, 0), (1, 0), (0, 1))  # the triple (X, x, y)
+    target = ("X", "x", "y")
     agree_fail = (
         not direct_bad.passed
         and not morphism_bad.passed
-        and target in [ce.inputs for ce in direct_bad.counterexamples]
-        and target in [ce.inputs for ce in morphism_bad.counterexamples]
+        and target in [ce.rendered_inputs for ce in direct_bad.counterexamples]
+        and target in [ce.rendered_inputs for ce in morphism_bad.counterexamples]
     )
     report_line(
         4,

@@ -5,6 +5,7 @@ import io
 import json
 import os
 import resource
+import signal
 import subprocess
 import sys
 from math import comb
@@ -673,6 +674,24 @@ def test_package_runs_as_module(capsys):
         )
         assert done.returncode == 0, done.stderr
         assert done.stdout == expected.encode()
+
+
+def test_closed_stdout_ends_the_process_as_cat_ends():
+    # twist sl2 --bound 5 prints about 250 KB, more than a pipe holds, so the
+    # process writes again after the reader has closed its end
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "homtwist", "twist", "sl2", "--bound", "5"],
+        env={**os.environ, "PYTHONPATH": src}, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.readline() == b"# twisted product mu_alpha on PBW basis\n"
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    proc.stderr.close()
+    code = proc.wait(timeout=120)
+    assert b"Traceback" not in stderr, stderr
+    # killed by the signal, so no exit code of the contract (0, 1 or 2)
+    assert code == -signal.SIGPIPE
 
 
 def _limit_address_space():

@@ -14,9 +14,7 @@ from homtwist.report import CheckReport, Counterexample, write_json
 # and lone surrogates, which json escapes as \ud800
 texts = st.text(st.characters(exclude_categories=()))
 
-counterexamples = st.builds(
-    Counterexample, st.just(()), st.lists(texts).map(tuple), texts, texts
-)
+counterexamples = st.builds(Counterexample, st.lists(texts).map(tuple), texts, texts)
 
 reports = st.builds(
     CheckReport, texts, texts, st.integers(min_value=0), st.lists(counterexamples)
@@ -72,7 +70,7 @@ def test_one_write_per_counterexample():
 
     def writes(n):
         fh = Writes()
-        ce = Counterexample((), ("x", "y"), "1", "2")
+        ce = Counterexample(("x", "y"), "1", "2")
         write_json(fh, {"scenario": "finalg"}, [CheckReport("a", "", 9, [ce] * n)])
         return fh.count
 
