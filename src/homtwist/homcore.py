@@ -22,19 +22,23 @@ and deformed tables are composites, composite(f, g) = the memo table of f o g.
 Every checker runs one or more sweeps (report.sweep) of a multilinear
 identity over basis tuples, whose sides are contractions of the tables with
 int and Fraction coefficients: linear and bilinear hold the accumulate loops
-of every contraction, t_contract is linear on a key-pair table, and
+of every contraction but one, t_contract is linear on a key-pair table, and
 t_map(f, g) is the one map f x g on key pairs.  The commutator's bracket and
 the Hom-Jacobi sum add through scalars.add_term: through t_contract they
 were measured slower.  A structure-map axiom has one of three shapes:
 a commuting square of linear maps, a morphism of bilinear maps, or the
 Hom-associativity of an action; an algebra A is a module over itself,
 regular(A).  Each identity is swept once: check_mu_module_morphism reads the
-module Hom-algebra sweep, the same identity by Theorem 1.1.  That sweep sums
-mu_A(rho(x', a), rho(x'', b)) over the terms of Delta(x), the same
-mu_A o rho^2 as build_rho2 without its tensor terms.  A checker returns an
-unlabelled CheckReport, which the command line names: a failed identity is
-report content, not an exception, and renderer renders each distinct side
-once.  Only malformed carriers raise.
+module Hom-algebra sweep, the same identity by Theorem 1.1.  That sweep's
+right side, mu_A o rho^2 with rho^2 of build_rho2, is the third accumulate
+loop: it reads one row of (rho(., a) x Id)Delta(x) per (x, a), memoized,
+through rho(x'', b) and the mu_A table, and builds no tensor terms.  It is
+a loop of its own because t_contract(mu_A, rho^2) pays a call and a dict per
+term of Delta(x) and computes rho(x', a) again for every b; that contraction
+is the tests' reference.
+A checker returns an unlabelled CheckReport, which the command line names: a
+failed identity is report content, not an exception, and renderer renders
+each distinct side once.  Only malformed carriers raise.
 """
 
 from __future__ import annotations
@@ -189,7 +193,8 @@ def axis(carrier) -> tuple:
 # {exponent * STRIDE + key id: nonzero int or Fraction}, and a tensor is the
 # same with the id of a key pair.  Terms are (packed, coefficient) pairs; a
 # table entry is a tuple of them.  linear and bilinear are the loops that
-# accumulate contractions; t_contract is linear on the key-pair table
+# accumulate contractions, with the right side of check_module_hom_algebra
+# the one other; t_contract is linear on the key-pair table
 # t -> table(*slots[t]), and t_map(f, g), t -> t_outer(f(a), g(b)), is the one
 # map on key pairs.  QLaurent appears only where a base carrier reads its
 # exact data and where a failing case is rendered.
@@ -504,17 +509,20 @@ def build_rho_tilde(
 ) -> ModuleAlgebraScenario:
     """The auxiliary module structure rho-tilde = rho o (alpha_H^2 x Id).
 
+    alpha_H^2(h) is computed once per h, and rho-tilde(h, a) once per (h, a).
     alpha_power exists only for the negative control, which sweeps alpha_H
     in place of alpha_H^2.
     """
+    rho, alpha = s.rho, s.H.alpha
 
-    def rho_tilde(h, a):
+    @cache
+    def lifted(h):
         xs = basis_terms(h)
         for _ in range(alpha_power):
-            xs = terms(linear(s.H.alpha, xs))
-        return terms(bilinear(s.rho, xs, basis_terms(a)))
+            xs = terms(linear(alpha, xs))
+        return xs
 
-    return s._replace(rho=cache(rho_tilde))
+    return s._replace(rho=cache(lambda h, a: terms(bilinear(rho, lifted(h), basis_terms(a)))))
 
 
 def build_rho2(s: ModuleAlgebraScenario) -> ModuleAlgebraScenario:
@@ -542,19 +550,46 @@ def check_module_hom_algebra(s: ModuleAlgebraScenario, alpha_power: int = 2) -> 
     """The module Hom-algebra axiom: alpha_H^2(x)(ab) = sum (x'a)(x''b).
 
     On basis triples (x, a, b) it compares rho-tilde(x, ab), with rho-tilde of
-    build_rho_tilde, and sum mu_A(rho(x', a), rho(x'', b)): Delta(x)
-    contracted with the table (h1, h2) -> mu_A(rho(h1, a), rho(h2, b)).  That
-    is mu_A o rho^2 with rho^2 of build_rho2, summed without building the
-    tensor terms of A x A.
+    build_rho_tilde, and sum mu_A(rho(x', a), rho(x'', b)): mu_A o rho^2 with
+    rho^2 of build_rho2, summed without building the tensor terms of A x A.
+    row(x, a) holds the terms of (rho(., a) x Id)Delta(x), once per (x, a),
+    as (packed A term with the exponent of its Delta term added, x'' id,
+    coefficient); the right side runs each through rho(x'', b) and the mu_A
+    table in one loop, which accumulates as bilinear does.
     """
     _require_comul(s.H)
     tilde = build_rho_tilde(s, alpha_power).rho
-    rho, mul, comul = s.rho, s.A.mul, s.H.comul
+    rho, mul, comul, slots = s.rho, s.A.mul, s.H.comul, REGISTRY.slots
+
+    @cache
+    def row(kx, ka):
+        out = []
+        for p, c in comul(kx):
+            h1, h2 = slots[p & _MASK]
+            e = p & _HIGH
+            out += [(pa + e, h2, ca * c) for pa, ca in rho(h1, ka)]
+        return out
 
     def rhs(kx, ka, kb):
-        return t_contract(
-            lambda h1, h2: bilinear(mul, rho(h1, ka), rho(h2, kb)).items(), comul(kx)
-        )
+        out = {}
+        for p1, h2, c1 in row(kx, ka):
+            k1 = p1 & _MASK
+            p1 -= k1
+            for p2, c2 in rho(h2, kb):
+                k2 = p2 & _MASK
+                e12, c12 = p1 + p2 - k2, c1 * c2
+                for p, c in mul(k1, k2):
+                    p += e12
+                    c *= c12
+                    if p in out:
+                        c += out[p]
+                        if not c:
+                            del out[p]
+                            continue
+                    if c.__class__ is Fraction and c.denominator == 1:
+                        c = c.numerator
+                    out[p] = c
+        return out
 
     return sweep(
         [axis(s.H), axis(s.A), axis(s.A)],

@@ -178,9 +178,9 @@ class TestRegularModule:
 # with the same basis keys would hide the fault.
 
 
-def _perturbed(table, at, k0):
-    """table with q*e_k0 added to its entry at the key tuple at."""
-    at, fault = homcore.key_ids(at), homcore.flatten({k0: QLaurent.q_power(1)})
+def _perturbed(table, at, k0, power=1):
+    """table with q^power*e_k0 added to its entry at the key tuple at."""
+    at, fault = homcore.key_ids(at), homcore.flatten({k0: QLaurent.q_power(power)})
 
     def entry(*ids):
         xs = table(*ids)
@@ -202,8 +202,8 @@ def _perturb_alpha(C, k, k0):
     return C._replace(alpha=_perturbed(C.alpha, (k,), k0))
 
 
-def _perturb_comul(C, k, pair):
-    return C._replace(comul=_perturbed(C.comul, (k,), pair))
+def _perturb_comul(C, k, pair, power=1):
+    return C._replace(comul=_perturbed(C.comul, (k,), pair, power))
 
 
 def _perturb_rho(s, h, ka, k0):
@@ -402,13 +402,13 @@ def finalg_non_multiplicative_beta():
     return homcore.deform_scenario(r._replace(beta_A=D))
 
 
-def sl2_non_cocommutative():
-    """The deformed sl2-q triple at (2, 2) with Delta(X) gaining q*(Y x 1).
+def sl2_non_cocommutative(power=1):
+    """The deformed sl2-q triple at (2, 2) with Delta(X) gaining q^power*(Y x 1).
 
     Its x' and x'' differ, so a sweep that swapped them would fail other cases.
     """
     s = actions.deformed_scenario(2, 2)
-    return s._replace(H=_perturb_comul(s.H, X, (Y, (0, 0, 0))))
+    return s._replace(H=_perturb_comul(s.H, X, (Y, (0, 0, 0)), power))
 
 
 class TestFusedRightSide:
@@ -431,8 +431,16 @@ class TestFusedRightSide:
         [(lambda: actions.deformed_scenario(2, 2), 2, 0),
          (lambda: actions.deformed_scenario(2, 2), 1, 124),
          (finalg_non_multiplicative_beta, 2, 4),
-         (sl2_non_cocommutative, 2, 18)],
-        ids=["sl2-q", "sl2-q-control", "finalg-D", "sl2-q-non-cocommutative"],
+         (sl2_non_cocommutative, 2, 18),
+         # the negctl-q33 workload: every failing case of the control
+         (lambda: actions.deformed_scenario(3, 3), 1, 861),
+         # a Delta term's exponent, folded into a row term, beyond one int
+         # digit of the packed value and below zero
+         (lambda: sl2_non_cocommutative(1 + 2**40), 2, 18),
+         (lambda: sl2_non_cocommutative(1 - 2**40), 2, 18)],
+        ids=["sl2-q", "sl2-q-control", "finalg-D", "sl2-q-non-cocommutative",
+             "sl2-q33-control", "sl2-q-non-cocommutative-q^2^40",
+             "sl2-q-non-cocommutative-q^-2^40"],
     )
     def test_same_cases_as_mu_of_rho2(self, deformed, alpha_power, failing):
         s = deformed()
@@ -441,6 +449,20 @@ class TestFusedRightSide:
         assert fused.checked == reference.checked
         assert len(fused.counterexamples) == failing
         assert fused.counterexamples == reference.counterexamples
+
+    def test_integral_sums_are_ints(self, monkeypatch):
+        # the deformed m2 triple's right side meets integral Fraction sums;
+        # each is stored as its int, as linear stores it
+        sides = []
+
+        def recorded(axes, lhs, rhs, render):
+            return sweep(axes, lhs, lambda *case: sides.append(rhs(*case)) or sides[-1], render)
+
+        monkeypatch.setattr(homcore, "sweep", recorded)
+        assert check_module_hom_algebra(finalg.build_example31(*finalg.m2_example())).passed
+        coeffs = [c for side in sides for c in side.values()]
+        assert any(type(c) is Fraction for c in coeffs)
+        assert all(type(c) is int or c.denominator != 1 for c in coeffs)
 
 
 class TestRenderCaches:

@@ -40,6 +40,7 @@ ALLOWED = {
     # references that the fused sweeps are tested against
     "homcore.tensor": "the tensor carrier that build_rho2 and its tests read",
     "homcore.build_rho2": "rho^2 on A x A, the reference of the fused module sweep",
+    "homcore.t_contract": "mu_A on the terms of rho^2, the reference's right side",
     # the process entry point: the commands here run through cli.main
     "cli.run": "the entry point of a process; it calls main, then freezes the heap",
     # error and failure paths that no well-formed input takes
