@@ -9,7 +9,7 @@ parameter q.
 from .scalars import QLaurent
 from .polyalg import Poly
 from .uea import UElem
-from .homcore import CheckReport
+from .report import CheckReport
 
 __all__ = [
     "QLaurent",

@@ -44,9 +44,9 @@ from .scalars import ONE, ZERO, QLaurent, factor_text
 class StructAlgebra:
     """Associative algebra given by structure constants e_i e_j = sum_k c_ijk e_k.
 
-    Elements are sparse coordinate maps {basis index: nonzero QLaurent}, and
-    the constants are kept as {(i, j): {k: c_ijk}}.  carrier is the algebra
-    with the identity structure map, built once: its mul is the one product
+    Elements are sparse coordinate maps {basis index: nonzero QLaurent}.
+    carrier is the algebra with the identity structure map, built once: its
+    mul, read from the constants {(i, j): {k: c_ijk}}, is the one product
     table that every check and the module read.  Distinct non-empty string
     labels and associativity on all basis triples are hard load-time
     preconditions.
@@ -71,7 +71,6 @@ class StructAlgebra:
                 coeff = QLaurent.of(coeff)
             if coeff:
                 table.setdefault((i, j), {})[k] = coeff
-        self.constants = table
         self.unit = unit
         if self.unit is not None and not all(0 <= i < self.dim for i in self.unit):
             raise ValueError("unit vector has an index out of range")

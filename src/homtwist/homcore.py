@@ -21,21 +21,25 @@ and deformed tables are composites, composite(f, g) = the memo table of f o g.
 
 Every checker runs one or more sweeps (report.sweep) of a multilinear
 identity over basis tuples, whose sides are contractions of the tables with
-int and Fraction coefficients: linear and bilinear hold the accumulate loops
-of every contraction but one, t_contract is linear on a key-pair table, and
-t_map(f, g) is the one map f x g on key pairs.  The commutator's bracket and
-the Hom-Jacobi sum add through scalars.add_term: through t_contract they
-were measured slower.  A structure-map axiom has one of three shapes:
-a commuting square of linear maps, a morphism of bilinear maps, or the
-Hom-associativity of an action; an algebra A is a module over itself,
-regular(A).  Each identity is swept once: check_mu_module_morphism reads the
-module Hom-algebra sweep, the same identity by Theorem 1.1.  That sweep's
-right side, mu_A o rho^2 with rho^2 of build_rho2, is the third accumulate
-loop: it reads one row of (rho(., a) x Id)Delta(x) per (x, a), memoized,
-through rho(x'', b) and the mu_A table, and builds no tensor terms.  It is
-a loop of its own because t_contract(mu_A, rho^2) pays a call and a dict per
-term of Delta(x) and computes rho(x', a) again for every b; that contraction
-is the tests' reference.
+int and Fraction coefficients, compared by value: a Fraction equal to an int
+compares, hashes and renders as that int, so the accumulate loops store each
+product and sum as it comes and drop only zeros (an unflattened side may
+hold an integral Fraction; the int form is scalars' rule for what QLaurent
+builds).  linear and bilinear hold the accumulate loops of every contraction
+but one, t_contract is linear on a key-pair table, and t_map(f, g) is the
+one map f x g on key pairs.  The commutator's bracket and the Hom-Jacobi sum
+add through scalars.add_term: through t_contract they were measured slower.
+A structure-map axiom has one of three shapes: a commuting square of linear
+maps, a morphism of bilinear maps, or the Hom-associativity of an action; an
+algebra A is a module over itself, regular(A).  Each identity is swept once:
+check_mu_module_morphism reads the module Hom-algebra sweep, the same
+identity by Theorem 1.1.  That sweep's right side, mu_A o rho^2 with rho^2
+of build_rho2, is the third accumulate loop: it reads one row of
+(rho(., a) x Id)Delta(x) per (x, a), memoized, through rho(x'', b) and the
+mu_A table, and builds no tensor terms.  It is a loop of its own because
+t_contract(mu_A, rho^2) pays a call and a dict per term of Delta(x) and
+computes rho(x', a) again for every b; that contraction is the tests'
+reference.
 A checker returns an unlabelled CheckReport, which the command line names: a
 failed identity is report content, not an exception, and renderer renders
 each distinct side once.  Only malformed carriers raise.
@@ -44,7 +48,6 @@ each distinct side once.  Only malformed carriers raise.
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
 from functools import cache
 
 from .report import CheckReport, sweep
@@ -190,14 +193,10 @@ def axis(carrier) -> tuple:
 
 # -- packed q-graded form ------------------------------------------------
 # The checkers compute in a packed form: an element is a dict
-# {exponent * STRIDE + key id: nonzero int or Fraction}, and a tensor is the
-# same with the id of a key pair.  Terms are (packed, coefficient) pairs; a
-# table entry is a tuple of them.  linear and bilinear are the loops that
-# accumulate contractions, with the right side of check_module_hom_algebra
-# the one other; t_contract is linear on the key-pair table
-# t -> table(*slots[t]), and t_map(f, g), t -> t_outer(f(a), g(b)), is the one
-# map on key pairs.  QLaurent appears only where a base carrier reads its
-# exact data and where a failing case is rendered.
+# {exponent * STRIDE + key id: nonzero rational}, and a tensor is the same
+# with the id of a key pair.  Terms are (packed, coefficient) pairs; a
+# table entry is a tuple of them.  QLaurent appears only where a base
+# carrier reads its exact data and where a failing case is rendered.
 
 
 def on_ids(f):
@@ -224,7 +223,10 @@ def key_map(image):
 
 
 def unflatten(xs) -> dict:
-    """The coordinate map {key: QLaurent} of packed terms, of an element or a tensor."""
+    """The coordinate map {key: QLaurent} of packed terms, of an element or a
+    tensor.  A QLaurent here may hold an integral Fraction, which it renders
+    and compares as its int.
+    """
     out = {}
     for p, c in xs:
         out.setdefault(_KEYS[p & _MASK], {})[p >> _SHIFT] = c
@@ -267,8 +269,6 @@ def linear(table, xs) -> dict:
                 if not c:
                     del out[p]
                     continue
-            if c.__class__ is Fraction and c.denominator == 1:
-                c = c.numerator
             out[p] = c
     return out
 
@@ -290,8 +290,6 @@ def bilinear(table, xs, ys) -> dict:
                     if not c:
                         del out[p]
                         continue
-                if c.__class__ is Fraction and c.denominator == 1:
-                    c = c.numerator
                 out[p] = c
     return out
 
@@ -586,8 +584,6 @@ def check_module_hom_algebra(s: ModuleAlgebraScenario, alpha_power: int = 2) -> 
                         if not c:
                             del out[p]
                             continue
-                    if c.__class__ is Fraction and c.denominator == 1:
-                        c = c.numerator
                     out[p] = c
         return out
 

@@ -3,7 +3,7 @@ import pytest
 from homtwist import actions, homcore
 from homtwist.actions import act_key
 from homtwist.polyalg import Poly
-from homtwist.scalars import QLaurent, sparse_add
+from homtwist.scalars import _MAX_POWER_BITS, QLaurent, sparse_add
 from homtwist.uea import UElem
 
 from plane_oracle import alpha, mul, partial, specialize, total_degree
@@ -77,6 +77,40 @@ class TestCoefficientBound:
         # Z on x^i y^i is 0 before the bound is read
         assert act_key((0, 10**6, 1), (10**6, 10**6)) == ()
         assert act_key((0, 0, 20000), (2, 0)) == (((2, 0), 2**20000),)
+
+    # Each term of the estimate, Z's c * bits(i - j), Y's b * bits(i) and X's
+    # a * bits(j + b), at exactly _MAX_POWER_BITS is computed, and one bit
+    # more is refused.  The inputs keep the coefficients cheap.
+    M = _MAX_POWER_BITS
+
+    @pytest.mark.parametrize(
+        "mono, key, image",
+        [
+            ((0, 0, M // 2), (2, 0), ((2, 0), 2 ** (M // 2))),
+            ((0, 0, M), (2, 1), ((2, 1), 1)),
+            ((0, 1, 0), (2 ** (M - 1), 0), ((2 ** (M - 1) - 1, 1), 2 ** (M - 1))),
+            ((1, 0, 0), (0, 2 ** (M - 1)), ((1, 2 ** (M - 1) - 1), 2 ** (M - 1))),
+            # Y then X: bits(i) + bits(j + b) with j + b a power of 2
+            ((1, 1, 0), (1, 2 ** (M - 2) - 1), ((1, 2 ** (M - 2) - 1), 2 ** (M - 2))),
+        ],
+        ids=["Z-on-x^2", "Z-on-x^2y", "Y", "X", "XY"],
+    )
+    def test_estimate_at_the_bound_is_computed(self, mono, key, image):
+        assert act_key(mono, key) == (image,)
+
+    @pytest.mark.parametrize(
+        "mono, key",
+        [
+            ((0, 0, M + 1), (2, 1)),
+            ((0, 1, 0), (2**M, 0)),
+            ((1, 0, 0), (0, 2**M)),
+            ((1, 1, 0), (1, 2 ** (M - 1) - 1)),
+        ],
+        ids=["Z-on-x^2y", "Y", "X", "XY"],
+    )
+    def test_one_bit_over_the_bound_is_refused(self, mono, key):
+        with pytest.raises(OverflowError, match="too large to compute"):
+            act_key(mono, key)
 
 
 class TestDeformedAction:

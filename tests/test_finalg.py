@@ -400,12 +400,12 @@ class TestOneTablePerStructure:
 
 class TestScenarioFile:
     def test_roundtrip_through_json(self, tmp_path):
+        # m2_example in the file format: e_ij e_jl = e_il
         document = {
             "labels": ["e11", "e12", "e21", "e22"],
             "constants": [
-                [i, j, k, str(c)]
-                for (i, j), row in m2_algebra().constants.items()
-                for k, c in row.items()
+                [0, 0, 0, "1"], [0, 1, 1, "1"], [1, 2, 0, "1"], [1, 3, 1, "1"],
+                [2, 0, 2, "1"], [2, 1, 3, "1"], [3, 2, 2, "1"], [3, 3, 3, "1"],
             ],
             "unit": ["1", "0", "0", "1"],
             "group": [
@@ -417,6 +417,9 @@ class TestScenarioFile:
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps(document))
         algebra, G, a = load_scenario(path)
+        # the file's product table is m2_algebra's
+        mul, ids = m2_algebra().carrier.mul, algebra.carrier.basis
+        assert all(dict(algebra.carrier.mul(i, j)) == dict(mul(i, j)) for i in ids for j in ids)
         s = build_example31(algebra, G, a)
         assert homcore.check_module_hom_algebra(s).passed
 

@@ -450,19 +450,27 @@ class TestFusedRightSide:
         assert len(fused.counterexamples) == failing
         assert fused.counterexamples == reference.counterexamples
 
-    def test_integral_sums_are_ints(self, monkeypatch):
-        # the deformed m2 triple's right side meets integral Fraction sums;
-        # each is stored as its int, as linear stores it
-        sides = []
-
-        def recorded(axes, lhs, rhs, render):
-            return sweep(axes, lhs, lambda *case: sides.append(rhs(*case)) or sides[-1], render)
-
-        monkeypatch.setattr(homcore, "sweep", recorded)
-        assert check_module_hom_algebra(finalg.build_example31(*finalg.m2_example())).passed
-        coeffs = [c for side in sides for c in side.values()]
-        assert any(type(c) is Fraction for c in coeffs)
-        assert all(type(c) is int or c.denominator != 1 for c in coeffs)
+    def test_sides_compare_by_value(self, monkeypatch):
+        # the deformed m2 triple's right side meets integral Fraction sums,
+        # which the loop stores as they come: each side is the reference's
+        # side, and folding them to ints changes neither == nor the text
+        s = finalg.build_example31(*finalg.m2_example())
+        swept = []
+        monkeypatch.setattr(homcore, "sweep", lambda *args: swept.append(args))
+        check_module_hom_algebra(s)
+        [([(xs, _), (ids, _), _], _, rhs, _)] = swept
+        square, pair, mul = build_rho2(s).rho, homcore.REGISTRY.pair, s.A.mul
+        integral = 0
+        cases = [(kx, ka, kb) for kx in xs for ka in ids for kb in ids]
+        for kx, ka, kb in cases:
+            side = rhs(kx, ka, kb)
+            assert side == homcore.t_contract(mul, square(kx, pair(ka, kb)))
+            folded = {p: int(c) if c == int(c) else c for p, c in side.items()}
+            integral += any(type(c) is not type(folded[p]) for p, c in side.items())
+            # fresh renderers: one memo would key both by the same content
+            assert folded == side
+            assert homcore.renderer(s.A)(folded) == homcore.renderer(s.A)(side)
+        assert integral
 
 
 class TestRenderCaches:
@@ -643,3 +651,11 @@ def test_registry_raises_at_capacity():
     assert registry.keys == ["a", "b", "c"] and "d" not in registry.ids
     assert registry.ids["a"] == 0
     assert homcore.REGISTRY.capacity == homcore.STRIDE
+
+
+def test_registry_reserves_a_basis_of_capacity_keys():
+    registry = homcore.KeyRegistry(3)
+    registry.reserve(3)
+    with pytest.raises(OverflowError, match="a basis of 4 keys overflows 3 key ids"):
+        registry.reserve(4)
+    assert registry.keys == []
