@@ -26,7 +26,7 @@ compares, hashes and renders as that int, so the accumulate loops store each
 product and sum as it comes and drop only zeros (an unflattened side may
 hold an integral Fraction; the int form is scalars' rule for what QLaurent
 builds).  linear and bilinear hold the accumulate loops of every contraction
-but one, t_contract is linear on a key-pair table, and t_map(f, g) is the
+but two, t_contract is linear on a key-pair table, and t_map(f, g) is the
 one map f x g on key pairs.  The commutator's bracket and the Hom-Jacobi sum
 add through scalars.add_term: through t_contract they were measured slower.
 A structure-map axiom has one of three shapes: a commuting square of linear
@@ -39,7 +39,13 @@ of build_rho2, is the third accumulate loop: it reads one row of
 mu_A table, and builds no tensor terms.  It is a loop of its own because
 t_contract(mu_A, rho^2) pays a call and a dict per term of Delta(x) and
 computes rho(x', a) again for every b; that contraction is the tests'
-reference.
+reference.  The fourth is the right side of Eq. (2.5) in
+check_comul_morphism, Delta(x)Delta(y): it reads mul(x', y') and
+mul(x'', y'') per pair of Delta terms, with the slots of Delta(k) read once
+per k, and adds their outer product straight into key pair ids.  It is a
+loop of its own because bilinear over a slotwise product of H x H paid a
+call, a t_outer call and a list of terms per pair of Delta terms; that
+contraction is the tests' reference, and no tensor carrier has a product.
 A checker returns an unlabelled CheckReport, which the command line names: a
 failed identity is report content, not an exception, and renderer renders
 each distinct side once.  Only malformed carriers raise.
@@ -151,9 +157,9 @@ class Carrier(
 
     basis holds key ids.  mul(k1, k2), alpha(k) and comul(k) take ids, which
     may be of keys outside the basis (products leave it), and return packed
-    terms with no packed value twice (tensor carriers excepted); comul's keys
-    are key pairs.  render_key renders a key, and render_elem a coordinate map
-    {key: QLaurent} (unflatten).
+    terms with no packed value twice (tensor carriers excepted, whose mul is
+    None); comul's keys are key pairs.  render_key renders a key, and
+    render_elem a coordinate map {key: QLaurent} (unflatten).
     """
 
     __slots__ = ()
@@ -341,26 +347,19 @@ def render_tensor(t: dict, *carriers) -> str:
 
 
 def _slotwise(C1: Carrier, C2: Carrier) -> Carrier:
-    """The maps and rendering of the tensor product of C1 and C2, with no basis.
+    """The structure map and rendering of the tensor product of C1 and C2,
+    with no basis and no product.
 
-    mul and alpha act slotwise: (a x b)(c x d) = ac x bd and
-    alpha(a x b) = alpha(a) x alpha(b), t_map(alpha1, alpha2).  Their results
-    are outer products (t_outer), so they may repeat a packed value, and they
-    are not memo tables: a tensor sweep meets each pair of tensor keys about
-    once.
+    alpha acts slotwise, alpha(a x b) = alpha(a) x alpha(b), t_map(alpha1,
+    alpha2); its results are outer products (t_outer), so they may repeat a
+    packed value, and it is not a memo table: a tensor sweep meets each
+    tensor key about once.  No sweep multiplies tensors: the one slotwise
+    product, Delta(x)Delta(y), is the loop of check_comul_morphism.
     """
-
-    mul1, mul2 = C1.mul, C2.mul
-    slots = REGISTRY.slots
-
-    def mul(t1, t2):
-        (a1, b1), (a2, b2) = slots[t1], slots[t2]
-        return t_outer(mul1(a1, a2), mul2(b1, b2))
-
     return Carrier(
         name=f"{C1.name} x {C2.name}",
         basis=(),
-        mul=mul,
+        mul=None,
         alpha=t_map(C1.alpha, C2.alpha),
         render_key=lambda t: f"{C1.render_key(t[0])} x {C2.render_key(t[1])}",
         render_elem=lambda coords: render_tensor(coords, C1, C2),
@@ -368,10 +367,11 @@ def _slotwise(C1: Carrier, C2: Carrier) -> Carrier:
 
 
 def tensor(C1: Carrier, C2: Carrier) -> Carrier:
-    """The tensor product of two carriers; its keys are key pairs.
+    """The tensor product of two carriers as a module, with no product; its
+    keys are key pairs.
 
-    Its maps are those of _slotwise(C1, C2), and its basis holds the pairs of
-    basis keys.
+    Its structure map and rendering are those of _slotwise(C1, C2), and its
+    basis holds the pairs of basis keys.
     """
     pair = REGISTRY.pair
     basis = tuple(pair(k1, k2) for k1 in C1.basis for k2 in C2.basis)
@@ -459,13 +459,55 @@ def check_hom_coassociativity(H: Carrier) -> CheckReport:
 
 
 def check_comul_morphism(H: Carrier) -> CheckReport:
-    """Delta is a morphism of Hom-associative algebras (Eqs. 2.4 and 2.5)."""
+    """Delta is a morphism of Hom-associative algebras (Eqs. 2.4 and 2.5).
+
+    Eq. (2.5) compares Delta(xy) with Delta(x)Delta(y) =
+    sum x'y' x x''y'', mu^2 o (Id x tau x Id) o Delta^2, on basis pairs.
+    No carrier holds that slotwise product: split(k) holds the terms of
+    Delta(k), once per k, as (exponent part, k' id, k'' id, coefficient),
+    and the right side reads mul(x', y') and mul(x'', y'') for each pair of
+    Delta terms and accumulates their outer product into key pair ids in
+    one loop, as bilinear does.
+    """
     _require_comul(H)
-    # the sweeps read the maps of H x H, not its basis
-    comul, T = H.comul, _slotwise(H, H)
+    # alpha and the rendering of H x H, not its basis
+    mul, comul, T = H.mul, H.comul, _slotwise(H, H)
+    slots, pair_ids = REGISTRY.slots, REGISTRY.pair_ids
     report = _square(H, comul, H.alpha, T.alpha, comul, renderer(T))
-    # mu^2 o (Id x tau x Id) o Delta^2 on the right
-    return report.merge(_morphism([axis(H)] * 2, comul, H.mul, T.mul, comul, comul, renderer(T)))
+
+    @cache
+    def split(k):
+        out = []
+        for p, c in comul(k):
+            a, b = slots[p & _MASK]
+            out.append((p & _HIGH, a, b, c))
+        return out
+
+    def rhs(kx, ky):
+        out = {}
+        for e1, a1, b1, c1 in split(kx):
+            for e2, a2, b2, c2 in split(ky):
+                e12, c12 = e1 + e2, c1 * c2
+                bs = mul(b1, b2)
+                for pa, ca in mul(a1, a2):
+                    ka = pa & _MASK
+                    ea, ca = pa - ka + e12, ca * c12
+                    ka <<= _SHIFT
+                    for pb, cb in bs:
+                        kb = pb & _MASK
+                        p = ea + pb - kb + pair_ids[ka | kb]
+                        c = ca * cb
+                        if p in out:
+                            c += out[p]
+                            if not c:
+                                del out[p]
+                                continue
+                        out[p] = c
+        return out
+
+    return report.merge(
+        sweep([axis(H)] * 2, lambda kx, ky: linear(comul, mul(kx, ky)), rhs, renderer(T))
+    )
 
 
 def check_hom_bialgebra(H: Carrier) -> CheckReport:

@@ -473,6 +473,53 @@ class TestFusedRightSide:
         assert integral
 
 
+class TestFusedComulRightSide:
+    """The right side of Eq. (2.5), summed in one loop, is Delta(x)Delta(y)."""
+
+    @staticmethod
+    def reference(H):
+        # bilinear over the slotwise product (a1 x b1)(a2 x b2) = a1a2 x b1b2
+        mul, comul, slots = H.mul, H.comul, homcore.REGISTRY.slots
+        T = homcore._slotwise(H, H)
+
+        def slotwise(t1, t2):
+            (a1, b1), (a2, b2) = slots[t1], slots[t2]
+            return homcore.t_outer(mul(a1, a2), mul(b1, b2))
+
+        render = homcore.renderer(T)
+        square = homcore._square(H, comul, H.alpha, T.alpha, comul, render)
+        return square.merge(
+            sweep(
+                [homcore.axis(H)] * 2,
+                lambda kx, ky: linear(comul, mul(kx, ky)),
+                lambda kx, ky: bilinear(slotwise, comul(kx), comul(ky)),
+                render,
+            )
+        )
+
+    @pytest.mark.parametrize(
+        "bialgebra, checked, failing",
+        [(lambda: actions.deformed_scenario(2, 2).H, 110, 0),
+         (lambda: actions.deformed_scenario(3, 3).H, 420, 0),
+         (TestHomBialgebraNegativeControl.twisted, 110, 37),
+         (lambda: sl2_non_cocommutative().H, 110, 22),
+         # a Delta term's exponent beyond one int digit of the packed value
+         # and below zero
+         (lambda: sl2_non_cocommutative(1 + 2**40).H, 110, 22),
+         (lambda: sl2_non_cocommutative(1 - 2**40).H, 110, 22),
+         (lambda: finalg.m2_example()[1].carrier(), 6, 0)],
+        ids=["sl2-q22", "sl2-q33", "degree-scaling", "non-cocommutative",
+             "non-cocommutative-q^2^40", "non-cocommutative-q^-2^40", "k[G]"],
+    )
+    def test_same_cases_as_the_slotwise_product(self, bialgebra, checked, failing):
+        H = bialgebra()
+        fused = homcore.check_comul_morphism(H)
+        reference = self.reference(H)
+        assert (fused.checked, len(fused.counterexamples)) == (checked, failing)
+        assert reference.checked == checked
+        assert fused.counterexamples == reference.counterexamples
+
+
 class TestRenderCaches:
     def test_renderer_reads_the_content_only(self):
         calls = []

@@ -164,3 +164,85 @@ def test_twisting_maps_as_structure_maps_fail_the_module_axiom():
     s = s._replace(H=s.H._replace(alpha=r.beta_H), A=s.A._replace(alpha=r.beta_A))
     r = r._replace(module=s, beta_H=basis_terms, beta_A=basis_terms)
     assert counts(cli.SUITES["module-axiom"](r, ARGS)) == (1084, 4200)
+
+
+# -- Sweedler's H4: the one bialgebra here that is not cocommutative ------
+# H4 = <g, x | g^2 = 1, x^2 = 0, xg = -gx> on the basis g^i x^j, key (i, j),
+# with Delta(g) = g x g and Delta(x) = x x 1 + g x x.  The generators of
+# U(sl2) are primitive and k[G] is grouplike, so only H4 tells x'y' x x''y''
+# from its flip.  It acts on k[e]/(e^2), key n for e^n, by g e = -e, x 1 = 0
+# and x e = 1, and twists by beta_H: x -> q x, g -> g and beta_A: e -> q^-1 e.
+
+H4_NAMES = {(0, 0): "1", (1, 0): "g", (0, 1): "x", (1, 1): "g x"}
+H4_COMUL = {
+    (0, 0): [(((0, 0), (0, 0)), 1)],
+    (1, 0): [(((1, 0), (1, 0)), 1)],
+    (0, 1): [(((0, 1), (0, 0)), 1), (((1, 0), (0, 1)), 1)],
+    (1, 1): [(((1, 1), (1, 0)), 1), (((0, 0), (1, 1)), 1)],
+}
+DUAL_NUMBER_NAMES = {0: "1", 1: "e"}
+
+
+def h4_mul(a, b):
+    # g^i x^j g^k x^l = (-1)^(jk) g^(i+k) x^(j+l)
+    (i, j), (k, l) = a, b
+    return [] if j + l > 1 else [(((i + k) % 2, j + l), (-1) ** (j * k))]
+
+
+def h4_act(h, n):
+    # x^j first, then g^i
+    i, j = h
+    if j:
+        if not n:
+            return []
+        n = 0
+    return [(n, (-1) ** (i * n))]
+
+
+def carrier(name, names, mul, comul=None):
+    def render_elem(coords):
+        return " + ".join(f"({c})*{names[k]}" for k, c in sorted(coords.items())) or "0"
+
+    return homcore.Carrier(
+        name=name, basis=homcore.key_ids(names), mul=homcore.on_ids(mul),
+        comul=comul and homcore.on_ids(comul), render_key=names.__getitem__,
+        render_elem=render_elem,
+    )
+
+
+def h4(e_power=-1):
+    """The H4 record; beta_A scales e by q^e_power (the control takes 1)."""
+    H = carrier("H4", H4_NAMES, h4_mul, H4_COMUL.__getitem__)
+    A = carrier(
+        "k[e]/(e^2)", DUAL_NUMBER_NAMES, lambda m, n: [(m + n, 1)] if m + n < 2 else []
+    )
+    beta_H = homcore.key_map(lambda k: {k: q(k[1])})
+    return homcore.Scenario(
+        module=homcore.ModuleAlgebraScenario(H, A, homcore.on_ids(h4_act)),
+        beta_H=beta_H,
+        beta_A=homcore.key_map(lambda n: {n: q(e_power * n)}),
+        lie=homcore.yau_twist_algebra(H, beta_H),
+    )
+
+
+H4_CASES = {
+    "hom-associativity": 12, "hom-bialgebra": 104, "module-axiom": 40,
+    "module-hom-algebra": 16, "mu-module-morphism": 16, "compatibility": 8,
+    "classical": 16, "hom-lie": 80,
+}
+
+
+def test_h4_passes_every_suite():
+    # H4 is finite, so each pass is a proof
+    assert {suite: counts(SUITE(h4(), ARGS)) for suite, SUITE in cli.SUITES.items()} == {
+        suite: (0, checked) for suite, checked in H4_CASES.items()
+    }
+
+
+def test_h4_control_fails_the_suites_that_read_beta_a_on_the_action():
+    # e -> q e is an algebra map, but x e = 1 while (q x)(q e) = q^2
+    failing = {"compatibility": 2, "module-axiom": 6, "module-hom-algebra": 4,
+               "mu-module-morphism": 4}
+    assert {suite: counts(SUITE(h4(1), ARGS)) for suite, SUITE in cli.SUITES.items()} == {
+        suite: (failing.get(suite, 0), checked) for suite, checked in H4_CASES.items()
+    }
