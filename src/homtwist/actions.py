@@ -34,6 +34,7 @@ from .homcore import (
     Carrier,
     ModuleAlgebraScenario,
     Scenario,
+    basis_terms,
     bilinear,
     check_multiplicativity,
     flatten,
@@ -96,7 +97,7 @@ def pbw_mul(k1, k2) -> tuple:
     """The PBW product on ids: m1 = g rest gives m1 m2 = g (rest m2)."""
     split = uea.split_first(REGISTRY.keys[k1])
     if split is None:
-        return terms({k2: 1})
+        return basis_terms(k2)
     gen, rest = split
     return terms(linear(_LEFT[gen], pbw_mul(REGISTRY.ids[rest], k2)))
 
@@ -126,7 +127,7 @@ def endo_map(images, mul):
     def image(k):
         factors = [generator_power(i, n) for i, n in enumerate(REGISTRY.keys[k]) if n]
         if not factors:
-            return terms({k: 1})  # the unit
+            return basis_terms(k)  # the unit
         out = factors[0]
         for factor in factors[1:]:
             out = times(out, factor)

@@ -7,7 +7,8 @@ bilinear, so verifying an identity on every basis tuple proves it on the
 whole spanned truncation; a passing sweep is a proof at the declared bound.
 
 Keys are interned: the one KeyRegistry, REGISTRY, gives each key an int id,
-and a term is the pair (exponent * STRIDE + key id, coefficient).  Only this
+and a term is the pair (exponent * STRIDE + key id, coefficient); a key pair
+is a key, whose slot ids REGISTRY.slots reads back on first use.  Only this
 module knows that layout.  Base carriers define their tables on keys, as key
 kernels (keys to (key, coefficient) pairs) or coordinate maps, which on_ids
 and key_map make into memo tables on ids, each entry filled once; ids become
@@ -29,26 +30,23 @@ builds).  linear and bilinear hold the accumulate loops of every contraction
 but two, t_contract is linear on a key-pair table, and t_map(f, g) is the
 one map f x g on key pairs.  The commutator's bracket and the Hom-Jacobi sum
 add through scalars.add_term: through t_contract they were measured slower.
-A structure-map axiom has one of three shapes: a commuting square of linear
-maps, a morphism of bilinear maps, or the Hom-associativity of an action; an
-algebra A is a module over itself, regular(A).  Each identity is swept once:
+A structure-map axiom is a commuting square of linear maps or one of the two
+halves of the module axiom on a module triple: alpha carries rho
+(_rho_commutes) and the action is Hom-associative; an algebra A is a module
+over itself, regular(A).  Each identity is swept once:
 check_mu_module_morphism reads the module Hom-algebra sweep, the same
-identity by Theorem 1.1.  That sweep's right side, mu_A o rho^2 with rho^2
-of build_rho2, is the third accumulate loop: it reads one row of
-(rho(., a) x Id)Delta(x) per (x, a), memoized, through rho(x'', b) and the
-mu_A table, and builds no tensor terms.  It is a loop of its own because
-t_contract(mu_A, rho^2) pays a call and a dict per term of Delta(x) and
-computes rho(x', a) again for every b; that contraction is the tests'
-reference.  The fourth is the right side of Eq. (2.5) in
-check_comul_morphism, Delta(x)Delta(y): it reads mul(x', y') and
-mul(x'', y'') per pair of Delta terms, with the slots of Delta(k) read once
-per k, and adds their outer product straight into key pair ids.  It is a
-loop of its own because bilinear over a slotwise product of H x H paid a
-call, a t_outer call and a list of terms per pair of Delta terms; that
-contraction is the tests' reference, and no tensor carrier has a product.
-A checker returns an unlabelled CheckReport, which the command line names: a
-failed identity is report content, not an exception, and renderer renders
-each distinct side once.  Only malformed carriers raise.
+identity by Theorem 1.1.  Delta(x) = sum x' x x'' is split in one memo table,
+split_coproduct, which the two other accumulate loops read: the right side
+mu_A o rho^2 of the module Hom-algebra sweep (one memoized row of
+(rho(., a) x Id)Delta(x) per (x, a), through rho(x'', b) and the mu_A table)
+and the right side Delta(x)Delta(y) of Eq. (2.5) (mul(x', y') and
+mul(x'', y'') per pair of Delta terms, added straight into key pair ids).
+Neither builds tensor terms; t_contract(mu_A, rho^2) and bilinear over a
+slotwise product of H x H, which paid a call and a list of terms per Delta
+term, are their tests' references.  A checker returns an unlabelled
+CheckReport, which the command line names: a failed identity is report
+content, not an exception, and renderer renders each distinct side once.
+Only malformed carriers raise.
 """
 
 from __future__ import annotations
@@ -94,7 +92,8 @@ class KeyRegistry:
     (the int 0 of k[G] and of a structure-constant algebra) share an id; every
     carrier reads the key of an id as its own.  A key pair, the key of a
     tensor, is interned like any key: pair(k1, k2) is the id of the pair of
-    the keys of ids k1 and k2, and slots[id] is (k1, k2).  shared holds one
+    the keys of ids k1 and k2, and slots[id] is (k1, k2), filled on first
+    read, so it holds only the pairs that something reads.  shared holds one
     int object per packed value that tables store, so that their entries
     share it as they would share a key object.
     """
@@ -121,10 +120,7 @@ class KeyRegistry:
             raise OverflowError(f"a basis of {count} keys overflows {self.capacity} key ids")
 
     def _pair_id(self, packed: int) -> int:
-        k1, k2 = packed >> _SHIFT, packed & _MASK
-        tid = self.ids[self.keys[k1], self.keys[k2]]
-        self.slots[tid] = (k1, k2)
-        return tid
+        return self.ids[self.keys[packed >> _SHIFT], self.keys[packed & _MASK]]
 
     def pair(self, k1: int, k2: int) -> int:
         """The id of the pair of the keys of ids k1 and k2."""
@@ -335,6 +331,15 @@ def t_map(f, g):
     return fg
 
 
+def split_coproduct(comul):
+    """The memo table k -> [(exponent part, k' id, k'' id, coefficient)] of
+    the terms of Delta(k) = sum k' x k'', comul's table with its key pairs
+    read into their slots once per k.
+    """
+    slots = REGISTRY.slots
+    return cache(lambda k: [(p & _HIGH, *slots[p & _MASK], c) for p, c in comul(k)])
+
+
 def render_tensor(t: dict, *carriers) -> str:
     """Render a tensor {key tuple: QLaurent}, one slot per carrier."""
     if not t:
@@ -392,18 +397,23 @@ def _square(C, f, g, h, k, render) -> CheckReport:
     return sweep([axis(C)], lambda x: linear(f, g(x)), lambda x: linear(h, k(x)), render)
 
 
-def _morphism(axes, phi, f, g, phi1, phi2, render) -> CheckReport:
-    """phi o f = g o (phi1 x phi2) on basis pairs: phi carries the bilinear f to g."""
+def _rho_commutes(s) -> CheckReport:
+    """alpha_M(h m) = alpha_H(h) alpha_M(m) on basis pairs, M = s.A: the
+    first half of the module axiom, alpha carries rho.
+    """
+    rho, alpha_H, alpha_M = s.rho, s.H.alpha, s.A.alpha
     return sweep(
-        axes,
-        lambda x, y: linear(phi, f(x, y)),
-        lambda x, y: bilinear(g, phi1(x), phi2(y)),
-        render,
+        [axis(s.H), axis(s.A)],
+        lambda h, m: linear(alpha_M, rho(h, m)),
+        lambda h, m: bilinear(rho, alpha_H(h), alpha_M(m)),
+        renderer(s.A),
     )
 
 
 def _action_associativity(s) -> CheckReport:
-    """alpha_H(a)(b m) = (a b) alpha_M(m) on basis triples (Eq. 2.1'), M = s.A."""
+    """alpha_H(a)(b m) = (a b) alpha_M(m) on basis triples (Eq. 2.1'), M = s.A:
+    the second half of the module axiom, Hom-associativity of the action.
+    """
     rho, H, M = s.rho, s.H, s.A
     return sweep(
         [axis(H), axis(H), axis(M)],
@@ -427,8 +437,7 @@ def regular(A: Carrier) -> ModuleAlgebraScenario:
 
 def check_multiplicativity(A: Carrier) -> CheckReport:
     """alpha(ab) = alpha(a) alpha(b) on all basis pairs."""
-    mul, alpha = A.mul, A.alpha
-    return _morphism([axis(A)] * 2, alpha, mul, mul, alpha, alpha, renderer(A))
+    return _rho_commutes(regular(A))
 
 
 def check_hom_associativity(A: Carrier) -> CheckReport:
@@ -463,25 +472,16 @@ def check_comul_morphism(H: Carrier) -> CheckReport:
 
     Eq. (2.5) compares Delta(xy) with Delta(x)Delta(y) =
     sum x'y' x x''y'', mu^2 o (Id x tau x Id) o Delta^2, on basis pairs.
-    No carrier holds that slotwise product: split(k) holds the terms of
-    Delta(k), once per k, as (exponent part, k' id, k'' id, coefficient),
-    and the right side reads mul(x', y') and mul(x'', y'') for each pair of
-    Delta terms and accumulates their outer product into key pair ids in
-    one loop, as bilinear does.
+    No carrier holds that slotwise product: the right side reads the terms
+    of Delta(x) and Delta(y) from split_coproduct, mul(x', y') and
+    mul(x'', y'') for each pair of them, and accumulates their outer product
+    into key pair ids in one loop, as bilinear does.
     """
     _require_comul(H)
     # alpha and the rendering of H x H, not its basis
     mul, comul, T = H.mul, H.comul, _slotwise(H, H)
-    slots, pair_ids = REGISTRY.slots, REGISTRY.pair_ids
+    split, pair_ids = split_coproduct(comul), REGISTRY.pair_ids
     report = _square(H, comul, H.alpha, T.alpha, comul, renderer(T))
-
-    @cache
-    def split(k):
-        out = []
-        for p, c in comul(k):
-            a, b = slots[p & _MASK]
-            out.append((p & _HIGH, a, b, c))
-        return out
 
     def rhs(kx, ky):
         out = {}
@@ -525,9 +525,7 @@ def check_module_axiom(s: ModuleAlgebraScenario) -> CheckReport:
     Checks alpha_M(a m) = alpha(a) alpha_M(m) on pairs and
     alpha(a)(b m) = (a b) alpha_M(m) on triples (Eq. 2.1'), with M = s.A.
     """
-    rho, H, M = s.rho, s.H, s.A
-    report = _morphism([axis(H), axis(M)], M.alpha, rho, rho, H.alpha, M.alpha, renderer(M))
-    return report.merge(_action_associativity(s))
+    return _rho_commutes(s).merge(_action_associativity(s))
 
 
 def check_compatibility(r: Scenario) -> CheckReport:
@@ -538,9 +536,9 @@ def check_compatibility(r: Scenario) -> CheckReport:
     Eq. (1.7) on the H basis; the basis holds the generators, so it is also
     Eq. (4.2), the condition on generators.
     """
-    s, beta_A = r.module, r.beta_A
-    return _morphism(
-        [axis(s.H), axis(s.A)], beta_A, s.rho, s.rho, r.beta_H, beta_A, renderer(s.A)
+    s = r.module
+    return _rho_commutes(
+        s._replace(H=s.H._replace(alpha=r.beta_H), A=s.A._replace(alpha=r.beta_A))
     )
 
 
@@ -593,20 +591,19 @@ def check_module_hom_algebra(s: ModuleAlgebraScenario, alpha_power: int = 2) -> 
     build_rho_tilde, and sum mu_A(rho(x', a), rho(x'', b)): mu_A o rho^2 with
     rho^2 of build_rho2, summed without building the tensor terms of A x A.
     row(x, a) holds the terms of (rho(., a) x Id)Delta(x), once per (x, a),
-    as (packed A term with the exponent of its Delta term added, x'' id,
-    coefficient); the right side runs each through rho(x'', b) and the mu_A
-    table in one loop, which accumulates as bilinear does.
+    read from split_coproduct as (packed A term with the exponent of its
+    Delta term added, x'' id, coefficient); the right side runs each through
+    rho(x'', b) and the mu_A table in one loop, which accumulates as
+    bilinear does.
     """
     _require_comul(s.H)
     tilde = build_rho_tilde(s, alpha_power).rho
-    rho, mul, comul, slots = s.rho, s.A.mul, s.H.comul, REGISTRY.slots
+    rho, mul, split = s.rho, s.A.mul, split_coproduct(s.H.comul)
 
     @cache
     def row(kx, ka):
         out = []
-        for p, c in comul(kx):
-            h1, h2 = slots[p & _MASK]
-            e = p & _HIGH
+        for e, h1, h2, c in split(kx):
             out += [(pa + e, h2, ca * c) for pa, ca in rho(h1, ka)]
         return out
 

@@ -153,21 +153,10 @@ class QLaurent:
     # -- text form ----------------------------------------------------
 
     def __str__(self):
-        parts = []
-        for exp in sorted(self.terms):
-            coeff = self.terms[exp]
-            if exp == 0:
-                body = str(coeff)
-            else:
-                qpart = "q" if exp == 1 else f"q^{exp}"
-                if coeff == 1:
-                    body = qpart
-                elif coeff == -1:
-                    body = f"-{qpart}"
-                else:
-                    body = f"{coeff}*{qpart}"
-            parts.append(body)
-        return join_terms(parts)
+        return join_terms(
+            [render_term(c, "" if e == 0 else "q" if e == 1 else f"q^{e}")
+             for e, c in sorted(self.terms.items())]
+        )
 
     def __repr__(self):
         return f"QLaurent({self})"
@@ -378,14 +367,18 @@ def _grlex(key):
     return (sum(key), *(-e for e in key))
 
 
-def factor_text(coeff: QLaurent) -> str:
-    """The text of coeff as a factor of a product: a sum goes in parentheses."""
+def factor_text(coeff) -> str:
+    """The text of coeff, a QLaurent or a rational, as a factor of a product:
+    a sum goes in parentheses.
+    """
     ctext = str(coeff)
     return f"({ctext})" if " + " in ctext or " - " in ctext else ctext
 
 
-def render_term(coeff: QLaurent, basis_text: str) -> str:
-    """coeff times a rendered basis element; an empty basis_text is the unit."""
+def render_term(coeff, basis_text: str) -> str:
+    """coeff, a QLaurent or a rational, times a rendered basis element; an
+    empty basis_text is the unit.
+    """
     ctext = factor_text(coeff)
     if not basis_text:
         return ctext

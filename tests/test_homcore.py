@@ -25,6 +25,7 @@ from homtwist.report import sweep
 from homtwist.scalars import ONE, QLaurent, add_term
 
 import plane_oracle
+from test_record import h4
 
 X, Y, Z = (1, 0, 0), (0, 1, 0), (0, 0, 1)
 x, y = (1, 0), (0, 1)
@@ -315,6 +316,15 @@ class TestTwistFunctoriality:
             for k2 in carrier.basis:
                 assert coords(twice.mul(k1, k2)) == coords(once_squared.mul(k1, k2))
 
+    def test_twisted_structure_map_is_beta_after_alpha(self):
+        # alpha swaps x and y, and alpha_A does not commute with it:
+        # alpha_A(alpha(x)) = q y, while alpha(alpha_A(x)) = q^2 y
+        swap = actions.endo_map((Poly.monomial(0, 1, ONE), Poly.monomial(1, 0, ONE)),
+                                actions.plane_mul)
+        twisted = yau_twist_algebra(actions.plane_carrier(1)._replace(alpha=swap), ALPHA_A)
+        [kx] = homcore.key_ids([x])
+        assert coords(twisted.alpha(kx)) == {y: QLaurent.q_power(1)}
+
 
 class TestModuleStructures:
     def test_rho_tilde_passes_module_axiom(self):
@@ -572,6 +582,43 @@ def test_comul_morphism_interns_only_the_pairs_it_meets():
     assert [(a, b) in homcore.REGISTRY.ids for a in g for b in g] == [a == b for a in g for b in g]
 
 
+@pytest.mark.parametrize(
+    "bialgebra",
+    [lambda: actions.deformed_scenario(3, 3).H,
+     lambda: finalg.m2_example()[1].carrier(),
+     lambda: h4().module.H,
+     # exponents of Delta terms below zero, beyond one int digit
+     lambda: sl2_non_cocommutative(1 - 2**40).H],
+    ids=["sl2-q33", "k[G]", "H4", "non-cocommutative-q^-2^40"],
+)
+def test_split_coproduct_reads_comul_through_its_slots(bialgebra):
+    H = bialgebra()
+    split, slots = homcore.split_coproduct(H.comul), homcore.REGISTRY.slots
+    for k in H.basis:
+        expected = []
+        for p, c in H.comul(k):
+            t = p & homcore._MASK
+            expected.append((p - t, *slots[t], c))
+        # the same terms in the same order, each key split once
+        assert split(k) == expected and split(k) is split(k)
+
+
+@pytest.mark.parametrize("make", ["pair", "t_outer"])
+def test_a_new_key_pair_reads_back_its_slots(make):
+    registry, keys = homcore.REGISTRY, (("slots", make, 1), ("slots", make, 2))
+    k1, k2 = homcore.key_ids(keys)
+    if make == "pair":
+        t = registry.pair(k1, k2)
+    else:
+        xs = ((3 * homcore.STRIDE + k1, 1),)
+        [(p, c)] = homcore.t_outer(xs, ((-5 * homcore.STRIDE + k2, 2),))
+        t = p & homcore._MASK
+        assert (p - t, c) == (-2 * homcore.STRIDE, 2)
+    # interning the pair writes no slots entry; the first read fills it
+    assert t not in registry.slots
+    assert registry.slots[t] == (k1, k2) and registry.keys[t] == keys
+
+
 def commutator(C, a, b) -> dict:
     """[a, b] of basis keys a and b, as a coordinate map."""
     a, b = homcore.key_ids([a, b])
@@ -619,6 +666,16 @@ class TestHomLie:
             "e11 + -1*e22",
             "-2*e11 + 2*e22",
         )
+
+    def test_failing_jacobi_case_shows_the_cyclic_sum(self):
+        # swapping e11 and e12 is no algebra map of M2, and the commutator of
+        # the twist fails Hom-Jacobi: at (e11, e12, e21) the cyclic sum of
+        # [[a, b], alpha(c)] is -e21 + e21 + e11
+        alpha = finalg.operator([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+        report = check_hom_jacobi(yau_twist_algebra(finalg.m2_algebra().carrier, alpha))
+        jacobi = [ce for ce in report.counterexamples if len(ce.rendered_inputs) == 3]
+        assert (len(report.counterexamples), len(jacobi), report.checked) == (34, 24, 80)
+        assert jacobi[0] == (("e11", "e12", "e21"), "e11", "0")
 
 
 # -- the packed layout -------------------------------------------------

@@ -1,0 +1,299 @@
+"""Mutation check: does Tier-1 fail on each small change to a src function?
+
+Usage, from the root of a checkout:
+
+    python3 tools/mutate.py homcore.split_coproduct actions.pbw_mul ...
+    python3 tools/mutate.py homcore            # every def of a module
+    python3 tools/mutate.py --list homcore     # name the mutants, run nothing
+
+A target is "module" (every def of src/homtwist/<module>.py) or
+"module.qualname" (one def, its nested defs and lambdas included).  Each
+mutant is one of these changes, made with the stdlib ast module:
+
+- an arithmetic or bit operator swapped (+ and -, << and >>, & and |, ...);
+- a comparison flipped (== and !=, < and >=, in and not in, ...);
+- a small int constant raised by 1;
+- a continue or del statement replaced by pass;
+- a not dropped;
+- the first two positional arguments of a call swapped, when they differ.
+
+The tree is never written: src, tests and perfbench are copied to a scratch
+folder (--scratch, or a new temporary one), and each mutant is written into
+the copy, run and undone there.  Each mutant runs Tier-1 with -x, leaving
+out test_reachability.py::test_every_statement_runs, which fails on any
+changed src line; the unmutated copy must pass it first.  A mutant is
+killed when pytest fails or runs longer than TIMEOUT seconds; the others
+survive and are printed.
+
+EQUIVALENT names the survivors that no test can kill, each with a reason.
+The exit status is 0 when every survivor is listed there, 1 when some
+survivor is not, or when an entry in scope names no mutant or a killed one:
+the list cannot go stale.  The run takes about 5-40 s per mutant, so it is
+not a Tier-1 test; pytest does not collect this folder.
+"""
+
+from __future__ import annotations
+
+import argparse
+import ast
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.join("src", "homtwist")
+LEFT_OUT = "tests/test_reachability.py::test_every_statement_runs"
+# seconds: a mutant that loops (a bound raised past reserve's check) is killed
+TIMEOUT = 300
+
+# survivor name (as printed) -> why no test can tell it from the original
+EQUIVALENT = {
+    "actions.endo_map: times(square, images[i]) -> times(images[i], square)":
+        "square is a power of images[i], and two powers of one element commute",
+    # the tensor carriers whose alpha or basis is read are squares C x C
+    "homcore._slotwise: t_map(C1.alpha, C2.alpha) -> t_map(C2.alpha, C1.alpha)":
+        "alpha is read on H x H only; of H x H x H only the rendering is read",
+    "homcore.tensor: pair(k1, k2) -> pair(k2, k1)":
+        "the basis of tensor(A, A) holds the same pairs in another order",
+    "homcore.tensor: _slotwise(C1, C2) -> _slotwise(C2, C1)":
+        "the one caller, build_rho2, builds tensor(s.A, s.A)",
+    # defaults whose value no caller reads
+    "actions.sl2_scenario: 3 -> 4":
+        "every caller gives bound_h, or reads only lie, which does not depend on it",
+    "actions.sl2_scenario: 3 -> 4 #2":
+        "every caller gives bound_a, or reads only lie, which does not depend on it",
+    "actions.deformed_scenario: 3 -> 4":
+        "every caller gives bound_h",
+    "actions.deformed_scenario: 3 -> 4 #2":
+        "twist sl2 leaves bound_a to the default, and reads only the H of the triple",
+}
+
+_BINOPS = {
+    ast.Add: ast.Sub, ast.Sub: ast.Add, ast.Mult: ast.Add, ast.Div: ast.Mult,
+    ast.FloorDiv: ast.Mult, ast.Mod: ast.FloorDiv, ast.Pow: ast.Mult,
+    ast.LShift: ast.RShift, ast.RShift: ast.LShift, ast.BitAnd: ast.BitOr,
+    ast.BitOr: ast.BitAnd, ast.BitXor: ast.BitOr,
+}
+_COMPARES = {
+    ast.Eq: ast.NotEq, ast.NotEq: ast.Eq, ast.Lt: ast.GtE, ast.GtE: ast.Lt,
+    ast.Gt: ast.LtE, ast.LtE: ast.Gt, ast.In: ast.NotIn, ast.NotIn: ast.In,
+    ast.Is: ast.IsNot, ast.IsNot: ast.Is,
+}
+_SMALL = 1 << 10
+
+
+def _mutations(node):
+    """(replacement node, whether it needs parentheses) for each mutant of node."""
+    if isinstance(node, (ast.BinOp, ast.AugAssign)) and type(node.op) in _BINOPS:
+        yield _copy(node, op=_BINOPS[type(node.op)]()), isinstance(node, ast.BinOp)
+    elif isinstance(node, ast.Compare):
+        for i, op in enumerate(node.ops):
+            ops = list(node.ops)
+            ops[i] = _COMPARES[type(op)]()
+            yield _copy(node, ops=ops), True
+    elif isinstance(node, ast.Constant) and type(node.value) is int and abs(node.value) < _SMALL:
+        yield ast.Constant(node.value + 1), True
+    elif isinstance(node, (ast.Continue, ast.Delete)):
+        yield ast.Pass(), False
+    elif isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.Not):
+        yield node.operand, True
+    elif isinstance(node, ast.Call) and len(node.args) >= 2:
+        a, b = node.args[:2]
+        if not any(isinstance(arg, ast.Starred) for arg in (a, b)):
+            if ast.unparse(a) != ast.unparse(b):
+                yield _copy(node, args=[b, a, *node.args[2:]]), True
+
+
+def _copy(node, **fields):
+    new = type(node)(**{**dict(ast.iter_fields(node)), **fields})
+    return ast.copy_location(new, node)
+
+
+def _defs(tree):
+    """(qualname, node) of every def of a module that no def holds, methods
+    included."""
+    stack = [("", tree)]
+    while stack:
+        prefix, parent = stack.pop()
+        for node in ast.iter_child_nodes(parent):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                name = prefix + node.name
+                if not isinstance(node, ast.ClassDef):
+                    yield name, node
+                else:
+                    stack.append((name + ".", node))
+
+
+def _skipped(tree) -> set:
+    """The ids of the nodes not to mutate: the parts of f-strings."""
+    skip = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.JoinedStr):
+            skip.update(map(id, ast.walk(node)))
+    return skip
+
+
+def mutants(module: str, qualnames=None):
+    """(name, mutated source) of each mutant of the defs of module.
+
+    qualnames (a set) keeps the defs so named; None keeps every def.  A
+    name is "module.qualname: <old text> -> <new text>", with " #n" added
+    when the same change appears more than once in one def.  The change is
+    spliced into the source text, so the rest of the file keeps its bytes.
+    """
+    path = os.path.join(ROOT, SRC, module + ".py")
+    with open(path) as fh:
+        source = fh.read()
+    tree = ast.parse(source)
+    lines = source.splitlines(keepends=True)
+    starts = [0]
+    for line in lines:
+        starts.append(starts[-1] + len(line.encode()))
+    data = source.encode()
+    skip = _skipped(tree)
+
+    def offset(lineno, col):
+        return starts[lineno - 1] + col
+
+    defs = dict(_defs(tree))
+    for qualname in sorted(set(qualnames or ()) - set(defs)):
+        raise SystemExit(f"error: {module}.{qualname} is not a def")
+    for qualname, fn in defs.items():
+        if qualnames is not None and qualname not in qualnames:
+            continue
+        seen = {}
+        # a def's nested defs and lambdas are part of it
+        for node in ast.walk(fn):
+            if node is fn or id(node) in skip or not hasattr(node, "end_col_offset"):
+                continue
+            for new, parens in _mutations(node):
+                lo = offset(node.lineno, node.col_offset)
+                hi = offset(node.end_lineno, node.end_col_offset)
+                old_text = ast.unparse(node)
+                new_text = ast.unparse(new)
+                spliced = f"({new_text})" if parens else new_text
+                name = f"{module}.{qualname}: {old_text} -> {new_text}"
+                seen[name] = seen.get(name, 0) + 1
+                if seen[name] > 1:
+                    name += f" #{seen[name]}"
+                yield name, (data[:lo] + spliced.encode() + data[hi:]).decode()
+
+
+def _copy_tree(scratch: str):
+    ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache", "out")
+    for folder in ("src", "tests", "perfbench"):
+        shutil.copytree(os.path.join(ROOT, folder), os.path.join(scratch, folder), ignore=ignore)
+    for name in ("pyproject.toml", "BENCHMARK.json"):
+        shutil.copy(os.path.join(ROOT, name), scratch)
+
+
+def _test_files(scratch: str, module: str) -> list:
+    """Tier-1's test files, those named after the mutated module first."""
+    names = sorted(
+        name for name in os.listdir(os.path.join(scratch, "tests"))
+        if name.startswith("test_") and name.endswith(".py")
+    )
+    names.sort(key=lambda name: module not in name)
+    return [os.path.join("tests", name) for name in names]
+
+
+def killed(scratch: str, module: str) -> bool:
+    """Whether Tier-1, run in scratch, fails (or overruns TIMEOUT)."""
+    env = {**os.environ, "PYTHONPATH": "src", "PYTHONDONTWRITEBYTECODE": "1"}
+    argv = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+            "--deselect", LEFT_OUT, *_test_files(scratch, module)]
+    try:
+        done = subprocess.run(argv, cwd=scratch, env=env, capture_output=True, timeout=TIMEOUT)
+    except subprocess.TimeoutExpired:
+        return True
+    return done.returncode != 0
+
+
+def _targets(specs) -> dict:
+    """module -> set of qualnames, or None for the whole module."""
+    out = {}
+    for spec in specs:
+        module, _, qualname = spec.partition(".")
+        if not os.path.exists(os.path.join(ROOT, SRC, module + ".py")):
+            raise SystemExit(f"error: no module src/homtwist/{module}.py")
+        if not qualname:
+            out[module] = None
+        elif out.get(module, set()) is not None:
+            out.setdefault(module, set()).add(qualname)
+    return out
+
+
+def _in_scope(name: str, targets: dict) -> bool:
+    head = name.split(": ", 1)[0]
+    module, _, qualname = head.partition(".")
+    if module not in targets:
+        return False
+    chosen = targets[module]
+    return chosen is None or qualname in chosen
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("targets", nargs="+", help="module or module.qualname")
+    parser.add_argument("--list", action="store_true", help="print the mutants, run nothing")
+    parser.add_argument("--scratch", help="a new or empty folder outside the checkout")
+    args = parser.parse_args(argv)
+    targets = _targets(args.targets)
+
+    made = [(module, name, source)
+            for module, qualnames in targets.items()
+            for name, source in mutants(module, qualnames)]
+    if args.list:
+        for _, name, _ in made:
+            print(name)
+        return 0
+
+    scratch = os.path.abspath(args.scratch or tempfile.mkdtemp(prefix="mutate-"))
+    if os.path.commonpath([scratch, ROOT]) == ROOT:
+        raise SystemExit("error: the scratch folder must lie outside the checkout")
+    os.makedirs(scratch, exist_ok=True)
+    if os.listdir(scratch):
+        raise SystemExit(f"error: {scratch} is not empty")
+    _copy_tree(scratch)
+    # a copy that fails unmutated would count every mutant as killed
+    if killed(scratch, ""):
+        raise SystemExit(f"error: Tier-1 fails on the unmutated copy in {scratch}")
+
+    survivors, dead = [], set()
+    for i, (module, name, source) in enumerate(made, 1):
+        path = os.path.join(scratch, SRC, module + ".py")
+        with open(path) as fh:
+            original = fh.read()
+        with open(path, "w") as fh:
+            fh.write(source)
+        start = time.monotonic()
+        try:
+            outcome = killed(scratch, module)
+        finally:
+            with open(path, "w") as fh:
+                fh.write(original)
+        print(f"[{i}/{len(made)}] {'killed' if outcome else 'SURVIVED'} "
+              f"{time.monotonic() - start:.0f}s  {name}", flush=True)
+        if outcome:
+            dead.add(name)
+        else:
+            survivors.append(name)
+
+    names = {name for _, name, _ in made}
+    unlisted = [name for name in survivors if name not in EQUIVALENT]
+    stale = [name for name in EQUIVALENT
+             if _in_scope(name, targets) and (name not in names or name in dead)]
+    print(f"\n{len(made)} mutants, {len(survivors)} survived, "
+          f"{len(survivors) - len(unlisted)} of them listed as equivalent")
+    for name in unlisted:
+        print(f"SURVIVOR {name}")
+    for name in stale:
+        print(f"STALE {name}: {EQUIVALENT[name] if name in names else 'no such mutant'}")
+    return 1 if unlisted or stale else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
