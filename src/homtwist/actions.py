@@ -193,7 +193,7 @@ def u_carrier(bound: int) -> Carrier:
     return _monomial_carrier(UElem, "U(sl2)", bound, mul=pbw_mul, comul=pbw_comul)
 
 
-def sl2_scenario(bound_h: int = 3, bound_a: int = 3) -> Scenario:
+def sl2_scenario(bound_h: int, bound_a: int) -> Scenario:
     """The classical action, twisted by beta_H = alpha_U and beta_A = alpha_A.
 
     The module is the classical module algebra, whose structure maps are the
@@ -212,6 +212,6 @@ def sl2_scenario(bound_h: int = 3, bound_a: int = 3) -> Scenario:
     )
 
 
-def deformed_scenario(bound_h: int = 3, bound_a: int = 3) -> ModuleAlgebraScenario:
+def deformed_scenario(bound_h: int, bound_a: int) -> ModuleAlgebraScenario:
     """The q-deformed scenario (U(sl2)_alpha, A_alpha, rho_alpha)."""
     return homcore.deform_scenario(sl2_scenario(bound_h, bound_a))

@@ -318,7 +318,8 @@ def cmd_twist(args):
     if args.scenario == "sl2":
         if args.bound < 0:
             raise InputError("bound must be >= 0")
-        C = actions.deformed_scenario(args.bound).H
+        # only H is printed, so the plane carrier is the unit alone
+        C = actions.deformed_scenario(args.bound, 0).H
         basis, render_key = homcore.axis(C)
         print("# twisted product mu_alpha on PBW basis")
         for m1 in basis:

@@ -28,8 +28,8 @@ product and sum as it comes and drop only zeros (an unflattened side may
 hold an integral Fraction; the int form is scalars' rule for what QLaurent
 builds).  linear and bilinear hold the accumulate loops of every contraction
 but two, t_contract is linear on a key-pair table, and t_map(f, g) is the
-one map f x g on key pairs.  The commutator's bracket and the Hom-Jacobi sum
-add through scalars.add_term: through t_contract they were measured slower.
+one map f x g on key pairs.  A sum of terms is linear over the identity
+table basis_terms.
 A structure-map axiom is a commuting square of linear maps or one of the two
 halves of the module axiom on a module triple: alpha carries rho
 (_rho_commutes) and the action is Hom-associative; an algebra A is a module
@@ -55,7 +55,7 @@ from collections import namedtuple
 from functools import cache
 
 from .report import CheckReport, sweep
-from .scalars import QLaurent, add_term, trusted
+from .scalars import QLaurent, trusted
 
 # -- interned keys and packed terms --------------------------------------
 # A term is (packed, coefficient) with packed = exponent * STRIDE + key id and
@@ -371,16 +371,16 @@ def _slotwise(C1: Carrier, C2: Carrier) -> Carrier:
     )
 
 
-def tensor(C1: Carrier, C2: Carrier) -> Carrier:
-    """The tensor product of two carriers as a module, with no product; its
-    keys are key pairs.
+def tensor(C: Carrier) -> Carrier:
+    """The tensor square C x C as a module, with no product; its keys are key
+    pairs.
 
-    Its structure map and rendering are those of _slotwise(C1, C2), and its
-    basis holds the pairs of basis keys.
+    Its structure map and rendering are those of _slotwise(C, C), and its
+    basis holds the pairs of basis keys, the second slot varying fastest.
     """
     pair = REGISTRY.pair
-    basis = tuple(pair(k1, k2) for k1 in C1.basis for k2 in C2.basis)
-    return _slotwise(C1, C2)._replace(basis=basis)
+    basis = tuple(pair(k1, k2) for k1 in C.basis for k2 in C.basis)
+    return _slotwise(C, C)._replace(basis=basis)
 
 
 def _require_comul(H: Carrier):
@@ -580,7 +580,7 @@ def build_rho2(s: ModuleAlgebraScenario) -> ModuleAlgebraScenario:
         return terms(linear(t_map(lambda h1: rho(h1, a), lambda h2: rho(h2, b)), comul(h)))
 
     return ModuleAlgebraScenario(
-        H=s.H, A=tensor(s.A, s.A)._replace(name=f"{s.A.name} tensor square"), rho=rho2
+        H=s.H, A=tensor(s.A)._replace(name=f"{s.A.name} tensor square"), rho=rho2
     )
 
 
@@ -707,10 +707,7 @@ def commutator(A: Carrier) -> Carrier:
 
     @cache
     def bracket(k1, k2) -> tuple:
-        out = dict(mul(k1, k2))
-        for p, c in mul(k2, k1):
-            add_term(out, p, -c)
-        return terms(out)
+        return terms(linear(basis_terms, [*mul(k1, k2), *((p, -c) for p, c in mul(k2, k1))]))
 
     return A._replace(mul=bracket)
 
@@ -725,11 +722,11 @@ def check_hom_jacobi(A: Carrier) -> CheckReport:
     bracket, alpha = lie.mul, A.alpha
 
     def jacobi(k1, k2, k3):
-        total = {}
-        for a, b, c in ((k1, k2, k3), (k3, k1, k2), (k2, k3, k1)):
-            for p, coeff in bilinear(bracket, bracket(a, b), alpha(c)).items():
-                add_term(total, p, coeff)
-        return total
+        cyclic = ((k1, k2, k3), (k3, k1, k2), (k2, k3, k1))
+        return linear(
+            basis_terms,
+            [t for a, b, c in cyclic for t in bilinear(bracket, bracket(a, b), alpha(c)).items()],
+        )
 
     return check_multiplicativity(lie).merge(
         sweep([axis(A)] * 3, jacobi, lambda k1, k2, k3: {}, renderer(A))

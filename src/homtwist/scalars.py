@@ -8,8 +8,10 @@ only monomial inverses q^(-k) ever arise.
 
 A coefficient is an int or a Fraction, never a float: the constructors store
 every integral value as an int, so the integer arithmetic that dominates the
-sweeps never touches Fraction.  Arithmetic results are wrapped with trusted(),
-which skips the constructors' validation because they are canonical already.
+sweeps never touches Fraction.  Every sum and product is accumulated by
+add_term, the one canonical-form rule: it stores an integral Fraction as its
+int and drops a zero.  Arithmetic results are wrapped with trusted(), which
+skips the constructors' validation because they are canonical already.
 
 The sparse-map section below also holds the base that Poly and UElem share,
 MonomialElem: validated construction, scaling, parsing, and the monomial
@@ -101,23 +103,19 @@ class QLaurent:
 
     def __mul__(self, other) -> "QLaurent":
         if isinstance(other, QLaurent):
-            out = {}
-            for e1, c1 in self.terms.items():
-                for e2, c2 in other.terms.items():
-                    add_term(out, e1 + e2, c1 * c2)
-            return trusted(QLaurent, out)
-        if isinstance(other, (int, Fraction)):
-            # A rational factor scales each coefficient; no product can vanish.
+            factors = other.terms
+        elif isinstance(other, (int, Fraction)):
             # An instance is immutable, so the product by 1 is the instance.
             if other == 1:
                 return self
-            if not other:
-                return trusted(QLaurent, {})
-            return trusted(
-                QLaurent,
-                {exp: _canonical(coeff * other) for exp, coeff in self.terms.items()},
-            )
-        return NotImplemented  # Python refuses any other operand with TypeError
+            factors = {0: other}
+        else:
+            return NotImplemented  # Python refuses any other operand with TypeError
+        out = {}
+        for e1, c1 in self.terms.items():
+            for e2, c2 in factors.items():
+                add_term(out, e1 + e2, c1 * c2)
+        return trusted(QLaurent, out)
 
     __rmul__ = __mul__
 
@@ -286,13 +284,6 @@ def add_term(terms: dict, key, coeff) -> None:
         terms.pop(key, None)
 
 
-def _canonical(coeff):
-    """An integral Fraction as its int; any other coefficient unchanged."""
-    if coeff.__class__ is Fraction and coeff.denominator == 1:
-        return coeff.numerator
-    return coeff
-
-
 def sparse_add(t1: dict, t2: dict) -> dict:
     out = dict(t1)
     for key, coeff in t2.items():
@@ -331,9 +322,10 @@ class MonomialElem:
 
     def scaled(self, coeff):
         """This element times coeff, a QLaurent or a number, by QLaurent's *."""
-        if not coeff:
-            return trusted(type(self), {})
-        return trusted(type(self), {key: coeff * c for key, c in self.terms.items()})
+        out = {}
+        for key, c in self.terms.items():
+            add_term(out, key, coeff * c)
+        return trusted(type(self), out)
 
     # -- the monomial basis and the text form -------------------------
 

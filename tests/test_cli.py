@@ -609,6 +609,24 @@ class TestTwist:
         assert "(X) * (Y) = X Y" in out
         assert "Delta(X) = (q)*(1 x X) + (q)*(X x 1)" in out
 
+    def test_sl2_builds_the_plane_of_the_unit_alone(self, capsys, monkeypatch):
+        # only H is printed, so the triple's plane carrier is read at bound 0
+        bounds, plane_carrier = [], actions.plane_carrier
+        monkeypatch.setattr(
+            actions, "plane_carrier", lambda bound: bounds.append(bound) or plane_carrier(bound)
+        )
+        assert run(capsys, "twist", "sl2", "--bound", "1")[0] == 0
+        assert bounds == [0]
+
+    def test_sl2_bound_0_is_the_unit(self, capsys):
+        assert run(capsys, "twist", "sl2", "--bound", "0")[:2] == (0, (
+            "# twisted product mu_alpha on PBW basis\n(1) * (1) = 1\n"
+            "# twisted coproduct Delta_alpha on PBW basis\nDelta(1) = (1)*(1 x 1)\n"
+        ))
+
+    def test_sl2_bound_defaults_to_2(self, capsys):
+        assert run(capsys, "twist", "sl2") == run(capsys, "twist", "sl2", "--bound", "2")
+
     def test_finalg_table(self, capsys):
         code, out, _ = run(capsys, "twist", "finalg")
         assert code == 0

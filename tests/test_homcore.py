@@ -362,6 +362,11 @@ class TestModuleStructures:
         square = build_rho2(s)
         assert coords(square.rho(*homcore.key_ids([(0, 0, 0), (x, y)]))) == {(x, y): ONE}
 
+    def test_tensor_square_basis_varies_the_second_slot_fastest(self):
+        basis, render = homcore.axis(homcore.tensor(actions.plane_carrier(1)))
+        assert len(basis) == 9
+        assert [render(t) for t in basis[:4]] == ["1 x 1", "1 x x", "1 x y", "x x 1"]
+
 
 class TestCharacterizationTheorem:
     def test_verdicts_agree_on_passing_scenario(self):
@@ -634,7 +639,7 @@ class TestHomLie:
         assert check_hom_jacobi(lie).passed
 
     def test_twisted_bracket_values(self):
-        lie = actions.sl2_scenario().lie
+        lie = actions.sl2_scenario(1, 1).lie
         assert commutator(lie, X, Y) == {Z: ONE}
         assert commutator(lie, X, Z) == {X: QLaurent.q_power(1, -2)}
 
@@ -645,7 +650,7 @@ class TestHomLie:
 
     def test_twisted_sl2_passes_hom_jacobi(self):
         # 4**2 multiplicativity pairs and 4**3 Hom-Jacobi triples
-        lie = actions.sl2_scenario().lie
+        lie = actions.sl2_scenario(1, 1).lie
         report = check_hom_jacobi(lie)
         assert report.passed and report.checked == 80
 

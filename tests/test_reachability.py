@@ -76,11 +76,7 @@ ALLOWED = {
     "scalars.QLaurent.__add__: return NotImplemented": "every operand is a QLaurent",
     "scalars.QLaurent.__mul__: return NotImplemented": "every operand is a number or a QLaurent",
     "scalars.QLaurent.__eq__: return NotImplemented": "every operand is a QLaurent",
-    # canonical-form branches: the only number factors are the signs of the
-    # terms parse_terms reads, and the only scalings those of alpha_u
-    "scalars.QLaurent.__mul__: return trusted(QLaurent, {})": "a factor 0",
-    "scalars._canonical: return coeff.numerator": "a non-integral Fraction times -1",
-    "scalars.MonomialElem.scaled: return trusted(type(self), {})": "alpha_u scales by q^1 and q^-1",
+    # a coefficient given as a number
     "scalars.MonomialElem.__init__: coeff = QLaurent.of(coeff)":
         "src builds elements of QLaurents; the tests also write numbers",
     # internal invariants

@@ -20,16 +20,19 @@ mutant is one of these changes, made with the stdlib ast module:
 The tree is never written: src, tests and perfbench are copied to a scratch
 folder (--scratch, or a new temporary one), and each mutant is written into
 the copy, run and undone there.  Each mutant runs Tier-1 with -x, leaving
-out test_reachability.py::test_every_statement_runs, which fails on any
-changed src line; the unmutated copy must pass it first.  A mutant is
-killed when pytest fails or runs longer than TIMEOUT seconds; the others
-survive and are printed.
+out the two tests that read the source text: test_reachability.py's
+test_every_statement_runs, which fails on any changed src line, and
+test_mutate.py, which fails on a mutant that EQUIVALENT names.  The
+unmutated copy must pass the rest first.  A mutant is killed when pytest
+fails or runs longer than TIMEOUT seconds; the others survive and are
+printed.
 
 EQUIVALENT names the survivors that no test can kill, each with a reason.
 The exit status is 0 when every survivor is listed there, 1 when some
 survivor is not, or when an entry in scope names no mutant or a killed one:
 the list cannot go stale.  The run takes about 5-40 s per mutant, so it is
-not a Tier-1 test; pytest does not collect this folder.
+not a Tier-1 test; pytest does not collect this folder, and Tier-1's
+test_mutate.py only checks that each entry names a mutant it generates.
 """
 
 from __future__ import annotations
@@ -53,22 +56,9 @@ TIMEOUT = 300
 EQUIVALENT = {
     "actions.endo_map: times(square, images[i]) -> times(images[i], square)":
         "square is a power of images[i], and two powers of one element commute",
-    # the tensor carriers whose alpha or basis is read are squares C x C
+    # _slotwise is generic, but every tensor whose alpha is read is a square
     "homcore._slotwise: t_map(C1.alpha, C2.alpha) -> t_map(C2.alpha, C1.alpha)":
         "alpha is read on H x H only; of H x H x H only the rendering is read",
-    "homcore.tensor: pair(k1, k2) -> pair(k2, k1)":
-        "the basis of tensor(A, A) holds the same pairs in another order",
-    "homcore.tensor: _slotwise(C1, C2) -> _slotwise(C2, C1)":
-        "the one caller, build_rho2, builds tensor(s.A, s.A)",
-    # defaults whose value no caller reads
-    "actions.sl2_scenario: 3 -> 4":
-        "every caller gives bound_h, or reads only lie, which does not depend on it",
-    "actions.sl2_scenario: 3 -> 4 #2":
-        "every caller gives bound_a, or reads only lie, which does not depend on it",
-    "actions.deformed_scenario: 3 -> 4":
-        "every caller gives bound_h",
-    "actions.deformed_scenario: 3 -> 4 #2":
-        "twist sl2 leaves bound_a to the default, and reads only the H of the triple",
 }
 
 _BINOPS = {
@@ -191,10 +181,12 @@ def _copy_tree(scratch: str):
 
 
 def _test_files(scratch: str, module: str) -> list:
-    """Tier-1's test files, those named after the mutated module first."""
+    """Tier-1's test files but test_mutate.py (which reads tools/, not
+    copied), those named after the mutated module first.
+    """
     names = sorted(
         name for name in os.listdir(os.path.join(scratch, "tests"))
-        if name.startswith("test_") and name.endswith(".py")
+        if name.startswith("test_") and name.endswith(".py") and name != "test_mutate.py"
     )
     names.sort(key=lambda name: module not in name)
     return [os.path.join("tests", name) for name in names]
