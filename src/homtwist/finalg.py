@@ -120,9 +120,7 @@ class StructAlgebra:
         mul, xs, ids = self.carrier.mul, flatten(a), self.carrier.basis
         # left multiplication matrix: column j holds a * e_j
         columns = [unflatten(bilinear(mul, xs, basis_terms(k)).items()) for k in ids]
-        solution = _solve_rational(
-            _dense(columns), [self.unit.get(k, ZERO) for k in range(self.dim)]
-        )
+        solution = _solve_rational(columns, self.unit)
         if solution is None:
             raise ValueError(f"element {self.render(a)} is not invertible")
         return {i: c for i, c in enumerate(solution) if c}
@@ -156,7 +154,7 @@ def is_automorphism(algebra: StructAlgebra, op) -> bool:
     if not is_algebra_endo(algebra, op):
         return False
     columns = [unflatten(op(k)) for k in algebra.carrier.basis]
-    return _solve_rational(_dense(columns), [ZERO] * algebra.dim) is not None
+    return _solve_rational(columns, {}) is not None
 
 
 def _fixes(table, v) -> bool:
@@ -165,14 +163,10 @@ def _fixes(table, v) -> bool:
     return linear(table, xs) == dict(xs)
 
 
-def _dense(columns):
-    """The square matrix whose column j is the sparse vector columns[j]."""
-    n = len(columns)
-    return [[columns[j].get(k, ZERO) for j in range(n)] for k in range(n)]
-
-
-def _solve_rational(matrix, rhs):
-    """Solve M x = rhs exactly; entries must be constant (q-free) QLaurent.
+def _solve_rational(columns, rhs):
+    """Solve M x = rhs exactly, M the square matrix whose column j is the
+    coordinate map columns[j] and rhs a coordinate map; entries must be
+    constant (q-free) QLaurent.
 
     Returns the solution as a list of QLaurent, or None if M is singular,
     whatever the right-hand side: one call decides invertibility.
@@ -187,11 +181,8 @@ def _solve_rational(matrix, rhs):
             )
         return c.terms[0]
 
-    n = len(matrix)
-    aug = [
-        [as_fraction(matrix[i][j]) for j in range(n)] + [as_fraction(rhs[i])]
-        for i in range(n)
-    ]
+    n = len(columns)
+    aug = [[as_fraction(column.get(i, ZERO)) for column in (*columns, rhs)] for i in range(n)]
     for col in range(n):
         pivot = next((r for r in range(col, n) if aug[r][col]), None)
         if pivot is None:

@@ -14,12 +14,12 @@ int and drops a zero.  Arithmetic results are wrapped with trusted(), which
 skips the constructors' validation because they are canonical already.
 
 The sparse-map section below also holds the base that Poly and UElem share,
-MonomialElem: validated construction, scaling, parsing, and the monomial
-basis of both rings (its graded-lex order, its bounded enumeration and the
-text of a key and of an element).  A subclass names its variables and parses
-its own terms.  An element has no arithmetic of its own: its products and
-endomorphisms are key tables contracted by homcore, and two elements are
-equal when their terms are.
+MonomialElem: validated construction, scaling, and the monomial basis of
+both rings (its graded-lex order, its bounded enumeration, the text of a key
+and of an element, and the grammar of a term).  A subclass names its
+variables and says how a term writes them.  An element has no arithmetic of
+its own: its products and endomorphisms are key tables contracted by
+homcore, and two elements are equal when their terms are.
 """
 
 from __future__ import annotations
@@ -201,9 +201,7 @@ def split_sum(text: str):
     sign = 1
     depth = 0
     current = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
+    for ch in text:
         if ch == "(":
             depth += 1
         elif ch == ")":
@@ -223,7 +221,6 @@ def split_sum(text: str):
                 current = []
         else:
             current.append(ch)
-        i += 1
     if depth != 0:
         raise ValueError(f"unbalanced parentheses in {text!r}")
     last = "".join(current).strip()
@@ -294,17 +291,20 @@ def sparse_add(t1: dict, t2: dict) -> dict:
 class MonomialElem:
     """An element keyed by exponent vectors: sparse map key -> nonzero QLaurent.
 
-    A subclass sets NAMES, the variable of each key slot, and SEP, the text
-    between the factors of a monomial, and defines _parse_term, which maps
-    one rendered term to (key, coeff).  The monomial basis is shared: one
-    graded-lex order (degree first, then the first variable's exponent
-    descending, ...), one enumeration of a bounded basis and one text form.
-    Instances are immutable; scaled multiplies one by a scalar.
+    A subclass sets NAMES, the variable of each key slot; SEP, the text
+    between the factors of a monomial (a space there is also read as a
+    product); and ORDERED, whether a term must give its variables in NAMES
+    order, as a ring that does not commute must.  The monomial basis is
+    shared: one graded-lex order (degree first, then the first variable's
+    exponent descending, ...), one enumeration of a bounded basis, one text
+    form and one term grammar.  Instances are immutable; scaled multiplies
+    one by a scalar.
     """
 
     __slots__ = ("terms",)
     NAMES = ()
     SEP = "*"
+    ORDERED = False
 
     def __init__(self, terms=None):
         clean = {}
@@ -352,6 +352,28 @@ class MonomialElem:
     @classmethod
     def parse(cls, text: str):
         return cls(parse_terms(text, cls._parse_term))
+
+    @classmethod
+    def _parse_term(cls, term: str):
+        """One product term as (key, coeff): powers of the NAMES, as x or x^2,
+        and scalar factors, parenthesized or not.
+        """
+        coeff = QLaurent.one()
+        exps = [0] * len(cls.NAMES)
+        last = 0
+        for factor in split_factors(term, on_space=cls.SEP.isspace()):
+            name, caret, power = factor.partition("^")
+            if name in cls.NAMES and (not caret or power.isdecimal()):
+                idx = cls.NAMES.index(name)
+                if cls.ORDERED and idx < last:
+                    raise ValueError(f"generators out of PBW order in {term!r}")
+                last = idx
+                exps[idx] += int(power or 1)
+            else:
+                if factor.startswith("(") and factor.endswith(")"):
+                    factor = factor[1:-1]
+                coeff = coeff * QLaurent.parse(factor)
+        return tuple(exps), coeff
 
 
 def _grlex(key):

@@ -10,19 +10,18 @@ give left multiplication of a normal monomial by a generator in closed form
 (left_gen), and the coproduct of a monomial in closed form (comul_mono).
 These are key kernels: actions builds the product and coproduct tables of
 the carriers from them, and the test suite compares those tables against an
-independent free-algebra reduction oracle.  UElem names the generators and
-parses a term, which a space may separate into factors in PBW order; its
-basis, order and text form (X^2 Y) are MonomialElem's, and it has no product
-of its own.
+independent free-algebra reduction oracle.  UElem names the generators,
+which a term gives in PBW order and may separate by a space; its basis,
+order, text form (X^2 Y) and term grammar are MonomialElem's, and it has no
+product of its own.
 """
 
 from __future__ import annotations
 
-import re
 from itertools import product
 from math import comb
 
-from .scalars import MonomialElem, QLaurent, split_factors
+from .scalars import MonomialElem, QLaurent
 
 # A PBW monomial is a key (a, b, c) standing for X^a Y^b Z^c.
 GENERATORS = ("X", "Y", "Z")
@@ -34,6 +33,7 @@ class UElem(MonomialElem):
     __slots__ = ()
     NAMES = GENERATORS
     SEP = " "
+    ORDERED = True
 
     @classmethod
     def monomial(cls, mono, coeff=None):
@@ -45,25 +45,6 @@ class UElem(MonomialElem):
         mono = [0, 0, 0]
         mono[idx] = 1
         return cls.monomial(tuple(mono))
-
-    @staticmethod
-    def _parse_term(term: str):
-        coeff = QLaurent.one()
-        exps = [0, 0, 0]
-        last_gen = -1
-        for factor in split_factors(term, on_space=True):
-            match = _GEN_FACTOR.match(factor)
-            if match:
-                idx = GENERATORS.index(match.group(1))
-                if idx < last_gen:
-                    raise ValueError(f"generators out of PBW order in {term!r}")
-                last_gen = idx
-                exps[idx] += int(match.group(2)) if match.group(2) else 1
-            else:
-                if factor.startswith("(") and factor.endswith(")"):
-                    factor = factor[1:-1]
-                coeff = coeff * QLaurent.parse(factor)
-        return tuple(exps), coeff
 
 
 # -- PBW normalization ------------------------------------------------
@@ -129,6 +110,3 @@ def comul_mono(mono) -> tuple:
         (((i, j, k), (a - i, b - j, c - k)), comb(a, i) * comb(b, j) * comb(c, k))
         for i, j, k in product(range(a + 1), range(b + 1), range(c + 1))
     )
-
-
-_GEN_FACTOR = re.compile(r"^([XYZ])(?:\^(\d+))?$")

@@ -163,6 +163,35 @@ def test_element_types_share_the_sparse_ring_contract(cls, text):
     assert e.scaled(0).terms == {}
 
 
+# The two rings share one term grammar and differ only where their text does:
+# U(sl(2)) writes a space between factors and does not commute.
+@pytest.mark.parametrize(
+    "cls, text, key",
+    [
+        (Poly, "x*y", (1, 1)),
+        (Poly, "y*x", (1, 1)),
+        (UElem, "X*Y", (1, 1, 0)),
+        (UElem, "X Y", (1, 1, 0)),
+        (UElem, "X\tY", (1, 1, 0)),
+        (UElem, "X X", (2, 0, 0)),
+    ],
+)
+def test_a_term_reads_the_factors_its_ring_allows(cls, text, key):
+    assert cls.parse(text).terms == {key: ONE}
+
+
+@pytest.mark.parametrize(
+    "cls, text, message",
+    [
+        (Poly, "x y", "cannot parse scalar term 'x y'"),
+        (UElem, "Y X", "generators out of PBW order in 'Y X'"),
+    ],
+)
+def test_a_term_refuses_the_factors_its_ring_does_not_allow(cls, text, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        cls.parse(text)
+
+
 def nested_loop_keys(width, bound):
     """The keys of degree <= bound by the nested loops each ring used to
     write out: degree ascending, then each exponent descending in turn.

@@ -23,9 +23,10 @@ the copy, run and undone there.  Each mutant runs Tier-1 with -x, leaving
 out the two tests that read the source text: test_reachability.py's
 test_every_statement_runs, which fails on any changed src line, and
 test_mutate.py, which fails on a mutant that EQUIVALENT names.  The
-unmutated copy must pass the rest first.  A mutant is killed when pytest
-fails or runs longer than TIMEOUT seconds; the others survive and are
-printed.
+unmutated copy must pass the rest first, and that run is timed: a mutant's
+run is stopped at three times its length, so the limit is derived, not set.
+A mutant is killed when pytest fails, or printed as a timeout (and counted
+as killed) when it reaches the limit; the others survive and are printed.
 
 EQUIVALENT names the survivors that no test can kill, each with a reason.
 The exit status is 0 when every survivor is listed there, 1 when some
@@ -49,8 +50,6 @@ import time
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join("src", "homtwist")
 LEFT_OUT = "tests/test_reachability.py::test_every_statement_runs"
-# seconds: a mutant that loops (a bound raised past reserve's check) is killed
-TIMEOUT = 300
 
 # survivor name (as printed) -> why no test can tell it from the original
 EQUIVALENT = {
@@ -192,16 +191,18 @@ def _test_files(scratch: str, module: str) -> list:
     return [os.path.join("tests", name) for name in names]
 
 
-def killed(scratch: str, module: str) -> bool:
-    """Whether Tier-1, run in scratch, fails (or overruns TIMEOUT)."""
+def outcome(scratch: str, module: str, limit=None) -> str:
+    """How Tier-1, run in scratch, ends: "killed" when it fails, "timeout"
+    when it runs past limit seconds (None: no limit), else "SURVIVED".
+    """
     env = {**os.environ, "PYTHONPATH": "src", "PYTHONDONTWRITEBYTECODE": "1"}
     argv = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
             "--deselect", LEFT_OUT, *_test_files(scratch, module)]
     try:
-        done = subprocess.run(argv, cwd=scratch, env=env, capture_output=True, timeout=TIMEOUT)
+        done = subprocess.run(argv, cwd=scratch, env=env, capture_output=True, timeout=limit)
     except subprocess.TimeoutExpired:
-        return True
-    return done.returncode != 0
+        return "timeout"
+    return "killed" if done.returncode else "SURVIVED"
 
 
 def _targets(specs) -> dict:
@@ -251,8 +252,13 @@ def main(argv=None) -> int:
         raise SystemExit(f"error: {scratch} is not empty")
     _copy_tree(scratch)
     # a copy that fails unmutated would count every mutant as killed
-    if killed(scratch, ""):
+    start = time.monotonic()
+    if outcome(scratch, "") != "SURVIVED":
         raise SystemExit(f"error: Tier-1 fails on the unmutated copy in {scratch}")
+    # a mutant that loops (a bound raised past reserve's check) is stopped at
+    # three times the unmutated run
+    limit = 3 * (time.monotonic() - start)
+    print(f"a mutant is stopped at {limit:.0f}s, 3x the unmutated run", flush=True)
 
     survivors, dead = [], set()
     for i, (module, name, source) in enumerate(made, 1):
@@ -263,16 +269,15 @@ def main(argv=None) -> int:
             fh.write(source)
         start = time.monotonic()
         try:
-            outcome = killed(scratch, module)
+            ended = outcome(scratch, module, limit)
         finally:
             with open(path, "w") as fh:
                 fh.write(original)
-        print(f"[{i}/{len(made)}] {'killed' if outcome else 'SURVIVED'} "
-              f"{time.monotonic() - start:.0f}s  {name}", flush=True)
-        if outcome:
-            dead.add(name)
-        else:
+        print(f"[{i}/{len(made)}] {ended} {time.monotonic() - start:.0f}s  {name}", flush=True)
+        if ended == "SURVIVED":
             survivors.append(name)
+        else:
+            dead.add(name)
 
     names = {name for _, name, _ in made}
     unlisted = [name for name in survivors if name not in EQUIVALENT]
