@@ -197,18 +197,16 @@ def sl2_scenario(bound_h: int, bound_a: int) -> Scenario:
     """The classical action, twisted by beta_H = alpha_U and beta_A = alpha_A.
 
     The module is the classical module algebra, whose structure maps are the
-    identity.  The Lie carrier is U(sl(2)) on PBW degree <= 1 twisted by
-    alpha_U, whatever the bounds.
+    identity.  The Lie carrier of a deformed triple is its H on PBW degree
+    <= 1, whatever the bounds: U(sl(2)) twisted by the record's beta_H.
     """
-    beta_H = alpha_u()
-    lie = homcore.yau_twist_algebra(u_carrier(1), beta_H)
     return Scenario(
         module=ModuleAlgebraScenario(
             H=u_carrier(bound_h), A=plane_carrier(bound_a), rho=on_ids(act_key)
         ),
-        beta_H=beta_H,
+        beta_H=alpha_u(),
         beta_A=alpha_plane(),
-        lie=lie._replace(name="sl2 twisted"),
+        lie=lambda d: d.H._replace(name="sl2 twisted", basis=key_ids(UElem.basis_keys(1))),
     )
 
 

@@ -70,6 +70,11 @@ def _hom_bialgebra(r, args):
     return _label(report, f"hom-bialgebra({H.name})", "Eqs. (2.3)-(2.5)")
 
 
+def _hom_lie(r, args):
+    lie = r.lie(homcore.deform_scenario(r))
+    return _label(homcore.check_hom_jacobi(lie), f"hom-lie({lie.name})", "Hom-Jacobi")
+
+
 @functools.lru_cache(maxsize=1)
 def _module_hom_sweep(r, alpha_power):
     # one sweep for both module Hom-algebra suites of a run: by Theorem 1.1
@@ -97,9 +102,7 @@ SUITES = {
     "classical": lambda r, args: _label(
         homcore.check_module_hom_algebra(r.module), "classical-module-algebra", "Eq. (1.1)"
     ),
-    "hom-lie": lambda r, args: _label(
-        homcore.check_hom_jacobi(r.lie), f"hom-lie({r.lie.name})", "Hom-Jacobi"
-    ),
+    "hom-lie": _hom_lie,
 }
 
 # Each scenario builds its homcore.Scenario record from the parsed arguments.

@@ -36,7 +36,6 @@ from .homcore import (
     on_ids,
     terms,
     unflatten,
-    yau_twist_algebra,
 )
 from .scalars import ONE, ZERO, QLaurent, factor_text
 
@@ -279,8 +278,8 @@ def example31_scenario(algebra: StructAlgebra, G: GroupBialgebra, a) -> Scenario
     maps, and beta_H is the identity.  Requires a to be invertible and fixed
     by every group element; then i_a commutes with G, is k[G]-linear, and the
     deformed package (k[G], A_alpha, rho_alpha = i_a o rho) is a module
-    Hom-algebra with identity structure map on k[G].  The Lie carrier is
-    A_alpha.
+    Hom-algebra with identity structure map on k[G].  The Lie carrier of a
+    deformed triple is its A, A twisted by the record's beta_A.
     """
     for idx, op in enumerate(G.operators):
         if not _fixes(op, a):
@@ -288,12 +287,11 @@ def example31_scenario(algebra: StructAlgebra, G: GroupBialgebra, a) -> Scenario
                 f"element {algebra.render(a)} is not fixed by group operator {idx}"
             )
     # g(a b a^-1) = a g(b) a^-1 for an automorphism g fixing a: i_a commutes with G
-    module, beta_A = automorphism_action(G), inner_automorphism(algebra, a)
     return Scenario(
-        module=module,
+        module=automorphism_action(G),
         beta_H=basis_terms,
-        beta_A=beta_A,
-        lie=yau_twist_algebra(module.A, beta_A)._replace(name="A_alpha"),
+        beta_A=inner_automorphism(algebra, a),
+        lie=lambda d: d.A._replace(name="A_alpha"),
     )
 
 

@@ -15,10 +15,11 @@ and key_map make into memo tables on ids, each entry filled once; ids become
 keys again where a result is rendered (axis, renderer, unflatten).
 
 A Scenario is the one record every suite reads, (module, beta_H, beta_A,
-lie): a module Hom-algebra and the compatible maps beta that deform_scenario
-twists it by.  A twist composes with the structure map,
-alpha' = beta o alpha (alpha = Id gives the paper's deformation).  Twisted
-and deformed tables are composites, composite(f, g) = the memo table of f o g.
+lie): a module Hom-algebra, the maps beta that deform_scenario, and nothing
+else, twists it by, and lie(d), the Lie carrier of a deformed triple d.  A
+twist composes with the structure map, alpha' = beta o alpha (alpha = Id
+gives the paper's deformation).  Twisted and deformed tables are composites,
+composite(f, g) = the memo table of f o g.
 
 Every checker runs one or more sweeps (report.sweep) of a multilinear
 identity over basis tuples, whose sides are contractions of the tables with
@@ -180,8 +181,8 @@ class Scenario(namedtuple("Scenario", "module beta_H beta_A lie")):
     identity on a module algebra).  beta_H (a bialgebra endomorphism of H) and
     beta_A (an algebra endomorphism of A) are key tables that twist it into
     the deformed triple, deform_scenario; check_compatibility checks them on
-    the H basis.  lie is a Hom-associative carrier whose commutator
-    check_hom_jacobi checks.
+    the H basis.  lie(d) is the Lie carrier of a deformed triple d, whose
+    commutator check_hom_jacobi checks.
     """
 
     __slots__ = ()

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from itertools import product
+from itertools import accumulate, product
 
 # QLaurent.specialize refuses a power q0^e of more bits than this (1 MiB)
 # unless the sum it scales is 0, and actions.act_key a coefficient that may
@@ -358,6 +358,8 @@ class MonomialElem:
         """One product term as (key, coeff): powers of the NAMES, as x or x^2,
         and scalar factors, parenthesized or not.
         """
+        if cls.SEP.isspace() and _DIGIT_GAP.search(term):  # splitting would hide it
+            raise ValueError(f"space inside a number in {term!r}")
         coeff = QLaurent.one()
         exps = [0] * len(cls.NAMES)
         last = 0
@@ -370,7 +372,8 @@ class MonomialElem:
                 last = idx
                 exps[idx] += int(power or 1)
             else:
-                if factor.startswith("(") and factor.endswith(")"):
+                depths = list(accumulate((ch == "(") - (ch == ")") for ch in factor))
+                if factor.startswith("(") and 0 not in depths[:-1]:  # one group
                     factor = factor[1:-1]
                 coeff = coeff * QLaurent.parse(factor)
         return tuple(exps), coeff

@@ -96,7 +96,7 @@ class TestAct:
 # "-", powers of q, --q-value with "=" and negative values, and --deformed
 ACT_TOKENS = [
     "--", "--deformed", "--q-value", "--q-value=-3/2", "--q-value=2", "-1", "1/2", "-3/2",
-    "X", "-X", "Y Z", "q^2*X", "q^-1*X Y", "-q*Z", "X - X",
+    "X", "-X", "Y Z", "q^2*X", "q^-1*X Y", "-q*Z", "X - X", "2 2", "X 2 Y",
     "y", "-y", "x^2*y", "q^-2*x", "x + y - x", "1",
 ]
 
@@ -393,6 +393,8 @@ BAD_INPUTS = [
     ({}, ["verify", "finalg", "--bound-a", "1"]),
     ({}, ["verify", "finalg", "--bound-h", "0"]),
     ({}, ["twist", "finalg", "--bound", "9"]),
+    # U(sl(2)) text reads a space as a product, but not inside a number
+    ({}, ["act", "2 2", "x"]),
 ]
 
 

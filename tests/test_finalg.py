@@ -392,8 +392,9 @@ class TestOneTablePerStructure:
                 assert r.module.rho(g, k) is op(k)
         # i_a is filled by the sweeps, each of its entries once
         assert r.beta_A.cache_info().currsize == 0
-        assert homcore.check_module_hom_algebra(homcore.deform_scenario(r)).passed
-        assert homcore.check_hom_jacobi(r.lie).passed
+        d = homcore.deform_scenario(r)
+        assert homcore.check_module_hom_algebra(d).passed
+        assert homcore.check_hom_jacobi(r.lie(d)).passed
         info = r.beta_A.cache_info()
         assert info.misses == info.currsize == algebra.dim == 9
 

@@ -633,13 +633,19 @@ def commutator(C, a, b) -> dict:
     return coords(out.items())
 
 
+def sl2_lie():
+    """The Lie carrier of the deformed sl2-q record: U(sl(2))_alpha on PBW degree <= 1."""
+    r = actions.sl2_scenario(1, 1)
+    return r.lie(homcore.deform_scenario(r))
+
+
 class TestHomLie:
     def test_sl2_commutator_is_hom_lie_at_identity(self):
         lie = actions.u_carrier(1)
         assert check_hom_jacobi(lie).passed
 
     def test_twisted_bracket_values(self):
-        lie = actions.sl2_scenario(1, 1).lie
+        lie = sl2_lie()
         assert commutator(lie, X, Y) == {Z: ONE}
         assert commutator(lie, X, Z) == {X: QLaurent.q_power(1, -2)}
 
@@ -650,7 +656,7 @@ class TestHomLie:
 
     def test_twisted_sl2_passes_hom_jacobi(self):
         # 4**2 multiplicativity pairs and 4**3 Hom-Jacobi triples
-        lie = actions.sl2_scenario(1, 1).lie
+        lie = sl2_lie()
         report = check_hom_jacobi(lie)
         assert report.passed and report.checked == 80
 

@@ -159,7 +159,6 @@ tables = {
     "beta_A": r.beta_A,
     "rho": r.module.rho,
     "comul": r.module.H.comul,
-    "lie mul": r.lie.mul,
     "H_alpha mul": s.H.mul,
     "H_alpha alpha": s.H.alpha,
     "H_alpha comul": s.H.comul,

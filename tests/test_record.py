@@ -7,6 +7,7 @@ Hom-algebra.  Edits of the record are negative controls for the suites that
 have no control on the command line.
 """
 
+import itertools
 from argparse import Namespace
 
 import pytest
@@ -136,6 +137,16 @@ def test_finalg_non_multiplicative_beta(suite, expected):
     assert counts(cli.SUITES[suite](r, ARGS)) == expected
 
 
+def test_finalg_lie_twist_by_a_non_multiplicative_beta():
+    # hom-lie twists A by the record's beta_A, and the commutator of A
+    # twisted by D is not multiplicative on the two off-diagonal units
+    report = cli.SUITES["hom-lie"](m2()._replace(beta_A=D), ARGS)
+    assert counts(report) == (2, 80)
+    assert [ce.rendered_inputs for ce in report.counterexamples] == [
+        ("e12", "e21"), ("e21", "e12")
+    ]
+
+
 def test_finalg_beta_that_is_not_g_linear():
     r = m2()._replace(beta_A=NOT_G_LINEAR)
     report = cli.SUITES["compatibility"](r, ARGS)
@@ -153,7 +164,7 @@ def test_sl2_non_multiplicative_beta():
 def test_sl2_lie_twist_by_a_map_that_is_no_lie_endomorphism():
     # X -> qX, Y -> Y, Z -> Z; actions.extend_lie_endo rejects it, so it is a raw key map
     raw = homcore.key_map(lambda k: {k: q(1) if k == (1, 0, 0) else q(0)})
-    r = sl2()._replace(lie=homcore.yau_twist_algebra(actions.u_carrier(1), raw))
+    r = sl2()._replace(beta_H=raw)
     assert counts(cli.SUITES["hom-lie"](r, ARGS)) == (2, 80)
 
 
@@ -216,12 +227,11 @@ def h4(e_power=-1):
     A = carrier(
         "k[e]/(e^2)", DUAL_NUMBER_NAMES, lambda m, n: [(m + n, 1)] if m + n < 2 else []
     )
-    beta_H = homcore.key_map(lambda k: {k: q(k[1])})
     return homcore.Scenario(
         module=homcore.ModuleAlgebraScenario(H, A, homcore.on_ids(h4_act)),
-        beta_H=beta_H,
+        beta_H=homcore.key_map(lambda k: {k: q(k[1])}),
         beta_A=homcore.key_map(lambda n: {n: q(e_power * n)}),
-        lie=homcore.yau_twist_algebra(H, beta_H),
+        lie=lambda d: d.H,
     )
 
 
@@ -246,3 +256,55 @@ def test_h4_control_fails_the_suites_that_read_beta_a_on_the_action():
     assert {suite: counts(SUITE(h4(1), ARGS)) for suite, SUITE in cli.SUITES.items()} == {
         suite: (failing.get(suite, 0), checked) for suite, checked in H4_CASES.items()
     }
+
+
+# -- every single-entry edit of a record fails a suite ---------------------
+# The record-side twin of tools/mutate.py: each edit adds e_j, for one basis
+# key j, to one basis entry of beta_H, beta_A, rho or mu_A.  Every edit must
+# fail some suite, and every suite must fail some edit, hom-lie included: a
+# suite that no edit reaches does not read the record it is given.
+
+EDITED_RECORDS = {"finalg": (m2, 116), "H4": (h4, 44), "sl2-q(1,1)": (lambda: sl2(1, 1), 88)}
+
+# (record, edit) -> why no suite can see it; a stale entry fails
+UNSEEN = {}
+
+
+def plus(table, at, j):
+    """table with e_j added to its entry at the ids at."""
+    entry = homcore.terms(homcore.linear(basis_terms, [*table(*at), (j, 1)]))
+    return lambda *ids: entry if ids == at else table(*ids)
+
+
+def record_edits(r):
+    """(name, edited record) for each single-entry edit of r."""
+    s = r.module
+    H, A = s.H, s.A
+    sites = {
+        "beta_H": (r.beta_H, (H,), H, lambda t: r._replace(beta_H=t)),
+        "beta_A": (r.beta_A, (A,), A, lambda t: r._replace(beta_A=t)),
+        "rho": (s.rho, (H, A), A, lambda t: r._replace(module=s._replace(rho=t))),
+        "mu_A": (A.mul, (A, A), A,
+                 lambda t: r._replace(module=s._replace(A=A._replace(mul=t)))),
+    }
+    for table_name, (table, inputs, out, edited) in sites.items():
+        renders = [homcore.axis(C)[1] for C in (*inputs, out)]
+        for at in itertools.product(*(C.basis for C in inputs)):
+            args = ", ".join(render(k) for render, k in zip(renders, at))
+            for j in out.basis:
+                yield f"{table_name}({args}) += {renders[-1](j)}", edited(plus(table, at, j))
+
+
+@pytest.mark.parametrize("record", EDITED_RECORDS)
+def test_every_record_edit_fails_a_suite_and_every_suite_an_edit(record):
+    scenario, edit_count = EDITED_RECORDS[record]
+    failing = {
+        name: {suite for suite, SUITE in cli.SUITES.items() if not SUITE(edited, ARGS).passed}
+        for name, edited in record_edits(scenario())
+    }
+    assert len(failing) == edit_count
+    assert {rec for rec, _ in UNSEEN} <= set(EDITED_RECORDS)
+    assert {name for name, suites in failing.items() if not suites} == {
+        name for rec, name in UNSEEN if rec == record
+    }
+    assert set().union(*failing.values()) == set(cli.SUITES)

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -185,11 +186,39 @@ def test_a_term_reads_the_factors_its_ring_allows(cls, text, key):
     [
         (Poly, "x y", "cannot parse scalar term 'x y'"),
         (UElem, "Y X", "generators out of PBW order in 'Y X'"),
+        # parentheses are stripped only from one group, so the message
+        # names the text of the input
+        (Poly, "(2) (2)", "cannot parse scalar term '(2) (2)'"),
+        (Poly, "(2)3", "cannot parse scalar term '(2)3'"),
     ],
 )
 def test_a_term_refuses_the_factors_its_ring_does_not_allow(cls, text, message):
-    with pytest.raises(ValueError, match=f"^{message}$"):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         cls.parse(text)
+
+
+# A space between two numbers is a mistyped number in every grammar, also
+# where a space between factors is a product.
+@pytest.mark.parametrize("cls", [QLaurent, Poly, UElem])
+@pytest.mark.parametrize("text", ["2 2", "2\t2", "1/2 3", "X 2 2", "X^2 2"])
+def test_every_grammar_refuses_a_space_inside_a_number(cls, text):
+    with pytest.raises(ValueError, match="^space inside a number in "):
+        cls.parse(text)
+
+
+@pytest.mark.parametrize(
+    "cls, text, key, coeff",
+    [
+        (UElem, "X 2 Y", (1, 1, 0), "2"),
+        (UElem, "2 q", (0, 0, 0), "2*q"),
+        (UElem, "q 2", (0, 0, 0), "2*q"),
+        (UElem, "(q + 1)*X", (1, 0, 0), "1 + q"),
+        (Poly, "(q + 1)*x", (1, 0), "1 + q"),
+        (Poly, "(2)*y", (0, 1), "2"),
+    ],
+)
+def test_a_number_beside_a_name_keeps_its_value(cls, text, key, coeff):
+    assert cls.parse(text).terms == {key: ql(coeff)}
 
 
 def nested_loop_keys(width, bound):
