@@ -15,11 +15,11 @@ and key_map make into memo tables on ids, each entry filled once; ids become
 keys again where a result is rendered (axis, renderer, unflatten).
 
 A Scenario is the one record every suite reads, (module, beta_H, beta_A,
-lie): a module Hom-algebra, the maps beta that deform_scenario, and nothing
-else, twists it by, and lie(d), the Lie carrier of a deformed triple d.  A
-twist composes with the structure map, alpha' = beta o alpha (alpha = Id
-gives the paper's deformation).  Twisted and deformed tables are composites,
-composite(f, g) = the memo table of f o g.
+lie): a module Hom-algebra, the compatible maps beta that deform_scenario
+twists it by (no other code twists a record), and lie(d), the Lie carrier of
+a deformed triple d.  A twist composes with the structure map, alpha' = beta
+o alpha (alpha = Id gives the paper's deformation).  Twisted and deformed
+tables are composites, composite(f, g) = the memo table of f o g.
 
 Every checker runs one or more sweeps (report.sweep) of a multilinear
 identity over basis tuples, whose sides are contractions of the tables with
