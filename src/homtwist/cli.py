@@ -322,25 +322,22 @@ def cmd_twist(args):
         if args.bound < 0:
             raise InputError("bound must be >= 0")
         # only H is printed, so the plane carrier is the unit alone
-        C = actions.deformed_scenario(args.bound, 0).H
-        basis, render_key = homcore.axis(C)
-        print("# twisted product mu_alpha on PBW basis")
-        for m1 in basis:
-            for m2 in basis:
-                product = C.render_elem(homcore.unflatten(C.mul(m1, m2)))
-                print(f"({render_key(m1)}) * ({render_key(m2)}) = {product}")
-        print("# twisted coproduct Delta_alpha on PBW basis")
-        for mono in basis:
-            tensor = homcore.render_tensor(homcore.unflatten(C.comul(mono)), C, C)
-            print(f"Delta({render_key(mono)}) = {tensor}")
+        C, word, parens = actions.deformed_scenario(args.bound, 0).H, "PBW", True
     else:
         C = homcore.deform_scenario(_finalg_scenario(args.file)).A
-        basis, render_key = homcore.axis(C)
-        print("# twisted product mu_alpha on algebra basis")
-        for i in basis:
-            for j in basis:
-                product = C.render_elem(homcore.unflatten(C.mul(i, j)))
-                print(f"{render_key(i)} * {render_key(j)} = {product}")
+        word, parens = "algebra", False
+    basis, render_key = homcore.axis(C)
+    factor = (lambda k: f"({render_key(k)})") if parens else render_key
+    print(f"# twisted product mu_alpha on {word} basis")
+    for k1 in basis:
+        for k2 in basis:
+            product = C.render_elem(homcore.unflatten(C.mul(k1, k2)))
+            print(f"{factor(k1)} * {factor(k2)} = {product}")
+    if C.comul is not None:
+        print(f"# twisted coproduct Delta_alpha on {word} basis")
+        for k in basis:
+            tensor = homcore.render_tensor(homcore.unflatten(C.comul(k)), C, C)
+            print(f"Delta({render_key(k)}) = {tensor}")
     return EXIT_PASS
 
 

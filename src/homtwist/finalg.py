@@ -8,10 +8,12 @@ its carrier's mul, and an operator is its memo table id -> terms (operator,
 or basis_terms for the identity).  The load checks, the group closure, i_a,
 the k[G] action and the scenario record all read those tables.  Coordinate
 maps {index: QLaurent} appear only where a file is read, where a linear
-system is solved and where an element is rendered.  Matrix inversion is
-exact Gaussian elimination over rationals; operators with genuinely
-q-dependent entries are rejected for inversion rather than implementing a
-rational-function field.
+system is solved and where an element is rendered.  The one linear system
+is an element's inverse, solved by exact Gaussian elimination over
+rationals; a system with genuinely q-dependent entries is rejected for
+inversion rather than implementing a rational-function field.  No
+operator is inverted: a group reads each operator's invertibility from its
+composition table.
 """
 
 from __future__ import annotations
@@ -139,36 +141,12 @@ def operator(rows):
     return key_map(images.__getitem__)
 
 
-def is_algebra_endo(algebra: StructAlgebra, op) -> bool:
-    """Whether the operator table op is multiplicative and keeps the unit."""
-    if algebra.unit is not None and not _fixes(op, algebra.unit):
-        return False
-    return check_multiplicativity(algebra.carrier._replace(alpha=op)).passed
-
-
-def is_automorphism(algebra: StructAlgebra, op) -> bool:
-    """Whether the operator table op is an algebra endomorphism with an
-    invertible matrix, built from its basis images.
-    """
-    if not is_algebra_endo(algebra, op):
-        return False
-    columns = [unflatten(op(k)) for k in algebra.carrier.basis]
-    return _solve_rational(columns, {}) is not None
-
-
-def _fixes(table, v) -> bool:
-    """Whether the linear map of table fixes the coordinate map v."""
-    xs = flatten(v)
-    return linear(table, xs) == dict(xs)
-
-
 def _solve_rational(columns, rhs):
     """Solve M x = rhs exactly, M the square matrix whose column j is the
     coordinate map columns[j] and rhs a coordinate map; entries must be
     constant (q-free) QLaurent.
 
-    Returns the solution as a list of QLaurent, or None if M is singular,
-    whatever the right-hand side: one call decides invertibility.
+    Returns the solution as a list of QLaurent, or None if M is singular.
     """
 
     def as_fraction(c):
@@ -210,15 +188,23 @@ class GroupBialgebra:
     """A finite group of algebra automorphisms with grouplike comultiplication.
 
     The group is given extensionally, as operator tables; closure under
-    composition is verified at construction, not computed.  A nonempty finite
-    set of invertible maps closed under composition is a group: g^n = 1 for
-    some n > 0, so g^(n-1) is the inverse of g and the identity is in it.
+    composition is verified at construction, not computed.  Each operator is
+    checked only for multiplicativity; the composition table self.table is
+    the one witness of invertibility, by two facts:
+
+    - In a closed finite set of linear maps that contains the identity,
+      op_i o op_j = 1 for some j exactly when op_i is invertible.  If op is
+      invertible, its powers repeat, so some power op^n is 1, and op^(n-1)
+      is in the set.
+    - An invertible multiplicative map phi of a unital algebra fixes the
+      unit: phi(1) phi(b) = phi(b) for every b, and phi is onto.  So no
+      operator needs a unit check of its own.
     """
 
     def __init__(self, algebra: StructAlgebra, operators):
         self.algebra = algebra
         self.operators = list(operators)
-        basis = algebra.carrier.basis
+        basis, n = algebra.carrier.basis, len(self.operators)
 
         def key(op):
             """The basis images of op, equal exactly when the operators are."""
@@ -226,7 +212,7 @@ class GroupBialgebra:
 
         index = {}
         for idx, op in enumerate(self.operators):
-            if not is_automorphism(algebra, op):
+            if not check_multiplicativity(algebra.carrier._replace(alpha=op)).passed:
                 raise ValueError(f"operator {idx} is not an algebra automorphism")
             first = index.setdefault(key(op), idx)
             if first != idx:
@@ -238,9 +224,13 @@ class GroupBialgebra:
                 if composed not in index:
                     raise ValueError(f"group not closed under composition at ({i}, {j})")
                 self.table[i, j] = index[composed]
-        # only the empty set of operators is closed and lacks the identity
-        if key(basis_terms) not in index:
+        # a closed set of singular maps, such as {0}, may lack the identity
+        identity = index.get(key(basis_terms))
+        if identity is None:
             raise ValueError("group does not contain the identity operator")
+        for i in range(n):
+            if all(self.table[i, j] != identity for j in range(n)):
+                raise ValueError(f"operator {i} is not an algebra automorphism")
 
     # -- k[G] as a bialgebra carrier ----------------------------------
 
@@ -281,8 +271,9 @@ def example31_scenario(algebra: StructAlgebra, G: GroupBialgebra, a) -> Scenario
     Hom-algebra with identity structure map on k[G].  The Lie carrier of a
     deformed triple is its A, A twisted by the record's beta_A.
     """
+    xs = flatten(a)
     for idx, op in enumerate(G.operators):
-        if not _fixes(op, a):
+        if linear(op, xs) != dict(xs):
             raise ValueError(
                 f"element {algebra.render(a)} is not fixed by group operator {idx}"
             )

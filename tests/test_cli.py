@@ -112,6 +112,25 @@ def test_act_argument_lists_exit_0_or_2(tokens):
     assert code == cli.EXIT_PASS or "error:" in err.getvalue()
 
 
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(
+    st.text("0123456789", min_size=1, max_size=4),
+    st.text(" \t", min_size=1, max_size=3),
+    st.text("0123456789", min_size=1, max_size=4),
+)
+def test_every_grammar_and_act_refuse_a_drawn_digit_gap(a, w, b):
+    # a whitespace run between two digit strings is a mistyped number, also
+    # after a name and where a space between factors is a product
+    for text in (f"{a}{w}{b}", f"X {a}{w}{b}"):
+        for cls in (QLaurent, Poly, UElem):
+            with pytest.raises(ValueError, match="^space inside a number in "):
+                cls.parse(text)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.main(["act", f"{a}{w}{b}", "x"])
+    assert code == cli.EXIT_INPUT_ERROR and err.getvalue().startswith("error:")
+
+
 def _random_coeff(rng):
     c = rng.choice([1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3)])
     return QLaurent.q_power(rng.randint(-2, 2), c)
@@ -288,10 +307,12 @@ BAD_SCENARIOS = {
     # inversion solves over the rationals, not over Laurent polynomials
     "q-element": {**K1, "element": ["q"]},
     "ragged-operator": {**K2, "group": [[["1", "0"], ["0"]]]},
-    # the zero map sends the unit to 0
-    "zero-operator": {**K1, "group": [[["0"]]]},
+    # {1, 0} is closed, but no composite of the zero map is the identity
+    "zero-operator": {**K1, "group": [[["1"]], [["0"]]]},
     # without a unit the zero map is an endomorphism, but a singular one
-    "singular-operator": {**K1_NO_UNIT, "group": [[["0"]]]},
+    "singular-operator": {**K1_NO_UNIT, "group": [[["1"]], [["0"]]]},
+    # b -> 2b sends b b = b to 2b, not to 4b
+    "non-multiplicative-operator": {**K2, "group": [IDENTITY2, [["1", "0"], ["0", "2"]]]},
     # the swap squares to the identity, which the group lacks
     "swap-only": {**K2, "group": [SWAP]},
     "unfixed-element": {**K2, "group": [IDENTITY2, SWAP], "element": ["1", "2"]},
@@ -395,6 +416,7 @@ BAD_INPUTS = [
     ({}, ["twist", "finalg", "--bound", "9"]),
     # U(sl(2)) text reads a space as a product, but not inside a number
     ({}, ["act", "2 2", "x"]),
+    ({}, ["verify", "finalg", "--file", "{non-multiplicative-operator}"]),
 ]
 
 

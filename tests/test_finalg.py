@@ -13,8 +13,6 @@ from homtwist.finalg import (
     automorphism_action,
     build_example31,
     inner_automorphism,
-    is_algebra_endo,
-    is_automorphism,
     load_scenario,
     m2_algebra,
     m2_example,
@@ -154,22 +152,27 @@ class TestLinOp:
             assert apply(op, sparse(v)) == sparse(dense)
 
     def test_singular_endomorphism_is_not_an_automorphism(self):
-        # without a unit, the zero map is an algebra endomorphism of k*a
+        # without a unit, the zero map is an algebra endomorphism of k*a, but
+        # no composite of it with a group element is the identity
         algebra = StructAlgebra(("a",), {(0, 0, 0): 1})
         zero_map = operator([[0]])
-        assert is_algebra_endo(algebra, zero_map)
-        assert not is_automorphism(algebra, zero_map)
+        assert homcore.check_multiplicativity(algebra.carrier._replace(alpha=zero_map)).passed
+        with pytest.raises(ValueError, match="^operator 1 is not an algebra automorphism$"):
+            GroupBialgebra(algebra, [homcore.basis_terms, zero_map])
 
-    def test_is_algebra_endo_needs_products_and_unit(self):
+    def test_an_automorphism_needs_products_and_an_inverse(self):
         algebra = m2_algebra()
         # keeps the unit, but sends e12 e21 = e11 to e11 and e12 to -2*e12
         scale = operator([[1, 0, 0, 0], [0, -2, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
-        # multiplicative, but sends the unit to 0
+        # multiplicative, but sends the unit to 0: its row lacks the identity
         zero = operator([[0] * 4 for _ in range(4)])
         conjugation = m2_example()[1].operators[1]
-        assert not is_algebra_endo(algebra, scale)
-        assert not is_algebra_endo(algebra, zero)
-        assert is_algebra_endo(algebra, conjugation)
+        for op in (scale, zero):
+            with pytest.raises(ValueError, match="^operator 1 is not an algebra automorphism$"):
+                GroupBialgebra(algebra, [homcore.basis_terms, op])
+        assert not homcore.check_multiplicativity(algebra.carrier._replace(alpha=scale)).passed
+        assert homcore.check_multiplicativity(algebra.carrier._replace(alpha=zero)).passed
+        assert GroupBialgebra(algebra, [homcore.basis_terms, conjugation]).table[1, 1] == 0
 
     def test_compose_and_identity(self):
         # the composite of the tables against the dense model's matrix product
@@ -214,7 +217,8 @@ class TestInnerAutomorphism:
         algebra, a = m2_algebra(), sparse([ONE, ONE, ZERO, ONE])
         expected = sparse(dense_oracle.m2().inverse([ONE, ONE, ZERO, ONE]))
         assert algebra.inverse(a) == expected == sparse([ONE, ONE * -1, ZERO, ONE])
-        assert is_automorphism(algebra, inner_automorphism(algebra, a))
+        i_a = inner_automorphism(algebra, a)
+        assert homcore.check_multiplicativity(algebra.carrier._replace(alpha=i_a)).passed
 
     def test_non_invertible_rejected(self):
         with pytest.raises(ValueError, match="invertible"):
@@ -241,6 +245,16 @@ class TestGroupBialgebra:
         swap = operator([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]])
         with pytest.raises(ValueError, match="automorphism"):
             GroupBialgebra(algebra, [homcore.basis_terms, swap])
+
+    def test_a_finite_group_may_have_q_entries(self):
+        # conjugation by P = [[0, q], [1, 0]] has order 2, since P^2 = q*1:
+        # e11 <-> e22, e12 -> q^-1 e21, e21 -> q e12.  Its row of the table
+        # holds the identity, and no q-dependent matrix is inverted
+        q, q_inv = QLaurent.q_power(1), QLaurent.q_power(-1)
+        conj = operator([[0, 0, 0, 1], [0, 0, q, 0], [0, q_inv, 0, 0], [1, 0, 0, 0]])
+        G = GroupBialgebra(m2_algebra(), [homcore.basis_terms, conj])
+        assert G.table == {(0, 0): 0, (0, 1): 1, (1, 0): 1, (1, 1): 0}
+        assert homcore.check_module_hom_algebra(automorphism_action(G)).passed
 
     def test_rejects_repeated_operator(self):
         algebra = m2_algebra()

@@ -260,11 +260,14 @@ def test_h4_control_fails_the_suites_that_read_beta_a_on_the_action():
 
 # -- every single-entry edit of a record fails a suite ---------------------
 # The record-side twin of tools/mutate.py: each edit adds e_j, for one basis
-# key j, to one basis entry of beta_H, beta_A, rho or mu_A.  Every edit must
-# fail some suite, and every suite must fail some edit, hom-lie included: a
-# suite that no edit reaches does not read the record it is given.
+# key j, to one basis entry of beta_H, beta_A, rho or mu_A, or multiplies one
+# nonzero entry of beta_H, beta_A, rho, mu_A, mu_H or Delta by q.  Every edit
+# must fail some suite, and every suite must fail some edit, hom-lie
+# included: a suite that no edit reaches does not read the record it is given.
 
-EDITED_RECORDS = {"finalg": (m2, 116), "H4": (h4, 44), "sl2-q(1,1)": (lambda: sl2(1, 1), 88)}
+EDITED_RECORDS = {
+    "finalg": (m2, 116 + 28), "H4": (h4, 44 + 31), "sl2-q(1,1)": (lambda: sl2(1, 1), 88 + 43),
+}
 
 # (record, edit) -> why no suite can see it; a stale entry fails
 UNSEEN = {}
@@ -276,23 +279,39 @@ def plus(table, at, j):
     return lambda *ids: entry if ids == at else table(*ids)
 
 
+def times_q(table, at):
+    """table with its entry at the ids at multiplied by q."""
+    entry = homcore.terms({p + homcore.STRIDE: c for p, c in table(*at)})
+    return lambda *ids: entry if ids == at else table(*ids)
+
+
 def record_edits(r):
     """(name, edited record) for each single-entry edit of r."""
     s = r.module
     H, A = s.H, s.A
+
+    def module(**fields):
+        return r._replace(module=s._replace(**fields))
+
+    # table name -> (table, its inputs, the carrier that e_j is added from
+    # or None for q-scaling only, the record with the table replaced)
     sites = {
         "beta_H": (r.beta_H, (H,), H, lambda t: r._replace(beta_H=t)),
         "beta_A": (r.beta_A, (A,), A, lambda t: r._replace(beta_A=t)),
-        "rho": (s.rho, (H, A), A, lambda t: r._replace(module=s._replace(rho=t))),
-        "mu_A": (A.mul, (A, A), A,
-                 lambda t: r._replace(module=s._replace(A=A._replace(mul=t)))),
+        "rho": (s.rho, (H, A), A, lambda t: module(rho=t)),
+        "mu_A": (A.mul, (A, A), A, lambda t: module(A=A._replace(mul=t))),
+        "mu_H": (H.mul, (H, H), None, lambda t: module(H=H._replace(mul=t))),
+        "Delta": (H.comul, (H,), None, lambda t: module(H=H._replace(comul=t))),
     }
     for table_name, (table, inputs, out, edited) in sites.items():
-        renders = [homcore.axis(C)[1] for C in (*inputs, out)]
+        renders = [homcore.axis(C)[1] for C in inputs]
+        added = [(j, homcore.axis(out)[1](j)) for j in out.basis] if out else []
         for at in itertools.product(*(C.basis for C in inputs)):
             args = ", ".join(render(k) for render, k in zip(renders, at))
-            for j in out.basis:
-                yield f"{table_name}({args}) += {renders[-1](j)}", edited(plus(table, at, j))
+            if table(*at):
+                yield f"{table_name}({args}) *= q", edited(times_q(table, at))
+            for j, e_j in added:
+                yield f"{table_name}({args}) += {e_j}", edited(plus(table, at, j))
 
 
 @pytest.mark.parametrize("record", EDITED_RECORDS)

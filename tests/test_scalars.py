@@ -190,6 +190,10 @@ def test_a_term_reads_the_factors_its_ring_allows(cls, text, key):
         # names the text of the input
         (Poly, "(2) (2)", "cannot parse scalar term '(2) (2)'"),
         (Poly, "(2)3", "cannot parse scalar term '(2)3'"),
+        # Poly has no space product, so a parenthesized number beside
+        # another is no term; UElem reads the same texts as 4
+        (Poly, "(2) 2", "cannot parse scalar term '(2) 2'"),
+        (Poly, "2 (2)", "cannot parse scalar term '2 (2)'"),
     ],
 )
 def test_a_term_refuses_the_factors_its_ring_does_not_allow(cls, text, message):
@@ -215,6 +219,12 @@ def test_every_grammar_refuses_a_space_inside_a_number(cls, text):
         (UElem, "(q + 1)*X", (1, 0, 0), "1 + q"),
         (Poly, "(q + 1)*x", (1, 0), "1 + q"),
         (Poly, "(2)*y", (0, 1), "2"),
+        # a space between factors is a product, also beside a parenthesized
+        # number: the digit-gap rule covers only digits that whitespace separates
+        (UElem, "(2) 2", (0, 0, 0), "4"),
+        (UElem, "2 (2)", (0, 0, 0), "4"),
+        (UElem, "(2) (2)", (0, 0, 0), "4"),
+        (UElem, "2 (q + 1) X", (1, 0, 0), "2 + 2*q"),
     ],
 )
 def test_a_number_beside_a_name_keeps_its_value(cls, text, key, coeff):
