@@ -13,13 +13,16 @@ add_term, the one canonical-form rule: it stores an integral Fraction as its
 int and drops a zero.  Arithmetic results are wrapped with trusted(), which
 skips the constructors' validation because they are canonical already.
 
-The sparse-map section below also holds the base that Poly and UElem share,
-MonomialElem: validated construction, scaling, and the monomial basis of
-both rings (its graded-lex order, its bounded enumeration, the text of a key
-and of an element, and the grammar of a term).  A subclass names its
-variables and says how a term writes them.  An element has no arithmetic of
-its own: its products and endomorphisms are key tables contracted by
-homcore, and two elements are equal when their terms are.
+The text of all three rings is split by one scanner, _split_top: a sum at
+its top-level signs (split_sum) and a term at its top-level factors
+(split_factors).  The sparse-map section below also holds the base that
+Poly and UElem share, MonomialElem: validated construction, scaling, and
+the monomial basis of both rings (its graded-lex order, its bounded
+enumeration, the text of a key and of an element, and the grammar of a
+term).  A subclass names its variables and says how a term writes them.
+An element has no arithmetic of its own: its products and endomorphisms
+are key tables contracted by homcore, and two elements are equal when
+their terms are.
 """
 
 from __future__ import annotations
@@ -187,46 +190,54 @@ def _parse_scalar_term(term: str):
     return exp, coeff
 
 
-def split_sum(text: str):
-    """Split a sum into (sign, term) pairs at top-level + and - signs.
+def _split_top(text: str, seps: str, on_space: bool = False):
+    """The stripped pieces of text between its top-level separators, each as
+    (piece, the separator that ends it), the last with "".
 
-    A '-' that directly follows '^' or '*' belongs to the term (negative
-    exponent or coefficient), not to the sum structure.  Parentheses are
-    respected so "(q + 1)*x" stays one term.
+    A separator is a character of seps (or whitespace when on_space) outside
+    parentheses, but not a '-' that directly follows '^' or '*'.  The text is
+    walked once and sliced at the separators.
     """
-    text = text.strip()
-    if not text:
-        raise ValueError("empty expression")
     pieces = []
-    sign = 1
-    depth = 0
-    current = []
-    for ch in text:
+    depth = start = 0
+    for i, ch in enumerate(text):
         if ch == "(":
             depth += 1
         elif ch == ")":
             depth -= 1
             if depth < 0:
                 raise ValueError(f"unbalanced parentheses in {text!r}")
-        if depth == 0 and ch in "+-":
-            prev = "".join(current).rstrip()
-            if ch == "-" and prev and prev.endswith(("^", "*", "(")):
-                current.append(ch)
-            elif not prev:
-                if ch == "-":
-                    sign = -sign
-            else:
-                pieces.append((sign, prev))
-                sign = 1 if ch == "+" else -1
-                current = []
-        else:
-            current.append(ch)
-    if depth != 0:
+        elif depth == 0 and (ch in seps or on_space and ch.isspace()):
+            piece = text[start:i].strip()
+            if ch != "-" or not piece.endswith(("^", "*")):
+                pieces.append((piece, ch))
+                start = i + 1
+    if depth:
         raise ValueError(f"unbalanced parentheses in {text!r}")
-    last = "".join(current).strip()
-    if not last:
-        raise ValueError(f"dangling operator in {text!r}")
-    pieces.append((sign, last))
+    pieces.append((text[start:].strip(), ""))
+    return pieces
+
+
+def split_sum(text: str):
+    """Split a sum into (sign, term) pairs at top-level + and - signs.
+
+    A '-' that directly follows '^', '*' or '(' belongs to the term (negative
+    exponent, coefficient or parenthesized sum), not to the sum structure.
+    Parentheses are respected so "(q + 1)*x" stays one term.
+    """
+    text = text.strip()
+    if not text:
+        raise ValueError("empty expression")
+    pieces = []
+    sign = 1
+    for term, sep in _split_top(text, "+-"):
+        if term:
+            pieces.append((sign, term))
+            sign = 1
+        elif not sep:
+            raise ValueError(f"dangling operator in {text!r}")
+        if sep == "-":
+            sign = -sign
     return pieces
 
 
@@ -241,21 +252,7 @@ def parse_terms(text: str, parse_term) -> dict:
 
 def split_factors(term: str, on_space: bool = False):
     """Split a product term at top-level '*' (and whitespace when on_space)."""
-    factors = []
-    depth = 0
-    current = []
-    for ch in term:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        if depth == 0 and (ch == "*" or (on_space and ch.isspace())):
-            factors.append("".join(current).strip())
-            current = []
-        else:
-            current.append(ch)
-    factors.append("".join(current).strip())
-    factors = [factor for factor in factors if factor]
+    factors = [factor for factor, _ in _split_top(term, "*", on_space) if factor]
     if not factors:
         raise ValueError(f"empty term in {term!r}")
     return factors

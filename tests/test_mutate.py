@@ -9,6 +9,8 @@ def is gone, or the change no longer appears in it.
 import importlib.util
 import pathlib
 
+import pytest
+
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 _spec = importlib.util.spec_from_file_location("mutate", ROOT / "tools" / "mutate.py")
 mutate = importlib.util.module_from_spec(_spec)
@@ -37,3 +39,15 @@ def test_stale_names_are_seen():
         "no_such_module.f: 1 -> 2",
     ]
     assert unmade([live, *stale]) == sorted(stale)
+
+
+def test_a_class_target_mutates_each_of_its_methods():
+    names = [name for name, _ in mutate.mutants("finalg", {"GroupBialgebra"})]
+    methods = {name.split(": ", 1)[0] for name in names}
+    assert methods == {"finalg.GroupBialgebra.__init__", "finalg.GroupBialgebra.carrier"}
+    one_by_one = mutate.mutants("finalg", {"GroupBialgebra.__init__", "GroupBialgebra.carrier"})
+    assert names == [name for name, _ in one_by_one]
+    assert mutate._in_scope(names[0], {"finalg": {"GroupBialgebra"}})
+    assert not mutate._in_scope(names[0], {"finalg": {"Group"}})
+    with pytest.raises(SystemExit, match="is not a def"):
+        list(mutate.mutants("finalg", {"NoSuchClass"}))

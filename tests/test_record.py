@@ -8,6 +8,9 @@ have no control on the command line.
 """
 
 import itertools
+import pathlib
+import subprocess
+import sys
 from argparse import Namespace
 
 import pytest
@@ -327,3 +330,12 @@ def test_every_record_edit_fails_a_suite_and_every_suite_an_edit(record):
         name for rec, name in UNSEEN if rec == record
     }
     assert set().union(*failing.values()) == set(cli.SUITES)
+
+
+def test_the_record_edit_tool_sees_every_edit_of_sl2_q_1_1():
+    tool = pathlib.Path(__file__).resolve().parent.parent / "tools" / "record_edits.py"
+    done = subprocess.run([sys.executable, str(tool), "1", "1"], capture_output=True, text=True)
+    assert done.returncode == 0, done.stdout + done.stderr
+    edits = EDITED_RECORDS["sl2-q(1,1)"][1]
+    assert done.stdout.startswith(f"sl2-q(1,1): {edits} edits, {len(cli.SUITES)} suites, ")
+    assert "UNSEEN" not in done.stdout and "UNREAD" not in done.stdout

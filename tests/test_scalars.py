@@ -194,9 +194,42 @@ def test_a_term_reads_the_factors_its_ring_allows(cls, text, key):
         # another is no term; UElem reads the same texts as 4
         (Poly, "(2) 2", "cannot parse scalar term '(2) 2'"),
         (Poly, "2 (2)", "cannot parse scalar term '2 (2)'"),
+        # a middle term is quoted stripped, as the first and the last are
+        (UElem, "Z + Y X - Z", "generators out of PBW order in 'Y X'"),
+        (UElem, "Z + 2 2 X - Z", "space inside a number in '2 2 X'"),
     ],
 )
 def test_a_term_refuses_the_factors_its_ring_does_not_allow(cls, text, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        cls.parse(text)
+
+
+# One scanner splits a sum at its top-level signs and a term at its
+# top-level factors; a '-' after '^' or '*' or inside parentheses is no sign.
+@pytest.mark.parametrize(
+    "cls, text, expected",
+    [
+        (QLaurent, "- - q", "q"),
+        (QLaurent, "q + - 1 -\t+ q^-1", "q - 1 - q^-1"),
+        (UElem, "X*-2 - (q - 1)*Y", "-2*X + (1 - q)*Y"),
+        (UElem, "(-q) X", "-q*X"),
+    ],
+)
+def test_a_sum_folds_its_signs(cls, text, expected):
+    assert cls.parse(text).terms == cls.parse(expected).terms
+
+
+@pytest.mark.parametrize(
+    "cls, text, message",
+    [
+        (QLaurent, " \t", "empty expression"),
+        (QLaurent, "q - ", "dangling operator in 'q -'"),
+        (UElem, "(X", "unbalanced parentheses in '(X'"),
+        (UElem, " X) + (Y", "unbalanced parentheses in 'X) + (Y'"),
+        (UElem, "X + *", "empty term in '*'"),
+    ],
+)
+def test_a_sum_refuses_what_does_not_split(cls, text, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         cls.parse(text)
 

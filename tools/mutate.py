@@ -7,8 +7,9 @@ Usage, from the root of a checkout:
     python3 tools/mutate.py --list homcore     # name the mutants, run nothing
 
 A target is "module" (every def of src/homtwist/<module>.py) or
-"module.qualname" (one def, its nested defs and lambdas included).  Each
-mutant is one of these changes, made with the stdlib ast module:
+"module.qualname": one def, its nested defs and lambdas included, or one
+class, every method of it included.  Each mutant is one of these changes,
+made with the stdlib ast module:
 
 - an arithmetic or bit operator swapped (+ and -, << and >>, & and |, ...);
 - a comparison flipped (== and !=, < and >=, in and not in, ...);
@@ -17,16 +18,17 @@ mutant is one of these changes, made with the stdlib ast module:
 - a not dropped;
 - the first two positional arguments of a call swapped, when they differ.
 
-The tree is never written: src, tests and perfbench are copied to a scratch
-folder (--scratch, or a new temporary one), and each mutant is written into
-the copy, run and undone there.  Each mutant runs Tier-1 with -x, leaving
-out the two tests that read the source text: test_reachability.py's
-test_every_statement_runs, which fails on any changed src line, and
-test_mutate.py, which fails on a mutant that EQUIVALENT names.  The
-unmutated copy must pass the rest first, and that run is timed: a mutant's
-run is stopped at three times its length, so the limit is derived, not set.
-A mutant is killed when pytest fails, or printed as a timeout (and counted
-as killed) when it reaches the limit; the others survive and are printed.
+The tree is never written: src, tests, perfbench and tools are copied to a
+scratch folder (--scratch, or a new temporary one), and each mutant is
+written into the copy, run and undone there.  Each mutant runs Tier-1 with
+-x, leaving out the two tests that read the source text:
+test_reachability.py's test_every_statement_runs, which fails on any
+changed src line, and test_mutate.py, which fails on a mutant that
+EQUIVALENT names.  The unmutated copy must pass the rest first, and that
+run is timed: a mutant's run is stopped at three times its length, so the
+limit is derived, not set.  A mutant is killed when pytest fails, or
+printed as a timeout (and counted as killed) when it reaches the limit; the
+others survive and are printed.
 
 EQUIVALENT names the survivors that no test can kill, each with a reason.
 The exit status is 0 when every survivor is listed there, 1 when some
@@ -102,18 +104,25 @@ def _copy(node, **fields):
 
 
 def _defs(tree):
-    """(qualname, node) of every def of a module that no def holds, methods
-    included."""
+    """(qualname, node) of every def and class of a module that no def
+    holds, methods and nested classes included."""
     stack = [("", tree)]
     while stack:
         prefix, parent = stack.pop()
         for node in ast.iter_child_nodes(parent):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 name = prefix + node.name
-                if not isinstance(node, ast.ClassDef):
-                    yield name, node
-                else:
+                yield name, node
+                if isinstance(node, ast.ClassDef):
                     stack.append((name + ".", node))
+
+
+def _chosen(qualname: str, qualnames) -> bool:
+    """Whether qualnames (a set, or None for all) names the def qualname,
+    itself or by a class that holds it."""
+    return qualnames is None or any(
+        qualname == name or qualname.startswith(name + ".") for name in qualnames
+    )
 
 
 def _skipped(tree) -> set:
@@ -128,9 +137,10 @@ def _skipped(tree) -> set:
 def mutants(module: str, qualnames=None):
     """(name, mutated source) of each mutant of the defs of module.
 
-    qualnames (a set) keeps the defs so named; None keeps every def.  A
-    name is "module.qualname: <old text> -> <new text>", with " #n" added
-    when the same change appears more than once in one def.  The change is
+    qualnames (a set) keeps the defs so named and the methods of the
+    classes so named; None keeps every def.  A name is "module.qualname:
+    <old text> -> <new text>", with " #n" added when the same change
+    appears more than once in one def.  The change is
     spliced into the source text, so the rest of the file keeps its bytes.
     """
     path = os.path.join(ROOT, SRC, module + ".py")
@@ -149,9 +159,9 @@ def mutants(module: str, qualnames=None):
 
     defs = dict(_defs(tree))
     for qualname in sorted(set(qualnames or ()) - set(defs)):
-        raise SystemExit(f"error: {module}.{qualname} is not a def")
+        raise SystemExit(f"error: {module}.{qualname} is not a def or a class")
     for qualname, fn in defs.items():
-        if qualnames is not None and qualname not in qualnames:
+        if isinstance(fn, ast.ClassDef) or not _chosen(qualname, qualnames):
             continue
         seen = {}
         # a def's nested defs and lambdas are part of it
@@ -173,15 +183,15 @@ def mutants(module: str, qualnames=None):
 
 def _copy_tree(scratch: str):
     ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache", "out")
-    for folder in ("src", "tests", "perfbench"):
+    for folder in ("src", "tests", "perfbench", "tools"):
         shutil.copytree(os.path.join(ROOT, folder), os.path.join(scratch, folder), ignore=ignore)
     for name in ("pyproject.toml", "BENCHMARK.json"):
         shutil.copy(os.path.join(ROOT, name), scratch)
 
 
 def _test_files(scratch: str, module: str) -> list:
-    """Tier-1's test files but test_mutate.py (which reads tools/, not
-    copied), those named after the mutated module first.
+    """Tier-1's test files but test_mutate.py (which fails on a mutant
+    that EQUIVALENT names), those named after the mutated module first.
     """
     names = sorted(
         name for name in os.listdir(os.path.join(scratch, "tests"))
@@ -222,10 +232,7 @@ def _targets(specs) -> dict:
 def _in_scope(name: str, targets: dict) -> bool:
     head = name.split(": ", 1)[0]
     module, _, qualname = head.partition(".")
-    if module not in targets:
-        return False
-    chosen = targets[module]
-    return chosen is None or qualname in chosen
+    return module in targets and _chosen(qualname, targets[module])
 
 
 def main(argv=None) -> int:
