@@ -364,20 +364,35 @@ def main(argv=None):
 
 
 def run(argv=None):
-    """The process entry point: main, then gc.freeze().
+    """The process entry point: main with the cyclic collector off, then the
+    end of the process at the verdict.
 
     SIGPIPE takes its default action first, so a closed stdout (homtwist ...
-    | head -1) ends the process as it ends cat, with no traceback.  Freezing
-    moves every object into the permanent generation, so the interpreter's
-    collection at exit has nothing left to traverse.  Only a process about to
-    exit calls this; main neither resets a signal nor freezes.
+    | head -1) ends the process as it ends cat, with no traceback.  The tables
+    of a run hold almost no cycles, so the collector stays off.  Once main
+    returns, stdout and stderr are flushed and os._exit ends the process: no
+    module teardown or deallocation runs after the verdict.  A --report file
+    is closed before main returns.  A stdout that cannot be written, such as
+    a full device, is an input error.  Only a process about to exit calls
+    this; main neither resets a signal nor touches the collector.
     """
     if hasattr(signal, "SIGPIPE"):  # POSIX only
         signal.signal(signal.SIGPIPE, signal.SIG_DFL)
-    code = main(argv)
-    gc.freeze()
-    return code
+    gc.disable()
+    try:
+        code = main(argv)
+        # a stream is None when its descriptor was closed at start; print
+        # then drops the text
+        if sys.stdout is not None:
+            sys.stdout.flush()
+    except OSError as exc:
+        # raised by a print, or by the flush of what print buffered
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        code = EXIT_INPUT_ERROR
+    if sys.stderr is not None:
+        sys.stderr.flush()
+    os._exit(code)
 
 
 if __name__ == "__main__":
-    sys.exit(run())
+    run()

@@ -331,7 +331,12 @@ def load_scenario(path):
         "element": ["coeff", ...]          # the conjugating element a
       }
     Coefficients use the scalar text grammar, e.g. "1", "-2/3", "q^2".
+    Each distinct coefficient text is parsed once, through a memo that lives
+    for this one load: a QLaurent is immutable, so equal texts share one
+    instance.  A refused text raises and is not stored, so it fails wherever
+    it appears.
     """
+    scalar = cache(QLaurent.parse)
     with open(path) as fh:
         try:
             data = json.load(fh)
@@ -351,30 +356,26 @@ def load_scenario(path):
         i, j, k, coeff = entry
         if (i, j, k) in constants:
             raise ValueError(f"constant ({i}, {j}, {k}) is given twice")
-        constants[(i, j, k)] = _scalar(coeff)
+        constants[(i, j, k)] = scalar(str(coeff))
     labels = _array(data.get("labels"), "labels")
-    unit = _vector(data["unit"], "unit vector", len(labels)) if "unit" in data else None
+    unit = _vector(data["unit"], "unit vector", len(labels), scalar) if "unit" in data else None
     algebra = StructAlgebra(labels, constants, unit=unit)
     operators = []
     for idx, matrix in enumerate(_array(data.get("group"), "group")):
         rows = [_array(row, "matrix row") for row in _array(matrix, "group matrix")]
-        operators.append(operator([[_scalar(c) for c in row] for row in rows]))
+        operators.append(operator([[scalar(str(c)) for c in row] for row in rows]))
         if len(rows) != algebra.dim:
             raise ValueError(
                 f"operator {idx} is {len(rows)}x{len(rows)} on a {algebra.dim}-dim algebra"
             )
     G = GroupBialgebra(algebra, operators)
-    element = _vector(data.get("element"), "distinguished element", algebra.dim)
+    element = _vector(data.get("element"), "distinguished element", algebra.dim, scalar)
     return algebra, G, element
 
 
-def _scalar(value):
-    return QLaurent.parse(str(value))
-
-
-def _vector(value, what, dim):
-    """Sparse coordinates of a JSON array of dim coefficients."""
-    coeffs = [_scalar(c) for c in _array(value, what)]
+def _vector(value, what, dim, scalar):
+    """Sparse coordinates of a JSON array of dim coefficients, read by scalar."""
+    coeffs = [scalar(str(c)) for c in _array(value, what)]
     if len(coeffs) != dim:
         raise ValueError(f"{what} has wrong length")
     return {i: c for i, c in enumerate(coeffs) if c}

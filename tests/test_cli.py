@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import errno
 import gc
 import io
 import json
@@ -701,21 +702,99 @@ def test_module_hom_sweep_is_cleared_after_the_run(capsys):
     assert cli._module_hom_sweep.cache_info().currsize == 0
 
 
-def test_package_runs_as_module(capsys):
-    # both process entry points go through cli.run, which prints what the
-    # in-process cli.main prints; only run freezes the heap
-    code, expected, _ = run(capsys, "verify", "finalg")
-    assert code == cli.EXIT_PASS and "PASS" in expected
-    assert gc.get_freeze_count() == 0
+# a pass, an axiom failure and a bad input, each with its exit code and a
+# line of its output; REPORT stands for the report path
+ENTRY_POINT_RUNS = [
+    (["verify", "finalg", "--report", "REPORT"], cli.EXIT_PASS, "PASS hom-lie(A_alpha)"),
+    (
+        [
+            "verify", "sl2-q", "--bound-h", "2", "--bound-a", "2",
+            "--suite", "module-hom-algebra", "--suite", "mu-module-morphism",
+            "--negative-control", "--report", "REPORT",
+        ],
+        cli.EXIT_AXIOM_FAILURE,
+        "124 counterexamples out of 360 cases",
+    ),
+    (["verify", "sl2-q", "--bound-h", "0"], cli.EXIT_INPUT_ERROR, "error: bounds must be >= 1"),
+]
+
+
+def test_package_runs_as_module(capsys, tmp_path):
+    # both process entry points go through cli.run, which prints, writes and
+    # exits as the in-process cli.main does.  Only run turns the collector
+    # off and ends the process; os._exit flushes no file left open, so the
+    # report must be whole when main returns.  Stdout is block-buffered, so
+    # what run does not flush is lost
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env = {**os.environ, "PYTHONPATH": src}
-    for module in ("homtwist", "homtwist.cli"):
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = src
+    for argv, expected_code, line in ENTRY_POINT_RUNS:
+        names = ("main", "homtwist", "homtwist.cli")
+        reports = {name: tmp_path / f"{name}.json" for name in names}
+        argvs = {
+            name: [str(path) if arg == "REPORT" else arg for arg in argv]
+            for name, path in reports.items()
+        }
+        code, out, err = run(capsys, *argvs["main"])
+        assert code == expected_code and line in out + err
+        assert gc.isenabled()
+        for module in ("homtwist", "homtwist.cli"):
+            done = subprocess.run(
+                [sys.executable, "-m", module, *argvs[module]],
+                env=env, capture_output=True, timeout=120,
+            )
+            assert done.returncode == code
+            assert (done.stdout, done.stderr) == (out.encode(), err.encode())
+            if "REPORT" in argv:
+                assert reports[module].read_bytes() == reports["main"].read_bytes()
+
+
+def test_run_calls_main_without_the_collector_then_flushes_and_exits(monkeypatch):
+    # in process: SIGPIPE keeps pytest's action, and the exit raises here
+    events = []
+
+    class Stream(io.StringIO):
+        def flush(self):
+            events.append(("flush", self))
+
+    out, err = Stream(), Stream()
+    monkeypatch.setattr(sys, "stdout", out)
+    monkeypatch.setattr(sys, "stderr", err)
+    monkeypatch.setattr(signal, "signal", lambda *args: None)
+    monkeypatch.setattr(cli, "main", lambda argv: events.append((argv, gc.isenabled())) or 1)
+
+    def exit_now(code):
+        events.append(("exit", code))
+        raise SystemExit(code)
+
+    monkeypatch.setattr(os, "_exit", exit_now)
+    try:
+        with pytest.raises(SystemExit):
+            cli.run(["act", "X", "y"])
+    finally:
+        gc.enable()
+    assert events == [(["act", "X", "y"], False), ("flush", out), ("flush", err), ("exit", 1)]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+def test_unwritable_stdout_is_an_input_error(unbuffered):
+    # a full device refuses every write: print raises at once when stdout is
+    # unbuffered, the flush in cli.run raises when it is buffered
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = src
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    argv = ["verify", "sl2-q", "--bound-h", "1", "--bound-a", "1", "--suite", "hom-bialgebra"]
+    with open("/dev/full", "w") as full:
         done = subprocess.run(
-            [sys.executable, "-m", module, "verify", "finalg"],
-            env=env, capture_output=True, timeout=120,
+            [sys.executable, "-m", "homtwist", *argv],
+            env=env, stdout=full, stderr=subprocess.PIPE, timeout=120,
         )
-        assert done.returncode == 0, done.stderr
-        assert done.stdout == expected.encode()
+    assert done.returncode == cli.EXIT_INPUT_ERROR
+    message = f"[Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"
+    assert done.stderr.decode() == f"error: cannot write output: {message}\n"
 
 
 def test_closed_stdout_ends_the_process_as_cat_ends():

@@ -413,6 +413,89 @@ class TestOneTablePerStructure:
         assert info.misses == info.currsize == algebra.dim == 9
 
 
+class TestParseMemo:
+    """load_scenario parses each distinct coefficient text once per load."""
+
+    @pytest.fixture
+    def parsed(self, monkeypatch):
+        """The texts that QLaurent.parse is called on, in call order."""
+        calls, parse = [], QLaurent.parse
+
+        def counted(cls, text):
+            calls.append(text)
+            return parse(text)
+
+        monkeypatch.setattr(QLaurent, "parse", classmethod(counted))
+        return calls
+
+    @staticmethod
+    def texts(document):
+        return [
+            *(c for *_, c in document["constants"]),
+            *document["unit"],
+            *(c for matrix in document["group"] for row in matrix for c in row),
+            *document["element"],
+        ]
+
+    @pytest.fixture
+    def seed1(self, tmp_path):
+        document = finalg_gen.generate(1, 3)
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(document))
+        return path, document
+
+    def test_each_distinct_text_is_parsed_once(self, seed1, parsed):
+        path, document = seed1
+        texts = self.texts(document)
+        assert (len(texts), len(set(texts)), texts.count("0")) == (369, 10, 300)
+        load_scenario(path)
+        assert len(parsed) == 10
+        assert set(parsed) == set(texts)
+
+    def test_a_second_load_parses_afresh(self, seed1, parsed):
+        path, _ = seed1
+        load_scenario(path)
+        first = list(parsed)
+        load_scenario(path)
+        assert len(parsed) == 20
+        assert parsed[10:] == first
+
+    def test_the_load_equals_a_load_without_the_memo(self, seed1, parsed, monkeypatch):
+        path, _ = seed1
+        A1, G1, a1 = load_scenario(path)
+        # finalg's cache wraps only the parse during a load
+        monkeypatch.setattr(finalg, "cache", lambda f: f)
+        A2, G2, a2 = load_scenario(path)
+        assert len(parsed) == 10 + 369
+        ids = A1.carrier.basis
+        assert (A1.labels, ids, A1.unit, a1) == (A2.labels, A2.carrier.basis, A2.unit, a2)
+        assert all(A1.carrier.mul(i, j) == A2.carrier.mul(i, j) for i in ids for j in ids)
+        assert G1.table == G2.table
+        assert [[op(k) for k in ids] for op in G1.operators] == [
+            [op(k) for k in ids] for op in G2.operators
+        ]
+
+    @pytest.mark.parametrize(
+        "place",
+        [("constants", 5, 3), ("unit", 1), ("group", 2, 1, 1), ("element", 4)],
+        ids=lambda place: place[0],
+    )
+    def test_a_refused_text_fails_wherever_it_appears(self, tmp_path, parsed, place):
+        document = finalg_gen.generate(1, 3)
+        *path, last = place
+        target = document
+        for step in path:
+            target = target[step]
+        target[last] = "q^"
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(document))
+        # a refused text is not stored, so a second load refuses it again
+        for _ in range(2):
+            with pytest.raises(ValueError, match=re.escape("cannot parse scalar term 'q^'")):
+                load_scenario(scenario)
+        assert parsed.count("q^") == 2
+
+
 class TestScenarioFile:
     def test_roundtrip_through_json(self, tmp_path):
         # m2_example in the file format: e_ij e_jl = e_il

@@ -42,7 +42,8 @@ ALLOWED = {
     "homcore.build_rho2": "rho^2 on A x A, the reference of the fused module sweep",
     "homcore.t_contract": "mu_A on the terms of rho^2, the reference's right side",
     # the process entry point: the commands here run through cli.main
-    "cli.run": "the entry point of a process; it calls main, then freezes the heap",
+    "cli.run": "the entry point of a process: main without the cyclic collector, then "
+    "os._exit, or exit 2 where stdout cannot be written",
     # error and failure paths that no well-formed input takes
     "cli._discard": "removes a partial report when an error ends a run mid-sweep",
     "finalg._render_group_elem": "renders a k[G] side, which only a failing case has",
