@@ -12,6 +12,7 @@ byte-deterministic for a fixed invocation.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import gc
 import os
@@ -23,7 +24,7 @@ from fractions import Fraction
 
 from . import actions, finalg, homcore
 from .polyalg import Poly
-from .report import write_json
+from .report import CheckReport, Counterexample, write_json
 from .scalars import QLaurent
 from .uea import UElem
 
@@ -77,9 +78,16 @@ def _hom_lie(r, args):
 
 @functools.lru_cache(maxsize=1)
 def _module_hom_sweep(r, alpha_power):
-    # one sweep for both module Hom-algebra suites of a run: by Theorem 1.1
-    # mu-module-morphism is a view of the same identity
+    # one sweep for both module Hom-algebra suites of a run
     return homcore.check_module_hom_algebra(homcore.deform_scenario(r), alpha_power)
+
+
+def _swapped(report):
+    # Theorem 1.1(3): mu_A is a morphism of H-modules (A x A, rho^2) ->
+    # (A, rho-tilde) exactly when the module Hom-algebra axiom holds, so its
+    # report is that sweep's with the sides swapped; the shared one stays
+    swapped = [Counterexample(ce.rendered_inputs, ce.rhs, ce.lhs) for ce in report.counterexamples]
+    return CheckReport(checked=report.checked, counterexamples=swapped)
 
 
 SUITES = {
@@ -92,7 +100,7 @@ SUITES = {
         _module_hom_sweep(r, _alpha_power(args)), "module-hom-algebra", "Eqs. (2.9)/(2.10)"
     ),
     "mu-module-morphism": lambda r, args: _label(
-        homcore.mu_module_morphism(_module_hom_sweep(r, _alpha_power(args))),
+        _swapped(_module_hom_sweep(r, _alpha_power(args))),
         "mu-module-morphism",
         "Theorem 1.1(3)",
     ),
@@ -359,8 +367,16 @@ def main(argv=None):
         # OverflowError: homcore's key registry is full, the bounds or the
         # arguments name more keys than it holds; or act meets a coefficient,
         # or under --q-value a power of q, too large to compute
-        print(f"error: {exc}", file=sys.stderr)
+        _error(f"error: {exc}")
         return EXIT_INPUT_ERROR
+
+
+def _error(line):
+    # a stderr that is closed (None: print would write to stdout) or cannot be
+    # written drops the line, as argparse drops its own: the exit code stays
+    if sys.stderr is not None:
+        with contextlib.suppress(OSError):
+            print(line, file=sys.stderr)
 
 
 def run(argv=None):
@@ -373,7 +389,8 @@ def run(argv=None):
     returns, stdout and stderr are flushed and os._exit ends the process: no
     module teardown or deallocation runs after the verdict.  A --report file
     is closed before main returns.  A stdout that cannot be written, such as
-    a full device, is an input error.  Only a process about to exit calls
+    a full device, is an input error; an error line that stderr cannot take
+    is dropped, and the exit code stays.  Only a process about to exit calls
     this; main neither resets a signal nor touches the collector.
     """
     if hasattr(signal, "SIGPIPE"):  # POSIX only
@@ -387,10 +404,11 @@ def run(argv=None):
             sys.stdout.flush()
     except OSError as exc:
         # raised by a print, or by the flush of what print buffered
-        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        _error(f"error: cannot write output: {exc}")
         code = EXIT_INPUT_ERROR
     if sys.stderr is not None:
-        sys.stderr.flush()
+        with contextlib.suppress(OSError):  # a line that could not be written
+            sys.stderr.flush()
     os._exit(code)
 
 

@@ -34,9 +34,10 @@ table basis_terms.
 A structure-map axiom is a commuting square of linear maps or one of the two
 halves of the module axiom on a module triple: alpha carries rho
 (_rho_commutes) and the action is Hom-associative; an algebra A is a module
-over itself, regular(A).  Each identity is swept once:
-check_mu_module_morphism reads the module Hom-algebra sweep, the same
-identity by Theorem 1.1.  Delta(x) = sum x' x x'' is split in one memo table,
+over itself, regular(A).  homcore holds identities only, each swept once;
+cli holds everything a run prints: labels, equations and which side is lhs
+(mu-module-morphism is the module Hom-algebra sweep, sides swapped, by
+Theorem 1.1(3)).  Delta(x) = sum x' x x'' is split in one memo table,
 split_coproduct, which the two other accumulate loops read: the right side
 mu_A o rho^2 of the module Hom-algebra sweep (one memoized row of
 (rho(., a) x Id)Delta(x) per (x, a), through rho(x'', b) and the mu_A table)
@@ -633,27 +634,6 @@ def check_module_hom_algebra(s: ModuleAlgebraScenario, alpha_power: int = 2) -> 
         rhs,
         renderer(s.A),
     )
-
-
-def mu_module_morphism(report: CheckReport) -> CheckReport:
-    """A module Hom-algebra report read as Theorem 1.1(3), unlabelled.
-
-    mu_A is a morphism of H-modules from (A x A, rho^2) to (A, rho-tilde)
-    exactly when the module Hom-algebra axiom holds: the identity is the same,
-    with the sides swapped.  The view copies the counterexamples, so report
-    is left as it is.
-    """
-    swapped = [ce._replace(lhs=ce.rhs, rhs=ce.lhs) for ce in report.counterexamples]
-    return CheckReport(checked=report.checked, counterexamples=swapped)
-
-
-def check_mu_module_morphism(s: ModuleAlgebraScenario, alpha_power: int = 2) -> CheckReport:
-    """mu_A as a morphism of H-modules from (A x A, rho^2) to (A, rho-tilde).
-
-    By Theorem 1.1 this is the module Hom-algebra axiom: the report reads the
-    sweep of check_module_hom_algebra through mu_module_morphism.
-    """
-    return mu_module_morphism(check_module_hom_algebra(s, alpha_power))
 
 
 # -- Yau twists --------------------------------------------------------

@@ -27,7 +27,6 @@ METRIC_NAMES = {
     "homcore.check_hom_bialgebra",
     "homcore.check_module_axiom",
     "homcore.check_module_hom_algebra",
-    "homcore.check_mu_module_morphism",
     "finalg.load_scenario",
     "finalg.build_example31",
     "cli.main",

@@ -776,25 +776,80 @@ def test_run_calls_main_without_the_collector_then_flushes_and_exits(monkeypatch
     assert events == [(["act", "X", "y"], False), ("flush", out), ("flush", err), ("exit", 1)]
 
 
-@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
-@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
-def test_unwritable_stdout_is_an_input_error(unbuffered):
-    # a full device refuses every write: print raises at once when stdout is
-    # unbuffered, the flush in cli.run raises when it is buffered
+def _entry_point(argv, unbuffered, **streams):
+    """Run python -m homtwist argv in a fresh interpreter with these streams."""
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     env["PYTHONPATH"] = src
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
-    argv = ["verify", "sl2-q", "--bound-h", "1", "--bound-a", "1", "--suite", "hom-bialgebra"]
+    return subprocess.run(
+        [sys.executable, "-m", "homtwist", *argv], env=env, timeout=120, **streams
+    )
+
+
+PASSING = ["verify", "sl2-q", "--bound-h", "1", "--bound-a", "1", "--suite", "hom-bialgebra"]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+def test_unwritable_stdout_is_an_input_error(unbuffered):
+    # a full device refuses every write: print raises at once when stdout is
+    # unbuffered, the flush in cli.run raises when it is buffered
     with open("/dev/full", "w") as full:
-        done = subprocess.run(
-            [sys.executable, "-m", "homtwist", *argv],
-            env=env, stdout=full, stderr=subprocess.PIPE, timeout=120,
-        )
+        done = _entry_point(PASSING, unbuffered, stdout=full, stderr=subprocess.PIPE)
     assert done.returncode == cli.EXIT_INPUT_ERROR
     message = f"[Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"
     assert done.stderr.decode() == f"error: cannot write output: {message}\n"
+
+
+# Runs whose error line cannot be written, as (argv, stdout, stderr).  A full
+# device refuses every write (ENOSPC).  A closed stderr (2>&-) reaches the
+# interpreter read-only when a launcher script opens a file on the free
+# descriptor, and then every write fails (EBADF).  The last run is argparse's
+# own message, which argparse drops but leaves in stderr's buffer.
+UNWRITABLE_ERROR_LINE = [
+    (["verify", "sl2-q", "--bound-h", "0"], "pipe", "full"),
+    (["verify", "sl2-q", "--bound-h", "0"], "pipe", "read-only"),
+    (["verify", "sl2-q", "--bound-h", "1", "--bound-a", "1", "--suite", "nope"], "pipe", "full"),
+    (PASSING, "full", "full"),
+    (PASSING, "full", "read-only"),
+    (["verify", "sl2-q", "--bogus"], "pipe", "full"),
+]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize(
+    "argv, stdout, stderr",
+    UNWRITABLE_ERROR_LINE,
+    ids=["bound-full", "bound-closed", "suite-full", "pass-full-full", "pass-full-closed",
+         "option-full"],
+)
+def test_unwritable_error_line_is_an_input_error(argv, stdout, stderr, unbuffered):
+    # the error line is dropped, and the run ends at os._exit(2) as any input
+    # error does: no exit 1 from an uncaught exception, no exit 120 from a
+    # flush at interpreter teardown
+    with contextlib.ExitStack() as stack:
+        streams = {
+            "pipe": subprocess.PIPE,
+            "full": stack.enter_context(open("/dev/full", "w")),
+            "read-only": stack.enter_context(open(os.devnull)),
+        }
+        done = _entry_point(argv, unbuffered, stdout=streams[stdout], stderr=streams[stderr])
+    assert done.returncode == cli.EXIT_INPUT_ERROR
+    assert not done.stdout
+
+
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+def test_closed_stderr_keeps_the_error_line_off_stdout(unbuffered):
+    # a descriptor 2 closed when the interpreter starts leaves sys.stderr None,
+    # and print(file=None) would write the error line to stdout
+    done = _entry_point(
+        ["verify", "sl2-q", "--bound-h", "0"], unbuffered,
+        stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, preexec_fn=lambda: os.close(2),
+    )
+    assert (done.returncode, done.stdout) == (cli.EXIT_INPUT_ERROR, b"")
 
 
 def test_closed_stdout_ends_the_process_as_cat_ends():

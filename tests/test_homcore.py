@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from homtwist import actions, finalg, homcore
+from homtwist import actions, cli, finalg, homcore
 from homtwist.homcore import (
     basis_terms,
     bilinear,
@@ -13,7 +13,6 @@ from homtwist.homcore import (
     check_hom_jacobi,
     check_module_axiom,
     check_module_hom_algebra,
-    check_mu_module_morphism,
     check_multiplicativity,
     linear,
     terms,
@@ -372,12 +371,12 @@ class TestCharacterizationTheorem:
     def test_verdicts_agree_on_passing_scenario(self):
         s = actions.deformed_scenario(2, 2)
         assert check_module_hom_algebra(s).passed
-        assert check_mu_module_morphism(s).passed
+        assert cli._swapped(check_module_hom_algebra(s)).passed
 
     def test_verdicts_agree_on_negative_control(self):
         s = actions.deformed_scenario(2, 2)
         direct = check_module_hom_algebra(s, alpha_power=1)
-        morphism = check_mu_module_morphism(s, alpha_power=1)
+        morphism = cli._swapped(check_module_hom_algebra(s, alpha_power=1))
         assert not direct.passed and not morphism.passed
         assert [ce.rendered_inputs for ce in direct.counterexamples] == [
             ce.rendered_inputs for ce in morphism.counterexamples
@@ -397,7 +396,7 @@ class TestCharacterizationTheorem:
     def test_morphism_reads_the_module_hom_algebra_sweep(self, deformed, alpha_power):
         s = deformed()
         direct = check_module_hom_algebra(s, alpha_power)
-        morphism = check_mu_module_morphism(s, alpha_power)
+        morphism = cli._swapped(check_module_hom_algebra(s, alpha_power))
         assert morphism.checked == direct.checked
         swapped = [(r, rhs, lhs) for r, lhs, rhs in self.cases(morphism)]
         assert swapped == self.cases(direct)
@@ -405,7 +404,7 @@ class TestCharacterizationTheorem:
     def test_view_leaves_the_report_as_it_is(self):
         report = check_module_hom_algebra(actions.deformed_scenario(1, 1), alpha_power=1)
         before = self.cases(report)
-        view = homcore.mu_module_morphism(report)
+        view = cli._swapped(report)
         assert before and self.cases(report) == before
         assert not {id(ce) for ce in view.counterexamples} & set(map(id, report.counterexamples))
 

@@ -35,7 +35,6 @@ ALLOWED = {
     # what a failing assert on .terms dicts prints
     "scalars.QLaurent.__repr__": "test-side arithmetic: a failing .terms assert prints it",
     # names that the benchmark or test_bench_hooks pin
-    "homcore.check_mu_module_morphism": "a traced span of perfbench/tracer.py",
     "finalg.build_example31": "a traced span of perfbench/tracer.py and setup_probe.py",
     # references that the fused sweeps are tested against
     "homcore.tensor": "the tensor carrier that build_rho2 and its tests read",
