@@ -17,9 +17,12 @@ keys again where a result is rendered (axis, renderer, unflatten).
 A Scenario is the one record every suite reads, (module, beta_H, beta_A,
 lie): a module Hom-algebra, the compatible maps beta that deform_scenario
 twists it by (no other code twists a record), and lie(d), the Lie carrier of
-a deformed triple d.  A twist composes with the structure map, alpha' = beta
-o alpha (alpha = Id gives the paper's deformation).  Twisted and deformed
-tables are composites, composite(f, g) = the memo table of f o g.
+a deformed triple d.  There is one twist, yau_twist(C, beta), of an algebra
+or a bialgebra: beta o mu, beta o alpha (alpha = Id gives the paper's
+deformation) and Delta o beta.  Twisted and deformed tables are composites,
+composite(f, g) = the memo table of f o g.  There is one tensor carrier,
+tensor(C), the square C x C with a slotwise alpha and no basis; build_rho2
+alone gives it one.
 
 Every checker runs one or more sweeps (report.sweep) of a multilinear
 identity over basis tuples, whose sides are contractions of the tables with
@@ -48,7 +51,8 @@ slotwise product of H x H, which paid a call and a list of terms per Delta
 term, are their tests' references.  A checker returns an unlabelled
 CheckReport, which the command line names: a failed identity is report
 content, not an exception, and renderer renders each distinct side once.
-Only malformed carriers raise.
+Only malformed carriers raise: one with no coproduct raises TypeError in
+the first checker that reads it.
 """
 
 from __future__ import annotations
@@ -342,52 +346,34 @@ def split_coproduct(comul):
     return cache(lambda k: [(p & _HIGH, *slots[p & _MASK], c) for p, c in comul(k)])
 
 
-def render_tensor(t: dict, *carriers) -> str:
-    """Render a tensor {key tuple: QLaurent}, one slot per carrier."""
+def render_tensor(t: dict, C1: Carrier, C2: Carrier) -> str:
+    """Render a tensor {key pair: QLaurent} of C1 x C2."""
     if not t:
         return "0"
     parts = []
-    for key in sorted(t, key=repr):
-        names = " x ".join(c.render_key(k) for c, k in zip(carriers, key))
-        parts.append(f"({t[key]})*({names})")
+    for k1, k2 in sorted(t, key=repr):
+        parts.append(f"({t[k1, k2]})*({C1.render_key(k1)} x {C2.render_key(k2)})")
     return " + ".join(parts)
 
 
-def _slotwise(C1: Carrier, C2: Carrier) -> Carrier:
-    """The structure map and rendering of the tensor product of C1 and C2,
-    with no basis and no product.
+def tensor(C: Carrier) -> Carrier:
+    """The tensor square C x C, with no basis and no product; its keys are key
+    pairs.
 
-    alpha acts slotwise, alpha(a x b) = alpha(a) x alpha(b), t_map(alpha1,
-    alpha2); its results are outer products (t_outer), so they may repeat a
+    alpha acts slotwise, alpha(a x b) = alpha(a) x alpha(b), t_map(C.alpha,
+    C.alpha); its results are outer products (t_outer), so they may repeat a
     packed value, and it is not a memo table: a tensor sweep meets each
     tensor key about once.  No sweep multiplies tensors: the one slotwise
     product, Delta(x)Delta(y), is the loop of check_comul_morphism.
     """
     return Carrier(
-        name=f"{C1.name} x {C2.name}",
+        name=f"{C.name} x {C.name}",
         basis=(),
         mul=None,
-        alpha=t_map(C1.alpha, C2.alpha),
-        render_key=lambda t: f"{C1.render_key(t[0])} x {C2.render_key(t[1])}",
-        render_elem=lambda coords: render_tensor(coords, C1, C2),
+        alpha=t_map(C.alpha, C.alpha),
+        render_key=lambda t: f"{C.render_key(t[0])} x {C.render_key(t[1])}",
+        render_elem=lambda coords: render_tensor(coords, C, C),
     )
-
-
-def tensor(C: Carrier) -> Carrier:
-    """The tensor square C x C as a module, with no product; its keys are key
-    pairs.
-
-    Its structure map and rendering are those of _slotwise(C, C), and its
-    basis holds the pairs of basis keys, the second slot varying fastest.
-    """
-    pair = REGISTRY.pair
-    basis = tuple(pair(k1, k2) for k1 in C.basis for k2 in C.basis)
-    return _slotwise(C, C)._replace(basis=basis)
-
-
-def _require_comul(H: Carrier):
-    if H.comul is None:
-        raise ValueError(f"carrier {H.name} has no comultiplication")
 
 
 # -- sweep shapes ------------------------------------------------------
@@ -449,7 +435,6 @@ def check_hom_associativity(A: Carrier) -> CheckReport:
 
 def check_hom_coassociativity(H: Carrier) -> CheckReport:
     """(Delta x alpha) o Delta = (alpha x Delta) o Delta on basis elements."""
-    _require_comul(H)
     comul, alpha = H.comul, H.alpha
     slots, pair = REGISTRY.slots, REGISTRY.pair
 
@@ -464,9 +449,9 @@ def check_hom_coassociativity(H: Carrier) -> CheckReport:
             out.append(((p & _HIGH) + pair(pair(x, y), z), c))
         return out
 
-    return _square(
-        H, t_map(comul, alpha), comul, reassociated, comul, renderer(_slotwise(_slotwise(H, H), H))
-    )
+    HH = tensor(H)
+    render = renderer(HH._replace(render_elem=lambda coords: render_tensor(coords, HH, H)))
+    return _square(H, t_map(comul, alpha), comul, reassociated, comul, render)
 
 
 def check_comul_morphism(H: Carrier) -> CheckReport:
@@ -479,9 +464,7 @@ def check_comul_morphism(H: Carrier) -> CheckReport:
     mul(x'', y'') for each pair of them, and accumulates their outer product
     into key pair ids in one loop, as bilinear does.
     """
-    _require_comul(H)
-    # alpha and the rendering of H x H, not its basis
-    mul, comul, T = H.mul, H.comul, _slotwise(H, H)
+    mul, comul, T = H.mul, H.comul, tensor(H)
     split, pair_ids = split_coproduct(comul), REGISTRY.pair_ids
     report = _square(H, comul, H.alpha, T.alpha, comul, renderer(T))
 
@@ -574,16 +557,16 @@ def build_rho2(s: ModuleAlgebraScenario) -> ModuleAlgebraScenario:
     t_contract(s.A.mul, rho^2(x, a x b)), is the right side that
     check_module_hom_algebra computes without the tensor terms.
     """
-    _require_comul(s.H)
-    rho, comul, slots = s.rho, s.H.comul, REGISTRY.slots
+    rho, comul, slots, pair = s.rho, s.H.comul, REGISTRY.slots, REGISTRY.pair
 
     def rho2(h, t):
         a, b = slots[t]
         return terms(linear(t_map(lambda h1: rho(h1, a), lambda h2: rho(h2, b)), comul(h)))
 
-    return ModuleAlgebraScenario(
-        H=s.H, A=tensor(s.A)._replace(name=f"{s.A.name} tensor square"), rho=rho2
-    )
+    # the pairs of basis keys, the second slot varying fastest
+    basis = tuple(pair(k1, k2) for k1 in s.A.basis for k2 in s.A.basis)
+    A2 = tensor(s.A)._replace(name=f"{s.A.name} tensor square", basis=basis)
+    return s._replace(A=A2, rho=rho2)
 
 
 def check_module_hom_algebra(s: ModuleAlgebraScenario, alpha_power: int = 2) -> CheckReport:
@@ -598,7 +581,6 @@ def check_module_hom_algebra(s: ModuleAlgebraScenario, alpha_power: int = 2) -> 
     rho(x'', b) and the mu_A table in one loop, which accumulates as
     bilinear does.
     """
-    _require_comul(s.H)
     tilde = build_rho_tilde(s, alpha_power).rho
     rho, mul, split = s.rho, s.A.mul, split_coproduct(s.H.comul)
 
@@ -644,21 +626,19 @@ def composite(f, g):
     return cache(lambda *ids: terms(linear(f, g(*ids))))
 
 
-def yau_twist_algebra(A: Carrier, beta) -> Carrier:
-    """Twist A by beta: mu_beta = beta o mu, alpha_beta = beta o alpha.
+def yau_twist(C: Carrier, beta) -> Carrier:
+    """Twist C by beta: mu_beta = beta o mu, alpha_beta = beta o alpha and, if
+    C has a coproduct, Delta_beta = Delta o beta.
 
     A Hom-algebra twisted by a morphism that commutes with alpha is again one
     (Makhlouf-Silvestrov); at alpha = Id this is the Yau twist.
     """
-    return A._replace(
-        name=f"{A.name}_alpha", mul=composite(beta, A.mul), alpha=composite(beta, A.alpha)
+    return C._replace(
+        name=f"{C.name}_alpha",
+        mul=composite(beta, C.mul),
+        alpha=composite(beta, C.alpha),
+        comul=None if C.comul is None else composite(C.comul, beta),
     )
-
-
-def yau_twist_bialgebra(H: Carrier, beta) -> Carrier:
-    """Twist a bialgebra carrier by beta; also Delta_beta = Delta o beta."""
-    _require_comul(H)
-    return yau_twist_algebra(H, beta)._replace(comul=composite(H.comul, beta))
 
 
 def deform_scenario(r: Scenario) -> ModuleAlgebraScenario:
@@ -670,8 +650,8 @@ def deform_scenario(r: Scenario) -> ModuleAlgebraScenario:
     """
     s = r.module
     return ModuleAlgebraScenario(
-        H=s.H if r.beta_H is basis_terms else yau_twist_bialgebra(s.H, r.beta_H),
-        A=yau_twist_algebra(s.A, r.beta_A),
+        H=s.H if r.beta_H is basis_terms else yau_twist(s.H, r.beta_H),
+        A=yau_twist(s.A, r.beta_A),
         rho=composite(r.beta_A, s.rho),
     )
 

@@ -14,6 +14,7 @@ from homtwist.uea import UElem
 
 import plane_oracle
 from free_oracle import all_words, comul, pbw_word, reduce_to_pbw
+from test_actions import weight_spectrum
 
 
 def mul(u: UElem, v: UElem) -> UElem:
@@ -37,7 +38,7 @@ def test_criterion_1_hom_associativity():
     # A_alpha on all monomial triples of total degree <= 4 each, both sides
     # also equal alpha^2(abc)
     carrier = actions.plane_carrier(4)
-    twisted = homcore.yau_twist_algebra(carrier, actions.alpha_plane())
+    twisted = homcore.yau_twist(carrier, actions.alpha_plane())
     mul = twisted.mul
     count = 0
     ok = True
@@ -169,23 +170,6 @@ def test_criterion_6_classical_limit():
     )
 
 
-def weight_ladder(n):
-    """Z-eigenvalues of x^n, x^(n-1) y, ..., y^n, read off act_key.
-
-    None unless X, Y and Z keep the degree-n slice and Z scales each monomial.
-    """
-    weights = []
-    for i in range(n, -1, -1):
-        key = (i, n - i)
-        images = [actions.act_key(gen, key) for gen in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
-        if any(sum(k) != n for terms in images for k, _ in terms):
-            return None
-        if any(k != key for k, _ in images[2]):
-            return None
-        weights.append(sum(c for _, c in images[2]))
-    return weights
-
-
 def test_criterion_7_pbw_engine_and_weights():
     words = all_words(4)
     oracle_ok = True
@@ -205,7 +189,7 @@ def test_criterion_7_pbw_engine_and_weights():
                 assoc_ok = assoc_ok and mul(mul(u, v), w).terms == mul(u, mul(v, w)).terms
 
     weights_ok = all(
-        weight_ladder(n) == [n - 2 * k for k in range(n + 1)] for n in range(6)
+        weight_spectrum(n) == [n - 2 * k for k in range(n + 1)] for n in range(6)
     )
     report_line(
         7,

@@ -98,6 +98,8 @@ class TestStructAlgebra:
             StructAlgebra(("a",), constants, unit={0: QLaurent.of(2)})
         with pytest.raises(ValueError, match="unit"):
             StructAlgebra(("a",), constants, unit={0: ONE, 1: ONE})
+        with pytest.raises(ValueError, match="^unit vector has an index out of range$"):
+            StructAlgebra(("a",), constants, unit={1: ONE})
 
 
 class TestHomAssociativityNegativeControl:
@@ -105,7 +107,7 @@ class TestHomAssociativityNegativeControl:
 
     def twisted(self):
         op = operator([[1, 0, 0, 0], [0, -2, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
-        return homcore.yau_twist_algebra(m2_algebra().carrier, op)
+        return homcore.yau_twist(m2_algebra().carrier, op)
 
     def test_hom_associativity_fails(self):
         report = homcore.check_hom_associativity(self.twisted())

@@ -1,7 +1,8 @@
 """Every name a module of src/homtwist or of the tests imports is referenced
 in that module, and every function, class, method, class constant and
 module-level name src defines is named somewhere.  No src module memoizes a table that is a memo
-table already.
+table already.  README.md names in its inline code only identifiers that the
+code defines or reads.
 
 The names of the package's __all__ (re-exported by __init__) and
 `from __future__ import annotations` are exempt.  Importing the command line
@@ -11,6 +12,7 @@ for on every run.
 
 import ast
 import pathlib
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -210,3 +212,79 @@ def test_no_dead_definitions():
     ]
     defining = [ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))]
     assert dead_definitions(defining, readers) == []
+
+
+# the math symbols that README.md writes in code spans, which no code need name
+MATH_SYMBOLS = {
+    "A_alpha", "A_beta", "H_beta", "alpha_A", "alpha_U", "e_k", "mu_A", "mu_H", "mu_alpha",
+}
+_FENCE = re.compile(r"^ *```.*?^ *```", re.M | re.S)
+_SPAN = re.compile(r"`([^`]+)`")
+_FILE = re.compile(r"[\w./-]*\.(?:py|md|json|stdout|toml|txt|pth)\b")
+_WORD = re.compile(r"(?<![\w.])[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*")
+
+
+def identifiers(tree) -> set:
+    """The identifiers tree defines or reads: names, attributes, defs and
+    classes, arguments, keywords, and the imported names with their aliases.
+    """
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            out.add(node.name)
+        elif isinstance(node, (ast.arg, ast.keyword)):
+            out.add(node.arg)
+        elif isinstance(node, ast.alias):
+            out.update(node.name.split("."))
+            out.add(node.asname)
+    out.discard(None)  # the asname of a plain import, the arg of a **keyword
+    return out
+
+
+def code_names(markdown: str) -> set:
+    """The snake_case identifiers and the parts of the dotted names in the
+    inline code spans of markdown, fenced blocks left out.  File names are
+    not read, nor the dotted names of the standard library (gc.collect).
+    """
+    out = set()
+    for span in _SPAN.findall(_FENCE.sub("", markdown)):
+        for word in _WORD.findall(_FILE.sub("", span)):
+            parts = word.split(".")
+            if len(parts) == 1:
+                out.update(part for part in parts if "_" in part)
+            elif parts[0] not in sys.stdlib_module_names:
+                out.update(parts)
+    return out
+
+
+def unknown_code_names(markdown: str, trees, stems) -> list:
+    """The code names of markdown that no tree defines or reads and that are
+    neither a file stem nor a math symbol.
+    """
+    known = set(stems).union(*map(identifiers, trees))
+    return sorted(code_names(markdown) - known - MATH_SYMBOLS)
+
+
+def test_the_guard_sees_a_stale_readme_name():
+    planted = (
+        "Call `homcore.gone_def(C)` or `kept_def`, not `_old_helper`; `mu_A` is\n"
+        "a symbol, `plain` a word, `tools/run_it.py` a file and `gc.collect()`\n"
+        "the standard library's.\n\n"
+        "  ```\n  fenced_name = 1\n  ```\n"
+    )
+    code = ast.parse("import homcore as hc\ndef kept_def(arg):\n    return hc.other(key=arg)\n")
+    assert unknown_code_names(planted, [code], ["homcore"]) == ["_old_helper", "gone_def"]
+
+
+def test_readme_names_only_code_that_exists():
+    paths = [
+        path for folder in ("src", "tests", "tools", "perfbench")
+        for path in sorted((ROOT / folder).rglob("*.py"))
+    ]
+    trees = [ast.parse(path.read_text()) for path in paths]
+    markdown = (ROOT / "README.md").read_text()
+    assert unknown_code_names(markdown, trees, [path.stem for path in paths]) == []

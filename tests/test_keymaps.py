@@ -79,7 +79,7 @@ def P(k):
 
 
 def twisted_u():
-    return homcore.yau_twist_bialgebra(actions.u_carrier(2), actions.alpha_u())
+    return homcore.yau_twist(actions.u_carrier(2), actions.alpha_u())
 
 
 def test_twisted_u_mul():
@@ -221,7 +221,7 @@ def test_rho_tilde(power):
 def test_rho2():
     s = actions.deformed_scenario(1, 1)
     square = homcore.build_rho2(s)
-    twisted_comul = homcore.yau_twist_bialgebra(actions.u_carrier(1), actions.alpha_u())
+    twisted_comul = homcore.yau_twist(actions.u_carrier(1), actions.alpha_u())
     pair = homcore.REGISTRY.pair
     for h in s.H.basis:
         # Delta_alpha(h) = Delta(alpha_U(h)), by shuffles

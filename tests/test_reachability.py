@@ -37,7 +37,6 @@ ALLOWED = {
     # names that the benchmark or test_bench_hooks pin
     "finalg.build_example31": "a traced span of perfbench/tracer.py and setup_probe.py",
     # references that the fused sweeps are tested against
-    "homcore.tensor": "the tensor carrier that build_rho2 and its tests read",
     "homcore.build_rho2": "rho^2 on A x A, the reference of the fused module sweep",
     "homcore.t_contract": "mu_A on the terms of rho^2, the reference's right side",
     # the process entry point: the commands here run through cli.main
@@ -82,8 +81,6 @@ ALLOWED = {
     # internal invariants
     'uea.left_gen: raise ValueError(f"unknown generator {gen!r}")':
         "split_first yields X, Y or Z",
-    'homcore._require_comul: raise ValueError(f"carrier {H.name} has no comultiplication")':
-        "every bialgebra carrier the suites build has a coproduct",
     # the images of alpha_U form a Lie endomorphism; item 8 of ROADMAP.md
     # will let a scenario give others
     "actions.extend_lie_endo: "

@@ -264,6 +264,24 @@ def test_a_number_beside_a_name_keeps_its_value(cls, text, key, coeff):
     assert cls.parse(text).terms == {key: ql(coeff)}
 
 
+# a coefficient that is no int or Fraction would otherwise be dropped, and a
+# key of the wrong length or with a negative exponent is no monomial
+@pytest.mark.parametrize(
+    "cls, terms, error, message",
+    [
+        (QLaurent, {0: 1.5}, TypeError, "cannot interpret 1.5 as a rational"),
+        (QLaurent, {0: "2"}, TypeError, "cannot interpret '2' as a rational"),
+        (Poly, {(1, 0): 2.0}, TypeError, "cannot interpret 2.0 as a rational"),
+        (Poly, {(-1, 0): 1}, ValueError, "bad exponent vector (-1, 0)"),
+        (Poly, {(1,): 1}, ValueError, "bad exponent vector (1,)"),
+        (UElem, {(1, 0, 0, 0): 1}, ValueError, "bad exponent vector (1, 0, 0, 0)"),
+    ],
+)
+def test_constructors_refuse_what_is_no_element(cls, terms, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        cls(terms)
+
+
 def nested_loop_keys(width, bound):
     """The keys of degree <= bound by the nested loops each ring used to
     write out: degree ascending, then each exponent descending in turn.

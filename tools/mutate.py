@@ -18,9 +18,10 @@ made with the stdlib ast module:
 - a not dropped;
 - the first two positional arguments of a call swapped, when they differ.
 
-The tree is never written: src, tests, perfbench and tools are copied to a
-scratch folder (--scratch, or a new temporary one), and each mutant is
-written into the copy, run and undone there.  Each mutant runs Tier-1 with
+The tree is never written: src, tests, perfbench and tools, with the
+top-level files that Tier-1 reads, are copied to a scratch folder
+(--scratch, or a new temporary one), and each mutant is written into the
+copy, run and undone there.  Each mutant runs Tier-1 with
 -x, leaving out the two tests that read the source text:
 test_reachability.py's test_every_statement_runs, which fails on any
 changed src line, and test_mutate.py, which fails on a mutant that
@@ -57,9 +58,6 @@ LEFT_OUT = "tests/test_reachability.py::test_every_statement_runs"
 EQUIVALENT = {
     "actions.endo_map: times(square, images[i]) -> times(images[i], square)":
         "square is a power of images[i], and two powers of one element commute",
-    # _slotwise is generic, but every tensor whose alpha is read is a square
-    "homcore._slotwise: t_map(C1.alpha, C2.alpha) -> t_map(C2.alpha, C1.alpha)":
-        "alpha is read on H x H only; of H x H x H only the rendering is read",
 }
 
 _BINOPS = {
@@ -185,7 +183,7 @@ def _copy_tree(scratch: str):
     ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache", "out")
     for folder in ("src", "tests", "perfbench", "tools"):
         shutil.copytree(os.path.join(ROOT, folder), os.path.join(scratch, folder), ignore=ignore)
-    for name in ("pyproject.toml", "BENCHMARK.json"):
+    for name in ("pyproject.toml", "BENCHMARK.json", "README.md"):
         shutil.copy(os.path.join(ROOT, name), scratch)
 
 
