@@ -38,10 +38,10 @@ class InputError(Exception):
 
 
 # -- suite registry ----------------------------------------------------
-# Each suite takes the scenario record (homcore.Scenario) and the parsed
-# arguments and returns one CheckReport, labelled here: the checkers' reports
-# carry no name, so every label that a run prints is set in this table.
-# Checkers are looked up in homcore at call time.
+# Each suite is a function of the scenario record (homcore.Scenario) alone
+# and returns one CheckReport, labelled here: the checkers' reports carry no
+# name, so every label that a run prints is set in this table.  Checkers are
+# looked up in homcore at call time.
 
 
 def _label(report, name, equation):
@@ -49,29 +49,19 @@ def _label(report, name, equation):
     return report
 
 
-# The suites in which --negative-control replaces alpha_H^2 by alpha_H.  It
-# applies to sl2-q only: alpha_H on k[G] is the identity, equal to its square,
-# so there the control could not fail.
-NEGATIVE_CONTROL_SUITES = ("module-hom-algebra", "mu-module-morphism")
-
-
-def _alpha_power(args):
-    return 1 if args.negative_control else 2
-
-
-def _hom_associativity(r, args):
+def _hom_associativity(r):
     A = homcore.deform_scenario(r).A
     report = homcore.check_hom_associativity(A).merge(homcore.check_multiplicativity(A))
     return _label(report, "hom-associativity(A_alpha)", "Eq. (1.2)")
 
 
-def _hom_bialgebra(r, args):
+def _hom_bialgebra(r):
     H = homcore.deform_scenario(r).H
     report = homcore.check_hom_bialgebra(H)
     return _label(report, f"hom-bialgebra({H.name})", "Eqs. (2.3)-(2.5)")
 
 
-def _hom_lie(r, args):
+def _hom_lie(r):
     lie = r.lie(homcore.deform_scenario(r))
     return _label(homcore.check_hom_jacobi(lie), f"hom-lie({lie.name})", "Hom-Jacobi")
 
@@ -90,28 +80,39 @@ def _swapped(report):
     return CheckReport(checked=report.checked, counterexamples=swapped)
 
 
+def _module_hom_suites(alpha_power):
+    # the two module Hom-algebra suites, with alpha_H^alpha_power in rho-tilde
+    return {
+        "module-hom-algebra": lambda r: _label(
+            _module_hom_sweep(r, alpha_power), "module-hom-algebra", "Eqs. (2.9)/(2.10)"
+        ),
+        "mu-module-morphism": lambda r: _label(
+            _swapped(_module_hom_sweep(r, alpha_power)), "mu-module-morphism", "Theorem 1.1(3)"
+        ),
+    }
+
+
 SUITES = {
     "hom-associativity": _hom_associativity,
     "hom-bialgebra": _hom_bialgebra,
-    "module-axiom": lambda r, args: _label(
+    "module-axiom": lambda r: _label(
         homcore.check_module_axiom(homcore.deform_scenario(r)), "module-axiom", "Eqs. (2.1)/(2.1')"
     ),
-    "module-hom-algebra": lambda r, args: _label(
-        _module_hom_sweep(r, _alpha_power(args)), "module-hom-algebra", "Eqs. (2.9)/(2.10)"
-    ),
-    "mu-module-morphism": lambda r, args: _label(
-        _swapped(_module_hom_sweep(r, _alpha_power(args))),
-        "mu-module-morphism",
-        "Theorem 1.1(3)",
-    ),
-    "compatibility": lambda r, args: _label(
+    **_module_hom_suites(2),
+    "compatibility": lambda r: _label(
         homcore.check_compatibility(r), "compatibility", "Eqs. (1.5)/(1.7)/(4.2)"
     ),
-    "classical": lambda r, args: _label(
+    "classical": lambda r: _label(
         homcore.check_module_hom_algebra(r.module), "classical-module-algebra", "Eq. (1.1)"
     ),
     "hom-lie": _hom_lie,
 }
+
+# The negative controls, scenario -> {suite: control}: under --negative-control
+# each control runs in place of its suite, and must fail.  On sl2-q the module
+# Hom-algebra suites take alpha_H for alpha_H^2; finalg has none, since alpha_H
+# on k[G] is the identity, equal to its square.
+CONTROLS = {"sl2-q": _module_hom_suites(1)}
 
 # Each scenario builds its homcore.Scenario record from the parsed arguments.
 SCENARIOS = {
@@ -147,8 +148,8 @@ def build_parser():
     verify.add_argument(
         "--negative-control",
         action="store_true",
-        help="replace alpha_H^2 by alpha_H in the module-hom-algebra and "
-        "mu-module-morphism suites of sl2-q (the control must fail)",
+        help="run each selected suite that has a negative control as that control, "
+        "which must fail",
     )
     verify.add_argument("--file", help="scenario file for the finalg scenario")
     verify.add_argument("--report", help="write a machine-readable JSON report here")
@@ -194,16 +195,15 @@ def cmd_verify(args):
             raise InputError(f"unknown suite {suite!r}; known: {', '.join(SUITES)}")
     if args.bound_h < 1 or args.bound_a < 1:
         raise InputError("bounds must be >= 1")
-    if args.negative_control and (
-        args.scenario != "sl2-q" or not set(suites) & set(NEGATIVE_CONTROL_SUITES)
-    ):
-        raise InputError(
-            "--negative-control applies only to the "
-            f"{' and '.join(NEGATIVE_CONTROL_SUITES)} suites of sl2-q"
-        )
+    table = SUITES
+    if args.negative_control:
+        table = {**SUITES, **CONTROLS.get(args.scenario, {})}
+        if all(table[suite] is SUITES[suite] for suite in suites):
+            covered = "; ".join(f"{' and '.join(c)} suites of {s}" for s, c in CONTROLS.items())
+            raise InputError(f"--negative-control applies only to the {covered}")
     scenario = SCENARIOS[args.scenario](args)
     if args.report is None:
-        reports = _run_suites(scenario, suites, args)
+        reports = _run_suites(scenario, suites, table)
     else:
         head = {"scenario": args.scenario}
         if args.scenario == "sl2-q":
@@ -215,7 +215,7 @@ def cmd_verify(args):
         try:
             with open(args.report, "w") as fh:
                 try:
-                    reports = _run_suites(scenario, suites, args)
+                    reports = _run_suites(scenario, suites, table)
                     write_json(fh, head, reports)
                 except BaseException:
                     # a partial report would read as the report of a finished run
@@ -236,9 +236,9 @@ def cmd_verify(args):
     return EXIT_PASS if all(r.passed for r in reports) else EXIT_AXIOM_FAILURE
 
 
-def _run_suites(scenario, suites, args):
+def _run_suites(scenario, suites, table):
     try:
-        return [SUITES[suite](scenario, args) for suite in suites]
+        return [table[suite](scenario) for suite in suites]
     finally:
         _module_hom_sweep.cache_clear()  # its record's filled tables go with the run
 

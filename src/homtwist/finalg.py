@@ -49,11 +49,11 @@ class StructAlgebra:
     carrier is the algebra with the identity structure map, built once: its
     mul, read from the constants {(i, j): {k: c_ijk}}, is the one product
     table that every check and the module read.  Distinct non-empty string
-    labels and associativity on all basis triples are hard load-time
-    preconditions.
+    labels, associativity on all basis triples and a two-sided unit are hard
+    load-time preconditions.
     """
 
-    def __init__(self, labels, constants, unit=None):
+    def __init__(self, labels, constants, unit):
         self.labels = tuple(labels)
         self.dim = len(self.labels)
         first = {}
@@ -73,7 +73,7 @@ class StructAlgebra:
             if coeff:
                 table.setdefault((i, j), {})[k] = coeff
         self.unit = unit
-        if self.unit is not None and not all(0 <= i < self.dim for i in self.unit):
+        if not all(0 <= i < self.dim for i in self.unit):
             raise ValueError("unit vector has an index out of range")
         self.carrier = Carrier(
             name="struct-algebra",
@@ -83,8 +83,7 @@ class StructAlgebra:
             render_elem=self.render,
         )
         self._verify_associativity()
-        if self.unit is not None:
-            self._verify_unit()
+        self._verify_unit()
 
     def render(self, v):
         if not v:
@@ -116,8 +115,6 @@ class StructAlgebra:
         x with a x = 1 is found only when y -> a y is injective, so x a = 1
         follows from a (x a) = (a x) a = a 1, by the associativity checked at load.
         """
-        if self.unit is None:
-            raise ValueError("algebra has no unit; inverses undefined")
         mul, xs, ids = self.carrier.mul, flatten(a), self.carrier.basis
         # left multiplication matrix: column j holds a * e_j
         columns = [unflatten(bilinear(mul, xs, basis_terms(k)).items()) for k in ids]
@@ -326,7 +323,7 @@ def load_scenario(path):
       {
         "labels": ["e11", ...],
         "constants": [[i, j, k, "coeff"], ...],
-        "unit": ["coeff", ...],            # optional
+        "unit": ["coeff", ...],
         "group": [[["m00", "m01", ...], ...], ...],
         "element": ["coeff", ...]          # the conjugating element a
       }
@@ -358,7 +355,7 @@ def load_scenario(path):
             raise ValueError(f"constant ({i}, {j}, {k}) is given twice")
         constants[(i, j, k)] = scalar(str(coeff))
     labels = _array(data.get("labels"), "labels")
-    unit = _vector(data["unit"], "unit vector", len(labels), scalar) if "unit" in data else None
+    unit = _vector(data.get("unit"), "unit vector", len(labels), scalar)
     algebra = StructAlgebra(labels, constants, unit=unit)
     operators = []
     for idx, matrix in enumerate(_array(data.get("group"), "group")):

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import copy
 import errno
@@ -19,6 +20,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from homtwist import actions, cli, homcore
 from homtwist.polyalg import Poly
+from homtwist.report import CheckReport, Counterexample
 from homtwist.scalars import QLaurent
 from homtwist.uea import UElem
 
@@ -216,6 +218,15 @@ class TestVerify:
         assert document["reports"][0]["status"] == "pass"
         assert document["reports"][0]["equation"]
 
+    def test_sl2_bounds_default_to_3(self, capsys, tmp_path):
+        path = tmp_path / "report.json"
+        argv = ["verify", "sl2-q", "--suite", "compatibility", "--report", str(path)]
+        code, out, _ = run(capsys, *argv)
+        document = json.loads(path.read_text())
+        assert (code, document["bound_h"], document["bound_a"]) == (0, 3, 3)
+        # 20 PBW monomials of degree <= 3 against 10 plane monomials of degree <= 3
+        assert "compatibility [Eqs. (1.5)/(1.7)/(4.2)]: 200 cases" in out
+
 
 # k e with e e = e, and k x k with the idempotents a and b, each with the
 # group of the identity
@@ -226,7 +237,6 @@ K1 = {
     "group": [[["1"]]],
     "element": ["1"],
 }
-K1_NO_UNIT = {key: value for key, value in K1.items() if key != "unit"}
 IDENTITY2, SWAP = [["1", "0"], ["0", "1"]], [["0", "1"], ["1", "0"]]
 K2 = {
     "labels": ["a", "b"],
@@ -302,16 +312,16 @@ BAD_SCENARIOS = {
     "not-associative": {**K2, "constants": [[0, 0, 1, "1"], [1, 0, 0, "1"]]},
     # a x = x for both basis elements, but b a = 0
     "left-unit-only": {**K2, "constants": [[0, 0, 0, "1"], [0, 1, 1, "1"]], "unit": ["1", "0"]},
-    # without a unit no element is invertible
-    "no-unit": K1_NO_UNIT,
+    # every finalg command inverts an element, so a file declares its unit
+    "no-unit": {key: value for key, value in K1.items() if key != "unit"},
     "zero-element": {**K1, "element": ["0"]},
     # inversion solves over the rationals, not over Laurent polynomials
     "q-element": {**K1, "element": ["q"]},
     "ragged-operator": {**K2, "group": [[["1", "0"], ["0"]]]},
     # {1, 0} is closed, but no composite of the zero map is the identity
     "zero-operator": {**K1, "group": [[["1"]], [["0"]]]},
-    # without a unit the zero map is an endomorphism, but a singular one
-    "singular-operator": {**K1_NO_UNIT, "group": [[["1"]], [["0"]]]},
+    # the projection onto a is multiplicative and idempotent, but singular
+    "singular-operator": {**K2, "group": [IDENTITY2, [["1", "0"], ["0", "0"]]]},
     # b -> 2b sends b b = b to 2b, not to 4b
     "non-multiplicative-operator": {**K2, "group": [IDENTITY2, [["1", "0"], ["0", "2"]]]},
     # the swap squares to the identity, which the group lacks
@@ -340,84 +350,82 @@ GOOD_SCENARIOS = {
 }
 
 
-# env holds variables to set for a case.  The bound variables are gone, so no
-# case sets one; a bad bound is a bad flag value.  A {name} in an argument is
-# a path of bad_input_paths.
+# The argv of each case; a {name} in an argument is a path of scenario_paths.
 BAD_INPUTS = [
-    ({}, ["verify", "finalg", "--bound-h", "abc"]),
-    ({}, ["verify", "sl2-q", "--bound-a", "3.5"]),
-    ({}, ["verify", "finalg", "--file", "{top-level-array}"]),
-    ({}, ["verify", "finalg", "--file", "{matrix-size}"]),
-    ({}, ["twist", "finalg", "--file", "{zero-denominator}"]),
-    ({}, ["verify", "finalg", "--report", "{missing-dir}/report.json"]),
-    ({}, ["twist", "sl2", "--bound", "-1"]),
-    ({}, ["act", "1/0*X", "y"]),
-    ({}, ["verify", "finalg", "--negative-control"]),
-    ({}, ["verify", "sl2-q", "--bound-h", "1", "--bound-a", "1",
-          "--suite", "hom-bialgebra", "--negative-control"]),
-    ({}, ["verify", "finalg", "--file", "{bool-index}"]),
-    ({}, ["verify", "finalg", "--file", "{repeated-constant}"]),
-    ({}, ["act", "Z", "3 4*x"]),
-    ({}, ["verify", "finalg", "--file", "{repeated-operator}"]),
-    ({}, ["verify", "finalg", "--file", "{repeated-label}"]),
-    ({}, ["verify", "finalg", "--file", "{deep-nesting}"]),
-    ({}, ["act", "Z^20000", "x^2"]),
+    ["verify", "finalg", "--bound-h", "abc"],
+    ["verify", "sl2-q", "--bound-a", "3.5"],
+    ["verify", "finalg", "--file", "{top-level-array}"],
+    ["verify", "finalg", "--file", "{matrix-size}"],
+    ["twist", "finalg", "--file", "{zero-denominator}"],
+    ["verify", "finalg", "--report", "{missing-dir}/report.json"],
+    ["twist", "sl2", "--bound", "-1"],
+    ["act", "1/0*X", "y"],
+    ["verify", "finalg", "--negative-control"],
+    ["verify", "sl2-q", "--bound-h", "1", "--bound-a", "1",
+     "--suite", "hom-bialgebra", "--negative-control"],
+    ["verify", "finalg", "--file", "{bool-index}"],
+    ["verify", "finalg", "--file", "{repeated-constant}"],
+    ["act", "Z", "3 4*x"],
+    ["verify", "finalg", "--file", "{repeated-operator}"],
+    ["verify", "finalg", "--file", "{repeated-label}"],
+    ["verify", "finalg", "--file", "{deep-nesting}"],
+    ["act", "Z^20000", "x^2"],
     # Fraction would compute 10**e for these before returning
-    ({}, ["act", "X", "y", "--q-value", "1e999999999"]),
-    ({}, ["act", "X", "y", "--q-value", "1e-99999999"]),
+    ["act", "X", "y", "--q-value", "1e999999999"],
+    ["act", "X", "y", "--q-value", "1e-99999999"],
     # q0 = 10^10000 has more digits than str renders
-    ({}, ["act", "q*X", "y", "--q-value", "1e10000"]),
+    ["act", "q*X", "y", "--q-value", "1e10000"],
     # only finalg reads a scenario file
-    ({}, ["verify", "sl2-q", "--file", "/nonexistent"]),
-    ({}, ["twist", "sl2", "--file", "x"]),
-    ({}, ["verify", "finalg", "--file", "{empty-group}"]),
+    ["verify", "sl2-q", "--file", "/nonexistent"],
+    ["twist", "sl2", "--file", "x"],
+    ["verify", "finalg", "--file", "{empty-group}"],
     # Python 3.11's argparse hands poly an empty list after a second "--"
-    ({}, ["act", "--", "X", "--"]),
-    ({}, ["act", "X", "--", "--"]),
-    ({}, ["twist", "finalg", "--file", "{surrogate-label}"]),
-    ({}, ["verify", "finalg", "--file", "{number-label}"]),
-    ({}, ["verify", "finalg", "--file", "{index-out-of-range}"]),
-    ({}, ["verify", "finalg", "--file", "{not-associative}"]),
-    ({}, ["verify", "finalg", "--file", "{left-unit-only}"]),
-    ({}, ["verify", "finalg", "--file", "{no-unit}"]),
-    ({}, ["verify", "finalg", "--file", "{zero-element}"]),
-    ({}, ["verify", "finalg", "--file", "{q-element}"]),
-    ({}, ["verify", "finalg", "--file", "{ragged-operator}"]),
-    ({}, ["verify", "finalg", "--file", "{zero-operator}"]),
-    ({}, ["verify", "finalg", "--file", "{singular-operator}"]),
-    ({}, ["verify", "finalg", "--file", "{swap-only}"]),
-    ({}, ["verify", "finalg", "--file", "{unfixed-element}"]),
-    ({}, ["verify", "finalg", "--file", "{long-element}"]),
-    ({}, ["verify", "finalg", "--file", "{text-labels}"]),
-    ({}, ["act", "X +", "y"]),
-    ({}, ["act", "(q", "y"]),
-    ({}, ["act", "q)", "y"]),
-    ({}, ["act", "", "y"]),
-    ({}, ["act", "*", "y"]),
-    ({}, ["act", "X^", "y"]),
-    ({}, ["act", "Y X", "y"]),
-    ({}, ["act", "X", "y", "--q-value", "abc"]),
-    ({}, ["act", "X", "y", "--q-value", "0"]),
+    ["act", "--", "X", "--"],
+    ["act", "X", "--", "--"],
+    ["twist", "finalg", "--file", "{surrogate-label}"],
+    ["verify", "finalg", "--file", "{number-label}"],
+    ["verify", "finalg", "--file", "{index-out-of-range}"],
+    ["verify", "finalg", "--file", "{not-associative}"],
+    ["verify", "finalg", "--file", "{left-unit-only}"],
+    ["verify", "finalg", "--file", "{no-unit}"],
+    ["verify", "finalg", "--file", "{zero-element}"],
+    ["verify", "finalg", "--file", "{q-element}"],
+    ["verify", "finalg", "--file", "{ragged-operator}"],
+    ["verify", "finalg", "--file", "{zero-operator}"],
+    ["verify", "finalg", "--file", "{singular-operator}"],
+    ["verify", "finalg", "--file", "{swap-only}"],
+    ["verify", "finalg", "--file", "{unfixed-element}"],
+    ["verify", "finalg", "--file", "{long-element}"],
+    ["verify", "finalg", "--file", "{text-labels}"],
+    ["act", "X +", "y"],
+    ["act", "(q", "y"],
+    ["act", "q)", "y"],
+    ["act", "", "y"],
+    ["act", "*", "y"],
+    ["act", "X^", "y"],
+    ["act", "Y X", "y"],
+    ["act", "X", "y", "--q-value", "abc"],
+    ["act", "X", "y", "--q-value", "0"],
     # 2^(10^11), and powers of q0 = 2 of 10^10 bits, alone and spread over a sum
-    ({}, ["act", "Z^100000000000", "x^2"]),
-    ({}, ["act", "q^10000000000*X", "y", "--q-value", "2"]),
-    ({}, ["act", "q^10000000000*X + X", "y", "--q-value", "2"]),
-    ({}, ["verify", "sl2-q", "--suite", "nope"]),
-    ({}, ["verify", "sl2-q", "--bound-h", "0"]),
-    ({}, ["verify", "sl2-q", "--bound-h", "1000"]),
+    ["act", "Z^100000000000", "x^2"],
+    ["act", "q^10000000000*X", "y", "--q-value", "2"],
+    ["act", "q^10000000000*X + X", "y", "--q-value", "2"],
+    ["verify", "sl2-q", "--suite", "nope"],
+    ["verify", "sl2-q", "--bound-h", "0"],
+    ["verify", "sl2-q", "--bound-h", "1000"],
     # a report that would overwrite the scenario file, by its name or by a link
-    ({}, ["verify", "finalg", "--file", "{m2-order-two}", "--suite", "compatibility",
-          "--report", "{m2-order-two}"]),
-    ({}, ["verify", "finalg", "--file", "{m2-order-two}", "--suite", "compatibility",
-          "--report", "{link-to-m2-order-two}"]),
+    ["verify", "finalg", "--file", "{m2-order-two}", "--suite", "compatibility",
+     "--report", "{m2-order-two}"],
+    ["verify", "finalg", "--file", "{m2-order-two}", "--suite", "compatibility",
+     "--report", "{link-to-m2-order-two}"],
     # only sl2 reads a bound
-    ({}, ["verify", "finalg", "--bound-h", "7", "--suite", "compatibility"]),
-    ({}, ["verify", "finalg", "--bound-a", "1"]),
-    ({}, ["verify", "finalg", "--bound-h", "0"]),
-    ({}, ["twist", "finalg", "--bound", "9"]),
+    ["verify", "finalg", "--bound-h", "7", "--suite", "compatibility"],
+    ["verify", "finalg", "--bound-a", "1"],
+    ["verify", "finalg", "--bound-h", "0"],
+    ["twist", "finalg", "--bound", "9"],
     # U(sl(2)) text reads a space as a product, but not inside a number
-    ({}, ["act", "2 2", "x"]),
-    ({}, ["verify", "finalg", "--file", "{non-multiplicative-operator}"]),
+    ["act", "2 2", "x"],
+    ["verify", "finalg", "--file", "{non-multiplicative-operator}"],
 ]
 
 
@@ -437,10 +445,11 @@ def scenario_paths(folder) -> dict:
     return paths
 
 
-@pytest.mark.parametrize("env, argv", BAD_INPUTS)
-def test_bad_input_exits_2(capsys, monkeypatch, tmp_path, env, argv):
-    for name, value in env.items():
-        monkeypatch.setenv(name, value)
+# the ids are the names these cases are reported under, kept stable
+@pytest.mark.parametrize(
+    "argv", BAD_INPUTS, ids=[f"env{i}-argv{i}" for i in range(len(BAD_INPUTS))]
+)
+def test_bad_input_exits_2(capsys, tmp_path, argv):
     paths = scenario_paths(tmp_path)
     files = {path: path.read_bytes() for path in tmp_path.iterdir()}
     code, _, err = run(capsys, *(arg.format(**paths) for arg in argv))
@@ -539,6 +548,19 @@ def test_positional_after_a_second_dash_dash_exits_2():
     assert done.stderr.startswith("error: ") and "Traceback" not in done.stderr
 
 
+def test_verify_prints_five_counterexamples_and_counts_the_rest(capsys, monkeypatch):
+    cases = [Counterexample((f"e{i}",), "a", "b") for i in range(6)]
+    report = CheckReport("planted", checked=9, counterexamples=cases)
+    monkeypatch.setitem(cli.SUITES, "compatibility", lambda r: report)
+    code, out, _ = run(capsys, "verify", "finalg", "--suite", "compatibility")
+    lines = out.splitlines()
+    assert code == cli.EXIT_AXIOM_FAILURE
+    assert lines[0] == "FAIL planted: 6 counterexamples out of 9 cases"
+    printed = [line for line in lines if line.startswith("  at")]
+    assert printed == [f"  at (e{i}):" for i in range(5)]
+    assert lines[-1] == "  ... 1 more"
+
+
 @pytest.mark.parametrize(
     "scenario, report", [("sl2-q", "{tmp}"), ("finalg", "{tmp}/missing/x.json"), ("finalg", "")]
 )
@@ -547,7 +569,7 @@ def test_unwritable_report_exits_2_before_any_sweep(
 ):
     # a directory, a path in a missing one, or no path: refused before the suite runs
     calls = []
-    monkeypatch.setitem(cli.SUITES, "compatibility", lambda r, args: calls.append(r))
+    monkeypatch.setitem(cli.SUITES, "compatibility", lambda r: calls.append(r))
     path = report.format(tmp=tmp_path)
     code, out, err = run(capsys, "verify", scenario, "--suite", "compatibility", "--report", path)
     assert (code, out, calls) == (cli.EXIT_INPUT_ERROR, "", [])
@@ -675,6 +697,25 @@ class TestNegativeControlEquivalence:
         lines = [l for l in out.splitlines() if l.startswith(("PASS", "FAIL"))]
         assert len(lines) == 2
         assert all(line.startswith("FAIL") for line in lines)
+
+
+# (scenario, suite) -> (counterexamples, cases) of its control at bounds (1,1)
+CONTROL_FAILURES = {
+    ("sl2-q", "module-hom-algebra"): (10, 36),
+    ("sl2-q", "mu-module-morphism"): (10, 36),
+}
+
+
+@pytest.mark.parametrize(
+    "scenario, suite", [(s, suite) for s, controls in cli.CONTROLS.items() for suite in controls]
+)
+def test_each_control_fails_where_its_suite_passes(scenario, suite):
+    assert scenario in cli.SCENARIOS and suite in cli.SUITES
+    r = cli.SCENARIOS[scenario](argparse.Namespace(bound_h=1, bound_a=1, file=None))
+    [plain] = cli._run_suites(r, [suite], cli.SUITES)
+    [control] = cli._run_suites(r, [suite], cli.CONTROLS[scenario])
+    assert plain.passed and plain.checked == control.checked
+    assert (len(control.counterexamples), control.checked) == CONTROL_FAILURES[scenario, suite]
 
 
 def test_module_hom_suites_share_one_sweep(capsys, monkeypatch):

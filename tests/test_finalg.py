@@ -71,14 +71,14 @@ class TestStructAlgebra:
         constants = {(0, 0, 1): 1, (0, 1, 0): 1}
         message = "structure constants are not associative at (a, a, a)"
         with pytest.raises(ValueError, match=re.escape(message)):
-            StructAlgebra(("a", "b"), constants)
+            StructAlgebra(("a", "b"), constants, unit={0: ONE})
 
     def test_non_associative_error_renders_no_side(self, monkeypatch):
         # the error names the first failing triple's inputs only
         rendered = []
         monkeypatch.setattr(StructAlgebra, "render", lambda self, v: rendered.append(v) or "")
         with pytest.raises(ValueError) as error:
-            StructAlgebra(("a", "b"), {(0, 0, 1): 1, (0, 1, 0): 1})
+            StructAlgebra(("a", "b"), {(0, 0, 1): 1, (0, 1, 0): 1}, unit={0: ONE})
         assert str(error.value) == "structure constants are not associative at (a, a, a)"
         assert rendered == []
 
@@ -90,7 +90,7 @@ class TestStructAlgebra:
             (("a", "a"), "labels 0 and 1 are both 'a'"),
         ]:
             with pytest.raises(ValueError, match=re.escape(message)):
-                StructAlgebra(labels, constants)
+                StructAlgebra(labels, constants, unit={0: ONE, 1: ONE})
 
     def test_rejects_bad_unit(self):
         constants = {(0, 0, 0): 1}
@@ -154,9 +154,9 @@ class TestLinOp:
             assert apply(op, sparse(v)) == sparse(dense)
 
     def test_singular_endomorphism_is_not_an_automorphism(self):
-        # without a unit, the zero map is an algebra endomorphism of k*a, but
-        # no composite of it with a group element is the identity
-        algebra = StructAlgebra(("a",), {(0, 0, 0): 1})
+        # the zero map is multiplicative on k*a, but no composite of it with
+        # a group element is the identity
+        algebra = StructAlgebra(("a",), {(0, 0, 0): 1}, unit={0: ONE})
         zero_map = operator([[0]])
         assert homcore.check_multiplicativity(algebra.carrier._replace(alpha=zero_map)).passed
         with pytest.raises(ValueError, match="^operator 1 is not an algebra automorphism$"):

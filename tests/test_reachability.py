@@ -191,7 +191,7 @@ def commands(folder) -> list:
         for name in ("hopf-h3", "negctl-q33", "finalg-m3")
     ]
     paths = test_cli.scenario_paths(folder)
-    out += [([arg.format(**paths) for arg in argv], 2) for _, argv in test_cli.BAD_INPUTS]
+    out += [([arg.format(**paths) for arg in argv], 2) for argv in test_cli.BAD_INPUTS]
     out += [(["verify", "finalg", "--file", paths[name]], 0) for name in test_cli.GOOD_SCENARIOS]
     return out + [(argv, 0) for argv in ACT_INPUTS]
 

@@ -21,7 +21,6 @@ from homtwist.polyalg import Poly
 from homtwist.scalars import QLaurent
 from homtwist.uea import UElem
 
-ARGS = Namespace(negative_control=False)
 q = QLaurent.q_power
 
 
@@ -137,13 +136,13 @@ NOT_G_LINEAR = finalg.operator([[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0,
 def test_finalg_non_multiplicative_beta(suite, expected):
     # D commutes with G but is not an algebra map of M2
     r = m2()._replace(beta_A=D)
-    assert counts(cli.SUITES[suite](r, ARGS)) == expected
+    assert counts(cli.SUITES[suite](r)) == expected
 
 
 def test_finalg_lie_twist_by_a_non_multiplicative_beta():
     # hom-lie twists A by the record's beta_A, and the commutator of A
     # twisted by D is not multiplicative on the two off-diagonal units
-    report = cli.SUITES["hom-lie"](m2()._replace(beta_A=D), ARGS)
+    report = cli.SUITES["hom-lie"](m2()._replace(beta_A=D))
     assert counts(report) == (2, 80)
     assert [ce.rendered_inputs for ce in report.counterexamples] == [
         ("e12", "e21"), ("e21", "e12")
@@ -152,7 +151,7 @@ def test_finalg_lie_twist_by_a_non_multiplicative_beta():
 
 def test_finalg_beta_that_is_not_g_linear():
     r = m2()._replace(beta_A=NOT_G_LINEAR)
-    report = cli.SUITES["compatibility"](r, ARGS)
+    report = cli.SUITES["compatibility"](r)
     # one sweep of the group: each failing case is reported once
     assert counts(report) == (1, 8)
     assert [ce.rendered_inputs for ce in report.counterexamples] == [("g1", "e12")]
@@ -161,14 +160,14 @@ def test_finalg_beta_that_is_not_g_linear():
 def test_sl2_non_multiplicative_beta():
     # x^i y^j -> q^(i^2) x^i y^j
     r = sl2(3, 3)._replace(beta_A=homcore.key_map(lambda k: {k: q(k[0] ** 2)}))
-    assert counts(cli.SUITES["hom-associativity"](r, ARGS)) == (456, 1100)
+    assert counts(cli.SUITES["hom-associativity"](r)) == (456, 1100)
 
 
 def test_sl2_lie_twist_by_a_map_that_is_no_lie_endomorphism():
     # X -> qX, Y -> Y, Z -> Z; actions.extend_lie_endo rejects it, so it is a raw key map
     raw = homcore.key_map(lambda k: {k: q(1) if k == (1, 0, 0) else q(0)})
     r = sl2()._replace(beta_H=raw)
-    assert counts(cli.SUITES["hom-lie"](r, ARGS)) == (2, 80)
+    assert counts(cli.SUITES["hom-lie"](r)) == (2, 80)
 
 
 def test_twisting_maps_as_structure_maps_fail_the_module_axiom():
@@ -177,7 +176,7 @@ def test_twisting_maps_as_structure_maps_fail_the_module_axiom():
     s = r.module
     s = s._replace(H=s.H._replace(alpha=r.beta_H), A=s.A._replace(alpha=r.beta_A))
     r = r._replace(module=s, beta_H=basis_terms, beta_A=basis_terms)
-    assert counts(cli.SUITES["module-axiom"](r, ARGS)) == (1084, 4200)
+    assert counts(cli.SUITES["module-axiom"](r)) == (1084, 4200)
 
 
 # -- Sweedler's H4: the one bialgebra here that is not cocommutative ------
@@ -247,7 +246,7 @@ H4_CASES = {
 
 def test_h4_passes_every_suite():
     # H4 is finite, so each pass is a proof
-    assert {suite: counts(SUITE(h4(), ARGS)) for suite, SUITE in cli.SUITES.items()} == {
+    assert {suite: counts(SUITE(h4())) for suite, SUITE in cli.SUITES.items()} == {
         suite: (0, checked) for suite, checked in H4_CASES.items()
     }
 
@@ -256,7 +255,7 @@ def test_h4_control_fails_the_suites_that_read_beta_a_on_the_action():
     # e -> q e is an algebra map, but x e = 1 while (q x)(q e) = q^2
     failing = {"compatibility": 2, "module-axiom": 6, "module-hom-algebra": 4,
                "mu-module-morphism": 4}
-    assert {suite: counts(SUITE(h4(1), ARGS)) for suite, SUITE in cli.SUITES.items()} == {
+    assert {suite: counts(SUITE(h4(1))) for suite, SUITE in cli.SUITES.items()} == {
         suite: (failing.get(suite, 0), checked) for suite, checked in H4_CASES.items()
     }
 
@@ -321,7 +320,7 @@ def record_edits(r):
 def test_every_record_edit_fails_a_suite_and_every_suite_an_edit(record):
     scenario, edit_count = EDITED_RECORDS[record]
     failing = {
-        name: {suite for suite, SUITE in cli.SUITES.items() if not SUITE(edited, ARGS).passed}
+        name: {suite for suite, SUITE in cli.SUITES.items() if not SUITE(edited).passed}
         for name, edited in record_edits(scenario())
     }
     assert len(failing) == edit_count

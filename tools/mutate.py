@@ -58,6 +58,9 @@ LEFT_OUT = "tests/test_reachability.py::test_every_statement_runs"
 EQUIVALENT = {
     "actions.endo_map: times(square, images[i]) -> times(images[i], square)":
         "square is a power of images[i], and two powers of one element commute",
+    "cli.cmd_verify: os.path.samefile(args.file, args.report)"
+    " -> os.path.samefile(args.report, args.file)":
+        "samefile is symmetric: it compares the device and inode of both paths",
 }
 
 _BINOPS = {

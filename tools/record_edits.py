@@ -46,8 +46,7 @@ def main(argv=None) -> int:
     start = time.process_time()
     record = actions.sl2_scenario(args.bound_h, args.bound_a)
     failing = {
-        name: {suite for suite, SUITE in cli.SUITES.items()
-               if not SUITE(edited, test_record.ARGS).passed}
+        name: {suite for suite, SUITE in cli.SUITES.items() if not SUITE(edited).passed}
         for name, edited in test_record.record_edits(record)
     }
     cpu = time.process_time() - start
