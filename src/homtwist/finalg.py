@@ -68,8 +68,7 @@ class StructAlgebra:
         for (i, j, k), coeff in constants.items():
             if not (0 <= i < self.dim and 0 <= j < self.dim and 0 <= k < self.dim):
                 raise ValueError(f"structure constant index out of range: {(i, j, k)}")
-            if not isinstance(coeff, QLaurent):
-                coeff = QLaurent.of(coeff)
+            coeff = QLaurent.of(coeff)
             if coeff:
                 table.setdefault((i, j), {})[k] = coeff
         self.unit = unit
@@ -131,8 +130,7 @@ def operator(rows):
         if len(row) != len(rows):
             raise ValueError("operator matrix must be square")
         for j, c in enumerate(row):
-            if not isinstance(c, QLaurent):
-                c = QLaurent.of(c)
+            c = QLaurent.of(c)
             if c:
                 images[j][k] = c
     return key_map(images.__getitem__)
@@ -196,6 +194,9 @@ class GroupBialgebra:
     - An invertible multiplicative map phi of a unital algebra fixes the
       unit: phi(1) phi(b) = phi(b) for every b, and phi is onto.  So no
       operator needs a unit check of its own.
+
+    carrier is k[G] with grouplike comultiplication and the identity
+    structure map, built once: its mul reads the composition table.
     """
 
     def __init__(self, algebra: StructAlgebra, operators):
@@ -228,14 +229,9 @@ class GroupBialgebra:
         for i in range(n):
             if all(self.table[i, j] != identity for j in range(n)):
                 raise ValueError(f"operator {i} is not an algebra automorphism")
-
-    # -- k[G] as a bialgebra carrier ----------------------------------
-
-    def carrier(self) -> Carrier:
-        """k[G] with grouplike comultiplication and identity structure map."""
-        return Carrier(
+        self.carrier = Carrier(
             name="k[G]",
-            basis=key_ids(range(len(self.operators))),
+            basis=key_ids(range(n)),
             mul=on_ids(lambda i, j: ((self.table[i, j], 1),)),
             comul=on_ids(lambda i: (((i, i), 1),)),
             render_key=lambda i: f"g{i}",
@@ -253,7 +249,7 @@ def automorphism_action(G: GroupBialgebra) -> ModuleAlgebraScenario:
     """The classical k[G]-module algebra on A with rho(phi x a) = phi(a): rho
     reads the table of the operator phi.
     """
-    H = G.carrier()
+    H = G.carrier
     tables = dict(zip(H.basis, G.operators))
     return ModuleAlgebraScenario(H=H, A=G.algebra.carrier, rho=lambda g, k: tables[g](k))
 

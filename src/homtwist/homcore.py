@@ -47,12 +47,11 @@ mu_A o rho^2 of the module Hom-algebra sweep (one memoized row of
 and the right side Delta(x)Delta(y) of Eq. (2.5) (mul(x', y') and
 mul(x'', y'') per pair of Delta terms, added straight into key pair ids).
 Neither builds tensor terms; t_contract(mu_A, rho^2) and bilinear over a
-slotwise product of H x H, which paid a call and a list of terms per Delta
-term, are their tests' references.  A checker returns an unlabelled
-CheckReport, which the command line names: a failed identity is report
-content, not an exception, and renderer renders each distinct side once.
-Only malformed carriers raise: one with no coproduct raises TypeError in
-the first checker that reads it.
+slotwise product of H x H are their tests' references.  A checker returns
+an unlabelled CheckReport, which the command line names: a failed identity
+is report content, not an exception, and renderer renders each distinct
+side once.  Only malformed carriers raise: one with no coproduct raises
+TypeError in the first checker that reads it.
 """
 
 from __future__ import annotations
@@ -104,8 +103,8 @@ class KeyRegistry:
     share it as they would share a key object.
     """
 
-    def __init__(self, capacity: int):
-        self.capacity = capacity
+    def __init__(self):
+        self.capacity = STRIDE
         self.keys = []
         self.ids = _Memo(self._new_id)
         # pair ids keyed by the packed slot ids k1 * STRIDE + k2
@@ -133,7 +132,7 @@ class KeyRegistry:
         return self.pair_ids[k1 << _SHIFT | k2]
 
 
-REGISTRY = KeyRegistry(STRIDE)
+REGISTRY = KeyRegistry()
 _KEYS = REGISTRY.keys
 _share = REGISTRY.shared.setdefault
 

@@ -9,7 +9,7 @@ widening the exponent tuples and NAMES.
 
 from __future__ import annotations
 
-from .scalars import MonomialElem, QLaurent
+from .scalars import ONE, MonomialElem
 
 
 class Poly(MonomialElem):
@@ -19,5 +19,5 @@ class Poly(MonomialElem):
     NAMES = ("x", "y")
 
     @classmethod
-    def monomial(cls, i, j, coeff=None):
-        return cls({(i, j): coeff if coeff is not None else QLaurent.one()})
+    def monomial(cls, i, j, coeff=ONE):
+        return cls({(i, j): coeff})

@@ -8,6 +8,7 @@ line names each report it prints.
 
 from __future__ import annotations
 
+import json
 from collections import namedtuple
 from functools import cache
 from itertools import product
@@ -19,8 +20,9 @@ Counterexample = namedtuple("Counterexample", "rendered_inputs lhs rhs")
 class CheckReport:
     __slots__ = ("name", "equation", "checked", "counterexamples")
 
-    def __init__(self, name: str = "", equation: str = "", checked: int = 0, counterexamples=None):
-        self.name, self.equation, self.checked = name, equation, checked
+    def __init__(self, checked: int = 0, counterexamples=None):
+        self.name = self.equation = ""
+        self.checked = checked
         self.counterexamples = [] if counterexamples is None else counterexamples
 
     @property
@@ -74,15 +76,16 @@ def write_json(fh, head, reports):
     """Write the document {**head, "reports": [...]} to fh, then a newline.
 
     The bytes are those of json.dump(document, fh, indent=2): strings go
-    through json's C encoder, ints are written by repr.  head maps names to
-    strings, ints and bools; each report is written as its name, equation,
-    status, case count and counterexamples, each counterexample as its
-    rendered inputs and both sides.  There is one write per counterexample,
-    so the text of a long report is never held whole.
+    through json's C encoder, ints are written by repr, and each value of
+    head (a string, an int or a bool) by json.dumps.  Each report is written
+    as its name, equation, status, case count and counterexamples, each
+    counterexample as its rendered inputs and both sides.  There is one
+    write per counterexample, so the text of a long report is never held
+    whole.
     """
     fh.write("{\n")
     for name, value in head.items():
-        fh.write(f"  {_string(name)}: {_scalar(value)},\n")
+        fh.write(f"  {_string(name)}: {json.dumps(value)},\n")
     fh.write('  "reports": [')
     sep = "\n"
     for report in reports:
@@ -106,10 +109,3 @@ def write_json(fh, head, reports):
         fh.write("\n      ]\n    }" if report.counterexamples else "]\n    }")
         sep = ",\n"
     fh.write("\n  ]\n}\n" if reports else "]\n}\n")
-
-
-def _scalar(value) -> str:
-    """A head value as json writes it: a bool, an int or a string."""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    return repr(value) if isinstance(value, int) else _string(value)

@@ -81,17 +81,11 @@ class QLaurent:
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def zero(cls) -> "QLaurent":
-        return cls()
-
-    @classmethod
-    def one(cls) -> "QLaurent":
-        return cls({0: 1})
-
-    @classmethod
     def of(cls, value) -> "QLaurent":
-        """Constant Laurent polynomial from an int or a Fraction."""
-        return cls({0: value})
+        """Constant Laurent polynomial from an int or a Fraction; a QLaurent
+        is returned unchanged.
+        """
+        return value if isinstance(value, QLaurent) else cls({0: value})
 
     @classmethod
     def q_power(cls, exponent: int, coeff=1) -> "QLaurent":
@@ -309,9 +303,7 @@ class MonomialElem:
             key = tuple(map(int, key))
             if len(key) != len(self.NAMES) or min(key) < 0:
                 raise ValueError(f"bad exponent vector {key}")
-            if not isinstance(coeff, QLaurent):
-                coeff = QLaurent.of(coeff)
-            add_term(clean, key, coeff)
+            add_term(clean, key, QLaurent.of(coeff))
         object.__setattr__(self, "terms", clean)
 
     def __setattr__(self, name, value):
@@ -357,7 +349,7 @@ class MonomialElem:
         """
         if cls.SEP.isspace() and _DIGIT_GAP.search(term):  # splitting would hide it
             raise ValueError(f"space inside a number in {term!r}")
-        coeff = QLaurent.one()
+        coeff = ONE
         exps = [0] * len(cls.NAMES)
         last = 0
         for factor in split_factors(term, on_space=cls.SEP.isspace()):
@@ -416,7 +408,7 @@ def join_terms(parts) -> str:
     return out
 
 
-ZERO = QLaurent.zero()
-ONE = QLaurent.one()
+ZERO = QLaurent()
+ONE = QLaurent.of(1)
 Q = QLaurent.q_power(1)
 Q_INV = QLaurent.q_power(-1)

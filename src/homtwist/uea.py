@@ -21,7 +21,7 @@ from __future__ import annotations
 from itertools import product
 from math import comb
 
-from .scalars import MonomialElem, QLaurent
+from .scalars import ONE, MonomialElem
 
 # A PBW monomial is a key (a, b, c) standing for X^a Y^b Z^c.
 GENERATORS = ("X", "Y", "Z")
@@ -36,8 +36,8 @@ class UElem(MonomialElem):
     ORDERED = True
 
     @classmethod
-    def monomial(cls, mono, coeff=None):
-        return cls({tuple(mono): coeff if coeff is not None else QLaurent.one()})
+    def monomial(cls, mono, coeff=ONE):
+        return cls({tuple(mono): coeff})
 
     @classmethod
     def generator(cls, name: str):

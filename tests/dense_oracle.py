@@ -12,9 +12,7 @@ genuine evidence.
 
 from fractions import Fraction
 
-from homtwist.scalars import QLaurent
-
-ZERO, ONE = QLaurent.zero(), QLaurent.one()
+from homtwist.scalars import ONE, ZERO, QLaurent
 
 
 class Model:

@@ -13,7 +13,7 @@ never calls the package's PBW engine, so agreement between the two is
 genuine confluence evidence.
 """
 
-from homtwist.scalars import QLaurent
+from homtwist.scalars import ONE, ZERO, QLaurent
 
 REWRITES = {
     "YX": (("XY", 1), ("Z", -1)),
@@ -31,13 +31,13 @@ def _first_inversion(word):
 
 def reduce_word(word):
     """Normal form of a single word as {sorted_word: QLaurent}."""
-    pending = {word: QLaurent.one()}
+    pending = {word: ONE}
     done = {}
     while pending:
         w, coeff = pending.popitem()
         pos = _first_inversion(w)
         if pos is None:
-            acc = done.get(w, QLaurent.zero()) + coeff
+            acc = done.get(w, ZERO) + coeff
             if acc:
                 done[w] = acc
             else:
@@ -45,7 +45,7 @@ def reduce_word(word):
             continue
         for replacement, factor in REWRITES[w[pos : pos + 2]]:
             new_word = w[:pos] + replacement + w[pos + 2 :]
-            acc = pending.get(new_word, QLaurent.zero()) + coeff * QLaurent.of(factor)
+            acc = pending.get(new_word, ZERO) + coeff * QLaurent.of(factor)
             if acc:
                 pending[new_word] = acc
             else:
@@ -65,7 +65,7 @@ def pbw_word(mono):
 
 
 def _add(out, key, coeff):
-    acc = out.get(key, QLaurent.zero()) + coeff
+    acc = out.get(key, ZERO) + coeff
     if acc:
         out[key] = acc
     else:

@@ -550,7 +550,7 @@ def test_positional_after_a_second_dash_dash_exits_2():
 
 def test_verify_prints_five_counterexamples_and_counts_the_rest(capsys, monkeypatch):
     cases = [Counterexample((f"e{i}",), "a", "b") for i in range(6)]
-    report = CheckReport("planted", checked=9, counterexamples=cases)
+    report = cli._label(CheckReport(checked=9, counterexamples=cases), "planted", "")
     monkeypatch.setitem(cli.SUITES, "compatibility", lambda r: report)
     code, out, _ = run(capsys, "verify", "finalg", "--suite", "compatibility")
     lines = out.splitlines()

@@ -18,7 +18,7 @@ from homtwist.finalg import (
     m2_example,
     operator,
 )
-from homtwist.scalars import QLaurent
+from homtwist.scalars import ONE, ZERO, QLaurent
 
 import dense_oracle
 
@@ -26,9 +26,6 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 
 import finalg_gen  # noqa: E402
-
-ZERO = QLaurent.zero()
-ONE = QLaurent.one()
 
 
 def sparse(dense):
@@ -270,7 +267,7 @@ class TestGroupBialgebra:
         # g -> the other element is linear but sends g0 g0 = g0 to g1
         _, G, _ = m2_example()
         report = homcore.check_multiplicativity(
-            G.carrier()._replace(alpha=homcore.key_map(lambda i: {1 - i: ONE}))
+            G.carrier._replace(alpha=homcore.key_map(lambda i: {1 - i: ONE}))
         )
         assert (len(report.counterexamples), report.checked) == (4, 4)
         first = report.counterexamples[0]
@@ -278,7 +275,7 @@ class TestGroupBialgebra:
         assert (first.lhs, first.rhs) == ("1*g1", "1*g0")
         # a sum coefficient goes in parentheses: g -> (1 + q) times the other
         sum_alpha = homcore.key_map(lambda i: {1 - i: QLaurent.parse("1 + q")})
-        report = homcore.check_multiplicativity(G.carrier()._replace(alpha=sum_alpha))
+        report = homcore.check_multiplicativity(G.carrier._replace(alpha=sum_alpha))
         first = report.counterexamples[0]
         assert (first.lhs, first.rhs) == ("(1 + q)*g1", "(1 + 2*q + q^2)*g0")
 
@@ -294,6 +291,10 @@ class TestGroupBialgebra:
         _, G, _ = m2_example()
         s = automorphism_action(G)
         assert homcore.check_module_hom_algebra(s).passed
+
+    def test_the_action_reads_the_one_k_g_carrier(self):
+        _, G, _ = m2_example()
+        assert automorphism_action(G).H is G.carrier
 
 
 class TestExample31:

@@ -20,7 +20,7 @@ from homtwist.homcore import (
 )
 from homtwist.polyalg import Poly
 from homtwist.report import sweep
-from homtwist.scalars import ONE, QLaurent, add_term
+from homtwist.scalars import ONE, ZERO, QLaurent, add_term
 
 import plane_oracle
 from test_record import h4
@@ -214,7 +214,7 @@ _ALGEBRAS = {
     "sl2": lambda: actions.u_carrier(1),
 }
 _BIALGEBRAS = {
-    "k[G]": lambda: finalg.m2_example()[1].carrier(),
+    "k[G]": lambda: finalg.m2_example()[1].carrier,
     "sl2": lambda: actions.u_carrier(1),
 }
 _MODULES = {
@@ -522,7 +522,7 @@ class TestFusedComulRightSide:
          # and below zero
          (lambda: sl2_non_cocommutative(1 + 2**40).H, 110, 22),
          (lambda: sl2_non_cocommutative(1 - 2**40).H, 110, 22),
-         (lambda: finalg.m2_example()[1].carrier(), 6, 0)],
+         (lambda: finalg.m2_example()[1].carrier, 6, 0)],
         ids=["sl2-q22", "sl2-q33", "degree-scaling", "non-cocommutative",
              "non-cocommutative-q^2^40", "non-cocommutative-q^-2^40", "k[G]"],
     )
@@ -590,7 +590,7 @@ def test_comul_morphism_interns_only_the_pairs_it_meets():
 @pytest.mark.parametrize(
     "bialgebra",
     [lambda: actions.deformed_scenario(3, 3).H,
-     lambda: finalg.m2_example()[1].carrier(),
+     lambda: finalg.m2_example()[1].carrier,
      lambda: h4().module.H,
      # exponents of Delta terms below zero, beyond one int digit
      lambda: sl2_non_cocommutative(1 - 2**40).H],
@@ -701,7 +701,7 @@ def native_sum(pairs) -> dict:
     """The coordinate map of a sum of (key, QLaurent) pairs."""
     out = {}
     for k, c in pairs:
-        out[k] = out.get(k, QLaurent.zero()) + c
+        out[k] = out.get(k, ZERO) + c
     return {k: c for k, c in out.items() if c}
 
 
@@ -756,7 +756,8 @@ def test_packed_terms_keep_huge_exponents(kernel, e):
 
 
 def test_registry_raises_at_capacity():
-    registry = homcore.KeyRegistry(3)
+    registry = homcore.KeyRegistry()
+    registry.capacity = 3
     assert [registry.ids[key] for key in "abc"] == [0, 1, 2]
     with pytest.raises(OverflowError, match="full at 3 keys"):
         registry.ids["d"]
@@ -769,7 +770,8 @@ def test_registry_raises_at_capacity():
 
 
 def test_registry_reserves_a_basis_of_capacity_keys():
-    registry = homcore.KeyRegistry(3)
+    registry = homcore.KeyRegistry()
+    registry.capacity = 3
     registry.reserve(3)
     with pytest.raises(OverflowError, match="a basis of 4 keys overflows 3 key ids"):
         registry.reserve(4)

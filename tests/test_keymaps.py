@@ -16,7 +16,7 @@ import pytest
 
 from homtwist import actions, finalg, homcore
 from homtwist.polyalg import Poly
-from homtwist.scalars import ONE, Q, QLaurent
+from homtwist.scalars import ONE, Q, ZERO, QLaurent
 from homtwist.uea import UElem
 
 import dense_oracle
@@ -246,7 +246,7 @@ def m2():
 
 def dense(coords: dict, n) -> list:
     """The dense vector of a coordinate map."""
-    return [coords.get(i, QLaurent.zero()) for i in range(n)]
+    return [coords.get(i, ZERO) for i in range(n)]
 
 
 def test_group_bialgebra(m2):

@@ -42,12 +42,21 @@ def test_stale_names_are_seen():
 
 
 def test_a_class_target_mutates_each_of_its_methods():
-    names = [name for name, _ in mutate.mutants("finalg", {"GroupBialgebra"})]
-    methods = {name.split(": ", 1)[0] for name in names}
-    assert methods == {"finalg.GroupBialgebra.__init__", "finalg.GroupBialgebra.carrier"}
-    one_by_one = mutate.mutants("finalg", {"GroupBialgebra.__init__", "GroupBialgebra.carrier"})
+    names = [name for name, _ in mutate.mutants("finalg", {"StructAlgebra"})]
+    methods = {name.split(": ", 1)[0].rpartition(".")[2] for name in names}
+    assert methods == {"__init__", "render", "_verify_associativity", "_verify_unit", "inverse"}
+    one_by_one = mutate.mutants("finalg", {f"StructAlgebra.{method}" for method in methods})
     assert names == [name for name, _ in one_by_one]
-    assert mutate._in_scope(names[0], {"finalg": {"GroupBialgebra"}})
-    assert not mutate._in_scope(names[0], {"finalg": {"Group"}})
+    assert mutate._in_scope(names[0], {"finalg": {"StructAlgebra"}})
+    assert not mutate._in_scope(names[0], {"finalg": {"Struct"}})
     with pytest.raises(SystemExit, match="is not a def"):
         list(mutate.mutants("finalg", {"NoSuchClass"}))
+
+
+def test_an_assignment_target_mutates_its_value():
+    made = dict(mutate.mutants("cli", {"SUITES"}))
+    # the power of the module Hom-algebra suites, and the lambda bodies
+    assert "    **_module_hom_suites((3)),\n" in made["cli.SUITES: 2 -> 3"]
+    assert any("homcore.check_compatibility(r), 'compatibility'" in name for name in made)
+    # a whole-module target includes them
+    assert set(made) <= {name for name, _ in mutate.mutants("cli")}

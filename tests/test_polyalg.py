@@ -2,7 +2,7 @@ import pytest
 
 from homtwist import actions, homcore
 from homtwist.polyalg import Poly
-from homtwist.scalars import Q, QLaurent, sparse_add
+from homtwist.scalars import ONE, Q, QLaurent, sparse_add
 
 # The derivatives, graded slices and native product are those of the action
 # model in plane_oracle, which the tables are tested against.
@@ -150,4 +150,4 @@ class TestTextForm:
 
     def test_rejects_negative_exponent(self):
         with pytest.raises(ValueError):
-            Poly({(-1, 0): QLaurent.one()})
+            Poly({(-1, 0): ONE})

@@ -75,9 +75,6 @@ ALLOWED = {
     "scalars.QLaurent.__add__: return NotImplemented": "every operand is a QLaurent",
     "scalars.QLaurent.__mul__: return NotImplemented": "every operand is a number or a QLaurent",
     "scalars.QLaurent.__eq__: return NotImplemented": "every operand is a QLaurent",
-    # a coefficient given as a number
-    "scalars.MonomialElem.__init__: coeff = QLaurent.of(coeff)":
-        "src builds elements of QLaurents; the tests also write numbers",
     # internal invariants
     'uea.left_gen: raise ValueError(f"unknown generator {gen!r}")':
         "split_first yields X, Y or Z",

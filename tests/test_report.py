@@ -8,6 +8,7 @@ import json
 
 from hypothesis import given, strategies as st
 
+from homtwist.cli import _label
 from homtwist.report import CheckReport, Counterexample, write_json
 
 # every code point: non-ASCII text, quotes, backslashes, control characters
@@ -16,8 +17,9 @@ texts = st.text(st.characters(exclude_categories=()))
 
 counterexamples = st.builds(Counterexample, st.lists(texts).map(tuple), texts, texts)
 
+# a report labelled as the command line labels it
 reports = st.builds(
-    CheckReport, texts, texts, st.integers(min_value=0), st.lists(counterexamples)
+    _label, st.builds(CheckReport, st.integers(min_value=0), st.lists(counterexamples)), texts, texts
 )
 
 heads = st.one_of(
@@ -71,7 +73,7 @@ def test_one_write_per_counterexample():
     def writes(n):
         fh = Writes()
         ce = Counterexample(("x", "y"), "1", "2")
-        write_json(fh, {"scenario": "finalg"}, [CheckReport("a", "", 9, [ce] * n)])
+        write_json(fh, {"scenario": "finalg"}, [CheckReport(9, [ce] * n)])
         return fh.count
 
     assert writes(5) - writes(4) == writes(4) - writes(3) == 1

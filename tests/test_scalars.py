@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from homtwist import actions, homcore
 from homtwist.polyalg import Poly
-from homtwist.scalars import ONE, Q, Q_INV, QLaurent, sparse_add
+from homtwist.scalars import ONE, Q, Q_INV, ZERO, QLaurent, sparse_add
 from homtwist.uea import UElem
 
 
@@ -26,7 +26,7 @@ class TestArithmetic:
         assert not a + a * -1
 
     def test_zero_annihilates(self):
-        assert ql("q^5 - 2") * QLaurent.zero() == QLaurent.zero()
+        assert ql("q^5 - 2") * ZERO == ZERO
 
     def test_integral_fraction_is_stored_as_int(self):
         coeff = QLaurent.of(Fraction(4, 2)).terms[0]
@@ -42,7 +42,14 @@ class TestArithmetic:
         # instances are immutable, so 1 * a needs no copy
         a = ql("3*q^-1 + 1/2*q^2")
         assert a * 1 is a and 1 * a is a
-        assert a * 2 == ql("6*q^-1 + q^2") and a * 0 == QLaurent.zero()
+        assert a * 2 == ql("6*q^-1 + q^2") and a * 0 == ZERO
+
+    def test_of_returns_a_qlaurent_unchanged(self):
+        # one call reads a coefficient given as a number or as a QLaurent
+        a = ql("3*q^-1 + 1/2*q^2")
+        assert QLaurent.of(a) is a
+        with pytest.raises(TypeError, match="cannot interpret 1.5 as a rational"):
+            QLaurent.of(1.5)
 
 
 class TestSpecialize:

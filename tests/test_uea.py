@@ -3,7 +3,7 @@ import re
 import pytest
 
 from homtwist import actions, homcore
-from homtwist.scalars import Q, QLaurent, add_term, sparse_add
+from homtwist.scalars import ONE, Q, QLaurent, add_term, sparse_add
 from homtwist.uea import UElem
 
 import free_oracle
@@ -12,7 +12,7 @@ from free_oracle import all_words, pbw_word, reduce_to_pbw
 X = UElem.generator("X")
 Y = UElem.generator("Y")
 Z = UElem.generator("Z")
-ONE = UElem.monomial((0, 0, 0))
+UNIT = UElem.monomial((0, 0, 0))
 
 
 def mul(u: UElem, v: UElem) -> UElem:
@@ -63,7 +63,7 @@ class TestPBWProduct:
     def test_agrees_with_free_algebra_oracle(self):
         for word in all_words(4):
             expected = reduce_to_pbw(word)
-            product = ONE
+            product = UNIT
             for letter in word:
                 product = mul(product, UElem.generator(letter))
             assert product.terms == expected, word
@@ -87,22 +87,22 @@ class TestScalars:
 
 class TestComultiplication:
     def test_unit_is_grouplike(self):
-        assert comul((0, 0, 0)) == {((0, 0, 0), (0, 0, 0)): QLaurent.one()}
+        assert comul((0, 0, 0)) == {((0, 0, 0), (0, 0, 0)): ONE}
 
     def test_xy(self):
         expected = {
-            ((1, 1, 0), (0, 0, 0)): QLaurent.one(),
-            ((0, 0, 0), (1, 1, 0)): QLaurent.one(),
-            ((1, 0, 0), (0, 1, 0)): QLaurent.one(),
-            ((0, 1, 0), (1, 0, 0)): QLaurent.one(),
+            ((1, 1, 0), (0, 0, 0)): ONE,
+            ((0, 0, 0), (1, 1, 0)): ONE,
+            ((1, 0, 0), (0, 1, 0)): ONE,
+            ((0, 1, 0), (1, 0, 0)): ONE,
         }
         assert comul((1, 1, 0)) == expected
 
     def test_x_squared(self):
         expected = {
-            ((2, 0, 0), (0, 0, 0)): QLaurent.one(),
+            ((2, 0, 0), (0, 0, 0)): ONE,
             ((1, 0, 0), (1, 0, 0)): QLaurent.of(2),
-            ((0, 0, 0), (2, 0, 0)): QLaurent.one(),
+            ((0, 0, 0), (2, 0, 0)): ONE,
         }
         assert comul((2, 0, 0)) == expected
 
@@ -183,7 +183,7 @@ class TestEndomorphisms:
             assert apply(handle, u).terms == u.scaled(QLaurent.q_power(a - b)).terms
 
     def test_unit_fixed(self):
-        assert apply(actions.alpha_u(), ONE).terms == ONE.terms
+        assert apply(actions.alpha_u(), UNIT).terms == UNIT.terms
 
     def test_xy_invariant(self):
         assert apply(actions.alpha_u(), mul(X, Y)).terms == mul(X, Y).terms
@@ -235,7 +235,7 @@ class TestTextForm:
     @pytest.mark.parametrize(
         "text, expected",
         [
-            ("(q + 1)*X", {(1, 0, 0): Q + QLaurent.one()}),
+            ("(q + 1)*X", {(1, 0, 0): Q + ONE}),
             ("(q^-1) Y Z", {(0, 1, 1): QLaurent.q_power(-1)}),
             ("2 (q) X", {(1, 0, 0): 2 * Q}),
             ("1 X + 3 (1)", {(1, 0, 0): 1, (0, 0, 0): 3}),

@@ -6,10 +6,12 @@ Usage, from the root of a checkout:
     python3 tools/mutate.py homcore            # every def of a module
     python3 tools/mutate.py --list homcore     # name the mutants, run nothing
 
-A target is "module" (every def of src/homtwist/<module>.py) or
-"module.qualname": one def, its nested defs and lambdas included, or one
-class, every method of it included.  Each mutant is one of these changes,
-made with the stdlib ast module:
+A target is "module" (every def and module-level assignment of
+src/homtwist/<module>.py) or "module.qualname": one def, its nested defs
+and lambdas included; one class, every method of it included; or one
+module-level assignment to a name, such as cli.SUITES, every expression of
+its value included, lambda bodies too.  Each mutant is one of these
+changes, made with the stdlib ast module:
 
 - an arithmetic or bit operator swapped (+ and -, << and >>, & and |, ...);
 - a comparison flipped (== and !=, < and >=, in and not in, ...);
@@ -106,7 +108,12 @@ def _copy(node, **fields):
 
 def _defs(tree):
     """(qualname, node) of every def and class of a module that no def
-    holds, methods and nested classes included."""
+    holds, methods and nested classes included, and of every module-level
+    assignment to one name."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and len(node.targets) == 1:
+            if isinstance(node.targets[0], ast.Name):
+                yield node.targets[0].id, node
     stack = [("", tree)]
     while stack:
         prefix, parent = stack.pop()
@@ -138,10 +145,10 @@ def _skipped(tree) -> set:
 def mutants(module: str, qualnames=None):
     """(name, mutated source) of each mutant of the defs of module.
 
-    qualnames (a set) keeps the defs so named and the methods of the
-    classes so named; None keeps every def.  A name is "module.qualname:
-    <old text> -> <new text>", with " #n" added when the same change
-    appears more than once in one def.  The change is
+    qualnames (a set) keeps the defs and assignments so named and the
+    methods of the classes so named; None keeps every def and assignment.
+    A name is "module.qualname: <old text> -> <new text>", with " #n" added
+    when the same change appears more than once in one def.  The change is
     spliced into the source text, so the rest of the file keeps its bytes.
     """
     path = os.path.join(ROOT, SRC, module + ".py")
@@ -160,12 +167,12 @@ def mutants(module: str, qualnames=None):
 
     defs = dict(_defs(tree))
     for qualname in sorted(set(qualnames or ()) - set(defs)):
-        raise SystemExit(f"error: {module}.{qualname} is not a def or a class")
+        raise SystemExit(f"error: {module}.{qualname} is not a def, a class or an assignment")
     for qualname, fn in defs.items():
         if isinstance(fn, ast.ClassDef) or not _chosen(qualname, qualnames):
             continue
         seen = {}
-        # a def's nested defs and lambdas are part of it
+        # a def's nested defs and lambdas are part of it, as an assignment's are
         for node in ast.walk(fn):
             if node is fn or id(node) in skip or not hasattr(node, "end_col_offset"):
                 continue
