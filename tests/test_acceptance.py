@@ -1,9 +1,13 @@
 """Acceptance suite: one test (and one printed pass/fail line) per criterion.
 
 Every comparison is exact equality over the Laurent ring in q; there are no
-numeric tolerances anywhere.  Run with `pytest tests/test_acceptance.py -s`
-to see the per-criterion lines.
+numeric tolerances anywhere.  A sweep asserts each case, with its inputs in
+the message.  Run with `pytest tests/test_acceptance.py -s` to see the
+per-criterion lines.
 """
+
+import contextlib
+import itertools
 
 import pytest
 
@@ -15,18 +19,18 @@ from homtwist.uea import UElem
 import plane_oracle
 from free_oracle import all_words, comul, pbw_word, reduce_to_pbw
 from test_actions import weight_spectrum
+from test_uea import mul
 
 
-def mul(u: UElem, v: UElem) -> UElem:
-    """u v through the PBW product table actions.pbw_mul."""
-    flat = homcore.bilinear(actions.pbw_mul, homcore.flatten(u.terms), homcore.flatten(v.terms))
-    return UElem(homcore.unflatten(flat.items()))
-
-
-def report_line(number, passed, detail):
-    status = "PASS" if passed else "FAIL"
-    print(f"ACCEPTANCE {number} {status}: {detail}")
-    assert passed, detail
+@contextlib.contextmanager
+def criterion(number, detail):
+    """Print ACCEPTANCE <number> PASS or FAIL as the asserts of the block pass or fail."""
+    try:
+        yield
+    except AssertionError:
+        print(f"ACCEPTANCE {number} FAIL: {detail}")
+        raise
+    print(f"ACCEPTANCE {number} PASS: {detail}")
 
 
 @pytest.fixture(scope="module")
@@ -39,35 +43,31 @@ def test_criterion_1_hom_associativity():
     # also equal alpha^2(abc)
     carrier = actions.plane_carrier(4)
     twisted = homcore.yau_twist(carrier, actions.alpha_plane())
-    mul = twisted.mul
-    count = 0
-    ok = True
+    product = twisted.mul
     key = homcore.REGISTRY.keys.__getitem__
     alpha = plane_oracle.alpha
-    for k1 in carrier.basis:
-        for k2 in carrier.basis:
-            for k3 in carrier.basis:
-                a, b, c = (Poly.monomial(*key(k)) for k in (k1, k2, k3))
-                expected = alpha(alpha(plane_oracle.mul(plane_oracle.mul(a, b), c))).terms
-                lhs = homcore.bilinear(mul, twisted.alpha(k1), mul(k2, k3))
-                rhs = homcore.bilinear(mul, mul(k1, k2), twisted.alpha(k3))
-                ok = ok and homcore.unflatten(lhs.items()) == expected
-                ok = ok and homcore.unflatten(rhs.items()) == expected
-                count += 1
-    assert count >= 3375
-    report_line(1, ok, f"Hom-associativity of A_alpha, {count} triples, exact")
+    triples = list(itertools.product(carrier.basis, repeat=3))
+    assert len(triples) >= 3375
+    with criterion(1, f"Hom-associativity of A_alpha, {len(triples)} triples, exact"):
+        for k1, k2, k3 in triples:
+            a, b, c = (Poly.monomial(*key(k)) for k in (k1, k2, k3))
+            expected = alpha(alpha(plane_oracle.mul(plane_oracle.mul(a, b), c))).terms
+            lhs = homcore.bilinear(product, twisted.alpha(k1), product(k2, k3))
+            rhs = homcore.bilinear(product, product(k1, k2), twisted.alpha(k3))
+            assert homcore.unflatten(lhs.items()) == expected, f"lhs at ({a}, {b}, {c})"
+            assert homcore.unflatten(rhs.items()) == expected, f"rhs at ({a}, {b}, {c})"
 
 
 def test_criterion_2_hom_bialgebra_suite(deformed_33):
     coassoc = homcore.check_hom_coassociativity(deformed_33.H)
     morphism = homcore.check_comul_morphism(deformed_33.H)
     assert len(deformed_33.H.basis) == 20
-    report_line(
-        2,
-        coassoc.passed and morphism.passed,
+    detail = (
         "Hom-bialgebra suite for U(sl2)_alpha on PBW degree <= 3 "
-        f"({coassoc.checked} + {morphism.checked} cases), exact",
+        f"({coassoc.checked} + {morphism.checked} cases), exact"
     )
+    with criterion(2, detail):
+        assert coassoc.passed and morphism.passed
 
 
 def test_criterion_3_module_hom_algebra(deformed_33):
@@ -83,37 +83,32 @@ def test_criterion_3_module_hom_algebra(deformed_33):
         s.H.comul(X),
     )
     spot = {(2, 0): QLaurent.q_power(9)}
-    report_line(
-        3,
-        sweep.passed
-        and homcore.unflatten(lhs.items()) == spot
-        and homcore.unflatten(rhs.items()) == spot,
+    detail = (
         f"module Hom-algebra axiom, {sweep.checked} triples, "
-        "spot value (X, x, y) -> q^9 x^2 on both sides",
+        "spot value (X, x, y) -> q^9 x^2 on both sides"
     )
+    with criterion(3, detail):
+        assert sweep.passed
+        assert homcore.unflatten(lhs.items()) == spot
+        assert homcore.unflatten(rhs.items()) == spot
 
 
 def test_criterion_4_characterization_equivalence(deformed_33):
     direct = homcore.check_module_hom_algebra(deformed_33)
     morphism = cli._swapped(homcore.check_module_hom_algebra(deformed_33))
-    agree_pass = direct.passed and morphism.passed
-
     control = actions.deformed_scenario(2, 2)
     direct_bad = homcore.check_module_hom_algebra(control, alpha_power=1)
     morphism_bad = cli._swapped(homcore.check_module_hom_algebra(control, alpha_power=1))
     target = ("X", "x", "y")
-    agree_fail = (
-        not direct_bad.passed
-        and not morphism_bad.passed
-        and target in [ce.rendered_inputs for ce in direct_bad.counterexamples]
-        and target in [ce.rendered_inputs for ce in morphism_bad.counterexamples]
-    )
-    report_line(
-        4,
-        agree_pass and agree_fail,
+    detail = (
         "characterization: both checkers agree on the passing scenario and "
-        "both fail the negative control with (X, x, y) reported",
+        "both fail the negative control with (X, x, y) reported"
     )
+    with criterion(4, detail):
+        assert direct.passed and morphism.passed
+        assert not direct_bad.passed and not morphism_bad.passed
+        assert target in [ce.rendered_inputs for ce in direct_bad.counterexamples]
+        assert target in [ce.rendered_inputs for ce in morphism_bad.counterexamples]
 
 
 def test_criterion_5_endomorphism_extension():
@@ -122,81 +117,72 @@ def test_criterion_5_endomorphism_extension():
     def handle(mono) -> dict:
         return homcore.unflatten(table(homcore.REGISTRY.ids[mono]))
 
-    bialg_ok = True
-    for mono in UElem.basis_keys(3):
-        # Delta of the shuffle oracle on both sides
-        lhs = {}
-        for m, c in handle(mono).items():
-            for key, c2 in comul(pbw_word(m)).items():
-                add_term(lhs, key, c * c2)
-        rhs = {}
-        for (m1, m2), c in comul(pbw_word(mono)).items():
-            left, right = handle(m1), handle(m2)
-            for k1, c1 in left.items():
-                for k2, c2 in right.items():
-                    add_term(rhs, (k1, k2), c * c1 * c2)
-        bialg_ok = bialg_ok and lhs == rhs
-    r = actions.sl2_scenario(3, 4)
-    compat = homcore.check_compatibility(r)
-    report_line(
-        5,
-        bialg_ok and compat.passed,
+    compat = homcore.check_compatibility(actions.sl2_scenario(3, 4))
+    detail = (
         "alpha_U is a bialgebra endomorphism on PBW degree <= 3 and "
-        f"alpha_A(za) = alpha_U(z) alpha_A(a) holds ({compat.checked} cases)",
+        f"alpha_A(za) = alpha_U(z) alpha_A(a) holds ({compat.checked} cases)"
     )
+    with criterion(5, detail):
+        for mono in UElem.basis_keys(3):
+            # Delta of the shuffle oracle on both sides
+            lhs = {}
+            for m, c in handle(mono).items():
+                for key, c2 in comul(pbw_word(m)).items():
+                    add_term(lhs, key, c * c2)
+            rhs = {}
+            for (m1, m2), c in comul(pbw_word(mono)).items():
+                left, right = handle(m1), handle(m2)
+                for k1, c1 in left.items():
+                    for k2, c2 in right.items():
+                        add_term(rhs, (k1, k2), c * c1 * c2)
+            assert lhs == rhs, f"at {UElem.render_key(mono)}"
+        assert compat.passed
 
 
 def test_criterion_6_classical_limit():
     classical = actions.sl2_scenario(3, 3).module
-    axiom = homcore.check_module_hom_algebra(classical)
-    module = homcore.check_module_axiom(classical)
-    bialg = homcore.check_hom_bialgebra(classical.H)
-    assoc = homcore.check_hom_associativity(classical.A)
+    reports = [
+        homcore.check_module_hom_algebra(classical),
+        homcore.check_module_axiom(classical),
+        homcore.check_hom_bialgebra(classical.H),
+        homcore.check_hom_associativity(classical.A),
+    ]
     rho_alpha = actions.deformed_scenario(2, 3).rho
-    collapse = True
     key = homcore.REGISTRY.keys.__getitem__
-    for mono in homcore.key_ids(UElem.basis_keys(2)):
-        for a in classical.A.basis:
-            # q = 1: the coefficients of each monomial summed over q exponents
-            coords = homcore.unflatten(rho_alpha(mono, a))
-            at_one = {k: c.specialize(1) for k, c in coords.items() if c.specialize(1)}
-            expected = dict(actions.act_key(key(mono), key(a)))
-            collapse = collapse and at_one == expected
-    report_line(
-        6,
-        axiom.passed and module.passed and bialg.passed and assoc.passed and collapse,
+    detail = (
         "alpha = Id recovers the classical module algebra axiom and "
-        "rho_alpha at q = 1 equals act_key on every tested pair",
+        "rho_alpha at q = 1 equals act_key on every tested pair"
     )
+    with criterion(6, detail):
+        assert all(r.passed for r in reports)
+        for mono in homcore.key_ids(UElem.basis_keys(2)):
+            for a in classical.A.basis:
+                # q = 1: the coefficients of each monomial summed over q exponents
+                coords = homcore.unflatten(rho_alpha(mono, a))
+                at_one = {k: c.specialize(1) for k, c in coords.items() if c.specialize(1)}
+                z, p = UElem.render_key(key(mono)), Poly.render_key(key(a))
+                assert at_one == dict(actions.act_key(key(mono), key(a))), f"at ({z}, {p})"
 
 
 def test_criterion_7_pbw_engine_and_weights():
     words = all_words(4)
-    oracle_ok = True
-    for word in words:
-        product = UElem.monomial((0, 0, 0))
-        for letter in word:
-            product = mul(product, UElem.generator(letter))
-        oracle_ok = oracle_ok and product.terms == reduce_to_pbw(word)
     assert len(words) == 1 + 3 + 9 + 27 + 81
-
-    assoc_ok = True
     monos = UElem.basis_keys(3)
-    for m1 in monos:
-        for m2 in monos:
-            for m3 in monos:
-                u, v, w = (UElem.monomial(m) for m in (m1, m2, m3))
-                assoc_ok = assoc_ok and mul(mul(u, v), w).terms == mul(u, mul(v, w)).terms
-
-    weights_ok = all(
-        weight_spectrum(n) == [n - 2 * k for k in range(n + 1)] for n in range(6)
-    )
-    report_line(
-        7,
-        oracle_ok and assoc_ok and weights_ok,
+    detail = (
         f"PBW engine agrees with the free-algebra oracle on {len(words)} words, "
-        "associativity sweep passes, weight ladders correct for n <= 5",
+        "associativity sweep passes, weight ladders correct for n <= 5"
     )
+    with criterion(7, detail):
+        for word in words:
+            product = UElem.monomial((0, 0, 0))
+            for letter in word:
+                product = mul(product, UElem.generator(letter))
+            assert product.terms == reduce_to_pbw(word), f"word {word!r}"
+        for m1, m2, m3 in itertools.product(monos, repeat=3):
+            u, v, w = (UElem.monomial(m) for m in (m1, m2, m3))
+            assert mul(mul(u, v), w).terms == mul(u, mul(v, w)).terms, f"at ({u}, {v}, {w})"
+        for n in range(6):
+            assert weight_spectrum(n) == [n - 2 * k for k in range(n + 1)], f"n = {n}"
 
 
 def test_criterion_8_example_31_instance():
@@ -210,10 +196,9 @@ def test_criterion_8_example_31_instance():
         homcore.check_module_hom_algebra(s),
         cli._swapped(homcore.check_module_hom_algebra(s)),
     ]
-    total = sum(r.checked for r in reports)
-    report_line(
-        8,
-        all(r.passed for r in reports),
+    detail = (
         "finite scenario (2x2 matrices, conjugation group, a = diag(2,3)) "
-        f"passes the full suite exhaustively ({total} cases)",
+        f"passes the full suite exhaustively ({sum(r.checked for r in reports)} cases)"
     )
+    with criterion(8, detail):
+        assert all(r.passed for r in reports)

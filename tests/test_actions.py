@@ -6,7 +6,8 @@ from homtwist.polyalg import Poly
 from homtwist.scalars import _MAX_POWER_BITS, QLaurent, sparse_add
 from homtwist.uea import UElem
 
-from plane_oracle import alpha, mul, partial, specialize, total_degree
+from plane_oracle import alpha, mul, partial, total_degree
+from test_uea import contract
 
 X = UElem.generator("X")
 Y = UElem.generator("Y")
@@ -24,14 +25,13 @@ SL2 = actions.sl2_scenario(0, 0)
 RHO, RHO_ALPHA = SL2.module.rho, homcore.deform_scenario(SL2).rho
 
 
-def act(z: UElem, p: Poly, rho=RHO) -> Poly:
-    """A table of the action applied to elements, as `homtwist act` applies it."""
-    flat = homcore.bilinear(rho, homcore.flatten(z.terms), homcore.flatten(p.terms))
-    return Poly(homcore.unflatten(flat.items()))
+def act(z: UElem, p: Poly) -> Poly:
+    """The action table applied to elements, as `homtwist act` applies it."""
+    return contract(RHO, z, p)
 
 
 def deformed_act(z: UElem, p: Poly) -> Poly:
-    return act(z, p, RHO_ALPHA)
+    return contract(RHO_ALPHA, z, p)
 
 
 class TestAction:
@@ -137,12 +137,6 @@ class TestDeformedAction:
     def test_z_on_x(self):
         assert deformed_act(Z, Poly.monomial(1, 0)).terms == {(1, 0): QLaurent.q_power(2)}
 
-    def test_q_equal_one_collapses_to_classical(self):
-        for mono in UElem.basis_keys(2):
-            z = UElem.monomial(mono)
-            for p in monomials(3):
-                assert specialize(deformed_act(z, p), 1).terms == specialize(act(z, p), 1).terms
-
 
 class TestCompatibility:
     def test_generator_case(self):
@@ -172,45 +166,6 @@ class TestCompatibility:
         generators = {"X", "Y", "Z"}
         assert sum(ce.rendered_inputs[0] in generators for ce in report.counterexamples) == 12
 
-    def test_classical_module_algebra(self):
-        classical = actions.sl2_scenario(2, 2).module
-        assert homcore.check_module_hom_algebra(classical).passed
-
-
-def twisted_action(s, power, x, a, b) -> dict:
-    """alpha_H^power(x)(ab) on basis ids, as a coordinate map."""
-    xs = homcore.basis_terms(x)
-    for _ in range(power):
-        xs = homcore.terms(homcore.linear(s.H.alpha, xs))
-    return homcore.unflatten(homcore.bilinear(s.rho, xs, s.A.mul(a, b)).items())
-
-
-class TestModuleHomAlgebraSpotValues:
-    # the ids of X, x, y
-    X, x, y = homcore.key_ids([(1, 0, 0), (1, 0), (0, 1)])
-
-    def test_triple_x_x_y_gives_q9_x_squared(self):
-        s = actions.deformed_scenario(1, 1)
-        X, x, y = self.X, self.x, self.y
-        # left side of the axiom
-        assert twisted_action(s, 2, X, x, y) == {(2, 0): QLaurent.q_power(9)}
-        # right side via the Sweedler sum
-        rhs = homcore.t_contract(
-            lambda h1, h2: homcore.terms(homcore.bilinear(s.A.mul, s.rho(h1, x), s.rho(h2, y))),
-            s.H.comul(X),
-        )
-        assert homcore.unflatten(rhs.items()) == {(2, 0): QLaurent.q_power(9)}
-
-    def test_negative_control_gives_q8_on_left(self):
-        s = actions.deformed_scenario(1, 1)
-        assert twisted_action(s, 1, self.X, self.x, self.y) == {(2, 0): QLaurent.q_power(8)}
-
-    def test_negative_control_counterexample_includes_x_x_y(self):
-        s = actions.deformed_scenario(2, 2)
-        report = homcore.check_module_hom_algebra(s, alpha_power=1)
-        assert not report.passed
-        assert ("X", "x", "y") in [ce.rendered_inputs for ce in report.counterexamples]
-
 
 def weight_spectrum(n: int):
     """Z-eigenvalues of x^n, x^(n-1) y, ..., y^n, read off act_key.
@@ -238,11 +193,6 @@ class TestWeightSpectrum:
 
 
 class TestAssembledPackage:
-    def test_deformed_scenario_is_module_hom_algebra(self):
-        s = actions.deformed_scenario(2, 2)
-        assert homcore.check_module_axiom(s).passed
-        assert homcore.check_module_hom_algebra(s).passed
-
     def test_action_associativity(self):
         # (uv)p = u(vp): the module axiom at alpha = Id
         report = homcore.check_module_axiom(actions.sl2_scenario(2, 3).module)

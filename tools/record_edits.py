@@ -9,8 +9,9 @@ The edits are those of tests/test_record.py's record_edits: e_j added to one
 basis entry of beta_H, beta_A, rho or mu_A, or one nonzero entry of beta_H,
 beta_A, rho, mu_A, mu_H or Delta multiplied by q.  They are made on
 actions.sl2_scenario(bound_h, bound_a), and every suite of cli.SUITES runs
-on every edit.  Tier-1 runs the bounds (1,1); at (2,2) there are more than
-900 edits and the run takes seconds, so it is not a Tier-1 test.
+on every edit, through test_record.failing_suites as in Tier-1.  Tier-1 runs
+the bounds (1,1); at (2,2) there are more than 900 edits and the run takes
+seconds, so it is not a Tier-1 test.
 
 The tool prints the number of edits and the CPU time they took, then each
 edit that no suite fails (UNSEEN) and each suite that no edit fails
@@ -45,10 +46,7 @@ def main(argv=None) -> int:
 
     start = time.process_time()
     record = actions.sl2_scenario(args.bound_h, args.bound_a)
-    failing = {
-        name: {suite for suite, SUITE in cli.SUITES.items() if not SUITE(edited).passed}
-        for name, edited in test_record.record_edits(record)
-    }
+    failing = test_record.failing_suites(record)
     cpu = time.process_time() - start
 
     unseen = [name for name, suites in failing.items() if not suites]
