@@ -18,8 +18,9 @@ m1 = g rest (uea.split_first) and multiplies the memoized product rest m2 by
 g through the id table of uea.left_gen.  endo_map contracts an
 endomorphism's generator images on one of those products, and
 extend_lie_endo checks, on the table it returns, that a map of the
-generators of U(sl(2)) is a Lie endomorphism.  Both carriers take their
-basis and their text form from the element class, UElem or Poly, which only
+generators of U(sl(2)) is a Lie endomorphism; both take the images as
+coordinate maps, the one form of an element here.  Both carriers take their
+basis and their text form from the ring class, UElem or Poly, which only
 parses and renders (scalars.MonomialElem).
 """
 
@@ -45,21 +46,20 @@ from .homcore import (
 )
 from .polyalg import Poly
 from .report import CheckReport
-from .scalars import _MAX_POWER_BITS, Q, Q_INV, trusted
+from .scalars import _MAX_POWER_BITS, ONE, Q, Q_INV
 from .uea import GENERATORS, UElem
 
 
 def alpha_plane():
     """The table of the diagonal endomorphism P(x, y) -> P(q^2 x, q y)."""
-    return endo_map((Poly.monomial(1, 0, Q * Q), Poly.monomial(0, 1, Q)), plane_mul)
+    return endo_map(({(1, 0): Q * Q}, {(0, 1): Q}), plane_mul)
 
 
 def alpha_u():
     """The table of the bialgebra endomorphism alpha_U of U(sl(2)), which
     extends X -> qX, Y -> q^-1 Y, Z -> Z.
     """
-    X, Y, Z = map(UElem.generator, GENERATORS)
-    return extend_lie_endo((X.scaled(Q), Y.scaled(Q_INV), Z))
+    return extend_lie_endo(({(1, 0, 0): Q}, {(0, 1, 0): Q_INV}, {(0, 0, 1): ONE}))
 
 
 def act_key(mono, key) -> tuple:
@@ -105,13 +105,13 @@ def pbw_mul(k1, k2) -> tuple:
 def endo_map(images, mul):
     """The memo table id -> terms of an algebra endomorphism.
 
-    images are the generator images, elements of the ring whose product
-    table on ids is mul (pbw_mul or plane_mul).  The key (k0, k1, ...) maps
-    to the ordered product of the powers images[i]^ki, contracted by
-    bilinear on mul.  A power is square-and-multiply, memoized per
+    images are the generator images, coordinate maps of the ring whose
+    product table on ids is mul (pbw_mul or plane_mul).  The key (k0, k1,
+    ...) maps to the ordered product of the powers images[i]^ki, contracted
+    by bilinear on mul.  A power is square-and-multiply, memoized per
     (generator, exponent), so x^n takes about 2 log2(n) products.
     """
-    images = [flatten(image.terms) for image in images]
+    images = [flatten(image) for image in images]
 
     def times(xs, ys):
         return terms(bilinear(mul, xs, ys))
@@ -147,14 +147,15 @@ def _check_bracket(phi) -> CheckReport:
 
 def extend_lie_endo(images):
     """The table of the algebra endomorphism of U(sl(2)) extending a Lie
-    endomorphism given by the images of X, Y and Z in span{X, Y, Z}.
+    endomorphism given by the images of X, Y and Z in span{X, Y, Z}, as
+    coordinate maps.
 
     The extension is only well defined on the commutator ideal when the
     generator map is a Lie endomorphism, so that is a hard precondition.
     """
     for gen, image in zip(GENERATORS, images):
-        if any(sum(mono) != 1 for mono in image.terms):
-            raise ValueError(f"image of {gen} must lie in span{{X, Y, Z}}, got {image}")
+        if any(sum(mono) != 1 for mono in image):
+            raise ValueError(f"image of {gen} must lie in span{{X, Y, Z}}: {UElem.render(image)}")
     phi = endo_map(images, pbw_mul)
     report = _check_bracket(phi)
     if not report.passed:
@@ -177,7 +178,7 @@ def _monomial_carrier(cls, name: str, bound: int, **tables) -> Carrier:
         name=name,
         basis=key_ids(cls.basis_keys(bound)),
         render_key=cls.render_key,
-        render_elem=lambda coords: str(trusted(cls, coords)),
+        render_elem=cls.render,
         **tables,
     )
 

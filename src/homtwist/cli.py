@@ -307,11 +307,11 @@ def cmd_act(args):
     # the bounds of the bases
     r = actions.sl2_scenario(0, 0)
     rho = homcore.deform_scenario(r).rho if args.deformed else r.module.rho
-    flat = homcore.bilinear(rho, homcore.flatten(z.terms), homcore.flatten(p.terms))
+    flat = homcore.bilinear(rho, homcore.flatten(z), homcore.flatten(p))
     result = homcore.unflatten(flat.items())
     if args.q_value is not None:
-        # the validated constructor drops a coefficient that specializes to 0
-        result = Poly({key: QLaurent.of(c.specialize(q0)) for key, c in result.items()}).terms
+        # a coefficient that specializes to 0 drops out
+        result = {key: v for key, c in result.items() if (v := QLaurent.of(c.specialize(q0)))}
     try:
         text = r.module.A.render_elem(result)
     except ValueError as exc:

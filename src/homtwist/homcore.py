@@ -60,7 +60,7 @@ from collections import namedtuple
 from functools import cache
 
 from .report import CheckReport, sweep
-from .scalars import QLaurent, trusted
+from .scalars import trusted
 
 # -- interned keys and packed terms --------------------------------------
 # A term is (packed, coefficient) with packed = exponent * STRIDE + key id and
@@ -237,7 +237,7 @@ def unflatten(xs) -> dict:
     out = {}
     for p, c in xs:
         out.setdefault(_KEYS[p & _MASK], {})[p >> _SHIFT] = c
-    return {key: trusted(QLaurent, coeff) for key, coeff in out.items()}
+    return {key: trusted(coeff) for key, coeff in out.items()}
 
 
 def terms(flat: dict) -> tuple:

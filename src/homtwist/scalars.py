@@ -11,18 +11,18 @@ every integral value as an int, so the integer arithmetic that dominates the
 sweeps never touches Fraction.  Every sum and product is accumulated by
 add_term, the one canonical-form rule: it stores an integral Fraction as its
 int and drops a zero.  Arithmetic results are wrapped with trusted(), which
-skips the constructors' validation because they are canonical already.
+skips QLaurent's validation because they are canonical already.
 
 The text of all three rings is split by one scanner, _split_top: a sum at
 its top-level signs (split_sum) and a term at its top-level factors
 (split_factors).  The sparse-map section below also holds the base that
-Poly and UElem share, MonomialElem: validated construction, scaling, and
-the monomial basis of both rings (its graded-lex order, its bounded
-enumeration, the text of a key and of an element, and the grammar of a
-term).  A subclass names its variables and says how a term writes them.
-An element has no arithmetic of its own: its products and endomorphisms
-are key tables contracted by homcore, and two elements are equal when
-their terms are.
+Poly and UElem share, MonomialElem: the monomial basis of both rings (its
+graded-lex order, its bounded enumeration, the text of a key and of an
+element, and the grammar of a term).  A subclass names its variables and
+says how a term writes them.  An element of either ring is its coordinate
+map {exponent vector: nonzero QLaurent}, which parse returns and render
+reads: its products and endomorphisms are key tables contracted by homcore,
+and two elements are equal when their maps are.
 """
 
 from __future__ import annotations
@@ -46,13 +46,13 @@ def _as_rational(value):
     raise TypeError(f"cannot interpret {value!r} as a rational")
 
 
-def trusted(cls, terms: dict):
-    """Wrap a canonical terms dict in an instance of cls without validating it.
+def trusted(terms: dict):
+    """Wrap a canonical terms dict in a QLaurent without validating it.
 
     Only for results built from canonical operands: keys taken from them and
     coefficients from add_term/sparse_add, which drop zeros.
     """
-    obj = object.__new__(cls)
+    obj = object.__new__(QLaurent)
     object.__setattr__(obj, "terms", terms)
     return obj
 
@@ -96,7 +96,7 @@ class QLaurent:
     def __add__(self, other) -> "QLaurent":
         if not isinstance(other, QLaurent):
             return NotImplemented
-        return trusted(QLaurent, sparse_add(self.terms, other.terms))
+        return trusted(sparse_add(self.terms, other.terms))
 
     def __mul__(self, other) -> "QLaurent":
         if isinstance(other, QLaurent):
@@ -112,7 +112,7 @@ class QLaurent:
         for e1, c1 in self.terms.items():
             for e2, c2 in factors.items():
                 add_term(out, e1 + e2, c1 * c2)
-        return trusted(QLaurent, out)
+        return trusted(out)
 
     __rmul__ = __mul__
 
@@ -253,7 +253,7 @@ def split_factors(term: str, on_space: bool = False):
 
 
 # -- sparse maps key -> nonzero coefficient -----------------------------
-# MonomialElem (Poly, UElem), finalg vectors and homcore's packed elements store one.
+# The elements of Poly and UElem, finalg vectors and homcore's packed elements are one.
 
 
 def add_term(terms: dict, key, coeff) -> None:
@@ -280,7 +280,8 @@ def sparse_add(t1: dict, t2: dict) -> dict:
 
 
 class MonomialElem:
-    """An element keyed by exponent vectors: sparse map key -> nonzero QLaurent.
+    """A ring whose basis is the monomials of its variables, keyed by
+    exponent vectors; an element is a coordinate map key -> nonzero QLaurent.
 
     A subclass sets NAMES, the variable of each key slot; SEP, the text
     between the factors of a monomial (a space there is also read as a
@@ -288,33 +289,12 @@ class MonomialElem:
     order, as a ring that does not commute must.  The monomial basis is
     shared: one graded-lex order (degree first, then the first variable's
     exponent descending, ...), one enumeration of a bounded basis, one text
-    form and one term grammar.  Instances are immutable; scaled multiplies
-    one by a scalar.
+    form and one term grammar.  The class has no instances.
     """
 
-    __slots__ = ("terms",)
     NAMES = ()
     SEP = "*"
     ORDERED = False
-
-    def __init__(self, terms=None):
-        clean = {}
-        for key, coeff in (terms or {}).items():
-            key = tuple(map(int, key))
-            if len(key) != len(self.NAMES) or min(key) < 0:
-                raise ValueError(f"bad exponent vector {key}")
-            add_term(clean, key, QLaurent.of(coeff))
-        object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def scaled(self, coeff):
-        """This element times coeff, a QLaurent or a number, by QLaurent's *."""
-        out = {}
-        for key, c in self.terms.items():
-            add_term(out, key, coeff * c)
-        return trusted(type(self), out)
 
     # -- the monomial basis and the text form -------------------------
 
@@ -332,15 +312,18 @@ class MonomialElem:
         factors = [name if e == 1 else f"{name}^{e}" for name, e in zip(cls.NAMES, key) if e]
         return cls.SEP.join(factors) or "1"
 
-    def __str__(self):
-        parts = []
-        for key in sorted(self.terms, key=_grlex):
-            parts.append(render_term(self.terms[key], self.render_key(key) if any(key) else ""))
-        return join_terms(parts)
+    @classmethod
+    def render(cls, coords) -> str:
+        """The text of the element with coordinate map coords, terms in graded-lex order."""
+        return join_terms(
+            [render_term(coords[key], cls.render_key(key) if any(key) else "")
+             for key in sorted(coords, key=_grlex)]
+        )
 
     @classmethod
-    def parse(cls, text: str):
-        return cls(parse_terms(text, cls._parse_term))
+    def parse(cls, text: str) -> dict:
+        """The coordinate map of a rendered element, e.g. "q*x^2*y - 3"."""
+        return parse_terms(text, cls._parse_term)
 
     @classmethod
     def _parse_term(cls, term: str):

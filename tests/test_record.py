@@ -17,9 +17,7 @@ import pytest
 
 from homtwist import actions, cli, finalg, homcore
 from homtwist.homcore import basis_terms
-from homtwist.polyalg import Poly
 from homtwist.scalars import ONE, QLaurent
-from homtwist.uea import UElem
 
 q = QLaurent.q_power
 
@@ -49,11 +47,8 @@ def test_module_is_a_hom_structure(scenario):
 
 def sl2_pair():
     """beta_H: X -> q^4 X, Y -> q^-4 Y, Z -> Z and beta_A = (q^3 x, q^-1 y)."""
-    gen = UElem.generator
-    beta_H = actions.extend_lie_endo((gen("X").scaled(q(4)), gen("Y").scaled(q(-4)), gen("Z")))
-    beta_A = actions.endo_map(
-        (Poly.monomial(1, 0, q(3)), Poly.monomial(0, 1, q(-1))), actions.plane_mul
-    )
+    beta_H = actions.extend_lie_endo(({(1, 0, 0): q(4)}, {(0, 1, 0): q(-4)}, {(0, 0, 1): ONE}))
+    beta_A = actions.endo_map(({(1, 0): q(3)}, {(0, 1): q(-1)}), actions.plane_mul)
     return beta_H, beta_A
 
 

@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from homtwist import actions, homcore
 from homtwist.polyalg import Poly
-from homtwist.scalars import ONE, Q, Q_INV, ZERO, QLaurent, sparse_add
+from homtwist.scalars import ONE, Q, Q_INV, ZERO, QLaurent
 from homtwist.uea import UElem
 
 
@@ -157,18 +157,7 @@ class TestTextForm:
 
 @pytest.mark.parametrize("cls, text", [(Poly, "1 + x"), (UElem, "1 + X")])
 def test_element_types_share_the_sparse_ring_contract(cls, text):
-    e = cls.parse(text)
-    with pytest.raises(AttributeError, match=f"^{cls.__name__} is immutable$"):
-        e.terms = {}
-    assert str(e) == text
-    width = len(cls.NAMES)
-    generator = {key: c for key, c in e.terms.items() if any(key)}
-    for other in (sparse_add(generator, {(0,) * width: ONE}), dict(reversed(e.terms.items()))):
-        assert cls(other).terms == e.terms
-    for bad in [(-1,) + (0,) * (width - 1), (0,) * (width + 1), (0,) * (width - 1)]:
-        with pytest.raises(ValueError):
-            cls({bad: 1})
-    assert e.scaled(0).terms == {}
+    assert cls.render(cls.parse(text)) == text
 
 
 # The two rings share one term grammar and differ only where their text does:
@@ -185,7 +174,7 @@ def test_element_types_share_the_sparse_ring_contract(cls, text):
     ],
 )
 def test_a_term_reads_the_factors_its_ring_allows(cls, text, key):
-    assert cls.parse(text).terms == {key: ONE}
+    assert cls.parse(text) == {key: ONE}
 
 
 @pytest.mark.parametrize(
@@ -223,7 +212,7 @@ def test_a_term_refuses_the_factors_its_ring_does_not_allow(cls, text, message):
     ],
 )
 def test_a_sum_folds_its_signs(cls, text, expected):
-    assert cls.parse(text).terms == cls.parse(expected).terms
+    assert cls.parse(text) == cls.parse(expected)
 
 
 @pytest.mark.parametrize(
@@ -268,20 +257,15 @@ def test_every_grammar_refuses_a_space_inside_a_number(cls, text):
     ],
 )
 def test_a_number_beside_a_name_keeps_its_value(cls, text, key, coeff):
-    assert cls.parse(text).terms == {key: ql(coeff)}
+    assert cls.parse(text) == {key: ql(coeff)}
 
 
-# a coefficient that is no int or Fraction would otherwise be dropped, and a
-# key of the wrong length or with a negative exponent is no monomial
+# a coefficient that is no int or Fraction would otherwise be dropped
 @pytest.mark.parametrize(
     "cls, terms, error, message",
     [
         (QLaurent, {0: 1.5}, TypeError, "cannot interpret 1.5 as a rational"),
         (QLaurent, {0: "2"}, TypeError, "cannot interpret '2' as a rational"),
-        (Poly, {(1, 0): 2.0}, TypeError, "cannot interpret 2.0 as a rational"),
-        (Poly, {(-1, 0): 1}, ValueError, "bad exponent vector (-1, 0)"),
-        (Poly, {(1,): 1}, ValueError, "bad exponent vector (1,)"),
-        (UElem, {(1, 0, 0, 0): 1}, ValueError, "bad exponent vector (1, 0, 0, 0)"),
     ],
 )
 def test_constructors_refuse_what_is_no_element(cls, terms, error, message):
@@ -319,9 +303,9 @@ def test_basis_keys_refuse_a_negative_bound():
 
 def test_render_key_is_the_text_of_the_monomial():
     for key in Poly.basis_keys(4):
-        assert Poly.render_key(key) == str(Poly.monomial(*key))
+        assert Poly.render_key(key) == Poly.render({key: ONE})
     for mono in UElem.basis_keys(4):
-        assert UElem.render_key(mono) == str(UElem.monomial(mono))
+        assert UElem.render_key(mono) == UElem.render({mono: ONE})
     assert Poly.render_key((0, 0)) == UElem.render_key((0, 0, 0)) == "1"
     assert (Poly.render_key((2, 1)), UElem.render_key((2, 0, 1))) == ("x^2*y", "X^2 Z")
 
@@ -332,28 +316,27 @@ def test_scalars_and_endomorphisms_are_immutable(value, name):
         setattr(value, name, None)
 
 
-# the product table of each element type
+# the product table of each ring
 PRODUCTS = {Poly: actions.plane_mul, UElem: actions.pbw_mul}
 
 
-def plain_power(e, n) -> dict:
-    """The terms of e**n by n products, the definition that square-and-multiply
-    must match.
+def plain_power(cls, e, n) -> dict:
+    """The terms of e**n in cls by n products, the definition that
+    square-and-multiply must match.
     """
-    mul, xs = PRODUCTS[type(e)], homcore.flatten(e.terms)
-    result = homcore.flatten({(0,) * len(e.NAMES): ONE})
+    mul, xs = PRODUCTS[cls], homcore.flatten(e)
+    result = homcore.flatten({(0,) * len(cls.NAMES): ONE})
     for _ in range(n):
         result = homcore.terms(homcore.bilinear(mul, result, xs))
     return homcore.unflatten(result)
 
 
-def power_table(e):
-    """The table of the endomorphism that sends the first generator to e and
-    fixes the others: it sends the key (n, 0, ...) to e**n.
+def power_table(cls, e):
+    """The table of the endomorphism of cls that sends the first generator to
+    e and fixes the others: it sends the key (n, 0, ...) to e**n.
     """
-    cls = type(e)
     keys = [tuple(int(i == j) for j in range(len(cls.NAMES))) for i in range(len(cls.NAMES))]
-    return actions.endo_map([e] + [cls({key: 1}) for key in keys[1:]], PRODUCTS[cls])
+    return actions.endo_map([e] + [{key: ONE} for key in keys[1:]], PRODUCTS[cls])
 
 
 @pytest.mark.parametrize(
@@ -370,10 +353,10 @@ def test_power_equals_repeated_products(cls, text):
     # the powers of endomorphism tables: UElem does not commute, so this also
     # fixes the order of the factors
     e = cls.parse(text)
-    table = power_table(e)
+    table = power_table(cls, e)
     for n in range(10):
         key = (n,) + (0,) * (len(cls.NAMES) - 1)
-        assert homcore.unflatten(table(homcore.REGISTRY.ids[key])) == plain_power(e, n)
+        assert homcore.unflatten(table(homcore.REGISTRY.ids[key])) == plain_power(cls, e, n)
 
 
 def test_power_takes_logarithmically_many_products(monkeypatch):
@@ -385,6 +368,6 @@ def test_power_takes_logarithmically_many_products(monkeypatch):
         return product(*args)
 
     monkeypatch.setattr(actions, "bilinear", counted)
-    table = actions.endo_map((Poly.monomial(1, 0), Poly.monomial(0, 1)), actions.plane_mul)
-    assert homcore.unflatten(table(homcore.REGISTRY.ids[1000, 0])) == Poly.monomial(1000, 0).terms
+    table = actions.endo_map(({(1, 0): ONE}, {(0, 1): ONE}), actions.plane_mul)
+    assert homcore.unflatten(table(homcore.REGISTRY.ids[1000, 0])) == {(1000, 0): ONE}
     assert len(calls) <= 20
