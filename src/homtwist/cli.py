@@ -181,8 +181,8 @@ def build_parser():
 
 def _finalg_scenario(path):
     try:
-        algebra, G, a = finalg.load_scenario(path) if path else finalg.m2_example()
-        return finalg.example31_scenario(algebra, G, a)
+        scenario = finalg.load_scenario(path) if path else finalg.m2_example()
+        return finalg.example31_scenario(*scenario)
     except (OSError, ValueError) as exc:
         raise InputError(str(exc)) from exc
 

@@ -1,5 +1,6 @@
 """Finite-dimensional carriers: structure-constant algebras, linear operators,
-group bialgebras of automorphisms, and the inner-automorphism deformation.
+the k[G]-module algebra of a group of automorphisms, and the inner-automorphism
+deformation of a scenario document, read from a file (load_scenario) or M2.
 
 Everything here is finite, so axiom sweeps run over the complete basis and a
 pass is a full proof for the instance, not a degree-bounded truncation.
@@ -7,7 +8,7 @@ Each table is built once, where it is made: an algebra's product table is
 its carrier's mul, and an operator is its memo table id -> terms (operator,
 or basis_terms for the identity).  The load checks, the group closure, i_a,
 the k[G] action and the scenario record all read those tables.  Coordinate
-maps {index: QLaurent} appear only where a file is read, where a linear
+maps {index: QLaurent} appear only where a document is read, where a linear
 system is solved and where an element is rendered.  The one linear system
 is an element's inverse, solved by exact Gaussian elimination over
 rationals; a system with genuinely q-dependent entries is rejected for
@@ -179,13 +180,15 @@ def inner_automorphism(algebra: StructAlgebra, a):
     return cache(conjugate)
 
 
-class GroupBialgebra:
-    """A finite group of algebra automorphisms with grouplike comultiplication.
+def automorphism_action(algebra: StructAlgebra, operators) -> ModuleAlgebraScenario:
+    """The classical k[G]-module algebra (k[G], A, rho) of a finite group G of
+    algebra automorphisms of A, with rho(g x b) = g(b): rho reads the table
+    of the operator g.
 
     The group is given extensionally, as operator tables; closure under
-    composition is verified at construction, not computed.  Each operator is
-    checked only for multiplicativity; the composition table self.table is
-    the one witness of invertibility, by two facts:
+    composition is verified here, not computed.  Each operator is checked
+    only for multiplicativity; the composition table, which k[G]'s mul
+    reads, is the one witness of invertibility, by two facts:
 
     - In a closed finite set of linear maps that contains the identity,
       op_i o op_j = 1 for some j exactly when op_i is invertible.  If op is
@@ -195,48 +198,45 @@ class GroupBialgebra:
       unit: phi(1) phi(b) = phi(b) for every b, and phi is onto.  So no
       operator needs a unit check of its own.
 
-    carrier is k[G] with grouplike comultiplication and the identity
-    structure map, built once: its mul reads the composition table.
+    k[G] has grouplike comultiplication and the identity structure map.
     """
+    basis, n = algebra.carrier.basis, len(operators)
 
-    def __init__(self, algebra: StructAlgebra, operators):
-        self.algebra = algebra
-        self.operators = list(operators)
-        basis, n = algebra.carrier.basis, len(self.operators)
+    def key(op):
+        """The basis images of op, equal exactly when the operators are."""
+        return tuple(frozenset(op(k)) for k in basis)
 
-        def key(op):
-            """The basis images of op, equal exactly when the operators are."""
-            return tuple(frozenset(op(k)) for k in basis)
-
-        index = {}
-        for idx, op in enumerate(self.operators):
-            if not check_multiplicativity(algebra.carrier._replace(alpha=op)).passed:
-                raise ValueError(f"operator {idx} is not an algebra automorphism")
-            first = index.setdefault(key(op), idx)
-            if first != idx:
-                raise ValueError(f"operators {first} and {idx} are equal")
-        self.table = {}
-        for i, op1 in enumerate(self.operators):
-            for j, op2 in enumerate(self.operators):
-                composed = key(lambda k: linear(op1, op2(k)).items())
-                if composed not in index:
-                    raise ValueError(f"group not closed under composition at ({i}, {j})")
-                self.table[i, j] = index[composed]
-        # a closed set of singular maps, such as {0}, may lack the identity
-        identity = index.get(key(basis_terms))
-        if identity is None:
-            raise ValueError("group does not contain the identity operator")
-        for i in range(n):
-            if all(self.table[i, j] != identity for j in range(n)):
-                raise ValueError(f"operator {i} is not an algebra automorphism")
-        self.carrier = Carrier(
-            name="k[G]",
-            basis=key_ids(range(n)),
-            mul=on_ids(lambda i, j: ((self.table[i, j], 1),)),
-            comul=on_ids(lambda i: (((i, i), 1),)),
-            render_key=lambda i: f"g{i}",
-            render_elem=_render_group_elem,
-        )
+    index = {}
+    for idx, op in enumerate(operators):
+        if not check_multiplicativity(algebra.carrier._replace(alpha=op)).passed:
+            raise ValueError(f"operator {idx} is not an algebra automorphism")
+        first = index.setdefault(key(op), idx)
+        if first != idx:
+            raise ValueError(f"operators {first} and {idx} are equal")
+    table = {}
+    for i, op1 in enumerate(operators):
+        for j, op2 in enumerate(operators):
+            composed = key(lambda k: linear(op1, op2(k)).items())
+            if composed not in index:
+                raise ValueError(f"group not closed under composition at ({i}, {j})")
+            table[i, j] = index[composed]
+    # a closed set of singular maps, such as {0}, may lack the identity
+    identity = index.get(key(basis_terms))
+    if identity is None:
+        raise ValueError("group does not contain the identity operator")
+    for i in range(n):
+        if all(table[i, j] != identity for j in range(n)):
+            raise ValueError(f"operator {i} is not an algebra automorphism")
+    H = Carrier(
+        name="k[G]",
+        basis=key_ids(range(n)),
+        mul=on_ids(lambda i, j: ((table[i, j], 1),)),
+        comul=on_ids(lambda i: (((i, i), 1),)),
+        render_key=lambda i: f"g{i}",
+        render_elem=_render_group_elem,
+    )
+    tables = dict(zip(H.basis, operators))
+    return ModuleAlgebraScenario(H=H, A=algebra.carrier, rho=lambda g, k: tables[g](k))
 
 
 def _render_group_elem(u):
@@ -245,16 +245,7 @@ def _render_group_elem(u):
     return " + ".join(f"{factor_text(c)}*g{i}" for i, c in sorted(u.items()))
 
 
-def automorphism_action(G: GroupBialgebra) -> ModuleAlgebraScenario:
-    """The classical k[G]-module algebra on A with rho(phi x a) = phi(a): rho
-    reads the table of the operator phi.
-    """
-    H = G.carrier
-    tables = dict(zip(H.basis, G.operators))
-    return ModuleAlgebraScenario(H=H, A=G.algebra.carrier, rho=lambda g, k: tables[g](k))
-
-
-def example31_scenario(algebra: StructAlgebra, G: GroupBialgebra, a) -> Scenario:
+def example31_scenario(algebra: StructAlgebra, module: ModuleAlgebraScenario, a) -> Scenario:
     """The inner-automorphism deformation input: beta_A = i_a with a fixed by G.
 
     The module is the classical k[G]-module algebra, with identity structure
@@ -265,55 +256,68 @@ def example31_scenario(algebra: StructAlgebra, G: GroupBialgebra, a) -> Scenario
     deformed triple is its A, A twisted by the record's beta_A.
     """
     xs = flatten(a)
-    for idx, op in enumerate(G.operators):
-        if linear(op, xs) != dict(xs):
+    for idx, g in enumerate(module.H.basis):
+        if linear(lambda k: module.rho(g, k), xs) != dict(xs):
             raise ValueError(
                 f"element {algebra.render(a)} is not fixed by group operator {idx}"
             )
     # g(a b a^-1) = a g(b) a^-1 for an automorphism g fixing a: i_a commutes with G
     return Scenario(
-        module=automorphism_action(G),
+        module=module,
         beta_H=basis_terms,
         beta_A=inner_automorphism(algebra, a),
         lie=lambda d: d.A._replace(name="A_alpha"),
     )
 
 
-def build_example31(algebra: StructAlgebra, G: GroupBialgebra, a) -> ModuleAlgebraScenario:
+def build_example31(
+    algebra: StructAlgebra, module: ModuleAlgebraScenario, a
+) -> ModuleAlgebraScenario:
     """The deformed triple (k[G], A_alpha, rho_alpha) of example31_scenario."""
-    return deform_scenario(example31_scenario(algebra, G, a))
+    return deform_scenario(example31_scenario(algebra, module, a))
 
 
 # -- built-in instance and the scenario file format --------------------
 
 
-def m2_algebra() -> StructAlgebra:
-    """The 2x2 matrix algebra with basis e11, e12, e21, e22."""
-    labels = ("e11", "e12", "e21", "e22")
-    index = {label: i for i, label in enumerate(labels)}
-    constants = {}
-    for (r1, c1) in ((1, 1), (1, 2), (2, 1), (2, 2)):
-        for (r2, c2) in ((1, 1), (1, 2), (2, 1), (2, 2)):
-            if c1 == r2:
-                i = index[f"e{r1}{c1}"]
-                j = index[f"e{r2}{c2}"]
-                k = index[f"e{r1}{c2}"]
-                constants[(i, j, k)] = 1
-    return StructAlgebra(labels, constants, unit={0: ONE, 3: ONE})
+# The built-in instance, a scenario document: the 2x2 matrix algebra with
+# basis e11, e12, e21, e22 (e_ij e_jl = e_il), the group of conjugation by
+# diag(1, -1), which negates e12 and e21, and a = diag(2, 3).
+M2 = {
+    "labels": ["e11", "e12", "e21", "e22"],
+    "constants": [
+        [0, 0, 0, "1"], [0, 1, 1, "1"], [1, 2, 0, "1"], [1, 3, 1, "1"],
+        [2, 0, 2, "1"], [2, 1, 3, "1"], [3, 2, 2, "1"], [3, 3, 3, "1"],
+    ],
+    "unit": ["1", "0", "0", "1"],
+    "group": [
+        [["1", "0", "0", "0"], ["0", "1", "0", "0"],
+         ["0", "0", "1", "0"], ["0", "0", "0", "1"]],
+        [["1", "0", "0", "0"], ["0", "-1", "0", "0"],
+         ["0", "0", "-1", "0"], ["0", "0", "0", "1"]],
+    ],
+    "element": ["2", "0", "0", "3"],
+}
 
 
 def m2_example():
-    """Example instance: G generated by conjugation by diag(1,-1), a = diag(2,3)."""
-    algebra = m2_algebra()
-    # conjugation by diag(1,-1) negates e12 and e21
-    conj = operator([[1, 0, 0, 0], [0, -1, 0, 0], [0, 0, -1, 0], [0, 0, 0, 1]])
-    G = GroupBialgebra(algebra, [basis_terms, conj])
-    a = {0: QLaurent.of(2), 3: QLaurent.of(3)}
-    return algebra, G, a
+    """(algebra, module, a) of the built-in instance M2, read by read_scenario."""
+    return read_scenario(M2)
 
 
 def load_scenario(path):
-    """Load (algebra, group, distinguished element) from a JSON scenario file.
+    """(algebra, module, a) of the scenario document in the JSON file at path."""
+    with open(path) as fh:
+        try:
+            data = json.load(fh)
+        except RecursionError:
+            raise ValueError("scenario file is nested too deeply") from None
+    return read_scenario(data)
+
+
+def read_scenario(data):
+    """(algebra, module, a) of a scenario document: module is the classical
+    k[G]-module algebra of its group (automorphism_action).
 
     Format:
       {
@@ -325,16 +329,11 @@ def load_scenario(path):
       }
     Coefficients use the scalar text grammar, e.g. "1", "-2/3", "q^2".
     Each distinct coefficient text is parsed once, through a memo that lives
-    for this one load: a QLaurent is immutable, so equal texts share one
+    for this one read: a QLaurent is immutable, so equal texts share one
     instance.  A refused text raises and is not stored, so it fails wherever
-    it appears.
+    it appears.  The document is read, never modified.
     """
     scalar = cache(QLaurent.parse)
-    with open(path) as fh:
-        try:
-            data = json.load(fh)
-        except RecursionError:
-            raise ValueError("scenario file is nested too deeply") from None
     if not isinstance(data, dict):
         raise ValueError("scenario file must hold a JSON object")
     constants = {}
@@ -361,9 +360,9 @@ def load_scenario(path):
             raise ValueError(
                 f"operator {idx} is {len(rows)}x{len(rows)} on a {algebra.dim}-dim algebra"
             )
-    G = GroupBialgebra(algebra, operators)
+    module = automorphism_action(algebra, operators)
     element = _vector(data.get("element"), "distinguished element", algebra.dim, scalar)
-    return algebra, G, element
+    return algebra, module, element
 
 
 def _vector(value, what, dim, scalar):

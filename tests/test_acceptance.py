@@ -187,8 +187,7 @@ def test_criterion_7_pbw_engine_and_weights():
 
 
 def test_criterion_8_example_31_instance():
-    algebra, G, a = finalg.m2_example()
-    s = finalg.build_example31(algebra, G, a)
+    s = finalg.build_example31(*finalg.m2_example())
     reports = [
         homcore.check_hom_associativity(s.A),
         homcore.check_multiplicativity(s.A),

@@ -12,6 +12,8 @@ import sys
 
 import pytest
 
+from homtwist import finalg
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 TRACER = os.path.join(ROOT, "perfbench", "tracer.py")
 
@@ -56,25 +58,6 @@ def test_tracer_finds_every_metric_name(tmp_path, argv):
 
 PROBE = os.path.join(ROOT, "perfbench", "setup_probe.py")
 
-# The built-in 2x2 matrix example (finalg.m2_example) in the scenario file
-# format: basis e11, e12, e21, e22, the group {1, conjugation by diag(1, -1)}
-# and a = diag(2, 3).
-M2_SCENARIO = {
-    "labels": ["e11", "e12", "e21", "e22"],
-    "constants": [
-        [0, 0, 0, "1"], [0, 1, 1, "1"], [1, 2, 0, "1"], [1, 3, 1, "1"],
-        [2, 0, 2, "1"], [2, 1, 3, "1"], [3, 2, 2, "1"], [3, 3, 3, "1"],
-    ],
-    "unit": ["1", "0", "0", "1"],
-    "group": [
-        [["1", "0", "0", "0"], ["0", "1", "0", "0"],
-         ["0", "0", "1", "0"], ["0", "0", "0", "1"]],
-        [["1", "0", "0", "0"], ["0", "-1", "0", "0"],
-         ["0", "0", "-1", "0"], ["0", "0", "0", "1"]],
-    ],
-    "element": ["2", "0", "0", "3"],
-}
-
 
 @pytest.mark.parametrize("scenario, expected", [("sl2", "4 3"), ("finalg", "2 4")])
 def test_setup_probe_builds_scenario(tmp_path, scenario, expected):
@@ -83,7 +66,7 @@ def test_setup_probe_builds_scenario(tmp_path, scenario, expected):
         argv = ["sl2", "1", "1"]
     else:
         path = tmp_path / "m2.json"
-        path.write_text(json.dumps(M2_SCENARIO))
+        path.write_text(json.dumps(finalg.M2))
         argv = ["finalg", str(path)]
     done = subprocess.run(
         [sys.executable, PROBE, *argv],

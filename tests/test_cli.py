@@ -18,15 +18,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from homtwist import actions, cli, homcore
+from homtwist import actions, cli, finalg, homcore
 from homtwist.polyalg import Poly
 from homtwist.report import CheckReport, Counterexample
 from homtwist.scalars import QLaurent
 from homtwist.uea import UElem
 
 import plane_oracle
-from test_bench_hooks import M2_SCENARIO
-from test_golden import finalg_gen
+from test_golden import finalg_text
 
 
 def run(capsys, *argv):
@@ -296,7 +295,7 @@ BAD_SCENARIOS = {
 # diagonal nor a scaled permutation, so its inverse eliminates rows.
 GOOD_SCENARIOS = {
     "m2-order-two": {
-        **M2_SCENARIO,
+        **finalg.M2,
         "group": [
             [["1", "0", "0", "0"], ["0", "1", "0", "0"],
              ["0", "0", "1", "0"], ["0", "0", "0", "1"]],
@@ -441,8 +440,8 @@ def test_finalg_refuses_a_bound_by_its_option(capsys, argv, option):
 # scenario files for the fuzz are mutated from these documents, with these
 # atoms replacing a node
 FUZZ_DOCUMENTS = (
-    st.sampled_from([finalg_gen.generate(1, 2), finalg_gen.generate(2, 2)])
-    | st.just(M2_SCENARIO)
+    st.sampled_from([json.loads(finalg_text(1, 2)), json.loads(finalg_text(2, 2))])
+    | st.just(finalg.M2)
     | st.sampled_from(list(BAD_SCENARIOS.values()))
 )
 FUZZ_ATOMS = [None, True, False, 0.5, "1/0", "q^-1", [], "é", "\ud800"]

@@ -1,32 +1,24 @@
 import json
-import os
 import re
-import sys
 from fractions import Fraction
 
 import pytest
 
 from homtwist import cli, finalg, homcore
 from homtwist.finalg import (
-    GroupBialgebra,
     StructAlgebra,
     automorphism_action,
     build_example31,
     inner_automorphism,
     load_scenario,
-    m2_algebra,
     m2_example,
     operator,
 )
 from homtwist.scalars import ONE, ZERO, QLaurent
 
 import dense_oracle
+from test_golden import finalg_text
 from test_uea import apply, contract
-
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-sys.path.insert(0, os.path.join(ROOT, "perfbench"))
-
-import finalg_gen  # noqa: E402
 
 
 def sparse(dense):
@@ -45,9 +37,25 @@ def matrix(op, n):
     return [[columns[j].get(k, ZERO) for j in range(n)] for k in range(n)]
 
 
+def operators(module):
+    """The table id -> terms of each group element, read from the action."""
+    return [lambda k, g=g: module.rho(g, k) for g in module.H.basis]
+
+
+def composition(module):
+    """{(i, j): k} with g_i g_j = g_k, read from the product of k[G]."""
+    ids = module.H.basis
+    return {
+        (i, j): k
+        for i, gi in enumerate(ids)
+        for j, gj in enumerate(ids)
+        for k in homcore.unflatten(module.H.mul(gi, gj))
+    }
+
+
 class TestStructAlgebra:
     def test_m2_is_associative_and_unital(self):
-        algebra = m2_algebra()
+        algebra = m2_example()[0]
         e12, e21 = basis(1), basis(2)
         mul = algebra.carrier.mul
         assert contract(mul, e12, e21) == basis(0)
@@ -95,7 +103,7 @@ class TestHomAssociativityNegativeControl:
 
     def twisted(self):
         op = operator([[1, 0, 0, 0], [0, -2, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
-        return homcore.yau_twist(m2_algebra().carrier, op)
+        return homcore.yau_twist(m2_example()[0].carrier, op)
 
     def test_hom_associativity_fails(self):
         report = homcore.check_hom_associativity(self.twisted())
@@ -113,7 +121,7 @@ class TestHomAssociativityNegativeControl:
         ]
 
     def test_render_negative_coefficients(self):
-        algebra = m2_algebra()
+        algebra = m2_example()[0]
         v = {0: QLaurent.of(-2), 2: QLaurent.of(Fraction(-1, 2)), 3: QLaurent.parse("q - 1")}
         assert algebra.render(v) == "-2*e11 + -1/2*e21 + (-1 + q)*e22"
         assert algebra.render({0: ONE * -1, 1: ONE}) == "-1*e11 + e12"
@@ -148,21 +156,22 @@ class TestLinOp:
         zero_map = operator([[0]])
         assert homcore.check_multiplicativity(algebra.carrier._replace(alpha=zero_map)).passed
         with pytest.raises(ValueError, match="^operator 1 is not an algebra automorphism$"):
-            GroupBialgebra(algebra, [homcore.basis_terms, zero_map])
+            automorphism_action(algebra, [homcore.basis_terms, zero_map])
 
     def test_an_automorphism_needs_products_and_an_inverse(self):
-        algebra = m2_algebra()
+        algebra = m2_example()[0]
         # keeps the unit, but sends e12 e21 = e11 to e11 and e12 to -2*e12
         scale = operator([[1, 0, 0, 0], [0, -2, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
         # multiplicative, but sends the unit to 0: its row lacks the identity
         zero = operator([[0] * 4 for _ in range(4)])
-        conjugation = m2_example()[1].operators[1]
+        conjugation = operators(m2_example()[1])[1]
         for op in (scale, zero):
             with pytest.raises(ValueError, match="^operator 1 is not an algebra automorphism$"):
-                GroupBialgebra(algebra, [homcore.basis_terms, op])
+                automorphism_action(algebra, [homcore.basis_terms, op])
         assert not homcore.check_multiplicativity(algebra.carrier._replace(alpha=scale)).passed
         assert homcore.check_multiplicativity(algebra.carrier._replace(alpha=zero)).passed
-        assert GroupBialgebra(algebra, [homcore.basis_terms, conjugation]).table[1, 1] == 0
+        group = automorphism_action(algebra, [homcore.basis_terms, conjugation])
+        assert composition(group)[1, 1] == 0
 
     def test_compose_and_identity(self):
         # the composite of the tables against the dense model's matrix product
@@ -181,7 +190,7 @@ class TestLinOp:
 
 class TestInnerAutomorphism:
     def test_unit_gives_identity(self):
-        algebra = m2_algebra()
+        algebra = m2_example()[0]
         op = inner_automorphism(algebra, algebra.unit)
         for k in homcore.key_ids(range(4)):
             assert op(k) == homcore.basis_terms(k)
@@ -204,7 +213,7 @@ class TestInnerAutomorphism:
     def test_unipotent_element_runs_the_row_elimination(self):
         # a = 1 + e12 = e11 + e12 + e22 is neither diagonal nor a signed
         # permutation, so solving a x = 1 eliminates a second row at a pivot
-        algebra, a = m2_algebra(), sparse([ONE, ONE, ZERO, ONE])
+        algebra, a = m2_example()[0], sparse([ONE, ONE, ZERO, ONE])
         expected = sparse(dense_oracle.m2().inverse([ONE, ONE, ZERO, ONE]))
         assert algebra.inverse(a) == expected == sparse([ONE, ONE * -1, ZERO, ONE])
         i_a = inner_automorphism(algebra, a)
@@ -212,29 +221,29 @@ class TestInnerAutomorphism:
 
     def test_non_invertible_rejected(self):
         with pytest.raises(ValueError, match="invertible"):
-            m2_algebra().inverse(basis(1))
+            m2_example()[0].inverse(basis(1))
 
 
-class TestGroupBialgebra:
+class TestAutomorphismAction:
     def test_m2_group_closure(self):
-        _, G, _ = m2_example()
-        assert len(G.operators) == 2
-        assert G.table[(1, 1)] == 0
+        _, module, _ = m2_example()
+        assert len(module.H.basis) == 2
+        assert composition(module)[1, 1] == 0
 
     def test_rejects_non_closed_set(self):
-        algebra = m2_algebra()
+        algebra = m2_example()[0]
         conj = operator(
             [[1, 0, 0, 0], [0, -1, 0, 0], [0, 0, -1, 0], [0, 0, 0, 1]]
         )
         with pytest.raises(ValueError, match="not closed"):
-            GroupBialgebra(algebra, [conj])
+            automorphism_action(algebra, [conj])
 
     def test_rejects_non_automorphism(self):
-        algebra = m2_algebra()
+        algebra = m2_example()[0]
         # transposition e12 <-> e21 is an anti-automorphism, not an automorphism
         swap = operator([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]])
         with pytest.raises(ValueError, match="automorphism"):
-            GroupBialgebra(algebra, [homcore.basis_terms, swap])
+            automorphism_action(algebra, [homcore.basis_terms, swap])
 
     def test_a_finite_group_may_have_q_entries(self):
         # conjugation by P = [[0, q], [1, 0]] has order 2, since P^2 = q*1:
@@ -242,23 +251,23 @@ class TestGroupBialgebra:
         # holds the identity, and no q-dependent matrix is inverted
         q, q_inv = QLaurent.q_power(1), QLaurent.q_power(-1)
         conj = operator([[0, 0, 0, 1], [0, 0, q, 0], [0, q_inv, 0, 0], [1, 0, 0, 0]])
-        G = GroupBialgebra(m2_algebra(), [homcore.basis_terms, conj])
-        assert G.table == {(0, 0): 0, (0, 1): 1, (1, 0): 1, (1, 1): 0}
-        assert homcore.check_module_hom_algebra(automorphism_action(G)).passed
+        module = automorphism_action(m2_example()[0], [homcore.basis_terms, conj])
+        assert composition(module) == {(0, 0): 0, (0, 1): 1, (1, 0): 1, (1, 1): 0}
+        assert homcore.check_module_hom_algebra(module).passed
 
     def test_rejects_repeated_operator(self):
-        algebra = m2_algebra()
+        algebra = m2_example()[0]
         conj = operator([[1, 0, 0, 0], [0, -1, 0, 0], [0, 0, -1, 0], [0, 0, 0, 1]])
         # the dense identity equals basis_terms, the identity table
         dense_identity = operator([[int(i == j) for j in range(4)] for i in range(4)])
         with pytest.raises(ValueError, match="operators 0 and 2 are equal"):
-            GroupBialgebra(algebra, [homcore.basis_terms, conj, dense_identity])
+            automorphism_action(algebra, [homcore.basis_terms, conj, dense_identity])
 
     def test_non_multiplicative_alpha_renders_group_elements(self):
         # g -> the other element is linear but sends g0 g0 = g0 to g1
-        _, G, _ = m2_example()
+        H = m2_example()[1].H
         report = homcore.check_multiplicativity(
-            G.carrier._replace(alpha=homcore.key_map(lambda i: {1 - i: ONE}))
+            H._replace(alpha=homcore.key_map(lambda i: {1 - i: ONE}))
         )
         assert (len(report.counterexamples), report.checked) == (4, 4)
         first = report.counterexamples[0]
@@ -266,32 +275,23 @@ class TestGroupBialgebra:
         assert (first.lhs, first.rhs) == ("1*g1", "1*g0")
         # a sum coefficient goes in parentheses: g -> (1 + q) times the other
         sum_alpha = homcore.key_map(lambda i: {1 - i: QLaurent.parse("1 + q")})
-        report = homcore.check_multiplicativity(G.carrier._replace(alpha=sum_alpha))
+        report = homcore.check_multiplicativity(H._replace(alpha=sum_alpha))
         first = report.counterexamples[0]
         assert (first.lhs, first.rhs) == ("(1 + q)*g1", "(1 + 2*q + q^2)*g0")
 
     def test_grouplike_sweedler_sum(self):
-        _, G, _ = m2_example()
-        s = automorphism_action(G)
-        square = homcore.build_rho2(s)
+        square = homcore.build_rho2(m2_example()[1])
         # phi = g1 on e12 tensor e21: phi(e12) = -e12, phi(e21) = -e21, signs cancel
         g1, pair = homcore.key_ids([1, (1, 2)])
         assert homcore.unflatten(square.rho(g1, pair)) == {(1, 2): ONE}
 
     def test_classical_action_is_module_algebra(self):
-        _, G, _ = m2_example()
-        s = automorphism_action(G)
-        assert homcore.check_module_hom_algebra(s).passed
-
-    def test_the_action_reads_the_one_k_g_carrier(self):
-        _, G, _ = m2_example()
-        assert automorphism_action(G).H is G.carrier
+        assert homcore.check_module_hom_algebra(m2_example()[1]).passed
 
 
 class TestExample31:
     def test_full_suite_passes(self):
-        algebra, G, a = m2_example()
-        s = build_example31(algebra, G, a)
+        s = build_example31(*m2_example())
         assert homcore.check_hom_associativity(s.A).passed
         assert homcore.check_multiplicativity(s.A).passed
         assert homcore.check_hom_bialgebra(s.H).passed
@@ -300,18 +300,17 @@ class TestExample31:
         assert cli._swapped(homcore.check_module_hom_algebra(s)).passed
 
     def test_unit_element_reduces_to_classical(self):
-        algebra, G, _ = m2_example()
-        s = build_example31(algebra, G, algebra.unit)
-        classical = automorphism_action(G)
+        algebra, classical, _ = m2_example()
+        s = build_example31(algebra, classical, algebra.unit)
         for kh in s.H.basis:
             for ka in s.A.basis:
                 assert s.rho(kh, ka) == classical.rho(kh, ka)
 
     def test_rejects_element_not_fixed_by_group(self):
-        algebra, G, _ = m2_example()
+        algebra, module, _ = m2_example()
         bad = {0: ONE, 1: ONE, 3: ONE}  # e11 + e12 + e22, conjugation negates e12
         with pytest.raises(ValueError, match="not fixed"):
-            build_example31(algebra, G, bad)
+            build_example31(algebra, module, bad)
 
 
 # the built-in example and finalg_gen's n = 3 files of seeds 1-3
@@ -320,13 +319,13 @@ ORACLE_CASES = ["m2", 1, 2, 3]
 
 @pytest.fixture(scope="module", params=ORACLE_CASES, ids=str)
 def modelled(request, tmp_path_factory):
-    """(algebra, G, a) as finalg loads them, and the dense model of the same data."""
+    """(algebra, module, a) as finalg loads them, and the dense model of the same data."""
     if request.param == "m2":
         return m2_example(), dense_oracle.m2()
-    document = finalg_gen.generate(request.param, 3)
+    text = finalg_text(request.param, 3)
     path = tmp_path_factory.mktemp("oracle") / "scenario.json"
-    path.write_text(json.dumps(document))
-    return load_scenario(path), dense_oracle.from_document(document)
+    path.write_text(text)
+    return load_scenario(path), dense_oracle.from_document(json.loads(text))
 
 
 class TestDenseOracle:
@@ -352,11 +351,12 @@ class TestDenseOracle:
         assert matrix(inner_automorphism(algebra, a), model.n) == expected
 
     def test_group_composition(self, modelled):
-        (_, G, _), model = modelled
-        assert [matrix(op, model.n) for op in G.operators] == model.group
+        (_, module, _), model = modelled
+        assert [matrix(op, model.n) for op in operators(module)] == model.group
+        table = composition(module)
         for i, m1 in enumerate(model.group):
             for j, m2 in enumerate(model.group):
-                assert G.table[i, j] == model.group.index(dense_oracle.compose(m1, m2))
+                assert table[i, j] == model.group.index(dense_oracle.compose(m1, m2))
 
 
 class TestOneTablePerStructure:
@@ -364,7 +364,7 @@ class TestOneTablePerStructure:
 
     def test_load_and_record_read_one_table_each(self, tmp_path, monkeypatch):
         path = tmp_path / "scenario.json"
-        path.write_text(json.dumps(finalg_gen.generate(1, 3)))
+        path.write_text(finalg_text(1, 3))
         made, read = [], []
 
         def spy(name, record):
@@ -381,21 +381,21 @@ class TestOneTablePerStructure:
         spy("bilinear", lambda args, _: read.append(args[0]))
         for check in ("check_hom_associativity", "check_multiplicativity"):
             spy(check, lambda args, _: read.append(args[0].mul))
-        algebra, G, a = load_scenario(path)
-        r = finalg.example31_scenario(algebra, G, a)
+        algebra, module, a = load_scenario(path)
+        r = finalg.example31_scenario(algebra, module, a)
         mul = algebra.carrier.mul
         # every load check and the module multiply through the one product table
         assert r.module.A.mul is mul
         assert read and all(table is mul for table in read)
         assert mul.cache_info().currsize == algebra.dim**2 == 81
         # one key map each: the product and every operator
-        tables = [mul, *G.operators]
-        assert len(made) == len(tables) == 5
-        assert {id(table) for table in made} == {id(table) for table in tables}
+        group = r.module.H.basis
+        assert len(made) == 1 + len(group) == 5
+        assert made[0] is mul
         entries = sum(table.cache_info().currsize for table in made)
-        assert entries == 81 + len(G.operators) * algebra.dim == 117
+        assert entries == 81 + len(group) * algebra.dim == 117
         # the action reads the operators' own tables
-        for g, op in zip(r.module.H.basis, G.operators):
+        for g, op in zip(group, made[1:]):
             for k in algebra.carrier.basis:
                 assert r.module.rho(g, k) is op(k)
         # i_a is filled by the sweeps, each of its entries once
@@ -433,10 +433,9 @@ class TestParseMemo:
 
     @pytest.fixture
     def seed1(self, tmp_path):
-        document = finalg_gen.generate(1, 3)
         path = tmp_path / "scenario.json"
-        path.write_text(json.dumps(document))
-        return path, document
+        path.write_text(finalg_text(1, 3))
+        return path, json.loads(finalg_text(1, 3))
 
     def test_each_distinct_text_is_parsed_once(self, seed1, parsed):
         path, document = seed1
@@ -456,17 +455,17 @@ class TestParseMemo:
 
     def test_the_load_equals_a_load_without_the_memo(self, seed1, parsed, monkeypatch):
         path, _ = seed1
-        A1, G1, a1 = load_scenario(path)
+        A1, module1, a1 = load_scenario(path)
         # finalg's cache wraps only the parse during a load
         monkeypatch.setattr(finalg, "cache", lambda f: f)
-        A2, G2, a2 = load_scenario(path)
+        A2, module2, a2 = load_scenario(path)
         assert len(parsed) == 10 + 369
         ids = A1.carrier.basis
         assert (A1.labels, ids, A1.unit, a1) == (A2.labels, A2.carrier.basis, A2.unit, a2)
         assert all(A1.carrier.mul(i, j) == A2.carrier.mul(i, j) for i in ids for j in ids)
-        assert G1.table == G2.table
-        assert [[op(k) for k in ids] for op in G1.operators] == [
-            [op(k) for k in ids] for op in G2.operators
+        assert composition(module1) == composition(module2)
+        assert [[op(k) for k in ids] for op in operators(module1)] == [
+            [op(k) for k in ids] for op in operators(module2)
         ]
 
     @pytest.mark.parametrize(
@@ -475,7 +474,7 @@ class TestParseMemo:
         ids=lambda place: place[0],
     )
     def test_a_refused_text_fails_wherever_it_appears(self, tmp_path, parsed, place):
-        document = finalg_gen.generate(1, 3)
+        document = json.loads(finalg_text(1, 3))
         *path, last = place
         target = document
         for step in path:
@@ -492,27 +491,19 @@ class TestParseMemo:
 
 class TestScenarioFile:
     def test_roundtrip_through_json(self, tmp_path):
-        # m2_example in the file format: e_ij e_jl = e_il
-        document = {
-            "labels": ["e11", "e12", "e21", "e22"],
-            "constants": [
-                [0, 0, 0, "1"], [0, 1, 1, "1"], [1, 2, 0, "1"], [1, 3, 1, "1"],
-                [2, 0, 2, "1"], [2, 1, 3, "1"], [3, 2, 2, "1"], [3, 3, 3, "1"],
-            ],
-            "unit": ["1", "0", "0", "1"],
-            "group": [
-                [["1", "0", "0", "0"], ["0", "1", "0", "0"], ["0", "0", "1", "0"], ["0", "0", "0", "1"]],
-                [["1", "0", "0", "0"], ["0", "-1", "0", "0"], ["0", "0", "-1", "0"], ["0", "0", "0", "1"]],
-            ],
-            "element": ["2", "0", "0", "3"],
-        }
         path = tmp_path / "scenario.json"
-        path.write_text(json.dumps(document))
-        algebra, G, a = load_scenario(path)
-        # the file's product table is m2_algebra's
-        mul, ids = m2_algebra().carrier.mul, algebra.carrier.basis
+        path.write_text(json.dumps(finalg.M2))
+        algebra, module, a = load_scenario(path)
+        # the file's tables are m2_example's
+        m2, m2_module, m2_a = m2_example()
+        mul, ids = m2.carrier.mul, algebra.carrier.basis
         assert all(dict(algebra.carrier.mul(i, j)) == dict(mul(i, j)) for i in ids for j in ids)
-        s = build_example31(algebra, G, a)
+        assert (algebra.labels, algebra.unit, a) == (m2.labels, m2.unit, m2_a)
+        assert composition(module) == composition(m2_module)
+        assert [[op(k) for k in ids] for op in operators(module)] == [
+            [op(k) for k in ids] for op in operators(m2_module)
+        ]
+        s = build_example31(algebra, module, a)
         assert homcore.check_module_hom_algebra(s).passed
 
     def test_bad_element_length_rejected(self, tmp_path):

@@ -14,6 +14,7 @@ n = 3 file, is pinned byte for byte in finalg_m3, recorded before operators
 became their key tables.
 """
 
+import functools
 import hashlib
 import json
 import os
@@ -29,6 +30,15 @@ DATA = os.path.join(ROOT, "tests", "data")
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 
 import finalg_gen  # noqa: E402
+
+
+@functools.cache
+def finalg_text(seed, n):
+    """The JSON text of finalg_gen's document for (seed, n), generated once
+    per process; a caller that edits the document parses its own copy.
+    """
+    return json.dumps(finalg_gen.generate(seed, n))
+
 
 NEGCTL = ["verify", "sl2-q", "--bound-h", "2", "--bound-a", "2",
           "--suite", "module-hom-algebra", "--suite", "mu-module-morphism",
@@ -76,7 +86,7 @@ def test_process_entry_point_writes_the_recorded_report(tmp_path):
 
 def test_finalg_m3_matches_recorded_bytes(capsys, tmp_path):
     scenario, report = tmp_path / "scenario.json", tmp_path / "report.json"
-    scenario.write_text(json.dumps(finalg_gen.generate(1, 3)))
+    scenario.write_text(finalg_text(1, 3))
     argv = ["verify", "finalg", "--file", str(scenario), "--report", str(report)]
     assert cli.main(argv) == cli.EXIT_PASS
     with open(os.path.join(DATA, "finalg_m3.stdout"), "rb") as fh:

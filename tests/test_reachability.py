@@ -175,7 +175,7 @@ def commands(folder) -> list:
     from workloads import WORKLOADS  # test_golden puts perfbench on the path
 
     scenario, report = folder / "finalg_m3.json", str(folder / "report.json")
-    scenario.write_text(json.dumps(test_golden.finalg_gen.generate(1, 3)))
+    scenario.write_text(test_golden.finalg_text(1, 3))
     out = [
         (argv + (["--report", report] if with_report else []), code)
         for _, argv, code, with_report in test_golden.GOLDEN

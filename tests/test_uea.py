@@ -169,29 +169,6 @@ class TestEndomorphisms:
             a, b, _ = mono
             assert apply(handle, {mono: ONE}) == {mono: QLaurent.q_power(a - b)}
 
-    def test_unit_fixed(self):
-        assert apply(actions.alpha_u(), UNIT) == UNIT
-
-    def test_xy_invariant(self):
-        assert apply(actions.alpha_u(), mul(X, Y)) == mul(X, Y)
-
-    def test_q_example_commutes_with_comul(self):
-        handle = actions.alpha_u()
-        for mono in UElem.basis_keys(3):
-            # Delta(alpha_U(u)), with Delta of the shuffle oracle
-            lhs = {}
-            for m, c in apply(handle, {mono: ONE}).items():
-                for key, c2 in free_oracle.comul(pbw_word(m)).items():
-                    add_term(lhs, key, c * c2)
-            rhs = {}
-            for (m1, m2), c in comul(mono).items():
-                left = apply(handle, {m1: ONE})
-                right = apply(handle, {m2: ONE})
-                for k1, c1 in left.items():
-                    for k2, c2 in right.items():
-                        add_term(rhs, (k1, k2), c * c1 * c2)
-            assert lhs == rhs, mono
-
 
 class TestEnumeration:
     def test_bound_zero(self):
