@@ -99,7 +99,7 @@ def pbw_mul(k1, k2) -> tuple:
     if split is None:
         return basis_terms(k2)
     gen, rest = split
-    return terms(linear(_LEFT[gen], pbw_mul(REGISTRY.ids[rest], k2)))
+    return terms(linear(_LEFT[gen], pbw_mul(REGISTRY.ids(rest), k2)))
 
 
 def endo_map(images, mul):

@@ -8,11 +8,12 @@ whole spanned truncation; a passing sweep is a proof at the declared bound.
 
 Keys are interned: the one KeyRegistry, REGISTRY, gives each key an int id,
 and a term is the pair (exponent * STRIDE + key id, coefficient); a key pair
-is a key, whose slot ids REGISTRY.slots reads back on first use.  Only this
-module knows that layout.  Base carriers define their tables on keys, as key
+is a key, whose slot ids REGISTRY.slots(id) reads back.  Only this module
+knows that layout.  Base carriers define their tables on keys, as key
 kernels (keys to (key, coefficient) pairs) or coordinate maps, which on_ids
-and key_map make into memo tables on ids, each entry filled once; ids become
-keys again where a result is rendered (axis, renderer, unflatten).
+and key_map make into memo tables on ids, each entry filled once; every memo
+table, REGISTRY's ids and pair_ids included, is a functools.cache.  ids
+become keys again where a result is rendered (axis, renderer, unflatten).
 
 A Scenario is the one record every suite reads, (module, beta_H, beta_A,
 lie): a module Hom-algebra, the compatible maps beta that deform_scenario
@@ -75,41 +76,26 @@ _MASK = STRIDE - 1
 _HIGH = -STRIDE
 
 
-class _Memo(dict):
-    """A dict that fills a missing entry with fill(key) on first lookup."""
-
-    __slots__ = ("fill",)
-
-    def __init__(self, fill):
-        super().__init__()
-        self.fill = fill
-
-    def __missing__(self, key):
-        value = self[key] = self.fill(key)
-        return value
-
-
 class KeyRegistry:
     """Interned keys: each hashable key gets an int id below capacity, once.
 
-    ids[key] is the id of key, handed out on first lookup, and keys[id] the
-    key.  Keys are compared as dict keys, so equal keys of different carriers
-    (the int 0 of k[G] and of a structure-constant algebra) share an id; every
-    carrier reads the key of an id as its own.  A key pair, the key of a
-    tensor, is interned like any key: pair(k1, k2) is the id of the pair of
-    the keys of ids k1 and k2, and slots[id] is (k1, k2), filled on first
-    read, so it holds only the pairs that something reads.  shared holds one
-    int object per packed value that tables store, so that their entries
-    share it as they would share a key object.
+    ids(key) is the id of key, handed out on its first call, and keys[id] the
+    key.  ids is a functools.cache, which compares keys as arguments, so equal
+    keys of one type in different carriers (the int 0 of k[G] and of a
+    structure-constant algebra) share an id; every carrier reads the key of an
+    id as its own.  A key pair, the key of a tensor, is interned like any key:
+    pair(k1, k2) is the id of the pair of the keys of ids k1 and k2, and
+    slots(id) reads them back, (k1, k2).  shared holds one int object per
+    packed value that tables store, so that their entries share it as they
+    would share a key object.
     """
 
     def __init__(self):
         self.capacity = STRIDE
         self.keys = []
-        self.ids = _Memo(self._new_id)
+        self.ids = cache(self._new_id)
         # pair ids keyed by the packed slot ids k1 * STRIDE + k2
-        self.pair_ids = _Memo(self._pair_id)
-        self.slots = _Memo(lambda tid: tuple(self.ids[key] for key in self.keys[tid]))
+        self.pair_ids = cache(self._pair_id)
         self.shared = {}
 
     def _new_id(self, key) -> int:
@@ -125,11 +111,15 @@ class KeyRegistry:
             raise OverflowError(f"a basis of {count} keys overflows {self.capacity} key ids")
 
     def _pair_id(self, packed: int) -> int:
-        return self.ids[self.keys[packed >> _SHIFT], self.keys[packed & _MASK]]
+        return self.ids((self.keys[packed >> _SHIFT], self.keys[packed & _MASK]))
 
     def pair(self, k1: int, k2: int) -> int:
         """The id of the pair of the keys of ids k1 and k2."""
-        return self.pair_ids[k1 << _SHIFT | k2]
+        return self.pair_ids(k1 << _SHIFT | k2)
+
+    def slots(self, t: int) -> tuple:
+        """The ids (k1, k2) of the keys of the key pair of id t."""
+        return tuple(map(self.ids, self.keys[t]))
 
 
 REGISTRY = KeyRegistry()
@@ -139,7 +129,7 @@ _share = REGISTRY.shared.setdefault
 
 def key_ids(keys) -> tuple:
     """The ids of keys, in order."""
-    return tuple(map(REGISTRY.ids.__getitem__, keys))
+    return tuple(map(REGISTRY.ids, keys))
 
 
 def basis_terms(k) -> tuple:
@@ -212,7 +202,7 @@ def on_ids(f):
     """
     ids_of = REGISTRY.ids
     return cache(
-        lambda *ids: _shared((ids_of[key], c) for key, c in f(*map(_KEYS.__getitem__, ids)))
+        lambda *ids: _shared((ids_of(key), c) for key, c in f(*map(_KEYS.__getitem__, ids)))
     )
 
 
@@ -220,7 +210,7 @@ def flatten(coords: dict) -> tuple:
     """The packed terms of a coordinate map {key: QLaurent}."""
     ids = REGISTRY.ids
     return _shared(
-        (e * STRIDE + ids[key], c) for key, coeff in coords.items() for e, c in coeff.terms.items()
+        (e * STRIDE + ids(key), c) for key, coeff in coords.items() for e, c in coeff.terms.items()
     )
 
 
@@ -258,8 +248,8 @@ def renderer(C: Carrier):
     The memo is keyed by the packed content: every render_elem sorts its
     terms, so the text does not depend on the order the terms were added in.
     """
-    texts = _Memo(lambda content: C.render_elem(unflatten(content)))
-    return lambda flat: texts[frozenset(flat.items())]
+    texts = cache(lambda content: C.render_elem(unflatten(content)))
+    return lambda flat: texts(frozenset(flat.items()))
 
 
 def linear(table, xs) -> dict:
@@ -311,7 +301,7 @@ def t_outer(xs, ys) -> list:
     """
     pair_ids = REGISTRY.pair_ids
     return [
-        ((p1 & _HIGH) + (p2 & _HIGH) + pair_ids[(p1 & _MASK) << _SHIFT | p2 & _MASK], c1 * c2)
+        ((p1 & _HIGH) + (p2 & _HIGH) + pair_ids((p1 & _MASK) << _SHIFT | p2 & _MASK), c1 * c2)
         for p1, c1 in xs
         for p2, c2 in ys
     ]
@@ -319,18 +309,18 @@ def t_outer(xs, ys) -> list:
 
 def t_contract(table, xs) -> dict:
     """A bilinear map, given by its table, applied to the 2-tensor terms xs:
-    linear over the key-pair table t -> table(*slots[t]).
+    linear over the key-pair table t -> table(*slots(t)).
     """
     slots = REGISTRY.slots
-    return linear(lambda t: table(*slots[t]), xs)
+    return linear(lambda t: table(*slots(t)), xs)
 
 
 def t_map(f, g):
-    """f x g on key pairs: the map t -> t_outer(f(a), g(b)), (a, b) = slots[t]."""
+    """f x g on key pairs: the map t -> t_outer(f(a), g(b)), (a, b) = slots(t)."""
     slots = REGISTRY.slots
 
     def fg(t):
-        a, b = slots[t]
+        a, b = slots(t)
         return t_outer(f(a), g(b))
 
     return fg
@@ -342,7 +332,7 @@ def split_coproduct(comul):
     read into their slots once per k.
     """
     slots = REGISTRY.slots
-    return cache(lambda k: [(p & _HIGH, *slots[p & _MASK], c) for p, c in comul(k)])
+    return cache(lambda k: [(p & _HIGH, *slots(p & _MASK), c) for p, c in comul(k)])
 
 
 def render_tensor(t: dict, C1: Carrier, C2: Carrier) -> str:
@@ -443,8 +433,8 @@ def check_hom_coassociativity(H: Carrier) -> CheckReport:
     def reassociated(t):
         out = []
         for p, c in alpha_delta(t):
-            x, yz = slots[p & _MASK]
-            y, z = slots[yz]
+            x, yz = slots(p & _MASK)
+            y, z = slots(yz)
             out.append(((p & _HIGH) + pair(pair(x, y), z), c))
         return out
 
@@ -479,7 +469,7 @@ def check_comul_morphism(H: Carrier) -> CheckReport:
                     ka <<= _SHIFT
                     for pb, cb in bs:
                         kb = pb & _MASK
-                        p = ea + pb - kb + pair_ids[ka | kb]
+                        p = ea + pb - kb + pair_ids(ka | kb)
                         c = ca * cb
                         if p in out:
                             c += out[p]
@@ -559,7 +549,7 @@ def build_rho2(s: ModuleAlgebraScenario) -> ModuleAlgebraScenario:
     rho, comul, slots, pair = s.rho, s.H.comul, REGISTRY.slots, REGISTRY.pair
 
     def rho2(h, t):
-        a, b = slots[t]
+        a, b = slots(t)
         return terms(linear(t_map(lambda h1: rho(h1, a), lambda h2: rho(h2, b)), comul(h)))
 
     # the pairs of basis keys, the second slot varying fastest

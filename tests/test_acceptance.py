@@ -115,7 +115,7 @@ def test_criterion_5_endomorphism_extension():
     table = actions.alpha_u()
 
     def handle(mono) -> dict:
-        return homcore.unflatten(table(homcore.REGISTRY.ids[mono]))
+        return homcore.unflatten(table(homcore.REGISTRY.ids(mono)))
 
     compat = homcore.check_compatibility(actions.sl2_scenario(3, 4))
     detail = (

@@ -1,8 +1,9 @@
 """Every name a module of src/homtwist or of the tests imports is referenced
 in that module, and every function, class, method, class constant and
-module-level name src defines is named somewhere.  No src module memoizes a table that is a memo
-table already.  README.md names in its inline code only identifiers that the
-code defines or reads.
+module-level name src defines is named somewhere.  No src module memoizes a
+table that is a memo table already, nor defines a second memo kind, a class
+with __missing__.  README.md names in its inline code only identifiers that
+the code defines or reads.
 
 The names of the package's __all__ (re-exported by __init__) and
 `from __future__ import annotations` are exempt.  Importing the command line
@@ -54,7 +55,8 @@ def _name(node) -> str:
 
 def double_memo(source: str) -> list:
     """The lines where cache(...) wraps on_ids(...) or key_map(...), whose
-    results are memo tables already.
+    results are memo tables already, and where a class defines __missing__,
+    a memo kind beside functools.cache.
     """
     return [
         node.lineno
@@ -64,6 +66,10 @@ def double_memo(source: str) -> list:
         and any(
             isinstance(arg, ast.Call) and _name(arg.func) in ("on_ids", "key_map")
             for arg in node.args
+        )
+        or isinstance(node, ast.ClassDef)
+        and any(
+            isinstance(item, ast.FunctionDef) and item.name == "__missing__" for item in node.body
         )
     ]
 
@@ -149,6 +155,19 @@ def test_the_guard_sees_a_double_memo():
         "c = on_ids(f)\nd = cache(lambda k: on_ids(f))\n"
     )
     assert double_memo(planted) == [3, 4]
+
+
+def test_the_guard_sees_a_second_memo_kind():
+    planted = (
+        "class Memo(dict):\n"
+        "    def __missing__(self, key):\n"
+        "        value = self[key] = len(self)\n"
+        "        return value\n"
+        "class Plain(dict):\n"
+        "    def missing(self, key):\n"
+        "        return None\n"
+    )
+    assert double_memo(planted) == [1]
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda path: path.name)

@@ -356,7 +356,7 @@ def test_power_equals_repeated_products(cls, text):
     table = power_table(cls, e)
     for n in range(10):
         key = (n,) + (0,) * (len(cls.NAMES) - 1)
-        assert homcore.unflatten(table(homcore.REGISTRY.ids[key])) == plain_power(cls, e, n)
+        assert homcore.unflatten(table(homcore.REGISTRY.ids(key))) == plain_power(cls, e, n)
 
 
 def test_power_takes_logarithmically_many_products(monkeypatch):
@@ -369,5 +369,5 @@ def test_power_takes_logarithmically_many_products(monkeypatch):
 
     monkeypatch.setattr(actions, "bilinear", counted)
     table = actions.endo_map(({(1, 0): ONE}, {(0, 1): ONE}), actions.plane_mul)
-    assert homcore.unflatten(table(homcore.REGISTRY.ids[1000, 0])) == {(1000, 0): ONE}
+    assert homcore.unflatten(table(homcore.REGISTRY.ids((1000, 0)))) == {(1000, 0): ONE}
     assert len(calls) <= 20

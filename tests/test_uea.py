@@ -39,7 +39,7 @@ def bracket_report(images):
 def comul(mono) -> dict:
     """Delta(X^a Y^b Z^c) from the comultiplication table of u_carrier."""
     C = actions.u_carrier(0)
-    return homcore.unflatten(C.comul(homcore.REGISTRY.ids[mono]))
+    return homcore.unflatten(C.comul(homcore.REGISTRY.ids(mono)))
 
 
 class TestPBWProduct:
@@ -58,7 +58,7 @@ class TestPBWProduct:
     def test_defining_brackets(self):
         bracket = homcore.commutator(actions.u_carrier(1)).mul
         ids = homcore.REGISTRY.ids
-        X_, Y_, Z_ = (ids[gen] for gen in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+        X_, Y_, Z_ = (ids(gen) for gen in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
         assert homcore.unflatten(bracket(X_, Y_)) == Z
         assert homcore.unflatten(bracket(X_, Z_)) == {(1, 0, 0): QLaurent.of(-2)}
         assert homcore.unflatten(bracket(Y_, Z_)) == {(0, 1, 0): QLaurent.of(2)}
