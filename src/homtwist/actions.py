@@ -20,8 +20,8 @@ endomorphism's generator images on one of those products, and
 extend_lie_endo checks, on the table it returns, that a map of the
 generators of U(sl(2)) is a Lie endomorphism; both take the images as
 coordinate maps, the one form of an element here.  Both carriers take their
-basis and their text form from the ring class, UElem or Poly, which only
-parses and renders (scalars.MonomialElem).
+basis and their text form from the ring, UElem or Poly, a
+scalars.MonomialElem, which only parses and renders.
 """
 
 from __future__ import annotations
@@ -167,18 +167,18 @@ def extend_lie_endo(images):
 # -- carriers ----------------------------------------------------------
 
 
-def _monomial_carrier(cls, name: str, bound: int, **tables) -> Carrier:
-    """The monomials of cls (Poly or UElem) up to total degree bound as a
-    carrier with the given tables, rendered by cls.  A basis of more keys
+def _monomial_carrier(ring, name: str, bound: int, **tables) -> Carrier:
+    """The monomials of ring (Poly or UElem) up to total degree bound as a
+    carrier with the given tables, rendered by ring.  A basis of more keys
     than the registry holds is refused before any key is enumerated.
     """
-    width = len(cls.NAMES)
+    width = len(ring.NAMES)
     REGISTRY.reserve(comb(bound + width, width))
     return Carrier(
         name=name,
-        basis=key_ids(cls.basis_keys(bound)),
-        render_key=cls.render_key,
-        render_elem=cls.render,
+        basis=key_ids(ring.basis_keys(bound)),
+        render_key=ring.render_key,
+        render_elem=ring.render,
         **tables,
     )
 

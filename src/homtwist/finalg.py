@@ -4,6 +4,9 @@ deformation of a scenario document, read from a file (load_scenario) or M2.
 
 Everything here is finite, so axiom sweeps run over the complete basis and a
 pass is a full proof for the instance, not a degree-bounded truncation.
+A structure-constant algebra is its carrier (struct_algebra), and a
+document reads as the triple (module, unit, a): the k[G]-module algebra,
+whose A is that carrier, the unit of A and the conjugating element.
 Each table is built once, where it is made: an algebra's product table is
 its carrier's mul, and an operator is its memo table id -> terms (operator,
 or basis_terms for the identity).  The load checks, the group closure, i_a,
@@ -21,7 +24,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
 
 from .homcore import (
     Carrier,
@@ -43,85 +46,80 @@ from .homcore import (
 from .scalars import ONE, ZERO, QLaurent, factor_text
 
 
-class StructAlgebra:
-    """Associative algebra given by structure constants e_i e_j = sum_k c_ijk e_k.
+def struct_algebra(labels, constants, unit) -> Carrier:
+    """The associative algebra given by structure constants e_i e_j = sum_k
+    c_ijk e_k, as its carrier with the identity structure map.
 
-    Elements are sparse coordinate maps {basis index: nonzero QLaurent}.
-    carrier is the algebra with the identity structure map, built once: its
-    mul, read from the constants {(i, j): {k: c_ijk}}, is the one product
-    table that every check and the module read.  Distinct non-empty string
-    labels, associativity on all basis triples and a two-sided unit are hard
+    Elements are sparse coordinate maps {basis index: nonzero QLaurent}, and
+    the carrier's render_elem writes one by the labels.  Its mul, read from
+    the constants {(i, j, k): c_ijk}, is the one product table that every
+    check and the module read.  Distinct non-empty string labels,
+    associativity on all basis triples and a two-sided unit are hard
     load-time preconditions.
     """
-
-    def __init__(self, labels, constants, unit):
-        self.labels = tuple(labels)
-        self.dim = len(self.labels)
-        first = {}
-        for idx, label in enumerate(self.labels):
-            if not isinstance(label, str) or not label:
-                raise ValueError(f"label {idx} is not a non-empty string: {label!r}")
-            if any("\ud800" <= ch <= "\udfff" for ch in label):
-                raise ValueError(f"label {idx} does not encode as UTF-8: {label!r}")
-            if first.setdefault(label, idx) != idx:
-                raise ValueError(f"labels {first[label]} and {idx} are both {label!r}")
-        table = {}
-        for (i, j, k), coeff in constants.items():
-            if not (0 <= i < self.dim and 0 <= j < self.dim and 0 <= k < self.dim):
-                raise ValueError(f"structure constant index out of range: {(i, j, k)}")
-            coeff = QLaurent.of(coeff)
-            if coeff:
-                table.setdefault((i, j), {})[k] = coeff
-        self.unit = unit
-        if not all(0 <= i < self.dim for i in self.unit):
-            raise ValueError("unit vector has an index out of range")
-        self.carrier = Carrier(
-            name="struct-algebra",
-            basis=key_ids(range(self.dim)),
-            mul=key_map(lambda i, j: table.get((i, j), {})),
-            render_key=self.labels.__getitem__,
-            render_elem=self.render,
+    labels = tuple(labels)
+    dim = len(labels)
+    first = {}
+    for idx, label in enumerate(labels):
+        if not isinstance(label, str) or not label:
+            raise ValueError(f"label {idx} is not a non-empty string: {label!r}")
+        if any("\ud800" <= ch <= "\udfff" for ch in label):
+            raise ValueError(f"label {idx} does not encode as UTF-8: {label!r}")
+        if first.setdefault(label, idx) != idx:
+            raise ValueError(f"labels {first[label]} and {idx} are both {label!r}")
+    table = {}
+    for (i, j, k), coeff in constants.items():
+        if not (0 <= i < dim and 0 <= j < dim and 0 <= k < dim):
+            raise ValueError(f"structure constant index out of range: {(i, j, k)}")
+        coeff = QLaurent.of(coeff)
+        if coeff:
+            table.setdefault((i, j), {})[k] = coeff
+    if not all(0 <= i < dim for i in unit):
+        raise ValueError("unit vector has an index out of range")
+    A = Carrier(
+        name="struct-algebra",
+        basis=key_ids(range(dim)),
+        mul=key_map(lambda i, j: table.get((i, j), {})),
+        render_key=labels.__getitem__,
+        render_elem=partial(_render_elem, labels),
+    )
+    # Eq. (1.2) with the identity structure map is associativity; the
+    # error names the first failing triple only, so no side is rendered
+    report = check_hom_associativity(A._replace(render_elem=lambda coords: ""))
+    if not report.passed:
+        raise ValueError(
+            "structure constants are not associative at "
+            f"({', '.join(report.counterexamples[0].rendered_inputs)})"
         )
-        self._verify_associativity()
-        self._verify_unit()
+    one = flatten(unit)
+    for k in A.basis:
+        e = basis_terms(k)
+        if bilinear(A.mul, one, e) != dict(e) or bilinear(A.mul, e, one) != dict(e):
+            raise ValueError("declared unit is not a two-sided unit")
+    return A
 
-    def render(self, v):
-        if not v:
-            return "0"
-        return " + ".join(
-            self.labels[i] if v[i] == ONE else f"{factor_text(v[i])}*{self.labels[i]}"
-            for i in sorted(v)
-        )
 
-    def _verify_associativity(self):
-        # Eq. (1.2) with the identity structure map is associativity; the
-        # error names the first failing triple only, so no side is rendered
-        report = check_hom_associativity(self.carrier._replace(render_elem=lambda coords: ""))
-        if not report.passed:
-            raise ValueError(
-                "structure constants are not associative at "
-                f"({', '.join(report.counterexamples[0].rendered_inputs)})"
-            )
+def _render_elem(labels, v):
+    if not v:
+        return "0"
+    return " + ".join(
+        labels[i] if v[i] == ONE else f"{factor_text(v[i])}*{labels[i]}" for i in sorted(v)
+    )
 
-    def _verify_unit(self):
-        mul, unit = self.carrier.mul, flatten(self.unit)
-        for k in self.carrier.basis:
-            e = basis_terms(k)
-            if bilinear(mul, unit, e) != dict(e) or bilinear(mul, e, unit) != dict(e):
-                raise ValueError("declared unit is not a two-sided unit")
 
-    def inverse(self, a):
-        """Two-sided inverse of a, by solving the left-multiplication system:
-        x with a x = 1 is found only when y -> a y is injective, so x a = 1
-        follows from a (x a) = (a x) a = a 1, by the associativity checked at load.
-        """
-        mul, xs, ids = self.carrier.mul, flatten(a), self.carrier.basis
-        # left multiplication matrix: column j holds a * e_j
-        columns = [unflatten(bilinear(mul, xs, basis_terms(k)).items()) for k in ids]
-        solution = _solve_rational(columns, self.unit)
-        if solution is None:
-            raise ValueError(f"element {self.render(a)} is not invertible")
-        return {i: c for i, c in enumerate(solution) if c}
+def inverse(A, unit, a):
+    """Two-sided inverse of a in the algebra carrier A whose unit is the
+    coordinate map unit, by solving the left-multiplication system: x with
+    a x = 1 is found only when y -> a y is injective, so x a = 1 follows
+    from a (x a) = (a x) a = a 1, by the associativity checked at load.
+    """
+    xs = flatten(a)
+    # left multiplication matrix: column j holds a * e_j
+    columns = [unflatten(bilinear(A.mul, xs, basis_terms(k)).items()) for k in A.basis]
+    solution = _solve_rational(columns, unit)
+    if solution is None:
+        raise ValueError(f"element {A.render_elem(a)} is not invertible")
+    return {i: c for i, c in enumerate(solution) if c}
 
 
 def operator(rows):
@@ -170,17 +168,19 @@ def _solve_rational(columns, rhs):
     return [QLaurent.of(aug[i][n]) for i in range(n)]
 
 
-def inner_automorphism(algebra: StructAlgebra, a):
-    """The memo table k -> terms(a e_k a^-1) of the conjugation i_a, a invertible."""
-    mul, xs, inverse = algebra.carrier.mul, flatten(a), flatten(algebra.inverse(a))
+def inner_automorphism(A, unit, a):
+    """The memo table k -> terms(a e_k a^-1) of the conjugation i_a of the
+    algebra carrier A with the given unit, a invertible.
+    """
+    mul, xs, inv = A.mul, flatten(a), flatten(inverse(A, unit, a))
 
     def conjugate(k):
-        return terms(bilinear(mul, bilinear(mul, xs, basis_terms(k)).items(), inverse))
+        return terms(bilinear(mul, bilinear(mul, xs, basis_terms(k)).items(), inv))
 
     return cache(conjugate)
 
 
-def automorphism_action(algebra: StructAlgebra, operators) -> ModuleAlgebraScenario:
+def automorphism_action(A, operators) -> ModuleAlgebraScenario:
     """The classical k[G]-module algebra (k[G], A, rho) of a finite group G of
     algebra automorphisms of A, with rho(g x b) = g(b): rho reads the table
     of the operator g.
@@ -200,7 +200,7 @@ def automorphism_action(algebra: StructAlgebra, operators) -> ModuleAlgebraScena
 
     k[G] has grouplike comultiplication and the identity structure map.
     """
-    basis, n = algebra.carrier.basis, len(operators)
+    basis, n = A.basis, len(operators)
 
     def key(op):
         """The basis images of op, equal exactly when the operators are."""
@@ -208,7 +208,7 @@ def automorphism_action(algebra: StructAlgebra, operators) -> ModuleAlgebraScena
 
     index = {}
     for idx, op in enumerate(operators):
-        if not check_multiplicativity(algebra.carrier._replace(alpha=op)).passed:
+        if not check_multiplicativity(A._replace(alpha=op)).passed:
             raise ValueError(f"operator {idx} is not an algebra automorphism")
         first = index.setdefault(key(op), idx)
         if first != idx:
@@ -236,7 +236,7 @@ def automorphism_action(algebra: StructAlgebra, operators) -> ModuleAlgebraScena
         render_elem=_render_group_elem,
     )
     tables = dict(zip(H.basis, operators))
-    return ModuleAlgebraScenario(H=H, A=algebra.carrier, rho=lambda g, k: tables[g](k))
+    return ModuleAlgebraScenario(H=H, A=A, rho=lambda g, k: tables[g](k))
 
 
 def _render_group_elem(u):
@@ -245,7 +245,7 @@ def _render_group_elem(u):
     return " + ".join(f"{factor_text(c)}*g{i}" for i, c in sorted(u.items()))
 
 
-def example31_scenario(algebra: StructAlgebra, module: ModuleAlgebraScenario, a) -> Scenario:
+def example31_scenario(module: ModuleAlgebraScenario, unit, a) -> Scenario:
     """The inner-automorphism deformation input: beta_A = i_a with a fixed by G.
 
     The module is the classical k[G]-module algebra, with identity structure
@@ -259,22 +259,20 @@ def example31_scenario(algebra: StructAlgebra, module: ModuleAlgebraScenario, a)
     for idx, g in enumerate(module.H.basis):
         if linear(lambda k: module.rho(g, k), xs) != dict(xs):
             raise ValueError(
-                f"element {algebra.render(a)} is not fixed by group operator {idx}"
+                f"element {module.A.render_elem(a)} is not fixed by group operator {idx}"
             )
     # g(a b a^-1) = a g(b) a^-1 for an automorphism g fixing a: i_a commutes with G
     return Scenario(
         module=module,
         beta_H=basis_terms,
-        beta_A=inner_automorphism(algebra, a),
+        beta_A=inner_automorphism(module.A, unit, a),
         lie=lambda d: d.A._replace(name="A_alpha"),
     )
 
 
-def build_example31(
-    algebra: StructAlgebra, module: ModuleAlgebraScenario, a
-) -> ModuleAlgebraScenario:
+def build_example31(module: ModuleAlgebraScenario, unit, a) -> ModuleAlgebraScenario:
     """The deformed triple (k[G], A_alpha, rho_alpha) of example31_scenario."""
-    return deform_scenario(example31_scenario(algebra, module, a))
+    return deform_scenario(example31_scenario(module, unit, a))
 
 
 # -- built-in instance and the scenario file format --------------------
@@ -301,12 +299,12 @@ M2 = {
 
 
 def m2_example():
-    """(algebra, module, a) of the built-in instance M2, read by read_scenario."""
+    """(module, unit, a) of the built-in instance M2, read by read_scenario."""
     return read_scenario(M2)
 
 
 def load_scenario(path):
-    """(algebra, module, a) of the scenario document in the JSON file at path."""
+    """(module, unit, a) of the scenario document in the JSON file at path."""
     with open(path) as fh:
         try:
             data = json.load(fh)
@@ -316,8 +314,9 @@ def load_scenario(path):
 
 
 def read_scenario(data):
-    """(algebra, module, a) of a scenario document: module is the classical
-    k[G]-module algebra of its group (automorphism_action).
+    """(module, unit, a) of a scenario document: module is the classical
+    k[G]-module algebra of its group (automorphism_action) on the algebra
+    module.A of its constants (struct_algebra).
 
     Format:
       {
@@ -351,18 +350,18 @@ def read_scenario(data):
         constants[(i, j, k)] = scalar(str(coeff))
     labels = _array(data.get("labels"), "labels")
     unit = _vector(data.get("unit"), "unit vector", len(labels), scalar)
-    algebra = StructAlgebra(labels, constants, unit=unit)
+    A = struct_algebra(labels, constants, unit)
     operators = []
     for idx, matrix in enumerate(_array(data.get("group"), "group")):
         rows = [_array(row, "matrix row") for row in _array(matrix, "group matrix")]
         operators.append(operator([[scalar(str(c)) for c in row] for row in rows]))
-        if len(rows) != algebra.dim:
+        if len(rows) != len(labels):
             raise ValueError(
-                f"operator {idx} is {len(rows)}x{len(rows)} on a {algebra.dim}-dim algebra"
+                f"operator {idx} is {len(rows)}x{len(rows)} on a {len(labels)}-dim algebra"
             )
-    module = automorphism_action(algebra, operators)
-    element = _vector(data.get("element"), "distinguished element", algebra.dim, scalar)
-    return algebra, module, element
+    module = automorphism_action(A, operators)
+    element = _vector(data.get("element"), "distinguished element", len(labels), scalar)
+    return module, unit, element
 
 
 def _vector(value, what, dim, scalar):

@@ -13,6 +13,7 @@ from collections import namedtuple
 from functools import cache
 from itertools import product
 from json.encoder import encode_basestring_ascii as _string
+from math import prod
 
 Counterexample = namedtuple("Counterexample", "rendered_inputs lhs rhs")
 
@@ -55,14 +56,14 @@ def sweep(axes, lhs, rhs, render) -> CheckReport:
     axes holds one (keys, render_key) pair per argument of lhs and rhs; the
     cases are the cartesian product of the keys, last axis fastest.  A failing
     case is recorded with its rendered keys and both sides rendered by render;
-    each axis renders a key once per sweep.  Every identity checked is
-    multilinear, so a pass on the basis tuples is a pass on their span.
+    each axis renders a key once per sweep.  The case count is the product of
+    the axes' lengths.  Every identity checked is multilinear, so a pass on
+    the basis tuples is a pass on their span.
     """
-    report = CheckReport()
+    report = CheckReport(prod(len(keys) for keys, _ in axes))
     renders = [cache(render_key) for _, render_key in axes]
     for case in product(*(keys for keys, _ in axes)):
         left, right = lhs(*case), rhs(*case)
-        report.checked += 1
         if left != right:
             report.record(
                 [render_id(k) for render_id, k in zip(renders, case)],

@@ -15,11 +15,11 @@ skips QLaurent's validation because they are canonical already.
 
 The text of all three rings is split by one scanner, _split_top: a sum at
 its top-level signs (split_sum) and a term at its top-level factors
-(split_factors).  The sparse-map section below also holds the base that
-Poly and UElem share, MonomialElem: the monomial basis of both rings (its
-graded-lex order, its bounded enumeration, the text of a key and of an
-element, and the grammar of a term).  A subclass names its variables and
-says how a term writes them.  An element of either ring is its coordinate
+(split_factors).  The sparse-map section below also holds MonomialElem,
+whose instances are rings, Poly and UElem among them: the monomial basis of
+both (its graded-lex order, its bounded enumeration, the text of a key and
+of an element, and the grammar of a term).  A ring is its variable names
+and how a term writes them.  An element of either ring is its coordinate
 map {exponent vector: nonzero QLaurent}, which parse returns and render
 reads: its products and endomorphisms are key tables contracted by homcore,
 and two elements are equal when their maps are.
@@ -283,63 +283,57 @@ class MonomialElem:
     """A ring whose basis is the monomials of its variables, keyed by
     exponent vectors; an element is a coordinate map key -> nonzero QLaurent.
 
-    A subclass sets NAMES, the variable of each key slot; SEP, the text
-    between the factors of a monomial (a space there is also read as a
+    An instance is a ring: NAMES, the variable of each key slot; SEP, the
+    text between the factors of a monomial (a space there is also read as a
     product); and ORDERED, whether a term must give its variables in NAMES
     order, as a ring that does not commute must.  The monomial basis is
     shared: one graded-lex order (degree first, then the first variable's
     exponent descending, ...), one enumeration of a bounded basis, one text
-    form and one term grammar.  The class has no instances.
+    form and one term grammar.
     """
 
-    NAMES = ()
-    SEP = "*"
-    ORDERED = False
+    def __init__(self, names, sep="*", ordered=False):
+        self.NAMES, self.SEP, self.ORDERED = names, sep, ordered
 
     # -- the monomial basis and the text form -------------------------
 
-    @classmethod
-    def basis_keys(cls, bound: int) -> list:
+    def basis_keys(self, bound: int) -> list:
         """The keys of degree <= bound, in graded-lex order."""
         if bound < 0:
             raise ValueError("degree bound must be non-negative")
-        keys = product(range(bound + 1), repeat=len(cls.NAMES))
+        keys = product(range(bound + 1), repeat=len(self.NAMES))
         return sorted((key for key in keys if sum(key) <= bound), key=_grlex)
 
-    @classmethod
-    def render_key(cls, key) -> str:
+    def render_key(self, key) -> str:
         """The monomial of key, as x^2*y or X^2 Y; "1" for the unit."""
-        factors = [name if e == 1 else f"{name}^{e}" for name, e in zip(cls.NAMES, key) if e]
-        return cls.SEP.join(factors) or "1"
+        factors = [name if e == 1 else f"{name}^{e}" for name, e in zip(self.NAMES, key) if e]
+        return self.SEP.join(factors) or "1"
 
-    @classmethod
-    def render(cls, coords) -> str:
+    def render(self, coords) -> str:
         """The text of the element with coordinate map coords, terms in graded-lex order."""
         return join_terms(
-            [render_term(coords[key], cls.render_key(key) if any(key) else "")
+            [render_term(coords[key], self.render_key(key) if any(key) else "")
              for key in sorted(coords, key=_grlex)]
         )
 
-    @classmethod
-    def parse(cls, text: str) -> dict:
+    def parse(self, text: str) -> dict:
         """The coordinate map of a rendered element, e.g. "q*x^2*y - 3"."""
-        return parse_terms(text, cls._parse_term)
+        return parse_terms(text, self._parse_term)
 
-    @classmethod
-    def _parse_term(cls, term: str):
+    def _parse_term(self, term: str):
         """One product term as (key, coeff): powers of the NAMES, as x or x^2,
         and scalar factors, parenthesized or not.
         """
-        if cls.SEP.isspace() and _DIGIT_GAP.search(term):  # splitting would hide it
+        if self.SEP.isspace() and _DIGIT_GAP.search(term):  # splitting would hide it
             raise ValueError(f"space inside a number in {term!r}")
         coeff = ONE
-        exps = [0] * len(cls.NAMES)
+        exps = [0] * len(self.NAMES)
         last = 0
-        for factor in split_factors(term, on_space=cls.SEP.isspace()):
+        for factor in split_factors(term, on_space=self.SEP.isspace()):
             name, caret, power = factor.partition("^")
-            if name in cls.NAMES and (not caret or power.isdecimal()):
-                idx = cls.NAMES.index(name)
-                if cls.ORDERED and idx < last:
+            if name in self.NAMES and (not caret or power.isdecimal()):
+                idx = self.NAMES.index(name)
+                if self.ORDERED and idx < last:
                     raise ValueError(f"generators out of PBW order in {term!r}")
                 last = idx
                 exps[idx] += int(power or 1)

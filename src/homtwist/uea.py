@@ -1,5 +1,5 @@
 """U(sl(2)): PBW keys, the rewriting kernels of its product and coproduct,
-and its ring class UElem.
+and its ring UElem.
 
 The generators satisfy [X,Y] = Z, [X,Z] = -2X, [Y,Z] = 2Y.  Products are kept
 in the fixed normal order X^a Y^b Z^c.  The relations
@@ -10,11 +10,11 @@ give left multiplication of a normal monomial by a generator in closed form
 (left_gen), and the coproduct of a monomial in closed form (comul_mono).
 These are key kernels: actions builds the product and coproduct tables of
 the carriers from them, and the test suite compares those tables against an
-independent free-algebra reduction oracle.  UElem names the generators,
-which a term gives in PBW order and may separate by a space; its basis,
-order, text form (X^2 Y) and term grammar are MonomialElem's.  An element is
-its coordinate map {PBW monomial: nonzero QLaurent}, with no product of its
-own.
+independent free-algebra reduction oracle.  UElem is the ring, the
+MonomialElem on the generators, which a term gives in PBW order and may
+separate by a space; its basis, order, text form (X^2 Y) and term grammar
+are MonomialElem's.  An element is its coordinate map {PBW monomial:
+nonzero QLaurent}, with no product of its own.
 """
 
 from __future__ import annotations
@@ -27,13 +27,7 @@ from .scalars import MonomialElem
 # A PBW monomial is a key (a, b, c) standing for X^a Y^b Z^c.
 GENERATORS = ("X", "Y", "Z")
 
-
-class UElem(MonomialElem):
-    """The ring U(sl(2)): an element is a coordinate map PBW monomial -> nonzero QLaurent."""
-
-    NAMES = GENERATORS
-    SEP = " "
-    ORDERED = True
+UElem = MonomialElem(GENERATORS, " ", True)
 
 
 # -- PBW normalization ------------------------------------------------

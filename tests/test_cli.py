@@ -124,9 +124,9 @@ def test_every_grammar_and_act_refuse_a_drawn_digit_gap(a, w, b):
     # a whitespace run between two digit strings is a mistyped number, also
     # after a name and where a space between factors is a product
     for text in (f"{a}{w}{b}", f"X {a}{w}{b}"):
-        for cls in (QLaurent, Poly, UElem):
+        for ring in (QLaurent, Poly, UElem):
             with pytest.raises(ValueError, match="^space inside a number in "):
-                cls.parse(text)
+                ring.parse(text)
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         code = cli.main(["act", f"{a}{w}{b}", "x"])

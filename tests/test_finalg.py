@@ -6,13 +6,14 @@ import pytest
 
 from homtwist import cli, finalg, homcore
 from homtwist.finalg import (
-    StructAlgebra,
     automorphism_action,
     build_example31,
     inner_automorphism,
+    inverse,
     load_scenario,
     m2_example,
     operator,
+    struct_algebra,
 )
 from homtwist.scalars import ONE, ZERO, QLaurent
 
@@ -42,6 +43,11 @@ def operators(module):
     return [lambda k, g=g: module.rho(g, k) for g in module.H.basis]
 
 
+def labels(A):
+    """The label of each basis index of the algebra carrier A."""
+    return [A.render_key(i) for i in range(len(A.basis))]
+
+
 def composition(module):
     """{(i, j): k} with g_i g_j = g_k, read from the product of k[G]."""
     ids = module.H.basis
@@ -55,9 +61,8 @@ def composition(module):
 
 class TestStructAlgebra:
     def test_m2_is_associative_and_unital(self):
-        algebra = m2_example()[0]
         e12, e21 = basis(1), basis(2)
-        mul = algebra.carrier.mul
+        mul = m2_example()[0].A.mul
         assert contract(mul, e12, e21) == basis(0)
         assert contract(mul, e21, e12) == basis(3)
         assert contract(mul, e12, e12) == {}
@@ -67,14 +72,14 @@ class TestStructAlgebra:
         constants = {(0, 0, 1): 1, (0, 1, 0): 1}
         message = "structure constants are not associative at (a, a, a)"
         with pytest.raises(ValueError, match=re.escape(message)):
-            StructAlgebra(("a", "b"), constants, unit={0: ONE})
+            struct_algebra(("a", "b"), constants, unit={0: ONE})
 
     def test_non_associative_error_renders_no_side(self, monkeypatch):
         # the error names the first failing triple's inputs only
         rendered = []
-        monkeypatch.setattr(StructAlgebra, "render", lambda self, v: rendered.append(v) or "")
+        monkeypatch.setattr(finalg, "_render_elem", lambda labels, v: rendered.append(v) or "")
         with pytest.raises(ValueError) as error:
-            StructAlgebra(("a", "b"), {(0, 0, 1): 1, (0, 1, 0): 1}, unit={0: ONE})
+            struct_algebra(("a", "b"), {(0, 0, 1): 1, (0, 1, 0): 1}, unit={0: ONE})
         assert str(error.value) == "structure constants are not associative at (a, a, a)"
         assert rendered == []
 
@@ -86,16 +91,16 @@ class TestStructAlgebra:
             (("a", "a"), "labels 0 and 1 are both 'a'"),
         ]:
             with pytest.raises(ValueError, match=re.escape(message)):
-                StructAlgebra(labels, constants, unit={0: ONE, 1: ONE})
+                struct_algebra(labels, constants, unit={0: ONE, 1: ONE})
 
     def test_rejects_bad_unit(self):
         constants = {(0, 0, 0): 1}
         with pytest.raises(ValueError, match="unit"):
-            StructAlgebra(("a",), constants, unit={0: QLaurent.of(2)})
+            struct_algebra(("a",), constants, unit={0: QLaurent.of(2)})
         with pytest.raises(ValueError, match="unit"):
-            StructAlgebra(("a",), constants, unit={0: ONE, 1: ONE})
+            struct_algebra(("a",), constants, unit={0: ONE, 1: ONE})
         with pytest.raises(ValueError, match="^unit vector has an index out of range$"):
-            StructAlgebra(("a",), constants, unit={1: ONE})
+            struct_algebra(("a",), constants, unit={1: ONE})
 
 
 class TestHomAssociativityNegativeControl:
@@ -103,7 +108,7 @@ class TestHomAssociativityNegativeControl:
 
     def twisted(self):
         op = operator([[1, 0, 0, 0], [0, -2, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
-        return homcore.yau_twist(m2_example()[0].carrier, op)
+        return homcore.yau_twist(m2_example()[0].A, op)
 
     def test_hom_associativity_fails(self):
         report = homcore.check_hom_associativity(self.twisted())
@@ -121,11 +126,11 @@ class TestHomAssociativityNegativeControl:
         ]
 
     def test_render_negative_coefficients(self):
-        algebra = m2_example()[0]
+        render = m2_example()[0].A.render_elem
         v = {0: QLaurent.of(-2), 2: QLaurent.of(Fraction(-1, 2)), 3: QLaurent.parse("q - 1")}
-        assert algebra.render(v) == "-2*e11 + -1/2*e21 + (-1 + q)*e22"
-        assert algebra.render({0: ONE * -1, 1: ONE}) == "-1*e11 + e12"
-        assert algebra.render({}) == "0"
+        assert render(v) == "-2*e11 + -1/2*e21 + (-1 + q)*e22"
+        assert render({0: ONE * -1, 1: ONE}) == "-1*e11 + e12"
+        assert render({}) == "0"
 
 
 class TestLinOp:
@@ -152,25 +157,25 @@ class TestLinOp:
     def test_singular_endomorphism_is_not_an_automorphism(self):
         # the zero map is multiplicative on k*a, but no composite of it with
         # a group element is the identity
-        algebra = StructAlgebra(("a",), {(0, 0, 0): 1}, unit={0: ONE})
+        A = struct_algebra(("a",), {(0, 0, 0): 1}, unit={0: ONE})
         zero_map = operator([[0]])
-        assert homcore.check_multiplicativity(algebra.carrier._replace(alpha=zero_map)).passed
+        assert homcore.check_multiplicativity(A._replace(alpha=zero_map)).passed
         with pytest.raises(ValueError, match="^operator 1 is not an algebra automorphism$"):
-            automorphism_action(algebra, [homcore.basis_terms, zero_map])
+            automorphism_action(A, [homcore.basis_terms, zero_map])
 
     def test_an_automorphism_needs_products_and_an_inverse(self):
-        algebra = m2_example()[0]
+        A = m2_example()[0].A
         # keeps the unit, but sends e12 e21 = e11 to e11 and e12 to -2*e12
         scale = operator([[1, 0, 0, 0], [0, -2, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
         # multiplicative, but sends the unit to 0: its row lacks the identity
         zero = operator([[0] * 4 for _ in range(4)])
-        conjugation = operators(m2_example()[1])[1]
+        conjugation = operators(m2_example()[0])[1]
         for op in (scale, zero):
             with pytest.raises(ValueError, match="^operator 1 is not an algebra automorphism$"):
-                automorphism_action(algebra, [homcore.basis_terms, op])
-        assert not homcore.check_multiplicativity(algebra.carrier._replace(alpha=scale)).passed
-        assert homcore.check_multiplicativity(algebra.carrier._replace(alpha=zero)).passed
-        group = automorphism_action(algebra, [homcore.basis_terms, conjugation])
+                automorphism_action(A, [homcore.basis_terms, op])
+        assert not homcore.check_multiplicativity(A._replace(alpha=scale)).passed
+        assert homcore.check_multiplicativity(A._replace(alpha=zero)).passed
+        group = automorphism_action(A, [homcore.basis_terms, conjugation])
         assert composition(group)[1, 1] == 0
 
     def test_compose_and_identity(self):
@@ -190,22 +195,22 @@ class TestLinOp:
 
 class TestInnerAutomorphism:
     def test_unit_gives_identity(self):
-        algebra = m2_example()[0]
-        op = inner_automorphism(algebra, algebra.unit)
+        module, unit, _ = m2_example()
+        op = inner_automorphism(module.A, unit, unit)
         for k in homcore.key_ids(range(4)):
             assert op(k) == homcore.basis_terms(k)
 
     def test_diag_2_3_scales_off_diagonal(self):
-        algebra, _, a = m2_example()
-        op = inner_automorphism(algebra, a)
+        module, unit, a = m2_example()
+        op = inner_automorphism(module.A, unit, a)
         assert apply(op, basis(1)) == {1: QLaurent.of(Fraction(2, 3))}
         assert apply(op, basis(2)) == {2: QLaurent.of(Fraction(3, 2))}
 
     def test_inverse_conjugation_composes_to_identity(self):
-        algebra, _, a = m2_example()
-        a_inv = algebra.inverse(a)
-        op = inner_automorphism(algebra, a)
-        op_inv = inner_automorphism(algebra, a_inv)
+        module, unit, a = m2_example()
+        a_inv = inverse(module.A, unit, a)
+        op = inner_automorphism(module.A, unit, a)
+        op_inv = inner_automorphism(module.A, unit, a_inv)
         composite = homcore.composite(op, op_inv)
         for k in homcore.key_ids(range(4)):
             assert composite(k) == homcore.basis_terms(k)
@@ -213,37 +218,38 @@ class TestInnerAutomorphism:
     def test_unipotent_element_runs_the_row_elimination(self):
         # a = 1 + e12 = e11 + e12 + e22 is neither diagonal nor a signed
         # permutation, so solving a x = 1 eliminates a second row at a pivot
-        algebra, a = m2_example()[0], sparse([ONE, ONE, ZERO, ONE])
+        (module, unit, _), a = m2_example(), sparse([ONE, ONE, ZERO, ONE])
         expected = sparse(dense_oracle.m2().inverse([ONE, ONE, ZERO, ONE]))
-        assert algebra.inverse(a) == expected == sparse([ONE, ONE * -1, ZERO, ONE])
-        i_a = inner_automorphism(algebra, a)
-        assert homcore.check_multiplicativity(algebra.carrier._replace(alpha=i_a)).passed
+        assert inverse(module.A, unit, a) == expected == sparse([ONE, ONE * -1, ZERO, ONE])
+        i_a = inner_automorphism(module.A, unit, a)
+        assert homcore.check_multiplicativity(module.A._replace(alpha=i_a)).passed
 
     def test_non_invertible_rejected(self):
+        module, unit, _ = m2_example()
         with pytest.raises(ValueError, match="invertible"):
-            m2_example()[0].inverse(basis(1))
+            inverse(module.A, unit, basis(1))
 
 
 class TestAutomorphismAction:
     def test_m2_group_closure(self):
-        _, module, _ = m2_example()
+        module, _, _ = m2_example()
         assert len(module.H.basis) == 2
         assert composition(module)[1, 1] == 0
 
     def test_rejects_non_closed_set(self):
-        algebra = m2_example()[0]
+        A = m2_example()[0].A
         conj = operator(
             [[1, 0, 0, 0], [0, -1, 0, 0], [0, 0, -1, 0], [0, 0, 0, 1]]
         )
         with pytest.raises(ValueError, match="not closed"):
-            automorphism_action(algebra, [conj])
+            automorphism_action(A, [conj])
 
     def test_rejects_non_automorphism(self):
-        algebra = m2_example()[0]
+        A = m2_example()[0].A
         # transposition e12 <-> e21 is an anti-automorphism, not an automorphism
         swap = operator([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]])
         with pytest.raises(ValueError, match="automorphism"):
-            automorphism_action(algebra, [homcore.basis_terms, swap])
+            automorphism_action(A, [homcore.basis_terms, swap])
 
     def test_a_finite_group_may_have_q_entries(self):
         # conjugation by P = [[0, q], [1, 0]] has order 2, since P^2 = q*1:
@@ -251,21 +257,21 @@ class TestAutomorphismAction:
         # holds the identity, and no q-dependent matrix is inverted
         q, q_inv = QLaurent.q_power(1), QLaurent.q_power(-1)
         conj = operator([[0, 0, 0, 1], [0, 0, q, 0], [0, q_inv, 0, 0], [1, 0, 0, 0]])
-        module = automorphism_action(m2_example()[0], [homcore.basis_terms, conj])
+        module = automorphism_action(m2_example()[0].A, [homcore.basis_terms, conj])
         assert composition(module) == {(0, 0): 0, (0, 1): 1, (1, 0): 1, (1, 1): 0}
         assert homcore.check_module_hom_algebra(module).passed
 
     def test_rejects_repeated_operator(self):
-        algebra = m2_example()[0]
+        A = m2_example()[0].A
         conj = operator([[1, 0, 0, 0], [0, -1, 0, 0], [0, 0, -1, 0], [0, 0, 0, 1]])
         # the dense identity equals basis_terms, the identity table
         dense_identity = operator([[int(i == j) for j in range(4)] for i in range(4)])
         with pytest.raises(ValueError, match="operators 0 and 2 are equal"):
-            automorphism_action(algebra, [homcore.basis_terms, conj, dense_identity])
+            automorphism_action(A, [homcore.basis_terms, conj, dense_identity])
 
     def test_non_multiplicative_alpha_renders_group_elements(self):
         # g -> the other element is linear but sends g0 g0 = g0 to g1
-        H = m2_example()[1].H
+        H = m2_example()[0].H
         report = homcore.check_multiplicativity(
             H._replace(alpha=homcore.key_map(lambda i: {1 - i: ONE}))
         )
@@ -280,13 +286,13 @@ class TestAutomorphismAction:
         assert (first.lhs, first.rhs) == ("(1 + q)*g1", "(1 + 2*q + q^2)*g0")
 
     def test_grouplike_sweedler_sum(self):
-        square = homcore.build_rho2(m2_example()[1])
+        square = homcore.build_rho2(m2_example()[0])
         # phi = g1 on e12 tensor e21: phi(e12) = -e12, phi(e21) = -e21, signs cancel
         g1, pair = homcore.key_ids([1, (1, 2)])
         assert homcore.unflatten(square.rho(g1, pair)) == {(1, 2): ONE}
 
     def test_classical_action_is_module_algebra(self):
-        assert homcore.check_module_hom_algebra(m2_example()[1]).passed
+        assert homcore.check_module_hom_algebra(m2_example()[0]).passed
 
 
 class TestExample31:
@@ -300,17 +306,17 @@ class TestExample31:
         assert cli._swapped(homcore.check_module_hom_algebra(s)).passed
 
     def test_unit_element_reduces_to_classical(self):
-        algebra, classical, _ = m2_example()
-        s = build_example31(algebra, classical, algebra.unit)
+        classical, unit, _ = m2_example()
+        s = build_example31(classical, unit, unit)
         for kh in s.H.basis:
             for ka in s.A.basis:
                 assert s.rho(kh, ka) == classical.rho(kh, ka)
 
     def test_rejects_element_not_fixed_by_group(self):
-        algebra, module, _ = m2_example()
+        module, unit, _ = m2_example()
         bad = {0: ONE, 1: ONE, 3: ONE}  # e11 + e12 + e22, conjugation negates e12
         with pytest.raises(ValueError, match="not fixed"):
-            build_example31(algebra, module, bad)
+            build_example31(module, unit, bad)
 
 
 # the built-in example and finalg_gen's n = 3 files of seeds 1-3
@@ -319,7 +325,7 @@ ORACLE_CASES = ["m2", 1, 2, 3]
 
 @pytest.fixture(scope="module", params=ORACLE_CASES, ids=str)
 def modelled(request, tmp_path_factory):
-    """(algebra, module, a) as finalg loads them, and the dense model of the same data."""
+    """(module, unit, a) as finalg loads them, and the dense model of the same data."""
     if request.param == "m2":
         return m2_example(), dense_oracle.m2()
     text = finalg_text(request.param, 3)
@@ -332,8 +338,8 @@ class TestDenseOracle:
     """finalg's tables against the independent dense model."""
 
     def test_product(self, modelled):
-        (algebra, _, _), model = modelled
-        mul = algebra.carrier.mul
+        (module, _, _), model = modelled
+        mul = module.A.mul
         ids = homcore.key_ids(range(model.n))
         for i, ki in enumerate(ids):
             for j, kj in enumerate(ids):
@@ -341,17 +347,17 @@ class TestDenseOracle:
                 assert homcore.unflatten(mul(ki, kj)) == expected, (i, j)
 
     def test_inverse(self, modelled):
-        (algebra, _, a), model = modelled
+        (module, unit, a), model = modelled
         assert a == sparse(model.element)
-        assert algebra.inverse(a) == sparse(model.inverse(model.element))
+        assert inverse(module.A, unit, a) == sparse(model.inverse(model.element))
 
     def test_inner_automorphism(self, modelled):
-        (algebra, _, a), model = modelled
+        (module, unit, a), model = modelled
         expected = model.conjugation(model.element)
-        assert matrix(inner_automorphism(algebra, a), model.n) == expected
+        assert matrix(inner_automorphism(module.A, unit, a), model.n) == expected
 
     def test_group_composition(self, modelled):
-        (_, module, _), model = modelled
+        (module, _, _), model = modelled
         assert [matrix(op, model.n) for op in operators(module)] == model.group
         table = composition(module)
         for i, m1 in enumerate(model.group):
@@ -381,22 +387,22 @@ class TestOneTablePerStructure:
         spy("bilinear", lambda args, _: read.append(args[0]))
         for check in ("check_hom_associativity", "check_multiplicativity"):
             spy(check, lambda args, _: read.append(args[0].mul))
-        algebra, module, a = load_scenario(path)
-        r = finalg.example31_scenario(algebra, module, a)
-        mul = algebra.carrier.mul
+        module, unit, a = load_scenario(path)
+        r = finalg.example31_scenario(module, unit, a)
+        mul, dim = module.A.mul, len(module.A.basis)
         # every load check and the module multiply through the one product table
         assert r.module.A.mul is mul
         assert read and all(table is mul for table in read)
-        assert mul.cache_info().currsize == algebra.dim**2 == 81
+        assert mul.cache_info().currsize == dim**2 == 81
         # one key map each: the product and every operator
         group = r.module.H.basis
         assert len(made) == 1 + len(group) == 5
         assert made[0] is mul
         entries = sum(table.cache_info().currsize for table in made)
-        assert entries == 81 + len(group) * algebra.dim == 117
+        assert entries == 81 + len(group) * dim == 117
         # the action reads the operators' own tables
         for g, op in zip(group, made[1:]):
-            for k in algebra.carrier.basis:
+            for k in module.A.basis:
                 assert r.module.rho(g, k) is op(k)
         # i_a is filled by the sweeps, each of its entries once
         assert r.beta_A.cache_info().currsize == 0
@@ -404,7 +410,7 @@ class TestOneTablePerStructure:
         assert homcore.check_module_hom_algebra(d).passed
         assert homcore.check_hom_jacobi(r.lie(d)).passed
         info = r.beta_A.cache_info()
-        assert info.misses == info.currsize == algebra.dim == 9
+        assert info.misses == info.currsize == dim == 9
 
 
 class TestParseMemo:
@@ -455,14 +461,15 @@ class TestParseMemo:
 
     def test_the_load_equals_a_load_without_the_memo(self, seed1, parsed, monkeypatch):
         path, _ = seed1
-        A1, module1, a1 = load_scenario(path)
+        module1, unit1, a1 = load_scenario(path)
         # finalg's cache wraps only the parse during a load
         monkeypatch.setattr(finalg, "cache", lambda f: f)
-        A2, module2, a2 = load_scenario(path)
+        module2, unit2, a2 = load_scenario(path)
         assert len(parsed) == 10 + 369
-        ids = A1.carrier.basis
-        assert (A1.labels, ids, A1.unit, a1) == (A2.labels, A2.carrier.basis, A2.unit, a2)
-        assert all(A1.carrier.mul(i, j) == A2.carrier.mul(i, j) for i in ids for j in ids)
+        A1, A2 = module1.A, module2.A
+        ids = A1.basis
+        assert (labels(A1), ids, unit1, a1) == (labels(A2), A2.basis, unit2, a2)
+        assert all(A1.mul(i, j) == A2.mul(i, j) for i in ids for j in ids)
         assert composition(module1) == composition(module2)
         assert [[op(k) for k in ids] for op in operators(module1)] == [
             [op(k) for k in ids] for op in operators(module2)
@@ -493,17 +500,17 @@ class TestScenarioFile:
     def test_roundtrip_through_json(self, tmp_path):
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps(finalg.M2))
-        algebra, module, a = load_scenario(path)
+        module, unit, a = load_scenario(path)
         # the file's tables are m2_example's
-        m2, m2_module, m2_a = m2_example()
-        mul, ids = m2.carrier.mul, algebra.carrier.basis
-        assert all(dict(algebra.carrier.mul(i, j)) == dict(mul(i, j)) for i in ids for j in ids)
-        assert (algebra.labels, algebra.unit, a) == (m2.labels, m2.unit, m2_a)
+        m2_module, m2_unit, m2_a = m2_example()
+        mul, ids = m2_module.A.mul, module.A.basis
+        assert all(dict(module.A.mul(i, j)) == dict(mul(i, j)) for i in ids for j in ids)
+        assert (labels(module.A), unit, a) == (labels(m2_module.A), m2_unit, m2_a)
         assert composition(module) == composition(m2_module)
         assert [[op(k) for k in ids] for op in operators(module)] == [
             [op(k) for k in ids] for op in operators(m2_module)
         ]
-        s = build_example31(algebra, module, a)
+        s = build_example31(module, unit, a)
         assert homcore.check_module_hom_algebra(s).passed
 
     def test_bad_element_length_rejected(self, tmp_path):

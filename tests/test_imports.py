@@ -2,8 +2,10 @@
 in that module, and every function, class, method, class constant and
 module-level name src defines is named somewhere.  No src module memoizes a
 table that is a memo table already, nor defines a second memo kind, a class
-with __missing__.  README.md names in its inline code only identifiers that
-the code defines or reads.
+with __missing__, nor a namespace method, a classmethod that never calls
+cls(...) and so reads only class constants where an instance belongs.
+README.md names in its inline code only identifiers that the code defines
+or reads.
 
 The names of the package's __all__ (re-exported by __init__) and
 `from __future__ import annotations` are exempt.  Importing the command line
@@ -70,6 +72,22 @@ def double_memo(source: str) -> list:
         or isinstance(node, ast.ClassDef)
         and any(
             isinstance(item, ast.FunctionDef) and item.name == "__missing__" for item in node.body
+        )
+    ]
+
+
+def namespace_methods(source: str) -> list:
+    """The lines of the classmethods that never call their class: such a
+    method only reads class constants, which an instance should hold.
+    """
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.FunctionDef)
+        and any(_name(decorator) == "classmethod" for decorator in node.decorator_list)
+        and not any(
+            isinstance(call, ast.Call) and _name(call.func) == node.args.args[0].arg
+            for call in ast.walk(node)
         )
     ]
 
@@ -173,6 +191,27 @@ def test_the_guard_sees_a_second_memo_kind():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda path: path.name)
 def test_no_double_memo(path):
     assert double_memo(path.read_text()) == []
+
+
+def test_the_guard_sees_a_namespace_method():
+    planted = (
+        "class Ring:\n"
+        "    NAMES = ('x',)\n"
+        "    @classmethod\n"
+        "    def width(cls):\n"
+        "        return len(cls.NAMES)\n"
+        "    @classmethod\n"
+        "    def of(klass, value):\n"
+        "        return value if isinstance(value, Ring) else klass(value)\n"
+        "    def render(self):\n"
+        "        return self.NAMES[0]\n"
+    )
+    assert namespace_methods(planted) == [4]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda path: path.name)
+def test_no_namespace_methods(path):
+    assert namespace_methods(path.read_text()) == []
 
 
 def test_cli_import_leaves_out_heavy_modules():

@@ -62,7 +62,7 @@ ALLOWED = {
         "act refuses --q-value 0 first",
     'scalars.MonomialElem.basis_keys: raise ValueError("degree bound must be non-negative")':
         "twist refuses a negative --bound and verify a bound below 1 first",
-    "finalg.StructAlgebra.__init__: "
+    "finalg.struct_algebra: "
     'raise ValueError("unit vector has an index out of range")':
         "the loader reads the unit as a vector of exactly dim coefficients",
     "scalars._as_rational: "

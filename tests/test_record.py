@@ -55,7 +55,8 @@ def sl2_pair():
 def m2_pair():
     """beta_H = Id and beta_A = i_b for b = diag(5, 7), fixed by the group."""
     b = {0: QLaurent.of(5), 3: QLaurent.of(7)}
-    return basis_terms, finalg.inner_automorphism(finalg.m2_example()[0], b)
+    module, unit, _ = finalg.m2_example()
+    return basis_terms, finalg.inner_automorphism(module.A, unit, b)
 
 
 def twice_deformed(scenario, pair):
@@ -266,9 +267,9 @@ def m2_unipotent():
     """M2 with the trivial group and a = e11 + e12 + e22: the images of i_a
     have 2, 1, 4 and 2 terms, where each twist of the other records is diagonal.
     """
-    algebra = finalg.m2_example()[0]
-    module = finalg.automorphism_action(algebra, [basis_terms])
-    return finalg.example31_scenario(algebra, module, {0: ONE, 1: ONE, 3: ONE})
+    m2, unit, _ = finalg.m2_example()
+    module = finalg.automorphism_action(m2.A, [basis_terms])
+    return finalg.example31_scenario(module, unit, {0: ONE, 1: ONE, 3: ONE})
 
 
 EDITED_RECORDS = {

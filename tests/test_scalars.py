@@ -14,6 +14,11 @@ def ql(text):
     return QLaurent.parse(text)
 
 
+def ring_id(value):
+    """The test id of a ring argument: Poly and UElem by their names."""
+    return "Poly" if value is Poly else "UElem" if value is UElem else None
+
+
 class TestArithmetic:
     def test_distributivity_example(self):
         assert (Q + Q_INV) * Q == ql("q^2 + 1")
@@ -155,15 +160,15 @@ class TestTextForm:
         assert ql(text) == ql(expected)
 
 
-@pytest.mark.parametrize("cls, text", [(Poly, "1 + x"), (UElem, "1 + X")])
-def test_element_types_share_the_sparse_ring_contract(cls, text):
-    assert cls.render(cls.parse(text)) == text
+@pytest.mark.parametrize("ring, text", [(Poly, "1 + x"), (UElem, "1 + X")], ids=ring_id)
+def test_element_types_share_the_sparse_ring_contract(ring, text):
+    assert ring.render(ring.parse(text)) == text
 
 
 # The two rings share one term grammar and differ only where their text does:
 # U(sl(2)) writes a space between factors and does not commute.
 @pytest.mark.parametrize(
-    "cls, text, key",
+    "ring, text, key",
     [
         (Poly, "x*y", (1, 1)),
         (Poly, "y*x", (1, 1)),
@@ -172,13 +177,14 @@ def test_element_types_share_the_sparse_ring_contract(cls, text):
         (UElem, "X\tY", (1, 1, 0)),
         (UElem, "X X", (2, 0, 0)),
     ],
+    ids=ring_id,
 )
-def test_a_term_reads_the_factors_its_ring_allows(cls, text, key):
-    assert cls.parse(text) == {key: ONE}
+def test_a_term_reads_the_factors_its_ring_allows(ring, text, key):
+    assert ring.parse(text) == {key: ONE}
 
 
 @pytest.mark.parametrize(
-    "cls, text, message",
+    "ring, text, message",
     [
         (Poly, "x y", "cannot parse scalar term 'x y'"),
         (UElem, "Y X", "generators out of PBW order in 'Y X'"),
@@ -194,29 +200,31 @@ def test_a_term_reads_the_factors_its_ring_allows(cls, text, key):
         (UElem, "Z + Y X - Z", "generators out of PBW order in 'Y X'"),
         (UElem, "Z + 2 2 X - Z", "space inside a number in '2 2 X'"),
     ],
+    ids=ring_id,
 )
-def test_a_term_refuses_the_factors_its_ring_does_not_allow(cls, text, message):
+def test_a_term_refuses_the_factors_its_ring_does_not_allow(ring, text, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        cls.parse(text)
+        ring.parse(text)
 
 
 # One scanner splits a sum at its top-level signs and a term at its
 # top-level factors; a '-' after '^' or '*' or inside parentheses is no sign.
 @pytest.mark.parametrize(
-    "cls, text, expected",
+    "ring, text, expected",
     [
         (QLaurent, "- - q", "q"),
         (QLaurent, "q + - 1 -\t+ q^-1", "q - 1 - q^-1"),
         (UElem, "X*-2 - (q - 1)*Y", "-2*X + (1 - q)*Y"),
         (UElem, "(-q) X", "-q*X"),
     ],
+    ids=ring_id,
 )
-def test_a_sum_folds_its_signs(cls, text, expected):
-    assert cls.parse(text) == cls.parse(expected)
+def test_a_sum_folds_its_signs(ring, text, expected):
+    assert ring.parse(text) == ring.parse(expected)
 
 
 @pytest.mark.parametrize(
-    "cls, text, message",
+    "ring, text, message",
     [
         (QLaurent, " \t", "empty expression"),
         (QLaurent, "q - ", "dangling operator in 'q -'"),
@@ -224,23 +232,24 @@ def test_a_sum_folds_its_signs(cls, text, expected):
         (UElem, " X) + (Y", "unbalanced parentheses in 'X) + (Y'"),
         (UElem, "X + *", "empty term in '*'"),
     ],
+    ids=ring_id,
 )
-def test_a_sum_refuses_what_does_not_split(cls, text, message):
+def test_a_sum_refuses_what_does_not_split(ring, text, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        cls.parse(text)
+        ring.parse(text)
 
 
 # A space between two numbers is a mistyped number in every grammar, also
 # where a space between factors is a product.
-@pytest.mark.parametrize("cls", [QLaurent, Poly, UElem])
+@pytest.mark.parametrize("ring", [QLaurent, Poly, UElem], ids=ring_id)
 @pytest.mark.parametrize("text", ["2 2", "2\t2", "1/2 3", "X 2 2", "X^2 2"])
-def test_every_grammar_refuses_a_space_inside_a_number(cls, text):
+def test_every_grammar_refuses_a_space_inside_a_number(ring, text):
     with pytest.raises(ValueError, match="^space inside a number in "):
-        cls.parse(text)
+        ring.parse(text)
 
 
 @pytest.mark.parametrize(
-    "cls, text, key, coeff",
+    "ring, text, key, coeff",
     [
         (UElem, "X 2 Y", (1, 1, 0), "2"),
         (UElem, "2 q", (0, 0, 0), "2*q"),
@@ -255,9 +264,10 @@ def test_every_grammar_refuses_a_space_inside_a_number(cls, text):
         (UElem, "(2) (2)", (0, 0, 0), "4"),
         (UElem, "2 (q + 1) X", (1, 0, 0), "2 + 2*q"),
     ],
+    ids=ring_id,
 )
-def test_a_number_beside_a_name_keeps_its_value(cls, text, key, coeff):
-    assert cls.parse(text) == {key: ql(coeff)}
+def test_a_number_beside_a_name_keeps_its_value(ring, text, key, coeff):
+    assert ring.parse(text) == {key: ql(coeff)}
 
 
 # a coefficient that is no int or Fraction would otherwise be dropped
@@ -289,16 +299,16 @@ def nested_loop_keys(width, bound):
     return out
 
 
-@pytest.mark.parametrize("cls", [Poly, UElem])
+@pytest.mark.parametrize("ring", [Poly, UElem], ids=ring_id)
 @pytest.mark.parametrize("bound", range(7))
-def test_basis_keys_match_the_nested_loops(cls, bound):
-    assert cls.basis_keys(bound) == nested_loop_keys(len(cls.NAMES), bound)
+def test_basis_keys_match_the_nested_loops(ring, bound):
+    assert ring.basis_keys(bound) == nested_loop_keys(len(ring.NAMES), bound)
 
 
 def test_basis_keys_refuse_a_negative_bound():
-    for cls in (Poly, UElem):
+    for ring in (Poly, UElem):
         with pytest.raises(ValueError, match="non-negative"):
-            cls.basis_keys(-1)
+            ring.basis_keys(-1)
 
 
 def test_render_key_is_the_text_of_the_monomial():
@@ -320,27 +330,27 @@ def test_scalars_and_endomorphisms_are_immutable(value, name):
 PRODUCTS = {Poly: actions.plane_mul, UElem: actions.pbw_mul}
 
 
-def plain_power(cls, e, n) -> dict:
-    """The terms of e**n in cls by n products, the definition that
+def plain_power(ring, e, n) -> dict:
+    """The terms of e**n in ring by n products, the definition that
     square-and-multiply must match.
     """
-    mul, xs = PRODUCTS[cls], homcore.flatten(e)
-    result = homcore.flatten({(0,) * len(cls.NAMES): ONE})
+    mul, xs = PRODUCTS[ring], homcore.flatten(e)
+    result = homcore.flatten({(0,) * len(ring.NAMES): ONE})
     for _ in range(n):
         result = homcore.terms(homcore.bilinear(mul, result, xs))
     return homcore.unflatten(result)
 
 
-def power_table(cls, e):
-    """The table of the endomorphism of cls that sends the first generator to
+def power_table(ring, e):
+    """The table of the endomorphism of ring that sends the first generator to
     e and fixes the others: it sends the key (n, 0, ...) to e**n.
     """
-    keys = [tuple(int(i == j) for j in range(len(cls.NAMES))) for i in range(len(cls.NAMES))]
-    return actions.endo_map([e] + [{key: ONE} for key in keys[1:]], PRODUCTS[cls])
+    keys = [tuple(int(i == j) for j in range(len(ring.NAMES))) for i in range(len(ring.NAMES))]
+    return actions.endo_map([e] + [{key: ONE} for key in keys[1:]], PRODUCTS[ring])
 
 
 @pytest.mark.parametrize(
-    "cls, text",
+    "ring, text",
     [
         (Poly, "x"),
         (Poly, "q*x - 2*y + 1/2"),
@@ -348,15 +358,16 @@ def power_table(cls, e):
         (UElem, "X Y - q^-1*Z + 3"),
         (UElem, "Z^2 - q*X Y + Y"),
     ],
+    ids=ring_id,
 )
-def test_power_equals_repeated_products(cls, text):
+def test_power_equals_repeated_products(ring, text):
     # the powers of endomorphism tables: UElem does not commute, so this also
     # fixes the order of the factors
-    e = cls.parse(text)
-    table = power_table(cls, e)
+    e = ring.parse(text)
+    table = power_table(ring, e)
     for n in range(10):
-        key = (n,) + (0,) * (len(cls.NAMES) - 1)
-        assert homcore.unflatten(table(homcore.REGISTRY.ids(key))) == plain_power(cls, e, n)
+        key = (n,) + (0,) * (len(ring.NAMES) - 1)
+        assert homcore.unflatten(table(homcore.REGISTRY.ids(key))) == plain_power(ring, e, n)
 
 
 def test_power_takes_logarithmically_many_products(monkeypatch):
