@@ -6,9 +6,11 @@ matches the associative product because the module axiom sweep of the
 classical triple verifies (uv)p = u(vp).  The action exists only on keys,
 act_key; `homtwist act` and every suite contract the same table.
 
-The record twists the classical triple by beta_A = alpha_A: x -> q^2 x, y -> q y
-on the plane and beta_H = alpha_U, extending X -> qX, Y -> q^-1 Y, Z -> Z on
-the Lie algebra; rho_alpha = alpha_A o rho.
+The record twists the classical triple by the pair SL2_Q, a document of
+generator images as the paper writes them: beta_H = alpha_U, extending
+X -> qX, Y -> q^-1 Y, Z -> Z on the Lie algebra, and beta_A = alpha_A:
+x -> q^2 x, y -> q y on the plane; rho_alpha = alpha_A o rho.  read_pair is
+the one reader of such a document.
 
 The keys are PBW monomials (a, b, c) and plane exponents (i, j), and every
 table is a memo table on their ids.  The action and the coproduct are key
@@ -46,20 +48,13 @@ from .homcore import (
 )
 from .polyalg import Poly
 from .report import CheckReport
-from .scalars import _MAX_POWER_BITS, ONE, Q, Q_INV
+from .scalars import _MAX_POWER_BITS
 from .uea import GENERATORS, UElem
 
 
-def alpha_plane():
-    """The table of the diagonal endomorphism P(x, y) -> P(q^2 x, q y)."""
-    return endo_map(({(1, 0): Q * Q}, {(0, 1): Q}), plane_mul)
-
-
-def alpha_u():
-    """The table of the bialgebra endomorphism alpha_U of U(sl(2)), which
-    extends X -> qX, Y -> q^-1 Y, Z -> Z.
-    """
-    return extend_lie_endo(({(1, 0, 0): Q}, {(0, 1, 0): Q_INV}, {(0, 0, 1): ONE}))
+# the record's twisting pair: the images of X, Y, Z under beta_H and of x, y
+# under beta_A
+SL2_Q = {"beta_H": ["q*X", "q^-1*Y", "Z"], "beta_A": ["q^2*x", "q*y"]}
 
 
 def act_key(mono, key) -> tuple:
@@ -164,6 +159,15 @@ def extend_lie_endo(images):
     return phi
 
 
+def read_pair(doc) -> tuple:
+    """The tables (beta_H, beta_A) of a twisting pair written as a document,
+    such as SL2_Q: beta_H extends the images of X, Y and Z, a Lie
+    endomorphism (extend_lie_endo), and beta_A the images of x and y.
+    """
+    beta_H = extend_lie_endo([UElem.parse(text) for text in doc["beta_H"]])
+    return beta_H, endo_map([Poly.parse(text) for text in doc["beta_A"]], plane_mul)
+
+
 # -- carriers ----------------------------------------------------------
 
 
@@ -195,19 +199,16 @@ def u_carrier(bound: int) -> Carrier:
 
 
 def sl2_scenario(bound_h: int, bound_a: int) -> Scenario:
-    """The classical action, twisted by beta_H = alpha_U and beta_A = alpha_A.
+    """The classical action, twisted by the pair read from SL2_Q.
 
     The module is the classical module algebra, whose structure maps are the
     identity.  The Lie carrier of a deformed triple is its H on PBW degree
     <= 1, whatever the bounds: U(sl(2)) twisted by the record's beta_H.
     """
     return Scenario(
-        module=ModuleAlgebraScenario(
-            H=u_carrier(bound_h), A=plane_carrier(bound_a), rho=on_ids(act_key)
-        ),
-        beta_H=alpha_u(),
-        beta_A=alpha_plane(),
-        lie=lambda d: d.H._replace(name="sl2 twisted", basis=key_ids(UElem.basis_keys(1))),
+        ModuleAlgebraScenario(H=u_carrier(bound_h), A=plane_carrier(bound_a), rho=on_ids(act_key)),
+        *read_pair(SL2_Q),
+        lambda d: d.H._replace(name="sl2 twisted", basis=key_ids(UElem.basis_keys(1))),
     )
 
 

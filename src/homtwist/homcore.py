@@ -22,8 +22,8 @@ a deformed triple d.  There is one twist, yau_twist(C, beta), of an algebra
 or a bialgebra: beta o mu, beta o alpha (alpha = Id gives the paper's
 deformation) and Delta o beta.  Twisted and deformed tables are composites,
 composite(f, g) = the memo table of f o g.  There is one tensor carrier,
-tensor(C), the square C x C with a slotwise alpha and no basis; build_rho2
-alone gives it one.
+tensor(C), the square C x C with a slotwise alpha and no basis; only the
+test reference build_rho2 gives it one.
 
 Every checker runs one or more sweeps (report.sweep) of a multilinear
 identity over basis tuples, whose sides are contractions of the tables with
@@ -32,9 +32,8 @@ compares, hashes and renders as that int, so the accumulate loops store each
 product and sum as it comes and drop only zeros (an unflattened side may
 hold an integral Fraction; the int form is scalars' rule for what QLaurent
 builds).  linear and bilinear hold the accumulate loops of every contraction
-but two, t_contract is linear on a key-pair table, and t_map(f, g) is the
-one map f x g on key pairs.  A sum of terms is linear over the identity
-table basis_terms.
+but two, and t_map(f, g) is the one map f x g on key pairs.  A sum of terms
+is linear over the identity table basis_terms.
 A structure-map axiom is a commuting square of linear maps or one of the two
 halves of the module axiom on a module triple: alpha carries rho
 (_rho_commutes) and the action is Hom-associative; an algebra A is a module
@@ -47,12 +46,13 @@ mu_A o rho^2 of the module Hom-algebra sweep (one memoized row of
 (rho(., a) x Id)Delta(x) per (x, a), through rho(x'', b) and the mu_A table)
 and the right side Delta(x)Delta(y) of Eq. (2.5) (mul(x', y') and
 mul(x'', y'') per pair of Delta terms, added straight into key pair ids).
-Neither builds tensor terms; t_contract(mu_A, rho^2) and bilinear over a
-slotwise product of H x H are their tests' references.  A checker returns
-an unlabelled CheckReport, which the command line names: a failed identity
-is report content, not an exception, and renderer renders each distinct
-side once.  Only malformed carriers raise: one with no coproduct raises
-TypeError in the first checker that reads it.
+Neither builds tensor terms; their tests' references do: mu_A o rho^2 as
+t_contract(mu_A, rho^2), both in tests/rho2_reference.py, and bilinear over
+a slotwise product of H x H.  A checker returns an unlabelled CheckReport,
+which the command line names: a failed identity is report content, not an
+exception, and renderer renders each distinct side once.  Only malformed
+carriers raise: one with no coproduct raises TypeError in the first checker
+that reads it.
 """
 
 from __future__ import annotations
@@ -307,14 +307,6 @@ def t_outer(xs, ys) -> list:
     ]
 
 
-def t_contract(table, xs) -> dict:
-    """A bilinear map, given by its table, applied to the 2-tensor terms xs:
-    linear over the key-pair table t -> table(*slots(t)).
-    """
-    slots = REGISTRY.slots
-    return linear(lambda t: table(*slots(t)), xs)
-
-
 def t_map(f, g):
     """f x g on key pairs: the map t -> t_outer(f(a), g(b)), (a, b) = slots(t)."""
     slots = REGISTRY.slots
@@ -537,33 +529,13 @@ def build_rho_tilde(
     return s._replace(rho=cache(lambda h, a: terms(bilinear(rho, lifted(h), basis_terms(a)))))
 
 
-def build_rho2(s: ModuleAlgebraScenario) -> ModuleAlgebraScenario:
-    """The diagonal module structure rho^2 on the tensor square A x A.
-
-    rho^2(x, a x b) = sum rho(x', a) x rho(x'', b) is Delta(x) through the
-    key-pair map t_map(rho(., a), rho(., b)); it is not memoized, since a
-    sweep meets each (x, a x b) once.  mu_A of it,
-    t_contract(s.A.mul, rho^2(x, a x b)), is the right side that
-    check_module_hom_algebra computes without the tensor terms.
-    """
-    rho, comul, slots, pair = s.rho, s.H.comul, REGISTRY.slots, REGISTRY.pair
-
-    def rho2(h, t):
-        a, b = slots(t)
-        return terms(linear(t_map(lambda h1: rho(h1, a), lambda h2: rho(h2, b)), comul(h)))
-
-    # the pairs of basis keys, the second slot varying fastest
-    basis = tuple(pair(k1, k2) for k1 in s.A.basis for k2 in s.A.basis)
-    A2 = tensor(s.A)._replace(name=f"{s.A.name} tensor square", basis=basis)
-    return s._replace(A=A2, rho=rho2)
-
-
 def check_module_hom_algebra(s: ModuleAlgebraScenario, alpha_power: int = 2) -> CheckReport:
     """The module Hom-algebra axiom: alpha_H^2(x)(ab) = sum (x'a)(x''b).
 
     On basis triples (x, a, b) it compares rho-tilde(x, ab), with rho-tilde of
     build_rho_tilde, and sum mu_A(rho(x', a), rho(x'', b)): mu_A o rho^2 with
-    rho^2 of build_rho2, summed without building the tensor terms of A x A.
+    rho^2 as tests/rho2_reference.py builds it, summed without building the
+    tensor terms of A x A.
     row(x, a) holds the terms of (rho(., a) x Id)Delta(x), once per (x, a),
     read from split_coproduct as (packed A term with the exponent of its
     Delta term added, x'' id, coefficient); the right side runs each through

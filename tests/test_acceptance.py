@@ -18,6 +18,7 @@ from homtwist.uea import UElem
 
 import plane_oracle
 from free_oracle import all_words, comul, pbw_word, reduce_to_pbw
+from rho2_reference import t_contract
 from test_actions import weight_spectrum
 from test_uea import UNIT, X, Y, Z, mul
 
@@ -42,7 +43,7 @@ def test_criterion_1_hom_associativity():
     # A_alpha on all monomial triples of total degree <= 4 each, both sides
     # also equal alpha^2(abc)
     carrier = actions.plane_carrier(4)
-    twisted = homcore.yau_twist(carrier, actions.alpha_plane())
+    twisted = homcore.yau_twist(carrier, actions.read_pair(actions.SL2_Q)[1])
     product = twisted.mul
     key = homcore.REGISTRY.keys.__getitem__
     alpha = plane_oracle.alpha
@@ -78,7 +79,7 @@ def test_criterion_3_module_hom_algebra(deformed_33):
     alpha2_X = homcore.linear(s.H.alpha, s.H.alpha(X))
     lhs = homcore.bilinear(s.rho, homcore.terms(alpha2_X), s.A.mul(x, y))
     # sum over Delta(X) of (X'x)(X''y)
-    rhs = homcore.t_contract(
+    rhs = t_contract(
         lambda h1, h2: homcore.terms(homcore.bilinear(s.A.mul, s.rho(h1, x), s.rho(h2, y))),
         s.H.comul(X),
     )
@@ -112,7 +113,7 @@ def test_criterion_4_characterization_equivalence(deformed_33):
 
 
 def test_criterion_5_endomorphism_extension():
-    table = actions.alpha_u()
+    table = actions.read_pair(actions.SL2_Q)[0]
 
     def handle(mono) -> dict:
         return homcore.unflatten(table(homcore.REGISTRY.ids(mono)))

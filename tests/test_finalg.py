@@ -18,6 +18,7 @@ from homtwist.finalg import (
 from homtwist.scalars import ONE, ZERO, QLaurent
 
 import dense_oracle
+from rho2_reference import build_rho2
 from test_golden import finalg_text
 from test_uea import apply, contract
 
@@ -286,7 +287,7 @@ class TestAutomorphismAction:
         assert (first.lhs, first.rhs) == ("(1 + q)*g1", "(1 + 2*q + q^2)*g0")
 
     def test_grouplike_sweedler_sum(self):
-        square = homcore.build_rho2(m2_example()[0])
+        square = build_rho2(m2_example()[0])
         # phi = g1 on e12 tensor e21: phi(e12) = -e12, phi(e21) = -e21, signs cancel
         g1, pair = homcore.key_ids([1, (1, 2)])
         assert homcore.unflatten(square.rho(g1, pair)) == {(1, 2): ONE}

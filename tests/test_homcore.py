@@ -7,7 +7,6 @@ from homtwist import actions, cli, finalg, homcore
 from homtwist.homcore import (
     basis_terms,
     bilinear,
-    build_rho2,
     build_rho_tilde,
     check_hom_associativity,
     check_hom_jacobi,
@@ -21,13 +20,14 @@ from homtwist.homcore import (
 from homtwist.report import sweep
 from homtwist.scalars import ONE, ZERO, QLaurent, add_term
 
-from test_record import h4
+from rho2_reference import build_rho2, t_contract
+from test_record import SWAP, h4
 
 X, Y, Z = (1, 0, 0), (0, 1, 0), (0, 0, 1)
 x, y = (1, 0), (0, 1)
 
 
-ALPHA_A = actions.alpha_plane()
+_, ALPHA_A = actions.read_pair(actions.SL2_Q)
 
 
 def plane(bound=2):
@@ -304,7 +304,7 @@ class TestTwistFunctoriality:
     def test_twisted_structure_map_is_beta_after_alpha(self):
         # alpha swaps x and y, and alpha_A does not commute with it:
         # alpha_A(alpha(x)) = q y, while alpha(alpha_A(x)) = q^2 y
-        swap = actions.endo_map(({(0, 1): ONE}, {(1, 0): ONE}), actions.plane_mul)
+        _, swap = actions.read_pair(SWAP)
         twisted = yau_twist(actions.plane_carrier(1)._replace(alpha=swap), ALPHA_A)
         [kx] = homcore.key_ids([x])
         assert coords(twisted.alpha(kx)) == {y: QLaurent.q_power(1)}
@@ -408,7 +408,7 @@ class TestFusedRightSide:
         return sweep(
             [homcore.axis(s.H), homcore.axis(s.A), homcore.axis(s.A)],
             lambda kx, ka, kb: bilinear(tilde, basis_terms(kx), mul(ka, kb)),
-            lambda kx, ka, kb: homcore.t_contract(mul, square(kx, pair(ka, kb))),
+            lambda kx, ka, kb: t_contract(mul, square(kx, pair(ka, kb))),
             homcore.renderer(s.A),
         )
 
@@ -450,7 +450,7 @@ class TestFusedRightSide:
         cases = [(kx, ka, kb) for kx in xs for ka in ids for kb in ids]
         for kx, ka, kb in cases:
             side = rhs(kx, ka, kb)
-            assert side == homcore.t_contract(mul, square(kx, pair(ka, kb)))
+            assert side == t_contract(mul, square(kx, pair(ka, kb)))
             folded = {p: int(c) if c == int(c) else c for p, c in side.items()}
             integral += any(type(c) is not type(folded[p]) for p, c in side.items())
             # fresh renderers: one memo would key both by the same content
@@ -700,7 +700,7 @@ def test_packed_terms_keep_huge_exponents(kernel, e):
             (k, c * c2) for (k1, k2), c in tensor_xy.items() for k, c2 in product(k1, k2).items()
         )
     elif kernel == "t_contract":
-        got = homcore.t_contract(homcore.key_map(product), homcore.flatten(tensor_xy))
+        got = t_contract(homcore.key_map(product), homcore.flatten(tensor_xy))
         expected = native_sum(
             (k, c * c2) for (k1, k2), c in tensor_xy.items() for k, c2 in product(k1, k2).items()
         )

@@ -22,6 +22,7 @@ import dense_oracle
 import free_oracle
 import plane_oracle
 from free_oracle import pbw_word, reduce_to_pbw
+from rho2_reference import build_rho2
 from test_uea import X, Y
 
 
@@ -79,7 +80,7 @@ def P(k) -> dict:
 
 
 def twisted_u():
-    return homcore.yau_twist(actions.u_carrier(2), actions.alpha_u())
+    return homcore.yau_twist(actions.u_carrier(2), actions.read_pair(actions.SL2_Q)[0])
 
 
 def test_twisted_u_mul():
@@ -219,8 +220,8 @@ def test_rho_tilde(power):
 
 def test_rho2():
     s = actions.deformed_scenario(1, 1)
-    square = homcore.build_rho2(s)
-    twisted_comul = homcore.yau_twist(actions.u_carrier(1), actions.alpha_u())
+    square = build_rho2(s)
+    twisted_comul = homcore.yau_twist(actions.u_carrier(1), actions.read_pair(actions.SL2_Q)[0])
     pair = homcore.REGISTRY.pair
     for h in s.H.basis:
         # Delta_alpha(h) = Delta(alpha_U(h)), by shuffles

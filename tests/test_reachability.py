@@ -36,9 +36,6 @@ ALLOWED = {
     "scalars.QLaurent.__repr__": "test-side arithmetic: a failing .terms assert prints it",
     # names that the benchmark or test_bench_hooks pin
     "finalg.build_example31": "a traced span of perfbench/tracer.py and setup_probe.py",
-    # references that the fused sweeps are tested against
-    "homcore.build_rho2": "rho^2 on A x A, the reference of the fused module sweep",
-    "homcore.t_contract": "mu_A on the terms of rho^2, the reference's right side",
     # the process entry point: the commands here run through cli.main
     "cli.run": "the entry point of a process: main without the cyclic collector, then "
     "os._exit, or exit 2 where stdout cannot be written",
@@ -75,8 +72,8 @@ ALLOWED = {
     # internal invariants
     'uea.left_gen: raise ValueError(f"unknown generator {gen!r}")':
         "split_first yields X, Y or Z",
-    # the images of alpha_U form a Lie endomorphism; item 8 of ROADMAP.md
-    # will let a scenario give others
+    # the beta_H images of actions.SL2_Q, the one pair a command reads, form a
+    # Lie endomorphism; item 25 of ROADMAP.md will let a scenario file give others
     "actions.extend_lie_endo: "
     'raise ValueError(f"image of {gen} must lie in span{{X, Y, Z}}: {UElem.render(image)}")':
         "the images of alpha_U lie in span{X, Y, Z}",

@@ -47,9 +47,7 @@ def test_module_is_a_hom_structure(scenario):
 
 def sl2_pair():
     """beta_H: X -> q^4 X, Y -> q^-4 Y, Z -> Z and beta_A = (q^3 x, q^-1 y)."""
-    beta_H = actions.extend_lie_endo(({(1, 0, 0): q(4)}, {(0, 1, 0): q(-4)}, {(0, 0, 1): ONE}))
-    beta_A = actions.endo_map(({(1, 0): q(3)}, {(0, 1): q(-1)}), actions.plane_mul)
-    return beta_H, beta_A
+    return actions.read_pair({"beta_H": ["q^4*X", "q^-4*Y", "Z"], "beta_A": ["q^3*x", "q^-1*y"]})
 
 
 def m2_pair():
@@ -116,6 +114,46 @@ def test_twist_composes_with_the_structure_map(scenario, pair, composed, control
         name: (0, checked) for name, checked in composed.items()
     }
     assert {name: counts(report) for name, report in sweeps(uncomposed(r)).items()} == control
+
+
+# -- Theorem 1.1 beyond the diagonal pair ---------------------------------
+# Twisting pairs of sl2-q written as documents, as actions.SL2_Q is.  The
+# shear fixes X and x and sends y to y + q x; the swap exchanges X and Y, x
+# and y, and negates Z.  Each is a compatible pair, beta_A(h a) =
+# beta_H(h) beta_A(a), so Theorem 1.1 deforms the classical triple by it.
+# The perturbed shear keeps beta_H but sends y to y + 2q x, still an algebra
+# map but no longer compatible: beta_A(Y x) = y + 2q x, while
+# beta_H(Y) beta_A(x) = (Y + qZ - q^2 X) x = y + q x.
+
+SHEAR = {"beta_H": ["X", "Y + q*Z - q^2*X", "Z - 2*q*X"], "beta_A": ["x", "y + q*x"]}
+SWAP = {"beta_H": ["Y", "X", "-Z"], "beta_A": ["y", "x"]}
+PERTURBED_SHEAR = {**SHEAR, "beta_A": ["x", "y + 2*q*x"]}
+
+SL2_CASES = {
+    "hom-associativity": 252, "hom-bialgebra": 1220, "module-axiom": 660,
+    "module-hom-algebra": 360, "mu-module-morphism": 360, "compatibility": 60,
+    "classical": 360, "hom-lie": 80,
+}
+
+
+def twisted_by(doc, bound_h=2, bound_a=2):
+    """The sl2-q record with the twisting pair that actions.read_pair reads from doc."""
+    beta_H, beta_A = actions.read_pair(doc)
+    return sl2(bound_h, bound_a)._replace(beta_H=beta_H, beta_A=beta_A)
+
+
+@pytest.mark.parametrize(
+    "doc, failing",
+    [(SHEAR, {}), (SWAP, {}),
+     (PERTURBED_SHEAR, {"compatibility": 21, "module-axiom": 153, "module-hom-algebra": 191,
+                        "mu-module-morphism": 191})],
+    ids=["shear", "swap", "perturbed-shear"],
+)
+def test_every_suite_on_a_pair_with_multi_term_images(doc, failing):
+    r = twisted_by(doc)
+    assert {suite: counts(SUITE(r)) for suite, SUITE in cli.SUITES.items()} == {
+        suite: (failing.get(suite, 0), checked) for suite, checked in SL2_CASES.items()
+    }
 
 
 # -- negative controls as record edits ----------------------------------
@@ -275,6 +313,7 @@ def m2_unipotent():
 EDITED_RECORDS = {
     "finalg": (m2, 116 + 28), "H4": (h4, 44 + 31), "sl2-q(1,1)": (lambda: sl2(1, 1), 88 + 43),
     "finalg(a=e11+e12+e22)": (m2_unipotent, 97 + 19),
+    "shear(1,1)": (lambda: twisted_by(SHEAR, 1, 1), 88 + 43),
 }
 
 # (record, edit) -> why no suite can see it; a stale entry fails

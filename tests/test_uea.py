@@ -3,7 +3,7 @@ import re
 import pytest
 
 from homtwist import actions, homcore
-from homtwist.scalars import ONE, Q, Q_INV, QLaurent, add_term, sparse_add
+from homtwist.scalars import ONE, Q, QLaurent, add_term, sparse_add
 from homtwist.uea import UElem
 
 import free_oracle
@@ -121,7 +121,7 @@ class TestComultiplication:
             assert homcore.unflatten(C.comul(k)) == free_oracle.comul(pbw_word(mono)), mono
 
 
-Q_EXAMPLE = ({(1, 0, 0): Q}, {(0, 1, 0): Q_INV}, Z)
+Q_EXAMPLE = tuple(map(UElem.parse, actions.SL2_Q["beta_H"]))
 
 
 class TestEndomorphisms:
@@ -164,7 +164,7 @@ class TestEndomorphisms:
             actions.extend_lie_endo((mul(X, X), Y, Z))
 
     def test_q_example_acts_by_weight(self):
-        handle = actions.alpha_u()
+        handle = actions.read_pair(actions.SL2_Q)[0]
         for mono in UElem.basis_keys(3):
             a, b, _ = mono
             assert apply(handle, {mono: ONE}) == {mono: QLaurent.q_power(a - b)}
