@@ -11,7 +11,6 @@ byte-deterministic for a fixed invocation.
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import functools
 import gc
@@ -21,6 +20,7 @@ import signal
 import stat
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 from . import actions, finalg, homcore
 from .polyalg import Poly
@@ -121,7 +121,27 @@ SCENARIOS = {
 }
 
 
+# verify's options, name -> the keyword arguments of its add_argument: an int
+# value, a value each time it is given (append), no value (store_true), or
+# else a string value.  build_parser adds them, and _read_verify reads them.
+VERIFY_OPTIONS = {
+    "--bound-h": {"type": int, "help": "degree bound for bialgebra-side basis elements"},
+    "--bound-a": {"type": int, "help": "degree bound for algebra-side basis elements"},
+    "--suite": {"action": "append", "help": "axiom suite identifier (repeatable; default: all)"},
+    "--negative-control": {
+        "action": "store_true",
+        "help": "run each selected suite that has a negative control as that control, "
+        "which must fail",
+    },
+    "--file": {"help": "scenario file for the finalg scenario"},
+    "--report": {"help": "write a machine-readable JSON report here"},
+}
+
+
 def build_parser():
+    # imported here: a canonical verify argument list never builds the parser
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="homtwist",
         description="Construct and verify Hom-algebra structures exactly.",
@@ -130,29 +150,8 @@ def build_parser():
 
     verify = sub.add_parser("verify", help="run axiom suites for a scenario")
     verify.add_argument("scenario", choices=list(SCENARIOS))
-    verify.add_argument(
-        "--bound-h",
-        type=int,
-        help="degree bound for bialgebra-side basis elements",
-    )
-    verify.add_argument(
-        "--bound-a",
-        type=int,
-        help="degree bound for algebra-side basis elements",
-    )
-    verify.add_argument(
-        "--suite",
-        action="append",
-        help="axiom suite identifier (repeatable; default: all)",
-    )
-    verify.add_argument(
-        "--negative-control",
-        action="store_true",
-        help="run each selected suite that has a negative control as that control, "
-        "which must fail",
-    )
-    verify.add_argument("--file", help="scenario file for the finalg scenario")
-    verify.add_argument("--report", help="write a machine-readable JSON report here")
+    for name, spec in VERIFY_OPTIONS.items():
+        verify.add_argument(name, **spec)
 
     act = sub.add_parser(
         "act",
@@ -177,6 +176,46 @@ def build_parser():
 
 
 # -- verify ------------------------------------------------------------
+
+
+def _read_verify(argv):
+    """The namespace that build_parser().parse_args(argv) gives, for a
+    canonical verify argument list; None for any other list, which argparse
+    then reads, with its own messages and exit codes.
+
+    A canonical list is verify, a scenario of SCENARIOS, then option names of
+    VERIFY_OPTIONS written out in full, each value a token of its own that
+    does not start with "-" and that the option's type takes.  Help, an
+    abbreviation, --name=value, "--" and every other command go to argparse.
+    """
+    if len(argv) < 2 or argv[0] != "verify" or argv[1] not in SCENARIOS:
+        return None
+    values = {
+        name: False if spec.get("action") == "store_true" else None
+        for name, spec in VERIFY_OPTIONS.items()
+    }
+    tokens = iter(argv[2:])
+    for name in tokens:
+        spec = VERIFY_OPTIONS.get(name)
+        if spec is None:
+            return None
+        action = spec.get("action")
+        if action == "store_true":
+            values[name] = True
+            continue
+        # a missing value reads as one that starts with "-"
+        value = next(tokens, "-")
+        if value.startswith("-"):
+            return None
+        try:
+            value = spec.get("type", str)(value)
+        except ValueError:
+            # such as a bound that int() refuses, or one of more digits than it reads
+            return None
+        values[name] = (values[name] or []) + [value] if action == "append" else value
+    # the attribute names argparse derives from the option names
+    fields = {name[2:].replace("-", "_"): value for name, value in values.items()}
+    return SimpleNamespace(command="verify", scenario=argv[1], **fields)
 
 
 def _finalg_scenario(path):
@@ -350,12 +389,13 @@ def cmd_twist(args):
 
 
 def main(argv=None):
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits 2 on bad input already; normalize anything else
-        return EXIT_INPUT_ERROR if exc.code else EXIT_PASS
+    args = _read_verify(sys.argv[1:] if argv is None else argv)
+    if args is None:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:
+            # argparse exits 2 on bad input already; normalize anything else
+            return EXIT_INPUT_ERROR if exc.code else EXIT_PASS
     try:
         if args.command == "verify":
             return cmd_verify(args)

@@ -25,7 +25,7 @@ from homtwist.scalars import QLaurent
 from homtwist.uea import UElem
 
 import plane_oracle
-from test_golden import finalg_text
+from test_golden import GOLDEN, finalg_text
 
 
 def run(capsys, *argv):
@@ -383,6 +383,12 @@ BAD_INPUTS = [
     # U(sl(2)) text reads a space as a product, but not inside a number
     ["act", "2 2", "x"],
     ["verify", "finalg", "--file", "{non-multiplicative-operator}"],
+    # int() refuses a string of more than 4300 digits: argparse says so, with
+    # no traceback
+    ["verify", "sl2-q", "--bound-h", "9" * 5000],
+    # an ambiguous abbreviation, and an option without its value
+    ["verify", "sl2-q", "--bound"],
+    ["verify", "finalg", "--file"],
 ]
 
 
@@ -604,6 +610,74 @@ def test_suite_registry_case_counts(capsys, tmp_path, scenario):
     assert code == 0
     reports = json.loads(path.read_text())["reports"]
     assert [r["checked"] for r in reports] == list(expected.values())
+
+
+# verify argument lists are drawn from these tokens: the scenarios, the full
+# option names, abbreviations, --name=value, help and "--", and values that
+# int() takes, refuses, or cannot read (5000 digits), and some that start
+# with "-"
+VERIFY_TOKENS = [
+    "verify", "sl2-q", "finalg", "nope", *cli.VERIFY_OPTIONS, "--bound", "--neg", "--suite=x",
+    "-h", "--",
+]
+VERIFY_VALUES = ["3", "0003", "-1", "3.5", "", "x", "\u0663", "9" * 5000, "hom-bialgebra"]
+
+
+@st.composite
+def verify_argvs(draw):
+    """verify with or without a scenario; then options, each but the flag
+    with a value or, now and then, without; and now and then one more token
+    or value put in anywhere.
+    """
+    argv = draw(st.sampled_from([["verify", "sl2-q"], ["verify", "finalg"], ["verify"]]))
+    pairs = st.tuples(
+        st.sampled_from(list(cli.VERIFY_OPTIONS)), st.sampled_from([*VERIFY_VALUES, None])
+    )
+    for name, value in draw(st.lists(pairs, max_size=4)):
+        flag = cli.VERIFY_OPTIONS[name].get("action") == "store_true"
+        argv = argv + ([name] if value is None or flag else [name, value])
+    if draw(st.booleans()):
+        token = draw(st.sampled_from(VERIFY_TOKENS + VERIFY_VALUES))
+        argv.insert(draw(st.integers(0, len(argv))), token)
+    return argv
+
+
+def parsed(argv):
+    """The attributes build_parser().parse_args(argv) gives, or None where
+    argparse exits (an error, or help).
+    """
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(cli.build_parser().parse_args(argv))
+        except SystemExit:
+            return None
+
+
+@settings(max_examples=500, derandomize=True, deadline=None)
+@given(verify_argvs())
+def test_the_verify_reader_agrees_with_argparse(argv):
+    # the reader gives argparse's namespace or leaves the list to argparse,
+    # and every list argparse refuses is left to it
+    read = cli._read_verify(argv)
+    assert read is None or vars(read) == parsed(argv)
+
+
+def test_the_verify_reader_reads_the_workload_and_golden_lists():
+    from workloads import WORKLOADS  # test_golden puts perfbench on the path
+
+    argvs = [
+        WORKLOADS[name].verify_argv("scenario.json", "report.json")
+        for name in ("hopf-h3", "negctl-q33", "finalg-m3")
+    ]
+    argvs += [
+        argv + report
+        for _, argv, _, _ in GOLDEN
+        if argv[0] == "verify"
+        for report in ([], ["--report", "report.json"])
+    ]
+    for argv in argvs:
+        read = cli._read_verify(argv)
+        assert read is not None and vars(read) == parsed(argv), argv
 
 
 class TestTwist:

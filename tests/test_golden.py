@@ -11,7 +11,8 @@ The negative control at (3,3), the benchmark's negctl-q33 command, is pinned
 by the sha256 of its stdout and of its --report JSON (about 300 KB).  The
 benchmark's finalg-m3 command, `verify finalg --file` on finalg_gen's seed-1
 n = 3 file, is pinned byte for byte in finalg_m3, recorded before operators
-became their key tables.
+became their key tables.  The help of homtwist, verify and twist is pinned
+byte for byte too.
 """
 
 import functools
@@ -56,6 +57,21 @@ GOLDEN = [
     ("sl2_33", ["verify", "sl2-q", "--bound-h", "3", "--bound-a", "3"],
      cli.EXIT_PASS, True),
 ]
+
+
+# (stem of the recorded file, argv): help text recorded before verify's options
+# came from cli.VERIFY_OPTIONS, at 80 columns
+HELP = [("help", ["--help"]), ("help_verify", ["verify", "--help"]),
+        ("help_twist", ["twist", "--help"])]
+
+
+@pytest.mark.parametrize("stem, argv", HELP)
+def test_help_matches_recorded_bytes(capsys, monkeypatch, stem, argv):
+    # argparse wraps its help at the width of the terminal, read from COLUMNS first
+    monkeypatch.setenv("COLUMNS", "80")
+    assert cli.main(argv) == cli.EXIT_PASS
+    with open(os.path.join(DATA, f"{stem}.stdout"), "rb") as fh:
+        assert capsys.readouterr().out.encode() == fh.read()
 
 
 @pytest.mark.parametrize("stem, argv, code, with_report", GOLDEN)

@@ -10,7 +10,8 @@ or reads.
 The names of the package's __all__ (re-exported by __init__) and
 `from __future__ import annotations` are exempt.  Importing the command line
 loads none of dataclasses, inspect and typing, which a cold process would pay
-for on every run.
+for on every run, and the benchmark's verify argument lists run without
+argparse, gettext and locale too.
 """
 
 import ast
@@ -227,6 +228,38 @@ def test_cli_import_leaves_out_heavy_modules():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout == "[]\n"
+
+
+def test_canonical_verify_loads_no_parser(tmp_path):
+    # the benchmark's three workload argument lists run without argparse, and
+    # without the gettext and locale that its messages import.  main reads
+    # them from sys.argv, as in the process the benchmark starts.  Imported
+    # here: test_reachability imports this file before it imports homtwist
+    from test_golden import finalg_text  # puts perfbench on the path
+    from workloads import WORKLOADS
+
+    scenario, report = tmp_path / "finalg_m3.json", str(tmp_path / "report.json")
+    scenario.write_text(finalg_text(1, 3))
+    workloads = [WORKLOADS[name] for name in ("hopf-h3", "negctl-q33", "finalg-m3")]
+    argvs = [workload.verify_argv(str(scenario), report) for workload in workloads]
+    code = (
+        "import os, sys\n"
+        f"sys.path.insert(0, {str(SRC.parent)!r})\n"
+        "from homtwist import cli\n"
+        "sys.stdout = open(os.devnull, 'w')\n"
+        "codes = []\n"
+        f"for argv in {argvs!r}:\n"
+        "    sys.argv[1:] = argv\n"
+        "    codes.append(cli.main())\n"
+        "sys.stdout = sys.__stdout__\n"
+        "heavy = {'argparse', 'gettext', 'locale', 'dataclasses', 'inspect', 'typing'}\n"
+        "print(codes, sorted(heavy & set(sys.modules)))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == f"{[workload.exit_code for workload in workloads]} []\n"
 
 
 def test_the_guard_sees_a_dead_definition():

@@ -61,3 +61,18 @@ def test_an_assignment_target_mutates_its_value():
     assert any("homcore.check_compatibility(r), 'compatibility'" in name for name in made)
     # a whole-module target includes them
     assert set(made) <= {name for name, _ in mutate.mutants("cli")}
+
+
+def test_a_literal_string_loses_its_last_character():
+    made = dict(mutate.mutants("actions", {"SL2_Q"}))
+    # each text of the twisting pair, and each key
+    assert "SL2_Q = {'beta_': [" in made["actions.SL2_Q: 'beta_H' -> 'beta_'"]
+    assert '"q^2*x", \'q*\']}' in made["actions.SL2_Q: 'q*y' -> 'q*'"]
+    assert len(made) == 7
+    # a string inside a lambda or a call is left as it is: compatibility is a
+    # key of cli.SUITES and an argument of its entry's _label call
+    suites = [name for name, _ in mutate.mutants("cli", {"SUITES"})]
+    assert [name for name in suites if "-> 'compatibilit'" in name] == [
+        "cli.SUITES: 'compatibility' -> 'compatibilit'"
+    ]
+    assert not any("-> 'Eq. (1.1" in name for name in suites)

@@ -18,7 +18,11 @@ changes, made with the stdlib ast module:
 - a small int constant raised by 1;
 - a continue or del statement replaced by pass;
 - a not dropped;
-- the first two positional arguments of a call swapped, when they differ.
+- the first two positional arguments of a call swapped, when they differ;
+- a string constant that is an element, key or value of a dict, list or
+  tuple literal assigned at module level loses its last character, such as
+  a text of actions.SL2_Q or an option name of cli.VERIFY_OPTIONS (a string
+  inside a lambda, a call or an f-string is left as it is).
 
 The tree is never written: src, tests, perfbench and tools, with the
 top-level files that Tier-1 reads, are copied to a scratch folder
@@ -81,9 +85,13 @@ _COMPARES = {
 _SMALL = 1 << 10
 
 
-def _mutations(node):
-    """(replacement node, whether it needs parentheses) for each mutant of node."""
-    if isinstance(node, (ast.BinOp, ast.AugAssign)) and type(node.op) in _BINOPS:
+def _mutations(node, literal):
+    """(replacement node, whether it needs parentheses) for each mutant of
+    node; literal: node is a string constant of _literal_strings.
+    """
+    if literal:
+        yield ast.Constant(node.value[:-1]), False
+    elif isinstance(node, (ast.BinOp, ast.AugAssign)) and type(node.op) in _BINOPS:
         yield _copy(node, op=_BINOPS[type(node.op)]()), isinstance(node, ast.BinOp)
     elif isinstance(node, ast.Compare):
         for i, op in enumerate(node.ops):
@@ -101,6 +109,25 @@ def _mutations(node):
         if not any(isinstance(arg, ast.Starred) for arg in (a, b)):
             if ast.unparse(a) != ast.unparse(b):
                 yield _copy(node, args=[b, a, *node.args[2:]]), True
+
+
+def _literal_strings(tree) -> set:
+    """The ids of the non-empty string constants that are elements, keys or
+    values of the dict, list and tuple literals of module-level assignments,
+    nested literals included; nothing inside another expression is read.
+    """
+    out, stack = set(), [node.value for node in tree.body if isinstance(node, ast.Assign)]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.Constant) and type(node.value) is str and node.value:
+            out.add(id(node))
+        elif isinstance(node, ast.Dict):
+            # a None key is a ** entry
+            stack.extend(key for key in node.keys if key is not None)
+            stack.extend(node.values)
+        elif isinstance(node, (ast.List, ast.Tuple)):
+            stack.extend(node.elts)
+    return out
 
 
 def _copy(node, **fields):
@@ -162,7 +189,7 @@ def mutants(module: str, qualnames=None):
     for line in lines:
         starts.append(starts[-1] + len(line.encode()))
     data = source.encode()
-    skip = _skipped(tree)
+    skip, literals = _skipped(tree), _literal_strings(tree)
 
     def offset(lineno, col):
         return starts[lineno - 1] + col
@@ -178,7 +205,7 @@ def mutants(module: str, qualnames=None):
         for node in ast.walk(fn):
             if node is fn or id(node) in skip or not hasattr(node, "end_col_offset"):
                 continue
-            for new, parens in _mutations(node):
+            for new, parens in _mutations(node, id(node) in literals):
                 lo = offset(node.lineno, node.col_offset)
                 hi = offset(node.end_lineno, node.end_col_offset)
                 old_text = ast.unparse(node)
