@@ -19,10 +19,9 @@ import re
 import signal
 import stat
 import sys
-from fractions import Fraction
 from types import SimpleNamespace
 
-from . import actions, finalg, homcore
+from . import actions, homcore
 from .polyalg import Poly
 from .report import CheckReport, Counterexample, write_json
 from .scalars import QLaurent
@@ -219,6 +218,10 @@ def _read_verify(argv):
 
 
 def _finalg_scenario(path):
+    # imported here: an sl2-q run never loads finalg, nor the fractions and
+    # json that it imports
+    from . import finalg
+
     try:
         scenario = finalg.load_scenario(path) if path else finalg.m2_example()
         return finalg.example31_scenario(*scenario)
@@ -336,6 +339,8 @@ def cmd_act(args):
         # the length first: int() refuses a string of more than 4300 digits
         if len(digits) > len(str(_MAX_Q_EXPONENT)) or int(digits or 0) > _MAX_Q_EXPONENT:
             raise InputError(f"the exponent of q value {args.q_value!r} is above {_MAX_Q_EXPONENT}")
+        from fractions import Fraction
+
         try:
             q0 = Fraction(args.q_value)
         except (ValueError, ZeroDivisionError) as exc:

@@ -8,11 +8,9 @@ line names each report it prints.
 
 from __future__ import annotations
 
-import json
 from collections import namedtuple
 from functools import cache
 from itertools import product
-from json.encoder import encode_basestring_ascii as _string
 from math import prod
 
 Counterexample = namedtuple("Counterexample", "rendered_inputs lhs rhs")
@@ -82,8 +80,11 @@ def write_json(fh, head, reports):
     as its name, equation, status, case count and counterexamples, each
     counterexample as its rendered inputs and both sides.  There is one
     write per counterexample, so the text of a long report is never held
-    whole.
+    whole.  json is imported here: a run without --report never loads it.
     """
+    import json
+    from json.encoder import encode_basestring_ascii as _string
+
     fh.write("{\n")
     for name, value in head.items():
         fh.write(f"  {_string(name)}: {json.dumps(value)},\n")

@@ -6,12 +6,15 @@ means a passing sweep proves the identity for every nonzero specialization of
 q at once.  Division by general Laurent polynomials is deliberately absent;
 only monomial inverses q^(-k) ever arise.
 
-A coefficient is an int or a Fraction, never a float: the constructors store
-every integral value as an int, so the integer arithmetic that dominates the
-sweeps never touches Fraction.  Every sum and product is accumulated by
-add_term, the one canonical-form rule: it stores an integral Fraction as its
-int and drops a zero.  Arithmetic results are wrapped with trusted(), which
-skips QLaurent's validation because they are canonical already.
+A coefficient is an int or a Fraction, never a float: the constructors and
+the parser store every integral value as an int, so the integer arithmetic
+that dominates the sweeps never touches Fraction.  fractions is imported
+only where a non-integral coefficient can arise: a coefficient text with
+"/", a constructor value or * operand that is not an int, and specialize.
+Every sum and product is accumulated by add_term, the one canonical-form
+rule: it stores an integral Fraction as its int and drops a zero.
+Arithmetic results are wrapped with trusted(), which skips QLaurent's
+validation because they are canonical already.
 
 The text of all three rings is split by one scanner, _split_top: a sum at
 its top-level signs (split_sum) and a term at its top-level factors
@@ -28,7 +31,6 @@ and two elements are equal when their maps are.
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 from itertools import accumulate, product
 
 # QLaurent.specialize refuses a power q0^e of more bits than this (1 MiB)
@@ -39,11 +41,18 @@ _MAX_POWER_BITS = 1 << 23
 
 def _as_rational(value):
     """A coefficient given to a constructor, an int or Fraction, as an int when integral."""
-    if isinstance(value, Fraction):
-        return value.numerator if value.denominator == 1 else value
     if isinstance(value, int):
         return int(value)
+    if _is_fraction(value):
+        return value.numerator if value.denominator == 1 else value
     raise TypeError(f"cannot interpret {value!r} as a rational")
+
+
+def _is_fraction(value) -> bool:
+    """Whether value is a Fraction; the first call imports fractions."""
+    from fractions import Fraction
+
+    return isinstance(value, Fraction)
 
 
 def trusted(terms: dict):
@@ -101,7 +110,7 @@ class QLaurent:
     def __mul__(self, other) -> "QLaurent":
         if isinstance(other, QLaurent):
             factors = other.terms
-        elif isinstance(other, (int, Fraction)):
+        elif isinstance(other, int) or _is_fraction(other):
             # An instance is immutable, so the product by 1 is the instance.
             if other == 1:
                 return self
@@ -126,8 +135,10 @@ class QLaurent:
 
     # -- evaluation ---------------------------------------------------
 
-    def specialize(self, q0) -> Fraction:
+    def specialize(self, q0):
         """Evaluate at a concrete nonzero rational q = q0, as an exact Fraction."""
+        from fractions import Fraction
+
         # A Fraction even for an int q0: int ** -k would be a float.
         q0 = Fraction(q0)
         if q0 == 0:
@@ -173,10 +184,16 @@ def _parse_scalar_term(term: str):
     match = _TERM_FACTOR.match(term.replace(" ", ""))
     if not match or (match.group("coeff") is None and "q" not in term):
         raise ValueError(f"cannot parse scalar term {term!r}")
-    try:
-        coeff = Fraction(match.group("coeff")) if match.group("coeff") else Fraction(1)
-    except ZeroDivisionError:
-        raise ValueError(f"zero denominator in {term!r}") from None
+    text = match.group("coeff") or "1"
+    if "/" in text:
+        from fractions import Fraction
+
+        try:
+            coeff = Fraction(text)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {term!r}") from None
+    else:
+        coeff = int(text)  # the int that Fraction(text) would fold to
     if "q" in term:
         exp = int(match.group("exp")) if match.group("exp") else 1
     else:
@@ -260,11 +277,13 @@ def add_term(terms: dict, key, coeff) -> None:
     """terms[key] += coeff in place, dropping the key when the sum is zero.
 
     An integral Fraction is stored as its int, so rational coefficients keep
-    the int-or-non-integral-Fraction form through arithmetic.
+    the int-or-non-integral-Fraction form through arithmetic.  A coefficient
+    is an int, a Fraction or a QLaurent, so a Fraction is the one that is
+    neither of the others, and add_term never imports fractions.
     """
     if key in terms:
         coeff = terms[key] + coeff
-    if coeff.__class__ is Fraction and coeff.denominator == 1:
+    if coeff.__class__ is not int and coeff.__class__ is not QLaurent and coeff.denominator == 1:
         coeff = coeff.numerator
     if coeff:
         terms[key] = coeff

@@ -38,6 +38,9 @@ class TestAct:
     def test_generator_rule(self, capsys):
         code, out, _ = run(capsys, "act", "X", "y")
         assert code == 0 and out.strip() == "x"
+        # an integral Fraction coefficient reads as its int
+        code, out, _ = run(capsys, "act", "4/2*X", "y")
+        assert code == 0 and out == "2*x\n"
 
     def test_deformed(self, capsys):
         code, out, _ = run(capsys, "act", "X", "y", "--deformed")
@@ -50,6 +53,11 @@ class TestAct:
     def test_specialization(self, capsys):
         code, out, _ = run(capsys, "act", "X", "y", "--deformed", "--q-value", "1/2")
         assert code == 0 and out.strip() == "1/4*x"
+
+    def test_an_exponent_of_q_may_group_its_digits(self, capsys):
+        # Fraction reads an underscore between digits, and the exponent cap too
+        code, out, _ = run(capsys, "act", "X", "y", "--deformed", "--q-value", "1e0_1")
+        assert code == 0 and out == "100*x\n"
 
     def test_parse_error_exit_code(self, capsys):
         code, _, err = run(capsys, "act", "W", "y")

@@ -10,8 +10,11 @@ or reads.
 The names of the package's __all__ (re-exported by __init__) and
 `from __future__ import annotations` are exempt.  Importing the command line
 loads none of dataclasses, inspect and typing, which a cold process would pay
-for on every run, and the benchmark's verify argument lists run without
-argparse, gettext and locale too.
+for on every run, nor the fractions, json and finalg that only some runs use.
+The benchmark's verify argument lists run without argparse, gettext and
+locale too, and the two sl2-q lists without fractions (and the decimal and
+numbers it imports) and finalg; of them only the list with --report loads
+json.
 """
 
 import ast
@@ -215,13 +218,18 @@ def test_no_namespace_methods(path):
     assert namespace_methods(path.read_text()) == []
 
 
+# what no run of the command line uses, and what only some runs use
+HEAVY = {"argparse", "gettext", "locale", "dataclasses", "inspect", "typing"}
+LAZY = {"fractions", "decimal", "numbers", "json", "homtwist.finalg"}
+
+
 def test_cli_import_leaves_out_heavy_modules():
     # -S: no site directory, so no installed .pth file imports anything first
     code = (
         "import sys\n"
         f"sys.path.insert(0, {str(SRC.parent)!r})\n"
         "import homtwist.cli\n"
-        "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))\n"
+        f"print(sorted(set(sys.modules).intersection({sorted(HEAVY | LAZY)!r})))\n"
     )
     done = subprocess.run(
         [sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=60
@@ -232,9 +240,12 @@ def test_cli_import_leaves_out_heavy_modules():
 
 def test_canonical_verify_loads_no_parser(tmp_path):
     # the benchmark's three workload argument lists run without argparse, and
-    # without the gettext and locale that its messages import.  main reads
-    # them from sys.argv, as in the process the benchmark starts.  Imported
-    # here: test_reachability imports this file before it imports homtwist
+    # without the gettext and locale that its messages import; the sl2-q
+    # lists, whose coefficients are all integral, without fractions and
+    # finalg, and hopf-h3, which writes no report, without json.  They run in
+    # that order in one process, and main reads them from sys.argv, as in the
+    # process the benchmark starts.  Imported here: test_reachability imports
+    # this file before it imports homtwist
     from test_golden import finalg_text  # puts perfbench on the path
     from workloads import WORKLOADS
 
@@ -247,19 +258,21 @@ def test_canonical_verify_loads_no_parser(tmp_path):
         f"sys.path.insert(0, {str(SRC.parent)!r})\n"
         "from homtwist import cli\n"
         "sys.stdout = open(os.devnull, 'w')\n"
-        "codes = []\n"
+        "codes, loaded = [], []\n"
         f"for argv in {argvs!r}:\n"
         "    sys.argv[1:] = argv\n"
         "    codes.append(cli.main())\n"
+        f"    loaded.append(sorted(set(sys.modules).intersection({sorted(HEAVY | LAZY)!r})))\n"
         "sys.stdout = sys.__stdout__\n"
-        "heavy = {'argparse', 'gettext', 'locale', 'dataclasses', 'inspect', 'typing'}\n"
-        "print(codes, sorted(heavy & set(sys.modules)))\n"
+        "print(codes, loaded)\n"
     )
     done = subprocess.run(
         [sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=120
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout == f"{[workload.exit_code for workload in workloads]} []\n"
+    # the finalg list loads the rational scenario and what it imports
+    expected = [[], ["json"], sorted(LAZY)]
+    assert done.stdout == f"{[workload.exit_code for workload in workloads]} {expected}\n"
 
 
 def test_the_guard_sees_a_dead_definition():

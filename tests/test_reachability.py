@@ -86,11 +86,12 @@ ALLOWED = {
 }
 
 # act inputs beyond the golden and bad ones: terms that merge and cancel,
-# and parenthesized coefficients
+# parenthesized coefficients, and an integral Fraction, which add_term folds
 ACT_INPUTS = [
     ["act", "X + X", "x - x"],
     ["act", "2*X - X", "x + y - x"],
     ["act", "(q + 1)*X", "(2)*y"],
+    ["act", "4/2*X", "y"],
 ]
 
 

@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from homtwist import actions, homcore
 from homtwist.polyalg import Poly
-from homtwist.scalars import ONE, Q, Q_INV, ZERO, QLaurent
+from homtwist.scalars import _MAX_POWER_BITS, ONE, Q, Q_INV, ZERO, QLaurent
 from homtwist.uea import UElem
 
 
@@ -78,6 +78,66 @@ class TestSpecialize:
     def test_negative_exponent_at_int_is_exact(self, value, q0, expected):
         result = value.specialize(q0)
         assert type(result) is Fraction and result == expected
+
+    def test_the_power_bound_is_bits_per_unit_times_the_span(self):
+        # q0 = 3 takes 2 bits per unit of exponent, so a span of 2^22 + 1
+        # units is 2 bits more than the bound
+        span = (_MAX_POWER_BITS >> 1) + 1
+        with pytest.raises(OverflowError, match="too large to evaluate"):
+            QLaurent({0: 1, span: 1}).specialize(3)
+
+    def test_zero_is_zero_at_any_q(self):
+        # no power of q0 is taken, however many bits q0 has
+        huge = 1 << (_MAX_POWER_BITS + 1)
+        for q0 in (huge, Fraction(1, huge)):
+            assert ZERO.specialize(q0) == 0
+
+
+class TestCoefficientContract:
+    """A coefficient is an int or a non-integral Fraction, never a float,
+    whether a text without "/" is read by int() or a value by Fraction.
+    """
+
+    @pytest.mark.parametrize(
+        "text, terms",
+        [
+            ("4/2", {0: 2}),
+            ("1/2", {0: Fraction(1, 2)}),
+            ("007", {0: 7}),
+            ("-0", {}),
+            ("q^-1", {-1: 1}),
+            ("-4/2*q + 3", {0: 3, 1: -2}),
+        ],
+    )
+    def test_parse_gives_the_values_and_types(self, text, terms):
+        got = ql(text).terms
+        assert got == terms
+        assert {e: type(c) for e, c in got.items()} == {e: type(c) for e, c in terms.items()}
+
+    @pytest.mark.parametrize("digits", ["9" * 5000, "1/" + "9" * 5000])
+    def test_an_overlong_coefficient_gives_the_error_of_fraction(self, digits):
+        # int(text), which reads a text without "/", refuses it with the
+        # message of Fraction(text)
+        with pytest.raises(ValueError) as expected:
+            Fraction(digits)
+        with pytest.raises(ValueError) as got:
+            ql(f"{digits}*q")
+        assert str(got.value) == str(expected.value)
+
+    def test_fraction_operands_keep_the_contract(self):
+        # QLaurent.of(Fraction(4, 2)) is TestArithmetic's
+        half = ql("q + 2") * Fraction(1, 2)
+        assert half.terms == {0: 1, 1: Fraction(1, 2)} and type(half.terms[0]) is int
+        assert Fraction(1, 2) * ql("q + 2") == half
+        value = ql("q^-1 + 2*q").specialize(Fraction(1, 2))
+        assert type(value) is Fraction and value == 3
+
+    def test_a_float_operand_raises_type_error(self):
+        # a float constructor value is test_of_returns_a_qlaurent_unchanged's
+        with pytest.raises(TypeError, match="unsupported operand"):
+            Q * 1.5
+        with pytest.raises(TypeError, match="unsupported operand"):
+            1.5 * Q
 
 
 scalars = st.builds(

@@ -69,6 +69,16 @@ EQUIVALENT = {
     "cli.cmd_verify: os.path.samefile(args.file, args.report)"
     " -> os.path.samefile(args.report, args.file)":
         "samefile is symmetric: it compares the device and inode of both paths",
+    "scalars.QLaurent.specialize: max(abs(q0.numerator), q0.denominator)"
+    " -> max(q0.denominator, abs(q0.numerator))":
+        "max of two ints is symmetric",
+    "scalars.QLaurent.specialize: 0 -> 1 #3":
+        "min's default is read only for the zero sum, whose total 0 is returned unscaled",
+    "cli.cmd_act: 0 -> 1":
+        "the act tables are defined on every key, whatever the bounds of the bases",
+    "cli.cmd_act: 0 -> 1 #2":
+        "the act tables are defined on every key, whatever the bounds of the bases",
+    "cli.cmd_act: 0 -> 1 #4": "an exponent of no digits reads as 0 or 1, both below the cap",
 }
 
 _BINOPS = {
